@@ -26,9 +26,9 @@ import (
 // compose on one machine) hop latency is exact; across hosts it is
 // offset by clock skew and the histograms read as "skew + wire", which
 // is still the right signal for detecting a stalled or drifting edge.
-// The header is fixed-size and written into the sender's reused frame
+// The header is fixed-size and written into the relay's reused header
 // buffer, so tracing — enabled or not — adds zero allocations to the
-// batched emit path (guarded by TestFlowFrameEncodeZeroAlloc).
+// batched emit path (guarded by TestRelayAdmitZeroAlloc).
 const (
 	frameMagic0    = 'F'
 	frameMagic1    = 'H'

@@ -20,40 +20,36 @@ import (
 // is installed in the local cell as a parallel-1 bolt subscribed to
 // fromComp, so the producer's emissions flow through the normal queue
 // plane (backpressure included) into the relay, which batches them into
-// PR 8 wire frames (stream.EncodeTupleBatch over nettransport.BatchConn).
+// PR 8 wire frames (batch-codec records over nettransport.BatchConn).
 //
 // Delivery across failures: the relay retains a bounded window of the
-// most recent tuples. Every (re)connect — including the reroute after
-// the control plane moves destComp — replays the whole retained window
-// as replay-class traffic before resuming live sends. The receiver's
-// per-key watermark dedupe makes the overlap exactly-once. When the
-// window is full, already-sent entries are trimmed first; if every
-// retained entry is unsent the executor blocks, which is backpressure,
-// not loss.
+// most recent tuples, encoded once at admission (see window). Every
+// (re)connect — including the reroute after the control plane moves
+// destComp — replays the whole retained window as replay-class traffic
+// before resuming live sends. The receiver's per-key watermark dedupe
+// makes the overlap exactly-once. When the window is full, entries
+// already on the wire are trimmed first; if none is, the executor
+// blocks, which is backpressure, not loss.
 type relay struct {
 	node     *Node
 	fromComp string
 	destComp string
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	buf         []relayEntry
-	sent        int // buf[:sent] already written to the current connection
-	replayUntil int // buf[:replayUntil] resends as replay class (reconnect window)
-	closed      bool
-	done        chan struct{}
+	mu     sync.Mutex
+	cond   *sync.Cond
+	win    window
+	closed bool
+	done   chan struct{}
 	// trace is the recovery span context stamped on outbound replay-class
 	// frames (set by startCell during a traced adoption, so the replayed
 	// output stitches the ingress node into the recovery's trace). It is
 	// cleared once the first live ingest-class batch goes out — by then
 	// the recovery's replay has drained.
 	trace obs.SpanContext
-}
 
-type relayEntry struct {
-	tuple stream.Tuple
-	class stream.TrafficClass
-	at    int64 // origin enqueue timestamp, UnixNano (event-time lag basis)
+	rec  []byte   // executor goroutine: the record being admitted
+	segs [][]byte // sender goroutine: the frame being written, segs[0] its headers
+	hdr  [frameHeaderLen + stream.BatchHeaderMax]byte
 }
 
 func newRelay(n *Node, fromComp, destComp string) *relay {
@@ -69,33 +65,34 @@ func (r *relay) Execute(t stream.Tuple, emit stream.Emit) error {
 	return r.ExecuteClassed(t, stream.ClassIngest, emit)
 }
 
-// ExecuteClassed enqueues one tuple for the wire, preserving its
-// admission class so a replayed tuple stays replay-class on the next
-// hop.
+// ExecuteClassed encodes one tuple and retains it for the wire,
+// preserving its admission class so a replayed tuple stays replay-class
+// on the next hop. A tuple that cannot be encoded is dropped here, with
+// the error, rather than poisoning every frame it would later ride in.
+// Only the cell's executor goroutine for this bolt calls it.
 func (r *relay) ExecuteClassed(t stream.Tuple, class stream.TrafficClass, _ stream.Emit) error {
+	rec, err := stream.AppendTupleRecord(r.rec[:0], &t)
+	r.rec = rec[:0]
+	if err != nil {
+		r.node.logf("relay %s: dropped tuple: %v", r.boltID(), err)
+		return err
+	}
 	limit := r.node.cfg.ReplayBuffer
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for !r.closed && len(r.buf) >= limit && r.sent == 0 {
+	for !r.closed && r.win.len() >= limit && !r.win.trimmable() {
 		r.cond.Wait() // full window, nothing trimmable: backpressure
 	}
 	if r.closed {
 		return nil
 	}
-	if len(r.buf) >= limit {
-		// Trim the oldest sent entries to make room; they remain covered
-		// by the receiver's state (or the source-regeneration backstop).
-		drop := len(r.buf) - limit + 1
-		if drop > r.sent {
-			drop = r.sent
-		}
-		r.buf = append(r.buf[:0], r.buf[drop:]...)
-		r.sent -= drop
-		if r.replayUntil -= drop; r.replayUntil < 0 {
-			r.replayUntil = 0
-		}
+	// Trim the oldest written entries to make room. Written is not saved
+	// downstream: past the window bound only the source-regeneration
+	// backstop covers them (DESIGN §14, ROADMAP 4(e)).
+	for r.win.len() >= limit && r.win.trimmable() {
+		r.win.trim()
 	}
-	r.buf = append(r.buf, relayEntry{tuple: t, class: class, at: time.Now().UnixNano()})
+	r.win.admit(rec, class, time.Now().UnixNano())
 	r.cond.Signal()
 	return nil
 }
@@ -129,7 +126,7 @@ func (r *relay) run() {
 		}
 	}()
 	for {
-		batch, cls, oldestNs, tc, ok := r.take()
+		frame, n, ok := r.take()
 		if !ok {
 			return
 		}
@@ -141,7 +138,7 @@ func (r *relay) run() {
 		if conn == nil {
 			c, err := r.connect(owner, addr)
 			if err != nil {
-				r.unsend(len(batch))
+				r.unsend(n)
 				r.node.logf("relay %s: connect %s (%s): %v", r.boltID(), owner, addr, err)
 				if r.pause(50 * time.Millisecond) {
 					return
@@ -154,7 +151,7 @@ func (r *relay) run() {
 			r.unsendAll()
 			continue
 		}
-		if err := conn.send(batch, cls, oldestNs, tc); err != nil {
+		if err := conn.bc.WriteBatch(frame...); err != nil {
 			r.node.logf("relay %s: send to %s: %v", r.boltID(), addr, err)
 			conn.close()
 			conn = nil
@@ -167,59 +164,45 @@ func (r *relay) run() {
 }
 
 // take blocks for the next run of unsent same-class tuples (bounded by
-// the spec batch size), marking them sent. ok=false on close. A resend
-// after reconnect (sent reset to 0) is forced to replay class. It also
-// yields the batch's oldest enqueue timestamp (the frame's event-time
-// basis) and, on replay-class batches during a traced recovery, the
-// recovery's span context; the first live batch disarms the context.
-func (r *relay) take() ([]stream.Tuple, stream.TrafficClass, int64, obs.SpanContext, bool) {
+// the spec batch size), marks them sent and returns them as one wire
+// frame: the flow and batch headers, then the record bytes as they lie
+// in the window. ok=false on close. A resend after reconnect is forced
+// to replay class — only the headers differ from the first send — and
+// carries the recovery's span context if one is armed; the first live
+// frame disarms it. The frame's event-time basis is its oldest tuple's
+// enqueue time. The frame is valid until the next take, unsend or
+// unsendAll; calling take again also declares it written, which is
+// what lets the executor trim it.
+func (r *relay) take() (frame [][]byte, n int, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for !r.closed && r.sent >= len(r.buf) {
+	if r.win.wrote() {
+		r.cond.Broadcast() // the previous frame became trimmable
+	}
+	for !r.closed && !r.win.unsent() {
 		r.cond.Wait()
 	}
 	if r.closed {
-		return nil, 0, 0, obs.SpanContext{}, false
+		return nil, 0, false
 	}
-	max := r.node.spec.Batch
-	first := r.buf[r.sent]
-	cls := first.class
-	end := len(r.buf)
-	if r.sent < r.replayUntil {
-		// Inside the reconnect window: the whole stretch goes out as
-		// replay class regardless of original admission class, and the
-		// batch must not spill into live entries.
-		cls = stream.ClassReplay
-		end = r.replayUntil
-	}
-	out := []stream.Tuple{first.tuple}
-	for len(out) < max && r.sent+len(out) < end {
-		next := r.buf[r.sent+len(out)]
-		if cls != stream.ClassReplay && next.class != cls {
-			break
-		}
-		out = append(out, next.tuple)
-	}
-	r.sent += len(out)
+	segs, n, cls, oldestNs := r.win.take(r.node.spec.Batch, append(r.segs[:0], nil))
 	var tc obs.SpanContext
 	if cls == stream.ClassReplay {
 		tc = r.trace
 	} else {
 		r.trace = obs.SpanContext{}
 	}
-	r.cond.Broadcast()
-	return out, cls, first.at, tc, true
+	hdr := appendFrameHeader(r.hdr[:0], time.Now().UnixNano(), oldestNs, tc)
+	segs[0] = stream.AppendBatchHeader(hdr, cls, n)
+	r.segs = segs
+	return segs, n, true
 }
 
 // unsend returns the last n taken entries to the unsent region (send
 // failed before the bytes hit the wire).
 func (r *relay) unsend(n int) {
 	r.mu.Lock()
-	if r.sent >= n {
-		r.sent -= n
-	} else {
-		r.sent = 0
-	}
+	r.win.unsend(n)
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
@@ -228,8 +211,7 @@ func (r *relay) unsend(n int) {
 // reconnect replay window (resent as replay class).
 func (r *relay) unsendAll() {
 	r.mu.Lock()
-	r.sent = 0
-	r.replayUntil = len(r.buf)
+	r.win.unsendAll()
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
@@ -254,7 +236,6 @@ type flowConn struct {
 	owner string
 	raw   net.Conn
 	bc    *nettransport.BatchConn
-	buf   []byte
 }
 
 func (r *relay) connect(owner, addr string) (*flowConn, error) {
@@ -275,31 +256,6 @@ func (r *relay) connect(owner, addr string) (*flowConn, error) {
 		return nil, err
 	}
 	return &flowConn{owner: owner, raw: raw, bc: nettransport.NewBatchConn(raw, 30*time.Second)}, nil
-}
-
-// encodeFrame builds one wire frame — 36-byte flow header followed by
-// the batch-codec body — in the connection's reused buffer. Factored out
-// of send so the zero-allocation guard (frame_test.go) can drive it
-// without a socket.
-func (c *flowConn) encodeFrame(tuples []stream.Tuple, class stream.TrafficClass, sendNs, oldestNs int64, tc obs.SpanContext) ([]byte, error) {
-	hdr := appendFrameHeader(c.buf[:0], sendNs, oldestNs, tc)
-	body, err := stream.EncodeTupleBatch(hdr, tuples, class)
-	if err != nil {
-		return nil, err
-	}
-	c.buf = body[:0]
-	return body, nil
-}
-
-func (c *flowConn) send(tuples []stream.Tuple, class stream.TrafficClass, oldestNs int64, tc obs.SpanContext) error {
-	// On resend after reconnect the window is pushed as replay class so
-	// downstream shed policies cannot drop recovery traffic. The caller
-	// resets sent to 0 before resending; class is already per-batch.
-	body, err := c.encodeFrame(tuples, class, time.Now().UnixNano(), oldestNs, tc)
-	if err != nil {
-		return err
-	}
-	return c.bc.WriteBatch(body)
 }
 
 func (c *flowConn) close() { _ = c.raw.Close() }

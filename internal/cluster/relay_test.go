@@ -1,0 +1,626 @@
+package cluster
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"log"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"sr3/internal/nettransport"
+	"sr3/internal/stream"
+)
+
+// relayTestNode is as much of a Node as a relay touches: a name, the
+// window bound, the spec's frame size, a logger, and a view assigning
+// the destination component "dst" to one live peer at peerAddr.
+func relayTestNode(replayBuffer, batch int, peerAddr string, logTo io.Writer) *Node {
+	return &Node{
+		cfg:    NodeConfig{Name: "n1", ReplayBuffer: replayBuffer},
+		logger: log.New(logTo, "", 0),
+		spec:   &Spec{Batch: batch},
+		view: View{
+			Members: []Member{{Name: "peer", Addr: peerAddr, Alive: true}},
+			Assign:  map[string]string{"dst": "peer"},
+		},
+	}
+}
+
+// rxFrame is one wire frame as the ingress side sees it.
+type rxFrame struct {
+	conn   int // accept order of the connection it arrived on
+	class  stream.TrafficClass
+	tuples []stream.Tuple
+}
+
+// flowSink is an in-test flow listener: it speaks the ingress half of
+// the tuple-stream protocol (magic byte, hello, header + batch frames)
+// and hands every decoded frame to the test.
+type flowSink struct {
+	ln     net.Listener
+	frames chan rxFrame
+	done   chan struct{}
+	wg     sync.WaitGroup
+
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func newFlowSink(t *testing.T) *flowSink {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &flowSink{ln: ln, frames: make(chan rxFrame), done: make(chan struct{})}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			s.mu.Lock()
+			idx := len(s.conns)
+			s.conns = append(s.conns, conn)
+			s.mu.Unlock()
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				if err := s.serve(conn, idx); err != nil {
+					t.Errorf("flow sink conn %d: %v", idx, err)
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		close(s.done)
+		_ = ln.Close()
+		s.mu.Lock()
+		for _, c := range s.conns {
+			_ = c.Close()
+		}
+		s.mu.Unlock()
+		s.wg.Wait()
+	})
+	return s
+}
+
+// serve reads frames until the connection ends; only a protocol
+// violation is an error.
+func (s *flowSink) serve(conn net.Conn, idx int) error {
+	var magic [1]byte
+	if _, err := io.ReadFull(conn, magic[:]); err != nil {
+		return nil
+	}
+	if magic[0] != magicFlow {
+		return fmt.Errorf("magic %q, want flow", magic[0])
+	}
+	hello, err := readFlowHello(conn)
+	if err != nil {
+		return nil
+	}
+	if hello.FromNode != "n1" || hello.FromComp != "src" || hello.DestComp != "dst" {
+		return fmt.Errorf("hello %+v", hello)
+	}
+	bc := nettransport.NewBatchConn(conn, 30*time.Second)
+	for {
+		body, free, err := bc.ReadBatch()
+		if err != nil {
+			return nil
+		}
+		_, _, _, payload, err := parseFrameHeader(body)
+		if err != nil {
+			return err
+		}
+		tuples, class, err := stream.DecodeTupleBatch(payload)
+		free()
+		if err != nil {
+			return err
+		}
+		select {
+		case s.frames <- rxFrame{conn: idx, class: class, tuples: tuples}:
+		case <-s.done:
+			return nil
+		}
+	}
+}
+
+// kill closes the idx-th accepted connection from the receiving side.
+func (s *flowSink) kill(idx int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_ = s.conns[idx].Close()
+}
+
+func (s *flowSink) addr() string { return s.ln.Addr().String() }
+
+// next waits for one frame.
+func (s *flowSink) next(t *testing.T) rxFrame {
+	t.Helper()
+	select {
+	case f := <-s.frames:
+		return f
+	case <-time.After(10 * time.Second):
+		t.Fatal("no frame within 10s")
+		return rxFrame{}
+	}
+}
+
+// seqTuple is test tuple i: its index rides in Values[0] and in Ts.
+func seqTuple(i int, pad any) stream.Tuple {
+	return stream.Tuple{Stream: "s", Ts: int64(i), Values: []any{int64(i), pad}}
+}
+
+func seqOf(t *testing.T, tu stream.Tuple) int {
+	t.Helper()
+	if len(tu.Values) != 2 || tu.Stream != "s" {
+		t.Fatalf("tuple %+v is not a test tuple", tu)
+	}
+	i, ok := tu.Values[0].(int64)
+	if !ok || tu.Ts != i {
+		t.Fatalf("tuple %+v: index and Ts disagree", tu)
+	}
+	return int(i)
+}
+
+func admit(t *testing.T, r *relay, tu stream.Tuple, class stream.TrafficClass) {
+	t.Helper()
+	if err := r.ExecuteClassed(tu, class, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// takeDecoded takes one frame from a window directly and decodes it the
+// way the wire would carry it: batch header + record slices.
+func takeDecoded(t *testing.T, w *window, limit int) ([]stream.Tuple, stream.TrafficClass) {
+	t.Helper()
+	segs, n, class, _ := w.take(limit, nil)
+	frame := stream.AppendBatchHeader(nil, class, n)
+	for _, s := range segs {
+		frame = append(frame, s...)
+	}
+	tuples, decoded, err := stream.DecodeTupleBatch(frame)
+	if err != nil {
+		t.Fatalf("frame taken from the window: %v", err)
+	}
+	if len(tuples) != n || decoded != class {
+		t.Fatalf("frame decodes to %d class-%v tuples, window said %d class-%v", len(tuples), decoded, n, class)
+	}
+	return tuples, class
+}
+
+// TestRelayDeliversInOrderAndRetainsSuffix pushes ten windows' worth of
+// mixed-class tuples — sized so the window's chunks are recycled many
+// times over, one record larger than a chunk — through a small window
+// and checks delivery order, one class per frame, and that exactly the
+// last ReplayBuffer tuples are what a replay would send.
+func TestRelayDeliversInOrderAndRetainsSuffix(t *testing.T) {
+	const window, batch, total = 64, 8, 640
+	sink := newFlowSink(t)
+	r := newRelay(relayTestNode(window, batch, sink.addr(), io.Discard), "src", "dst")
+	go r.run()
+	defer r.close()
+
+	classOf := func(i int) stream.TrafficClass {
+		if i%11 < 4 {
+			return stream.ClassReplay
+		}
+		return stream.ClassIngest
+	}
+	tupleOf := func(i int) stream.Tuple {
+		switch {
+		case i == 100:
+			return seqTuple(i, bytes.Repeat([]byte{byte(i)}, windowChunkBytes+5000))
+		case i%7 == 0:
+			return seqTuple(i, strings.Repeat("x", 3000))
+		default:
+			return seqTuple(i, strings.Repeat("y", 1200))
+		}
+	}
+
+	// A fresh connection sends what it finds retained as replay class, so
+	// let the first tuple establish the connection before the rest go.
+	admit(t, r, tupleOf(0), classOf(0))
+	if f := sink.next(t); len(f.tuples) != 1 || seqOf(t, f.tuples[0]) != 0 || f.class != stream.ClassReplay {
+		t.Fatalf("first frame = %d tuples, class %v; want tuple 0 as replay", len(f.tuples), f.class)
+	}
+	go func() {
+		for i := 1; i < total; i++ {
+			if err := r.ExecuteClassed(tupleOf(i), classOf(i), nil); err != nil {
+				t.Errorf("admit %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for want := 1; want < total; {
+		f := sink.next(t)
+		if len(f.tuples) == 0 || len(f.tuples) > batch {
+			t.Fatalf("frame of %d tuples, batch is %d", len(f.tuples), batch)
+		}
+		for _, tu := range f.tuples {
+			if got := seqOf(t, tu); got != want {
+				t.Fatalf("tuple %d arrived, want %d", got, want)
+			}
+			if f.class != classOf(want) {
+				t.Fatalf("tuple %d rode a class-%v frame, admitted as %v", want, f.class, classOf(want))
+			}
+			want++
+		}
+	}
+
+	r.close() // the sender has exited: the window is the test's alone
+	w := &r.win
+	if w.len() != window || w.recs.head != total-window {
+		t.Fatalf("retained %d tuples from %d, want %d from %d", w.len(), w.recs.head, window, total-window)
+	}
+	if w.chunks.head == 0 {
+		t.Fatal("no chunk was ever released")
+	}
+	if w.chunks.n > 6 {
+		t.Fatalf("%d chunks hold %d tuples of at most 3 KB", w.chunks.n, window)
+	}
+	// What a reconnect would send: the whole window, as replay class.
+	w.unsendAll()
+	want := total - window
+	for w.unsent() {
+		tuples, class := takeDecoded(t, w, batch)
+		if class != stream.ClassReplay {
+			t.Fatalf("replay frame at tuple %d has class %v", want, class)
+		}
+		for _, tu := range tuples {
+			if got := seqOf(t, tu); got != want {
+				t.Fatalf("window holds tuple %d where %d belongs", got, want)
+			}
+			if pad, ok := tu.Values[1].(string); ok && pad != tupleOf(want).Values[1] {
+				t.Fatalf("tuple %d: payload changed in the window", want)
+			}
+			want++
+		}
+		w.wrote()
+	}
+	if want != total {
+		t.Fatalf("replay ended at tuple %d, want %d", want, total)
+	}
+}
+
+// TestRelayReconnectReplaysWindow kills the connection from the
+// receiving side mid-stream: the relay must come back on a new
+// connection with everything it retains, in order, as replay class, and
+// tuples admitted after that must ride live-class frames again.
+func TestRelayReconnectReplaysWindow(t *testing.T) {
+	const window, batch, before = 256, 8, 40
+	sink := newFlowSink(t)
+	r := newRelay(relayTestNode(window, batch, sink.addr(), io.Discard), "src", "dst")
+	go r.run()
+	defer r.close()
+
+	admitted := 0
+	push := func() {
+		admit(t, r, seqTuple(admitted, "p"), stream.ClassIngest)
+		admitted++
+	}
+	for admitted < before {
+		push()
+	}
+	for got := 0; got < before; {
+		f := sink.next(t)
+		if f.conn != 0 {
+			t.Fatalf("frame on connection %d before the kill", f.conn)
+		}
+		got += len(f.tuples)
+	}
+	sink.kill(0)
+
+	// A write into the dead connection fails only once the peer's reset
+	// has come back, so keep a trickle going until the relay reconnects.
+	var first rxFrame
+	for first.tuples == nil {
+		if admitted == window {
+			t.Fatal("relay did not reconnect")
+		}
+		push()
+		select {
+		case first = <-sink.frames:
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	want, live := 0, false
+	for f := first; ; f = sink.next(t) {
+		if f.conn != 1 {
+			t.Fatalf("frame on connection %d after the kill", f.conn)
+		}
+		if f.class != stream.ClassReplay {
+			live = true
+		} else if live {
+			t.Fatalf("replay frame at tuple %d after live frames resumed", want)
+		}
+		for _, tu := range f.tuples {
+			if got := seqOf(t, tu); got != want {
+				t.Fatalf("connection 1 carried tuple %d, want %d", got, want)
+			}
+			if live && want < before {
+				t.Fatalf("tuple %d, retained at the reconnect, rode a live frame", want)
+			}
+			want++
+		}
+		if want == admitted {
+			break
+		}
+	}
+	// Everything is replayed; what comes now is new.
+	for i := 0; i < 10; i++ {
+		push()
+	}
+	for want < admitted {
+		f := sink.next(t)
+		if f.class != stream.ClassIngest {
+			t.Fatalf("tuple %d, admitted after the replay, rode a class-%v frame", want, f.class)
+		}
+		for _, tu := range f.tuples {
+			if got := seqOf(t, tu); got != want {
+				t.Fatalf("tuple %d arrived, want %d", got, want)
+			}
+			want++
+		}
+	}
+}
+
+// blockedAdmit fills a window of four with unsent tuples and starts a
+// fifth admission, which must block; it returns the channel the fifth
+// reports on.
+func blockedAdmit(t *testing.T, r *relay) <-chan error {
+	t.Helper()
+	for i := 0; i < 4; i++ {
+		admit(t, r, seqTuple(i, "p"), stream.ClassIngest)
+	}
+	fifth := make(chan error, 1)
+	go func() { fifth <- r.ExecuteClassed(seqTuple(4, "p"), stream.ClassIngest, nil) }()
+	select {
+	case err := <-fifth:
+		t.Fatalf("admission into a window full of unsent tuples returned (%v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	return fifth
+}
+
+// TestRelayBlocksWhenWindowFullOfUnsent: a full window with nothing on
+// the wire is backpressure on the executor, released by sending.
+func TestRelayBlocksWhenWindowFullOfUnsent(t *testing.T) {
+	sink := newFlowSink(t)
+	r := newRelay(relayTestNode(4, 2, sink.addr(), io.Discard), "src", "dst")
+	fifth := blockedAdmit(t, r)
+	go r.run()
+	defer r.close()
+	for want := 0; want < 5; {
+		for _, tu := range sink.next(t).tuples {
+			if got := seqOf(t, tu); got != want {
+				t.Fatalf("tuple %d arrived, want %d", got, want)
+			}
+			want++
+		}
+	}
+	select {
+	case err := <-fifth:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("admission still blocked after the window was sent")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.win.len() != 4 || r.win.recs.head != 1 {
+		t.Fatalf("window holds %d tuples from %d, want 4 from 1", r.win.len(), r.win.recs.head)
+	}
+}
+
+// TestRelayCloseWhileBlocked: close releases a blocked executor and
+// stops a sender that has nobody to connect to.
+func TestRelayCloseWhileBlocked(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := ln.Addr().String()
+	_ = ln.Close()
+	r := newRelay(relayTestNode(4, 2, refused, io.Discard), "src", "dst")
+	go r.run()
+	fifth := blockedAdmit(t, r)
+	closed := make(chan struct{})
+	go func() {
+		r.close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("close did not return")
+	}
+	select {
+	case err := <-fifth:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("close left the executor blocked")
+	}
+}
+
+// TestRelayEncodeFailureSurfacesAtAdmission: a value the codec's gob
+// fallback cannot encode is refused when it is admitted — an error for
+// the runtime's ExecuteErrors, a log line, nothing retained — and does
+// not stand in the way of the tuples after it.
+func TestRelayEncodeFailureSurfacesAtAdmission(t *testing.T) {
+	var logged bytes.Buffer
+	r := newRelay(relayTestNode(4, 2, "", &logged), "src", "dst")
+	bad := stream.Tuple{Stream: "s", Values: []any{int64(1), func() {}}}
+	if err := r.ExecuteClassed(bad, stream.ClassIngest, nil); err == nil {
+		t.Fatal("unencodable tuple admitted")
+	}
+	if r.win.len() != 0 {
+		t.Fatalf("window retains %d tuples after a refused admission", r.win.len())
+	}
+	if !strings.Contains(logged.String(), "dropped tuple") {
+		t.Fatalf("no log line for the dropped tuple: %q", logged.String())
+	}
+	admit(t, r, seqTuple(0, "p"), stream.ClassIngest)
+	if tuples, _ := takeDecoded(t, &r.win, 2); len(tuples) != 1 || seqOf(t, tuples[0]) != 0 {
+		t.Fatalf("frame after the refused tuple carries %d tuples", len(tuples))
+	}
+}
+
+// TestWindowReplayDoesNotSpillIntoLive drives the window alone: after a
+// reconnect the retained stretch goes out as replay class in frames
+// that stop at its end even with room left, and what was admitted later
+// keeps its own class.
+func TestWindowReplayDoesNotSpillIntoLive(t *testing.T) {
+	var w window
+	var rec []byte
+	push := func(i int, class stream.TrafficClass) {
+		tu := seqTuple(i, "p")
+		var err error
+		if rec, err = stream.AppendTupleRecord(rec[:0], &tu); err != nil {
+			t.Fatal(err)
+		}
+		w.admit(rec, class, int64(1000+i))
+	}
+	type run struct {
+		n      int
+		class  stream.TrafficClass
+		oldest int64
+	}
+	takeAll := func() (runs []run) {
+		for w.unsent() {
+			_, n, class, oldest := w.take(8, nil)
+			runs = append(runs, run{n, class, oldest})
+			w.wrote()
+		}
+		return runs
+	}
+	equal := func(got, want []run) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+
+	for i := 0; i < 10; i++ {
+		class := stream.ClassIngest
+		if i >= 6 {
+			class = stream.ClassReplay
+		}
+		push(i, class)
+	}
+	// First send: one class per frame, so the run breaks where it changes.
+	if got, want := takeAll(), []run{{6, stream.ClassIngest, 1000}, {4, stream.ClassReplay, 1006}}; !equal(got, want) {
+		t.Fatalf("first send = %v, want %v", got, want)
+	}
+	w.unsendAll()
+	for i := 10; i < 15; i++ {
+		push(i, stream.ClassIngest)
+	}
+	want := []run{{8, stream.ClassReplay, 1000}, {2, stream.ClassReplay, 1008}, {5, stream.ClassIngest, 1010}}
+	if got := takeAll(); !equal(got, want) {
+		t.Fatalf("after reconnect = %v, want %v", got, want)
+	}
+	// A failed send gives its tuples back, still as replay.
+	w.unsendAll()
+	w.take(8, nil)
+	w.unsend(8)
+	if got := takeAll(); !equal(got, []run{{8, stream.ClassReplay, 1000}, {7, stream.ClassReplay, 1008}}) {
+		t.Fatalf("after unsend = %v", got)
+	}
+}
+
+// benchRelayAdmit measures the relay's per-tuple path with a full
+// window and no socket: encode and admit one tuple, trimming one, and
+// every 32nd tuple take a frame (headers built, record slices
+// gathered), which also declares the previous frame written.
+func benchRelayAdmit(b *testing.B, replayBuffer int) {
+	const batch = 32
+	r := newRelay(relayTestNode(replayBuffer, batch, "", io.Discard), "src", "dst")
+	tuples := make([]stream.Tuple, 64)
+	for i := range tuples {
+		tuples[i] = stream.Tuple{Stream: "words", Ts: int64(i), Values: []any{"benchmark", int64(i)}}
+	}
+	i := 0
+	step := func() {
+		if err := r.ExecuteClassed(tuples[i%len(tuples)], stream.ClassIngest, nil); err != nil {
+			b.Fatal(err)
+		}
+		if i++; i%batch == 0 {
+			if _, _, ok := r.take(); !ok {
+				b.Fatal("relay closed")
+			}
+		}
+	}
+	// Twice around: the window is full, its ring has stopped growing and
+	// every chunk it will ever need exists.
+	for i < 2*replayBuffer {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		step()
+	}
+}
+
+// BenchmarkRelayAdmitFullWindow is the cost of one tuple through a full
+// window at two window sizes; the two must read alike (see
+// TestRelayAdmitCostIndependentOfWindow) and allocate nothing.
+func BenchmarkRelayAdmitFullWindow(b *testing.B) {
+	for _, size := range []int{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("window=%dKi", size>>10), func(b *testing.B) { benchRelayAdmit(b, size) })
+	}
+}
+
+func skipCostGuard(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates and slows unevenly")
+	}
+	if testing.Short() {
+		t.Skip("cost guard runs the benchmark harness")
+	}
+}
+
+// TestRelayAdmitZeroAlloc is the allocation guard on the batched emit
+// path across a process edge: admission-time encode, window upkeep and
+// frame assembly (flow header, batch header, record slices) allocate
+// nothing once the window is full.
+func TestRelayAdmitZeroAlloc(t *testing.T) {
+	skipCostGuard(t)
+	res := testing.Benchmark(func(b *testing.B) { benchRelayAdmit(b, 1<<10) })
+	if a := res.AllocsPerOp(); a != 0 {
+		t.Fatalf("relay admit + frame assembly = %d allocs/op, want 0", a)
+	}
+}
+
+// TestRelayAdmitCostIndependentOfWindow keeps the per-tuple path free of
+// anything that grows with ReplayBuffer. The slice-shift trim this
+// window replaced read about 64x between these two sizes; the margin of
+// 4x is cache misses and noise.
+func TestRelayAdmitCostIndependentOfWindow(t *testing.T) {
+	skipCostGuard(t)
+	nsPerOp := func(size int) float64 {
+		res := testing.Benchmark(func(b *testing.B) { benchRelayAdmit(b, size) })
+		return float64(res.T.Nanoseconds()) / float64(res.N)
+	}
+	small, large := nsPerOp(1<<10), nsPerOp(1<<16)
+	t.Logf("ns/tuple: %.0f at 1Ki, %.0f at 64Ki", small, large)
+	if large > 4*small {
+		t.Fatalf("admission costs %.0f ns at ReplayBuffer 64Ki, %.0f at 1Ki: it grows with the window", large, small)
+	}
+}

@@ -25,8 +25,9 @@ const MaxBatchBytes = 64 << 20
 // (credit grants flow back over the same connection, so interleaving
 // both roles on one connection would corrupt the stream). WriteBatch
 // accepts multiple segments and hands each chunk to the kernel as a
-// single writev — callers can send a pooled header and a pooled
-// payload without gluing them together first.
+// single writev, the length header riding in the first — callers can
+// send a pooled header and a pooled payload without gluing them
+// together first, and a body that fits one chunk costs one syscall.
 type BatchConn struct {
 	conn net.Conn
 	r    *bufio.Reader
@@ -37,6 +38,7 @@ type BatchConn struct {
 
 	pool bufPool
 	hdr  [binary.MaxVarintLen64]byte
+	vec  vecScratch // guarded by wmu
 }
 
 // NewBatchConn wraps conn. timeout, when positive, acts as a per-frame
@@ -65,12 +67,8 @@ func (c *BatchConn) WriteBatch(segs ...[]byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	n := binary.PutUvarint(c.hdr[:], uint64(total))
-	c.io.refresh()
-	if _, err := c.conn.Write(c.hdr[:n]); err != nil {
-		return fmt.Errorf("batchconn: header: %w", err)
-	}
-	if _, err := c.io.writeRawVec(segs, total); err != nil {
-		return fmt.Errorf("batchconn: body: %w", err)
+	if _, err := c.io.writeRawVec(&c.vec, c.hdr[:n], segs, total); err != nil {
+		return fmt.Errorf("batchconn: %w", err)
 	}
 	return nil
 }

@@ -155,21 +155,34 @@ func (d frameIO) writeRaw(raw []byte) (int64, error) {
 	return frames, nil
 }
 
+// vecScratch is the reusable iovec backing of a vectored writer: bufs is
+// rebuilt per chunk, out is the copy net.Buffers.WriteTo consumes. Both
+// live in the owning connection so a steady-state write allocates
+// nothing.
+type vecScratch struct {
+	bufs, out net.Buffers
+}
+
 // writeRawVec streams a multi-segment body exactly as writeRaw would
 // stream the concatenation: same chunk grid over the total length, same
 // deterministic credit schedule, so the receiver's readRaw is oblivious
-// to the segmentation. Each chunk that spans a segment boundary goes to
-// the kernel as one net.Buffers (writev) call — segments are never
-// copied into a staging buffer. total must equal the summed segment
-// lengths. Returns frames written.
-func (d frameIO) writeRawVec(segs [][]byte, total int) (int64, error) {
-	if len(segs) == 1 {
-		return d.writeRaw(segs[0])
+// to the segmentation. Each chunk goes to the kernel as one net.Buffers
+// (writev) call — segments are never copied into a staging buffer.
+// prefix (the caller's length announcement) rides in front of the first
+// chunk in that chunk's writev; it is not part of the chunk grid, the
+// receiver has consumed it before readRaw starts counting. total must
+// equal the summed segment lengths. Returns frames written.
+func (d frameIO) writeRawVec(vs *vecScratch, prefix []byte, segs [][]byte, total int) (int64, error) {
+	if total == 0 {
+		d.refresh()
+		if _, err := d.conn.Write(prefix); err != nil {
+			return 0, fmt.Errorf("raw prefix: %w", err)
+		}
+		return 0, nil
 	}
 	frames := int64(0)
 	inFlight := int64(0)
 	var credit [1]byte
-	var vec net.Buffers
 	si, so := 0, 0 // cursor: segment index, offset within it
 	for off := 0; off < total; {
 		if inFlight >= windowFrames {
@@ -187,7 +200,10 @@ func (d frameIO) writeRawVec(segs [][]byte, total int) (int64, error) {
 		if total-off < chunk {
 			chunk = total - off
 		}
-		vec = vec[:0]
+		vec := vs.bufs[:0]
+		if off == 0 && len(prefix) > 0 {
+			vec = append(vec, prefix)
+		}
 		for need := chunk; need > 0; {
 			if si >= len(segs) {
 				return frames, fmt.Errorf("raw vec: segments end %d bytes short of total %d", need, total)
@@ -206,11 +222,12 @@ func (d frameIO) writeRawVec(segs [][]byte, total int) (int64, error) {
 			so += take
 			need -= take
 		}
+		vs.bufs = vec
 		d.refresh()
-		// WriteTo consumes its receiver, so hand it a copy of the header;
-		// vec's elements are rebuilt from scratch next chunk anyway.
-		w := vec
-		if _, err := w.WriteTo(d.conn); err != nil {
+		// WriteTo consumes its receiver, so hand it a copy of the slice
+		// header; bufs is rebuilt from scratch next chunk anyway.
+		vs.out = vec
+		if _, err := vs.out.WriteTo(d.conn); err != nil {
 			return frames, fmt.Errorf("raw frame: %w", err)
 		}
 		off += chunk

@@ -93,19 +93,42 @@ type gobValue struct{ V any }
 // class per frame) to dst and returns the extended slice, so callers
 // can reuse pooled buffers across frames.
 func EncodeTupleBatch(dst []byte, tuples []Tuple, class TrafficClass) ([]byte, error) {
-	dst = append(dst, batchMagic0, batchMagic1, batchVersion, byte(class))
-	dst = binary.AppendUvarint(dst, uint64(len(tuples)))
+	dst = AppendBatchHeader(dst, class, len(tuples))
 	for i := range tuples {
-		t := &tuples[i]
-		dst = binary.AppendUvarint(dst, uint64(len(t.Stream)))
-		dst = append(dst, t.Stream...)
-		dst = binary.AppendVarint(dst, t.Ts)
-		dst = binary.AppendUvarint(dst, uint64(len(t.Values)))
-		for _, v := range t.Values {
-			var err error
-			if dst, err = appendValue(dst, v); err != nil {
-				return nil, err
-			}
+		var err error
+		if dst, err = AppendTupleRecord(dst, &tuples[i]); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// BatchHeaderMax bounds the bytes AppendBatchHeader appends.
+const BatchHeaderMax = 4 + binary.MaxVarintLen64
+
+// AppendBatchHeader appends the frame header — magic, version, class,
+// tuple count — that count AppendTupleRecord records must follow. A
+// frame is exactly header + records, so a sender that keeps records
+// encoded can build a frame (and rebuild it under another class)
+// without touching the tuples again.
+func AppendBatchHeader(dst []byte, class TrafficClass, count int) []byte {
+	dst = append(dst, batchMagic0, batchMagic1, batchVersion, byte(class))
+	return binary.AppendUvarint(dst, uint64(count))
+}
+
+// AppendTupleRecord appends one tuple's record (the per-tuple part of
+// the layout above) to dst. On error dst is returned at its original
+// length.
+func AppendTupleRecord(dst []byte, t *Tuple) ([]byte, error) {
+	base := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(t.Stream)))
+	dst = append(dst, t.Stream...)
+	dst = binary.AppendVarint(dst, t.Ts)
+	dst = binary.AppendUvarint(dst, uint64(len(t.Values)))
+	for _, v := range t.Values {
+		var err error
+		if dst, err = appendValue(dst, v); err != nil {
+			return dst[:base], err
 		}
 	}
 	return dst, nil
@@ -143,7 +166,7 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 	default:
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(gobValue{V: v}); err != nil {
-			return nil, fmt.Errorf("stream: tuple batch gob fallback (%T): %w", v, err)
+			return dst, fmt.Errorf("stream: tuple batch gob fallback (%T): %w", v, err)
 		}
 		dst = append(dst, valGob)
 		dst = binary.AppendUvarint(dst, uint64(buf.Len()))

@@ -150,6 +150,45 @@ func TestBatchCodecAppendsToDst(t *testing.T) {
 	}
 }
 
+// TestBatchFromHeaderAndRecords: a frame assembled from a batch header
+// and records encoded one at a time — how the cluster relay builds it,
+// under a class chosen at send time — is byte-identical to
+// EncodeTupleBatch, and a record that fails to encode leaves the
+// caller's buffer as it was.
+func TestBatchFromHeaderAndRecords(t *testing.T) {
+	tuples := []Tuple{
+		{Stream: "a", Ts: -7, Values: []any{"k", int64(1), customPayload{Name: "x", N: 2}}},
+		{Stream: "b"},
+		{Stream: "a", Ts: 9, Values: []any{[]byte{1, 2}, 3.5, nil, true}},
+	}
+	want, err := EncodeTupleBatch(nil, tuples, ClassReplay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []byte
+	for i := range tuples {
+		if recs, err = AppendTupleRecord(recs, &tuples[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hdr := AppendBatchHeader(nil, ClassReplay, len(tuples))
+	if len(hdr) > BatchHeaderMax {
+		t.Fatalf("header %d bytes, BatchHeaderMax %d", len(hdr), BatchHeaderMax)
+	}
+	if got := append(hdr, recs...); !bytes.Equal(got, want) {
+		t.Fatal("header + records differ from EncodeTupleBatch")
+	}
+
+	bad := Tuple{Stream: "a", Values: []any{"fine", make(chan int)}}
+	got, err := AppendTupleRecord(recs, &bad)
+	if err == nil {
+		t.Fatal("channel value encoded")
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("failed record left %d bytes behind", len(got)-len(recs))
+	}
+}
+
 // TestDecodeTupleBatchRejectsCorruption pins the strictness contract on
 // hand-built corruptions; the fuzzer explores beyond these.
 func TestDecodeTupleBatchRejectsCorruption(t *testing.T) {

@@ -585,7 +585,11 @@ func (rt *Runtime) saveTask(t *task) error {
 		return fmt.Errorf("save %s: %w", t.key, err)
 	}
 	t.instr.noteState(len(snap))
-	t.log = nil
+	// Truncate in place: the next save interval logs as many tuples again,
+	// and regrowing from nil by doubling is that much large-object garbage
+	// per save. clear drops the tuples' references.
+	clear(t.log)
+	t.log = t.log[:0]
 	t.sinceSav = 0
 	return nil
 }
