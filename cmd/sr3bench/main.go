@@ -38,7 +38,7 @@ func figExp(id, desc string, fn func() (bench.Figure, error)) experiment {
 }
 
 func experiments() []experiment {
-	return []experiment{
+	exps := []experiment{
 		figExp("8a", "recovery time vs state size, unconstrained", bench.Fig8a),
 		figExp("8b", "recovery time vs state size, 100 Mb/s constraint", bench.Fig8b),
 		figExp("8c", "state save time vs state size", bench.Fig8c),
@@ -59,24 +59,31 @@ func experiments() []experiment {
 		figExp("ablation-speculation", "straggler hedging (§6 future work)", bench.AblationSpeculation),
 		figExp("ablation-speculation-linetree", "line/tree straggler hedging", bench.AblationSpeculationLineTree),
 		{id: "chaos", desc: "failover ladder under seeded fault injection", run: bench.ChaosReport},
-		{id: "dataplane", desc: "recovery goodput over TCP: size x mechanism x fetch concurrency", run: runDataPlane},
+		{id: "dataplane", desc: "recovery goodput over TCP: size x mechanism x fetch concurrency (writes " + dataPlaneOut + ")", run: runDataPlane},
 		{id: "trace", desc: "per-phase recovery breakdown from one distributed trace per mechanism", run: runTrace},
 		{id: "self-heal", desc: "detection latency and MTTR vs heartbeat interval and φ threshold", run: bench.SelfHealReport},
 		figExp("ablation-flowpenalty", "star flow-penalty contribution", bench.AblationFlowPenalty),
 		figExp("ablation-selection", "mechanism choice per environment (§3.7)", bench.AblationMechanismDefaults),
 		{id: "steady", desc: "steady-state instrumentation overhead and one-scrape cluster view", run: runSteady},
-		{id: "matrix", desc: "fault-recovery matrix: scenario x mechanism x load (writes " + matrixOut + ")", run: runMatrix},
-		{id: "matrix-tiny", desc: "CI smoke subset of the fault-recovery matrix (writes " + matrixTinyOut + ")", run: runMatrixTiny},
-		{id: "overload", desc: "overload sweep: load past capacity with crash + retry-storm pair (writes " + overloadOut + ")", run: runOverload},
-		{id: "overload-tiny", desc: "CI smoke subset of the overload sweep (writes " + overloadTinyOut + ")", run: runOverloadTiny},
-		{id: "throughput", desc: "steady-state tuple plane: gob per-tuple vs batched wire + runtime cells (writes " + throughputOut + ")", run: runThroughput},
-		{id: "throughput-tiny", desc: "CI smoke subset of the throughput sweep (writes " + throughputTinyOut + ")", run: runThroughputTiny},
-		{id: "matrix-report", desc: "render committed matrix/overload/throughput artifacts as markdown into " + experimentsDoc + " (-plot adds SVG figures)", run: runMatrixReport},
-		{id: "table1", desc: "recovery approach overview (Table 1)", run: func() (string, error) {
+	}
+	// One row of bench.Artifacts = the committed sweep plus its CI smoke
+	// subset, which writes a separate untracked file so a smoke run never
+	// clobbers the committed numbers.
+	for _, a := range bench.Artifacts {
+		a := a
+		exps = append(exps,
+			experiment{id: a.ID, desc: a.Desc + " (writes " + a.Out + ")",
+				run: func() (string, error) { return runPreset(a, "full", a.Out) }},
+			experiment{id: a.ID + "-tiny", desc: "CI smoke subset of " + a.ID + " (writes " + a.TinyOut + ")",
+				run: func() (string, error) { return runPreset(a, "tiny", a.TinyOut) }})
+	}
+	return append(exps,
+		experiment{id: "matrix-report", desc: "render committed matrix/overload/throughput artifacts as markdown into " + experimentsDoc + " (-plot adds SVG figures)", run: runMatrixReport},
+		experiment{id: "table1", desc: "recovery approach overview (Table 1)", run: func() (string, error) {
 			return bench.FormatTable1(), nil
 		}},
-		{id: "summary", desc: "load-balance headline stats (§5.3)", run: runSummary},
-	}
+		experiment{id: "summary", desc: "load-balance headline stats (§5.3)", run: runSummary},
+	)
 }
 
 func runFP4S() (string, error) {
@@ -107,148 +114,49 @@ func runDataPlane() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(dataPlaneOut, blob, 0o644); err != nil {
-		return "", err
-	}
-	return report.Format() + "wrote " + dataPlaneOut + "\n", nil
+	return writeArtifact(dataPlaneOut, blob, report.Format())
 }
-
-// traceOut is the trace experiment's JSON artifact.
-const traceOut = "BENCH_trace.json"
 
 func runTrace() (string, error) {
-	report, err := bench.TraceSweep(bench.TraceConfig{Registry: metricsReg})
+	report, err := bench.TraceSweep(metricsReg)
 	if err != nil {
 		return "", err
 	}
-	blob, err := report.JSON()
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(traceOut, blob, 0o644); err != nil {
-		return "", err
-	}
-	return report.Format() + "wrote " + traceOut + "\n", nil
+	return report.Format(), nil
 }
 
-// matrixOut is the committed fault-recovery matrix artifact;
-// matrixTinyOut is the CI smoke output, kept separate so a smoke run
-// never clobbers the committed numbers.
-const (
-	matrixOut     = "BENCH_matrix.json"
-	matrixTinyOut = "BENCH_matrix_tiny.json"
-)
-
-func runMatrix() (string, error)     { return runMatrixPreset("full", matrixOut) }
-func runMatrixTiny() (string, error) { return runMatrixPreset("tiny", matrixTinyOut) }
-
-func runMatrixPreset(preset, out string) (string, error) {
-	specs, err := bench.MatrixPreset(preset)
+// runPreset sweeps one preset of an artifact experiment. Artifact.Run
+// validates before anything is written: a sweep that fails its
+// acceptance gates is an error, not an artifact.
+func runPreset(a bench.Artifact, preset, out string) (string, error) {
+	blob, report, err := a.Run(preset)
 	if err != nil {
 		return "", err
 	}
-	report := bench.MatrixSweep(specs)
-	blob, err := report.JSON()
-	if err != nil {
-		return "", err
-	}
+	return writeArtifact(out, blob, report.Format())
+}
+
+// writeArtifact is the last step of the artifact path: the marshalled
+// (and, where there are gates, validated) blob goes to disk and the
+// report's table to the terminal.
+func writeArtifact(out string, blob []byte, table string) (string, error) {
 	if err := os.WriteFile(out, blob, 0o644); err != nil {
 		return "", err
 	}
-	failed := 0
-	for _, c := range report.Cells {
-		if c.Error != "" {
-			failed++
-		}
-	}
-	if failed > 0 {
-		return "", fmt.Errorf("%d of %d matrix cells failed:\n%s", failed, len(report.Cells), report.Format())
-	}
-	return report.Format() + "wrote " + out + "\n", nil
-}
-
-// overloadOut is the committed overload artifact; overloadTinyOut is the
-// CI smoke output, kept separate so a smoke run never clobbers the
-// committed numbers.
-const (
-	overloadOut     = "BENCH_overload.json"
-	overloadTinyOut = "BENCH_overload_tiny.json"
-)
-
-func runOverload() (string, error)     { return runOverloadPreset("full", overloadOut) }
-func runOverloadTiny() (string, error) { return runOverloadPreset("tiny", overloadTinyOut) }
-
-func runOverloadPreset(preset, out string) (string, error) {
-	specs, err := bench.OverloadPreset(preset)
-	if err != nil {
-		return "", err
-	}
-	report := bench.OverloadSweep(specs)
-	blob, err := report.JSON()
-	if err != nil {
-		return "", err
-	}
-	// The validator enforces the acceptance invariants (exact
-	// accounting, bounded queues, exactly-once over admitted tuples,
-	// retry cap) — a sweep that fails them is an error, not an artifact.
-	if _, err := bench.ValidateOverload(blob); err != nil {
-		return "", fmt.Errorf("%w\n%s", err, report.Format())
-	}
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		return "", err
-	}
-	return report.Format() + "wrote " + out + "\n", nil
-}
-
-// throughputOut is the committed throughput artifact; throughputTinyOut
-// is the CI smoke output, kept separate so a smoke run never clobbers
-// the committed numbers.
-const (
-	throughputOut     = "BENCH_throughput.json"
-	throughputTinyOut = "BENCH_throughput_tiny.json"
-)
-
-func runThroughput() (string, error)     { return runThroughputPreset("full", throughputOut) }
-func runThroughputTiny() (string, error) { return runThroughputPreset("tiny", throughputTinyOut) }
-
-func runThroughputPreset(preset, out string) (string, error) {
-	specs, err := bench.ThroughputPreset(preset)
-	if err != nil {
-		return "", err
-	}
-	report := bench.ThroughputSweep(specs)
-	blob, err := report.JSON()
-	if err != nil {
-		return "", err
-	}
-	// The validator enforces the acceptance gate (gob baseline present,
-	// batched wire speedup over the floor, runtime invariants intact) —
-	// a sweep that fails it is an error, not an artifact.
-	if _, err := bench.ValidateThroughput(blob); err != nil {
-		return "", fmt.Errorf("%w\n%s", err, report.Format())
-	}
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		return "", err
-	}
-	return report.Format() + "wrote " + out + "\n", nil
+	return table + "wrote " + out + "\n", nil
 }
 
 // experimentsDoc is where matrix-report splices its markdown tables,
 // between begin/end marker comments (appended on first run).
 const experimentsDoc = "EXPERIMENTS.md"
 
-// matrixPlotOut / overloadPlotOut are the committed SVG figures
-// matrix-report renders when -plot is set.
-const (
-	matrixPlotOut   = "BENCH_matrix.svg"
-	overloadPlotOut = "BENCH_overload.svg"
-)
-
 // plotSVG is set by the -plot flag: matrix-report also renders the
-// committed artifacts as SVG figures and references them in
+// committed artifacts that have a figure as SVG and references them in
 // EXPERIMENTS.md.
 var plotSVG bool
 
+// runMatrixReport re-validates every committed artifact and splices its
+// markdown table (and, with -plot, its figure) into EXPERIMENTS.md.
 func runMatrixReport() (string, error) {
 	docBytes, err := os.ReadFile(experimentsDoc)
 	if err != nil {
@@ -256,63 +164,34 @@ func runMatrixReport() (string, error) {
 	}
 	doc := string(docBytes)
 	var did []string
-
-	if blob, err := os.ReadFile(matrixOut); err == nil {
-		report, err := bench.ValidateMatrix(blob)
+	for _, a := range bench.Artifacts {
+		blob, err := os.ReadFile(a.Out)
+		if err != nil {
+			continue
+		}
+		report, err := a.Validate(blob)
 		if err != nil {
 			return "", err
 		}
 		figure := ""
-		if plotSVG {
-			svg, err := bench.PlotMatrixRecovery(report)
+		if plotSVG && a.Plot != nil {
+			svg, err := a.Plot(report)
 			if err != nil {
 				return "", err
 			}
-			if err := os.WriteFile(matrixPlotOut, svg, 0o644); err != nil {
+			if err := os.WriteFile(a.PlotOut, svg, 0o644); err != nil {
 				return "", err
 			}
-			figure = fmt.Sprintf("![Recovery time by mechanism × scenario](%s)\n\n", matrixPlotOut)
-			did = append(did, matrixPlotOut)
+			figure = fmt.Sprintf("![%s](%s)\n\n", a.PlotAlt, a.PlotOut)
+			did = append(did, a.PlotOut)
 		}
 		doc = bench.SpliceMarked(doc,
-			"<!-- matrix-report:begin -->", "<!-- matrix-report:end -->",
-			fmt.Sprintf("\nRendered from the committed `%s` by `sr3bench -fig matrix-report`.\n\n%s%s\n", matrixOut, figure, report.Markdown()))
-		did = append(did, matrixOut)
-	}
-	if blob, err := os.ReadFile(overloadOut); err == nil {
-		report, err := bench.ValidateOverload(blob)
-		if err != nil {
-			return "", err
-		}
-		figure := ""
-		if plotSVG {
-			svg, err := bench.PlotOverloadCurves(report)
-			if err != nil {
-				return "", err
-			}
-			if err := os.WriteFile(overloadPlotOut, svg, 0o644); err != nil {
-				return "", err
-			}
-			figure = fmt.Sprintf("![Overload admitted vs shed fraction](%s)\n\n", overloadPlotOut)
-			did = append(did, overloadPlotOut)
-		}
-		doc = bench.SpliceMarked(doc,
-			"<!-- overload-report:begin -->", "<!-- overload-report:end -->",
-			fmt.Sprintf("\nRendered from the committed `%s` by `sr3bench -fig matrix-report`.\n\n%s%s\n", overloadOut, figure, report.Markdown()))
-		did = append(did, overloadOut)
-	}
-	if blob, err := os.ReadFile(throughputOut); err == nil {
-		report, err := bench.ValidateThroughput(blob)
-		if err != nil {
-			return "", err
-		}
-		doc = bench.SpliceMarked(doc,
-			"<!-- throughput-report:begin -->", "<!-- throughput-report:end -->",
-			fmt.Sprintf("\nRendered from the committed `%s` by `sr3bench -fig matrix-report`.\n\n%s\n", throughputOut, report.Markdown()))
-		did = append(did, throughputOut)
+			"<!-- "+a.ID+"-report:begin -->", "<!-- "+a.ID+"-report:end -->",
+			fmt.Sprintf("\nRendered from the committed `%s` by `sr3bench -fig matrix-report`.\n\n%s%s\n", a.Out, figure, report.Markdown()))
+		did = append(did, a.Out)
 	}
 	if len(did) == 0 {
-		return "", fmt.Errorf("matrix-report: none of %s, %s, %s found (run the matrix/overload/throughput experiments first)", matrixOut, overloadOut, throughputOut)
+		return "", fmt.Errorf("matrix-report: no committed artifact found (run the matrix/overload/throughput experiments first)")
 	}
 	if err := os.WriteFile(experimentsDoc, []byte(doc), 0o644); err != nil {
 		return "", err
@@ -356,7 +235,7 @@ func main() {
 	listFlag := flag.Bool("list", false, "list experiments")
 	metricsFlag := flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (e.g. :9090) for the run")
 	holdFlag := flag.Duration("hold", 0, "keep the -metrics server up this long after the experiments finish (for scraping)")
-	flag.BoolVar(&plotSVG, "plot", false, "with -fig matrix-report, also render the committed artifacts as SVG figures ("+matrixPlotOut+", "+overloadPlotOut+") referenced from "+experimentsDoc)
+	flag.BoolVar(&plotSVG, "plot", false, "with -fig matrix-report, also render the committed artifacts as SVG figures (BENCH_matrix.svg, BENCH_overload.svg) referenced from "+experimentsDoc)
 	flag.Parse()
 	var srv *obs.MetricsServer
 	if *metricsFlag != "" {

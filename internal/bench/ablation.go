@@ -11,66 +11,91 @@ import (
 // results (DESIGN.md §6): what each design choice contributes to the
 // figures.
 
+// stragglerRecovery plans a 64 MB recovery with the given scheme in which
+// the provider of the largest stage runs slowdown× slower (upload and
+// compute), a backup replica is available for hedging after
+// SpeculationDelay, and returns the simulated makespan.
+func stragglerRecovery(scheme string, speculate bool, slowdown float64) (float64, error) {
+	sc := Unconstrained()
+	env, err := newPlanEnv(envConfig{
+		seed: 42, totalBytes: 64 * MB, shards: 16, replicas: 2,
+	})
+	if err != nil {
+		return 0, err
+	}
+	spec := env.spec(sc)
+	spec.SpeculationDelay = 2.0
+	// Mark the largest stage as the straggler and give it a backup (any
+	// other provider).
+	big := 0
+	for i := range spec.Stages {
+		if spec.Stages[i].Bytes > spec.Stages[big].Bytes {
+			big = i
+		}
+	}
+	spec.Stages[big].Straggler = true
+	spec.Stages[big].Backup = spec.Stages[(big+1)%len(spec.Stages)].Node
+
+	sim := sc.NewSim()
+	sim.SetNode(spec.Stages[big].Node, simnet.Res{
+		UpBps:      LanBps / slowdown,
+		DownBps:    LanBps,
+		ComputeBps: SoftwareBps / slowdown,
+	})
+	opts := recovery.DefaultOptions()
+	opts.Speculate = speculate
+	p := recovery.NewPlanner()
+	switch scheme {
+	case "star":
+		p.Star(spec, opts)
+	case "line":
+		p.Line(spec, opts)
+	default:
+		p.Tree(spec, opts)
+	}
+	res, err := sim.Run(p.Tasks())
+	if err != nil {
+		return 0, err
+	}
+	return res.Makespan, nil
+}
+
+// stragglerFigure sweeps the straggler slowdown for each scheme, with
+// and without speculation, one series per (scheme, speculate) pair.
+func stragglerFigure(fig Figure, label func(scheme string, speculate bool) string, schemes ...string) (Figure, error) {
+	fig.XLabel = "straggler slowdown (x)"
+	fig.YLabel = "recovery time (s)"
+	for _, scheme := range schemes {
+		for _, speculate := range []bool{false, true} {
+			s := Series{Label: label(scheme, speculate)}
+			for _, slowdown := range []float64{1, 4, 16, 64} {
+				makespan, err := stragglerRecovery(scheme, speculate, slowdown)
+				if err != nil {
+					return Figure{}, err
+				}
+				s.X = append(s.X, slowdown)
+				s.Y = append(s.Y, makespan)
+			}
+			fig.Series = append(fig.Series, s)
+		}
+	}
+	return fig, nil
+}
+
 // AblationSpeculation measures straggler impact on star recovery of a
 // 64 MB state: one provider's upload collapses to slowRate; with
 // speculation the replacement hedges that stage from a backup replica
 // after SpeculationDelay (paper §6 future work).
 func AblationSpeculation() (Figure, error) {
-	sc := Unconstrained()
-	fig := Figure{
-		ID:     "ablation-speculation",
-		Title:  "star recovery of 64 MB with one straggling provider",
-		XLabel: "straggler slowdown (x)",
-		YLabel: "recovery time (s)",
-	}
-	baseline := Series{Label: "no speculation"}
-	hedged := Series{Label: "speculation"}
-	for _, slowdown := range []float64{1, 4, 16, 64} {
-		for _, speculate := range []bool{false, true} {
-			env, err := newPlanEnv(envConfig{
-				seed: 42, totalBytes: 64 * MB, shards: 16, replicas: 2,
-			})
-			if err != nil {
-				return Figure{}, err
-			}
-			spec := env.spec(sc)
-			spec.SpeculationDelay = 2.0
-			// Mark the largest stage as the straggler and give it a
-			// backup (any other provider).
-			big := 0
-			for i := range spec.Stages {
-				if spec.Stages[i].Bytes > spec.Stages[big].Bytes {
-					big = i
-				}
-			}
-			spec.Stages[big].Straggler = true
-			spec.Stages[big].Backup = spec.Stages[(big+1)%len(spec.Stages)].Node
-
-			sim := sc.NewSim()
-			sim.SetNode(spec.Stages[big].Node, simnet.Res{
-				UpBps:      LanBps / slowdown,
-				DownBps:    LanBps,
-				ComputeBps: SoftwareBps / slowdown,
-			})
-			opts := recovery.DefaultOptions()
-			opts.Speculate = speculate
-			p := recovery.NewPlanner()
-			p.Star(spec, opts)
-			res, err := sim.Run(p.Tasks())
-			if err != nil {
-				return Figure{}, err
-			}
-			if speculate {
-				hedged.X = append(hedged.X, slowdown)
-				hedged.Y = append(hedged.Y, res.Makespan)
-			} else {
-				baseline.X = append(baseline.X, slowdown)
-				baseline.Y = append(baseline.Y, res.Makespan)
-			}
+	return stragglerFigure(Figure{
+		ID:    "ablation-speculation",
+		Title: "star recovery of 64 MB with one straggling provider",
+	}, func(_ string, speculate bool) string {
+		if speculate {
+			return "speculation"
 		}
-	}
-	fig.Series = []Series{baseline, hedged}
-	return fig, nil
+		return "no speculation"
+	}, "star")
 }
 
 // AblationSpeculationLineTree measures straggler hedging for the line
@@ -80,63 +105,15 @@ func AblationSpeculation() (Figure, error) {
 // SpeculationDelay — the same shape the executor's failover ladder takes
 // when a stage dies mid-collection.
 func AblationSpeculationLineTree() (Figure, error) {
-	sc := Unconstrained()
-	fig := Figure{
-		ID:     "ablation-speculation-linetree",
-		Title:  "line/tree recovery of 64 MB with one straggling provider",
-		XLabel: "straggler slowdown (x)",
-		YLabel: "recovery time (s)",
-	}
-	for _, scheme := range []string{"line", "tree"} {
-		for _, speculate := range []bool{false, true} {
-			label := scheme + ", no speculation"
-			if speculate {
-				label = scheme + ", speculation"
-			}
-			s := Series{Label: label}
-			for _, slowdown := range []float64{1, 4, 16, 64} {
-				env, err := newPlanEnv(envConfig{
-					seed: 42, totalBytes: 64 * MB, shards: 16, replicas: 2,
-				})
-				if err != nil {
-					return Figure{}, err
-				}
-				spec := env.spec(sc)
-				spec.SpeculationDelay = 2.0
-				big := 0
-				for i := range spec.Stages {
-					if spec.Stages[i].Bytes > spec.Stages[big].Bytes {
-						big = i
-					}
-				}
-				spec.Stages[big].Straggler = true
-				spec.Stages[big].Backup = spec.Stages[(big+1)%len(spec.Stages)].Node
-
-				sim := sc.NewSim()
-				sim.SetNode(spec.Stages[big].Node, simnet.Res{
-					UpBps:      LanBps / slowdown,
-					DownBps:    LanBps,
-					ComputeBps: SoftwareBps / slowdown,
-				})
-				opts := recovery.DefaultOptions()
-				opts.Speculate = speculate
-				p := recovery.NewPlanner()
-				if scheme == "line" {
-					p.Line(spec, opts)
-				} else {
-					p.Tree(spec, opts)
-				}
-				res, err := sim.Run(p.Tasks())
-				if err != nil {
-					return Figure{}, err
-				}
-				s.X = append(s.X, slowdown)
-				s.Y = append(s.Y, res.Makespan)
-			}
-			fig.Series = append(fig.Series, s)
+	return stragglerFigure(Figure{
+		ID:    "ablation-speculation-linetree",
+		Title: "line/tree recovery of 64 MB with one straggling provider",
+	}, func(scheme string, speculate bool) string {
+		if speculate {
+			return scheme + ", speculation"
 		}
-	}
-	return fig, nil
+		return scheme + ", no speculation"
+	}, "line", "tree")
 }
 
 // AblationFlowPenalty re-runs the constrained 128 MB recovery with the

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"sr3/internal/dht"
 	"sr3/internal/id"
 	"sr3/internal/metrics"
 	"sr3/internal/recovery"
@@ -45,15 +44,16 @@ func ChaosReport() (string, error) {
 	return b.String(), nil
 }
 
-// chaosRecoverOnce builds a fresh converged ring, saves one state, kills
-// the owner, arms the fault plan and recovers with the given mechanism,
-// verifying the reassembled bytes.
+// chaosRecoverOnce builds a fresh rig on a 48-node ring, saves one
+// state, kills the owner, arms the fault plan and recovers with the given
+// mechanism, verifying the reassembled bytes.
 func chaosRecoverOnce(mech recovery.Mechanism) (recovery.Outcome, simnet.ChaosStats, error) {
-	ring, err := dht.BuildConverged(dht.DefaultConfig(), 7, 48)
+	r, err := newRig(rigOpts{seed: 7, mechanism: MechSR3Star, nodes: 48})
 	if err != nil {
 		return recovery.Outcome{}, simnet.ChaosStats{}, err
 	}
-	cluster := recovery.NewCluster(ring)
+	defer r.Close()
+	ring, cluster, ch := r.ring, r.cluster, r.chaos
 	owner := ring.IDs()[0]
 	snap := make([]byte, 256<<10)
 	rand.New(rand.NewSource(11)).Read(snap)
@@ -79,11 +79,8 @@ func chaosRecoverOnce(mech recovery.Mechanism) (recovery.Outcome, simnet.ChaosSt
 	// The fault plan targets recovery traffic only ("sr3." kinds), so the
 	// overlay's own maintenance is untouched: the victim dies the moment
 	// the first collection message reaches it.
-	ch := simnet.NewChaos(1234)
 	ch.SetLinkFaults(simnet.LinkFaults{DropProb: 0.05, KindPrefix: "sr3."})
 	ch.Crash(simnet.CrashSchedule{Node: victim, KindPrefix: "sr3.", AfterMessages: 1})
-	ring.Net.SetChaos(ch)
-	defer ring.Net.SetChaos(nil)
 
 	opts := recovery.DefaultOptions()
 	opts.FailoverRetries = 6

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -96,13 +95,7 @@ type DataPlaneReport struct {
 }
 
 // JSON renders the report for the committed artifact.
-func (r DataPlaneReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r DataPlaneReport) JSON() ([]byte, error) { return marshalArtifact(r) }
 
 // Format renders the report as an aligned text table.
 func (r DataPlaneReport) Format() string {

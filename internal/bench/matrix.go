@@ -8,22 +8,15 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"sr3/internal/checkpoint"
 	"sr3/internal/detector"
-	"sr3/internal/dht"
 	"sr3/internal/id"
-	"sr3/internal/metrics"
 	"sr3/internal/obs"
-	"sr3/internal/recovery"
 	"sr3/internal/simnet"
-	"sr3/internal/state"
 	"sr3/internal/stream"
 	"sr3/internal/supervise"
 )
@@ -39,16 +32,6 @@ const (
 	ScenarioSlowNode    = "slow-node"          // gray failure: degraded holder, supervised
 	ScenarioFlakyLink   = "flaky-link"         // jittered, lossy links under recovery traffic
 	ScenarioCrashIngest = "crash-ingest"       // crash under sustained ingest
-)
-
-// Matrix mechanism names.
-const (
-	MechSR3Star     = "sr3-star"
-	MechSR3Line     = "sr3-line"
-	MechSR3Tree     = "sr3-tree"
-	MechCheckpoint  = "checkpoint"
-	MechReplication = "replication"
-	MechFP4S        = "fp4s"
 )
 
 // MatrixCellSpec names one cell to run.
@@ -99,61 +82,43 @@ type MatrixReport struct {
 }
 
 // JSON renders the report for the committed artifact.
-func (r *MatrixReport) JSON() ([]byte, error) {
-	blob, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
-}
+func (r *MatrixReport) JSON() ([]byte, error) { return marshalArtifact(r) }
 
-// ValidateMatrix parses and schema-checks a committed artifact.
+// ValidateMatrix parses a matrix artifact and enforces its acceptance
+// gates: every cell ran, lost nothing and recovered its state exactly,
+// and no slow-node cell killed the slow-but-alive holder or skipped the
+// degraded path.
 func ValidateMatrix(blob []byte) (*MatrixReport, error) {
 	var r MatrixReport
-	if err := json.Unmarshal(blob, &r); err != nil {
-		return nil, fmt.Errorf("matrix artifact: %w", err)
-	}
-	if r.Schema != MatrixSchema {
-		return nil, fmt.Errorf("matrix artifact: schema %q, want %q", r.Schema, MatrixSchema)
-	}
-	if len(r.Cells) == 0 {
-		return nil, fmt.Errorf("matrix artifact: no cells")
+	if err := parseArtifact(blob, "matrix", MatrixSchema, &r); err != nil {
+		return nil, err
 	}
 	for i, c := range r.Cells {
 		if c.Scenario == "" || c.Mechanism == "" || c.Load == "" {
 			return nil, fmt.Errorf("matrix artifact: cell %d missing scenario/mechanism/load", i)
 		}
+		name := c.Scenario + "/" + c.Mechanism + "/" + c.Load
 		if c.Error != "" {
-			continue
+			return nil, fmt.Errorf("matrix artifact: cell %s failed: %s", name, c.Error)
 		}
 		if c.Tuples <= 0 {
-			return nil, fmt.Errorf("matrix artifact: cell %s/%s has no tuples", c.Scenario, c.Mechanism)
+			return nil, fmt.Errorf("matrix artifact: cell %s has no tuples", name)
 		}
 		if c.RecoverMs < 0 || c.LagP99Ms < c.LagP50Ms {
-			return nil, fmt.Errorf("matrix artifact: cell %s/%s has inconsistent latencies", c.Scenario, c.Mechanism)
+			return nil, fmt.Errorf("matrix artifact: cell %s has inconsistent latencies", name)
+		}
+		if !c.ExactlyOnce {
+			return nil, fmt.Errorf("matrix artifact: cell %s not exactly-once (missing=%d state_exact=%v)", name, c.Missing, c.StateExact)
+		}
+		if c.Scenario == ScenarioSlowNode && (c.SpuriousKill || !c.DegradedPath) {
+			return nil, fmt.Errorf("matrix artifact: cell %s: spurious_kill=%v degraded_path=%v", name, c.SpuriousKill, c.DegradedPath)
 		}
 	}
 	return &r, nil
 }
 
 // Format renders the report as an aligned table.
-func (r *MatrixReport) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fault-recovery matrix (%d cells)\n", len(r.Cells))
-	fmt.Fprintf(&b, "%-19s %-12s %-13s %7s %8s %9s %9s %9s %6s %5s %5s %5s\n",
-		"scenario", "mechanism", "load", "tuples", "detect", "recover", "lag-p99", "lag-max", "exact", "dup", "miss", "note")
-	for _, c := range r.Cells {
-		note := c.Notes
-		if c.Error != "" {
-			note = "ERR " + c.Error
-		}
-		fmt.Fprintf(&b, "%-19s %-12s %-13s %7d %6.1fms %7.1fms %7.1fms %7.1fms %6v %5d %5d %s\n",
-			c.Scenario, c.Mechanism, c.Load, c.Tuples, c.DetectMs, c.RecoverMs,
-			c.LagP99Ms, c.LagMaxMs, c.ExactlyOnce, c.Duplicates, c.Missing, note)
-	}
-	b.WriteString("(detect = fault→verdict, 0 when manually triggered; exact = no loss + state byte-exact; dup = replay re-deliveries absorbed by dedupe)\n")
-	return b.String()
-}
+func (r *MatrixReport) Format() string { return alignMarkdown(r.Markdown()) }
 
 // MatrixPreset returns the cell list for a named preset. "tiny" is the
 // CI smoke subset; "full" is the committed matrix.
@@ -190,372 +155,107 @@ func MatrixPreset(preset string) ([]MatrixCellSpec, error) {
 	}
 }
 
-// MatrixSweep runs every cell sequentially — each on a fresh cluster, so
-// chaos from one cell cannot leak into the next. A cell failure lands in
-// its Error field rather than aborting the sweep.
+// MatrixSweep runs every cell on a fresh rig.
 func MatrixSweep(specs []MatrixCellSpec) *MatrixReport {
-	report := &MatrixReport{Schema: MatrixSchema}
-	for i, spec := range specs {
-		cell, err := RunMatrixCell(spec, int64(1000+37*i))
-		if err != nil {
-			cell = MatrixCell{Scenario: spec.Scenario, Mechanism: spec.Mechanism, Load: spec.Load, Error: err.Error()}
-		}
-		report.Cells = append(report.Cells, cell)
-	}
-	return report
+	return &MatrixReport{Schema: MatrixSchema, Cells: sweep(specs, 1000, RunMatrixCell,
+		func(c *MatrixCell) *string { return &c.Error })}
 }
 
-// --- cell topology -------------------------------------------------------
-
-const (
-	matrixKeys      = 8
-	matrixSaveEvery = 64
-	matrixShards    = 6
-	matrixReplicas  = 2
-	matrixRing      = 24
-	// Batched-plane knobs shared by the matrix and overload sweeps: small
-	// frames so barrier-heavy cells never wait long for a size flush, a
-	// sub-millisecond linger so measured lag stays honest.
-	matrixBatchSize   = 16
-	matrixBatchLinger = 500 * time.Microsecond
-)
-
-// seqSpout streams sequence-numbered tuples pushed by the cell driver.
-type seqSpout struct{ ch chan stream.Tuple }
-
-func (s *seqSpout) Next() (stream.Tuple, bool) {
-	t, ok := <-s.ch
-	return t, ok
-}
-
-// seqCountBolt is the stateful operator: per-key running counts over a
-// snapshot/restore store, pass-through emit so the sink sees every seq.
-type seqCountBolt struct{ store *state.MapStore }
-
-func (c *seqCountBolt) Execute(t stream.Tuple, emit stream.Emit) error {
-	key := t.StringAt(0)
-	n := int64(0)
-	if v, ok := c.store.Get(key); ok {
-		parsed, err := strconv.ParseInt(string(v), 10, 64)
-		if err != nil {
-			return err
-		}
-		n = parsed
-	}
-	n++
-	c.store.Put(key, []byte(strconv.FormatInt(n, 10)))
-	emit(stream.Tuple{Values: t.Values, Ts: t.Ts})
-	return nil
-}
-
-func (c *seqCountBolt) Store() stream.StateStore { return c.store }
-
-// dedupeSink is the exactly-once checker: it records every delivered
-// sequence number, counts re-deliveries, and histograms event-time lag
-// (first delivery only, so replay does not double-count).
-type dedupeSink struct {
-	mu   sync.Mutex
-	seen map[int64]int64
-	dups int64
-	lag  metrics.LatencyHistogram
-}
-
-func newDedupeSink() *dedupeSink { return &dedupeSink{seen: make(map[int64]int64)} }
-
-func (s *dedupeSink) Execute(t stream.Tuple, _ stream.Emit) error {
-	seq := t.IntAt(1)
-	s.mu.Lock()
-	s.seen[seq]++
-	first := s.seen[seq] == 1
-	if !first {
-		s.dups++
-	}
-	s.mu.Unlock()
-	if first {
-		lag := time.Now().UnixMilli() - t.Ts
-		if lag < 0 {
-			lag = 0
-		}
-		s.lag.Record(lag)
-	}
-	return nil
-}
-
-// audit reports missing/duplicate sequence numbers against [0, total).
-func (s *dedupeSink) audit(total int64) (missing, dups int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for seq := int64(0); seq < total; seq++ {
-		if s.seen[seq] == 0 {
-			missing++
-		}
-	}
-	return missing, s.dups
-}
-
-// matrixCell is the per-cell environment.
-type matrixCell struct {
-	spec    MatrixCellSpec
-	seed    int64
-	ring    *dht.Ring // nil for checkpoint/replication
-	cluster *recovery.Cluster
-	chaos   *simnet.Chaos
-	backend stream.StateBackend
-	rt      *stream.Runtime
-	spout   *seqSpout
-	counter *seqCountBolt
-	sink    *dedupeSink
-	taskKey string
-	cell    MatrixCell
-}
-
-func matrixMechanism(name string) (recovery.Mechanism, bool) {
-	switch name {
-	case MechSR3Star:
-		return recovery.Star, true
-	case MechSR3Line:
-		return recovery.Line, true
-	case MechSR3Tree:
-		return recovery.Tree, true
-	default:
-		return 0, false
-	}
-}
-
-// RunMatrixCell builds one fresh environment and measures one cell. The
-// seed keeps chaos deterministic per cell.
+// RunMatrixCell builds one fresh rig and measures one cell. The seed
+// keeps the ring and its chaos deterministic per cell.
 func RunMatrixCell(spec MatrixCellSpec, seed int64) (MatrixCell, error) {
-	env := &matrixCell{
-		spec:  spec,
-		seed:  seed,
-		spout: &seqSpout{ch: make(chan stream.Tuple, 1024)},
-		sink:  newDedupeSink(),
-		cell:  MatrixCell{Scenario: spec.Scenario, Mechanism: spec.Mechanism, Load: spec.Load},
-	}
-	if err := env.buildBackend(); err != nil {
-		return env.cell, err
-	}
-	topo := stream.NewTopology("matrix")
-	if err := topo.AddSpout("seq", env.spout); err != nil {
-		return env.cell, err
-	}
-	env.counter = &seqCountBolt{store: state.NewMapStore()}
-	if err := topo.AddBolt("count", env.counter, 1).Fields("seq", 0).Err(); err != nil {
-		return env.cell, err
-	}
-	if err := topo.AddBolt("sink", env.sink, 1).Global("count").Err(); err != nil {
-		return env.cell, err
-	}
-	rt, err := stream.NewRuntime(topo, stream.Config{
-		Backend:         env.backend,
-		SaveEveryTuples: matrixSaveEvery,
-		// The batched tuple plane runs in every cell: the exactly-once and
-		// replay audits below are the proof that batching changes only the
-		// rate, never the semantics.
-		BatchSize:   matrixBatchSize,
-		BatchLinger: matrixBatchLinger,
-	})
-	if err != nil {
-		return env.cell, err
-	}
-	env.rt = rt
-	env.taskKey = stream.TaskKey("matrix", "count", 0)
-	rt.Start()
-
-	runErr := env.run()
-	if runErr != nil {
-		// Unblock Wait even on a failed cell.
-		close(env.spout.ch)
-		_ = rt.Wait()
-		return env.cell, runErr
-	}
-	close(env.spout.ch)
-	if err := rt.Wait(); err != nil {
-		return env.cell, err
-	}
-	env.settle()
-	return env.cell, nil
-}
-
-func (e *matrixCell) buildBackend() error {
-	switch e.spec.Mechanism {
-	case MechCheckpoint:
-		e.backend = stream.NewCheckpointBackend(checkpoint.NewStore())
-		return nil
-	case MechReplication:
-		e.backend = stream.NewReplicationBackend()
-		return nil
-	case MechFP4S:
-		ring, err := dht.NewRing(dht.DefaultConfig(), e.seed, matrixRing)
-		if err != nil {
-			return err
-		}
-		e.ring = ring
-		e.chaos = simnet.NewChaos(e.seed)
-		ring.Net.SetChaos(e.chaos)
-		b, err := stream.NewFP4SBackend(ring, 4, 8)
-		if err != nil {
-			return err
-		}
-		e.backend = b
-		return nil
+	cell := MatrixCell{Scenario: spec.Scenario, Mechanism: spec.Mechanism, Load: spec.Load}
+	var scenario func(*rig, MatrixCellSpec, *MatrixCell) error
+	switch spec.Scenario {
+	case ScenarioCrash, ScenarioCrash2, ScenarioPartition, ScenarioFlakyLink:
+		scenario = matrixBurst
+	case ScenarioSlowNode:
+		scenario = matrixSlowNode
+	case ScenarioCrashIngest:
+		scenario = matrixIngest
 	default:
-		mech, ok := matrixMechanism(e.spec.Mechanism)
-		if !ok {
-			return fmt.Errorf("matrix: unknown mechanism %q", e.spec.Mechanism)
-		}
-		ring, err := dht.NewRing(dht.DefaultConfig(), e.seed, matrixRing)
-		if err != nil {
-			return err
-		}
-		e.ring = ring
-		e.cluster = recovery.NewCluster(ring)
-		e.chaos = simnet.NewChaos(e.seed)
-		ring.Net.SetChaos(e.chaos)
-		b := stream.NewSR3Backend(e.cluster, matrixShards, matrixReplicas)
-		b.Mechanism = mech
-		opts := recovery.DefaultOptions()
-		opts.FailoverRetries = 6
-		opts.RetryBackoff = 15 * time.Millisecond
-		b.Options = opts
-		e.backend = b
-		return nil
+		return cell, fmt.Errorf("matrix: unknown scenario %q", spec.Scenario)
 	}
+	r, err := newRig(rigOpts{seed: seed, mechanism: spec.Mechanism, cfg: stream.Config{
+		SaveEveryTuples: rigSaveEvery,
+		// The batched tuple plane runs in every cell: the exactly-once and
+		// replay audits are the proof that batching changes only the rate,
+		// never the semantics.
+		BatchSize:   rigBatchSize,
+		BatchLinger: rigBatchLinger,
+	}})
+	if err != nil {
+		return cell, err
+	}
+	defer r.Close()
+	if err := scenario(r, spec, &cell); err != nil {
+		return cell, err
+	}
+	cell.TuplesPerSec = float64(cell.Tuples) / time.Since(r.started).Seconds()
+	a, err := r.audit()
+	if err != nil {
+		return cell, err
+	}
+	cell.Missing, cell.Duplicates, cell.StateExact = a.missing, a.duplicates, a.stateExact
+	cell.ExactlyOnce = a.exactlyOnce()
+	cell.LagP50Ms = float64(r.sink.lag.Quantile(0.50))
+	cell.LagP99Ms = float64(r.sink.lag.Quantile(0.99))
+	cell.LagMaxMs = float64(r.sink.lag.Max())
+	return cell, nil
 }
 
-// pump streams tuples [from, to) into the spout. rate 0 = full speed.
-func (e *matrixCell) pump(from, to, rate int) {
-	var interval time.Duration
-	batch := 1
-	if rate > 0 {
-		batch = rate / 200
-		if batch < 1 {
-			batch = 1
-		}
-		interval = time.Duration(batch) * time.Second / time.Duration(rate)
-	}
-	for seq := from; seq < to; {
-		for i := 0; i < batch && seq < to; i++ {
-			e.spout.ch <- stream.Tuple{
-				Values: []any{fmt.Sprintf("k%d", seq%matrixKeys), int64(seq)},
-				Ts:     time.Now().UnixMilli(),
-			}
-			seq++
-		}
-		if interval > 0 {
-			time.Sleep(interval)
-		}
-	}
-}
+// burstPre / burstPost are the batches a burst cell pushes before and
+// after its fault.
+const burstPre, burstPost = 600, 600
 
-// drain waits for in-flight tuples to clear the topology.
-func (e *matrixCell) drain() {
-	time.Sleep(20 * time.Millisecond)
-	e.rt.Drain()
-}
-
-// saveAll snapshots the operator, retrying: under flaky-link chaos a
-// scatter can lose a shard message and the save must be re-attempted.
-func (e *matrixCell) saveAll() error {
-	var err error
-	for attempt := 0; attempt < 10; attempt++ {
-		if err = e.rt.SaveAll(); err == nil {
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return fmt.Errorf("matrix save: %w", err)
-}
-
-// owner returns the DHT node owning the task's state.
-func (e *matrixCell) owner() (id.ID, error) {
-	nid, ok := e.ring.ClosestLive(id.HashKey(e.taskKey))
-	if !ok {
-		return id.ID{}, fmt.Errorf("matrix: no live owner")
-	}
-	return nid, nil
-}
-
-// killAndRecover crashes the backend owner (when there is a ring), kills
-// the stream task and drives manual recovery, timing it.
-func (e *matrixCell) killAndRecover(extraKills int) error {
-	if e.ring != nil {
-		owner, err := e.owner()
-		if err != nil {
-			return err
-		}
-		e.ring.Fail(owner)
-		killed := 0
-		for _, nid := range e.ring.SortedLiveByDistance(owner) {
-			if killed >= extraKills {
-				break
-			}
-			e.ring.Fail(nid)
-			killed++
-		}
-		e.ring.MaintenanceRound()
-	}
-	if err := e.rt.Kill("count", 0); err != nil {
+// crashAndRecover is the manual fault trigger: the state owner (plus
+// extra replica holders) dies, the task is killed and recovered by hand.
+func crashAndRecover(r *rig, cell *MatrixCell, extraKills int) error {
+	if err := r.killOwner(extraKills); err != nil {
 		return err
 	}
-	start := time.Now()
-	if err := e.rt.RecoverTask("count", 0); err != nil {
+	recoverMs, err := r.crashTask()
+	if err != nil {
 		return err
 	}
-	e.cell.RecoverMs = float64(time.Since(start)) / float64(time.Millisecond)
-	e.cell.Notes = "manual fault trigger"
+	cell.RecoverMs = recoverMs
+	cell.Notes = "manual fault trigger"
 	return nil
 }
 
-// run drives the cell's scenario.
-func (e *matrixCell) run() error {
-	switch e.spec.Scenario {
-	case ScenarioCrash, ScenarioCrash2, ScenarioPartition, ScenarioFlakyLink:
-		return e.runBurst()
-	case ScenarioSlowNode:
-		return e.runSlowNode()
-	case ScenarioCrashIngest:
-		return e.runIngest()
-	default:
-		return fmt.Errorf("matrix: unknown scenario %q", e.spec.Scenario)
-	}
-}
-
-// runBurst is the manual-trigger family: pre-batch, save, fault,
-// recover, post-batch.
-func (e *matrixCell) runBurst() error {
-	const pre, post = 600, 600
-	e.cell.Tuples = pre + post
-	started := time.Now()
-
-	e.pump(0, pre, 0)
-	e.drain()
-	if e.spec.Scenario == ScenarioFlakyLink && e.chaos != nil {
+// matrixBurst is the manual-trigger family: pre-batch, save, fault,
+// recover, post-batch. The scenarios differ only in what is armed before
+// the crash.
+func matrixBurst(r *rig, spec MatrixCellSpec, cell *MatrixCell) error {
+	cell.Tuples = burstPre + burstPost
+	r.pump(0, burstPre, 0)
+	r.drain()
+	extraKills := 0
+	switch {
+	case spec.Scenario == ScenarioFlakyLink && r.chaos != nil:
 		// Arm the flaky links before the save so scatter, fetch and
 		// failover all run over jittered, lossy paths.
 		prefix := "sr3."
-		if e.spec.Mechanism == MechFP4S {
+		if spec.Mechanism == MechFP4S {
 			prefix = "fp4s."
 		}
-		e.chaos.SetLinkFaults(simnet.LinkFaults{
+		r.chaos.SetLinkFaults(simnet.LinkFaults{
 			DropProb:   0.02,
 			DelayProb:  0.5,
 			Delay:      1 * time.Millisecond,
 			Jitter:     3 * time.Millisecond,
 			KindPrefix: prefix,
 		})
-	}
-	if err := e.saveAll(); err != nil {
-		return err
-	}
-	extraKills := 0
-	if e.spec.Scenario == ScenarioCrash2 {
+	case spec.Scenario == ScenarioCrash2:
 		extraKills = 1
-		if e.spec.Mechanism == MechFP4S {
+		if spec.Mechanism == MechFP4S {
 			extraKills = 2 // (4,8)-RS shrugs off one loss; make it hurt
 		}
 	}
-	if e.spec.Scenario == ScenarioPartition && e.chaos != nil {
+	if err := r.saveAll(); err != nil {
+		return err
+	}
+	if spec.Scenario == ScenarioPartition && r.chaos != nil {
 		// The partition fires on the first recovery-collect message —
 		// i.e. mid-recovery, not before it — and heals shortly after;
 		// failover retries must ride it out.
@@ -563,45 +263,45 @@ func (e *matrixCell) runBurst() error {
 			MechSR3Star: "sr3.shard.fetchIndex",
 			MechSR3Line: "sr3.line.collect",
 			MechSR3Tree: "sr3.tree.collect",
-		}[e.spec.Mechanism]
-		live := e.ring.LiveIDs()
-		e.chaos.SchedulePartition(simnet.PartitionSchedule{
+		}[spec.Mechanism]
+		live := r.ring.LiveIDs()
+		r.chaos.SchedulePartition(simnet.PartitionSchedule{
 			TriggerPrefix: trigger,
 			AfterMessages: 1,
 			Groups:        [][]id.ID{live[:len(live)/2], live[len(live)/2:]},
 			HealAfter:     50 * time.Millisecond,
 		})
 	}
-	if err := e.killAndRecover(extraKills); err != nil {
+	if err := crashAndRecover(r, cell, extraKills); err != nil {
 		return err
 	}
-	if e.spec.Scenario == ScenarioPartition {
-		stats := e.chaos.Stats()
+	if spec.Scenario == ScenarioPartition {
+		stats := r.chaos.Stats()
 		if stats.PartitionsFired != 1 {
 			return fmt.Errorf("matrix: partition did not fire (fired=%d)", stats.PartitionsFired)
 		}
-		e.cell.Notes = fmt.Sprintf("partition mid-collect, severed=%d", stats.Severed)
+		cell.Notes = fmt.Sprintf("partition mid-collect, severed=%d", stats.Severed)
 	}
-	e.pump(pre, pre+post, 0)
-	e.drain()
-	e.cell.TuplesPerSec = float64(e.cell.Tuples) / time.Since(started).Seconds()
+	r.pump(burstPre, burstPre+burstPost, 0)
+	r.drain()
 	return nil
 }
 
-// runSlowNode is the gray-failure cell: a shard holder degrades (slow,
+// matrixSlowNode is the gray-failure cell: a shard holder degrades (slow,
 // not dead), the φ-detector demotes it, and the supervised recovery of a
 // separately crashed owner must route around it — without the detector
 // ever killing the slow node.
-func (e *matrixCell) runSlowNode() error {
-	const pre, post = 600, 600
-	e.cell.Tuples = pre + post
-	started := time.Now()
-
+func matrixSlowNode(r *rig, spec MatrixCellSpec, cell *MatrixCell) error {
+	mech, ok := sr3Mechanisms[spec.Mechanism]
+	if !ok {
+		return fmt.Errorf("matrix: %s needs an SR3 mechanism, got %q", spec.Scenario, spec.Mechanism)
+	}
+	cell.Tuples = burstPre + burstPost
 	// Gray-tier transitions are chatty on a 24-node all-pairs detector
 	// mesh; size the journal so the victim's demotion survives until the
 	// post-recovery audit.
 	flight := obs.NewFlightRecorder(1 << 15)
-	sup := supervise.New(e.cluster, supervise.Config{
+	sup := r.supervise(supervise.Config{
 		Detector: detector.Config{
 			Interval:       10 * time.Millisecond,
 			Threshold:      8,
@@ -613,57 +313,50 @@ func (e *matrixCell) runSlowNode() error {
 		Flight:         flight,
 		Escalation:     supervise.EscalationPolicy{DeadlineBase: 80 * time.Millisecond},
 	})
-	sup.BindRuntime(e.rt)
 
-	e.pump(0, pre, 0)
-	e.drain()
-	if err := e.saveAll(); err != nil {
+	r.pump(0, burstPre, 0)
+	r.drain()
+	if err := r.saveAll(); err != nil {
 		return err
 	}
-	mech, _ := matrixMechanism(e.spec.Mechanism)
-	sup.Protect(supervise.StateSpec{
-		App:       e.taskKey,
-		Mechanism: mech,
-		TaskBound: true,
-	})
+	sup.Protect(supervise.StateSpec{App: rigCountKey, Mechanism: mech, TaskBound: true})
 	if err := sup.Start(); err != nil {
 		return err
 	}
-	defer sup.Stop()
 
-	owner, err := e.owner()
+	owner, err := r.owner()
 	if err != nil {
 		return err
 	}
 	// Degrade the closest non-owner node — a leaf-set shard holder.
 	var victim id.ID
-	for _, nid := range e.ring.SortedLiveByDistance(owner) {
+	for _, nid := range r.ring.SortedLiveByDistance(owner) {
 		if nid != owner {
 			victim = nid
 			break
 		}
 	}
-	e.chaos.Degrade(victim, simnet.Degradation{Slowdown: 25 * time.Millisecond})
+	r.chaos.Degrade(victim, simnet.Degradation{Slowdown: 25 * time.Millisecond})
 	if err := waitUntil(10*time.Second, func() bool {
-		return sup.Degraded(victim) && e.cluster.IsDegraded(victim)
+		return sup.Degraded(victim) && r.cluster.IsDegraded(victim)
 	}); err != nil {
 		return fmt.Errorf("matrix: victim never demoted: %w", err)
 	}
 	// Audit the demotion while its journal entry is fresh.
 	for _, fe := range flight.Events() {
 		if fe.Kind == obs.FlightDegraded && fe.Node == victim.Short() {
-			e.cell.DegradedPath = true
+			cell.DegradedPath = true
 		}
 	}
 
 	// Crash the owner: the supervisor must detect it, recover the task
 	// through replicas while routing around the degraded holder.
 	killedAt := time.Now()
-	e.ring.Fail(owner)
+	r.ring.Fail(owner)
 	var ev supervise.Event
 	if err := waitUntil(20*time.Second, func() bool {
 		for _, cand := range sup.Events() {
-			if cand.App == e.taskKey && cand.Err == nil && !cand.RecoveredAt.IsZero() {
+			if cand.App == rigCountKey && cand.Err == nil && !cand.RecoveredAt.IsZero() {
 				ev = cand
 				return true
 			}
@@ -672,52 +365,44 @@ func (e *matrixCell) runSlowNode() error {
 	}); err != nil {
 		return fmt.Errorf("matrix: supervised recovery never completed: %w", err)
 	}
-	e.cell.DetectMs = float64(ev.DetectedAt.Sub(killedAt)) / float64(time.Millisecond)
-	e.cell.RecoverMs = float64(ev.RecoveredAt.Sub(killedAt)) / float64(time.Millisecond)
+	cell.DetectMs = ms(ev.DetectedAt.Sub(killedAt))
+	cell.RecoverMs = ms(ev.RecoveredAt.Sub(killedAt))
 
 	// Spurious kill = the slow-but-alive victim was treated as dead.
-	e.cell.SpuriousKill = !e.ring.Net.Alive(victim)
+	cell.SpuriousKill = !r.ring.Net.Alive(victim)
 	for _, cand := range sup.Events() {
 		if cand.Node == victim {
-			e.cell.SpuriousKill = true
+			cell.SpuriousKill = true
 		}
 	}
-	e.cell.Notes = "supervised; degraded holder demoted, not killed"
+	cell.Notes = "supervised; degraded holder demoted, not killed"
 
-	e.pump(pre, pre+post, 0)
-	e.drain()
-	e.cell.TuplesPerSec = float64(e.cell.Tuples) / time.Since(started).Seconds()
+	r.pump(burstPre, burstPre+burstPost, 0)
+	r.drain()
 	return nil
 }
 
-// runIngest crashes the operator mid-stream while the spout keeps
-// pushing at the configured rate: the exactly-once verdict covers tuples
+// matrixIngest crashes the operator mid-stream while the pump keeps
+// offering at the configured rate: the exactly-once verdict covers tuples
 // that arrived while the task was dead.
-func (e *matrixCell) runIngest() error {
-	rate, total, err := parseSustainedLoad(e.spec.Load)
+func matrixIngest(r *rig, spec MatrixCellSpec, cell *MatrixCell) error {
+	rate, total, err := parseSustainedLoad(spec.Load)
 	if err != nil {
 		return err
 	}
-	e.cell.Tuples = total
+	cell.Tuples = total
 	killAt := total * 2 / 5
-	started := time.Now()
-
-	e.pump(0, killAt, rate)
-	if err := e.saveAll(); err != nil {
+	r.pump(0, killAt, rate)
+	if err := r.saveAll(); err != nil {
 		return err
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		e.pump(killAt, total, rate)
-	}()
-	if err := e.killAndRecover(0); err != nil {
-		<-done
+	r.pumpAsync(killAt, total, rate)
+	err = crashAndRecover(r, cell, 0)
+	r.pumps.Wait()
+	if err != nil {
 		return err
 	}
-	<-done
-	e.drain()
-	e.cell.TuplesPerSec = float64(total) / time.Since(started).Seconds()
+	r.drain()
 	return nil
 }
 
@@ -731,47 +416,4 @@ func parseSustainedLoad(load string) (rate, total int, err error) {
 	}
 	rate = n * 1000
 	return rate, rate * 3 / 2, nil
-}
-
-// settle fills in the verdict fields after Wait.
-func (e *matrixCell) settle() {
-	missing, dups := e.sink.audit(int64(e.cell.Tuples))
-	e.cell.Missing = missing
-	e.cell.Duplicates = dups
-	e.cell.LagP50Ms = float64(e.sink.lag.Quantile(0.50))
-	e.cell.LagP99Ms = float64(e.sink.lag.Quantile(0.99))
-	e.cell.LagMaxMs = float64(e.sink.lag.Max())
-	e.cell.StateExact = e.stateExact()
-	e.cell.ExactlyOnce = missing == 0 && e.cell.StateExact
-}
-
-// stateExact verifies the operator's per-key counts against the emitted
-// sequence range — the byte-exact recovery check.
-func (e *matrixCell) stateExact() bool {
-	for k := 0; k < matrixKeys; k++ {
-		want := int64(e.cell.Tuples / matrixKeys)
-		if k < e.cell.Tuples%matrixKeys {
-			want++
-		}
-		v, ok := e.counter.store.Get(fmt.Sprintf("k%d", k))
-		if !ok {
-			return want == 0
-		}
-		got, err := strconv.ParseInt(string(v), 10, 64)
-		if err != nil || got != want {
-			return false
-		}
-	}
-	return true
-}
-
-func waitUntil(d time.Duration, cond func() bool) error {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Errorf("timed out after %v", d)
 }

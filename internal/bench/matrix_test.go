@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 // TestMatrixCrashUnderIngestExactlyOnce is the acceptance gate for the
 // ingest family: a crash while the spout keeps pushing must lose nothing
@@ -72,83 +69,5 @@ func TestMatrixPartitionDuringRecovery(t *testing.T) {
 	}
 	if !cell.ExactlyOnce {
 		t.Fatalf("exactly-once verdict false (missing=%d)", cell.Missing)
-	}
-}
-
-// TestMatrixTinyPreset runs the CI smoke subset end to end and validates
-// the produced report against the schema round-trip.
-func TestMatrixTinyPreset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("matrix sweep in -short mode")
-	}
-	specs, err := MatrixPreset("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := MatrixSweep(specs)
-	for _, c := range report.Cells {
-		if c.Error != "" {
-			t.Fatalf("cell %s/%s: %s", c.Scenario, c.Mechanism, c.Error)
-		}
-		if !c.ExactlyOnce {
-			t.Fatalf("cell %s/%s not exactly-once (missing=%d)", c.Scenario, c.Mechanism, c.Missing)
-		}
-		if c.Scenario == ScenarioSlowNode && (c.SpuriousKill || !c.DegradedPath) {
-			t.Fatalf("cell %s/%s: spurious_kill=%v degraded_path=%v",
-				c.Scenario, c.Mechanism, c.SpuriousKill, c.DegradedPath)
-		}
-	}
-	blob, err := report.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ValidateMatrix(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed.Cells) != len(specs) {
-		t.Fatalf("round-trip cells = %d, want %d", len(parsed.Cells), len(specs))
-	}
-}
-
-// TestCommittedMatrixArtifact schema-validates the committed
-// BENCH_matrix.json so a stale or hand-edited artifact fails CI.
-func TestCommittedMatrixArtifact(t *testing.T) {
-	blob, err := os.ReadFile("../../BENCH_matrix.json")
-	if err != nil {
-		t.Fatalf("committed artifact: %v", err)
-	}
-	report, err := ValidateMatrix(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Cells) < 12 {
-		t.Fatalf("committed matrix has %d cells, want >= 12", len(report.Cells))
-	}
-	scenarios := map[string]bool{}
-	for _, c := range report.Cells {
-		scenarios[c.Scenario] = true
-		if c.Error != "" {
-			t.Errorf("cell %s/%s/%s carries an error: %s", c.Scenario, c.Mechanism, c.Load, c.Error)
-			continue
-		}
-		if !c.ExactlyOnce {
-			t.Errorf("cell %s/%s/%s not exactly-once (missing=%d state_exact=%v)",
-				c.Scenario, c.Mechanism, c.Load, c.Missing, c.StateExact)
-		}
-		if c.Scenario == ScenarioSlowNode {
-			if c.SpuriousKill {
-				t.Errorf("cell %s/%s: slow node was spuriously killed", c.Scenario, c.Mechanism)
-			}
-			if !c.DegradedPath {
-				t.Errorf("cell %s/%s: degraded path not taken", c.Scenario, c.Mechanism)
-			}
-		}
-	}
-	for _, want := range []string{ScenarioCrash, ScenarioCrash2, ScenarioPartition,
-		ScenarioSlowNode, ScenarioFlakyLink, ScenarioCrashIngest} {
-		if !scenarios[want] {
-			t.Errorf("committed matrix missing scenario %q", want)
-		}
 	}
 }

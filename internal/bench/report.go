@@ -1,10 +1,12 @@
 // Markdown rendering of committed benchmark artifacts, for splicing into
-// EXPERIMENTS.md (`sr3bench matrix-report`).
+// EXPERIMENTS.md (`sr3bench matrix-report`). The markdown table is each
+// report's one rendering: the terminal gets the same table, aligned.
 package bench
 
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Markdown renders the fault-recovery matrix as a GitHub-flavored table.
@@ -77,4 +79,42 @@ func SpliceMarked(doc, begin, end, body string) string {
 		return doc + "\n" + block + "\n"
 	}
 	return doc[:bi] + block + doc[ei+len(end):]
+}
+
+// alignMarkdown re-renders a markdown table for a terminal: cells padded
+// to their column's width, the |---| rule dropped, other lines kept.
+func alignMarkdown(md string) string {
+	var rows [][]string
+	var width []int
+	lines := strings.Split(md, "\n")
+	for _, line := range lines {
+		if !strings.HasPrefix(line, "|") || strings.HasPrefix(line, "|-") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+			if i == len(width) {
+				width = append(width, 0)
+			}
+			width[i] = max(width[i], utf8.RuneCountInString(cells[i]))
+		}
+		rows = append(rows, cells)
+	}
+	var b strings.Builder
+	for _, line := range lines {
+		switch {
+		case strings.HasPrefix(line, "|-"):
+		case strings.HasPrefix(line, "|"):
+			var row strings.Builder
+			for i, c := range rows[0] {
+				fmt.Fprintf(&row, "%-*s  ", width[i], c)
+			}
+			b.WriteString(strings.TrimRight(row.String(), " ") + "\n")
+			rows = rows[1:]
+		default:
+			b.WriteString(line + "\n")
+		}
+	}
+	return b.String()
 }

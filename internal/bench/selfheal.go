@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"sr3/internal/detector"
-	"sr3/internal/dht"
 	"sr3/internal/metrics"
-	"sr3/internal/recovery"
 	"sr3/internal/shard"
 	"sr3/internal/supervise"
 )
@@ -56,15 +54,16 @@ func SelfHealReport() (string, error) {
 	return b.String(), nil
 }
 
-// selfHealCell builds one supervised cluster and runs the kill loop.
+// selfHealCell builds one supervised rig and runs the kill loop.
 func selfHealCell(set selfHealSetting, kills int) (metrics.SelfHealStats, error) {
 	var stats metrics.SelfHealStats
-	ring, err := dht.BuildConverged(dht.DefaultConfig(), 31, 24)
+	r, err := newRig(rigOpts{seed: 31, mechanism: MechSR3Star})
 	if err != nil {
 		return stats, err
 	}
-	cluster := recovery.NewCluster(ring)
-	sup := supervise.New(cluster, supervise.Config{
+	defer r.Close()
+	ring, cluster := r.ring, r.cluster
+	sup := r.supervise(supervise.Config{
 		Detector: detector.Config{
 			Interval:  set.heartbeat,
 			Threshold: set.threshold,
@@ -89,59 +88,39 @@ func selfHealCell(set selfHealSetting, kills int) (metrics.SelfHealStats, error)
 	if err := sup.Start(); err != nil {
 		return stats, err
 	}
-	defer sup.Stop()
 
 	for _, app := range apps {
 		// Look up through a live node — an earlier kill may have taken out
 		// the node used for the previous lookup.
-		var src *recovery.Manager
-		for _, nid := range ring.IDs() {
-			if ring.Net.Alive(nid) {
-				src = cluster.Manager(nid)
-				break
-			}
-		}
-		if src == nil {
+		live := ring.LiveIDs()
+		if len(live) == 0 {
 			return stats, fmt.Errorf("no live node left for lookup")
 		}
+		src := cluster.Manager(live[0])
 		// All apps are saved through the same node, so an earlier kill can
 		// have taken this app's owner too; wait for the supervisor to
 		// migrate ownership to a live node so every kill is a real one.
 		var p shard.Placement
-		ownerLive := false
-		for wait := time.Now().Add(20 * time.Second); time.Now().Before(wait); {
-			if p, err = src.LookupPlacement(app); err == nil && ring.Net.Alive(p.Owner) {
-				ownerLive = true
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if !ownerLive {
+		if waitUntil(20*time.Second, func() bool {
+			var err error
+			p, err = src.LookupPlacement(app)
+			return err == nil && ring.Net.Alive(p.Owner)
+		}) != nil {
 			stats.AddFailure()
 			continue
 		}
 		killedAt := time.Now()
 		ring.Fail(p.Owner)
 
-		healed := false
-		deadline := time.Now().Add(20 * time.Second)
-		for time.Now().Before(deadline) {
+		if waitUntil(20*time.Second, func() bool {
 			for _, ev := range sup.Events() {
 				if ev.App == app && ev.Node == p.Owner && ev.Err == nil && !ev.ReprotectedAt.IsZero() {
-					stats.AddSample(
-						float64(ev.DetectedAt.Sub(killedAt))/float64(time.Millisecond),
-						float64(ev.RecoveredAt.Sub(killedAt))/float64(time.Millisecond),
-						float64(ev.ReprotectedAt.Sub(killedAt))/float64(time.Millisecond),
-					)
-					healed = true
+					stats.AddSample(ms(ev.DetectedAt.Sub(killedAt)), ms(ev.RecoveredAt.Sub(killedAt)), ms(ev.ReprotectedAt.Sub(killedAt)))
+					return true
 				}
 			}
-			if healed {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if !healed {
+			return false
+		}) != nil {
 			stats.AddFailure()
 		}
 	}

@@ -1,18 +1,15 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
 	"time"
 
-	"sr3/internal/dht"
 	"sr3/internal/id"
 	"sr3/internal/metrics"
 	"sr3/internal/obs"
 	"sr3/internal/recovery"
-	"sr3/internal/state"
 	"sr3/internal/stream"
 )
 
@@ -27,13 +24,14 @@ type SteadyConfig struct {
 	RingSize int
 	// Lookups is how many keys are routed on the ring (default 256).
 	Lookups int
-	// Seed fixes tuple contents and lookup keys (default 7).
-	Seed int64
 	// Cluster, when non-nil, receives every registry the experiment
 	// creates (runtime, ring nodes, recovery phases) so a -metrics
 	// endpoint exposes them live; nil uses a private one.
 	Cluster *metrics.ClusterRegistry
 }
+
+// steadySeed fixes the ring and the lookup keys.
+const steadySeed = 7
 
 func (c SteadyConfig) withDefaults() SteadyConfig {
 	if c.Tuples <= 0 {
@@ -44,9 +42,6 @@ func (c SteadyConfig) withDefaults() SteadyConfig {
 	}
 	if c.Lookups <= 0 {
 		c.Lookups = 256
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
 	}
 	if c.Cluster == nil {
 		c.Cluster = metrics.NewClusterRegistry()
@@ -70,7 +65,7 @@ type SteadyReport struct {
 // Format renders the report.
 func (r SteadyReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "steady-state instrumentation overhead (%d tuples, spout->pass->count):\n", r.Tuples)
+	fmt.Fprintf(&b, "steady-state instrumentation overhead (%d tuples, seq->count->sink):\n", r.Tuples)
 	fmt.Fprintf(&b, "  instruments off: %10.0f tuples/s\n", r.DisabledRate)
 	fmt.Fprintf(&b, "  instruments on:  %10.0f tuples/s  (overhead %.1f%%)\n", r.InstrumentedRate, r.OverheadPct)
 	fmt.Fprintf(&b, "ring: %d lookups across %d instrumented nodes (max %d hops), one star recovery traced to phase histograms\n",
@@ -79,59 +74,18 @@ func (r SteadyReport) Format() string {
 	return b.String()
 }
 
-// steadyCount is the stateful word-count bolt of the steady topology.
-type steadyCount struct{ st *state.MapStore }
-
-func (c *steadyCount) Execute(t stream.Tuple, emit stream.Emit) error {
-	w := t.StringAt(0)
-	var n uint64
-	if b, ok := c.st.Get(w); ok && len(b) == 8 {
-		n = binary.BigEndian.Uint64(b)
-	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], n+1)
-	c.st.Put(w, b[:])
-	return nil
-}
-
-func (c *steadyCount) Store() stream.StateStore { return c.st }
-
-// runSteadyTopology pushes the tuples through spout->pass->count and
-// returns the wall time of the run.
-func runSteadyTopology(tuples []stream.Tuple, reg *metrics.Registry, fr *obs.FlightRecorder) (time.Duration, error) {
-	i := 0
-	src := stream.SpoutFunc(func() (stream.Tuple, bool) {
-		if i >= len(tuples) {
-			return stream.Tuple{}, false
-		}
-		t := tuples[i]
-		i++
-		return t, true
-	})
-	topo := stream.NewTopology("steady")
-	if err := topo.AddSpout("src", src); err != nil {
-		return 0, err
-	}
-	pass := stream.BoltFunc(func(t stream.Tuple, emit stream.Emit) error {
-		emit(stream.Tuple{Values: t.Values, Ts: t.Ts})
-		return nil
-	})
-	if err := topo.AddBolt("pass", pass, 2).Shuffle("src").Err(); err != nil {
-		return 0, err
-	}
-	if err := topo.AddBolt("count", &steadyCount{st: state.NewMapStore()}, 1).Fields("pass", 0).Err(); err != nil {
-		return 0, err
-	}
-	rt, err := stream.NewRuntime(topo, stream.Config{Metrics: reg, Flight: fr})
+// runSteadyTopology runs the preloaded tuples through the rig's topology
+// with the given instruments and returns the wall time of the run.
+func runSteadyTopology(tuples int, reg *metrics.Registry, fr *obs.FlightRecorder) (time.Duration, error) {
+	r, err := newRig(rigOpts{mechanism: mechMemory, preload: tuples, cfg: stream.Config{Metrics: reg, Flight: fr}})
 	if err != nil {
 		return 0, err
 	}
-	start := time.Now()
-	rt.Start()
-	if err := rt.Wait(); err != nil {
+	defer r.Close()
+	if err := r.finish(); err != nil {
 		return 0, err
 	}
-	return time.Since(start), nil
+	return time.Since(r.started), nil
 }
 
 // SteadyState measures the steady-state cost of the observability layer
@@ -140,21 +94,13 @@ func SteadyState(cfg SteadyConfig) (SteadyReport, error) {
 	cfg = cfg.withDefaults()
 	rep := SteadyReport{Tuples: cfg.Tuples, RingSize: cfg.RingSize, Lookups: cfg.Lookups}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	words := []string{"stream", "state", "shard", "replica", "ring", "verdict", "scribe", "leaf"}
-	tuples := make([]stream.Tuple, cfg.Tuples)
-	for i := range tuples {
-		tuples[i] = stream.Tuple{Values: []any{words[rng.Intn(len(words))]}}
-	}
-
 	// Throughput with instruments off, then on (full per-task counters,
 	// latency histograms and queue gauges plus the flight journal).
-	dOff, err := runSteadyTopology(tuples, nil, nil)
+	dOff, err := runSteadyTopology(cfg.Tuples, nil, nil)
 	if err != nil {
 		return rep, err
 	}
-	fr := obs.NewFlightRecorder(0)
-	dOn, err := runSteadyTopology(tuples, cfg.Cluster.Node("runtime"), fr)
+	dOn, err := runSteadyTopology(cfg.Tuples, cfg.Cluster.Node("runtime"), obs.NewFlightRecorder(0))
 	if err != nil {
 		return rep, err
 	}
@@ -164,12 +110,15 @@ func SteadyState(cfg SteadyConfig) (SteadyReport, error) {
 
 	// Ring portion: an instrumented overlay routes random keys, then one
 	// protected state is recovered with its phases traced into histograms.
-	ring, err := dht.BuildConverged(dht.DefaultConfig(), cfg.Seed, cfg.RingSize)
+	r, err := newRig(rigOpts{seed: steadySeed, mechanism: MechSR3Star, nodes: cfg.RingSize})
 	if err != nil {
 		return rep, err
 	}
+	defer r.Close()
+	ring, rc := r.ring, r.cluster
 	ring.EnableMetrics(cfg.Cluster)
 	ids := ring.IDs()
+	rng := rand.New(rand.NewSource(steadySeed))
 	for i := 0; i < cfg.Lookups; i++ {
 		origin := ring.Node(ids[rng.Intn(len(ids))])
 		if _, hops, err := origin.Lookup(id.HashKey(fmt.Sprintf("steady-%d", i))); err == nil {
@@ -179,7 +128,6 @@ func SteadyState(cfg SteadyConfig) (SteadyReport, error) {
 		}
 	}
 
-	rc := recovery.NewCluster(ring)
 	recReg := cfg.Cluster.Node("recovery")
 	tracer := obs.New(obs.NewMetricsSink(recReg, ""))
 	mgr := rc.Manager(ids[1])

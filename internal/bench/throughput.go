@@ -4,22 +4,19 @@
 // pre-batching inter-task codec) against EncodeTupleBatch frames on the
 // chunked, credit-windowed BatchConn data plane — and is where the
 // headline batching speedup is gated. The runtime axis runs the full
-// in-process topology (spout → keyed count on a sharded store) with the
-// batched plane off and on, asserting that the accounting and
-// exactly-once invariants survive the faster path.
+// rig's in-process topology (preloaded seq spout → keyed count → dedupe
+// sink) with the batched plane off and on, asserting that the accounting
+// and exactly-once invariants survive the faster path.
 package bench
 
 import (
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"time"
 
 	"sr3/internal/nettransport"
-	"sr3/internal/state"
 	"sr3/internal/stream"
 )
 
@@ -86,13 +83,7 @@ type ThroughputReport struct {
 }
 
 // JSON renders the report for the committed artifact.
-func (r *ThroughputReport) JSON() ([]byte, error) {
-	blob, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
-}
+func (r *ThroughputReport) JSON() ([]byte, error) { return marshalArtifact(r) }
 
 // ThroughputPreset returns the cell list for a named preset: "tiny" is
 // the CI smoke subset, "full" the committed sweep.
@@ -117,19 +108,11 @@ func ThroughputPreset(preset string) ([]ThroughputCellSpec, error) {
 	}
 }
 
-// ThroughputSweep runs every cell sequentially on a fresh environment.
-// A cell failure lands in its Error field rather than aborting the
-// sweep.
+// ThroughputSweep runs every cell on a fresh environment.
 func ThroughputSweep(specs []ThroughputCellSpec) *ThroughputReport {
-	report := &ThroughputReport{Schema: ThroughputSchema}
-	for _, spec := range specs {
-		cell, err := RunThroughputCell(spec)
-		if err != nil {
-			cell.Error = err.Error()
-		}
-		report.Cells = append(report.Cells, cell)
-	}
-	return report
+	return &ThroughputReport{Schema: ThroughputSchema, Cells: sweep(specs, 0,
+		func(spec ThroughputCellSpec, _ int64) (ThroughputCell, error) { return RunThroughputCell(spec) },
+		func(c *ThroughputCell) *string { return &c.Error })}
 }
 
 // RunThroughputCell measures one cell.
@@ -141,16 +124,6 @@ func RunThroughputCell(spec ThroughputCellSpec) (ThroughputCell, error) {
 		return runRuntimeCell(spec)
 	default:
 		return ThroughputCell{Kind: spec.Kind}, fmt.Errorf("throughput: unknown cell kind %q", spec.Kind)
-	}
-}
-
-// throughputTuple builds the representative tuple the cells move: the
-// matrix workload's shape, a keyed word plus a sequence number.
-func throughputTuple(seq int) stream.Tuple {
-	return stream.Tuple{
-		Stream: "seq",
-		Values: []any{fmt.Sprintf("k%d", seq%matrixKeys), int64(seq)},
-		Ts:     int64(seq),
 	}
 }
 
@@ -192,9 +165,12 @@ func runWireCell(spec ThroughputCellSpec) (ThroughputCell, error) {
 	if spec.Tuples <= 0 {
 		return cell, fmt.Errorf("throughput: wire cell needs tuples > 0")
 	}
+	// The rig's workload on the wire: the same keyed, sequence-numbered
+	// tuples, with small deterministic timestamps.
 	tuples := make([]stream.Tuple, spec.Tuples)
 	for i := range tuples {
-		tuples[i] = throughputTuple(i)
+		tuples[i] = seqTuple(i, int64(i))
+		tuples[i].Stream = "seq"
 	}
 	cw, sw, err := loopbackPair()
 	if err != nil {
@@ -203,100 +179,89 @@ func runWireCell(spec ThroughputCellSpec) (ThroughputCell, error) {
 	defer cw.Close()
 	defer sw.Close()
 
-	type result struct {
-		n     int64
-		bytes int64
-		err   error
-	}
-	done := make(chan result, 1)
-	var start time.Time
-
+	// send writes every tuple and returns the bytes put on the wire; recv
+	// runs on its own goroutine until it has decoded them all.
+	var send func() (int64, error)
+	var recv func() error
 	switch spec.Codec {
 	case CodecNameGob:
 		if spec.Batch != 1 {
 			return cell, fmt.Errorf("throughput: gob baseline is per-tuple (batch=1), got %d", spec.Batch)
 		}
-		go func() {
+		cell.Notes = "per-tuple gob frames, persistent encoder"
+		recv = func() error {
 			dec := gob.NewDecoder(sw)
-			var got result
-			for got.n < int64(len(tuples)) {
+			for range tuples {
 				var t stream.Tuple
 				if err := dec.Decode(&t); err != nil {
-					got.err = err
-					break
+					return err
 				}
-				got.n++
 			}
-			done <- got
-		}()
-		cm := &countingConn{Conn: cw}
-		enc := gob.NewEncoder(cm)
-		start = time.Now()
-		for i := range tuples {
-			if err := enc.Encode(&tuples[i]); err != nil {
-				return cell, fmt.Errorf("throughput: gob encode: %w", err)
+			return nil
+		}
+		send = func() (int64, error) {
+			cm := &countingConn{Conn: cw}
+			enc := gob.NewEncoder(cm)
+			for i := range tuples {
+				if err := enc.Encode(&tuples[i]); err != nil {
+					return 0, err
+				}
 			}
+			return cm.n, nil
 		}
-		res := <-done
-		cell.Seconds = time.Since(start).Seconds()
-		if res.err != nil {
-			return cell, fmt.Errorf("throughput: gob receiver: %w", res.err)
-		}
-		cell.BytesPerTuple = float64(cm.n) / float64(len(tuples))
-		cell.Notes = "per-tuple gob frames, persistent encoder"
-
 	case CodecNameBatch:
 		if spec.Batch < 2 {
 			return cell, fmt.Errorf("throughput: batch cell needs batch >= 2, got %d", spec.Batch)
 		}
-		bs := nettransport.NewBatchConn(sw, 10*time.Second)
-		go func() {
-			var got result
-			for got.n < int64(len(tuples)) {
+		cell.Notes = fmt.Sprintf("%d-tuple frames over credit-windowed BatchConn", spec.Batch)
+		recv = func() error {
+			bs := nettransport.NewBatchConn(sw, 10*time.Second)
+			for got := 0; got < len(tuples); {
 				body, free, err := bs.ReadBatch()
 				if err != nil {
-					got.err = err
-					break
+					return err
 				}
 				decoded, _, err := stream.DecodeTupleBatch(body)
 				free()
 				if err != nil {
-					got.err = err
-					break
+					return err
 				}
-				got.n += int64(len(decoded))
+				got += len(decoded)
 			}
-			done <- got
-		}()
-		bc := nettransport.NewBatchConn(cw, 10*time.Second)
-		var frame []byte
-		sent := int64(0)
-		start = time.Now()
-		for off := 0; off < len(tuples); off += spec.Batch {
-			end := off + spec.Batch
-			if end > len(tuples) {
-				end = len(tuples)
-			}
-			frame, err = stream.EncodeTupleBatch(frame[:0], tuples[off:end], stream.ClassIngest)
-			if err != nil {
-				return cell, fmt.Errorf("throughput: batch encode: %w", err)
-			}
-			if err := bc.WriteBatch(frame); err != nil {
-				return cell, fmt.Errorf("throughput: batch write: %w", err)
-			}
-			sent += int64(len(frame))
+			return nil
 		}
-		res := <-done
-		cell.Seconds = time.Since(start).Seconds()
-		if res.err != nil {
-			return cell, fmt.Errorf("throughput: batch receiver: %w", res.err)
+		send = func() (sent int64, err error) {
+			bc := nettransport.NewBatchConn(cw, 10*time.Second)
+			var frame []byte
+			for off := 0; off < len(tuples); off += spec.Batch {
+				end := min(off+spec.Batch, len(tuples))
+				frame, err = stream.EncodeTupleBatch(frame[:0], tuples[off:end], stream.ClassIngest)
+				if err != nil {
+					return 0, err
+				}
+				if err := bc.WriteBatch(frame); err != nil {
+					return 0, err
+				}
+				sent += int64(len(frame))
+			}
+			return sent, nil
 		}
-		cell.BytesPerTuple = float64(sent) / float64(len(tuples))
-		cell.Notes = fmt.Sprintf("%d-tuple frames over credit-windowed BatchConn", spec.Batch)
-
 	default:
 		return cell, fmt.Errorf("throughput: unknown codec %q", spec.Codec)
 	}
+
+	done := make(chan error, 1)
+	go func() { done <- recv() }()
+	start := time.Now()
+	sent, err := send()
+	if err != nil {
+		return cell, fmt.Errorf("throughput: %s send: %w", spec.Codec, err)
+	}
+	if err := <-done; err != nil {
+		return cell, fmt.Errorf("throughput: %s receiver: %w", spec.Codec, err)
+	}
+	cell.Seconds = time.Since(start).Seconds()
+	cell.BytesPerTuple = float64(sent) / float64(len(tuples))
 	if cell.Seconds > 0 {
 		cell.TuplesPerSec = float64(cell.Tuples) / cell.Seconds
 	}
@@ -315,98 +280,41 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// shardedCountBolt is seqCountBolt over the sharded keyed store — the
-// state shape the batched plane's concurrency is meant to feed.
-type shardedCountBolt struct{ store *state.ShardedMapStore }
-
-func (c *shardedCountBolt) Execute(t stream.Tuple, emit stream.Emit) error {
-	key := t.StringAt(0)
-	n := int64(0)
-	if v, ok := c.store.Get(key); ok {
-		parsed, err := strconv.ParseInt(string(v), 10, 64)
-		if err != nil {
-			return err
-		}
-		n = parsed
-	}
-	n++
-	c.store.Put(key, []byte(strconv.FormatInt(n, 10)))
-	return nil
-}
-
-func (c *shardedCountBolt) Store() stream.StateStore { return c.store }
-
-// runRuntimeCell pumps spec.Tuples through spout → keyed count (two
-// tasks, sharded store) with the batched plane configured per spec, and
+// runRuntimeCell runs spec.Tuples preloaded tuples through the rig with
+// the batched plane configured per spec, timing start → drained, and
 // checks the ledger and exactly-once invariants on the way out.
 func runRuntimeCell(spec ThroughputCellSpec) (ThroughputCell, error) {
 	cell := ThroughputCell{Kind: spec.Kind, Batch: spec.Batch, Tuples: int64(spec.Tuples)}
 	if spec.Tuples <= 0 {
 		return cell, fmt.Errorf("throughput: runtime cell needs tuples > 0")
 	}
-	tuples := make([]stream.Tuple, spec.Tuples)
-	for i := range tuples {
-		tuples[i] = throughputTuple(i)
-	}
-	spout := &preloadedSpout{tuples: tuples}
-	counter := &shardedCountBolt{store: state.NewShardedMapStore(0)}
-	topo := stream.NewTopology("tp")
-	if err := topo.AddSpout("seq", spout); err != nil {
-		return cell, err
-	}
-	if err := topo.AddBolt("count", counter, 2).Fields("seq", 0).Err(); err != nil {
-		return cell, err
-	}
-	cfg := stream.Config{Backend: stream.NewMemoryBackend()}
+	var cfg stream.Config
 	if spec.Batch > 1 {
 		cfg.BatchSize = spec.Batch
 		cfg.BatchLinger = time.Millisecond
-		cell.Notes = fmt.Sprintf("batched plane, %d-tuple frames, sharded store", spec.Batch)
+		cell.Notes = fmt.Sprintf("batched plane, %d-tuple frames", spec.Batch)
 	} else {
-		cell.Notes = "per-tuple plane, sharded store"
+		cell.Notes = "per-tuple plane"
 	}
-	rt, err := stream.NewRuntime(topo, cfg)
+	r, err := newRig(rigOpts{mechanism: mechMemory, cfg: cfg, preload: spec.Tuples})
 	if err != nil {
 		return cell, err
 	}
-	start := time.Now()
-	rt.Start()
-	if err := rt.Wait(); err != nil {
+	defer r.Close()
+	if err := r.finish(); err != nil {
 		return cell, err
 	}
-	cell.Seconds = time.Since(start).Seconds()
+	cell.Seconds = time.Since(r.started).Seconds()
 	if cell.Seconds > 0 {
 		cell.TuplesPerSec = float64(cell.Tuples) / cell.Seconds
 	}
-
-	ov := rt.Overload()
-	cell.AccountingExact = ov.Offered == int64(spec.Tuples) && ov.Offered == ov.Admitted+ov.Shed && ov.Shed == 0
-	var total int64
-	for _, k := range counter.store.Keys() {
-		v, _ := counter.store.Get(k)
-		n, err := strconv.ParseInt(string(v), 10, 64)
-		if err != nil {
-			return cell, err
-		}
-		total += n
+	a, err := r.audit()
+	if err != nil {
+		return cell, err
 	}
-	cell.ExactlyOnce = total == ov.Admitted && total == int64(spec.Tuples)
+	cell.AccountingExact = a.ledgerExact && a.count.Shed == 0
+	cell.ExactlyOnce = a.exactlyOnce()
 	return cell, nil
-}
-
-// preloadedSpout replays a fixed slice once.
-type preloadedSpout struct {
-	tuples []stream.Tuple
-	i      int
-}
-
-func (s *preloadedSpout) Next() (stream.Tuple, bool) {
-	if s.i >= len(s.tuples) {
-		return stream.Tuple{}, false
-	}
-	t := s.tuples[s.i]
-	s.i++
-	return t, true
 }
 
 // ValidateThroughput parses and schema-checks a committed artifact,
@@ -416,14 +324,8 @@ func (s *preloadedSpout) Next() (stream.Tuple, bool) {
 // whose accounting and exactly-once invariants held.
 func ValidateThroughput(blob []byte) (*ThroughputReport, error) {
 	var r ThroughputReport
-	if err := json.Unmarshal(blob, &r); err != nil {
-		return nil, fmt.Errorf("throughput artifact: %w", err)
-	}
-	if r.Schema != ThroughputSchema {
-		return nil, fmt.Errorf("throughput artifact: schema %q, want %q", r.Schema, ThroughputSchema)
-	}
-	if len(r.Cells) == 0 {
-		return nil, fmt.Errorf("throughput artifact: no cells")
+	if err := parseArtifact(blob, "throughput", ThroughputSchema, &r); err != nil {
+		return nil, err
 	}
 	var baseline, batched *ThroughputCell
 	var runtimeBatched *ThroughputCell
@@ -476,34 +378,7 @@ func ValidateThroughput(blob []byte) (*ThroughputReport, error) {
 }
 
 // Format renders the report as an aligned table.
-func (r *ThroughputReport) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "throughput sweep (%d cells)\n", len(r.Cells))
-	fmt.Fprintf(&b, "%-8s %-6s %6s %9s %9s %12s %8s %6s %6s %s\n",
-		"kind", "codec", "batch", "tuples", "seconds", "tuples/s", "B/tuple", "exact", "once", "note")
-	var gobRate float64
-	for _, c := range r.Cells {
-		if c.Kind == ThroughputWire && c.Codec == CodecNameGob && c.Error == "" {
-			gobRate = c.TuplesPerSec
-		}
-	}
-	for _, c := range r.Cells {
-		note := c.Notes
-		if c.Error != "" {
-			note = "ERR " + c.Error
-		} else if gobRate > 0 && c.Kind == ThroughputWire && c.Codec == CodecNameBatch {
-			note = fmt.Sprintf("%.1fx gob; %s", c.TuplesPerSec/gobRate, note)
-		}
-		exact, once := "-", "-"
-		if c.Kind == ThroughputRuntime {
-			exact, once = fmt.Sprint(c.AccountingExact), fmt.Sprint(c.ExactlyOnce)
-		}
-		fmt.Fprintf(&b, "%-8s %-6s %6d %9d %9.3f %12.0f %8.1f %6s %6s %s\n",
-			c.Kind, c.Codec, c.Batch, c.Tuples, c.Seconds, c.TuplesPerSec, c.BytesPerTuple, exact, once, note)
-	}
-	b.WriteString("(wire = loopback TCP; the gate is batched-vs-gob tuples/s at batch >= 64; runtime = in-process topology with ledger + exactly-once checks)\n")
-	return b.String()
-}
+func (r *ThroughputReport) Format() string { return alignMarkdown(r.Markdown()) }
 
 // Markdown renders the sweep as a GitHub-flavored table.
 func (r *ThroughputReport) Markdown() string {

@@ -1,71 +1,9 @@
 package bench
 
 import (
-	"os"
 	"strings"
 	"testing"
 )
-
-// TestThroughputTinySweep runs the CI smoke preset for real: every cell
-// must produce a rate, and the whole report must clear the validator —
-// including the >= 3x wire speedup gate, which holds with margin even
-// at smoke sizes (the gob baseline is an order of magnitude off the
-// batched plane).
-func TestThroughputTinySweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("moves ~34k tuples over loopback TCP")
-	}
-	specs, err := ThroughputPreset("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := ThroughputSweep(specs)
-	for _, c := range report.Cells {
-		if c.Error != "" {
-			t.Fatalf("cell %s/%s/b%d: %s", c.Kind, c.Codec, c.Batch, c.Error)
-		}
-	}
-	blob, err := report.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ValidateThroughput(blob); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCommittedThroughputArtifact schema-validates the committed
-// BENCH_throughput.json — the validator embeds the acceptance gate
-// (gob baseline present, batched wire cell >= 3x over it, runtime
-// invariants intact), so a stale or hand-edited artifact fails CI.
-func TestCommittedThroughputArtifact(t *testing.T) {
-	blob, err := os.ReadFile("../../BENCH_throughput.json")
-	if err != nil {
-		t.Fatalf("committed artifact: %v", err)
-	}
-	report, err := ValidateThroughput(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Cells) < 5 {
-		t.Fatalf("committed throughput artifact has %d cells, want >= 5", len(report.Cells))
-	}
-	// Both runtime flavors must be present so the trajectory shows the
-	// per-tuple baseline next to the batched plane.
-	var perTuple, batched bool
-	for _, c := range report.Cells {
-		if c.Kind == ThroughputRuntime {
-			if c.Batch <= 1 {
-				perTuple = true
-			} else {
-				batched = true
-			}
-		}
-	}
-	if !perTuple || !batched {
-		t.Fatalf("committed artifact missing a runtime cell flavor (per-tuple=%v batched=%v)", perTuple, batched)
-	}
-}
 
 // TestValidateThroughputGates pins the validator's rejection paths: the
 // speedup floor, the missing-baseline case, and broken runtime

@@ -1,49 +1,24 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
 	"sr3/internal/detector"
-	"sr3/internal/dht"
 	"sr3/internal/metrics"
 	"sr3/internal/obs"
-	"sr3/internal/recovery"
-	"sr3/internal/state"
-	"sr3/internal/stream"
 	"sr3/internal/supervise"
 )
 
-// TraceConfig sizes the trace experiment. The zero value is the default
-// sweep (32 nodes, 48 tuples of warm state — deliberately tiny so the
-// experiment doubles as a CI smoke test).
-type TraceConfig struct {
-	// Nodes is the overlay size (default 32).
-	Nodes int
-	// Seed fixes node IDs and placement (default 911).
-	Seed int64
-	// Tuples is how many input tuples are processed before the
-	// checkpoint that the kill must recover (default 48).
-	Tuples int
-	// Registry, when non-nil, additionally aggregates every span into
-	// per-phase latency histograms (the sr3bench -metrics endpoint).
-	Registry *metrics.Registry
-}
-
-func (c TraceConfig) withDefaults() TraceConfig {
-	if c.Nodes <= 0 {
-		c.Nodes = 32
-	}
-	if c.Seed == 0 {
-		c.Seed = 911
-	}
-	if c.Tuples <= 0 {
-		c.Tuples = 48
-	}
-	return c
-}
+// The trace experiment's size: deliberately tiny (32 nodes, 48 tuples of
+// warm state before the checkpoint the kill must recover) so it doubles
+// as a CI smoke test.
+const (
+	traceNodes  = 32
+	traceSeed   = 911
+	traceTuples = 48
+)
 
 // TraceBreakdown is one traced kill→detect→recover cycle: the phase
 // totals of a single coherent distributed trace (the repo's Fig. 9/11
@@ -63,14 +38,7 @@ type TraceBreakdown struct {
 
 // TraceReport is the trace experiment's result set.
 type TraceReport struct {
-	Nodes int              `json:"nodes"`
-	Seed  int64            `json:"seed"`
-	Rows  []TraceBreakdown `json:"rows"`
-}
-
-// JSON renders the report as an indented artifact (BENCH_trace.json).
-func (r TraceReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	Rows []TraceBreakdown `json:"rows"`
 }
 
 // tracePhaseOrder fixes the breakdown column order (pipeline order).
@@ -83,7 +51,7 @@ var tracePhaseOrder = []string{
 // Format renders the per-phase table.
 func (r TraceReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace: one supervised kill→detect→recover per mechanism on a %d-node ring (seed %d); phase totals from one distributed trace each\n", r.Nodes, r.Seed)
+	fmt.Fprintf(&b, "trace: one supervised kill→detect→recover per mechanism on a %d-node ring (seed %d); phase totals from one distributed trace each\n", traceNodes, traceSeed)
 	fmt.Fprintf(&b, "%-6s %6s %9s", "mech", "spans", "mttr")
 	for _, p := range tracePhaseOrder {
 		fmt.Fprintf(&b, " %9s", p)
@@ -101,165 +69,89 @@ func (r TraceReport) Format() string {
 }
 
 // TraceSweep runs one traced task-bound self-heal per mechanism —
-// star, line, tree — on identically seeded clusters and returns the
-// per-phase breakdowns.
-func TraceSweep(cfg TraceConfig) (TraceReport, error) {
-	cfg = cfg.withDefaults()
-	report := TraceReport{Nodes: cfg.Nodes, Seed: cfg.Seed}
-	for _, mech := range []recovery.Mechanism{recovery.Star, recovery.Line, recovery.Tree} {
-		row, err := traceCell(mech, cfg)
+// star, line, tree — on identically seeded rigs and returns the
+// per-phase breakdowns. reg, when non-nil, additionally aggregates every
+// span into per-phase latency histograms (the sr3bench -metrics
+// endpoint).
+func TraceSweep(reg *metrics.Registry) (TraceReport, error) {
+	var report TraceReport
+	for _, mech := range []string{MechSR3Star, MechSR3Line, MechSR3Tree} {
+		row, err := traceCell(mech, reg)
 		if err != nil {
-			return report, fmt.Errorf("trace %v: %w", mech, err)
+			return report, fmt.Errorf("trace %s: %w", mech, err)
 		}
 		report.Rows = append(report.Rows, row)
 	}
 	return report, nil
 }
 
-// traceCounter is the stateful word-count bolt the trace topology
-// protects.
-type traceCounter struct{ store *state.MapStore }
-
-func (c *traceCounter) Execute(t stream.Tuple, _ stream.Emit) error {
-	w := t.StringAt(0)
-	n := 0
-	if v, ok := c.store.Get(w); ok {
-		if _, err := fmt.Sscanf(string(v), "%d", &n); err != nil {
-			return err
-		}
-	}
-	c.store.Put(w, []byte(fmt.Sprintf("%d", n+1)))
-	return nil
-}
-
-func (c *traceCounter) Store() stream.StateStore { return c.store }
-
-// traceCell runs one supervised kill→heal with tracing on — a live
-// word-count topology checkpointing through the SR3 backend, its state
-// owner killed, φ-accrual detection, task kill + backend recovery +
-// input-log replay + re-protection — and extracts the resulting trace's
-// breakdown.
-func traceCell(mech recovery.Mechanism, cfg TraceConfig) (TraceBreakdown, error) {
+// traceCell runs one supervised kill→heal with tracing on — the rig's
+// topology checkpointing through the SR3 backend, its state owner
+// killed, φ-accrual detection, task kill + backend recovery + input-log
+// replay + re-protection — and extracts the resulting trace's breakdown.
+func traceCell(mechanism string, reg *metrics.Registry) (TraceBreakdown, error) {
 	var row TraceBreakdown
 	collector := obs.NewCollector()
 	var sink obs.Sink = collector
-	if cfg.Registry != nil {
-		sink = obs.MultiSink{collector, obs.NewMetricsSink(cfg.Registry, "")}
+	if reg != nil {
+		sink = obs.MultiSink{collector, obs.NewMetricsSink(reg, "")}
 	}
 	tracer := obs.New(sink)
 
-	ring, err := dht.BuildConverged(dht.DefaultConfig(), cfg.Seed, cfg.Nodes)
+	r, err := newRig(rigOpts{seed: traceSeed, mechanism: mechanism, nodes: traceNodes})
 	if err != nil {
 		return row, err
 	}
-	cluster := recovery.NewCluster(ring)
-	cluster.SetTracer(tracer)
-	backend := stream.NewSR3Backend(cluster, 6, 2)
-	backend.Mechanism = mech
+	defer r.Close()
+	r.cluster.SetTracer(tracer)
 
-	topoName := "trace-" + mech.String()
-	topo := stream.NewTopology(topoName)
-	in := make(chan stream.Tuple, cfg.Tuples*2)
-	if err := topo.AddSpout("src", stream.SpoutFunc(func() (stream.Tuple, bool) {
-		tp, ok := <-in
-		return tp, ok
-	})); err != nil {
+	r.pump(0, traceTuples, 0)
+	r.drain()
+	if err := r.saveAll(); err != nil {
 		return row, err
 	}
-	store := state.NewMapStore()
-	if err := topo.AddBolt("count", &traceCounter{store: store}, 1).Fields("src", 0).Err(); err != nil {
-		return row, err
-	}
-	rt, err := stream.NewRuntime(topo, stream.Config{Backend: backend})
-	if err != nil {
-		return row, err
-	}
-	rt.Start()
-
-	words := 4
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			in <- stream.Tuple{Values: []any{fmt.Sprintf("w%d", i%words)}, Ts: int64(i)}
-		}
-	}
-	count := func(w string) int {
-		v, ok := store.Get(w)
-		if !ok {
-			return 0
-		}
-		n := 0
-		fmt.Sscanf(string(v), "%d", &n)
-		return n
-	}
-	waitFor := func(what string, d time.Duration, cond func() bool) error {
-		deadline := time.Now().Add(d)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return nil
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		return fmt.Errorf("timed out waiting for %s", what)
-	}
-
-	push(cfg.Tuples)
-	target := cfg.Tuples / words
-	if err := waitFor("warm state", 20*time.Second, func() bool { return count("w0") >= target }); err != nil {
-		return row, err
-	}
-	if err := rt.SaveAll(); err != nil {
-		return row, err
-	}
-
-	taskKey := stream.TaskKey(topoName, "count", 0)
 
 	// The wide repair interval keeps the untraced repair-loop backstop
 	// from winning the race against φ-accrual detection: the heal must
 	// come from a death verdict, which carries the trace root.
-	sup := supervise.New(cluster, supervise.Config{
+	sup := r.supervise(supervise.Config{
 		Detector:       detector.Config{Interval: 15 * time.Millisecond, Threshold: 8},
 		RepairInterval: 5 * time.Second,
 		Tracer:         tracer,
 	})
-	sup.BindRuntime(rt)
-	sup.Protect(supervise.StateSpec{App: taskKey, TaskBound: true})
+	sup.Protect(supervise.StateSpec{App: rigCountKey, TaskBound: true})
 	if err := sup.Start(); err != nil {
 		return row, err
 	}
-	defer sup.Stop()
 
 	// A post-checkpoint batch forces real replay work during recovery.
-	push(cfg.Tuples)
-	if err := waitFor("post-checkpoint batch", 20*time.Second, func() bool { return count("w0") >= 2*target }); err != nil {
+	r.pump(traceTuples, 2*traceTuples, 0)
+	r.drain()
+	if err := r.killOwner(0); err != nil {
 		return row, err
 	}
-	p, err := cluster.Manager(ring.IDs()[0]).LookupPlacement(taskKey)
-	if err != nil {
-		return row, err
-	}
-	ring.Fail(p.Owner)
 
 	var traceID uint64
-	if err := waitFor("task-bound self-heal", 30*time.Second, func() bool {
+	if err := waitUntil(30*time.Second, func() bool {
 		for _, e := range sup.Events() {
-			if e.App == taskKey && e.TaskBound && e.Err == nil && !e.ReprotectedAt.IsZero() {
+			if e.App == rigCountKey && e.TaskBound && e.Err == nil && !e.ReprotectedAt.IsZero() {
 				traceID = e.Trace
 				return true
 			}
 		}
 		return false
 	}); err != nil {
-		return row, err
-	}
-	sup.Stop()
-	close(in)
-	if err := rt.Wait(); err != nil {
-		return row, err
+		return row, fmt.Errorf("task-bound self-heal: %w", err)
 	}
 	if traceID == 0 {
-		return row, fmt.Errorf("healed event for %s carries no trace ID", taskKey)
+		return row, fmt.Errorf("healed event for %s carries no trace ID", rigCountKey)
 	}
-	return extractBreakdown(collector, mech.String(), traceID)
+	if a, err := r.audit(); err != nil {
+		return row, err
+	} else if !a.exactlyOnce() {
+		return row, fmt.Errorf("traced recovery not exactly-once (missing=%d state_exact=%v)", a.missing, a.stateExact)
+	}
+	return extractBreakdown(collector, strings.TrimPrefix(mechanism, "sr3-"), traceID)
 }
 
 // extractBreakdown sums one trace's phases into a breakdown row.

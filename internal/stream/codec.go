@@ -18,7 +18,7 @@ import (
 // schema-free the other way around: the handful of hot value types are
 // tagged with one byte and written raw; anything else falls back to an
 // embedded gob blob per value (correct for every gob-registered type,
-// just not fast), so CodecBatch is never less general than CodecGob.
+// just not fast), so the codec is never less general than per-tuple gob.
 //
 // Layout (all integers varint unless noted):
 //
@@ -36,27 +36,12 @@ import (
 // truncated payloads, implausible counts and trailing garbage all
 // return ErrBatchCorrupt (fuzzed by FuzzDecodeTupleBatch).
 
-// Codec selects the tuple encoding for process-boundary frames.
+// Codec names the tuple encoding for process-boundary frames; there is
+// one (see Config.Codec).
 type Codec int
 
-const (
-	// CodecGob is per-tuple encoding/gob — the universal baseline and
-	// fallback (any gob-registered value type round-trips).
-	CodecGob Codec = iota
-	// CodecBatch is the length-prefixed binary tuple-batch codec.
-	CodecBatch
-)
-
-func (c Codec) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecBatch:
-		return "batch"
-	default:
-		return "unknown"
-	}
-}
+// CodecBatch is the length-prefixed binary tuple-batch codec.
+const CodecBatch Codec = 1
 
 // ErrBatchCorrupt reports a tuple-batch frame that fails structural
 // validation.

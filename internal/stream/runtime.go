@@ -69,12 +69,8 @@ type Config struct {
 	// background flusher pushes it (default 1ms when batching is on) —
 	// the latency cost ceiling of batching under low rates.
 	BatchLinger time.Duration
-	// Codec selects the tuple encoding for frames that cross a process
-	// boundary (the sr3bench throughput wire harness and any remote
-	// shuffle built on nettransport.BatchConn): CodecGob is the
-	// per-tuple gob baseline and universal fallback, CodecBatch the
-	// compact length-prefixed binary batch codec. In-process queues
-	// pass tuples by reference and never encode.
+	// Codec is read by nothing; it exists only because benchmark/layers.go
+	// still names it, and goes when that does.
 	Codec Codec
 	// Now supplies timestamps for state versions (injected for tests).
 	Now func() int64

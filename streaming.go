@@ -43,9 +43,7 @@ type (
 	OverloadStats = stream.OverloadStats
 	// TaskOverloadStats is one task's share of the overload ledger.
 	TaskOverloadStats = stream.TaskOverloadStats
-	// Codec selects the inter-task tuple encoding
-	// (RuntimeConfig.Codec): per-tuple gob, or length-prefixed binary
-	// batch frames.
+	// Codec names the inter-task tuple encoding (RuntimeConfig.Codec).
 	Codec = stream.Codec
 	// TrafficClass labels a tuple batch's lane: fresh ingest or replay.
 	TrafficClass = stream.TrafficClass
@@ -64,15 +62,9 @@ const (
 	QueueShedPriority = stream.QueueShedPriority
 )
 
-// Tuple codecs for RuntimeConfig.Codec.
-const (
-	// CodecGob is the per-tuple gob encoding (the compatibility
-	// fallback).
-	CodecGob = stream.CodecGob
-	// CodecBatch is the compact length-prefixed binary batch codec used
-	// by the batched tuple plane at process boundaries.
-	CodecBatch = stream.CodecBatch
-)
+// CodecBatch is the compact length-prefixed binary batch codec used by
+// the batched tuple plane at process boundaries.
+const CodecBatch = stream.CodecBatch
 
 // Traffic classes carried by tuple batches.
 const (
@@ -99,9 +91,6 @@ func DecodeTupleBatch(data []byte) ([]Tuple, TrafficClass, error) {
 type (
 	// MapStore is the in-memory hashtable state.
 	MapStore = state.MapStore
-	// ShardedMapStore is MapStore split across lock shards for
-	// contended keyed state; snapshots interoperate with MapStore.
-	ShardedMapStore = state.ShardedMapStore
 	// BloomFilter is the probabilistic membership state.
 	BloomFilter = state.BloomFilter
 	// GraphStore is the weighted co-occurrence graph state.
@@ -118,10 +107,6 @@ func NewRuntime(t *Topology, cfg RuntimeConfig) (*Runtime, error) {
 
 // NewMapStore returns an empty hashtable state store.
 func NewMapStore() *MapStore { return state.NewMapStore() }
-
-// NewShardedMapStore returns an empty sharded hashtable store with n
-// lock shards (rounded up to a power of two; n < 1 uses the default).
-func NewShardedMapStore(n int) *ShardedMapStore { return state.NewShardedMapStore(n) }
 
 // NewBloomFilter sizes a Bloom filter for the expected items and
 // false-positive rate.
