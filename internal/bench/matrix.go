@@ -178,11 +178,6 @@ func RunMatrixCell(spec MatrixCellSpec, seed int64) (MatrixCell, error) {
 	}
 	r, err := newRig(rigOpts{seed: seed, mechanism: spec.Mechanism, cfg: stream.Config{
 		SaveEveryTuples: rigSaveEvery,
-		// The batched tuple plane runs in every cell: the exactly-once and
-		// replay audits are the proof that batching changes only the rate,
-		// never the semantics.
-		BatchSize:   rigBatchSize,
-		BatchLinger: rigBatchLinger,
 	}})
 	if err != nil {
 		return cell, err

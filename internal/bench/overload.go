@@ -200,17 +200,8 @@ func runOverloadStream(spec OverloadCellSpec, seed int64) (OverloadCell, error) 
 
 	r, err := newRig(rigOpts{seed: seed, mechanism: MechSR3Star, delay: overloadDelay, cfg: stream.Config{
 		SaveEveryTuples: rigSaveEvery,
-		// The queue bound is counted in envelopes, and with batching each
-		// envelope carries up to rigBatchSize tuples — so the depth is
-		// scaled down to keep the queue's tuple capacity comparable to the
-		// pre-batching sweep. Without this the 2x/4x cells stop shedding
-		// and the overload scenario loses its teeth.
-		ChannelDepth: overloadQueueCap / rigBatchSize,
-		QueuePolicy:  stream.QueueShedOldest,
-		// Batched plane on: the exact per-tuple ledger and exactly-once
-		// checks audit whole frames crossing the shedding queues.
-		BatchSize:   rigBatchSize,
-		BatchLinger: rigBatchLinger,
+		ChannelDepth:    overloadQueueCap,
+		QueuePolicy:     stream.QueueShedOldest,
 	}})
 	if err != nil {
 		return cell, err

@@ -42,12 +42,8 @@ const (
 	rigShards   = 6
 	rigReplicas = 2
 	rigNodes    = 24
-	// Batched-plane and save cadence shared by the fault sweeps: small
-	// frames so barrier-heavy cells never wait long for a size flush, a
-	// sub-millisecond linger so measured lag stays honest.
-	rigSaveEvery   = 64
-	rigBatchSize   = 16
-	rigBatchLinger = 500 * time.Microsecond
+	// Save cadence shared by the fault sweeps.
+	rigSaveEvery = 64
 )
 
 // rigOpts is what a scenario chooses about its system under test.

@@ -18,7 +18,7 @@ func TestRigCloseLeakFree(t *testing.T) {
 	defer leakcheck.Verify(t)()
 	failed := func() error {
 		r, err := newRig(rigOpts{seed: 5, mechanism: MechSR3Star, cfg: stream.Config{
-			SaveEveryTuples: rigSaveEvery, BatchSize: rigBatchSize, BatchLinger: rigBatchLinger,
+			SaveEveryTuples: rigSaveEvery,
 		}})
 		if err != nil {
 			return err

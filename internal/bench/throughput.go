@@ -5,14 +5,15 @@
 // chunked, credit-windowed BatchConn data plane — and is where the
 // headline batching speedup is gated. The runtime axis runs the full
 // rig's in-process topology (preloaded seq spout → keyed count → dedupe
-// sink) with the batched plane off and on, asserting that the accounting
-// and exactly-once invariants survive the faster path.
+// sink) on the runtime's one tuple plane, asserting the accounting and
+// exactly-once invariants on the way out.
 package bench
 
 import (
 	"encoding/gob"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"time"
 
@@ -49,8 +50,9 @@ type ThroughputCellSpec struct {
 	Kind string `json:"kind"`
 	// Codec selects the wire encoding (wire cells only).
 	Codec string `json:"codec,omitempty"`
-	// Batch is the tuples-per-frame (1 = per-tuple delivery).
-	Batch int `json:"batch"`
+	// Batch is the tuples per wire frame (wire cells only; the runtime
+	// sizes its own runs).
+	Batch int `json:"batch,omitempty"`
 	// Tuples is how many tuples the cell moves.
 	Tuples int `json:"tuples"`
 }
@@ -59,7 +61,7 @@ type ThroughputCellSpec struct {
 type ThroughputCell struct {
 	Kind         string  `json:"kind"`
 	Codec        string  `json:"codec,omitempty"`
-	Batch        int     `json:"batch"`
+	Batch        int     `json:"batch,omitempty"`
 	Tuples       int64   `json:"tuples"`
 	Seconds      float64 `json:"seconds"`
 	TuplesPerSec float64 `json:"tuples_per_sec"`
@@ -67,8 +69,7 @@ type ThroughputCell struct {
 	BytesPerTuple float64 `json:"bytes_per_tuple,omitempty"`
 
 	// Runtime-cell invariants: exact offered = admitted + shed ledger and
-	// exactly-once execution over admitted tuples, checked with the
-	// batched plane on.
+	// exactly-once execution over admitted tuples.
 	AccountingExact bool `json:"accounting_exact,omitempty"`
 	ExactlyOnce     bool `json:"exactly_once,omitempty"`
 
@@ -93,15 +94,14 @@ func ThroughputPreset(preset string) ([]ThroughputCellSpec, error) {
 		return []ThroughputCellSpec{
 			{Kind: ThroughputWire, Codec: CodecNameGob, Batch: 1, Tuples: 4_000},
 			{Kind: ThroughputWire, Codec: CodecNameBatch, Batch: 64, Tuples: 20_000},
-			{Kind: ThroughputRuntime, Batch: 64, Tuples: 10_000},
+			{Kind: ThroughputRuntime, Tuples: 10_000},
 		}, nil
 	case "full":
 		return []ThroughputCellSpec{
 			{Kind: ThroughputWire, Codec: CodecNameGob, Batch: 1, Tuples: 30_000},
 			{Kind: ThroughputWire, Codec: CodecNameBatch, Batch: 64, Tuples: 200_000},
 			{Kind: ThroughputWire, Codec: CodecNameBatch, Batch: 256, Tuples: 200_000},
-			{Kind: ThroughputRuntime, Batch: 1, Tuples: 60_000},
-			{Kind: ThroughputRuntime, Batch: 64, Tuples: 60_000},
+			{Kind: ThroughputRuntime, Tuples: 60_000},
 		}, nil
 	default:
 		return nil, fmt.Errorf("throughput: unknown preset %q (tiny, full)", preset)
@@ -280,23 +280,15 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// runRuntimeCell runs spec.Tuples preloaded tuples through the rig with
-// the batched plane configured per spec, timing start → drained, and
-// checks the ledger and exactly-once invariants on the way out.
+// runRuntimeCell runs spec.Tuples preloaded tuples through the rig,
+// timing start → drained, and checks the ledger and exactly-once
+// invariants on the way out.
 func runRuntimeCell(spec ThroughputCellSpec) (ThroughputCell, error) {
-	cell := ThroughputCell{Kind: spec.Kind, Batch: spec.Batch, Tuples: int64(spec.Tuples)}
+	cell := ThroughputCell{Kind: spec.Kind, Tuples: int64(spec.Tuples), Notes: "run-granular plane, spout-fed"}
 	if spec.Tuples <= 0 {
 		return cell, fmt.Errorf("throughput: runtime cell needs tuples > 0")
 	}
-	var cfg stream.Config
-	if spec.Batch > 1 {
-		cfg.BatchSize = spec.Batch
-		cfg.BatchLinger = time.Millisecond
-		cell.Notes = fmt.Sprintf("batched plane, %d-tuple frames", spec.Batch)
-	} else {
-		cell.Notes = "per-tuple plane"
-	}
-	r, err := newRig(rigOpts{mechanism: mechMemory, cfg: cfg, preload: spec.Tuples})
+	r, err := newRig(rigOpts{mechanism: mechMemory, preload: spec.Tuples})
 	if err != nil {
 		return cell, err
 	}
@@ -320,15 +312,14 @@ func runRuntimeCell(spec ThroughputCellSpec) (ThroughputCell, error) {
 // ValidateThroughput parses and schema-checks a committed artifact,
 // enforcing the acceptance gate: a gob per-tuple wire baseline, a
 // batched wire cell at batch >= ThroughputSpeedupBatch beating it by
-// ThroughputSpeedupFloor in tuples/sec, and a batched runtime cell
-// whose accounting and exactly-once invariants held.
+// ThroughputSpeedupFloor in tuples/sec, and a runtime cell whose
+// accounting and exactly-once invariants held.
 func ValidateThroughput(blob []byte) (*ThroughputReport, error) {
 	var r ThroughputReport
 	if err := parseArtifact(blob, "throughput", ThroughputSchema, &r); err != nil {
 		return nil, err
 	}
-	var baseline, batched *ThroughputCell
-	var runtimeBatched *ThroughputCell
+	var baseline, batched, runtimeCell *ThroughputCell
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		if c.Error != "" {
@@ -349,14 +340,12 @@ func ValidateThroughput(blob []byte) (*ThroughputReport, error) {
 			}
 		case ThroughputRuntime:
 			if !c.AccountingExact {
-				return nil, fmt.Errorf("throughput artifact: runtime cell b%d accounting not exact", c.Batch)
+				return nil, fmt.Errorf("throughput artifact: runtime cell accounting not exact")
 			}
 			if !c.ExactlyOnce {
-				return nil, fmt.Errorf("throughput artifact: runtime cell b%d not exactly-once", c.Batch)
+				return nil, fmt.Errorf("throughput artifact: runtime cell not exactly-once")
 			}
-			if c.Batch > 1 {
-				runtimeBatched = c
-			}
+			runtimeCell = c
 		default:
 			return nil, fmt.Errorf("throughput artifact: unknown cell kind %q", c.Kind)
 		}
@@ -371,8 +360,8 @@ func ValidateThroughput(blob []byte) (*ThroughputReport, error) {
 		return nil, fmt.Errorf("throughput artifact: wire speedup %.2fx below the %.1fx floor (batched %.0f/s vs gob %.0f/s)",
 			speedup, ThroughputSpeedupFloor, batched.TuplesPerSec, baseline.TuplesPerSec)
 	}
-	if runtimeBatched == nil {
-		return nil, fmt.Errorf("throughput artifact: batched runtime cell missing")
+	if runtimeCell == nil {
+		return nil, fmt.Errorf("throughput artifact: runtime cell missing")
 	}
 	return &r, nil
 }
@@ -410,13 +399,16 @@ func (r *ThroughputReport) Markdown() string {
 				once = "✓"
 			}
 		}
-		bpt := "—"
+		bpt, batch := "—", "—"
 		if c.BytesPerTuple > 0 {
 			bpt = fmt.Sprintf("%.1f", c.BytesPerTuple)
 		}
-		fmt.Fprintf(&b, "| %s | %s | %d | %d | %.0f | %s | %s | %s | %s | %s |\n",
-			c.Kind, c.Codec, c.Batch, c.Tuples, c.TuplesPerSec, bpt, speedup, exact, once, note)
+		if c.Batch > 0 {
+			batch = strconv.Itoa(c.Batch)
+		}
+		fmt.Fprintf(&b, "| %s | %s | %s | %d | %.0f | %s | %s | %s | %s | %s |\n",
+			c.Kind, c.Codec, batch, c.Tuples, c.TuplesPerSec, bpt, speedup, exact, once, note)
 	}
-	b.WriteString("\n*wire = loopback TCP, persistent connection; speedup is batched tuples/sec over the per-tuple gob baseline; runtime cells check the exact ledger and exactly-once execution with the batched plane on.*\n")
+	b.WriteString("\n*wire = loopback TCP, persistent connection; speedup is batched tuples/sec over the per-tuple gob baseline; runtime cells check the exact ledger and exactly-once execution.*\n")
 	return b.String()
 }

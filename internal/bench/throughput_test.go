@@ -13,7 +13,7 @@ func TestValidateThroughputGates(t *testing.T) {
 		r := &ThroughputReport{Schema: ThroughputSchema, Cells: []ThroughputCell{
 			{Kind: ThroughputWire, Codec: CodecNameGob, Batch: 1, Tuples: 100, Seconds: 1, TuplesPerSec: 1000},
 			{Kind: ThroughputWire, Codec: CodecNameBatch, Batch: 64, Tuples: 100, Seconds: 1, TuplesPerSec: 10000},
-			{Kind: ThroughputRuntime, Batch: 64, Tuples: 100, Seconds: 1, TuplesPerSec: 5000,
+			{Kind: ThroughputRuntime, Tuples: 100, Seconds: 1, TuplesPerSec: 5000,
 				AccountingExact: true, ExactlyOnce: true},
 		}}
 		if mut != nil {
@@ -34,13 +34,11 @@ func TestValidateThroughputGates(t *testing.T) {
 		"batched wire cell missing": func(r *ThroughputReport) {
 			r.Cells[1].Batch = 8
 		},
-		"accounting broken": func(r *ThroughputReport) { r.Cells[2].AccountingExact = false },
-		"not exactly-once":  func(r *ThroughputReport) { r.Cells[2].ExactlyOnce = false },
-		"runtime batched missing": func(r *ThroughputReport) {
-			r.Cells[2].Batch = 1
-		},
-		"cell error": func(r *ThroughputReport) { r.Cells[1].Error = "boom" },
-		"bad schema": func(r *ThroughputReport) { r.Schema = "nope" },
+		"accounting broken":    func(r *ThroughputReport) { r.Cells[2].AccountingExact = false },
+		"not exactly-once":     func(r *ThroughputReport) { r.Cells[2].ExactlyOnce = false },
+		"runtime cell missing": func(r *ThroughputReport) { r.Cells = r.Cells[:2] },
+		"cell error":           func(r *ThroughputReport) { r.Cells[1].Error = "boom" },
+		"bad schema":           func(r *ThroughputReport) { r.Schema = "nope" },
 	}
 	for name, mut := range cases {
 		if _, err := ValidateThroughput(mk(mut)); err == nil {
@@ -55,13 +53,13 @@ func TestThroughputMarkdownRenders(t *testing.T) {
 	r := &ThroughputReport{Schema: ThroughputSchema, Cells: []ThroughputCell{
 		{Kind: ThroughputWire, Codec: CodecNameGob, Batch: 1, Tuples: 100, TuplesPerSec: 1000, BytesPerTuple: 40},
 		{Kind: ThroughputWire, Codec: CodecNameBatch, Batch: 64, Tuples: 100, TuplesPerSec: 9000, BytesPerTuple: 16},
-		{Kind: ThroughputRuntime, Batch: 64, Tuples: 100, TuplesPerSec: 5000, AccountingExact: true, ExactlyOnce: true},
+		{Kind: ThroughputRuntime, Tuples: 100, TuplesPerSec: 5000, AccountingExact: true, ExactlyOnce: true},
 	}}
 	md := r.Markdown()
 	if !strings.Contains(md, "9.0×") {
 		t.Fatalf("markdown missing speedup column:\n%s", md)
 	}
-	if !strings.Contains(md, "| runtime |  | 64 | 100 | 5000 | — | — | ✓ | ✓ |") {
+	if !strings.Contains(md, "| runtime |  | — | 100 | 5000 | — | — | ✓ | ✓ |") {
 		t.Fatalf("markdown runtime row malformed:\n%s", md)
 	}
 }

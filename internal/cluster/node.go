@@ -530,7 +530,7 @@ func (n *Node) startCell(c *cell, trace obs.SpanContext) error {
 	}
 	for _, r := range c.relays {
 		r.setTrace(trace)
-		go r.run()
+		r.start()
 	}
 	c.ready.Store(true)
 	close(c.gate)
@@ -749,8 +749,8 @@ func (n *Node) dispatch(req *rpcEnvelope) *rpcEnvelope {
 }
 
 // handleFlow serves one ingress tuple stream: hello, then framed batches
-// (36-byte flow header + batch-codec body) injected into the hosting
-// cell under the edge's grouping. Decoded tuples own their memory, so
+// (36-byte flow header + batch-codec body) injected whole into the
+// hosting cell under the edge's grouping. Decoded tuples own their memory, so
 // the pooled frame buffer is recycled right after decode. Each frame's
 // origin timestamps feed the edge's per-hop wire-latency and event-time
 // lag histograms; the first traced frame on a connection records one
@@ -808,11 +808,9 @@ func (n *Node) handleFlow(conn net.Conn) {
 		if c == nil {
 			return // not (or no longer) hosting: sender re-resolves
 		}
-		for _, t := range tuples {
-			if err := c.rt.InjectTo(hello.FromComp, hello.DestComp, t, class); err != nil {
-				n.logf("flow %s->%s: %v", hello.FromComp, hello.DestComp, err)
-				return
-			}
+		if err := c.rt.InjectBatch(hello.FromComp, hello.DestComp, tuples, class); err != nil {
+			n.logf("flow %s->%s: %v", hello.FromComp, hello.DestComp, err)
+			return
 		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 // node -> destComp on whichever node the view currently assigns it). It
 // is installed in the local cell as a parallel-1 bolt subscribed to
 // fromComp, so the producer's emissions flow through the normal queue
-// plane (backpressure included) into the relay, which batches them into
-// PR 8 wire frames (batch-codec records over nettransport.BatchConn).
+// plane (backpressure included) into the relay a run at a time
+// (stream.BatchBolt), which batches them into wire frames (batch-codec
+// records over nettransport.BatchConn).
 //
 // Delivery across failures: the relay retains a bounded window of the
 // most recent tuples, encoded once at admission (see window). Every
@@ -35,11 +36,12 @@ type relay struct {
 	fromComp string
 	destComp string
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	win    window
-	closed bool
-	done   chan struct{}
+	mu      sync.Mutex
+	cond    *sync.Cond
+	win     window
+	closed  bool
+	started bool          // start was called: done will be closed
+	done    chan struct{} // closed when the sender loop exits
 	// trace is the recovery span context stamped on outbound replay-class
 	// frames (set by startCell during a traced adoption, so the replayed
 	// output stitches the ingress node into the recovery's trace). It is
@@ -47,7 +49,8 @@ type relay struct {
 	// the recovery's replay has drained.
 	trace obs.SpanContext
 
-	rec  []byte   // executor goroutine: the record being admitted
+	rec  []byte   // executor goroutine: the records of the run being admitted
+	ends []int    // executor goroutine: where each record in rec ends
 	segs [][]byte // sender goroutine: the frame being written, segs[0] its headers
 	hdr  [frameHeaderLen + stream.BatchHeaderMax]byte
 }
@@ -61,40 +64,59 @@ func newRelay(n *Node, fromComp, destComp string) *relay {
 // boltID names the relay inside its cell's topology.
 func (r *relay) boltID() string { return "__relay/" + r.fromComp + "/" + r.destComp }
 
+// nowNano is the relay's clock: one read per admitted run and one per
+// frame taken, never per tuple. Tests swap it to count the reads.
+var nowNano = func() int64 { return time.Now().UnixNano() }
+
 func (r *relay) Execute(t stream.Tuple, emit stream.Emit) error {
-	return r.ExecuteClassed(t, stream.ClassIngest, emit)
+	return r.ExecuteBatch([]stream.Tuple{t}, stream.ClassIngest, emit)
 }
 
-// ExecuteClassed encodes one tuple and retains it for the wire,
-// preserving its admission class so a replayed tuple stays replay-class
-// on the next hop. A tuple that cannot be encoded is dropped here, with
-// the error, rather than poisoning every frame it would later ride in.
-// Only the cell's executor goroutine for this bolt calls it.
-func (r *relay) ExecuteClassed(t stream.Tuple, class stream.TrafficClass, _ stream.Emit) error {
-	rec, err := stream.AppendTupleRecord(r.rec[:0], &t)
-	r.rec = rec[:0]
-	if err != nil {
-		r.node.logf("relay %s: dropped tuple: %v", r.boltID(), err)
-		return err
+// ExecuteBatch encodes a run of tuples outside the lock, then takes it
+// once and retains them for the wire under one admission stamp,
+// preserving their class so a replayed tuple stays replay-class on the
+// next hop. A tuple that cannot be encoded is dropped here, with the
+// error, rather than poisoning every frame it would later ride in. Only
+// the cell's executor goroutine for this bolt calls it.
+func (r *relay) ExecuteBatch(tuples []stream.Tuple, class stream.TrafficClass, _ stream.Emit) error {
+	var failed error
+	recs, ends := r.rec[:0], r.ends[:0]
+	for i := range tuples {
+		var err error
+		if recs, err = stream.AppendTupleRecord(recs, &tuples[i]); err != nil {
+			r.node.logf("relay %s: dropped tuple: %v", r.boltID(), err)
+			failed = err
+			continue
+		}
+		ends = append(ends, len(recs))
 	}
+	r.rec, r.ends = recs[:0], ends[:0]
 	limit := r.node.cfg.ReplayBuffer
+	at := nowNano()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for !r.closed && r.win.len() >= limit && !r.win.trimmable() {
-		r.cond.Wait() // full window, nothing trimmable: backpressure
+	from := 0
+	for _, end := range ends {
+		for !r.closed && r.win.len() >= limit && !r.win.trimmable() {
+			// Full window, nothing trimmable: backpressure. The sender
+			// must first see what this run has already admitted.
+			r.cond.Signal()
+			r.cond.Wait()
+		}
+		if r.closed {
+			return failed
+		}
+		// Trim the oldest written entries to make room. Written is not saved
+		// downstream: past the window bound only the source-regeneration
+		// backstop covers them (DESIGN §14, ROADMAP 4(e)).
+		for r.win.len() >= limit && r.win.trimmable() {
+			r.win.trim()
+		}
+		r.win.admit(recs[from:end], class, at)
+		from = end
 	}
-	if r.closed {
-		return nil
-	}
-	// Trim the oldest written entries to make room. Written is not saved
-	// downstream: past the window bound only the source-regeneration
-	// backstop covers them (DESIGN §14, ROADMAP 4(e)).
-	for r.win.len() >= limit && r.win.trimmable() {
-		r.win.trim()
-	}
-	r.win.admit(rec, class, time.Now().UnixNano())
 	r.cond.Signal()
-	return nil
+	return failed
 }
 
 // setTrace arms the relay with a recovery trace context (see the trace
@@ -105,12 +127,25 @@ func (r *relay) setTrace(tc obs.SpanContext) {
 	r.mu.Unlock()
 }
 
+// start launches the sender loop.
+func (r *relay) start() {
+	r.mu.Lock()
+	r.started = true
+	r.mu.Unlock()
+	go r.run()
+}
+
+// close stops the relay and waits for its sender, if one was started (a
+// cell whose recovery failed is torn down with its relays never run).
 func (r *relay) close() {
 	r.mu.Lock()
 	r.closed = true
+	started := r.started
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	<-r.done
+	if started {
+		<-r.done
+	}
 }
 
 // run is the sender loop: resolve destComp's owner from the node's
@@ -192,7 +227,7 @@ func (r *relay) take() (frame [][]byte, n int, ok bool) {
 	} else {
 		r.trace = obs.SpanContext{}
 	}
-	hdr := appendFrameHeader(r.hdr[:0], time.Now().UnixNano(), oldestNs, tc)
+	hdr := appendFrameHeader(r.hdr[:0], nowNano(), oldestNs, tc)
 	segs[0] = stream.AppendBatchHeader(hdr, cls, n)
 	r.segs = segs
 	return segs, n, true

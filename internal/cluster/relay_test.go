@@ -171,7 +171,7 @@ func seqOf(t *testing.T, tu stream.Tuple) int {
 
 func admit(t *testing.T, r *relay, tu stream.Tuple, class stream.TrafficClass) {
 	t.Helper()
-	if err := r.ExecuteClassed(tu, class, nil); err != nil {
+	if err := r.ExecuteBatch([]stream.Tuple{tu}, class, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -204,7 +204,7 @@ func TestRelayDeliversInOrderAndRetainsSuffix(t *testing.T) {
 	const window, batch, total = 64, 8, 640
 	sink := newFlowSink(t)
 	r := newRelay(relayTestNode(window, batch, sink.addr(), io.Discard), "src", "dst")
-	go r.run()
+	r.start()
 	defer r.close()
 
 	classOf := func(i int) stream.TrafficClass {
@@ -231,11 +231,17 @@ func TestRelayDeliversInOrderAndRetainsSuffix(t *testing.T) {
 		t.Fatalf("first frame = %d tuples, class %v; want tuple 0 as replay", len(f.tuples), f.class)
 	}
 	go func() {
-		for i := 1; i < total; i++ {
-			if err := r.ExecuteClassed(tupleOf(i), classOf(i), nil); err != nil {
-				t.Errorf("admit %d: %v", i, err)
+		// The way the executor hands them over: runs of one class.
+		for i := 1; i < total; {
+			run := []stream.Tuple{tupleOf(i)}
+			for j := i + 1; j < total && classOf(j) == classOf(i); j++ {
+				run = append(run, tupleOf(j))
+			}
+			if err := r.ExecuteBatch(run, classOf(i), nil); err != nil {
+				t.Errorf("admit %d..%d: %v", i, i+len(run)-1, err)
 				return
 			}
+			i += len(run)
 		}
 	}()
 	for want := 1; want < total; {
@@ -297,7 +303,7 @@ func TestRelayReconnectReplaysWindow(t *testing.T) {
 	const window, batch, before = 256, 8, 40
 	sink := newFlowSink(t)
 	r := newRelay(relayTestNode(window, batch, sink.addr(), io.Discard), "src", "dst")
-	go r.run()
+	r.start()
 	defer r.close()
 
 	admitted := 0
@@ -380,7 +386,7 @@ func blockedAdmit(t *testing.T, r *relay) <-chan error {
 		admit(t, r, seqTuple(i, "p"), stream.ClassIngest)
 	}
 	fifth := make(chan error, 1)
-	go func() { fifth <- r.ExecuteClassed(seqTuple(4, "p"), stream.ClassIngest, nil) }()
+	go func() { fifth <- r.ExecuteBatch([]stream.Tuple{seqTuple(4, "p")}, stream.ClassIngest, nil) }()
 	select {
 	case err := <-fifth:
 		t.Fatalf("admission into a window full of unsent tuples returned (%v)", err)
@@ -395,7 +401,7 @@ func TestRelayBlocksWhenWindowFullOfUnsent(t *testing.T) {
 	sink := newFlowSink(t)
 	r := newRelay(relayTestNode(4, 2, sink.addr(), io.Discard), "src", "dst")
 	fifth := blockedAdmit(t, r)
-	go r.run()
+	r.start()
 	defer r.close()
 	for want := 0; want < 5; {
 		for _, tu := range sink.next(t).tuples {
@@ -430,7 +436,7 @@ func TestRelayCloseWhileBlocked(t *testing.T) {
 	refused := ln.Addr().String()
 	_ = ln.Close()
 	r := newRelay(relayTestNode(4, 2, refused, io.Discard), "src", "dst")
-	go r.run()
+	r.start()
 	fifth := blockedAdmit(t, r)
 	closed := make(chan struct{})
 	go func() {
@@ -452,6 +458,23 @@ func TestRelayCloseWhileBlocked(t *testing.T) {
 	}
 }
 
+// TestRelayCloseBeforeStart: a relay whose sender was never started — a
+// cell whose recovery failed before its relays ran — closes without
+// waiting for one.
+func TestRelayCloseBeforeStart(t *testing.T) {
+	r := newRelay(relayTestNode(4, 2, "", io.Discard), "src", "dst")
+	closed := make(chan struct{})
+	go func() {
+		r.close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("close waits for a sender that was never started")
+	}
+}
+
 // TestRelayEncodeFailureSurfacesAtAdmission: a value the codec's gob
 // fallback cannot encode is refused when it is admitted — an error for
 // the runtime's ExecuteErrors, a log line, nothing retained — and does
@@ -460,11 +483,19 @@ func TestRelayEncodeFailureSurfacesAtAdmission(t *testing.T) {
 	var logged bytes.Buffer
 	r := newRelay(relayTestNode(4, 2, "", &logged), "src", "dst")
 	bad := stream.Tuple{Stream: "s", Values: []any{int64(1), func() {}}}
-	if err := r.ExecuteClassed(bad, stream.ClassIngest, nil); err == nil {
+	if err := r.ExecuteBatch([]stream.Tuple{bad}, stream.ClassIngest, nil); err == nil {
 		t.Fatal("unencodable tuple admitted")
 	}
 	if r.win.len() != 0 {
 		t.Fatalf("window retains %d tuples after a refused admission", r.win.len())
+	}
+	// In the middle of a run it takes nothing else down with it.
+	run := []stream.Tuple{seqTuple(7, "p"), bad, seqTuple(8, "p")}
+	if err := r.ExecuteBatch(run, stream.ClassIngest, nil); err == nil {
+		t.Fatal("run with an unencodable tuple reported no error")
+	}
+	if tuples, _ := takeDecoded(t, &r.win, 4); len(tuples) != 2 || seqOf(t, tuples[0]) != 7 || seqOf(t, tuples[1]) != 8 {
+		t.Fatalf("run around the refused tuple left %d tuples in the window, want 7 and 8", len(tuples))
 	}
 	if !strings.Contains(logged.String(), "dropped tuple") {
 		t.Fatalf("no log line for the dropped tuple: %q", logged.String())
@@ -544,25 +575,25 @@ func TestWindowReplayDoesNotSpillIntoLive(t *testing.T) {
 }
 
 // benchRelayAdmit measures the relay's per-tuple path with a full
-// window and no socket: encode and admit one tuple, trimming one, and
-// every 32nd tuple take a frame (headers built, record slices
-// gathered), which also declares the previous frame written.
+// window and no socket, a 32-tuple run at a time as the executor hands
+// them over: encode and admit the run, trimming as many, then take a
+// frame (headers built, record slices gathered), which also declares
+// the previous frame written. One op is one tuple.
 func benchRelayAdmit(b *testing.B, replayBuffer int) {
 	const batch = 32
 	r := newRelay(relayTestNode(replayBuffer, batch, "", io.Discard), "src", "dst")
-	tuples := make([]stream.Tuple, 64)
+	tuples := make([]stream.Tuple, 2*batch)
 	for i := range tuples {
 		tuples[i] = stream.Tuple{Stream: "words", Ts: int64(i), Values: []any{"benchmark", int64(i)}}
 	}
 	i := 0
 	step := func() {
-		if err := r.ExecuteClassed(tuples[i%len(tuples)], stream.ClassIngest, nil); err != nil {
+		if err := r.ExecuteBatch(tuples[i%len(tuples):][:batch], stream.ClassIngest, nil); err != nil {
 			b.Fatal(err)
 		}
-		if i++; i%batch == 0 {
-			if _, _, ok := r.take(); !ok {
-				b.Fatal("relay closed")
-			}
+		i += batch
+		if _, _, ok := r.take(); !ok {
+			b.Fatal("relay closed")
 		}
 	}
 	// Twice around: the window is full, its ring has stopped growing and
@@ -572,7 +603,7 @@ func benchRelayAdmit(b *testing.B, replayBuffer int) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
+	for n := 0; n < b.N; n += batch {
 		step()
 	}
 }
@@ -622,5 +653,44 @@ func TestRelayAdmitCostIndependentOfWindow(t *testing.T) {
 	t.Logf("ns/tuple: %.0f at 1Ki, %.0f at 64Ki", small, large)
 	if large > 4*small {
 		t.Fatalf("admission costs %.0f ns at ReplayBuffer 64Ki, %.0f at 1Ki: it grows with the window", large, small)
+	}
+}
+
+// TestRelayAdmitClockPerRun pins the relay's clock budget: a run is
+// admitted under one admission stamp and a frame taken under one send
+// stamp, however many tuples they carry.
+func TestRelayAdmitClockPerRun(t *testing.T) {
+	var reads int
+	real := nowNano
+	nowNano = func() int64 { reads++; return real() }
+	defer func() { nowNano = real }()
+
+	const batch, runs, perRun = 32, 10, 64
+	r := newRelay(relayTestNode(1<<10, batch, "", io.Discard), "src", "dst")
+	run := make([]stream.Tuple, perRun)
+	for i := range run {
+		run[i] = seqTuple(i, "p")
+	}
+	for i := 0; i < runs; i++ {
+		if err := r.ExecuteBatch(run, stream.ClassIngest, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reads != runs {
+		t.Fatalf("%d clock reads admitting %d runs of %d tuples, want one per run", reads, runs, perRun)
+	}
+	frames := 0
+	for r.win.unsent() {
+		if _, n, ok := r.take(); !ok || n != batch {
+			t.Fatalf("frame of %d tuples (ok=%v), want %d", n, ok, batch)
+		}
+		frames++
+	}
+	if frames != runs*perRun/batch || reads != runs+frames {
+		t.Fatalf("%d frames, %d clock reads; want %d frames and one read per run and frame", frames, reads, runs*perRun/batch)
+	}
+	// Every tuple of a run carries the run's stamp.
+	if first, last := r.win.recs.at(0).at, r.win.recs.at(perRun-1).at; first != last {
+		t.Fatalf("one run admitted under two stamps (%d, %d)", first, last)
 	}
 }

@@ -63,13 +63,24 @@ func BucketUpper(i int) int64 {
 func Buckets() int { return hdrBuckets }
 
 // Record adds one observation (negative values clamp to zero).
-func (h *LatencyHistogram) Record(v int64) {
-	if v < 0 {
-		v = 0
+func (h *LatencyHistogram) Record(v int64) { h.RecordN(v, 1) }
+
+// RecordN adds n observations that together sum to total, each counted
+// at their mean total/n: what a caller that timed a batch of n
+// operations with one pair of clock reads knows. Count and Sum stay
+// exact; buckets, Min, Max and so the quantiles see the mean (negative
+// totals clamp to zero, n <= 0 records nothing).
+func (h *LatencyHistogram) RecordN(total, n int64) {
+	if n <= 0 {
+		return
 	}
-	h.counts[hdrIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	if total < 0 {
+		total = 0
+	}
+	v := total / n
+	h.counts[hdrIndex(v)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(total)
 	for {
 		cur := h.min.Load()
 		if cur != 0 && cur-1 <= v {

@@ -13,7 +13,7 @@ var helpCatalog = map[string]string{
 	"sr3_stream_acks_total":            "Tuples fully processed (acked) by bolt executors.",
 	"sr3_stream_replays_total":         "Tuples re-executed from input logs during task recovery.",
 	"sr3_stream_spout_tuples_total":    "Tuples produced by spouts.",
-	"sr3_stream_proc_ns":               "Per-tuple bolt processing latency in nanoseconds.",
+	"sr3_stream_proc_ns":               "Per-tuple bolt processing latency in nanoseconds, each tuple counted at the mean of the run it executed in.",
 	"sr3_stream_emit_blocked_ns_total": "Nanoseconds emitters spent blocked on full input channels (backpressure).",
 	"sr3_stream_execute_errors_total":  "Bolt Execute calls that returned an error.",
 	"sr3_stream_shed_total":            "Data tuples dropped by queue policy or degraded-mode admission control.",
@@ -58,9 +58,9 @@ var helpRules = []helpRule{
 	{"sr3_stream_task_", "_tuples_out_total", "Tuples emitted by this task."},
 	{"sr3_stream_task_", "_acks_total", "Tuples fully processed (acked) by this task."},
 	{"sr3_stream_task_", "_replays_total", "Tuples re-executed from this task's input log during recovery."},
-	{"sr3_stream_task_", "_proc_ns", "Per-tuple processing latency of this task in nanoseconds."},
-	{"sr3_stream_task_", "_queue_depth", "Input-channel depth sampled at the last enqueue (backpressure signal)."},
-	{"sr3_stream_task_", "_queue_high_water", "Highest input-channel depth observed since start."},
+	{"sr3_stream_task_", "_proc_ns", "Per-tuple processing latency of this task in nanoseconds, each tuple counted at the mean of the run it executed in."},
+	{"sr3_stream_task_", "_queue_depth", "Input-queue depth in tuples sampled at the last push (backpressure signal)."},
+	{"sr3_stream_task_", "_queue_high_water", "Highest input-queue depth observed since start, in tuples."},
 	{"sr3_stream_task_", "_state_bytes", "Size of this task's last saved state snapshot in bytes."},
 	{"sr3_stream_task_", "_emit_blocked_ns_total", "Nanoseconds senders spent blocked on this task's full input channel."},
 	{"sr3_stream_task_", "_shed_total", "Data tuples dropped at this task's queue by shed policy or degraded-mode admission."},

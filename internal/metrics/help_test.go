@@ -24,7 +24,7 @@ func TestHelpLines(t *testing.T) {
 		t.Fatalf("catalog help missing:\n%s", out)
 	}
 	// Generated per-task family resolved through prefix+suffix rules.
-	if !strings.Contains(out, "# HELP sr3_stream_task_wordcount_counter_0_proc_ns Per-tuple processing latency of this task in nanoseconds.\n") {
+	if !strings.Contains(out, "# HELP sr3_stream_task_wordcount_counter_0_proc_ns Per-tuple processing latency of this task in nanoseconds, each tuple counted at the mean of the run it executed in.\n") {
 		t.Fatalf("rule-based help missing:\n%s", out)
 	}
 	// SetHelp body escaped: newline -> \n, backslash -> \\.

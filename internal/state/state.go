@@ -70,7 +70,15 @@ func NewMapStore() *MapStore {
 func (m *MapStore) Put(key string, value []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if old, ok := m.data[key]; ok {
+	old, ok := m.data[key]
+	if ok && len(old) == len(value) {
+		// Same-length overwrite: the stored slice is never handed out
+		// (Get, Snapshot and Restore all copy), so it is rewritten in
+		// place — no allocation, no map assignment.
+		copy(old, value)
+		return
+	}
+	if ok {
 		m.size -= len(key) + len(old)
 	}
 	m.data[key] = append([]byte(nil), value...)

@@ -95,6 +95,74 @@ func TestMapStoreSizeTracksContent(t *testing.T) {
 	}
 }
 
+// TestMapStorePutDoesNotAlias: Put rewrites a same-length value in
+// place, so nothing outside the store may share the stored slice — not
+// the caller's argument, not an earlier Get result, not a snapshot or
+// the snapshot a restore was fed — and the bytes a snapshot carries are
+// the ones a store built by fresh inserts carries.
+func TestMapStorePutDoesNotAlias(t *testing.T) {
+	m := NewMapStore()
+	arg := []byte("aaaa")
+	m.Put("k", arg)
+	arg[0] = 'X' // the caller's slice is the caller's
+	if v, _ := m.Get("k"); string(v) != "aaaa" {
+		t.Fatalf("stored value follows the caller's slice: %q", v)
+	}
+	got, _ := m.Get("k")
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := append([]byte(nil), snap...)
+	m.Put("k", []byte("bbbb")) // same length: in place
+	if string(got) != "aaaa" {
+		t.Fatalf("an earlier Get result changed under a later Put: %q", got)
+	}
+	if !bytes.Equal(snap, held) {
+		t.Fatal("an earlier snapshot changed under a later Put")
+	}
+	if v, _ := m.Get("k"); string(v) != "bbbb" {
+		t.Fatalf("overwrite lost: %q", v)
+	}
+	got[0] = 'Y' // and a Get result is the reader's
+	if v, _ := m.Get("k"); string(v) != "bbbb" {
+		t.Fatalf("stored value follows a Get result: %q", v)
+	}
+
+	// A restored store overwrites in place too; its source snapshot stays.
+	r := NewMapStore()
+	if err := r.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	r.Put("k", []byte("cccc"))
+	if !bytes.Equal(snap, held) {
+		t.Fatal("Put on a restored store wrote into the snapshot it was restored from")
+	}
+
+	// Same bytes as a store that never overwrote anything.
+	m.Put("k", []byte("cc"))   // shorter
+	m.Put("k", []byte("dddd")) // longer
+	m.Put("k", []byte("eeee")) // same length again
+	fresh := NewMapStore()
+	fresh.Put("k", []byte("eeee"))
+	a, _ := m.Snapshot()
+	b, _ := fresh.Snapshot()
+	if !bytes.Equal(a, b) || m.SizeBytes() != fresh.SizeBytes() {
+		t.Fatalf("snapshot or size after overwrites differs from a fresh insert (%d vs %d bytes)", m.SizeBytes(), fresh.SizeBytes())
+	}
+}
+
+// TestMapStorePutOverwriteZeroAlloc: a same-length overwrite — what a
+// keyed counter does on every tuple — allocates nothing.
+func TestMapStorePutOverwriteZeroAlloc(t *testing.T) {
+	m := NewMapStore()
+	val := make([]byte, 4096)
+	m.Put("key", val)
+	if a := testing.AllocsPerRun(100, func() { m.Put("key", val) }); a != 0 {
+		t.Fatalf("same-length overwrite = %v allocs/op, want 0", a)
+	}
+}
+
 func TestMapStorePropertyRoundTrip(t *testing.T) {
 	f := func(pairs map[string][]byte) bool {
 		m := NewMapStore()

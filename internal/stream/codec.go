@@ -194,6 +194,15 @@ func (r *batchReader) varint() (int64, error) {
 	return v, nil
 }
 
+// lenBytes returns a uvarint-length-prefixed byte string, see bytes.
+func (r *batchReader) lenBytes() ([]byte, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	return r.bytes(n)
+}
+
 // bytes returns the next n bytes without copying; the caller copies if
 // it retains them past the decode.
 func (r *batchReader) bytes(n uint64) ([]byte, error) {
@@ -210,7 +219,11 @@ func (r *batchReader) bytes(n uint64) ([]byte, error) {
 // (bad magic, unknown version or tag, truncated or trailing bytes,
 // counts exceeding what the remaining bytes could possibly hold)
 // returns ErrBatchCorrupt. Decoded tuples own their memory: nothing
-// references the input slice after return.
+// references the input slice after return. The tuples of one frame share
+// what an edge's tuples have in common — one Stream string while it
+// repeats, one slab behind their Values slices — and nothing else:
+// every string and byte value is its own copy, so a bolt that keeps a
+// key does not keep the frame.
 func DecodeTupleBatch(data []byte) ([]Tuple, TrafficClass, error) {
 	r := &batchReader{data: data}
 	if len(data) < 4 || data[0] != batchMagic0 || data[1] != batchMagic1 {
@@ -238,47 +251,50 @@ func DecodeTupleBatch(data []byte) ([]Tuple, TrafficClass, error) {
 	if count > 0 {
 		tuples = make([]Tuple, count)
 	}
+	var slab []any
 	for i := range tuples {
-		if err := decodeTuple(r, &tuples[i]); err != nil {
+		t := &tuples[i]
+		sb, err := r.lenBytes()
+		if err != nil {
 			return nil, 0, err
+		}
+		if i > 0 && tuples[i-1].Stream == string(sb) {
+			t.Stream = tuples[i-1].Stream
+		} else {
+			t.Stream = string(sb)
+		}
+		if t.Ts, err = r.varint(); err != nil {
+			return nil, 0, err
+		}
+		nv, err := r.uvarint()
+		if err != nil {
+			return nil, 0, err
+		}
+		// A value encodes to at least one byte.
+		if nv > uint64(r.remaining()) {
+			return nil, 0, fmt.Errorf("%w: implausible value count %d", ErrBatchCorrupt, nv)
+		}
+		if nv == 0 {
+			continue
+		}
+		if uint64(cap(slab)-len(slab)) < nv {
+			// Size the slab for the tuples left as if they all looked like
+			// this one, which on an edge they do.
+			slab = make([]any, 0, min(nv*uint64(len(tuples)-i), uint64(r.remaining())))
+		}
+		end := len(slab) + int(nv)
+		t.Values = slab[len(slab):end:end]
+		slab = slab[:end]
+		for j := range t.Values {
+			if t.Values[j], err = decodeValue(r); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
 	if r.remaining() != 0 {
 		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrBatchCorrupt, r.remaining())
 	}
 	return tuples, class, nil
-}
-
-func decodeTuple(r *batchReader, t *Tuple) error {
-	n, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	sb, err := r.bytes(n)
-	if err != nil {
-		return err
-	}
-	t.Stream = string(sb)
-	if t.Ts, err = r.varint(); err != nil {
-		return err
-	}
-	nv, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if nv > uint64(r.remaining()) {
-		return fmt.Errorf("%w: implausible value count %d", ErrBatchCorrupt, nv)
-	}
-	if nv == 0 {
-		return nil
-	}
-	t.Values = make([]any, nv)
-	for i := range t.Values {
-		if t.Values[i], err = decodeValue(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func decodeValue(r *batchReader) (any, error) {
@@ -290,21 +306,13 @@ func decodeValue(r *batchReader) (any, error) {
 	case valNil:
 		return nil, nil
 	case valString:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.bytes(n)
+		b, err := r.lenBytes()
 		if err != nil {
 			return nil, err
 		}
 		return string(b), nil
 	case valBytes:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.bytes(n)
+		b, err := r.lenBytes()
 		if err != nil {
 			return nil, err
 		}
@@ -330,11 +338,7 @@ func decodeValue(r *batchReader) (any, error) {
 	case valFalse:
 		return false, nil
 	case valGob:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.bytes(n)
+		b, err := r.lenBytes()
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"sort"
-	"time"
 
 	"sr3/internal/metrics"
 )
@@ -100,77 +99,66 @@ func newTaskInstruments(rt *instruments, reg *metrics.Registry, key string) *tas
 	}
 }
 
-// noteIn records one tuple landing on the input channel and samples its
-// depth as the backpressure signal (depth is the post-send occupancy, the
-// high-water gauge ratchets).
-func (ti *taskInstruments) noteIn(depth int) {
-	if ti == nil {
-		return
-	}
-	ti.tuplesIn.Inc()
-	ti.rt.tuplesIn.Inc()
-	d := int64(depth)
-	ti.depth.Set(d)
-	ti.highWater.SetMax(d)
-}
-
-// noteBlocked accounts time a sender spent blocked on this task's full
-// input queue — emit-side backpressure. The counter accumulates total
-// blocked nanoseconds; the histogram keeps the per-wait distribution so
+// notePush records one queue push at this task: n tuples offered, the
+// tuples the queue shed (the ledger counts tuples, never pushes), the
+// post-push depth as the backpressure signal with the high-water gauge
+// ratcheting, both in tuples, and the time the sender spent blocked on
+// the full queue — emit-side backpressure. The counter accumulates total
+// blocked nanoseconds; the histogram keeps one sample per blocked push so
 // quantiles of backpressure stalls are observable, not just their sum.
-func (ti *taskInstruments) noteBlocked(ns int64) {
+func (ti *taskInstruments) notePush(n int64, res pushResult) {
 	if ti == nil {
 		return
 	}
-	ti.emitBlocked.Add(ns)
-	ti.rt.emitBlocked.Add(ns)
-	ti.blockWaitNs.Record(ns)
-	ti.rt.blockWaitNs.Record(ns)
+	ti.tuplesIn.Add(n)
+	ti.rt.tuplesIn.Add(n)
+	ti.depth.Set(int64(res.depth))
+	ti.highWater.SetMax(int64(res.high))
+	if res.shed > 0 {
+		ti.shed.Add(int64(res.shed))
+		ti.rt.shed.Add(int64(res.shed))
+	}
+	if res.blockedNs > 0 {
+		ti.emitBlocked.Add(res.blockedNs)
+		ti.rt.emitBlocked.Add(res.blockedNs)
+		ti.blockWaitNs.Record(res.blockedNs)
+		ti.rt.blockWaitNs.Record(res.blockedNs)
+	}
 }
 
-// noteShedN records n data tuples dropped by the queue policy or
-// degraded-mode admission — n > 1 when a whole batch frame is shed (the
-// ledger counts tuples, never frames).
-func (ti *taskInstruments) noteShedN(n int) {
+// noteEmit records n tuples emitted by this task's bolt.
+func (ti *taskInstruments) noteEmit(n int) {
 	if ti == nil || n == 0 {
 		return
 	}
-	ti.shed.Add(int64(n))
-	ti.rt.shed.Add(int64(n))
+	ti.tuplesOut.Add(int64(n))
+	ti.rt.tuplesOut.Add(int64(n))
 }
 
-// noteInN records n tuples landing on the input queue in one frame and
-// samples its depth, the batched counterpart of noteIn.
-func (ti *taskInstruments) noteInN(n, depth int) {
+// runStart reads the clock for a run about to execute (0 with metrics
+// off: a disabled runtime never reads it).
+func (ti *taskInstruments) runStart() int64 {
+	if ti == nil {
+		return 0
+	}
+	return nowNano()
+}
+
+// noteAcks records n fully processed tuples and their processing
+// latency. proc_ns is smoothed over the run: the n tuples executed since
+// start (runStart) are each counted at the run's mean, so Count and Sum
+// stay exact while quantiles are quantiles of run means — a single slow
+// tuple shows up diluted by the tuples that shared its run (at most
+// runCap, and 1 whenever the queue holds 1).
+func (ti *taskInstruments) noteAcks(start int64, n int) {
 	if ti == nil {
 		return
 	}
-	ti.tuplesIn.Add(int64(n))
-	ti.rt.tuplesIn.Add(int64(n))
-	d := int64(depth)
-	ti.depth.Set(d)
-	ti.highWater.SetMax(d)
-}
-
-// noteEmit records one tuple emitted by this task's bolt.
-func (ti *taskInstruments) noteEmit() {
-	if ti == nil {
-		return
-	}
-	ti.tuplesOut.Inc()
-	ti.rt.tuplesOut.Inc()
-}
-
-// noteAck records a fully processed tuple and its processing latency.
-func (ti *taskInstruments) noteAck(start time.Time) {
-	if ti == nil {
-		return
-	}
-	ns := time.Since(start).Nanoseconds()
-	ti.acks.Inc()
-	ti.rt.acks.Inc()
-	ti.procNs.Record(ns)
-	ti.rt.procNs.Record(ns)
+	ns := nowNano() - start
+	ti.acks.Add(int64(n))
+	ti.rt.acks.Add(int64(n))
+	ti.procNs.RecordN(ns, int64(n))
+	ti.rt.procNs.RecordN(ns, int64(n))
 }
 
 // noteExecError records a bolt Execute call that returned an error.

@@ -87,9 +87,8 @@ func TestRuntimeInstruments(t *testing.T) {
 	if err := rt.Kill("count", 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, tu := range tuples[20:] {
-		tu.Stream = "src"
-		rt.route("src", tu, ClassIngest, nil)
+	if err := rt.InjectBatch("src", "pass", append([]Tuple(nil), tuples[20:]...), ClassIngest); err != nil {
+		t.Fatal(err)
 	}
 	rt.Drain()
 	if err := rt.RecoverTask("count", 0); err != nil {
@@ -171,18 +170,27 @@ func TestRuntimeDebugView(t *testing.T) {
 	}
 }
 
-// noopSpout never produces: the benchmarks drive route() directly.
+// noopSpout never produces: the benchmarks push into the plane directly.
 type noopSpout struct{}
 
 func (noopSpout) Next() (Tuple, bool) { return Tuple{}, false }
 
-func benchRuntime(b *testing.B, reg *metrics.Registry) *Runtime {
+// benchPlane builds src → relay → sink (relay re-emits, sink drops) and
+// returns a function that offers one tuple the way wire ingress does: a
+// reused 32-tuple frame through InjectBatch every 32nd call. Between
+// them the two tasks cover every step of the plane: pushN, drain,
+// execute, emit, pushN.
+func benchPlane(b *testing.B, reg *metrics.Registry) (rt *Runtime, offer func()) {
 	topo := NewTopology("bench")
 	if err := topo.AddSpout("src", noopSpout{}); err != nil {
 		b.Fatal(err)
 	}
+	relay := BoltFunc(func(t Tuple, emit Emit) error { emit(t); return nil })
 	drop := BoltFunc(func(Tuple, Emit) error { return nil })
-	if err := topo.AddBolt("sink", drop, 1).Shuffle("src").Err(); err != nil {
+	if err := topo.AddBolt("relay", relay, 1).Shuffle("src").Err(); err != nil {
+		b.Fatal(err)
+	}
+	if err := topo.AddBolt("sink", drop, 1).Shuffle("relay").Err(); err != nil {
 		b.Fatal(err)
 	}
 	rt, err := NewRuntime(topo, Config{Metrics: reg})
@@ -190,35 +198,60 @@ func benchRuntime(b *testing.B, reg *metrics.Registry) *Runtime {
 		b.Fatal(err)
 	}
 	rt.Start()
-	return rt
+	frame := make([]Tuple, 0, 32)
+	return rt, func() {
+		frame = append(frame, Tuple{Values: benchValues})
+		if len(frame) == cap(frame) {
+			if err := rt.InjectBatch("src", "relay", frame, ClassIngest); err != nil {
+				b.Fatal(err)
+			}
+			frame = frame[:0]
+		}
+	}
 }
 
-// BenchmarkRuntimeDisabled measures the hot path with metrics off — the
-// acceptance bar is 0 allocs/op (the nil-instrument checks are free).
-func BenchmarkRuntimeDisabled(b *testing.B) {
-	rt := benchRuntime(b, nil)
-	tuple := Tuple{Stream: "src", Values: []any{"w"}}
+var benchValues = []any{"w"}
+
+func runBenchPlane(b *testing.B, reg *metrics.Registry) {
+	rt, offer := benchPlane(b, reg)
+	// Warm up: queues, run buffers and outboxes reach their steady sizes.
+	for i := 0; i < 20000; i++ {
+		offer()
+	}
+	rt.Drain()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.route("src", tuple, ClassIngest, nil)
+		offer()
 	}
 	rt.Drain()
 	b.StopTimer()
 	_ = rt.Wait()
 }
+
+// BenchmarkRuntimeDisabled measures one tuple through two task hops with
+// metrics off — the acceptance bar is 0 allocs/op (TestPlaneZeroAlloc).
+func BenchmarkRuntimeDisabled(b *testing.B) { runBenchPlane(b, nil) }
 
 // BenchmarkRuntimeInstrumented is the same path with live instruments;
 // the delta against Disabled is the per-tuple cost of observability.
-func BenchmarkRuntimeInstrumented(b *testing.B) {
-	rt := benchRuntime(b, metrics.NewRegistry())
-	tuple := Tuple{Stream: "src", Values: []any{"w"}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt.route("src", tuple, ClassIngest, nil)
+func BenchmarkRuntimeInstrumented(b *testing.B) { runBenchPlane(b, metrics.NewRegistry()) }
+
+// TestPlaneZeroAlloc is the allocation regression guard wired into
+// `go test`: the steady-state plane — pushN → drain → execute → emit →
+// pushN, instruments on or off — allocates nothing per tuple.
+func TestPlaneZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
 	}
-	rt.Drain()
-	b.StopTimer()
-	_ = rt.Wait()
+	if testing.Short() {
+		t.Skip("allocation guard runs the benchmark harness")
+	}
+	for name, bench := range map[string]func(*testing.B){
+		"disabled": BenchmarkRuntimeDisabled, "instrumented": BenchmarkRuntimeInstrumented,
+	} {
+		if a := testing.Benchmark(bench).AllocsPerOp(); a != 0 {
+			t.Errorf("%s plane = %d allocs/op, want 0", name, a)
+		}
+	}
 }

@@ -13,18 +13,31 @@ import (
 	"sr3/internal/state"
 )
 
-func dataEnv(seq int, class TrafficClass) envelope {
-	return envelope{kind: ctlTuple, tuple: Tuple{Values: []any{seq}}, class: class}
+// offer pushes one data tuple carrying seq and reports how many tuples
+// the queue shed to settle it (the offered one or an evicted older one).
+func offer(q *taskQueue, seq int, class TrafficClass, degraded bool) int {
+	return q.pushN([]Tuple{{Values: []any{seq}}}, class, degraded).shed
+}
+
+// take pops the queue's next item the way the executor does, one entry
+// at a time: a control envelope, or (kind ctlRun) one data tuple.
+func take(q *taskQueue) (envelope, Tuple, TrafficClass) {
+	var t [1]Tuple
+	var c [1]TrafficClass
+	env, _ := q.drain(t[:], c[:])
+	return env, t[0], c[0]
+}
+
+func takeSeq(q *taskQueue) int {
+	_, tuple, _ := take(q)
+	return tuple.Values[0].(int)
 }
 
 func TestTaskQueueShedOldestKeepsNewest(t *testing.T) {
 	q := newTaskQueue(4, QueueShedOldest, 0)
 	sheds := 0
 	for i := 0; i < 6; i++ {
-		out, _, _ := q.pushData(dataEnv(i, ClassIngest), false)
-		if out == pushShedOldest {
-			sheds++
-		}
+		sheds += offer(q, i, ClassIngest, false)
 	}
 	if sheds != 2 {
 		t.Fatalf("sheds = %d, want 2", sheds)
@@ -34,8 +47,7 @@ func TestTaskQueueShedOldestKeepsNewest(t *testing.T) {
 	}
 	// The two oldest (0, 1) were evicted; 2..5 remain in order.
 	for want := 2; want <= 5; want++ {
-		env := q.pop()
-		if got := env.tuple.Values[0].(int); got != want {
+		if got := takeSeq(q); got != want {
 			t.Fatalf("popped %d, want %d", got, want)
 		}
 	}
@@ -43,59 +55,62 @@ func TestTaskQueueShedOldestKeepsNewest(t *testing.T) {
 
 func TestTaskQueueShedPriorityDropsIncomingIngest(t *testing.T) {
 	q := newTaskQueue(2, QueueShedPriority, 0)
-	q.pushData(dataEnv(0, ClassIngest), false)
-	q.pushData(dataEnv(1, ClassIngest), false)
-	if out, _, _ := q.pushData(dataEnv(2, ClassIngest), false); out != pushShedSelf {
-		t.Fatalf("full queue: incoming ingest outcome = %v, want shed-self", out)
+	offer(q, 0, ClassIngest, false)
+	offer(q, 1, ClassIngest, false)
+	if shed := offer(q, 2, ClassIngest, false); shed != 1 {
+		t.Fatalf("full queue: incoming ingest shed %d, want 1 (itself)", shed)
 	}
 	// Incoming replay evicts the oldest queued ingest tuple instead.
-	if out, _, _ := q.pushData(dataEnv(3, ClassReplay), false); out != pushShedOldest {
+	if shed := offer(q, 3, ClassReplay, false); shed != 1 {
 		t.Fatal("incoming replay did not displace queued ingest")
 	}
-	if got := q.pop().tuple.Values[0].(int); got != 1 {
-		t.Fatalf("head = %d, want 1 (0 evicted)", got)
+	if got := takeSeq(q); got != 1 {
+		t.Fatalf("head = %d, want 1 (0 evicted, 2 refused)", got)
 	}
-	if env := q.pop(); env.class != ClassReplay {
+	if _, tuple, class := take(q); class != ClassReplay || tuple.Values[0].(int) != 3 {
 		t.Fatal("replay tuple lost")
 	}
 }
 
 func TestTaskQueueReplayNeverShed(t *testing.T) {
 	q := newTaskQueue(2, QueueShedOldest, 0)
-	q.pushData(dataEnv(0, ClassReplay), false)
-	q.pushData(dataEnv(1, ClassReplay), false)
+	offer(q, 0, ClassReplay, false)
+	offer(q, 1, ClassReplay, false)
 	// Full of replay: incoming ingest is the one shed.
-	if out, _, _ := q.pushData(dataEnv(2, ClassIngest), false); out != pushShedSelf {
+	if shed := offer(q, 2, ClassIngest, false); shed != 1 {
 		t.Fatal("ingest push into replay-full queue was not shed")
 	}
 	// Incoming replay blocks until the consumer frees a slot.
-	admitted := make(chan struct{})
-	go func() {
-		q.pushData(dataEnv(3, ClassReplay), false)
-		close(admitted)
-	}()
+	admitted := make(chan int)
+	go func() { admitted <- offer(q, 3, ClassReplay, false) }()
 	select {
 	case <-admitted:
 		t.Fatal("replay push did not block on a replay-full queue")
 	case <-time.After(20 * time.Millisecond):
 	}
-	q.pop()
+	take(q)
 	select {
-	case <-admitted:
+	case shed := <-admitted:
+		if shed != 0 {
+			t.Fatalf("blocked replay push shed %d tuples", shed)
+		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("replay push never admitted after a slot freed")
+	}
+	if a, b := takeSeq(q), takeSeq(q); a != 1 || b != 3 {
+		t.Fatalf("queue held %d, %d, want the replay tuples 1, 3", a, b)
 	}
 }
 
 func TestTaskQueueControlLaneFirst(t *testing.T) {
 	q := newTaskQueue(4, QueueBlock, 0)
-	q.pushData(dataEnv(0, ClassIngest), false)
-	q.pushData(dataEnv(1, ClassIngest), false)
+	offer(q, 0, ClassIngest, false)
+	offer(q, 1, ClassIngest, false)
 	q.pushCtl(envelope{kind: ctlKill})
-	if env := q.pop(); env.kind != ctlKill {
+	if env, _, _ := take(q); env.kind != ctlKill {
 		t.Fatalf("pop = kind %d, want control envelope first", env.kind)
 	}
-	if env := q.pop(); env.tuple.Values[0].(int) != 0 {
+	if got := takeSeq(q); got != 0 {
 		t.Fatal("data order disturbed by control lane")
 	}
 }
@@ -103,18 +118,18 @@ func TestTaskQueueControlLaneFirst(t *testing.T) {
 func TestTaskQueueDegradedWatermark(t *testing.T) {
 	q := newTaskQueue(8, QueueBlock, 4)
 	for i := 0; i < 4; i++ {
-		if out, _, _ := q.pushData(dataEnv(i, ClassIngest), true); out != pushAdmitted {
+		if shed := offer(q, i, ClassIngest, true); shed != 0 {
 			t.Fatalf("push %d below watermark not admitted", i)
 		}
 	}
 	// At the watermark: degraded mode sheds new ingest even though the
 	// queue has headroom...
-	if out, _, _ := q.pushData(dataEnv(4, ClassIngest), true); out != pushShedSelf {
+	if shed := offer(q, 4, ClassIngest, true); shed != 1 {
 		t.Fatal("degraded ingest above watermark not shed")
 	}
 	// ...but replay traffic uses the reserved headroom freely.
 	for i := 0; i < 4; i++ {
-		if out, _, _ := q.pushData(dataEnv(10+i, ClassReplay), true); out != pushAdmitted {
+		if shed := offer(q, 10+i, ClassReplay, true); shed != 0 {
 			t.Fatalf("degraded replay push %d not admitted above watermark", i)
 		}
 	}
@@ -131,8 +146,9 @@ func TestTaskQueueConcurrentDepthBound(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		tuples, classes := make([]Tuple, 3), make([]TrafficClass, 3)
 		for {
-			if env := q.pop(); env.kind == ctlStop {
+			if env, _ := q.drain(tuples, classes); env.kind == ctlStop {
 				return
 			}
 		}
@@ -142,8 +158,12 @@ func TestTaskQueueConcurrentDepthBound(t *testing.T) {
 		producers.Add(1)
 		go func(p int) {
 			defer producers.Done()
-			for i := 0; i < 2000; i++ {
-				q.pushData(dataEnv(p*10000+i, ClassIngest), false)
+			run := make([]Tuple, 5)
+			for i := 0; i < 2000; i += len(run) {
+				for j := range run {
+					run[j] = Tuple{Values: []any{p*10000 + i + j}}
+				}
+				q.pushN(run, ClassIngest, false)
 			}
 		}(p)
 	}
@@ -152,6 +172,54 @@ func TestTaskQueueConcurrentDepthBound(t *testing.T) {
 	wg.Wait()
 	if hw := q.high(); hw > capacity {
 		t.Fatalf("high water %d exceeded capacity %d", hw, capacity)
+	}
+}
+
+// TestTaskQueuePushNInPieces: a run larger than the capacity goes in
+// pieces under QueueBlock — order kept, nothing lost, occupancy never
+// past the capacity — and the pusher reports the time it spent blocked.
+func TestTaskQueuePushNInPieces(t *testing.T) {
+	const capacity, n = 4, 19
+	q := newTaskQueue(capacity, QueueBlock, 0)
+	run := make([]Tuple, n)
+	for i := range run {
+		run[i] = Tuple{Values: []any{i}}
+	}
+	pushed := make(chan pushResult)
+	go func() { pushed <- q.pushN(run, ClassReplay, false) }()
+	tuples, classes := make([]Tuple, 3), make([]TrafficClass, 3)
+	for want := 0; want < n; {
+		_, got := q.drain(tuples, classes)
+		for i := 0; i < got; i++ {
+			if seq := tuples[i].Values[0].(int); seq != want || classes[i] != ClassReplay {
+				t.Fatalf("drained seq %d class %d, want %d replay", seq, classes[i], want)
+			}
+			want++
+		}
+	}
+	res := <-pushed
+	if res.shed != 0 || res.high > capacity || res.blockedNs <= 0 {
+		t.Fatalf("push result %+v: want nothing shed, high <= %d, blocked time recorded", res, capacity)
+	}
+}
+
+// TestTaskQueueEvictionKeepsReplayOrder: shed-oldest skips the replay
+// tuples queued ahead of the oldest ingest tuple and leaves them in order.
+func TestTaskQueueEvictionKeepsReplayOrder(t *testing.T) {
+	q := newTaskQueue(4, QueueShedOldest, 0)
+	offer(q, 0, ClassReplay, false)
+	offer(q, 1, ClassReplay, false)
+	offer(q, 2, ClassIngest, false)
+	offer(q, 3, ClassIngest, false)
+	take(q) // move the head off slot 0 so the shift wraps
+	offer(q, 4, ClassReplay, false)
+	if shed := offer(q, 5, ClassIngest, false); shed != 1 {
+		t.Fatalf("shed = %d, want 1 (tuple 2 evicted)", shed)
+	}
+	for _, want := range []int{1, 3, 4, 5} {
+		if got := takeSeq(q); got != want {
+			t.Fatalf("popped %d, want %d", got, want)
+		}
 	}
 }
 
@@ -185,12 +253,20 @@ func TestDegradedModeShedsAndJournalsExactAccounting(t *testing.T) {
 	}
 	rt.Start()
 
-	// One tuple parks in the executor; four more fill to the watermark.
-	for i := 0; i < 5; i++ {
-		sp.push(Tuple{Values: []any{i}})
-	}
+	// One tuple parks in the executor (a run of one: it must be taken off
+	// the queue before the rest arrive); four more fill to the watermark.
 	task := rt.tasks["gate"][0]
 	deadline := time.Now().Add(5 * time.Second)
+	sp.push(Tuple{Values: []any{0}})
+	for rt.Pending() != 1 || task.in.depth() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("executor never took the first tuple, depth=%d", task.in.depth())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i < 5; i++ {
+		sp.push(Tuple{Values: []any{i}})
+	}
 	for task.in.depth() < 4 {
 		if time.Now().After(deadline) {
 			t.Fatalf("queue never reached watermark, depth=%d", task.in.depth())
@@ -492,7 +568,7 @@ func TestEmitBlockWaitHistogram(t *testing.T) {
 	gate := make(chan struct{})
 	g := &gateBolt{gate: gate}
 	topo := NewTopology("blk")
-	tuples := make([]Tuple, 6) // 1 executing + 4 queued + 1 blocked
+	tuples := make([]Tuple, 12) // at most 4 in the executor's run + 4 queued: the rest block
 	for i := range tuples {
 		tuples[i] = Tuple{Values: []any{i}}
 	}

@@ -24,13 +24,12 @@ func (b *spinTotalBolt) Execute(t Tuple, emit Emit) error {
 }
 
 // TestBatchedCrashMidStreamExactlyOnce is the -race stress test for the
-// batched tuple plane: sustained batched ingest from a concurrent
-// feeder, a save + crash + recovery in the middle of the stream, and
-// then the audits — exactly-once over admitted tuples (recovered state
-// counted each admitted tuple exactly once) and the exact
-// offered = admitted + shed ledger, with whole frames crossing every
-// queue. Run under the blocking policy (no shedding: everything must
-// come through) and under shed-oldest at an 8-deep queue (heavy frame
+// tuple plane: sustained ingest from a concurrent feeder, a save + crash
+// + recovery in the middle of the stream, and then the audits —
+// exactly-once over admitted tuples (recovered state counted each
+// admitted tuple exactly once) and the exact offered = admitted + shed
+// ledger, with runs crossing every queue. Run under the blocking policy (no shedding: everything must
+// come through) and under shed-oldest at an 8-deep queue (heavy
 // shedding: the ledger must still balance per tuple).
 func TestBatchedCrashMidStreamExactlyOnce(t *testing.T) {
 	for _, tc := range []struct {
@@ -64,8 +63,6 @@ func TestBatchedCrashMidStreamExactlyOnce(t *testing.T) {
 				Backend:      backend,
 				ChannelDepth: tc.depth,
 				QueuePolicy:  tc.policy,
-				BatchSize:    32,
-				BatchLinger:  200 * time.Microsecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -92,9 +89,11 @@ func TestBatchedCrashMidStreamExactlyOnce(t *testing.T) {
 			}()
 
 			deadline := time.Now().Add(10 * time.Second)
-			for bolt.total() < 100 {
+			// Early enough to land mid-stream even when an 8-tuple queue
+			// sheds most of it.
+			for bolt.total() < 20 {
 				if time.Now().After(deadline) {
-					t.Fatalf("bolt never reached 100 executions (total=%d)", bolt.total())
+					t.Fatalf("bolt never reached 20 executions (total=%d)", bolt.total())
 				}
 				time.Sleep(time.Millisecond)
 			}

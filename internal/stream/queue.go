@@ -54,38 +54,41 @@ const (
 	ClassReplay
 )
 
-// pushOutcome reports what the queue did with one offered data tuple.
-type pushOutcome int
-
-const (
-	pushAdmitted   pushOutcome = iota // tuple queued, nothing displaced
-	pushShedSelf                      // incoming tuple dropped
-	pushShedOldest                    // incoming queued, one older ingest tuple dropped
-)
+// pushResult reports what the queue did with one pushN.
+type pushResult struct {
+	// shed counts dropped tuples: offered ones the policy refused plus
+	// older queued ones evicted to make room. Either way each is one
+	// debit on the offered = admitted + shed ledger.
+	shed int
+	// depth and high are the data occupancy after the push and the
+	// largest ever observed, in tuples.
+	depth, high int
+	// blockedNs is the time from the first wait for a free slot to the end
+	// of the push — the emit-side backpressure signal; 0 if nothing waited.
+	blockedNs int64
+}
 
 // taskQueue is one task's input queue: an unbounded control lane plus a
-// bounded data ring. The executor always drains the control lane first
-// (weighted dequeue: kill/recover/save/flush/stop never sit behind a
-// backlog of data tuples), then the data ring. The data ring enforces
-// the configured capacity exactly — its length can never exceed cap —
-// and overflow is resolved by the queue policy.
-//
-// The pre-overload-control runtime used one Go channel for both lanes;
-// that made capacity a soft limit (control ops consumed data slots) and
-// made shed-oldest impossible without racing the consumer. A mutex+cond
-// ring gives exact accounting and class-aware eviction.
+// bounded data ring of (tuple, class) entries, held as two parallel
+// slices so a run of tuples goes in and out with copy. The executor
+// always drains the control lane first (kill/recover/save/flush/stop
+// never sit behind a backlog of data tuples), then the data ring. The
+// ring enforces the configured capacity exactly, in tuples — its
+// occupancy can never exceed it — and overflow is resolved by the queue
+// policy.
 type taskQueue struct {
 	mu       sync.Mutex
 	notEmpty sync.Cond
 	notFull  sync.Cond
 
-	ctl  []envelope // control lane, FIFO, unbounded
-	data []envelope // data ring
-	head int
-	n    int
+	ctl     []envelope // control lane, FIFO, unbounded
+	tuples  []Tuple    // data ring
+	classes []TrafficClass
+	head    int
+	n       int
 
 	policy    QueuePolicy
-	watermark int // degraded-mode ingest admission bound (slots)
+	watermark int // degraded-mode ingest admission bound (tuples)
 
 	highWater int // largest data occupancy ever observed
 }
@@ -98,7 +101,8 @@ func newTaskQueue(capacity int, policy QueuePolicy, watermark int) *taskQueue {
 		watermark = capacity
 	}
 	q := &taskQueue{
-		data:      make([]envelope, capacity),
+		tuples:    make([]Tuple, capacity),
+		classes:   make([]TrafficClass, capacity),
 		policy:    policy,
 		watermark: watermark,
 	}
@@ -107,7 +111,7 @@ func newTaskQueue(capacity int, policy QueuePolicy, watermark int) *taskQueue {
 	return q
 }
 
-func (q *taskQueue) capacity() int { return len(q.data) }
+func (q *taskQueue) capacity() int { return len(q.tuples) }
 
 // pushCtl appends a control envelope; it never blocks and never sheds.
 func (q *taskQueue) pushCtl(env envelope) {
@@ -117,146 +121,144 @@ func (q *taskQueue) pushCtl(env envelope) {
 	q.notEmpty.Signal()
 }
 
-// pushData offers one data envelope (a single tuple or a whole batch)
-// under the queue policy. degraded applies the watermark admission bound
-// to ingest-class envelopes (the runtime's degraded-service shed mode).
-// The returned outcome is exact — exactly one of admitted / shed-self /
-// admitted-with-one-eviction — and on shed-oldest the evicted envelope
-// is returned so the caller can settle the ledger in *tuples* (a batch
-// envelope carries many) and recycle its batch. waited reports whether
-// the caller had to block for a free slot (the emit-block backpressure
-// signal).
-func (q *taskQueue) pushData(env envelope, degraded bool) (outcome pushOutcome, evicted envelope, waited bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-
+// pushN offers a run of same-class tuples under one lock acquisition:
+// what fits is admitted at once, and the queue policy decides the rest
+// tuple by tuple — wait for a slot, evict the oldest queued ingest tuple,
+// or drop the offered one — so a run larger than the capacity goes in
+// pieces and the occupancy never exceeds it. degraded applies the
+// watermark admission bound to ingest-class runs (the runtime's
+// degraded-service shed mode). Replay-class tuples are never dropped.
+// The clock is read only when the push is about to wait.
+func (q *taskQueue) pushN(tuples []Tuple, class TrafficClass, degraded bool) pushResult {
+	var res pushResult
+	var waitStart int64
 	// Degraded-service mode: new ingest is admitted only below the
 	// watermark, leaving the headroom above it for replay and recovery
-	// traffic. Replay-class tuples are exempt.
-	if degraded && env.class == ClassIngest && q.n >= q.watermark {
-		return pushShedSelf, evicted, waited
+	// traffic; past it the run is shed whatever the policy.
+	bound, shedAtBound := len(q.tuples), false
+	if degraded && class == ClassIngest {
+		bound, shedAtBound = q.watermark, true
 	}
-
-	for q.n >= len(q.data) {
-		switch q.policy {
-		case QueueBlock:
-			// Replay tuples always block too — the policy only differs
-			// for shed modes below.
-			waited = true
-			q.notFull.Wait()
-			continue
-		case QueueShedOldest:
-			if victim, ok := q.evictOldestIngestLocked(); ok {
-				q.appendLocked(env)
-				return pushShedOldest, victim, waited
-			}
-			// Queue full of replay tuples: shed incoming ingest, block
-			// incoming replay (replay is never dropped).
-			if env.class == ClassIngest {
-				return pushShedSelf, evicted, waited
-			}
-			waited = true
-			q.notFull.Wait()
-			continue
-		case QueueShedPriority:
-			if env.class == ClassReplay {
-				if victim, ok := q.evictOldestIngestLocked(); ok {
-					q.appendLocked(env)
-					return pushShedOldest, victim, waited
-				}
-				waited = true
-				q.notFull.Wait()
-				continue
-			}
-			return pushShedSelf, evicted, waited
-		default:
-			waited = true
-			q.notFull.Wait()
+	q.mu.Lock()
+	for len(tuples) > 0 {
+		if room := bound - q.n; room > 0 {
+			k := min(room, len(tuples))
+			q.appendLocked(tuples[:k], class)
+			tuples = tuples[k:]
 			continue
 		}
+		switch {
+		case shedAtBound:
+			// Degraded and at the watermark: the rest of the run is shed.
+		case q.policy == QueueShedOldest,
+			q.policy == QueueShedPriority && class == ClassReplay:
+			if q.evictOldestIngestLocked() {
+				res.shed++
+				q.appendLocked(tuples[:1], class)
+				tuples = tuples[1:]
+				continue
+			}
+			// Full of replay tuples: an offered ingest run is shed, an
+			// offered replay run waits.
+			if class == ClassReplay {
+				waitStart = q.waitLocked(waitStart)
+				continue
+			}
+		case q.policy == QueueShedPriority:
+			// Offered ingest against a full queue: queued work wins.
+		default:
+			waitStart = q.waitLocked(waitStart)
+			continue
+		}
+		res.shed += len(tuples)
+		break
 	}
-	q.appendLocked(env)
-	return pushAdmitted, evicted, waited
+	res.depth, res.high = q.n, q.highWater
+	q.mu.Unlock()
+	q.notEmpty.Signal()
+	if waitStart != 0 {
+		res.blockedNs = nowNano() - waitStart
+	}
+	return res
 }
 
-// appendLocked inserts at the tail; caller holds q.mu and has verified
-// a free slot.
-func (q *taskQueue) appendLocked(env envelope) {
-	q.data[(q.head+q.n)%len(q.data)] = env
-	q.n++
+// waitLocked parks the pusher until the executor frees a slot, stamping
+// the start of the blocked stretch on its first wait. Caller holds q.mu.
+func (q *taskQueue) waitLocked(waitStart int64) int64 {
+	if waitStart == 0 {
+		waitStart = nowNano()
+	}
+	q.notEmpty.Signal() // what this push already admitted must be seen
+	q.notFull.Wait()
+	return waitStart
+}
+
+// appendLocked copies a run in at the tail; caller holds q.mu and has
+// verified the room.
+func (q *taskQueue) appendLocked(tuples []Tuple, class TrafficClass) {
+	tail := (q.head + q.n) % len(q.tuples)
+	k := copy(q.tuples[tail:], tuples)
+	copy(q.tuples, tuples[k:])
+	for i := range tuples {
+		q.classes[(tail+i)%len(q.classes)] = class
+	}
+	q.n += len(tuples)
 	if q.n > q.highWater {
 		q.highWater = q.n
 	}
-	q.notEmpty.Signal()
 }
 
-// evictOldestIngestLocked removes and returns the oldest ingest-class
-// envelope from the ring, reporting whether one existed. The envelope —
-// not just a bool — comes back so the caller can count the tuples it
-// carried (a shed batch must debit the ledger once per tuple, not once
-// per envelope). Caller holds q.mu.
-func (q *taskQueue) evictOldestIngestLocked() (envelope, bool) {
+// evictOldestIngestLocked drops the oldest ingest-class tuple from the
+// ring, reporting whether one existed. The replay tuples queued ahead of
+// it move up one slot to close the gap, preserving order. Caller holds
+// q.mu.
+func (q *taskQueue) evictOldestIngestLocked() bool {
+	size := len(q.tuples)
 	for i := 0; i < q.n; i++ {
-		idx := (q.head + i) % len(q.data)
-		if q.data[idx].class != ClassIngest {
+		if q.classes[(q.head+i)%size] != ClassIngest {
 			continue
 		}
-		victim := q.data[idx]
-		// Shift the newer entries down one slot to close the gap,
-		// preserving order. O(n) but only on the overflow path.
-		for j := i; j < q.n-1; j++ {
-			from := (q.head + j + 1) % len(q.data)
-			to := (q.head + j) % len(q.data)
-			q.data[to] = q.data[from]
+		for j := i; j > 0; j-- {
+			to, from := (q.head+j)%size, (q.head+j-1)%size
+			q.tuples[to], q.classes[to] = q.tuples[from], q.classes[from]
 		}
-		q.data[(q.head+q.n-1)%len(q.data)] = envelope{}
+		q.tuples[q.head] = Tuple{}
+		q.head = (q.head + 1) % size
 		q.n--
-		return victim, true
+		return true
 	}
-	return envelope{}, false
+	return false
 }
 
-// pop blocks until an envelope is available and returns it, control
-// lane first.
-func (q *taskQueue) pop() envelope {
+// drain blocks until the queue holds something and hands it over under
+// one lock acquisition, control lane first: either the oldest control
+// envelope (n = 0), or the n oldest data entries, at most len(tuples),
+// copied into tuples and classes (ctl.kind = ctlRun).
+func (q *taskQueue) drain(tuples []Tuple, classes []TrafficClass) (ctl envelope, n int) {
 	q.mu.Lock()
 	for len(q.ctl) == 0 && q.n == 0 {
 		q.notEmpty.Wait()
 	}
-	return q.popLocked()
-}
-
-// tryPop returns the next envelope without blocking; ok is false when
-// both lanes are empty. The executor uses it to detect idleness: a
-// failed tryPop is the moment to flush its partial output batches
-// before parking in pop, so buffered tuples never wait on an idle
-// pipeline.
-func (q *taskQueue) tryPop() (envelope, bool) {
-	q.mu.Lock()
-	if len(q.ctl) == 0 && q.n == 0 {
-		q.mu.Unlock()
-		return envelope{}, false
-	}
-	return q.popLocked(), true
-}
-
-// popLocked dequeues control-lane-first; caller holds q.mu (released
-// here) and has verified an envelope exists.
-func (q *taskQueue) popLocked() envelope {
 	if len(q.ctl) > 0 {
-		env := q.ctl[0]
+		ctl = q.ctl[0]
 		q.ctl[0] = envelope{}
 		q.ctl = q.ctl[1:]
 		q.mu.Unlock()
-		return env
+		return ctl, 0
 	}
-	env := q.data[q.head]
-	q.data[q.head] = envelope{}
-	q.head = (q.head + 1) % len(q.data)
-	q.n--
+	n = min(q.n, len(tuples))
+	k := min(n, len(q.tuples)-q.head) // entries before the ring wraps
+	copy(tuples, q.tuples[q.head:q.head+k])
+	copy(tuples[k:n], q.tuples)
+	copy(classes, q.classes[q.head:q.head+k])
+	copy(classes[k:n], q.classes)
+	clear(q.tuples[q.head : q.head+k]) // drop the ring's references to the values
+	clear(q.tuples[:n-k])
+	q.head = (q.head + n) % len(q.tuples)
+	q.n -= n
 	q.mu.Unlock()
-	q.notFull.Signal()
-	return env
+	q.notFull.Broadcast()
+	return envelope{}, n
 }
 
 // depth reports the current data occupancy (control lane excluded —

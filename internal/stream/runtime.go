@@ -57,18 +57,6 @@ type Config struct {
 	// ingest admission control, the credit-based upstream half of
 	// backpressure. 0 disables the gate.
 	IngestWindow int
-	// BatchSize enables the batched tuple plane: producers coalesce up
-	// to this many same-class tuples per destination task into one
-	// pooled frame before offering it to the task queue, amortizing the
-	// per-tuple queue cost. <= 1 (the default) keeps per-tuple delivery.
-	// Every overload invariant survives batching: a batch carries one
-	// traffic class, replay batches are never shed, and the offered/
-	// shed ledger is settled per tuple.
-	BatchSize int
-	// BatchLinger bounds how long a partial batch may buffer before the
-	// background flusher pushes it (default 1ms when batching is on) —
-	// the latency cost ceiling of batching under low rates.
-	BatchLinger time.Duration
 	// Codec is read by nothing; it exists only because benchmark/layers.go
 	// still names it, and goes when that does.
 	Codec Codec
@@ -94,9 +82,6 @@ func (c Config) withDefaults() Config {
 	if c.Now == nil {
 		c.Now = func() int64 { return time.Now().UnixMilli() }
 	}
-	if c.BatchSize > 1 && c.BatchLinger <= 0 {
-		c.BatchLinger = time.Millisecond
-	}
 	return c
 }
 
@@ -110,11 +95,22 @@ var (
 	ErrAlreadyWaited = errors.New("stream: runtime already drained")
 )
 
+// nowNano is the tuple plane's only clock. It is read per run and per
+// blocked push — never per tuple — and tests swap it to count the reads.
+var nowNano = func() int64 { return time.Now().UnixNano() }
+
+// runCap bounds a run: the most tuples an executor takes from its queue
+// per wake-up, and the most output it buffers before pushing downstream.
+// A run is whatever is already queued, so the cap never makes a tuple
+// wait; it bounds how long a control operation waits behind data and how
+// much finished output sits in the executor. Picked by measurement
+// (EXPERIMENTS.md "Cross-process edge").
+const runCap = 64
+
 type ctlKind int
 
 const (
-	ctlTuple ctlKind = iota + 1
-	ctlBatch
+	ctlRun ctlKind = iota // not a control operation: a run of data tuples
 	ctlSave
 	ctlKill
 	ctlRecover
@@ -122,12 +118,10 @@ const (
 	ctlStop
 )
 
+// envelope is one control operation on a task's control lane.
 type envelope struct {
-	kind  ctlKind
-	tuple Tuple
-	batch *tupleBatch  // ctlBatch only: a pooled frame of same-class tuples
-	class TrafficClass // ctlTuple/ctlBatch: ingest vs replay admission class
-	done  chan error
+	kind ctlKind
+	done chan error
 	// tr/traceParent ride on ctlRecover envelopes so the backend recovery
 	// and the input-log replay land in the caller's trace.
 	tr          *obs.Tracer
@@ -139,8 +133,9 @@ type task struct {
 	key      string
 	boltID   string
 	index    int
-	slot     int // dense runtime-wide index, addressing batcher buffers
+	slot     int // dense runtime-wide index, addressing outbox buffers
 	decl     *boltDecl
+	batch    BatchBolt // decl.bolt if it takes whole runs, else nil
 	in       *taskQueue
 	log      []Tuple // tuples since last save (executor goroutine only)
 	dead     bool
@@ -162,9 +157,8 @@ type Runtime struct {
 	cfg  Config
 
 	tasks    map[string][]*task // boltID -> tasks
-	slots    []*task            // all tasks by dense slot (batcher addressing)
+	slots    int                // tasks materialized: the next dense slot
 	subs     map[string][]subscription
-	shuffle  map[string]*atomic.Int64 // per (bolt|input) round-robin
 	pending  atomic.Int64
 	execWG   sync.WaitGroup
 	spoutWG  sync.WaitGroup
@@ -184,15 +178,6 @@ type Runtime struct {
 	degMu      sync.Mutex
 	degOffered int64
 	degShed    int64
-
-	// Batched tuple plane (Config.BatchSize > 1): the frame pool, the
-	// registry of producer batchers the linger flusher sweeps, and the
-	// flusher's lifecycle handles.
-	batchPool sync.Pool
-	batchMu   sync.Mutex
-	batchers  []*batcher
-	flushStop chan struct{}
-	flushWG   sync.WaitGroup
 }
 
 // TaskKey names a task for backends and failure injection.
@@ -211,15 +196,10 @@ func NewRuntime(topo *Topology, cfg Config) (*Runtime, error) {
 		cfg:     cfg,
 		tasks:   make(map[string][]*task),
 		subs:    make(map[string][]subscription),
-		shuffle: make(map[string]*atomic.Int64),
 		stopped: make(chan struct{}),
 	}
 	if cfg.Metrics != nil {
 		rt.instr = newInstruments(cfg.Metrics)
-	}
-	batchCap := cfg.BatchSize
-	rt.batchPool.New = func() any {
-		return &tupleBatch{tuples: make([]Tuple, 0, batchCap)}
 	}
 	for _, id := range topo.order {
 		decl, ok := topo.bolts[id]
@@ -227,38 +207,34 @@ func NewRuntime(topo *Topology, cfg Config) (*Runtime, error) {
 			continue
 		}
 		watermark := int(float64(cfg.ChannelDepth) * cfg.ShedWatermark)
+		batch, _ := decl.bolt.(BatchBolt)
 		ts := make([]*task, decl.parallel)
 		for i := range ts {
 			ts[i] = &task{
 				key:    TaskKey(topo.name, id, i),
 				boltID: id,
 				index:  i,
-				slot:   len(rt.slots),
+				slot:   rt.slots,
 				decl:   decl,
+				batch:  batch,
 				in:     newTaskQueue(cfg.ChannelDepth, cfg.QueuePolicy, watermark),
 			}
-			rt.slots = append(rt.slots, ts[i])
+			rt.slots++
 			if rt.instr != nil {
 				ts[i].instr = newTaskInstruments(rt.instr, cfg.Metrics, ts[i].key)
 			}
 		}
 		rt.tasks[id] = ts
 		for _, in := range decl.inputs {
-			rt.subs[in.from] = append(rt.subs[in.from], subscription{decl: decl, in: in})
-			rt.shuffle[id+"|"+in.from] = &atomic.Int64{}
+			rt.subs[in.from] = append(rt.subs[in.from],
+				subscription{decl: decl, in: in, tasks: ts, shuffle: new(atomic.Int64)})
 		}
 	}
 	return rt, nil
 }
 
-// Start launches executors and spout pumps (plus the batch linger
-// flusher when the batched tuple plane is enabled).
+// Start launches executors and spout pumps.
 func (rt *Runtime) Start() {
-	if rt.cfg.BatchSize > 1 {
-		rt.flushStop = make(chan struct{})
-		rt.flushWG.Add(1)
-		go rt.runFlusher()
-	}
 	n := 0
 	for _, ts := range rt.tasks {
 		for _, t := range ts {
@@ -273,27 +249,27 @@ func (rt *Runtime) Start() {
 		rt.spoutWG.Add(1)
 		go func(id string, sp Spout) {
 			defer rt.spoutWG.Done()
-			ob := rt.newBatcher() // nil when batching is off
+			out := rt.newOutbox(nil)
+			subs := rt.subs[id]
 			window := int64(rt.cfg.IngestWindow)
 			for {
 				tuple, ok := sp.Next()
 				if !ok {
-					ob.flushAll()
 					return
 				}
 				// Ingest admission gate: hold new spout tuples while the
 				// in-flight count is at the window — upstream credit-based
 				// backpressure, so overload queues at the source instead
-				// of fanning out into the topology. Buffered batches count
-				// against the window, so flush them while gated or the
-				// gate would wait on tuples only we can release.
+				// of fanning out into the topology.
 				for window > 0 && rt.pending.Load() >= window {
-					ob.flushAll()
 					time.Sleep(100 * time.Microsecond)
 				}
 				tuple.Stream = id
 				rt.instr.noteSpout()
-				rt.route(id, tuple, ClassIngest, ob)
+				// A run of one: the pump cannot know whether the next Next
+				// will block, and nothing may wait for company.
+				out.route(subs, tuple, ClassIngest)
+				out.flush()
 			}
 		}(id, s.spout)
 	}
@@ -301,196 +277,192 @@ func (rt *Runtime) Start() {
 
 // subscription is one (bolt, input) edge.
 type subscription struct {
-	decl *boltDecl
-	in   input
+	decl    *boltDecl
+	in      input
+	tasks   []*task       // the subscribing bolt's tasks
+	shuffle *atomic.Int64 // round-robin cursor of a shuffle grouping
 }
 
-// ErrUnknownStream reports an Inject for a component this runtime never
-// declared (spout, source, or bolt).
+// pick applies the subscription's grouping to one tuple: the index of
+// the destination task, or -1 for every task (all grouping).
+func (sub *subscription) pick(tuple *Tuple) int {
+	switch sub.in.grouping {
+	case ShuffleGrouping:
+		return int((sub.shuffle.Add(1) - 1) % int64(len(sub.tasks)))
+	case FieldsGrouping:
+		var key any
+		if sub.in.field < len(tuple.Values) {
+			key = tuple.Values[sub.in.field]
+		}
+		return hashField(key, len(sub.tasks))
+	case AllGrouping:
+		return -1
+	default: // GlobalGrouping
+		return 0
+	}
+}
+
+// ErrUnknownStream reports an InjectBatch for a component this runtime
+// never declared (spout, source, or bolt).
 var ErrUnknownStream = errors.New("stream: unknown source component")
 
-// Inject delivers one externally produced tuple as if component from had
-// emitted it locally, under the given admission class — the ingress path
-// of a multi-process deployment: a peer node's relay pushes batch frames
-// across the wire and the receiving daemon injects each tuple here, so
-// local grouping subscriptions (fields/shuffle/global/all) route it to
-// the right task. Replay-class injections keep their shed immunity.
-// Blocks for queue backpressure exactly like a local emission.
-func (rt *Runtime) Inject(from string, tuple Tuple, class TrafficClass) error {
-	if !rt.topo.has(from) {
-		return fmt.Errorf("inject from %q: %w", from, ErrUnknownStream)
-	}
-	tuple.Stream = from
-	rt.route(from, tuple, class, nil)
-	return nil
-}
-
-// InjectTo is Inject restricted to a single subscribing bolt: the tuple
-// routes only through toBolt's subscription to from, under that edge's
-// grouping. Relays are per-edge — a node hosting two subscribers of the
-// same upstream component runs one ingress per edge — so the unfiltered
-// Inject would double-deliver to whichever subscriber the other relay
-// also feeds.
-func (rt *Runtime) InjectTo(from, toBolt string, tuple Tuple, class TrafficClass) error {
+// InjectBatch delivers a run of externally produced same-class tuples as
+// if component from had emitted them locally — the ingress path of a
+// multi-process deployment: a peer node's relay pushes batch frames
+// across the wire and the receiving daemon injects each decoded frame
+// here. The run routes only through toBolt's subscription to from, under
+// that edge's grouping (relays are per-edge, so a node hosting two
+// subscribers of one upstream component runs one ingress per edge), and
+// each destination task takes its share in one queue push: one lock, one
+// ledger update per frame. Replay-class runs keep their shed immunity.
+// Blocks for queue backpressure exactly like a local emission. The
+// tuples' Stream is set to from; the slice is not retained.
+func (rt *Runtime) InjectBatch(from, toBolt string, tuples []Tuple, class TrafficClass) error {
 	if !rt.topo.has(from) {
 		return fmt.Errorf("inject from %q: %w", from, ErrUnknownStream)
 	}
 	if _, ok := rt.tasks[toBolt]; !ok {
 		return fmt.Errorf("inject to %q: %w", toBolt, ErrUnknownTask)
 	}
-	tuple.Stream = from
-	for _, sub := range rt.subs[from] {
+	for i := range tuples {
+		tuples[i].Stream = from
+	}
+	subs := rt.subs[from]
+	for i := range subs {
+		sub := &subs[i]
 		if sub.decl.id != toBolt {
 			continue
 		}
-		rt.routeSub(sub, from, tuple, class, nil)
+		if len(sub.tasks) == 1 {
+			rt.pushN(sub.tasks[0], tuples, class) // the whole frame, as it lies
+			continue
+		}
+		out := rt.newOutbox(nil)
+		for j := range tuples {
+			out.add(sub, tuples[j], class)
+		}
+		out.flush()
 	}
 	return nil
 }
 
-// route delivers a tuple from a component to all subscribing bolts,
-// tagging every delivery with the traffic class of its origin. ob is
-// the producer's batcher (nil selects the per-tuple enqueue path);
-// grouping decisions stay per-tuple — batching happens after the
-// destination task is chosen, so Fields/Shuffle/Global semantics are
-// untouched.
-func (rt *Runtime) route(from string, tuple Tuple, class TrafficClass, ob *batcher) {
-	for _, sub := range rt.subs[from] {
-		rt.routeSub(sub, from, tuple, class, ob)
+// outbox is one producer's buffered output: a plain slice of tuples per
+// destination task, owned by the producer's goroutine (an executor, a
+// spout pump, or one InjectBatch call). Everything in it has one traffic
+// class. flush pushes each destination's slice in one queue operation.
+type outbox struct {
+	rt    *Runtime
+	instr *taskInstruments // the producing task's, nil for pumps and ingress
+	bufs  [][]Tuple        // by destination task slot
+	dirty []*task          // destinations with buffered tuples
+	class TrafficClass
+	n     int // tuples buffered
+	// emitted counts emissions since the last flush; an all grouping or a
+	// second subscriber buffers one emission several times.
+	emitted int
+}
+
+func (rt *Runtime) newOutbox(owner *task) *outbox {
+	o := &outbox{rt: rt, bufs: make([][]Tuple, rt.slots)}
+	if owner != nil {
+		o.instr = owner.instr
+	}
+	return o
+}
+
+// route buffers one emission for every subscription of its component.
+func (o *outbox) route(subs []subscription, tuple Tuple, class TrafficClass) {
+	o.emitted++
+	for i := range subs {
+		o.add(&subs[i], tuple, class)
 	}
 }
 
-// routeSub applies one subscription's grouping to pick the destination
-// task(s) and delivers.
-func (rt *Runtime) routeSub(sub subscription, from string, tuple Tuple, class TrafficClass, ob *batcher) {
-	ts := rt.tasks[sub.decl.id]
-	switch sub.in.grouping {
-	case ShuffleGrouping:
-		ctr := rt.shuffle[sub.decl.id+"|"+from]
-		idx := int(ctr.Add(1)-1) % len(ts)
-		rt.deliver(ts[idx], tuple, class, ob)
-	case FieldsGrouping:
-		var key any
-		if sub.in.field < len(tuple.Values) {
-			key = tuple.Values[sub.in.field]
-		}
-		rt.deliver(ts[hashField(key, len(ts))], tuple, class, ob)
-	case GlobalGrouping:
-		rt.deliver(ts[0], tuple, class, ob)
-	case AllGrouping:
-		for _, t := range ts {
-			rt.deliver(t, tuple, class, ob)
-		}
+// add buffers one tuple for the task(s) the subscription's grouping
+// picks. A class change or a full buffer flushes first, so the outbox
+// holds one class and at most runCap tuples.
+func (o *outbox) add(sub *subscription, tuple Tuple, class TrafficClass) {
+	if class != o.class || o.n >= runCap {
+		o.flush()
+		o.class = class
 	}
-}
-
-// deliver hands one tuple to a task: buffered into the producer's
-// batcher when batching is on, queued directly otherwise. Either way
-// the tuple counts pending immediately, so Drain covers buffered
-// tuples.
-func (rt *Runtime) deliver(t *task, tuple Tuple, class TrafficClass, ob *batcher) {
-	if ob == nil {
-		rt.enqueue(t, tuple, class)
+	idx := sub.pick(&tuple)
+	if idx >= 0 {
+		o.put(sub.tasks[idx], tuple)
 		return
 	}
-	rt.pending.Add(1)
-	ob.add(t, tuple, class)
-}
-
-// enqueue offers one data tuple to a task's queue, keeping the
-// offered/shed accounting exact: every tuple counts as offered, and
-// every shed tuple (the incoming one or an evicted older one) counts as
-// shed exactly once, so admitted = offered − shed always holds.
-func (rt *Runtime) enqueue(t *task, tuple Tuple, class TrafficClass) {
-	rt.pending.Add(1)
-	t.offered.Add(1)
-	rt.offeredAll.Add(1)
-	degraded := rt.degraded.Load() > 0
-	env := envelope{kind: ctlTuple, tuple: tuple, class: class}
-	if t.instr == nil {
-		outcome, evicted, _ := t.in.pushData(env, degraded)
-		rt.settlePush(t, outcome, env, evicted)
-		return
-	}
-	// Instrumented path: time the push — if it had to wait for a slot,
-	// that wait is the backpressure signal.
-	start := time.Now()
-	outcome, evicted, waited := t.in.pushData(env, degraded)
-	if waited {
-		t.instr.noteBlocked(time.Since(start).Nanoseconds())
-	}
-	rt.settlePush(t, outcome, env, evicted)
-	t.instr.noteIn(t.in.depth())
-}
-
-// settlePush settles the ledger for one pushData outcome in tuples:
-// under shed-self the offered envelope's own tuples are debited, under
-// shed-oldest the evicted envelope's. Shed batch frames are recycled
-// here — their tuples will never reach an executor.
-func (rt *Runtime) settlePush(t *task, outcome pushOutcome, env, evicted envelope) {
-	switch outcome {
-	case pushShedSelf:
-		rt.noteShed(t, env.tupleCount())
-		if env.batch != nil {
-			rt.putBatch(env.batch)
-		}
-	case pushShedOldest:
-		rt.noteShed(t, evicted.tupleCount())
-		if evicted.batch != nil {
-			rt.putBatch(evicted.batch)
-		}
+	for _, t := range sub.tasks {
+		o.put(t, tuple)
 	}
 }
 
-// noteShed debits n shed tuples: they will never be processed, so they
-// leave the pending count and join the shed tally.
-func (rt *Runtime) noteShed(t *task, n int) {
-	if n == 0 {
-		return
+func (o *outbox) put(t *task, tuple Tuple) {
+	if len(o.bufs[t.slot]) == 0 {
+		o.dirty = append(o.dirty, t)
 	}
-	rt.pending.Add(int64(-n))
-	t.shed.Add(int64(n))
-	rt.shedAll.Add(int64(n))
-	t.instr.noteShedN(n)
+	o.bufs[t.slot] = append(o.bufs[t.slot], tuple)
+	o.n++
+}
+
+// flush pushes every buffered slice to its task's queue (blocking for
+// backpressure like any push) and settles the producer's emit counter.
+func (o *outbox) flush() {
+	for _, t := range o.dirty {
+		buf := o.bufs[t.slot]
+		o.rt.pushN(t, buf, o.class)
+		clear(buf)
+		o.bufs[t.slot] = buf[:0]
+	}
+	o.dirty = o.dirty[:0]
+	o.n = 0
+	o.instr.noteEmit(o.emitted)
+	o.emitted = 0
+}
+
+// pushN offers a run of same-class tuples to a task's queue, keeping
+// the offered/shed accounting exact: every tuple counts as pending and
+// offered, and every shed tuple (an offered one or an evicted older one)
+// counts as shed exactly once, so admitted = offered − shed always holds.
+func (rt *Runtime) pushN(t *task, tuples []Tuple, class TrafficClass) {
+	n := int64(len(tuples))
+	rt.pending.Add(n)
+	t.offered.Add(n)
+	rt.offeredAll.Add(n)
+	res := t.in.pushN(tuples, class, rt.degraded.Load() > 0)
+	if res.shed > 0 {
+		// Shed tuples will never be processed: they leave the pending
+		// count and join the shed tally.
+		shed := int64(res.shed)
+		rt.pending.Add(-shed)
+		t.shed.Add(shed)
+		rt.shedAll.Add(shed)
+	}
+	t.instr.notePush(n, res)
 }
 
 // runTask is the executor loop: a single goroutine owns the task's log,
 // state and liveness, so control operations serialize naturally with
-// tuple processing.
+// tuple processing. It takes whatever is queued, up to runCap, as one
+// run. Output is pushed downstream at three points and never on a timer:
+// the end of a run, before a save, before a control reply.
 func (rt *Runtime) runTask(t *task) {
 	defer rt.execWG.Done()
-	ob := rt.newBatcher() // this executor's output batcher; nil when off
-	emit := func(out Tuple) {
-		out.Stream = t.boltID
-		t.instr.noteEmit()
+	out := rt.newOutbox(t)
+	subs := rt.subs[t.boltID]
+	emit := func(tuple Tuple) {
+		tuple.Stream = t.boltID
 		// Emissions inherit the class of the tuple being processed, so
 		// replay descendants keep their shed immunity downstream.
-		rt.route(t.boltID, out, t.curClass, ob)
+		out.route(subs, tuple, t.curClass)
 	}
+	tuples := make([]Tuple, runCap)
+	classes := make([]TrafficClass, runCap)
 	for {
-		env, ok := t.in.tryPop()
-		if !ok {
-			// Idle: nothing to process, so nothing new will fill our
-			// partial output batches — push them downstream before
-			// parking, then block for the next envelope.
-			ob.flushAll()
-			env = t.in.pop()
-		}
+		env, n := t.in.drain(tuples, classes)
 		switch env.kind {
-		case ctlTuple:
-			rt.execTuple(t, env.tuple, env.class, emit)
-			rt.pending.Add(-1)
-
-		case ctlBatch:
-			// One admitted frame: every carried tuple runs through the
-			// identical per-tuple path (log, execute, periodic save), so
-			// recovery replay and exactly-once semantics cannot tell
-			// batched delivery from per-tuple delivery.
-			for _, tuple := range env.batch.tuples {
-				rt.execTuple(t, tuple, env.batch.class, emit)
-				rt.pending.Add(-1)
-			}
-			rt.putBatch(env.batch)
+		case ctlRun:
+			rt.execRun(t, tuples[:n], classes[:n], out, emit)
+			clear(tuples[:n])
 
 		case ctlSave:
 			env.done <- rt.saveTask(t)
@@ -502,9 +474,7 @@ func (rt *Runtime) runTask(t *task) {
 
 		case ctlRecover:
 			err := rt.recoverTask(t, emit, env.tr, env.traceParent)
-			// Barrier flush: replayed emissions must be visible before
-			// the recovery reply, not parked until the next idle sweep.
-			ob.flushAll()
+			out.flush() // replayed emissions are visible before the reply
 			env.done <- err
 
 		case ctlFlush:
@@ -512,7 +482,7 @@ func (rt *Runtime) runTask(t *task) {
 			if f, ok := t.decl.bolt.(Flusher); ok && !t.dead {
 				err = f.Flush(emit)
 			}
-			ob.flushAll()
+			out.flush()
 			env.done <- err
 
 		case ctlStop:
@@ -522,36 +492,74 @@ func (rt *Runtime) runTask(t *task) {
 	}
 }
 
-// execTuple is the per-tuple executor body, shared by the per-tuple and
-// batched delivery paths: input-log append, execute, periodic save.
-func (rt *Runtime) execTuple(t *task, tuple Tuple, class TrafficClass, emit Emit) {
-	t.curClass = class
+// execRun is the executor body for one run. The run is cut into chunks
+// of one traffic class that stop at the save boundary, and each chunk
+// goes through input-log append, execute and periodic save exactly as a
+// tuple at a time would — recovery replay and exactly-once cannot tell
+// the difference. Output is flushed before a save, so nothing finished
+// waits behind one and emit-before-snapshot order holds, and at the end
+// of the run; the input tuples stay pending until then, so pending
+// covers buffered output. Counters are settled once per stretch between
+// flushes, from one pair of clock reads.
+func (rt *Runtime) execRun(t *task, tuples []Tuple, classes []TrafficClass, out *outbox, emit Emit) {
+	saveEvery := 0
 	if t.decl.stateful {
-		t.log = append(t.log, tuple)
+		saveEvery = rt.cfg.SaveEveryTuples
 	}
-	if t.dead {
+	n := len(tuples)
+	start, executed := t.instr.runStart(), 0
+	for len(tuples) > 0 {
+		class, k := classes[0], 1
+		for k < len(tuples) && classes[k] == class {
+			k++
+		}
+		if saveEvery > 0 && !t.dead {
+			k = min(k, max(1, saveEvery-t.sinceSav))
+		}
+		chunk := tuples[:k]
+		tuples, classes = tuples[k:], classes[k:]
+		t.curClass = class
+		if t.decl.stateful {
+			t.log = append(t.log, chunk...)
+		}
+		if t.dead {
+			continue
+		}
+		if t.batch != nil {
+			rt.noteExecError(t, t.batch.ExecuteBatch(chunk, class, emit))
+		} else {
+			for i := range chunk {
+				rt.noteExecError(t, t.decl.bolt.Execute(chunk[i], emit))
+			}
+		}
+		executed += k
+		t.sinceSav += k
+		if saveEvery > 0 && t.sinceSav >= saveEvery {
+			out.flush()
+			rt.noteRun(t, start, executed)
+			_ = rt.saveTask(t) // periodic save failure is not fatal
+			start, executed = t.instr.runStart(), 0
+		}
+	}
+	out.flush()
+	rt.noteRun(t, start, executed)
+	rt.pending.Add(int64(-n))
+}
+
+// noteRun settles one executed stretch of a run: n tuples handled, acked
+// and timed from start.
+func (rt *Runtime) noteRun(t *task, start int64, n int) {
+	if n == 0 {
 		return
 	}
-	var start time.Time
-	if t.instr != nil {
-		start = time.Now()
-	}
-	var err error
-	if cb, ok := t.decl.bolt.(ClassedBolt); ok {
-		err = cb.ExecuteClassed(tuple, class, emit)
-	} else {
-		err = t.decl.bolt.Execute(tuple, emit)
-	}
+	t.handled.Add(int64(n))
+	t.instr.noteAcks(start, n)
+}
+
+func (rt *Runtime) noteExecError(t *task, err error) {
 	if err != nil {
 		rt.failures.Add(1)
 		t.instr.noteExecError()
-	}
-	t.instr.noteAck(start)
-	t.handled.Add(1)
-	t.sinceSav++
-	if rt.cfg.SaveEveryTuples > 0 && t.decl.stateful &&
-		t.sinceSav >= rt.cfg.SaveEveryTuples {
-		_ = rt.saveTask(t) // periodic save failure is not fatal
 	}
 }
 
@@ -627,10 +635,7 @@ func (rt *Runtime) recoverTask(t *task, emit Emit, tr *obs.Tracer, parent obs.Sp
 	// replay-class: shed policies and degraded mode may not drop them.
 	t.curClass = ClassReplay
 	for _, tuple := range t.log {
-		if err := t.decl.bolt.Execute(tuple, emit); err != nil {
-			rt.failures.Add(1)
-			t.instr.noteExecError()
-		}
+		rt.noteExecError(t, t.decl.bolt.Execute(tuple, emit))
 		t.handled.Add(1)
 	}
 	t.curClass = ClassIngest
@@ -802,10 +807,6 @@ func (rt *Runtime) Wait() error {
 		}
 	}
 	rt.execWG.Wait()
-	if rt.flushStop != nil {
-		close(rt.flushStop)
-		rt.flushWG.Wait()
-	}
 	close(rt.stopped)
 	rt.cfg.Flight.Note(obs.FlightTopologyStop, "", rt.topo.name,
 		fmt.Sprintf("errors=%d", rt.failures.Load()), nil)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 )
 
 // GroupingType selects how tuples are routed to a bolt's tasks.
@@ -84,7 +85,7 @@ func (t *Topology) AddSpout(id string, s Spout) error {
 
 // AddSource declares an external source: a component whose tuples are
 // produced outside this runtime (on another node of a multi-process
-// cluster) and delivered via Runtime.Inject. Bolts subscribe to it like
+// cluster) and delivered via Runtime.InjectBatch. Bolts subscribe to it like
 // any local component, but the runtime spawns no pump for it — the
 // process hosting the real spout pushes its output across the wire.
 func (t *Topology) AddSource(id string) error {
@@ -207,11 +208,40 @@ func (t *Topology) validate() error {
 	return nil
 }
 
-// hashField buckets a tuple field for fields grouping.
+// hashField buckets a tuple field for fields grouping: FNV-1a over the
+// bytes fmt's %v prints for the value. The common key types are hashed
+// in place, byte for byte what %v would have produced, so task placement
+// — and with it every restored keyed state — does not depend on which
+// path a value takes.
 func hashField(v any, buckets int) int {
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%v", v)
-	return int(h.Sum32() % uint32(buckets))
+	if buckets == 1 {
+		return 0
+	}
+	var buf [20]byte // the longest decimal int64/uint64
+	var h uint32
+	switch x := v.(type) {
+	case string:
+		h = fnv32a(x)
+	case int:
+		h = fnv32a(strconv.AppendInt(buf[:0], int64(x), 10))
+	case int64:
+		h = fnv32a(strconv.AppendInt(buf[:0], x, 10))
+	case uint64:
+		h = fnv32a(strconv.AppendUint(buf[:0], x, 10))
+	default:
+		f := fnv.New32a()
+		fmt.Fprintf(f, "%v", v)
+		h = f.Sum32()
+	}
+	return int(h % uint32(buckets))
+}
+
+func fnv32a[T string | []byte](s T) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
 }
 
 // sortedBolts returns bolt IDs in dependency order (inputs first).

@@ -107,14 +107,18 @@ type StateStore interface {
 	SizeBytes() int
 }
 
-// ClassedBolt is a bolt that also wants the traffic class of the tuple
-// it is executing. Egress relays of a multi-process cluster implement it
-// so a replayed tuple stays replay-class on the next hop's wire frame.
-// The runtime calls ExecuteClassed instead of Execute when a bolt
-// implements this interface.
-type ClassedBolt interface {
+// BatchBolt is a bolt that takes its input a run at a time: the tuples
+// the executor found queued, in arrival order, all of one traffic class
+// (a run that mixes classes is split where the class changes, and at a
+// periodic-save boundary). The runtime calls ExecuteBatch instead of
+// Execute when a bolt implements this interface; a returned error counts
+// as one execute error. The slice is only valid during the call. Egress
+// relays of a multi-process cluster implement it, to encode a run outside
+// their lock and to keep a replayed tuple replay-class on the next hop's
+// wire frame.
+type BatchBolt interface {
 	Bolt
-	ExecuteClassed(t Tuple, class TrafficClass, emit Emit) error
+	ExecuteBatch(tuples []Tuple, class TrafficClass, emit Emit) error
 }
 
 // BoltFunc adapts a function to the Bolt interface.
