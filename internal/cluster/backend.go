@@ -1,267 +1,298 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sr3/internal/id"
 	"sr3/internal/obs"
-	"sr3/internal/shard"
+	"sr3/internal/recovery"
+	"sr3/internal/simnet"
 	"sr3/internal/state"
 	"sr3/internal/stream"
 )
 
-// shardStore holds scattered shards this node keeps on behalf of peers
-// — the node's slice of everyone else's protected state. Per app it
-// retains the newest version it has seen plus the one it superseded:
-// a saver that dies mid-scatter leaves the newest version incomplete
-// cluster-wide, and recovery must still find every fragment of the last
-// fully scattered one. Older or duplicate pushes are dropped (stores
-// are idempotent, which is what lets the repair loop blindly
-// re-scatter).
-type shardStore struct {
-	mu    sync.Mutex
-	byApp map[string]*appShards
-}
-
-type appShards struct {
-	version state.Version
-	shards  map[shard.Key]shard.Shard
-	// prev* retain the superseded version's fragments until the next
-	// supersession — the fallback set for a partially scattered save.
-	prevVersion state.Version
-	prev        map[shard.Key]shard.Shard
-}
-
-func newShardStore() *shardStore {
-	return &shardStore{byApp: map[string]*appShards{}}
-}
-
-func (s *shardStore) store(shards []shard.Shard) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sh := range shards {
-		app := s.byApp[sh.App]
-		if app == nil {
-			app = &appShards{version: sh.Version, shards: map[shard.Key]shard.Shard{}}
-			s.byApp[sh.App] = app
-		}
-		switch {
-		case sh.Version == app.version:
-			app.shards[sh.Key()] = sh
-		case sh.Version.Newer(app.version):
-			app.prevVersion, app.prev = app.version, app.shards
-			app.version = sh.Version
-			app.shards = map[shard.Key]shard.Shard{sh.Key(): sh}
-		case app.prev != nil && sh.Version == app.prevVersion:
-			app.prev[sh.Key()] = sh
-		}
-	}
-}
-
-func (s *shardStore) fetch(app string) []shard.Shard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a := s.byApp[app]
-	if a == nil {
-		return nil
-	}
-	out := make([]shard.Shard, 0, len(a.shards)+len(a.prev))
-	for _, sh := range a.shards {
-		out = append(out, sh)
-	}
-	for _, sh := range a.prev {
-		out = append(out, sh)
-	}
-	return out
-}
-
-// counts reports how many shards are held per app (debug surface).
-func (s *shardStore) counts() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.byApp))
-	for app, a := range s.byApp {
-		out[app] = len(a.shards) + len(a.prev)
-	}
-	return out
-}
-
-// scatterBackend is the multi-process stream.StateBackend: Save splits a
-// snapshot into spec.Shards fragments × spec.Replicas copies and pushes
-// them to live peers (SR3's scatter, with the cluster view standing in
-// for the DHT leaf set); Recover star-fetches from every live member and
-// reassembles the newest complete version (the paper's star mechanism —
-// all holders stream their fragments to the recovering node in
-// parallel). The last snapshot of every local task is retained so the
-// repair loop can re-scatter after membership changes.
-type scatterBackend struct {
-	node *Node
-
-	mu   sync.Mutex
-	last map[string]savedSnap // taskKey -> latest local snapshot
-}
-
-type savedSnap struct {
-	data    []byte
-	version state.Version
-}
-
-var (
-	_ stream.StateBackend  = (*scatterBackend)(nil)
-	_ stream.TracedBackend = (*scatterBackend)(nil)
+// The overlay's own message kinds, its placement KV: Payload is the key,
+// Raw the value (of the request for put, of the reply for get).
+const (
+	kindKVPut = "cluster.kv.put"
+	kindKVGet = "cluster.kv.get"
 )
 
-func newScatterBackend(n *Node) *scatterBackend {
-	return &scatterBackend{node: n, last: map[string]savedSnap{}}
+// viewOverlay is recovery.Overlay over the cluster View, so the daemon
+// protects and rebuilds state through the same recovery.Manager the
+// in-process ring deployment runs: a member's overlay ID is the hash of
+// its name, its neighbours are the live members (itself included — a
+// cluster smaller than the replica count still saves), a message is one
+// "msg" RPC, and the placement KV is a blob kept on every live member.
+type viewOverlay struct {
+	node *Node
+	self id.ID
+
+	// closed refuses to publish placements: set as the node goes down,
+	// before its relays close. What the runtime drains after that emits
+	// into nothing; a published state covering those tuples would suppress
+	// their re-emission after recovery.
+	closed atomic.Bool
+
+	mu       sync.Mutex
+	handlers map[string]simnet.Handler
+	kv       map[string][]byte
 }
 
-// Save scatters one snapshot. Peer pushes are best-effort per target —
-// a dead peer loses its fragment until repair — but at least one
-// replica of every shard index must land somewhere or the save fails.
+func newViewOverlay(n *Node) *viewOverlay {
+	o := &viewOverlay{
+		node:     n,
+		self:     id.HashKey(n.cfg.Name),
+		handlers: map[string]simnet.Handler{},
+		kv:       map[string][]byte{},
+	}
+	o.HandleDirect(kindKVPut, func(_ id.ID, msg simnet.Message) (simnet.Message, error) {
+		key, _ := msg.Payload.(string)
+		o.mu.Lock()
+		o.kv[key] = append([]byte(nil), msg.Raw...)
+		o.mu.Unlock()
+		return simnet.Message{Kind: kindKVPut}, nil
+	})
+	o.HandleDirect(kindKVGet, func(_ id.ID, msg simnet.Message) (simnet.Message, error) {
+		key, _ := msg.Payload.(string)
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		return simnet.Message{Kind: kindKVGet, Raw: o.kv[key]}, nil
+	})
+	return o
+}
+
+func (o *viewOverlay) ID() id.ID { return o.self }
+
+// live maps the overlay IDs of the live members to their records.
+func (o *viewOverlay) live() map[id.ID]Member {
+	out := map[id.ID]Member{}
+	for _, m := range o.node.liveMembersView() {
+		out[id.HashKey(m.Name)] = m
+	}
+	return out
+}
+
+func (o *viewOverlay) LeafSet() []id.ID {
+	var out []id.ID
+	for nid := range o.live() {
+		out = append(out, nid)
+	}
+	return out
+}
+
+func (o *viewOverlay) PeerAlive(nid id.ID) bool {
+	_, ok := o.live()[nid]
+	return ok
+}
+
+func (o *viewOverlay) HandleDirect(kind string, f simnet.Handler) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.handlers[kind] = f
+}
+
+// dispatch runs the handler registered for msg's kind.
+func (o *viewOverlay) dispatch(from id.ID, msg simnet.Message) (simnet.Message, error) {
+	o.mu.Lock()
+	h := o.handlers[msg.Kind]
+	o.mu.Unlock()
+	if h == nil {
+		return simnet.Message{}, fmt.Errorf("%w: message kind %q", ErrUnknownRPC, msg.Kind)
+	}
+	return h(from, msg)
+}
+
+// Send is a local dispatch for this node and one "msg" RPC for any other
+// live member; a member the view lists as dead is not dialled.
+func (o *viewOverlay) Send(to id.ID, msg simnet.Message) (simnet.Message, error) {
+	if to == o.self {
+		return o.dispatch(o.self, msg)
+	}
+	m, ok := o.live()[to]
+	if !ok {
+		return simnet.Message{}, fmt.Errorf("%w: %s is not a live member", ErrRPC, to.Short())
+	}
+	resp, err := rpcCall(m.Addr, &rpcEnvelope{Kind: "msg", Msg: &overlayMsg{From: o.self, Msg: msg}}, rpcTimeout)
+	if err != nil {
+		return simnet.Message{}, err
+	}
+	if resp.MsgR == nil {
+		return simnet.Message{}, fmt.Errorf("%w: %s: empty msg reply", ErrRPC, m.Addr)
+	}
+	return *resp.MsgR, nil
+}
+
+// broadcast sends msg to every live member at once and returns the
+// replies in member order.
+func (o *viewOverlay) broadcast(msg simnet.Message) ([]simnet.Message, []error) {
+	targets := o.LeafSet()
+	resps, errs := make([]simnet.Message, len(targets)), make([]error, len(targets))
+	var wg sync.WaitGroup
+	for i, to := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = o.Send(to, msg)
+		}()
+	}
+	wg.Wait()
+	return resps, errs
+}
+
+// Put stores value on every live member; like a shard push, one that
+// cannot be reached fails the save, and the owner retries.
+func (o *viewOverlay) Put(key string, value []byte) error {
+	if o.closed.Load() {
+		return fmt.Errorf("%w: node %s is going down", ErrRPC, o.node.cfg.Name)
+	}
+	_, errs := o.broadcast(simnet.Message{Kind: kindKVPut, Payload: key, Raw: value})
+	return errors.Join(errs...)
+}
+
+// GetAll returns every live member's copy of key. No copy where every
+// member answered is an empty result; no copy where some member could
+// not be asked is an error, because that member may hold the only one.
+func (o *viewOverlay) GetAll(key string) ([][]byte, error) {
+	resps, errs := o.broadcast(simnet.Message{Kind: kindKVGet, Payload: key})
+	var out [][]byte
+	for _, r := range resps {
+		if len(r.Raw) > 0 {
+			out = append(out, r.Raw)
+		}
+	}
+	if err := errors.Join(errs...); len(out) == 0 && err != nil {
+		return nil, fmt.Errorf("kv getall %q: %w", key, err)
+	}
+	return out, nil
+}
+
+// scatterBackend is the multi-process stream.StateBackend: Save and
+// Recover are recovery.Manager's, run over the view overlay. Repair stays
+// daemon-only: every local task's last snapshot is retained so repairTick
+// can re-save it after membership moved.
+type scatterBackend struct {
+	node    *Node
+	overlay *viewOverlay
+	mgr     *recovery.Manager
+	// mech forces the recovery mechanism (tests); zero selects by state
+	// size, §3.7.
+	mech recovery.Mechanism
+
+	mu   sync.Mutex
+	last map[string]*retained // taskKey -> latest local snapshot
+}
+
+// retained is one task's latest snapshot. mu is held across a whole save,
+// so a repair re-save of an older version can never publish its
+// placement after the task's own save of a newer one.
+type retained struct {
+	mu      sync.Mutex
+	data    []byte
+	version state.Version
+	// epoch is the view epoch under which version last stored every
+	// replica; zero (no view has it) until a save has succeeded.
+	epoch int64
+}
+
+var _ stream.TracedBackend = (*scatterBackend)(nil)
+
+func newScatterBackend(n *Node) *scatterBackend {
+	recovery.RegisterWire()
+	b := &scatterBackend{node: n, overlay: newViewOverlay(n), last: map[string]*retained{}}
+	b.mgr = recovery.NewManager(b.overlay)
+	b.mgr.SetTracer(n.tracer)
+	return b
+}
+
+// Save retains the snapshot for repair and scatters it. An unreachable
+// holder aborts the save with nothing published — the last complete
+// version stays recoverable — and the runtime saves again.
 func (b *scatterBackend) Save(taskKey string, snapshot []byte, v state.Version) error {
 	b.mu.Lock()
-	prev := b.last[taskKey]
-	if v.Newer(prev.version) {
-		b.last[taskKey] = savedSnap{data: append([]byte(nil), snapshot...), version: v}
+	r := b.last[taskKey]
+	if r == nil {
+		r = &retained{}
+		b.last[taskKey] = r
 	}
 	b.mu.Unlock()
-	return b.scatter(taskKey, snapshot, v)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v.Newer(r.version) {
+		r.data, r.version, r.epoch = append([]byte(nil), snapshot...), v, 0
+	}
+	return b.protect(taskKey, r)
 }
 
-func (b *scatterBackend) scatter(taskKey string, snapshot []byte, v state.Version) error {
+// protect scatters r (caller holds r.mu) unless its version already
+// stored every replica under the current view epoch — read first, so
+// membership that moves mid-save leaves the record behind for the next
+// repair tick.
+func (b *scatterBackend) protect(taskKey string, r *retained) error {
+	view := b.node.currentView()
+	if r.epoch == view.Epoch {
+		return nil
+	}
 	spec := b.node.spec
-	base, err := shard.Split(taskKey, id.HashKey(taskKey), snapshot, spec.Shards, v)
-	if err != nil {
+	replicas := min(spec.Replicas, len(view.liveMembers()))
+	if _, err := b.mgr.Save(taskKey, r.data, spec.Shards, replicas, r.version); err != nil {
 		return err
 	}
-	all, err := shard.Replicate(base, spec.Replicas)
-	if err != nil {
-		return err
-	}
-	targets := b.node.scatterTargets()
-	if len(targets) == 0 {
-		return fmt.Errorf("scatter %s: no live members", taskKey)
-	}
-	// Round-robin over (index, replica) keeps the replicas of one index
-	// on distinct nodes whenever the cluster is large enough — the same
-	// policy as shard.Place, against live members instead of DHT IDs.
-	byTarget := map[string][]shard.Shard{}
-	for _, sh := range all {
-		t := targets[(sh.Index*spec.Replicas+sh.Replica)%len(targets)]
-		byTarget[t.Name] = append(byTarget[t.Name], sh)
-	}
-	stored := map[int]bool{}
-	var firstErr error
-	for name, shards := range byTarget {
-		t := targets[0]
-		for _, cand := range targets {
-			if cand.Name == name {
-				t = cand
-			}
-		}
-		if err := b.node.pushShards(t, taskKey, shards); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		for _, sh := range shards {
-			stored[sh.Index] = true
-		}
-	}
-	if len(stored) < len(base) {
-		return fmt.Errorf("scatter %s: only %d/%d shard indices stored: %v",
-			taskKey, len(stored), len(base), firstErr)
-	}
+	r.epoch = view.Epoch
 	return nil
 }
 
-// Recover star-fetches taskKey's shards from every live member and
-// reassembles the newest version with a complete fragment set. A task
-// that has never saved has no shards anywhere; it recovers to the empty
-// state (its input log replays on top).
+// Recover rebuilds taskKey's state from the scattered shards.
 func (b *scatterBackend) Recover(taskKey string) ([]byte, error) {
 	return b.RecoverTraced(taskKey, nil, obs.SpanContext{})
 }
 
-// RecoverTraced is Recover with the star fetch instrumented: one
-// retroactive fetch span per peer (the per-holder leg of the star) and a
-// merge span around version selection + reassembly, all parented on the
-// adoption's recovery span. A nil tracer or invalid parent records
-// nothing — Recover delegates here with both zeroed.
+// RecoverTraced is Recover with the recovery's plan, fetch/collect and
+// merge spans parented on the adoption's recovery span, by the mechanism
+// and options §3.7 selects for the placement's state size. A task that
+// never saved has no placement anywhere and recovers to the empty state
+// (its input log replays on top).
 func (b *scatterBackend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) ([]byte, error) {
-	var all []shard.Shard
-	for _, m := range b.node.liveMembersView() {
-		start := time.Now()
-		shards, err := b.node.fetchShards(m, taskKey)
-		if parent.Valid() {
-			attrs := []obs.Attr{obs.Str("peer", m.Name), obs.Int("shards", int64(len(shards)))}
-			if err != nil {
-				attrs = append(attrs, obs.Str("err", err.Error()))
-			}
-			tr.RecordSpan(parent, obs.PhaseFetch, start, time.Now(), attrs...)
-		}
-		if err != nil {
-			b.node.logf("recover %s: fetch from %s: %v", taskKey, m.Name, err)
-			continue
-		}
-		all = append(all, shards...)
+	start := time.Now()
+	p, err := b.mgr.LookupPlacement(taskKey)
+	if parent.Valid() {
+		// The lookup is a fetch too: the table is read from every member.
+		tr.RecordSpan(parent, obs.PhaseFetch, start, time.Now(), obs.Str("what", "placement"))
 	}
-	if len(all) == 0 {
-		return emptySnapshot()
+	if errors.Is(err, recovery.ErrNoPlacement) {
+		return state.NewMapStore().Snapshot()
 	}
-	mergeStart := time.Now()
-	byVersion := map[state.Version][]shard.Shard{}
-	for _, sh := range all {
-		byVersion[sh.Version] = append(byVersion[sh.Version], sh)
+	if err != nil {
+		return nil, err
 	}
-	versions := make([]state.Version, 0, len(byVersion))
-	for v := range byVersion {
-		versions = append(versions, v)
+	d := recovery.Select(recovery.Requirements{StateBytes: int64(p.TotalLen)})
+	if b.mech != 0 {
+		d.Mechanism = b.mech
 	}
-	sort.Slice(versions, func(i, j int) bool { return versions[i].Newer(versions[j]) })
-	var lastErr error
-	for _, v := range versions {
-		data, err := shard.Reassemble(byVersion[v])
-		if err == nil {
-			if parent.Valid() {
-				tr.RecordSpan(parent, obs.PhaseMerge, mergeStart, time.Now(),
-					obs.Int("shards", int64(len(all))), obs.Int("versions", int64(len(versions))))
-			}
-			return data, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("recover %s: no complete version among %d: %w", taskKey, len(versions), lastErr)
+	d.Options.Tracer, d.Options.TraceParent = tr, parent
+	res, err := b.mgr.RecoverPlacement(p, d.Mechanism, d.Options)
+	return res.Snapshot, err
 }
 
-// emptySnapshot is the canonical snapshot of a state with no entries.
-func emptySnapshot() ([]byte, error) {
-	return state.NewMapStore().Snapshot()
-}
-
-// repairTick re-scatters the latest snapshot of every locally protected
-// task against the current membership. Idempotent by the shardStore
-// version rule, so running it after every epoch change and on a timer
-// costs only the pushes; it is what re-populates a crashed-and-rejoined
-// holder and restores full replication after an adoption.
+// repairTick re-saves every retained snapshot whose last complete save
+// predates the current view epoch: it re-populates a crashed-and-rejoined
+// holder (the new incarnation bumps the epoch) and restores replication
+// after an adoption. With no membership change and no failed save a tick
+// sends nothing.
 func (b *scatterBackend) repairTick() {
 	b.mu.Lock()
-	keys := make([]string, 0, len(b.last))
-	for k := range b.last {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	snaps := make([]savedSnap, 0, len(keys))
-	for _, k := range keys {
-		snaps = append(snaps, b.last[k])
-	}
+	tasks := maps.Clone(b.last)
 	b.mu.Unlock()
-	for i, key := range keys {
-		if err := b.scatter(key, snaps[i].data, snaps[i].version); err != nil {
+	for key, r := range tasks {
+		r.mu.Lock()
+		err := b.protect(key, r)
+		r.mu.Unlock()
+		if err != nil {
 			b.node.logf("repair %s: %v", key, err)
 		}
 	}

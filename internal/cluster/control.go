@@ -185,12 +185,12 @@ func (cp *controlPlane) handleHeartbeat(req *heartbeatReq) (*heartbeatResp, erro
 	defer cp.mu.Unlock()
 	m := cp.view.member(req.Name)
 	if m == nil || m.Incarnation != req.Incarnation {
-		return nil, fmt.Errorf("member %s incarnation %d is not current", req.Name, req.Incarnation)
+		return nil, fmt.Errorf("%w: %s incarnation %d is not current", ErrRejoin, req.Name, req.Incarnation)
 	}
 	if !m.Alive {
 		// A heartbeat from a node we declared dead: it must rejoin to be
 		// routable again (its components may already live elsewhere).
-		return nil, fmt.Errorf("member %s was declared dead; rejoin", req.Name)
+		return nil, fmt.Errorf("%w: %s was declared dead", ErrRejoin, req.Name)
 	}
 	cp.lastSeen[req.Name] = time.Now()
 	return &heartbeatResp{Epoch: cp.view.Epoch}, nil

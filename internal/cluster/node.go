@@ -2,15 +2,17 @@
 // multi-process system: sr3node daemons join a seed over TCP, host the
 // stream components a declarative topology spec assigns them, bridge
 // cross-process edges with batch-codec tuple streams, scatter operator
-// state to peer processes on every save, and recover it with a star
-// fetch when the control plane moves a dead node's components to a
-// survivor. The package also ships the local playground launcher the
-// process-level e2e harness and the CI cluster-smoke job drive.
+// state to peer processes on every save, and recover it — both through
+// internal/recovery's Manager, run over the cluster view — when the
+// control plane moves a dead node's components to a survivor. The package
+// also ships the local playground launcher the process-level e2e harness
+// and the CI cluster-smoke job drive.
 package cluster
 
 import (
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -25,14 +27,13 @@ import (
 	"sr3/internal/metrics"
 	"sr3/internal/nettransport"
 	"sr3/internal/obs"
-	"sr3/internal/shard"
 	"sr3/internal/stream"
 )
 
 // Node is one sr3node daemon: a cluster member hosting zero or more
 // cells (partial stream runtimes) plus this process's slice of its
-// peers' scattered state. The seed node additionally embeds the control
-// plane.
+// peers' scattered state (held by the backend's recovery.Manager). The
+// seed node additionally embeds the control plane.
 type Node struct {
 	cfg    NodeConfig
 	logger *log.Logger
@@ -51,7 +52,6 @@ type Node struct {
 	tracer *obs.Tracer
 	spans  *obs.Collector
 
-	shards  *shardStore
 	backend *scatterBackend
 
 	ln      net.Listener
@@ -124,7 +124,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		logger:     log.New(cfg.LogWriter, "["+cfg.Name+"] ", log.Ltime|log.Lmicroseconds),
 		clusterReg: metrics.NewClusterRegistry(),
 		flight:     obs.NewFlightRecorder(4096),
-		shards:     newShardStore(),
 		conns:      map[net.Conn]bool{},
 		hbStop:     make(chan struct{}),
 		hbDone:     make(chan struct{}),
@@ -370,38 +369,6 @@ func (n *Node) liveMembersView() []Member {
 	return ms
 }
 
-// scatterTargets lists the nodes shard replicas may land on.
-func (n *Node) scatterTargets() []Member {
-	return n.liveMembersView()
-}
-
-// pushShards delivers shards to one holder (local fast path for self).
-func (n *Node) pushShards(m Member, app string, shards []shard.Shard) error {
-	if m.Name == n.cfg.Name {
-		n.shards.store(shards)
-		return nil
-	}
-	_, err := rpcCall(m.Addr, &rpcEnvelope{Kind: "store", Store: &storeShardsReq{
-		From: n.cfg.Name, App: app, Shards: shards,
-	}}, rpcTimeout)
-	return err
-}
-
-// fetchShards pulls one app's held shards from a member.
-func (n *Node) fetchShards(m Member, app string) ([]shard.Shard, error) {
-	if m.Name == n.cfg.Name {
-		return n.shards.fetch(app), nil
-	}
-	resp, err := rpcCall(m.Addr, &rpcEnvelope{Kind: "fetch", Fetch: &fetchShardsReq{App: app}}, rpcTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if resp.FetchR == nil {
-		return nil, nil
-	}
-	return resp.FetchR.Shards, nil
-}
-
 // buildCell materializes the partial runtime for one component set:
 // local components are declared as-is, remote upstream components
 // become external sources (fed by ingress streams), and every edge to a
@@ -496,8 +463,8 @@ func (n *Node) buildCell(compIDs []string) (*cell, error) {
 
 // startCell starts the cell's executors, restores every stateful task
 // from the scattered shards (kill marks the empty-state task dead so
-// arriving tuples are logged, recover star-fetches + restores + replays
-// the log), wires the egress senders, and finally opens the spout gate.
+// arriving tuples are logged, recover collects + restores + replays the
+// log), wires the egress senders, and finally opens the spout gate.
 // A valid trace context (an adoption driven by the seed's self-heal
 // trace) threads the recovery through the traced paths, so fetch, merge,
 // and replay surface as child spans of the cluster-wide recovery, and
@@ -517,13 +484,8 @@ func (n *Node) startCell(c *cell, trace obs.SpanContext) error {
 			if err := c.rt.Kill(compID, i); err != nil {
 				return fmt.Errorf("cluster: kill %s[%d]: %w", compID, i, err)
 			}
-			var err error
-			if trace.Valid() {
-				err = c.rt.RecoverTaskByKeyTraced(stream.TaskKey(n.spec.Name, compID, i), n.tracer, trace)
-			} else {
-				err = c.rt.RecoverTask(compID, i)
-			}
-			if err != nil {
+			// An invalid trace recovers untraced.
+			if err := c.rt.RecoverTaskByKeyTraced(stream.TaskKey(n.spec.Name, compID, i), n.tracer, trace); err != nil {
 				return fmt.Errorf("cluster: recover %s[%d]: %w", compID, i, err)
 			}
 		}
@@ -576,6 +538,10 @@ func (n *Node) handleAdopt(req *adoptReq) (*adoptResp, error) {
 		}
 	}
 	n.logf("adopting %v", req.Components)
+	// Recovery plans over this node's view; the seed decided on a newer one.
+	if n.control == nil && req.Epoch > n.viewEpoch() {
+		n.pullView()
+	}
 	// A traced adoption opens a local recover span parented on the seed's
 	// self-heal trace: this node's fetch/merge/replay children hang off
 	// it, and the span lands in the local collector for the seed's stitch.
@@ -664,6 +630,9 @@ func (n *Node) dispatch(req *rpcEnvelope) *rpcEnvelope {
 	resp := &rpcEnvelope{Kind: req.Kind}
 	fail := func(err error) *rpcEnvelope {
 		resp.Err = err.Error()
+		if errors.Is(err, ErrRejoin) {
+			resp.Code = codeRejoin
+		}
 		return resp
 	}
 	seedOnly := func() error {
@@ -715,17 +684,15 @@ func (n *Node) dispatch(req *rpcEnvelope) *rpcEnvelope {
 			return fail(err)
 		}
 		resp.AdoptR = r
-	case "store":
-		if req.Store == nil {
+	case "msg":
+		if req.Msg == nil {
 			return fail(ErrUnknownRPC)
 		}
-		n.shards.store(req.Store.Shards)
-		resp.StoreR = &storeShardsResp{}
-	case "fetch":
-		if req.Fetch == nil {
-			return fail(ErrUnknownRPC)
+		r, err := n.backend.overlay.dispatch(req.Msg.From, req.Msg.Msg)
+		if err != nil {
+			return fail(err)
 		}
-		resp.FetchR = &fetchShardsResp{Shards: n.shards.fetch(req.Fetch.App)}
+		resp.MsgR = &r
 	case "metricspull":
 		if req.MPull == nil {
 			return fail(ErrUnknownRPC)
@@ -834,7 +801,7 @@ func (n *Node) heartbeatLoop() {
 		}}
 		resp, err := rpcCall(n.cfg.Seed, req, rpcTimeout)
 		if err != nil {
-			if isRejoinError(err) {
+			if errors.Is(err, ErrRejoin) {
 				n.rejoin()
 			}
 			continue // seed unreachable: keep beating
@@ -845,11 +812,6 @@ func (n *Node) heartbeatLoop() {
 	}
 }
 
-func isRejoinError(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "rejoin") || strings.Contains(s, "not current")
-}
-
 func (n *Node) viewEpoch() int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -857,7 +819,7 @@ func (n *Node) viewEpoch() int64 {
 }
 
 func (n *Node) pullView() {
-	resp, err := rpcCall(n.cfg.Seed, &rpcEnvelope{Kind: "view", ViewReq: &viewReq{}}, rpcTimeout)
+	resp, err := rpcCall(n.cfg.Seed, &rpcEnvelope{Kind: "view"}, rpcTimeout)
 	if err != nil || resp.ViewR == nil {
 		return
 	}
@@ -981,7 +943,9 @@ func (n *Node) Stop() {
 	n.mu.Unlock()
 	// Relays and spouts stop first so executors cannot block on a full
 	// egress window; ingress conns die with the transport next, after
-	// which the runtimes drain whatever was already admitted.
+	// which the runtimes drain whatever was already admitted — saving none
+	// of it, since its output goes nowhere.
+	n.backend.overlay.closed.Store(true)
 	for _, c := range cells {
 		c.ready.Store(false)
 		for _, r := range c.relays {
@@ -1028,7 +992,7 @@ func (n *Node) Debug() NodeDebug {
 		Epoch:       v.Epoch,
 		Members:     v.Members,
 		Assign:      v.Assign,
-		ShardsHeld:  n.shards.counts(),
+		ShardsHeld:  n.backend.mgr.ShardsHeld(),
 	}
 	n.mu.Lock()
 	cells := append([]*cell(nil), n.cells...)

@@ -38,9 +38,8 @@ func testSpec(srcNode, cntNode, sinkNode string, count, keys, intervalUS, saveEv
 	return s
 }
 
-func startTestNode(t *testing.T, name, seedAddr string, spec *Spec) *Node {
-	t.Helper()
-	cfg := NodeConfig{
+func testNodeConfig(name, seedAddr string, spec *Spec) NodeConfig {
+	return NodeConfig{
 		Name:           name,
 		Listen:         "127.0.0.1:0",
 		Seed:           seedAddr,
@@ -51,7 +50,11 @@ func startTestNode(t *testing.T, name, seedAddr string, spec *Spec) *Node {
 		JoinTimeout:    5 * time.Second,
 		LogWriter:      io.Discard,
 	}
-	n, err := StartNode(cfg)
+}
+
+func startTestNode(t *testing.T, name, seedAddr string, spec *Spec) *Node {
+	t.Helper()
+	n, err := StartNode(testNodeConfig(name, seedAddr, spec))
 	if err != nil {
 		t.Fatalf("StartNode(%s): %v", name, err)
 	}
@@ -141,6 +144,7 @@ func crashNode(n *Node) {
 	}
 	close(n.rpStop)
 	<-n.rpDone
+	n.backend.overlay.closed.Store(true) // a dead process saves nothing
 	n.mu.Lock()
 	cells := append([]*cell(nil), n.cells...)
 	n.mu.Unlock()

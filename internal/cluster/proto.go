@@ -8,17 +8,19 @@ import (
 	"net"
 	"time"
 
+	"sr3/internal/id"
 	"sr3/internal/metrics"
 	"sr3/internal/obs"
-	"sr3/internal/shard"
+	"sr3/internal/simnet"
 )
 
 // Wire protocol. Every sr3node serves one TCP listener; the first byte
 // of a connection selects the plane:
 //
 //	'C' — control RPC: one gob request envelope, one gob reply, close.
-//	      Join/heartbeat/view/adopt/leave plus the shard store/fetch
-//	      data-plane RPCs ride here.
+//	      Join/heartbeat/view/adopt/leave ride here, and "msg": one
+//	      recovery-layer message (shard store, fetch, line/tree collect,
+//	      placement KV) to the member's view overlay.
 //	'T' — tuple stream: a gob flowHello naming the edge, then an
 //	      endless sequence of batch-codec frames (stream.EncodeTupleBatch)
 //	      carried length-delimited by nettransport.BatchConn — the PR 8
@@ -36,7 +38,16 @@ var (
 	ErrRPC        = errors.New("cluster: rpc failed")
 	ErrNotSeed    = errors.New("cluster: this node does not run the control plane")
 	ErrUnknownRPC = errors.New("cluster: unknown rpc kind")
+	// ErrRejoin is the seed disowning a member's incarnation (declared
+	// dead, or superseded): it must join again. It crosses the wire as
+	// rpcEnvelope.Code, never as text.
+	ErrRejoin = errors.New("cluster: member must rejoin")
 )
+
+// rpcCode types the errors a caller acts on; everything else is Err text.
+type rpcCode uint8
+
+const codeRejoin rpcCode = 1
 
 // Member is one cluster node as the control plane sees it.
 type Member struct {
@@ -78,29 +89,28 @@ func (v *View) liveMembers() []Member {
 }
 
 // rpcEnvelope is the single request/reply frame: Kind selects the
-// operation, exactly one request pointer is set; the reply reuses the
-// same envelope with the matching *Resp pointer (or Err). Trace is the
-// caller's span context; gob omits the zero value, so untraced RPCs pay
-// nothing on the wire.
+// operation, at most one request pointer is set; the reply reuses the
+// same envelope with the matching *Resp pointer (or Err, with Code set
+// when the error is one the caller must recognise). Trace is the caller's
+// span context; gob omits the zero value, so untraced RPCs pay nothing on
+// the wire.
 type rpcEnvelope struct {
 	Kind  string
 	Err   string
+	Code  rpcCode
 	Trace obs.SpanContext
 
 	Join      *joinReq
 	JoinR     *joinResp
 	Heartbeat *heartbeatReq
 	HeartbtR  *heartbeatResp
-	ViewReq   *viewReq
 	ViewR     *viewResp
 	Adopt     *adoptReq
 	AdoptR    *adoptResp
 	Leave     *leaveReq
 	LeaveR    *leaveResp
-	Store     *storeShardsReq
-	StoreR    *storeShardsResp
-	Fetch     *fetchShardsReq
-	FetchR    *fetchShardsResp
+	Msg       *overlayMsg
+	MsgR      *simnet.Message
 	MPull     *metricsPullReq
 	MPullR    *metricsPullResp
 	ODump     *obsDumpReq
@@ -129,8 +139,6 @@ type heartbeatResp struct {
 	Epoch int64
 }
 
-type viewReq struct{}
-
 type viewResp struct {
 	View View
 }
@@ -156,20 +164,11 @@ type leaveReq struct {
 
 type leaveResp struct{}
 
-type storeShardsReq struct {
-	From   string
-	App    string
-	Shards []shard.Shard
-}
-
-type storeShardsResp struct{}
-
-type fetchShardsReq struct {
-	App string
-}
-
-type fetchShardsResp struct {
-	Shards []shard.Shard
+// overlayMsg is one recovery-layer message between view overlays; the
+// payload types are the ones recovery.RegisterWire registers with gob.
+type overlayMsg struct {
+	From id.ID
+	Msg  simnet.Message
 }
 
 // metricsPullReq asks a member for its full registry snapshot plus its
@@ -228,7 +227,11 @@ func rpcCall(addr string, req *rpcEnvelope, timeout time.Duration) (*rpcEnvelope
 		return nil, fmt.Errorf("%w: decode from %s: %v", ErrRPC, addr, err)
 	}
 	if resp.Err != "" {
-		return nil, fmt.Errorf("%w: %s: remote: %s", ErrRPC, addr, resp.Err)
+		err := fmt.Errorf("%w: %s: remote: %s", ErrRPC, addr, resp.Err)
+		if resp.Code == codeRejoin {
+			err = fmt.Errorf("%w: %w", ErrRejoin, err)
+		}
+		return nil, err
 	}
 	return &resp, nil
 }

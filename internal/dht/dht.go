@@ -103,8 +103,10 @@ type Node struct {
 }
 
 // DirectFunc handles a point-to-point message addressed to this node by an
-// upper layer (e.g. Scribe tree maintenance, shard pushes).
-type DirectFunc func(from id.ID, msg simnet.Message) (simnet.Message, error)
+// upper layer (e.g. Scribe tree maintenance, shard pushes). It is the
+// transport's handler type, so layers written against an interface (the
+// recovery layer's Overlay) name it without importing dht.
+type DirectFunc = simnet.Handler
 
 // NewNode creates a node with the given ID, registers it on the transport
 // and returns it. The node is not part of any overlay until Bootstrap or

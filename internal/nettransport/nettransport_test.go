@@ -296,11 +296,11 @@ func TestSR3RecoveryOverTCP(t *testing.T) {
 	if lookup.Owner != placement.Owner || lookup.M != placement.M {
 		t.Fatal("placement mismatch after wire round trip")
 	}
-	got, err := replMgr.CollectStarForTest("tcp-app", lookup)
+	res, err := replMgr.RecoverDirect("tcp-app", recovery.Star, recovery.DefaultOptions())
 	if err != nil {
 		t.Fatalf("star recovery over tcp: %v", err)
 	}
-	if !bytes.Equal(got, snap) {
+	if !bytes.Equal(res.Snapshot, snap) {
 		t.Fatal("recovered state differs after TCP recovery")
 	}
 }

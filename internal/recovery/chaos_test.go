@@ -65,7 +65,7 @@ func newChaosEnv(t *testing.T, mech Mechanism, seed int64) *chaosEnv {
 			t.Fatal("no index with both holders off-replacement")
 		}
 	case Line, Tree:
-		stages, err := c.liveStages(p, replacement)
+		stages, err := stagesFor(c, p, replacement)
 		if err != nil {
 			t.Fatalf("stages: %v", err)
 		}

@@ -3,7 +3,6 @@ package recovery
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -55,15 +54,6 @@ func (c *Cluster) SetTracer(tr *obs.Tracer) {
 	for _, m := range c.managers {
 		m.SetTracer(tr)
 	}
-}
-
-// AttachNode adds a manager for a node joined after cluster creation.
-func (c *Cluster) AttachNode(n *dht.Node) *Manager {
-	m := NewManager(n)
-	m.SetTracer(c.tracer)
-	m.SetDegradedCheck(c.IsDegraded)
-	c.managers[n.ID()] = m
-	return m
 }
 
 // Result reports one completed recovery.
@@ -152,65 +142,25 @@ func (c *Cluster) Recover(app string, mech Mechanism, opts Options) (Result, err
 }
 
 func (c *Cluster) recover(app string, mech Mechanism, opts Options) (Result, error) {
-	plan := opts.Tracer.StartSpan(opts.TraceParent, obs.PhasePlan)
 	anyNode, err := c.Ring.AnyLive()
 	if err != nil {
-		plan.EndErr(err)
 		return Result{}, fmt.Errorf("recover %q: %w", app, err)
 	}
 	placement, err := c.managers[anyNode.ID()].LookupPlacement(app)
 	if err != nil {
-		plan.EndErr(err)
 		return Result{}, fmt.Errorf("recover %q: %w", app, err)
 	}
-
 	replacement, ok := c.pickReplacement(placement.Owner)
 	if !ok {
-		plan.EndErr(ErrNoReplacement)
 		return Result{}, fmt.Errorf("recover %q: %w", app, ErrNoReplacement)
 	}
-	stages, err := c.liveStages(placement, replacement)
-	if err != nil {
-		plan.EndErr(err)
-		return Result{}, fmt.Errorf("recover %q: %w", app, err)
-	}
-	plan.SetStr("replacement", replacement.Short())
-	plan.SetInt("providers", int64(len(stages)))
-	plan.End()
-
 	rm := c.managers[replacement]
-	oc := newOutcomeRecorder()
-	a := newAssembler(placement)
-	switch mech {
-	case Star:
-		err = rm.collectStar(app, placement, opts, oc, a)
-	case Line:
-		err = rm.collectLine(app, stages, placement, opts, oc, a)
-	case Tree:
-		err = rm.collectTree(app, stages, 1<<clampBit(opts.TreeFanoutBit), placement, opts, oc, a)
-	default:
-		return Result{}, fmt.Errorf("recover %q: %d: %w", app, mech, ErrBadMechanism)
-	}
+	res, err := rm.RecoverPlacement(placement, mech, opts)
 	if err != nil {
-		return Result{}, fmt.Errorf("recover %q (%s): %w", app, mech, err)
+		return Result{}, err
 	}
-
-	snapshot, err := a.bytes()
-	if err != nil {
-		return Result{}, fmt.Errorf("recover %q (%s): %w", app, mech, err)
-	}
-	rm.SetRecovered(app, snapshot)
-	merged, _ := a.stats()
-	return Result{
-		App:         app,
-		Mechanism:   mech,
-		Replacement: replacement,
-		Snapshot:    snapshot,
-		Version:     placement.Version,
-		Providers:   len(stages),
-		ShardsMoved: merged,
-		Outcome:     oc.snapshot(),
-	}, nil
+	rm.SetRecovered(app, res.Snapshot)
+	return res, nil
 }
 
 // RecoverMany handles simultaneous failures: each lost state is rebuilt
@@ -258,68 +208,6 @@ func (c *Cluster) pickReplacement(owner id.ID) (id.ID, bool) {
 	return nid, true
 }
 
-// liveStages picks, for every shard index, one live replica holder, then
-// groups indices by holder. Holders are ordered by ring distance from the
-// replacement, farthest first (so line chains end near the replacement,
-// as in Fig 4). Degraded holders are chosen only when no healthy replica
-// of an index survives — the planning half of gray-failure rerouting.
-func (c *Cluster) liveStages(p shard.Placement, replacement id.ID) ([]stage, error) {
-	byHolder := make(map[id.ID][]int)
-	for i := 0; i < p.M; i++ {
-		var chosen id.ID
-		found := false
-		for pass := 0; pass < 2 && !found; pass++ {
-			for _, h := range p.NodesForIndex(i) {
-				if !c.Ring.Net.Alive(h) || c.managers[h] == nil ||
-					!c.managers[h].hasIndex(p.App, i) {
-					continue
-				}
-				if pass == 0 && c.IsDegraded(h) {
-					continue // prefer a healthy replica this pass
-				}
-				chosen = h
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("shard index %d: %w", i, ErrShardLost)
-		}
-		byHolder[chosen] = append(byHolder[chosen], i)
-	}
-	holders := make([]id.ID, 0, len(byHolder))
-	for h := range byHolder {
-		holders = append(holders, h)
-	}
-	sort.Slice(holders, func(i, j int) bool {
-		di := id.Distance(holders[i], replacement)
-		dj := id.Distance(holders[j], replacement)
-		if cmp := di.Cmp(dj); cmp != 0 {
-			return cmp > 0 // farthest first
-		}
-		return holders[i].Less(holders[j])
-	})
-	stages := make([]stage, 0, len(holders))
-	for _, h := range holders {
-		idx := byHolder[h]
-		sort.Ints(idx)
-		stages = append(stages, stage{Node: h, Indices: idx})
-	}
-	return stages, nil
-}
-
-// hasIndex reports whether this manager stores any replica of the index.
-func (m *Manager) hasIndex(app string, index int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k := range m.shards {
-		if k.App == app && k.Index == index {
-			return true
-		}
-	}
-	return false
-}
-
 func clampBit(b int) int {
 	if b < 0 {
 		return 0
@@ -341,7 +229,7 @@ func clampBit(b int) int {
 // first success wins. Provider losses fail over to the remaining replicas
 // with bounded retries and exponential backoff (unless
 // opts.DisableFailover).
-func (m *Manager) collectStar(app string, p shard.Placement, opts Options, oc *outcomeRecorder, a *assembler) error {
+func (m *Manager) collectStar(p shard.Placement, opts Options, oc *outcomeRecorder, a *assembler) error {
 	oc.attempt()
 	conc := opts.FetchConcurrency
 	if conc < 1 {
@@ -360,7 +248,7 @@ func (m *Manager) collectStar(app string, p shard.Placement, opts Options, oc *o
 		go func(k, idx int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			_, errs[k] = m.fetchIndexRetryInto(a, app, idx, p, opts, oc)
+			_, errs[k] = m.fetchIndexRetryInto(a, idx, p, opts, oc)
 		}(k, idx)
 	}
 	wg.Wait()
@@ -382,18 +270,19 @@ func (m *Manager) collectStar(app string, p shard.Placement, opts Options, oc *o
 // behaviour. With opts.Speculate the first two replicas are raced before
 // falling back to the ordered passes. Each index's retrieval is one
 // PhaseFetch span (with its merge as a PhaseMerge child).
-func (m *Manager) fetchIndexRetryInto(a *assembler, app string, index int, p shard.Placement, opts Options, oc *outcomeRecorder) (int, error) {
+func (m *Manager) fetchIndexRetryInto(a *assembler, index int, p shard.Placement, opts Options, oc *outcomeRecorder) (int, error) {
 	sp := opts.Tracer.StartSpan(opts.TraceParent, obs.PhaseFetch)
 	sp.SetInt("index", int64(index))
-	n, err := m.fetchIndexRetry(a, app, index, p, opts, oc, sp.Ctx())
+	n, err := m.fetchIndexRetry(a, index, p, opts, oc, sp.Ctx())
 	sp.SetInt("bytes", int64(n))
 	sp.EndErr(err)
 	return n, err
 }
 
-func (m *Manager) fetchIndexRetry(a *assembler, app string, index int, p shard.Placement, opts Options, oc *outcomeRecorder, tc obs.SpanContext) (int, error) {
+func (m *Manager) fetchIndexRetry(a *assembler, index int, p shard.Placement, opts Options, oc *outcomeRecorder, tc obs.SpanContext) (int, error) {
 	// Replica demotion: degraded holders move to the back of the try
-	// order, so a slow replica is consulted only after healthy ones fail.
+	// order and unreachable ones behind them, so a slow replica is
+	// consulted only after healthy ones fail and a dead one last of all.
 	holders := m.demoteDegraded(p.NodesForIndex(index))
 	inline := opts.SequentialFetch
 	if opts.Speculate && len(holders) > 1 {
@@ -404,7 +293,7 @@ func (m *Manager) fetchIndexRetry(a *assembler, app string, index int, p shard.P
 		ch := make(chan res, 2)
 		for _, h := range holders[:2] {
 			go func(h id.ID) {
-				n, err := m.fetchInto(a, h, app, index, inline, opts.Tracer, tc)
+				n, err := m.fetchInto(a, h, index, inline, opts.Tracer, tc)
 				ch <- res{n, err == nil}
 			}(h)
 		}
@@ -424,7 +313,7 @@ func (m *Manager) fetchIndexRetry(a *assembler, app string, index int, p shard.P
 	}
 	for round := 0; ; round++ {
 		for hi, h := range holders {
-			n, err := m.fetchInto(a, h, app, index, inline, opts.Tracer, tc)
+			n, err := m.fetchInto(a, h, index, inline, opts.Tracer, tc)
 			if err == nil {
 				if round > 0 || hi > 0 {
 					oc.failover(1, n)
@@ -457,44 +346,59 @@ func (m *Manager) fetchIndexRetry(a *assembler, app string, index int, p shard.P
 	}
 }
 
-// fetchInto retrieves one replica of (app, index) from holder and merges
-// it straight into the assembler — the recovery hot path. Over a
-// serializing transport the shard body arrives as chunked frames in a
-// pooled buffer; the assembler copies it into its final snapshot position
-// and the buffer is released, so no whole-shard intermediate copy is ever
-// made. inline selects the legacy payload-embedded encoding (the
-// benchmark baseline). tc stamps the fetch request so remote stall spans
-// and the merge span parent on the enclosing fetch.
-func (m *Manager) fetchInto(a *assembler, holder id.ID, app string, index int, inline bool, tr *obs.Tracer, tc obs.SpanContext) (int, error) {
+// fetchReplica asks holder for one replica of (app, index) at version v.
+// Over a serializing transport the shard body arrives as chunked frames
+// in a pooled buffer that the returned Data aliases: call release once
+// the bytes are merged or copied. inline selects the legacy
+// payload-embedded encoding (the benchmark baseline). tc stamps the
+// request so remote stall spans parent on the caller's fetch.
+func (m *Manager) fetchReplica(holder id.ID, app string, index int, v state.Version, inline bool, tc obs.SpanContext) (s shard.Shard, release func(), err error) {
 	if holder == m.node.ID() {
-		ss := m.localShardsFor(app, []int{index})
+		ss := m.localShardsFor(app, []int{index}, v)
 		if len(ss) == 0 {
-			return 0, ErrShardLost
+			return shard.Shard{}, nil, ErrShardLost
 		}
-		return mergeTraced(a, ss[0], tr, tc)
+		return ss[0], func() {}, nil
 	}
 	resp, err := m.node.Send(holder, simnet.Message{
 		Kind:    kindFetchIndex,
 		Size:    msgHeader + len(app) + 8,
-		Payload: &fetchIndexRequest{App: app, Index: index, Inline: inline},
+		Payload: &fetchIndexRequest{App: app, Index: index, Version: v, Inline: inline},
 		TraceID: tc.Trace,
 		SpanID:  tc.Span,
 	})
 	if err != nil {
-		return 0, err
+		return shard.Shard{}, nil, err
 	}
-	defer resp.ReleaseRaw()
 	reply, ok := resp.Payload.(*fetchReply)
-	if !ok {
-		return 0, fmt.Errorf("recovery: bad fetch reply %T", resp.Payload)
+	switch {
+	case !ok:
+		err = fmt.Errorf("recovery: bad fetch reply %T", resp.Payload)
+	case !reply.Found:
+		err = ErrShardLost
 	}
-	if !reply.Found {
-		return 0, ErrShardLost
+	if err != nil {
+		resp.ReleaseRaw()
+		return shard.Shard{}, nil, err
 	}
-	s := reply.Shard
+	s = reply.Shard
 	if s.Data == nil {
 		s.Data = resp.Raw
 	}
+	return s, resp.ReleaseRaw, nil
+}
+
+// fetchInto retrieves one replica of the assembler's state at index from
+// holder and merges it straight into the assembler — the recovery hot
+// path: the assembler copies the body into its final snapshot position
+// and the transport buffer is released, so no whole-shard intermediate
+// copy is ever made.
+func (m *Manager) fetchInto(a *assembler, holder id.ID, index int, inline bool, tr *obs.Tracer, tc obs.SpanContext) (int, error) {
+	s, release, err := m.fetchReplica(holder, a.app, index, a.version, inline, tc)
+	if err != nil {
+		return 0, err
+	}
+	defer release()
 	return mergeTraced(a, s, tr, tc)
 }
 
@@ -511,51 +415,30 @@ func mergeTraced(a *assembler, s shard.Shard, tr *obs.Tracer, tc obs.SpanContext
 	return n, err
 }
 
-// fetchFrom retrieves one replica of (app, index) from holder with an
-// owned Data copy — the repair path's donor fetch, which re-pushes the
-// shard long after the transport buffer is recycled.
-func (m *Manager) fetchFrom(holder id.ID, app string, index int) (shard.Shard, error) {
-	if holder == m.node.ID() {
-		ss := m.localShardsFor(app, []int{index})
-		if len(ss) == 0 {
-			return shard.Shard{}, ErrShardLost
-		}
-		return ss[0], nil
-	}
-	resp, err := m.node.Send(holder, simnet.Message{
-		Kind:    kindFetchIndex,
-		Size:    msgHeader + len(app) + 8,
-		Payload: &fetchIndexRequest{App: app, Index: index},
-	})
+// fetchFrom retrieves one replica of (app, index) at version v from
+// holder with an owned Data copy — the repair path's donor fetch, which
+// re-pushes the shard long after the transport buffer is recycled.
+func (m *Manager) fetchFrom(holder id.ID, app string, index int, v state.Version) (shard.Shard, error) {
+	s, release, err := m.fetchReplica(holder, app, index, v, false, obs.SpanContext{})
 	if err != nil {
 		return shard.Shard{}, err
 	}
-	defer resp.ReleaseRaw()
-	reply, ok := resp.Payload.(*fetchReply)
-	if !ok {
-		return shard.Shard{}, fmt.Errorf("recovery: bad fetch reply %T", resp.Payload)
-	}
-	if !reply.Found {
-		return shard.Shard{}, ErrShardLost
-	}
-	s := reply.Shard
-	if s.Data == nil && len(resp.Raw) > 0 {
-		s.Data = append([]byte(nil), resp.Raw...)
-	}
+	defer release()
+	s.Data = append([]byte(nil), s.Data...)
 	return s, nil
 }
 
 // mergeLocal merges this node's own replicas for the given stages into
 // the assembler and returns the stages that need the wire plus the bytes
 // merged locally.
-func (m *Manager) mergeLocal(a *assembler, app string, stages []stage) (remote []stage, merged int) {
+func (m *Manager) mergeLocal(a *assembler, stages []stage) (remote []stage, merged int) {
 	remote = make([]stage, 0, len(stages))
 	for _, st := range stages {
 		if st.Node != m.node.ID() {
 			remote = append(remote, st)
 			continue
 		}
-		for _, s := range m.localShardsFor(app, st.Indices) {
+		for _, s := range m.localShardsFor(a.app, st.Indices, a.version) {
 			// A mismatch just leaves the index missing; failover covers it.
 			n, _ := a.add(s)
 			merged += n
@@ -596,40 +479,6 @@ func mergeCollectTraced(a *assembler, reply *collectReply, raw []byte, tr *obs.T
 	return n, err
 }
 
-// replanStages picks, for every missing index, a replica holder not yet
-// observed dead, and groups indices by holder (deterministic order). It
-// returns nil when some index has no remaining candidate — the caller
-// then falls down the ladder.
-func replanStages(p shard.Placement, missing []int, dead map[id.ID]bool) []stage {
-	byHolder := make(map[id.ID][]int, len(missing))
-	for _, i := range missing {
-		found := false
-		for _, h := range p.NodesForIndex(i) {
-			if dead[h] {
-				continue
-			}
-			byHolder[h] = append(byHolder[h], i)
-			found = true
-			break
-		}
-		if !found {
-			return nil
-		}
-	}
-	holders := make([]id.ID, 0, len(byHolder))
-	for h := range byHolder {
-		holders = append(holders, h)
-	}
-	sort.Slice(holders, func(i, j int) bool { return holders[i].Less(holders[j]) })
-	stages := make([]stage, 0, len(holders))
-	for _, h := range holders {
-		idx := byHolder[h]
-		sort.Ints(idx)
-		stages = append(stages, stage{Node: h, Indices: idx})
-	}
-	return stages
-}
-
 // segmentStages cuts a chain into up to depth contiguous sub-chains of
 // near-equal length — the line executor's pipeline lanes.
 func segmentStages(chain []stage, depth int) [][]stage {
@@ -655,22 +504,109 @@ func segmentStages(chain []stage, depth int) [][]stage {
 	return out
 }
 
+// slot is one (holder, shard index) pairing of a placement.
+type slot struct {
+	node  id.ID
+	index int
+}
+
 // collectLine runs the chain collection (paper §3.5), pipelined: the
 // chain is cut into opts.PipelineDepth segments whose sub-chains collect
 // concurrently, so the replacement merges one segment's shards into the
 // snapshot while the next segment's bytes are still in flight. When a
 // stage dies mid-chain, the partial accumulation unwinds to the
 // replacement, which re-plans the remaining indices over surviving
-// replicas (avoiding observed-dead nodes) and resumes — repeatedly, with
-// backoff, until the state is whole or opts.FailoverRetries is spent;
-// any remainder degrades to direct star-style fetches.
-func (m *Manager) collectLine(app string, stages []stage, p shard.Placement, opts Options, oc *outcomeRecorder, a *assembler) error {
+// replicas (avoiding observed-dead nodes, and holders that were reached
+// but no longer store the index) and resumes — repeatedly, with backoff,
+// until the state is whole or opts.FailoverRetries is spent; any
+// remainder degrades to direct star-style fetches.
+func (m *Manager) collectLine(stages []stage, p shard.Placement, opts Options, oc *outcomeRecorder, a *assembler) error {
 	if len(stages) == 0 {
 		return ErrShardLost
 	}
-	oc.attempt()
 	dead := make(map[id.ID]bool)
-	chain, _ := m.mergeLocal(a, app, stages)
+	lacks := make(map[slot]bool)
+	// noteLacks records, for stages a collection reached, the indices they
+	// were asked for and did not deliver.
+	noteLacks := func(reached []stage) {
+		for _, st := range reached {
+			for _, i := range st.Indices {
+				if !a.hasIndex(i) {
+					lacks[slot{st.Node, i}] = true
+				}
+			}
+		}
+	}
+	// pass runs one collection over stages — this node's own replicas
+	// merge directly, the remote chain is cut into lanes sub-chains that
+	// collect concurrently — and returns the bytes it gained.
+	pass := func(stages []stage, lanes int) (int, error) {
+		oc.attempt()
+		chain, gained := m.mergeLocal(a, stages)
+		for _, st := range stages {
+			if st.Node == m.node.ID() {
+				noteLacks([]stage{st})
+			}
+		}
+		type segOut struct {
+			resp simnet.Message
+			seg  []stage
+			err  error
+		}
+		segs := segmentStages(chain, lanes)
+		ch := make(chan segOut, len(segs))
+		for _, seg := range segs {
+			go func(seg []stage) {
+				resp, err := m.node.Send(seg[0].Node, simnet.Message{
+					Kind:    kindLineCollect,
+					Size:    msgHeader + 64,
+					Payload: &lineCollectMsg{App: p.App, Version: p.Version, Chain: seg, NoFailover: opts.DisableFailover},
+					TraceID: opts.TraceParent.Trace,
+					SpanID:  opts.TraceParent.Span,
+				})
+				ch <- segOut{resp: resp, seg: seg, err: err}
+			}(seg)
+		}
+		var failed error
+		for range segs {
+			o := <-ch
+			if o.err != nil {
+				if opts.DisableFailover {
+					failed = o.err
+				} else {
+					oc.deadNode(o.seg[0].Node)
+					dead[o.seg[0].Node] = true
+				}
+				continue
+			}
+			reply, ok := o.resp.Payload.(*collectReply)
+			if !ok {
+				o.resp.ReleaseRaw()
+				failed = fmt.Errorf("recovery: bad line reply %T", o.resp.Payload)
+				continue
+			}
+			n, err := mergeCollectTraced(a, reply, o.resp.Raw, opts.Tracer, opts.TraceParent)
+			o.resp.ReleaseRaw()
+			if err != nil {
+				failed = err
+			}
+			gained += n
+			for _, d := range reply.Dead {
+				oc.deadNode(d)
+				dead[d] = true
+			}
+			// The chain was walked up to its first dead stage.
+			reached := o.seg
+			for k, st := range o.seg {
+				if dead[st.Node] {
+					reached = o.seg[:k]
+					break
+				}
+			}
+			noteLacks(reached)
+		}
+		return gained, failed
+	}
 
 	depth := opts.PipelineDepth
 	if depth < 1 {
@@ -679,56 +615,9 @@ func (m *Manager) collectLine(app string, stages []stage, p shard.Placement, opt
 	if opts.SequentialFetch {
 		depth = 1
 	}
-	type segOut struct {
-		resp simnet.Message
-		head id.ID
-		err  error
+	if _, err := pass(stages, depth); err != nil {
+		return err
 	}
-	segs := segmentStages(chain, depth)
-	ch := make(chan segOut, len(segs))
-	for _, seg := range segs {
-		go func(seg []stage) {
-			resp, err := m.node.Send(seg[0].Node, simnet.Message{
-				Kind:    kindLineCollect,
-				Size:    msgHeader + 64,
-				Payload: &lineCollectMsg{App: app, Chain: seg, NoFailover: opts.DisableFailover},
-				TraceID: opts.TraceParent.Trace,
-				SpanID:  opts.TraceParent.Span,
-			})
-			ch <- segOut{resp: resp, head: seg[0].Node, err: err}
-		}(seg)
-	}
-	var failed error
-	for range segs {
-		o := <-ch
-		if o.err != nil {
-			if opts.DisableFailover {
-				failed = o.err
-			} else {
-				oc.deadNode(o.head)
-				dead[o.head] = true
-			}
-			continue
-		}
-		reply, ok := o.resp.Payload.(*collectReply)
-		if !ok {
-			o.resp.ReleaseRaw()
-			failed = fmt.Errorf("recovery: bad line reply %T", o.resp.Payload)
-			continue
-		}
-		if _, err := mergeCollectTraced(a, reply, o.resp.Raw, opts.Tracer, opts.TraceParent); err != nil {
-			failed = err
-		}
-		o.resp.ReleaseRaw()
-		for _, d := range reply.Dead {
-			oc.deadNode(d)
-			dead[d] = true
-		}
-	}
-	if failed != nil {
-		return failed
-	}
-
 	missing := a.missing()
 	if opts.DisableFailover {
 		if len(missing) > 0 {
@@ -741,46 +630,20 @@ func (m *Manager) collectLine(app string, stages []stage, p shard.Placement, opt
 	if backoff <= 0 {
 		backoff = time.Millisecond
 	}
+	usable := func(h id.ID, i int) bool { return !dead[h] && !lacks[slot{h, i}] }
 	for replan := 0; len(missing) > 0 && replan < opts.FailoverRetries; replan++ {
-		next := replanStages(p, missing, dead)
-		if next == nil {
-			break // some index has no non-dead candidate left: try star below
+		next, err := planStages(p, missing, m.node.ID(), usable, m.isDegraded)
+		if err != nil {
+			break // some index has no candidate left: try star below
 		}
 		if !opts.RetryBudget.Allow() {
 			break // budget suppressed the replan: leftovers go to the star ladder
 		}
 		time.Sleep(backoff)
 		backoff *= 2
-		oc.attempt()
-		chain, gained := m.mergeLocal(a, app, next)
-		if len(chain) > 0 {
-			resp, err := m.node.Send(chain[0].Node, simnet.Message{
-				Kind:    kindLineCollect,
-				Size:    msgHeader + 64,
-				Payload: &lineCollectMsg{App: app, Chain: chain},
-				TraceID: opts.TraceParent.Trace,
-				SpanID:  opts.TraceParent.Span,
-			})
-			if err != nil {
-				oc.deadNode(chain[0].Node)
-				dead[chain[0].Node] = true
-			} else {
-				reply, ok := resp.Payload.(*collectReply)
-				if !ok {
-					resp.ReleaseRaw()
-					return fmt.Errorf("recovery: bad line reply %T", resp.Payload)
-				}
-				n, err := mergeCollectTraced(a, reply, resp.Raw, opts.Tracer, opts.TraceParent)
-				resp.ReleaseRaw()
-				if err != nil {
-					return err
-				}
-				gained += n
-				for _, d := range reply.Dead {
-					oc.deadNode(d)
-					dead[d] = true
-				}
-			}
+		gained, err := pass(next, 1)
+		if err != nil {
+			return err
 		}
 		still := a.missing()
 		oc.failover(len(missing)-len(still), gained)
@@ -790,7 +653,7 @@ func (m *Manager) collectLine(app string, stages []stage, p shard.Placement, opt
 		// Ladder: finish the stragglers star-style, replica by replica.
 		oc.degrade(Star)
 		for _, idx := range missing {
-			n, err := m.fetchIndexRetryInto(a, app, idx, p, opts, oc)
+			n, err := m.fetchIndexRetryInto(a, idx, p, opts, oc)
 			if err != nil {
 				return fmt.Errorf("line degraded to star, index %d: %w", idx, err)
 			}
@@ -807,12 +670,12 @@ func (m *Manager) collectLine(app string, stages []stage, p shard.Placement, opt
 // subtree is dropped from the union by its parent; the replacement then
 // degrades the missing sub-shards to direct star-style fetches of
 // surviving replicas (the tree → star rung of the failover ladder).
-func (m *Manager) collectTree(app string, stages []stage, fanout int, p shard.Placement, opts Options, oc *outcomeRecorder, a *assembler) error {
+func (m *Manager) collectTree(stages []stage, fanout int, p shard.Placement, opts Options, oc *outcomeRecorder, a *assembler) error {
 	if len(stages) == 0 {
 		return ErrShardLost
 	}
 	oc.attempt()
-	remote, _ := m.mergeLocal(a, app, stages)
+	remote, _ := m.mergeLocal(a, stages)
 	// Subtree → direct fetch: degraded providers are excised from the
 	// forest so no healthy subtree is chained behind a slow interior
 	// node; their indices stay missing and fall to the star ladder below
@@ -841,7 +704,7 @@ func (m *Manager) collectTree(app string, stages []stage, fanout int, p shard.Pl
 			resp, err := m.node.Send(rt.Stage.Node, simnet.Message{
 				Kind:    kindTreeCollect,
 				Size:    msgHeader + 64,
-				Payload: &treeCollectMsg{App: app, Tree: rt, NoFailover: opts.DisableFailover},
+				Payload: &treeCollectMsg{App: p.App, Version: p.Version, Tree: rt, NoFailover: opts.DisableFailover},
 				TraceID: opts.TraceParent.Trace,
 				SpanID:  opts.TraceParent.Span,
 			})
@@ -886,7 +749,7 @@ func (m *Manager) collectTree(app string, stages []stage, fanout int, p shard.Pl
 	if len(missing) > 0 {
 		oc.degrade(Star)
 		for _, idx := range missing {
-			n, err := m.fetchIndexRetryInto(a, app, idx, p, opts, oc)
+			n, err := m.fetchIndexRetryInto(a, idx, p, opts, oc)
 			if err != nil {
 				return fmt.Errorf("tree degraded to star, index %d: %w", idx, err)
 			}
@@ -894,18 +757,6 @@ func (m *Manager) collectTree(app string, stages []stage, fanout int, p shard.Pl
 		}
 	}
 	return nil
-}
-
-// CollectStarForTest runs the star collection and assembly directly on
-// this manager — the transport-agnostic recovery path used by the
-// TCP-transport integration tests, which have no Ring to coordinate
-// through.
-func (m *Manager) CollectStarForTest(app string, p shard.Placement) ([]byte, error) {
-	a := newAssembler(p)
-	if err := m.collectStar(app, p, DefaultOptions(), newOutcomeRecorder(), a); err != nil {
-		return nil, err
-	}
-	return a.bytes()
 }
 
 // RecoverAndReprotect completes the failure-handling lifecycle: the state

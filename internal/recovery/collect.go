@@ -8,6 +8,7 @@ import (
 	"sr3/internal/obs"
 	"sr3/internal/shard"
 	"sr3/internal/simnet"
+	"sr3/internal/state"
 )
 
 // stage is one chain/tree position: a provider node and the shard indices
@@ -24,9 +25,12 @@ type stage struct {
 // Acc[i]), so intermediate stages forward bytes without decoding them and
 // serializing transports stream them in chunks.
 type lineCollectMsg struct {
-	App   string
-	Chain []stage // remaining stages, first is the recipient
-	Acc   []shard.Shard
+	App string
+	// Version is the placement's: stages contribute replicas of exactly
+	// this version, never a newer half-pushed one they also hold.
+	Version state.Version
+	Chain   []stage // remaining stages, first is the recipient
+	Acc     []shard.Shard
 	// NoFailover propagates Options.DisableFailover down the chain: a
 	// dead stage aborts the collection instead of returning a partial.
 	NoFailover bool
@@ -91,7 +95,7 @@ func (m *Manager) handleLineCollect(_ id.ID, msg simnet.Message) (simnet.Message
 	// transport) — appends must copy, not scribble.
 	metas := req.Acc[:len(req.Acc):len(req.Acc)]
 	raw := msg.Raw[:len(msg.Raw):len(msg.Raw)]
-	metas, raw = appendShards(metas, raw, m.localShardsFor(req.App, req.Chain[0].Indices))
+	metas, raw = appendShards(metas, raw, m.localShardsFor(req.App, req.Chain[0].Indices, req.Version))
 	rest := req.Chain[1:]
 	if len(rest) == 0 {
 		return simnet.Message{
@@ -101,7 +105,7 @@ func (m *Manager) handleLineCollect(_ id.ID, msg simnet.Message) (simnet.Message
 			Raw:     raw,
 		}, nil
 	}
-	fwd := &lineCollectMsg{App: req.App, Chain: rest, Acc: metas, NoFailover: req.NoFailover}
+	fwd := &lineCollectMsg{App: req.App, Version: req.Version, Chain: rest, Acc: metas, NoFailover: req.NoFailover}
 	resp, err := m.node.Send(rest[0].Node, simnet.Message{
 		Kind:    kindLineCollect,
 		Size:    msgHeader + len(raw),
@@ -133,8 +137,9 @@ type treeNode struct {
 }
 
 type treeCollectMsg struct {
-	App  string
-	Tree *treeNode // rooted at the recipient
+	App     string
+	Version state.Version // as in lineCollectMsg
+	Tree    *treeNode     // rooted at the recipient
 	// NoFailover propagates Options.DisableFailover down the tree.
 	NoFailover bool
 }
@@ -169,13 +174,13 @@ func (m *Manager) handleTreeCollect(_ id.ID, msg simnet.Message) (simnet.Message
 		}
 	}
 	defer sp.End()
-	metas, raw := appendShards(nil, nil, m.localShardsFor(req.App, req.Tree.Stage.Indices))
+	metas, raw := appendShards(nil, nil, m.localShardsFor(req.App, req.Tree.Stage.Indices, req.Version))
 	var dead []id.ID
 	for _, child := range req.Tree.Children {
 		resp, err := m.node.Send(child.Stage.Node, simnet.Message{
 			Kind:    kindTreeCollect,
 			Size:    msgHeader + 64,
-			Payload: &treeCollectMsg{App: req.App, Tree: child, NoFailover: req.NoFailover},
+			Payload: &treeCollectMsg{App: req.App, Version: req.Version, Tree: child, NoFailover: req.NoFailover},
 			TraceID: fwdCtx.Trace,
 			SpanID:  fwdCtx.Span,
 		})

@@ -12,6 +12,8 @@
 package recovery
 
 import (
+	"sort"
+
 	"sr3/internal/id"
 )
 
@@ -51,9 +53,9 @@ func (c *Cluster) DegradedIDs() []id.ID {
 }
 
 // SetDegradedCheck installs the predicate the mechanism executors
-// consult when ordering replica holders. NewCluster and AttachNode wire
-// it to Cluster.IsDegraded; standalone managers (TCP-transport tests)
-// may leave it nil, which disables degraded routing.
+// consult when ordering replica holders. NewCluster wires it to
+// Cluster.IsDegraded; standalone managers (the sr3node daemon, the
+// TCP-transport tests) leave it nil, which disables degraded routing.
 func (m *Manager) SetDegradedCheck(f func(id.ID) bool) {
 	if f == nil {
 		m.slowCheck.Store(nil)
@@ -68,36 +70,28 @@ func (m *Manager) isDegraded(nid id.ID) bool {
 	return f != nil && (*f)(nid)
 }
 
-// demoteDegraded stable-reorders replica holders so healthy ones are
-// tried first and degraded ones remain available as last resort — the
-// star mechanism's replica demotion. Returns the input slice untouched
-// when nothing is degraded (the common, allocation-free case).
+// demoteDegraded stable-reorders replica holders into the star try order:
+// healthy ones first, degraded ones as a later resort, and holders the
+// overlay reports unreachable last of all — on a real network each of
+// those costs a dial timeout, not an in-process error. Returns the input
+// slice untouched when it is already in order (the common,
+// allocation-free case).
 func (m *Manager) demoteDegraded(holders []id.ID) []id.ID {
-	f := m.slowCheck.Load()
-	if f == nil {
+	tier := func(h id.ID) int {
+		switch {
+		case h != m.node.ID() && !m.node.PeerAlive(h):
+			return 2
+		case m.isDegraded(h):
+			return 1
+		}
+		return 0
+	}
+	if sort.SliceIsSorted(holders, func(i, j int) bool { return tier(holders[i]) < tier(holders[j]) }) {
 		return holders
 	}
-	check := *f
-	anySlow := false
-	for _, h := range holders {
-		if check(h) {
-			anySlow = true
-			break
-		}
-	}
-	if !anySlow {
-		return holders
-	}
-	out := make([]id.ID, 0, len(holders))
-	var tail []id.ID
-	for _, h := range holders {
-		if check(h) {
-			tail = append(tail, h)
-			continue
-		}
-		out = append(out, h)
-	}
-	return append(out, tail...)
+	out := append([]id.ID(nil), holders...)
+	sort.SliceStable(out, func(i, j int) bool { return tier(out[i]) < tier(out[j]) })
+	return out
 }
 
 // splitDegraded partitions collection stages into healthy and degraded

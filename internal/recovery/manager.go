@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -32,11 +33,32 @@ const msgHeader = 48
 // owner died.
 func placementKVKey(app string) string { return "sr3/placement/" + app }
 
+// Overlay is what a Manager needs from the membership and messaging layer
+// beneath it. *dht.Node is one (neighbours = the leaf set, KV = routed to
+// the key's root and replicated in its leaf set); internal/cluster
+// implements another over the seed's View for deployments with no ring.
+type Overlay interface {
+	ID() id.ID
+	// LeafSet lists the nodes Save may place replicas on.
+	LeafSet() []id.ID
+	PeerAlive(id.ID) bool
+	Send(to id.ID, msg simnet.Message) (simnet.Message, error)
+	// Put and GetAll publish and read placement tables. GetAll returns
+	// every reachable copy; no copy anywhere is dht.ErrNotFound or an
+	// empty result, and any other error means the store could not be
+	// asked — recovery must not mistake that for "never saved".
+	Put(key string, value []byte) error
+	GetAll(key string) ([][]byte, error)
+	HandleDirect(kind string, f simnet.Handler)
+}
+
+var _ Overlay = (*dht.Node)(nil)
+
 // Manager is the per-node SR3 agent: it stores shard replicas pushed by
 // state owners, serves fetches, and executes its part of line/tree
-// collection. One Manager is attached to every DHT node.
+// collection. One Manager is attached to every overlay node.
 type Manager struct {
-	node *dht.Node
+	node Overlay
 	// tracer parents handler-side collect spans on the inbound message's
 	// span context (atomic: handlers read it concurrently with SetTracer).
 	tracer atomic.Pointer[obs.Tracer]
@@ -46,17 +68,53 @@ type Manager struct {
 	slowCheck atomic.Pointer[func(id.ID) bool]
 
 	mu         sync.Mutex
-	shards     map[shard.Key]shard.Shard
+	shards     map[string]*held
 	placements map[string]shard.Placement
 	recovered  map[string][]byte
 	saveSeq    uint64
 }
 
-// NewManager attaches an SR3 manager to a DHT node.
-func NewManager(n *dht.Node) *Manager {
+// held is one app's replicas on this node: the newest version seen plus
+// the one it superseded. A saver that dies mid-scatter leaves its newest
+// version incomplete across the holders and never publishes a placement
+// for it, so the published (previous) version must survive on every
+// holder the partial push reached — it is dropped only at the next
+// supersession. Fetch and collect requests name the version they want.
+type held struct {
+	version, prevVersion state.Version
+	cur, prev            map[shard.Key]shard.Shard
+}
+
+// at returns the replicas held at exactly version v (nil when none).
+func (h *held) at(v state.Version) map[shard.Key]shard.Shard {
+	switch {
+	case h == nil:
+		return nil
+	case v == h.version:
+		return h.cur
+	case v == h.prevVersion:
+		return h.prev
+	}
+	return nil
+}
+
+// find returns the replica stored under k, the newer version first.
+func (h *held) find(k shard.Key) (shard.Shard, bool) {
+	if h == nil {
+		return shard.Shard{}, false
+	}
+	if s, ok := h.cur[k]; ok {
+		return s, true
+	}
+	s, ok := h.prev[k]
+	return s, ok
+}
+
+// NewManager attaches an SR3 manager to an overlay node.
+func NewManager(n Overlay) *Manager {
 	m := &Manager{
 		node:       n,
-		shards:     make(map[shard.Key]shard.Shard),
+		shards:     make(map[string]*held),
 		placements: make(map[string]shard.Placement),
 		recovered:  make(map[string][]byte),
 	}
@@ -69,20 +127,31 @@ func NewManager(n *dht.Node) *Manager {
 	return m
 }
 
-// Node returns the underlying DHT node.
-func (m *Manager) Node() *dht.Node { return m.node }
-
 // SetTracer installs the tracer used by this node's collect handlers.
 func (m *Manager) SetTracer(tr *obs.Tracer) { m.tracer.Store(tr) }
 
 // getTracer returns the node's tracer (nil when tracing is off).
 func (m *Manager) getTracer() *obs.Tracer { return m.tracer.Load() }
 
-// ShardCount returns how many shard replicas this node stores.
-func (m *Manager) ShardCount() int {
+// ShardsHeld returns how many shard replicas this node stores per app,
+// both retained versions counted.
+func (m *Manager) ShardsHeld() map[string]int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.shards)
+	out := make(map[string]int, len(m.shards))
+	for app, h := range m.shards {
+		out[app] = len(h.cur) + len(h.prev)
+	}
+	return out
+}
+
+// ShardCount returns how many shard replicas this node stores.
+func (m *Manager) ShardCount() int {
+	n := 0
+	for _, c := range m.ShardsHeld() {
+		n += c
+	}
+	return n
 }
 
 // ShardBytes returns the total bytes of shard replicas stored here.
@@ -90,8 +159,12 @@ func (m *Manager) ShardBytes() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, s := range m.shards {
-		n += len(s.Data)
+	for _, h := range m.shards {
+		for _, set := range []map[shard.Key]shard.Shard{h.cur, h.prev} {
+			for _, s := range set {
+				n += len(s.Data)
+			}
+		}
 	}
 	return n
 }
@@ -102,8 +175,10 @@ func (m *Manager) ShardBytes() int {
 // store — one round trip per holder, bodies framed in the message's raw
 // byte body — and holders are written serially, matching the evaluation's
 // fair-comparison setup for Fig 8c. The placement table is recorded
-// locally and published into the DHT KV so any node can recover the
-// state later.
+// locally and published through the overlay's KV so any node can recover
+// the state later. Re-saving the version this manager published last (a
+// repair after membership moved) bumps the table's Epoch, so the rewrite
+// outranks every copy of the earlier table.
 func (m *Manager) Save(app string, snapshot []byte, mShards, replicas int, v state.Version) (shard.Placement, error) {
 	shards, err := shard.Split(app, m.node.ID(), snapshot, mShards, v)
 	if err != nil {
@@ -147,10 +222,9 @@ func (m *Manager) Save(app string, snapshot []byte, mShards, replicas int, v sta
 		}
 	}
 
-	m.mu.Lock()
-	m.placements[app] = placement
-	m.mu.Unlock()
-
+	if last, ok := m.Placement(app); ok && last.Version == v {
+		placement.Epoch = last.Epoch + 1
+	}
 	blob, err := EncodePlacement(placement)
 	if err != nil {
 		return shard.Placement{}, fmt.Errorf("save %q: %w", app, err)
@@ -158,6 +232,11 @@ func (m *Manager) Save(app string, snapshot []byte, mShards, replicas int, v sta
 	if err := m.node.Put(placementKVKey(app), blob); err != nil {
 		return shard.Placement{}, fmt.Errorf("save %q placement: %w: %v", app, ErrSaveAborted, err)
 	}
+	// Recorded only once published: pushes tell holders which version
+	// that is (storeBatchMsg.Published).
+	m.mu.Lock()
+	m.placements[app] = placement
+	m.mu.Unlock()
 	return placement, nil
 }
 
@@ -196,9 +275,10 @@ func (m *Manager) pushShardBatch(target id.ID, shards []shard.Shard) error {
 	if len(shards) == 0 {
 		return nil
 	}
+	last, _ := m.Placement(shards[0].App)
 	if target == m.node.ID() {
 		for _, s := range shards {
-			m.storeLocal(s)
+			m.storeLocal(s, last.Version)
 		}
 		return nil
 	}
@@ -206,20 +286,40 @@ func (m *Manager) pushShardBatch(target id.ID, shards []shard.Shard) error {
 	_, err := m.node.Send(target, simnet.Message{
 		Kind:    kindStoreBatch,
 		Size:    msgHeader + len(raw),
-		Payload: &storeBatchMsg{Metas: metas},
+		Payload: &storeBatchMsg{Metas: metas, Published: last.Version},
 		Raw:     raw,
 	})
 	return err
 }
 
-func (m *Manager) storeLocal(s shard.Shard) {
+// storeLocal stores one pushed replica. published is the version of the
+// placement the pusher last published or recovered for the app (zero when
+// it knows none).
+func (m *Manager) storeLocal(s shard.Shard, published state.Version) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := s.Key()
-	if old, ok := m.shards[key]; ok && old.Version.Newer(s.Version) {
-		return // stale write: version control (paper §4, modification 3)
+	h := m.shards[s.App]
+	if h == nil {
+		h = &held{version: s.Version, cur: make(map[shard.Key]shard.Shard)}
+		m.shards[s.App] = h
 	}
-	m.shards[key] = s
+	switch {
+	case s.Version.Newer(h.version):
+		// Supersession: the newest set becomes the fallback and the older
+		// fallback goes — unless the pusher says it published some other
+		// version, in which case the newest set is what an aborted save
+		// left behind and the fallback already held is the one to keep.
+		if published == (state.Version{}) || published == h.version {
+			h.prevVersion, h.prev = h.version, h.cur
+		}
+		h.version, h.cur = s.Version, map[shard.Key]shard.Shard{s.Key(): s}
+	default:
+		// A write older than both retained versions finds no set and is
+		// dropped: version control (paper §4, modification 3).
+		if set := h.at(s.Version); set != nil {
+			set[s.Key()] = s
+		}
+	}
 }
 
 // DropShards deletes shard replicas (failure injection for Fig 10: "we
@@ -227,35 +327,35 @@ func (m *Manager) storeLocal(s shard.Shard) {
 func (m *Manager) DropShards(app string, pred func(shard.Key) bool) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	h := m.shards[app]
+	if h == nil {
+		return 0
+	}
 	n := 0
-	for k := range m.shards {
-		if k.App == app && (pred == nil || pred(k)) {
-			delete(m.shards, k)
-			n++
+	for _, set := range []map[shard.Key]shard.Shard{h.cur, h.prev} {
+		for k := range set {
+			if pred == nil || pred(k) {
+				delete(set, k)
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// HasShard reports whether a replica is stored here.
+// HasShard reports whether a replica is stored here, at either retained
+// version.
 func (m *Manager) HasShard(k shard.Key) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.shards[k]
+	_, ok := m.shards[k.App].find(k)
 	return ok
 }
 
 // hasShardAt reports whether any replica of (app, index) is stored here
 // at exactly version v — the repair loop's health predicate.
 func (m *Manager) hasShardAt(app string, index int, v state.Version) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k, s := range m.shards {
-		if k.App == app && k.Index == index && s.Version == v {
-			return true
-		}
-	}
-	return false
+	return len(m.localShardsFor(app, []int{index}, v)) > 0
 }
 
 // GCShards applies version-scoped garbage collection for one app against
@@ -269,18 +369,22 @@ func (m *Manager) hasShardAt(app string, index int, v state.Version) bool {
 func (m *Manager) GCShards(app string, p shard.Placement) (stale, orphans int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	self := m.node.ID()
-	for k, s := range m.shards {
-		if k.App != app {
-			continue
-		}
-		if p.Version.Newer(s.Version) {
-			delete(m.shards, k)
-			stale++
-			continue
-		}
-		if s.Version == p.Version && p.Loc[k] != self {
-			delete(m.shards, k)
+	h := m.shards[app]
+	if h == nil {
+		return 0, 0
+	}
+	if p.Version.Newer(h.prevVersion) {
+		stale += len(h.prev)
+		h.prev = nil
+	}
+	if p.Version.Newer(h.version) {
+		stale += len(h.cur)
+		clear(h.cur)
+	}
+	self, published := m.node.ID(), h.at(p.Version)
+	for k := range published {
+		if p.Loc[k] != self {
+			delete(published, k)
 			orphans++
 		}
 	}
@@ -295,15 +399,21 @@ func (m *Manager) Placement(app string) (shard.Placement, bool) {
 	return p, ok
 }
 
-// LookupPlacement fetches a state's placement table from the DHT. Repair
-// republishes tables in place (same version, bumped epoch), and after
-// churn stale same-version copies can linger on old KV replicas — so the
-// lookup reads every reachable copy and returns the one that supersedes
-// the rest, not whichever copy one node happens to hold.
+// LookupPlacement fetches a state's placement table from the overlay's
+// KV. Repair republishes tables in place (same version, bumped epoch), and
+// after churn stale same-version copies can linger on old KV replicas — so
+// the lookup reads every reachable copy and returns the one that
+// supersedes the rest, not whichever copy one node happens to hold. Only
+// a KV that answered and holds no copy is ErrNoPlacement; one that could
+// not be asked is a plain error, so a caller that starts never-saved
+// state empty cannot take an outage for "never saved".
 func (m *Manager) LookupPlacement(app string) (shard.Placement, error) {
 	blobs, err := m.node.GetAll(placementKVKey(app))
-	if err != nil {
+	if errors.Is(err, dht.ErrNotFound) {
 		return shard.Placement{}, fmt.Errorf("%w: %v", ErrNoPlacement, err)
+	}
+	if err != nil {
+		return shard.Placement{}, fmt.Errorf("lookup placement %q: %w", app, err)
 	}
 	var best shard.Placement
 	found := false
@@ -323,6 +433,8 @@ func (m *Manager) LookupPlacement(app string) (shard.Placement, error) {
 }
 
 // SetRecovered records a reconstructed snapshot at the replacement node.
+// Only the in-process Cluster calls it (its tests read the copy back);
+// RecoverPlacement itself retains nothing.
 func (m *Manager) SetRecovered(app string, snapshot []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -350,7 +462,7 @@ func (m *Manager) handleStore(_ id.ID, msg simnet.Message) (simnet.Message, erro
 	if err := ValidateShard(*s); err != nil {
 		return simnet.Message{}, err
 	}
-	m.storeLocal(*s)
+	m.storeLocal(*s, state.Version{})
 	return simnet.Message{Kind: kindAck, Size: msgHeader}, nil
 }
 
@@ -359,6 +471,10 @@ func (m *Manager) handleStore(_ id.ID, msg simnet.Message) (simnet.Message, erro
 // (frame i ↔ Metas[i], see EncodeShardBatch).
 type storeBatchMsg struct {
 	Metas []shard.Shard
+	// Published is the sender's last published (or recovered) version of
+	// the app, which a holder must not let repeated aborted saves push
+	// out of its two retained versions; see storeLocal.
+	Published state.Version
 }
 
 func (m *Manager) handleStoreBatch(_ id.ID, msg simnet.Message) (simnet.Message, error) {
@@ -374,7 +490,7 @@ func (m *Manager) handleStoreBatch(_ id.ID, msg simnet.Message) (simnet.Message,
 		// The decoded Data subslices the transport-owned raw body, which
 		// is recycled after this handler returns — store an owned copy.
 		s.Data = append([]byte(nil), s.Data...)
-		m.storeLocal(s)
+		m.storeLocal(s, req.Published)
 	}
 	return simnet.Message{Kind: kindAck, Size: msgHeader}, nil
 }
@@ -388,9 +504,12 @@ type fetchRequest struct {
 }
 
 type fetchIndexRequest struct {
-	App    string
-	Index  int
-	Inline bool
+	App   string
+	Index int
+	// Version is the placement's: a holder may also keep a newer,
+	// half-pushed version that must not be served in its place.
+	Version state.Version
+	Inline  bool
 }
 
 type fetchReply struct {
@@ -425,7 +544,7 @@ func (m *Manager) handleFetch(_ id.ID, msg simnet.Message) (simnet.Message, erro
 		return simnet.Message{}, fmt.Errorf("recovery: bad fetch payload %T", msg.Payload)
 	}
 	m.mu.Lock()
-	s, found := m.shards[req.Key]
+	s, found := m.shards[req.Key.App].find(req.Key)
 	m.mu.Unlock()
 	if !found {
 		return simnet.Message{Kind: kindAck, Size: msgHeader, Payload: &fetchReply{}}, nil
@@ -434,52 +553,35 @@ func (m *Manager) handleFetch(_ id.ID, msg simnet.Message) (simnet.Message, erro
 }
 
 // handleFetchIndex returns any replica of the given shard index stored
-// here — used when the exact replica number is unknown.
+// here at the requested version — used when the exact replica number is
+// unknown.
 func (m *Manager) handleFetchIndex(_ id.ID, msg simnet.Message) (simnet.Message, error) {
 	req, ok := msg.Payload.(*fetchIndexRequest)
 	if !ok {
 		return simnet.Message{}, fmt.Errorf("recovery: bad fetchIndex payload %T", msg.Payload)
 	}
-	m.mu.Lock()
-	var best shard.Shard
-	found := false
-	for k, s := range m.shards {
-		if k.App == req.App && k.Index == req.Index {
-			if !found || s.Version.Newer(best.Version) {
-				best = s
-				found = true
-			}
-		}
-	}
-	m.mu.Unlock()
-	if !found {
+	ss := m.localShardsFor(req.App, []int{req.Index}, req.Version)
+	if len(ss) == 0 {
 		return simnet.Message{Kind: kindAck, Size: msgHeader, Payload: &fetchReply{}}, nil
 	}
-	return fetchReplyMsg(best, req.Inline), nil
+	return fetchReplyMsg(ss[0], req.Inline), nil
 }
 
-// localShardsFor returns this node's replicas for the given app indices,
-// preferring the newest version of each (stale copies from an earlier
-// save may still sit here after the state's owner moved).
-func (m *Manager) localShardsFor(app string, indices []int) []shard.Shard {
+// localShardsFor returns one of this node's replicas for each of the
+// given app indices it holds at version v.
+func (m *Manager) localShardsFor(app string, indices []int, v state.Version) []shard.Shard {
 	want := make(map[int]bool, len(indices))
 	for _, i := range indices {
 		want[i] = true
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	best := make(map[int]shard.Shard, len(indices))
-	for k, s := range m.shards {
-		if k.App != app || !want[k.Index] {
-			continue
+	out := make([]shard.Shard, 0, len(indices))
+	for k, s := range m.shards[app].at(v) {
+		if want[k.Index] {
+			out = append(out, s)
+			delete(want, k.Index)
 		}
-		if cur, ok := best[k.Index]; !ok || s.Version.Newer(cur.Version) {
-			best[k.Index] = s
-		}
-	}
-	out := make([]shard.Shard, 0, len(best))
-	for _, s := range best {
-		out = append(out, s)
 	}
 	return out
 }

@@ -209,9 +209,9 @@ func TestDegradedRoutingPrefersHealthyReplicas(t *testing.T) {
 
 	// Planning: no stage routes through the degraded node while every
 	// one of its indices has a healthy live replica.
-	stages, err := c.liveStages(p, replacement)
+	stages, err := stagesFor(c, p, replacement)
 	if err != nil {
-		t.Fatalf("liveStages: %v", err)
+		t.Fatalf("planStages: %v", err)
 	}
 	for _, st := range stages {
 		if st.Node != deg {
@@ -219,7 +219,7 @@ func TestDegradedRoutingPrefersHealthyReplicas(t *testing.T) {
 		}
 		for _, idx := range st.Indices {
 			for _, h := range p.NodesForIndex(idx) {
-				if h != deg && c.Ring.Net.Alive(h) && c.managers[h].hasIndex("app", idx) {
+				if h != deg && c.Ring.Net.Alive(h) && c.managers[h].hasShardAt("app", idx, p.Version) {
 					t.Fatalf("index %d planned on degraded node despite healthy replica %s", idx, h.Short())
 				}
 			}
@@ -243,8 +243,8 @@ func TestDegradedRoutingPrefersHealthyReplicas(t *testing.T) {
 	for _, h := range holders {
 		c.MarkDegraded(h)
 	}
-	if _, err := c.liveStages(p, replacement); err != nil {
-		t.Fatalf("liveStages with only degraded holders: %v", err)
+	if _, err := stagesFor(c, p, replacement); err != nil {
+		t.Fatalf("planStages with only degraded holders: %v", err)
 	}
 	res, err := c.Recover("app", Tree, DefaultOptions())
 	if err != nil {

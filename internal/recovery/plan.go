@@ -3,7 +3,6 @@ package recovery
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"sr3/internal/id"
 	"sr3/internal/shard"
@@ -76,17 +75,13 @@ func (s PlanSpec) stageDelay(st PlanStage) float64 {
 
 // Planner emits simnet task DAGs for recovery mechanisms. One Planner can
 // compose several plans (multi-failure experiments) into a single DAG
-// with unique task IDs. Use NewPlanner for a standalone planner, or
-// PlannerOn to share a builder with baseline planners.
+// with unique task IDs.
 type Planner struct {
 	b *simnet.PlanBuilder
 }
 
 // NewPlanner returns an empty planner.
 func NewPlanner() *Planner { return &Planner{b: simnet.NewPlanBuilder()} }
-
-// PlannerOn returns a planner appending to an existing builder.
-func PlannerOn(b *simnet.PlanBuilder) *Planner { return &Planner{b: b} }
 
 // Tasks returns the composed DAG.
 func (p *Planner) Tasks() []simnet.Task { return p.b.Tasks() }
@@ -409,64 +404,30 @@ func treeCapacity(fanout, depth int) int {
 	return total
 }
 
-// StagesFromPlacement derives timed-plan stages from a shard placement:
-// for each shard index the first live replica holder is chosen, indices
-// are grouped by holder, and holders are ordered farthest from the
-// replacement first (the same provider choice the real executors make).
-// Node names are the holders' ID strings.
+// StagesFromPlacement is the timed planners' view of planStages: the same
+// provider choice the real executors make, with each stage carrying its
+// shard bytes and the dead replica holders probed before a live one
+// answered (each costs the spec's FailureDetectDelay). Node names are the
+// holders' ID strings.
 func StagesFromPlacement(p shard.Placement, alive func(id.ID) bool, replacement id.ID) ([]PlanStage, error) {
-	bytesFor := func(index int) float64 {
-		base := p.TotalLen / p.M
-		if index < p.TotalLen%p.M {
-			base++
-		}
-		return float64(base)
+	stages, err := planStages(p, allIndices(p), replacement, func(h id.ID, _ int) bool { return alive(h) }, nil)
+	if err != nil {
+		return nil, err
 	}
-	byHolder := make(map[id.ID]float64)
-	fallbacks := make(map[id.ID]int)
-	for i := 0; i < p.M; i++ {
-		// Probe replica holders in order; each dead probe costs a
-		// failure-detection timeout. Among the live holders, pick the
-		// least loaded so far — wider replication spreads load better
-		// (the paper's "larger replication factor facilitates retrieval").
-		probed := 0
-		var chosen id.ID
-		found := false
-		for _, h := range p.NodesForIndex(i) {
-			if !alive(h) {
-				if !found {
-					probed++
+	out := make([]PlanStage, len(stages))
+	for k, st := range stages {
+		out[k].Node = st.Node.String()
+		for _, i := range st.Indices {
+			out[k].Bytes += float64(indexLen(p, i))
+			probed := 0
+			for _, h := range p.NodesForIndex(i) {
+				if alive(h) {
+					break
 				}
-				continue
+				probed++
 			}
-			if !found || byHolder[h] < byHolder[chosen] {
-				chosen = h
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("shard index %d: %w", i, ErrShardLost)
-		}
-		byHolder[chosen] += bytesFor(i)
-		if probed > fallbacks[chosen] {
-			fallbacks[chosen] = probed
+			out[k].Fallbacks = max(out[k].Fallbacks, probed)
 		}
 	}
-	holders := make([]id.ID, 0, len(byHolder))
-	for h := range byHolder {
-		holders = append(holders, h)
-	}
-	sort.Slice(holders, func(i, j int) bool {
-		di := id.Distance(holders[i], replacement)
-		dj := id.Distance(holders[j], replacement)
-		if cmp := di.Cmp(dj); cmp != 0 {
-			return cmp > 0
-		}
-		return holders[i].Less(holders[j])
-	})
-	stages := make([]PlanStage, 0, len(holders))
-	for _, h := range holders {
-		stages = append(stages, PlanStage{Node: h.String(), Bytes: byHolder[h], Fallbacks: fallbacks[h]})
-	}
-	return stages, nil
+	return out, nil
 }

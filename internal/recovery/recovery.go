@@ -14,10 +14,11 @@
 //     constraints and many simultaneous failures.
 //
 // Each mechanism exists twice, sharing one shard-placement source of
-// truth: a real executor that moves actual bytes over the in-process
-// transport (used by tests, examples and the stream runtime), and a
-// timed planner that emits a simnet task DAG for virtual-time figure
-// benchmarks.
+// truth and one provider planner (planStages): a real executor, Manager,
+// that moves actual bytes over whatever Overlay it is attached to — a DHT
+// node in process (tests, examples, the stream runtime), the cluster view
+// in the sr3node daemon — and a timed planner that emits a simnet task DAG
+// for virtual-time figure benchmarks.
 package recovery
 
 import (

@@ -23,6 +23,13 @@ func buildCluster(t testing.TB, n int, seed int64) *Cluster {
 	return NewCluster(ring)
 }
 
+// stagesFor plans p's recovery at replacement the way RecoverPlacement
+// does there: over the transport's liveness and the cluster's degraded set.
+func stagesFor(c *Cluster, p shard.Placement, replacement id.ID) ([]stage, error) {
+	alive := func(h id.ID, _ int) bool { return c.Ring.Net.Alive(h) }
+	return planStages(p, allIndices(p), replacement, alive, c.IsDegraded)
+}
+
 func randomSnapshot(n int, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	b := make([]byte, n)

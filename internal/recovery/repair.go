@@ -41,11 +41,6 @@ type RepairReport struct {
 	GCOrphans int
 }
 
-// FullyReplicated reports whether the pass left every slot healthy.
-func (r RepairReport) FullyReplicated() bool {
-	return r.Unrepairable == 0 && r.Missing == r.Repushed
-}
-
 // RepairApp restores an application's replication factor after provider
 // death or DHT churn: every (index, replica) slot of the published
 // placement is checked against the live overlay, lost replicas are
@@ -137,17 +132,11 @@ func (c *Cluster) RepairApp(app string) (RepairReport, error) {
 					continue
 				}
 				var err error
-				s, err = cm.fetchFrom(donor, app, i)
-				if err != nil || s.Version != p.Version {
-					if err == nil && s.Version.Newer(p.Version) {
-						// A newer save is landing: stand down, it re-protects.
-						rep.Superseded = true
-						return rep, nil
-					}
-					rep.Unrepairable++
-					continue
+				s, err = cm.fetchFrom(donor, app, i, p.Version)
+				if err == nil {
+					err = ValidateShard(s)
 				}
-				if err := ValidateShard(s); err != nil {
+				if err != nil {
 					rep.Unrepairable++
 					continue
 				}
@@ -266,7 +255,7 @@ func (c *Cluster) pinPlacement(from *Manager, app string, blob []byte) {
 		if i >= pinCopies {
 			return
 		}
-		_ = from.node.StoreDirect(nid, key, blob)
+		_ = c.Ring.Node(from.node.ID()).StoreDirect(nid, key, blob)
 	}
 }
 

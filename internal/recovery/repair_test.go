@@ -284,14 +284,7 @@ func TestGCKeepsNewerInFlightShards(t *testing.T) {
 func clusterShardCount(c *Cluster, app string) int {
 	n := 0
 	for _, nid := range c.Ring.LiveIDs() {
-		m := c.Manager(nid)
-		m.mu.Lock()
-		for k := range m.shards {
-			if k.App == app {
-				n++
-			}
-		}
-		m.mu.Unlock()
+		n += c.Manager(nid).ShardsHeld()[app]
 	}
 	return n
 }

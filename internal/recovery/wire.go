@@ -149,12 +149,6 @@ func DecodeShardBatch(metas []shard.Shard, raw []byte) ([]shard.Shard, error) {
 	return out, nil
 }
 
-// BatchRawSize returns the framed-body size for shards of the given total
-// data length (for wire-size accounting).
-func BatchRawSize(dataBytes, count int) int {
-	return dataBytes + count*dht.FrameOverhead
-}
-
 // EncodeShard serializes one shard (the store-message framing).
 func EncodeShard(s shard.Shard) ([]byte, error) {
 	var buf bytes.Buffer
