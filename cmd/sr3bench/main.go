@@ -59,7 +59,6 @@ func experiments() []experiment {
 		figExp("ablation-speculation", "straggler hedging (§6 future work)", bench.AblationSpeculation),
 		figExp("ablation-speculation-linetree", "line/tree straggler hedging", bench.AblationSpeculationLineTree),
 		{id: "chaos", desc: "failover ladder under seeded fault injection", run: bench.ChaosReport},
-		{id: "dataplane", desc: "recovery goodput over TCP: size x mechanism x fetch concurrency (writes " + dataPlaneOut + ")", run: runDataPlane},
 		{id: "trace", desc: "per-phase recovery breakdown from one distributed trace per mechanism", run: runTrace},
 		{id: "self-heal", desc: "detection latency and MTTR vs heartbeat interval and φ threshold", run: bench.SelfHealReport},
 		figExp("ablation-flowpenalty", "star flow-penalty contribution", bench.AblationFlowPenalty),
@@ -78,7 +77,7 @@ func experiments() []experiment {
 				run: func() (string, error) { return runPreset(a, "tiny", a.TinyOut) }})
 	}
 	return append(exps,
-		experiment{id: "matrix-report", desc: "render committed matrix/overload/throughput artifacts as markdown into " + experimentsDoc + " (-plot adds SVG figures)", run: runMatrixReport},
+		experiment{id: "matrix-report", desc: "render the committed artifacts as markdown into " + experimentsDoc + " (-plot adds SVG figures)", run: runMatrixReport},
 		experiment{id: "table1", desc: "recovery approach overview (Table 1)", run: func() (string, error) {
 			return bench.FormatTable1(), nil
 		}},
@@ -99,22 +98,6 @@ func runFP4S() (string, error) {
 		cmp.StarRecoverySec, cmp.SR3ReplicaFactor)
 	fmt.Fprintf(&b, "  extra erasure-codec time: %8.2f s (paper: ~10 s)\n", cmp.ExtraCodecSec)
 	return b.String(), nil
-}
-
-// dataPlaneOut is where the dataplane experiment writes its JSON
-// artifact (relative to the working directory — run from the repo root).
-const dataPlaneOut = "BENCH_dataplane.json"
-
-func runDataPlane() (string, error) {
-	report, err := bench.DataPlaneSweep(bench.DataPlaneConfig{})
-	if err != nil {
-		return "", err
-	}
-	blob, err := report.JSON()
-	if err != nil {
-		return "", err
-	}
-	return writeArtifact(dataPlaneOut, blob, report.Format())
 }
 
 func runTrace() (string, error) {
@@ -191,7 +174,7 @@ func runMatrixReport() (string, error) {
 		did = append(did, a.Out)
 	}
 	if len(did) == 0 {
-		return "", fmt.Errorf("matrix-report: no committed artifact found (run the matrix/overload/throughput experiments first)")
+		return "", fmt.Errorf("matrix-report: no committed artifact found (run the artifact experiments first, see -list)")
 	}
 	if err := os.WriteFile(experimentsDoc, []byte(doc), 0o644); err != nil {
 		return "", err

@@ -1,6 +1,6 @@
 // The sweep loop, the artifact path and the experiment table: everything
-// the artifact-producing experiments (matrix, overload, throughput)
-// share beyond the rig. sr3bench, CI and the table tests all range over
+// the artifact-producing experiments (matrix, overload, throughput,
+// dataplane) share beyond the rig. sr3bench, CI and the table tests all range over
 // Artifacts, so an experiment is one row here.
 package bench
 
@@ -106,6 +106,12 @@ var Artifacts = []Artifact{
 		Out: "BENCH_throughput.json", TinyOut: "BENCH_throughput_tiny.json",
 		Sweep:    presetSweep(ThroughputPreset, ThroughputSweep),
 		Validate: func(b []byte) (Report, error) { return ValidateThroughput(b) },
+	},
+	{
+		ID: "dataplane", Desc: "recovery goodput over TCP: size x mechanism x fetch concurrency, median and IQR per cell",
+		Out: "BENCH_dataplane.json", TinyOut: "BENCH_dataplane_tiny.json",
+		Sweep:    presetSweep(DataPlanePreset, DataPlaneSweep),
+		Validate: func(b []byte) (Report, error) { return ValidateDataPlane(b) },
 	},
 }
 

@@ -17,98 +17,96 @@ import (
 // The dataplane experiment measures the recovery data plane end to end
 // over real loopback TCP sockets — actual bytes through actual kernels,
 // not the virtual-time planner the figure benchmarks use. It sweeps state
-// size × mechanism × fetch concurrency and reports recovery goodput, with
-// Options.SequentialFetch as the A/B control: one fetch in flight, shard
-// data gob-encoded inline — the pre-pipelining wire path.
+// size × mechanism × fetch concurrency and reports recovery goodput. A
+// single recovery of a few tens of milliseconds on a shared box reads
+// anywhere within a factor of two of itself, so every cell repeats the
+// recovery and reports the median and the interquartile range; a
+// difference between two cells inside their IQRs is not one.
 
-// DataPlaneConfig parametrizes the sweep. The zero value selects the
-// committed BENCH_dataplane.json configuration.
-type DataPlaneConfig struct {
-	// SizesMB are the state sizes swept, in MB (1e6 bytes).
-	SizesMB []int
-	// Concurrencies are the fetch-pool widths swept alongside the
-	// sequential baseline.
-	Concurrencies []int
-	// Nodes is the TCP overlay size.
-	Nodes int
-	// M, R are the shard count and replication factor.
-	M, R int
-	// Trials is how many times each cell runs; the fastest trial is
-	// reported. The default is 1 — a cold one-shot recovery, matching
-	// production (recovery happens once, right after a failure, with no
-	// warmed heap). Best-of-N>1 warms the allocator across trials, which
-	// flatters the gob baseline by amortizing exactly the alloc/GC churn
-	// the pooled zero-copy path was built to remove.
-	Trials int
+// DataPlaneSchema versions the committed BENCH_dataplane.json.
+const DataPlaneSchema = "sr3.bench.dataplane/v2"
+
+// DataPlaneCellSpec names one cell to run.
+type DataPlaneCellSpec struct {
+	StateMB   int    `json:"state_mb"` // 1 MB = 1e6 bytes
+	Mechanism string `json:"mechanism"`
+	// Concurrency is Options.FetchConcurrency.
+	Concurrency int `json:"concurrency"`
+	// Reps is how many times the recovery runs in the cell's overlay.
+	Reps int `json:"reps"`
+	// Nodes is the TCP overlay size; M, R the shard count and replication.
+	Nodes int `json:"nodes"`
+	M     int `json:"m"`
+	R     int `json:"r"`
 }
 
-func (c DataPlaneConfig) withDefaults() DataPlaneConfig {
-	if len(c.SizesMB) == 0 {
-		c.SizesMB = []int{8, 64}
-	}
-	if len(c.Concurrencies) == 0 {
-		c.Concurrencies = []int{4, 8}
-	}
-	if c.Nodes == 0 {
-		c.Nodes = 14
-	}
-	if c.M == 0 {
-		c.M = 8
-	}
-	if c.R == 0 {
-		c.R = 3
-	}
-	if c.Trials == 0 {
-		c.Trials = 1
-	}
-	return c
-}
-
-// DataPlaneRun is one cell of the sweep.
-type DataPlaneRun struct {
-	StateMB     int     `json:"state_mb"`
-	Mechanism   string  `json:"mechanism"`
-	Mode        string  `json:"mode"` // "seq" or "cN"
-	Concurrency int     `json:"concurrency"`
+// DataPlaneCell is one measured cell.
+type DataPlaneCell struct {
+	DataPlaneCellSpec
+	// Seconds is the median recovery time over Reps, SecondsIQR the
+	// distance between its quartiles, ColdSeconds the first repetition —
+	// empty buffer pool, the one a real recovery resembles.
 	Seconds     float64 `json:"seconds"`
+	SecondsIQR  float64 `json:"seconds_iqr"`
+	ColdSeconds float64 `json:"cold_seconds"`
+	// GoodputMBps is merged state delivered per second at the median.
 	GoodputMBps float64 `json:"goodput_mbps"`
-	// SpeedupVsSeq is this run's goodput over the same (size, mechanism)
-	// sequential baseline; 1.0 for the baseline itself.
-	SpeedupVsSeq float64 `json:"speedup_vs_seq"`
-	// BytesMoved is merged state payload delivered to the replacement.
-	BytesMoved int64 `json:"bytes_moved"`
 	// RawWireBytes / RawFrames are the transport's chunked-body counters
-	// for this run (zero in sequential mode, where data rides gob).
+	// and PoolHitRate its buffer reuse, per repetition, over the cell.
 	RawWireBytes int64   `json:"raw_wire_bytes"`
 	RawFrames    int64   `json:"raw_frames"`
 	PoolHitRate  float64 `json:"pool_hit_rate"`
+	Error        string  `json:"error,omitempty"`
 }
 
 // DataPlaneReport is the full sweep, serialized to BENCH_dataplane.json.
 type DataPlaneReport struct {
-	GeneratedBy string         `json:"generated_by"`
-	Transport   string         `json:"transport"`
-	Nodes       int            `json:"nodes"`
-	M           int            `json:"m"`
-	R           int            `json:"r"`
-	Runs        []DataPlaneRun `json:"runs"`
+	Schema    string          `json:"schema"`
+	Transport string          `json:"transport"`
+	Cells     []DataPlaneCell `json:"cells"`
 }
 
 // JSON renders the report for the committed artifact.
-func (r DataPlaneReport) JSON() ([]byte, error) { return marshalArtifact(r) }
+func (r *DataPlaneReport) JSON() ([]byte, error) { return marshalArtifact(r) }
 
-// Format renders the report as an aligned text table.
-func (r DataPlaneReport) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "recovery goodput over %s, %d nodes, m=%d r=%d\n", r.Transport, r.Nodes, r.M, r.R)
-	fmt.Fprintf(&b, "%-9s %-6s %-6s %12s %14s %10s %9s\n",
-		"state", "mech", "mode", "seconds", "goodput MB/s", "speedup", "pool hit")
-	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "%-9s %-6s %-6s %12.3f %14.1f %9.2fx %8.0f%%\n",
-			fmt.Sprintf("%dMB", run.StateMB), run.Mechanism, run.Mode,
-			run.Seconds, run.GoodputMBps, run.SpeedupVsSeq, 100*run.PoolHitRate)
+// DataPlanePreset returns the cell list for a named preset: "tiny" is the
+// CI smoke subset, "full" the committed sweep.
+func DataPlanePreset(preset string) ([]DataPlaneCellSpec, error) {
+	var sizes, concs []int
+	base := DataPlaneCellSpec{M: 8, R: 3}
+	switch preset {
+	case "tiny":
+		sizes, concs = []int{2}, []int{4}
+		base.Nodes, base.Reps = 10, 2
+	case "full":
+		sizes, concs = []int{8, 64}, []int{4, 8}
+		base.Nodes, base.Reps = 14, 7
+	default:
+		return nil, fmt.Errorf("dataplane: unknown preset %q (tiny, full)", preset)
 	}
-	return b.String()
+	var specs []DataPlaneCellSpec
+	for _, size := range sizes {
+		for _, mech := range dataPlaneMechs {
+			spec := base
+			spec.StateMB, spec.Mechanism = size, mech.String()
+			for _, c := range concs {
+				spec.Concurrency = c
+				specs = append(specs, spec)
+			}
+		}
+	}
+	return specs, nil
+}
+
+// dataPlaneMechs are the mechanisms swept, a cell naming one by String.
+var dataPlaneMechs = []recovery.Mechanism{recovery.Star, recovery.Line, recovery.Tree}
+
+// DataPlaneSweep runs every cell in a fresh overlay.
+func DataPlaneSweep(specs []DataPlaneCellSpec) *DataPlaneReport {
+	return &DataPlaneReport{Schema: DataPlaneSchema, Transport: "loopback TCP (nettransport)",
+		Cells: sweep(specs, 0,
+			func(spec DataPlaneCellSpec, _ int64) (DataPlaneCell, error) { return runDataPlaneCell(spec) },
+			func(c *DataPlaneCell) *string { return &c.Error })}
 }
 
 // dataPlaneEnv is one live TCP overlay with a saved state.
@@ -118,21 +116,19 @@ type dataPlaneEnv struct {
 	snapshot []byte
 }
 
-func (e *dataPlaneEnv) close() { e.net.Close() }
-
-// newDataPlaneEnv boots a TCP overlay of cfg.Nodes DHT nodes, saves a
-// stateMB-sized snapshot from one owner (m×r sharding over its leaf set),
+// newDataPlaneEnv boots a TCP overlay of spec.Nodes DHT nodes, saves a
+// StateMB-sized snapshot from one owner (m×r sharding over its leaf set),
 // then crashes the owner so every later recovery runs the real lost-state
 // path over the wire.
-func newDataPlaneEnv(cfg DataPlaneConfig, stateMB int) (*dataPlaneEnv, error) {
+func newDataPlaneEnv(spec DataPlaneCellSpec) (*dataPlaneEnv, error) {
 	dht.RegisterWire()
 	recovery.RegisterWire()
 	n := nettransport.New()
 	dcfg := dht.Config{LeafSetSize: 8, KVReplicas: 2}
-	all := make([]*dht.Node, 0, cfg.Nodes)
-	mgrs := make(map[id.ID]*recovery.Manager, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		node, err := dht.NewNode(id.HashKey(fmt.Sprintf("dataplane-%d-%d", stateMB, i)), n, dcfg)
+	all := make([]*dht.Node, 0, spec.Nodes)
+	mgrs := make(map[id.ID]*recovery.Manager, spec.Nodes)
+	for i := 0; i < spec.Nodes; i++ {
+		node, err := dht.NewNode(id.HashKey(fmt.Sprintf("dataplane-%d-%d", spec.StateMB, i)), n, dcfg)
 		if err != nil {
 			n.Close()
 			return nil, err
@@ -147,11 +143,11 @@ func newDataPlaneEnv(cfg DataPlaneConfig, stateMB int) (*dataPlaneEnv, error) {
 		all = append(all, node)
 	}
 
-	snap := make([]byte, stateMB*1_000_000)
-	rand.New(rand.NewSource(int64(stateMB))).Read(snap)
+	snap := make([]byte, spec.StateMB*1_000_000)
+	rand.New(rand.NewSource(int64(spec.StateMB))).Read(snap)
 	owner := all[len(all)/2]
 	mgr := mgrs[owner.ID()]
-	if _, err := mgr.Save("dataplane-app", snap, cfg.M, cfg.R, mgr.NextVersion(1)); err != nil {
+	if _, err := mgr.Save("dataplane-app", snap, spec.M, spec.R, mgr.NextVersion(1)); err != nil {
 		n.Close()
 		return nil, fmt.Errorf("save: %w", err)
 	}
@@ -169,91 +165,97 @@ func newDataPlaneEnv(cfg DataPlaneConfig, stateMB int) (*dataPlaneEnv, error) {
 	return &dataPlaneEnv{net: n, replMgr: mgrs[replacement.ID()], snapshot: snap}, nil
 }
 
-// DataPlaneSweep runs the full experiment and returns the report.
-func DataPlaneSweep(cfg DataPlaneConfig) (DataPlaneReport, error) {
-	cfg = cfg.withDefaults()
-	report := DataPlaneReport{
-		GeneratedBy: "sr3bench dataplane",
-		Transport:   "loopback TCP (nettransport)",
-		Nodes:       cfg.Nodes,
-		M:           cfg.M,
-		R:           cfg.R,
+// runDataPlaneCell recovers the cell's state spec.Reps times in one
+// overlay and summarizes the repetitions.
+func runDataPlaneCell(spec DataPlaneCellSpec) (DataPlaneCell, error) {
+	cell := DataPlaneCell{DataPlaneCellSpec: spec}
+	var mech recovery.Mechanism
+	for _, m := range dataPlaneMechs {
+		if m.String() == spec.Mechanism {
+			mech = m
+		}
 	}
-	type sweepMode struct {
-		name string
-		conc int
-		seq  bool
+	if mech == 0 {
+		return cell, fmt.Errorf("dataplane: unknown mechanism %q", spec.Mechanism)
 	}
-	modes := []sweepMode{{"seq", 1, true}}
-	for _, c := range cfg.Concurrencies {
-		modes = append(modes, sweepMode{fmt.Sprintf("c%d", c), c, false})
+	if spec.Reps < 1 {
+		return cell, fmt.Errorf("dataplane: cell needs reps >= 1")
 	}
-	mechs := []recovery.Mechanism{recovery.Star, recovery.Line, recovery.Tree}
-	for _, sizeMB := range cfg.SizesMB {
-		env, err := newDataPlaneEnv(cfg, sizeMB)
+	env, err := newDataPlaneEnv(spec)
+	if err != nil {
+		return cell, err
+	}
+	defer env.net.Close()
+	opts := recovery.DefaultOptions()
+	opts.FetchConcurrency = spec.Concurrency
+	before := env.net.DataPlane()
+	seconds := make([]float64, spec.Reps)
+	for rep := range seconds {
+		start := time.Now()
+		res, err := env.replMgr.RecoverDirect("dataplane-app", mech, opts)
+		seconds[rep] = time.Since(start).Seconds()
 		if err != nil {
-			return report, fmt.Errorf("dataplane %dMB: %w", sizeMB, err)
+			return cell, err
 		}
-		for _, mech := range mechs {
-			var baseline metrics.DataPlaneStats
-			for _, mode := range modes {
-				opts := recovery.DefaultOptions()
-				opts.SequentialFetch = mode.seq
-				opts.FetchConcurrency = mode.conc
-				if mode.seq {
-					opts.PipelineDepth = 1
-				}
-				var stats metrics.DataPlaneStats
-				var wire nettransport.DataPlaneStats
-				for trial := 0; trial < cfg.Trials; trial++ {
-					before := env.net.DataPlane()
-					start := time.Now()
-					res, err := env.replMgr.RecoverDirect("dataplane-app", mech, opts)
-					elapsed := time.Since(start)
-					if err != nil {
-						env.close()
-						return report, fmt.Errorf("dataplane %dMB %s %s: %w", sizeMB, mech, mode.name, err)
-					}
-					if !bytes.Equal(res.Snapshot, env.snapshot) {
-						env.close()
-						return report, fmt.Errorf("dataplane %dMB %s %s: recovered state differs", sizeMB, mech, mode.name)
-					}
-					after := env.net.DataPlane()
-					cur := metrics.DataPlaneStats{
-						BytesMoved:       int64(len(res.Snapshot)),
-						Seconds:          elapsed.Seconds(),
-						FetchConcurrency: mode.conc,
-						PoolHits:         after.Pool.Hits - before.Pool.Hits,
-						PoolMisses:       after.Pool.Misses - before.Pool.Misses,
-					}
-					if trial == 0 || cur.Seconds < stats.Seconds {
-						stats = cur
-						wire = nettransport.DataPlaneStats{
-							RawBytes:  after.RawBytes - before.RawBytes,
-							RawFrames: after.RawFrames - before.RawFrames,
-						}
-					}
-				}
-				if mode.seq {
-					baseline = stats
-				}
-				run := DataPlaneRun{
-					StateMB:      sizeMB,
-					Mechanism:    mech.String(),
-					Mode:         mode.name,
-					Concurrency:  mode.conc,
-					Seconds:      stats.Seconds,
-					GoodputMBps:  stats.GoodputMBps(),
-					SpeedupVsSeq: stats.Speedup(baseline),
-					BytesMoved:   stats.BytesMoved,
-					RawWireBytes: wire.RawBytes,
-					RawFrames:    wire.RawFrames,
-					PoolHitRate:  stats.PoolHitRate(),
-				}
-				report.Runs = append(report.Runs, run)
-			}
+		if !bytes.Equal(res.Snapshot, env.snapshot) {
+			return cell, fmt.Errorf("recovered state differs")
 		}
-		env.close()
 	}
-	return report, nil
+	after := env.net.DataPlane()
+	cell.ColdSeconds = seconds[0]
+	q1, _ := metrics.Percentile(seconds, 25) // reps >= 1: never empty
+	q3, _ := metrics.Percentile(seconds, 75)
+	cell.Seconds, _ = metrics.Percentile(seconds, 50)
+	cell.SecondsIQR = q3 - q1
+	stats := metrics.DataPlaneStats{
+		BytesMoved: int64(len(env.snapshot)), Seconds: cell.Seconds,
+		PoolHits: after.Pool.Hits - before.Pool.Hits, PoolMisses: after.Pool.Misses - before.Pool.Misses,
+	}
+	cell.GoodputMBps, cell.PoolHitRate = stats.GoodputMBps(), stats.PoolHitRate()
+	cell.RawWireBytes = (after.RawBytes - before.RawBytes) / int64(spec.Reps)
+	cell.RawFrames = (after.RawFrames - before.RawFrames) / int64(spec.Reps)
+	return cell, nil
+}
+
+// ValidateDataPlane parses and schema-checks an artifact and enforces its
+// gates: no failed cell, every cell moved its state as raw chunk frames
+// at a positive rate, and a spread is there to read it by.
+func ValidateDataPlane(blob []byte) (*DataPlaneReport, error) {
+	var r DataPlaneReport
+	if err := parseArtifact(blob, "dataplane", DataPlaneSchema, &r); err != nil {
+		return nil, err
+	}
+	for _, c := range r.Cells {
+		name := fmt.Sprintf("%dMB/%s/c%d", c.StateMB, c.Mechanism, c.Concurrency)
+		switch {
+		case c.Error != "":
+			return nil, fmt.Errorf("dataplane artifact: cell %s failed: %s", name, c.Error)
+		case c.Reps < 1 || c.Seconds <= 0 || c.GoodputMBps <= 0:
+			return nil, fmt.Errorf("dataplane artifact: cell %s has no rate", name)
+		case c.RawWireBytes < int64(c.StateMB)*1_000_000:
+			return nil, fmt.Errorf("dataplane artifact: cell %s moved %d raw bytes for %d MB of state", name, c.RawWireBytes, c.StateMB)
+		}
+	}
+	return &r, nil
+}
+
+// Format renders the report as an aligned table.
+func (r *DataPlaneReport) Format() string { return alignMarkdown(r.Markdown()) }
+
+// Markdown renders the sweep as a GitHub-flavored table.
+func (r *DataPlaneReport) Markdown() string {
+	var b strings.Builder
+	b.WriteString("| state | mech | fetch pool | reps | median s | IQR s | cold s | goodput MB/s | raw MB/rep | pool hit |\n")
+	b.WriteString("|---:|---|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+	for _, c := range r.Cells {
+		if c.Error != "" {
+			fmt.Fprintf(&b, "| %d MB | %s | %d | %d | ERR %s | | | | | |\n", c.StateMB, c.Mechanism, c.Concurrency, c.Reps, c.Error)
+			continue
+		}
+		fmt.Fprintf(&b, "| %d MB | %s | %d | %d | %.4f | %.4f | %.4f | %.1f | %.1f | %.0f%% |\n",
+			c.StateMB, c.Mechanism, c.Concurrency, c.Reps, c.Seconds, c.SecondsIQR, c.ColdSeconds,
+			c.GoodputMBps, float64(c.RawWireBytes)/1e6, 100*c.PoolHitRate)
+	}
+	fmt.Fprintf(&b, "\n*%s; each cell is one overlay, its state saved m×r and its owner failed, recovered `reps` times by one replacement: median, interquartile range and first (cold-pool) repetition.*\n", r.Transport)
+	return b.String()
 }

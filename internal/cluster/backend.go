@@ -16,19 +16,16 @@ import (
 	"sr3/internal/stream"
 )
 
-// The overlay's own message kinds, its placement KV: Payload is the key,
-// Raw the value (of the request for put, of the reply for get).
-const (
-	kindKVPut = "cluster.kv.put"
-	kindKVGet = "cluster.kv.get"
-)
-
 // viewOverlay is recovery.Overlay over the cluster View, so the daemon
 // protects and rebuilds state through the same recovery.Manager the
 // in-process ring deployment runs: a member's overlay ID is the hash of
 // its name, its neighbours are the live members (itself included — a
 // cluster smaller than the replica count still saves), a message is one
-// "msg" RPC, and the placement KV is a blob kept on every live member.
+// exchange with the member's listener, and the placement KV is a blob kept
+// on every live member. Its handler table is the daemon's only one: the
+// recovery layer registers its kinds here (HandleDirect), the node its
+// cluster.* kinds (registerHandlers), and every 'C' connection is served
+// by dispatch.
 type viewOverlay struct {
 	node *Node
 	self id.ID
@@ -108,7 +105,7 @@ func (o *viewOverlay) dispatch(from id.ID, msg simnet.Message) (simnet.Message, 
 	return h(from, msg)
 }
 
-// Send is a local dispatch for this node and one "msg" RPC for any other
+// Send is a local dispatch for this node and one exchange for any other
 // live member; a member the view lists as dead is not dialled.
 func (o *viewOverlay) Send(to id.ID, msg simnet.Message) (simnet.Message, error) {
 	if to == o.self {
@@ -118,14 +115,7 @@ func (o *viewOverlay) Send(to id.ID, msg simnet.Message) (simnet.Message, error)
 	if !ok {
 		return simnet.Message{}, fmt.Errorf("%w: %s is not a live member", ErrRPC, to.Short())
 	}
-	resp, err := rpcCall(m.Addr, &rpcEnvelope{Kind: "msg", Msg: &overlayMsg{From: o.self, Msg: msg}}, rpcTimeout)
-	if err != nil {
-		return simnet.Message{}, err
-	}
-	if resp.MsgR == nil {
-		return simnet.Message{}, fmt.Errorf("%w: %s: empty msg reply", ErrRPC, m.Addr)
-	}
-	return *resp.MsgR, nil
+	return o.node.net.Exchange(m.Addr, o.self, msg, rpcTimeout)
 }
 
 // broadcast sends msg to every live member at once and returns the

@@ -46,7 +46,8 @@ func randomBlob(n int) []byte {
 // needs): on a three-node cluster a task saved by n2 is rebuilt byte-exact
 // on n3 by each mechanism — first after n2 died and the view caught up,
 // then with all three listed alive and n2 crashing on its first recovery
-// message, so the failover ladder is what finishes the recovery.
+// message, then with n2 taking every recovery message and never answering
+// it, so the failover ladder is what finishes the recovery.
 func TestRecoverThroughEveryMechanism(t *testing.T) {
 	const task = "wc/blob/0"
 	blob := randomBlob(300_000)
@@ -112,6 +113,37 @@ func TestRecoverThroughEveryMechanism(t *testing.T) {
 				t.Fatalf("recovered %d bytes, not the saved state", len(got))
 			}
 		})
+		t.Run(mech.String()+"/holder-never-replies", func(t *testing.T) {
+			defer func(d time.Duration) { rpcTimeout = d }(rpcTimeout)
+			rpcTimeout = 300 * time.Millisecond
+			n1, n2, n3 := start(t)
+			defer n1.Stop()
+			defer n3.Stop()
+			defer n2.Stop()
+			release := make(chan struct{})
+			defer close(release) // before n2.Stop, which waits for its handlers
+			var asked atomic.Bool
+			for _, kind := range []string{kindFetchIndex, kindLineCollect, kindTreeCollect} {
+				wrapHandler(n2, kind, func(simnet.Handler) simnet.Handler {
+					return func(id.ID, simnet.Message) (simnet.Message, error) {
+						asked.Store(true)
+						<-release
+						return simnet.Message{}, errors.New("too late")
+					}
+				})
+			}
+			n3.backend.mech = mech
+			got, err := n3.backend.Recover(task)
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if !asked.Load() {
+				t.Fatal("n2 was never asked — the recovery did not have to time out")
+			}
+			if !bytes.Equal(got, blob) {
+				t.Fatalf("recovered %d bytes, not the saved state", len(got))
+			}
+		})
 	}
 }
 
@@ -147,7 +179,7 @@ func TestRecoverNeverSavedIsEmptyUnreachableIsError(t *testing.T) {
 }
 
 // TestRejoinIsATypedCode pins what makes a member re-enter the cluster:
-// the envelope's code, not the error text. A member whose name contains
+// the reply's code, not the error text. A member whose name contains
 // "rejoin" hitting an unrelated seed error must not rejoin; the seed
 // disowning its incarnation must read as ErrRejoin across the wire.
 func TestRejoinIsATypedCode(t *testing.T) {
@@ -157,7 +189,7 @@ func TestRejoinIsATypedCode(t *testing.T) {
 	m := startTestNode(t, "rejoiner", seed.Addr(), spec)
 	defer m.Stop()
 
-	_, err := rpcCall(seed.Addr(), &rpcEnvelope{Kind: "join", Join: &joinReq{
+	_, err := call[joinResp](m, seed.Addr(), simnet.Message{Kind: kindJoin, Payload: &joinReq{
 		Name: "rejoiner", Addr: m.Addr(), Incarnation: m.incarnation.Load(),
 	}}, rpcTimeout)
 	if err == nil || !strings.Contains(err.Error(), "rejoin") {
@@ -167,7 +199,7 @@ func TestRejoinIsATypedCode(t *testing.T) {
 		t.Fatalf("an unrelated error that mentions %q reads as ErrRejoin: %v", "rejoiner", err)
 	}
 
-	_, err = rpcCall(seed.Addr(), &rpcEnvelope{Kind: "heartbeat", Heartbeat: &heartbeatReq{
+	_, err = call[heartbeatResp](m, seed.Addr(), simnet.Message{Kind: kindHeartbeat, Payload: &heartbeatReq{
 		Name: "rejoiner", Incarnation: m.incarnation.Load() + 1,
 	}}, rpcTimeout)
 	if !errors.Is(err, ErrRejoin) {

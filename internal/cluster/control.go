@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sr3/internal/obs"
+	"sr3/internal/simnet"
 )
 
 // controlPlane is the seed-embedded membership and assignment authority
@@ -42,6 +43,9 @@ type controlPlane struct {
 	started time.Time
 	stop    chan struct{}
 	done    chan struct{}
+	// adoptions counts the runAdoption goroutines the monitor starts and
+	// the post-mortems those start in turn (track).
+	adoptions sync.WaitGroup
 }
 
 func newControlPlane(n *Node, spec *Spec) *controlPlane {
@@ -127,9 +131,19 @@ func (cp *controlPlane) finishRecoveryLocked(deadNode, adopter, outcome string) 
 	}
 }
 
+// close stops the monitor, then waits for the adoptions it started: one
+// still running would append its cell after Stop has taken stock of them.
 func (cp *controlPlane) close() {
 	close(cp.stop)
 	<-cp.done
+	cp.adoptions.Wait()
+}
+
+// track runs f on a goroutine that close waits for. Only the monitor and
+// what it tracked may call it, so no Add can race the Wait.
+func (cp *controlPlane) track(f func()) {
+	cp.adoptions.Add(1)
+	go func() { defer cp.adoptions.Done(); f() }()
 }
 
 // snapshotView returns a deep copy of the current view.
@@ -297,7 +311,7 @@ func (cp *controlPlane) sweep() {
 	cp.mu.Unlock()
 
 	for _, plan := range plans {
-		go cp.runAdoption(plan.target, plan.comps, plan.epoch, plan.deadNode, plan.trace)
+		cp.track(func() { cp.runAdoption(plan.target, plan.comps, plan.epoch, plan.deadNode, plan.trace) })
 	}
 }
 
@@ -330,19 +344,22 @@ func (cp *controlPlane) pickAdopterLocked() (Member, bool) {
 // adopter has the components recovered and running. On failure the
 // components go back in the orphan pool for the next sweep and the seed
 // auto-collects a cluster post-mortem. The adopt span parents on the
-// dead node's recovery trace and its context rides the RPC, so the
+// dead node's recovery trace and its context rides the message, so the
 // adopter's recovery work lands in the same trace.
 func (cp *controlPlane) runAdoption(target Member, comps []string, epoch int64, deadNode string, trace obs.SpanContext) {
 	cp.node.logf("control: adopting %v onto %s", comps, target.Name)
 	adoptSp := cp.node.tracer.StartSpan(trace, obs.PhaseAdopt)
 	adoptSp.SetStr("target", target.Name)
 	adoptSp.SetStr("components", strings.Join(comps, ","))
-	req := &adoptReq{Components: comps, Epoch: epoch, Trace: adoptSp.Ctx()}
+	req := &adoptReq{Components: comps, Epoch: epoch}
+	ctx := adoptSp.Ctx()
 	var err error
 	if target.Name == cp.node.cfg.Name {
-		_, err = cp.node.handleAdopt(req) // local fast path: the seed adopts
+		err = cp.node.handleAdopt(req, ctx) // local fast path: the seed adopts
 	} else {
-		_, err = rpcCall(target.Addr, &rpcEnvelope{Kind: "adopt", Adopt: req}, adoptTimeout)
+		_, err = call[adoptResp](cp.node, target.Addr, simnet.Message{
+			Kind: kindAdopt, Payload: req, TraceID: ctx.Trace, SpanID: ctx.Span,
+		}, adoptTimeout)
 	}
 	adoptSp.EndErr(err)
 	cp.mu.Lock()
@@ -356,7 +373,7 @@ func (cp *controlPlane) runAdoption(target Member, comps []string, epoch int64, 
 			fmt.Sprintf("adoption of %v by %s failed", comps, target.Name), err)
 		if cp.node.hub != nil {
 			reason := fmt.Sprintf("adoption of %v by %s failed: %v", comps, target.Name, err)
-			go cp.node.hub.postMortem(reason) // off-lock: it RPCs every member
+			cp.track(func() { cp.node.hub.postMortem(reason) }) // off-lock: it calls every member
 		}
 		return
 	}
@@ -368,7 +385,7 @@ func (cp *controlPlane) runAdoption(target Member, comps []string, epoch int64, 
 	cp.finishRecoveryLocked(deadNode, target.Name, "adopted")
 }
 
-// adoptTimeout bounds one adoption RPC: the adopter recovers scattered
-// state and replays before ACKing, so it gets more headroom than a
-// plain control round trip.
+// adoptTimeout is the seed's deadline for the adopt reply: the adopter
+// recovers scattered state and replays before ACKing, so it gets more
+// headroom than a plain control round trip.
 const adoptTimeout = 30 * time.Second

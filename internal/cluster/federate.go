@@ -7,11 +7,12 @@ import (
 	"time"
 
 	"sr3/internal/metrics"
+	"sr3/internal/simnet"
 )
 
 // federator is the seed's metrics-federation engine: at the federate
 // interval it pulls every live member's registry snapshot plus debug
-// view over the metricspull control RPC, rebuilds member registries from
+// view with a cluster.metricspull message, rebuilds member registries from
 // the snapshots, and serves one merged node=-labeled Prometheus scrape
 // at /metrics/cluster and a cluster topology JSON at /debug/sr3/cluster.
 //
@@ -96,12 +97,11 @@ func (f *federator) pullAll() {
 }
 
 func (f *federator) pull(m Member) {
-	resp, err := rpcCall(m.Addr, &rpcEnvelope{Kind: "metricspull", MPull: &metricsPullReq{}}, rpcTimeout)
-	if err != nil || resp.MPullR == nil {
+	r, err := call[metricsPullResp](f.node, m.Addr, simnet.Message{Kind: kindMetricsPull, Payload: &metricsPullReq{}}, rpcTimeout)
+	if err != nil {
 		f.node.logf("federate: pull %s: %v", m.Name, err)
 		return
 	}
-	r := resp.MPullR
 	reg := metrics.RegistryFromSnapshot(r.Registry)
 	f.mu.Lock()
 	f.fed.Register(m.Name, reg) // replaces the previous cycle's snapshot

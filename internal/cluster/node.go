@@ -10,7 +10,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,6 +26,7 @@ import (
 	"sr3/internal/metrics"
 	"sr3/internal/nettransport"
 	"sr3/internal/obs"
+	"sr3/internal/simnet"
 	"sr3/internal/stream"
 )
 
@@ -54,6 +54,11 @@ type Node struct {
 
 	backend *scatterBackend
 
+	// net is the client and server of every 'C' connection: the one
+	// exchange, its buffer pool and its sr3_net_* counters. Its registry
+	// of listeners stays empty; this node's is ln, its peers' come from
+	// the view.
+	net     *nettransport.Network
 	ln      net.Listener
 	httpSrv *obs.MetricsServer
 	control *controlPlane // non-nil on the seed
@@ -141,6 +146,13 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.tracer = obs.New(obs.MultiSink{obs.NewMetricsSink(n.reg, ""), n.spans},
 		obs.WithIDBase(obs.IDBase(cfg.Name)))
 	n.backend = newScatterBackend(n)
+	n.registerHandlers()
+	n.net = nettransport.New()
+	n.net.SetMetrics(n.reg)
+	n.net.SetIOTimeout(rpcTimeout)
+	// One dial per call: every caller owns a retry loop already (join,
+	// heartbeat tick, runtime re-save, failover ladder).
+	n.net.SetDialRetryPolicy(nettransport.DialRetryPolicy{Attempts: 1})
 
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -229,17 +241,12 @@ func (n *Node) bootstrap() error {
 		return nil
 	}
 	deadline := time.Now().Add(n.cfg.JoinTimeout)
-	req := &rpcEnvelope{Kind: "join", Join: &joinReq{
-		Name: n.cfg.Name, Addr: n.advertise, HTTP: n.cfg.HTTPListen,
-		Incarnation: n.incarnation.Load(),
-	}}
 	for {
-		resp, err := rpcCall(n.cfg.Seed, req, rpcTimeout)
+		resp, err := n.join()
 		if err == nil {
-			spec := resp.JoinR.Spec
-			n.spec = &spec
+			n.spec = &resp.Spec
 			n.mu.Lock()
-			n.view = resp.JoinR.View
+			n.view = resp.View
 			n.mu.Unlock()
 			return nil
 		}
@@ -248,6 +255,14 @@ func (n *Node) bootstrap() error {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+}
+
+// join asks the seed to admit this node under its current incarnation.
+func (n *Node) join() (*joinResp, error) {
+	return call[joinResp](n, n.cfg.Seed, simnet.Message{Kind: kindJoin, Payload: &joinReq{
+		Name: n.cfg.Name, Addr: n.advertise, HTTP: n.cfg.HTTPListen,
+		Incarnation: n.incarnation.Load(),
+	}}, rpcTimeout)
 }
 
 // Name returns the node's cluster identity.
@@ -528,13 +543,13 @@ func (n *Node) cellFor(comp string) *cell {
 // handleAdopt hosts a dead node's components: build a cell, recover
 // their state, and only then ACK — the control plane flips routing to
 // us after the ACK, so no ingress targets the cell mid-recovery.
-func (n *Node) handleAdopt(req *adoptReq) (*adoptResp, error) {
+func (n *Node) handleAdopt(req *adoptReq, parent obs.SpanContext) error {
 	if !n.joined.Load() {
-		return nil, fmt.Errorf("node %s not ready", n.cfg.Name)
+		return fmt.Errorf("node %s not ready", n.cfg.Name)
 	}
 	for _, comp := range req.Components {
 		if n.cellFor(comp) != nil {
-			return nil, fmt.Errorf("component %s already hosted here", comp)
+			return fmt.Errorf("component %s already hosted here", comp)
 		}
 	}
 	n.logf("adopting %v", req.Components)
@@ -547,30 +562,32 @@ func (n *Node) handleAdopt(req *adoptReq) (*adoptResp, error) {
 	// it, and the span lands in the local collector for the seed's stitch.
 	trace := obs.SpanContext{}
 	var sp *obs.Span
-	if req.Trace.Valid() {
-		sp = n.tracer.StartSpan(req.Trace, obs.PhaseRecover)
+	if parent.Valid() {
+		sp = n.tracer.StartSpan(parent, obs.PhaseRecover)
 		sp.SetStr("components", strings.Join(req.Components, ","))
 		sp.SetStr("node", n.cfg.Name)
 		trace = sp.Ctx()
 	}
 	c, err := n.buildCell(req.Components)
-	if err != nil {
-		sp.EndErr(err)
-		return nil, err
+	if err == nil {
+		// Stop snapshots the cells under the same lock: a cell is either in
+		// that snapshot or never started.
+		n.mu.Lock()
+		if n.stopping {
+			err = fmt.Errorf("node %s is stopping", n.cfg.Name)
+		} else {
+			n.cells = append(n.cells, c)
+		}
+		n.mu.Unlock()
 	}
-	n.mu.Lock()
-	n.cells = append(n.cells, c)
-	n.mu.Unlock()
-	if err := n.startCell(c, trace); err != nil {
-		sp.EndErr(err)
-		return nil, err
+	if err == nil {
+		err = n.startCell(c, trace)
 	}
-	sp.End()
-	return &adoptResp{}, nil
+	sp.EndErr(err)
+	return err
 }
 
-// serve accepts cluster connections: 'C' control RPCs, 'T' tuple
-// streams.
+// serve accepts cluster connections: 'C' exchanges, 'T' tuple streams.
 func (n *Node) serve() {
 	defer n.servWG.Done()
 	for {
@@ -605,114 +622,12 @@ func (n *Node) handleConn(conn net.Conn) {
 		return
 	}
 	switch magic[0] {
-	case magicRPC:
-		n.handleRPC(conn)
+	case nettransport.Magic:
+		n.net.ServeConn(conn, n.backend.overlay.dispatch)
 	case magicFlow:
 		_ = conn.SetReadDeadline(time.Time{})
 		n.handleFlow(conn)
 	}
-}
-
-// handleRPC serves one control round trip.
-func (n *Node) handleRPC(conn net.Conn) {
-	// Adoptions recover state before replying, so the conn deadline must
-	// outlive the slowest handler, not just a network round trip.
-	_ = conn.SetDeadline(time.Now().Add(adoptTimeout + rpcTimeout))
-	var req rpcEnvelope
-	if err := gob.NewDecoder(conn).Decode(&req); err != nil {
-		return
-	}
-	resp := n.dispatch(&req)
-	_ = gob.NewEncoder(conn).Encode(resp)
-}
-
-func (n *Node) dispatch(req *rpcEnvelope) *rpcEnvelope {
-	resp := &rpcEnvelope{Kind: req.Kind}
-	fail := func(err error) *rpcEnvelope {
-		resp.Err = err.Error()
-		if errors.Is(err, ErrRejoin) {
-			resp.Code = codeRejoin
-		}
-		return resp
-	}
-	seedOnly := func() error {
-		if n.control == nil {
-			return ErrNotSeed
-		}
-		return nil
-	}
-	switch req.Kind {
-	case "join":
-		if err := seedOnly(); err != nil || req.Join == nil {
-			return fail(ErrNotSeed)
-		}
-		r, err := n.control.handleJoin(req.Join)
-		if err != nil {
-			return fail(err)
-		}
-		resp.JoinR = r
-	case "heartbeat":
-		if err := seedOnly(); err != nil || req.Heartbeat == nil {
-			return fail(ErrNotSeed)
-		}
-		r, err := n.control.handleHeartbeat(req.Heartbeat)
-		if err != nil {
-			return fail(err)
-		}
-		resp.HeartbtR = r
-	case "view":
-		if err := seedOnly(); err != nil {
-			return fail(ErrNotSeed)
-		}
-		v := n.control.snapshotView()
-		resp.ViewR = &viewResp{View: v}
-	case "leave":
-		if err := seedOnly(); err != nil || req.Leave == nil {
-			return fail(ErrNotSeed)
-		}
-		r, err := n.control.handleLeave(req.Leave)
-		if err != nil {
-			return fail(err)
-		}
-		resp.LeaveR = r
-	case "adopt":
-		if req.Adopt == nil {
-			return fail(ErrUnknownRPC)
-		}
-		r, err := n.handleAdopt(req.Adopt)
-		if err != nil {
-			return fail(err)
-		}
-		resp.AdoptR = r
-	case "msg":
-		if req.Msg == nil {
-			return fail(ErrUnknownRPC)
-		}
-		r, err := n.backend.overlay.dispatch(req.Msg.From, req.Msg.Msg)
-		if err != nil {
-			return fail(err)
-		}
-		resp.MsgR = &r
-	case "metricspull":
-		if req.MPull == nil {
-			return fail(ErrUnknownRPC)
-		}
-		resp.MPullR = &metricsPullResp{
-			Node:        n.cfg.Name,
-			Incarnation: n.incarnation.Load(),
-			Registry:    n.reg.Snapshot(),
-			Debug:       n.Debug(),
-		}
-	case "obsdump":
-		if req.ODump == nil {
-			return fail(ErrUnknownRPC)
-		}
-		dump := n.localObsDump()
-		resp.ODumpR = &dump
-	default:
-		return fail(ErrUnknownRPC)
-	}
-	return resp
 }
 
 // handleFlow serves one ingress tuple stream: hello, then framed batches
@@ -726,6 +641,16 @@ func (n *Node) dispatch(req *rpcEnvelope) *rpcEnvelope {
 func (n *Node) handleFlow(conn net.Conn) {
 	hello, err := readFlowHello(conn)
 	if err != nil {
+		return
+	}
+	// Answer before any frame is read: a relay that wrote into a peer with
+	// no cell for the edge would count those frames sent, and with nothing
+	// more to send never learn otherwise.
+	if n.cellFor(hello.DestComp) == nil {
+		_, _ = conn.Write([]byte{flowRefused})
+		return
+	}
+	if _, err := conn.Write([]byte{flowAccepted}); err != nil {
 		return
 	}
 	edge := hello.FromComp + "__" + hello.DestComp
@@ -796,17 +721,16 @@ func (n *Node) heartbeatLoop() {
 			return
 		case <-tick.C:
 		}
-		req := &rpcEnvelope{Kind: "heartbeat", Heartbeat: &heartbeatReq{
+		resp, err := call[heartbeatResp](n, n.cfg.Seed, simnet.Message{Kind: kindHeartbeat, Payload: &heartbeatReq{
 			Name: n.cfg.Name, Incarnation: n.incarnation.Load(), Epoch: n.viewEpoch(),
-		}}
-		resp, err := rpcCall(n.cfg.Seed, req, rpcTimeout)
+		}}, rpcTimeout)
 		if err != nil {
 			if errors.Is(err, ErrRejoin) {
 				n.rejoin()
 			}
 			continue // seed unreachable: keep beating
 		}
-		if resp.HeartbtR != nil && resp.HeartbtR.Epoch > n.viewEpoch() {
+		if resp.Epoch > n.viewEpoch() {
 			n.pullView()
 		}
 	}
@@ -819,13 +743,13 @@ func (n *Node) viewEpoch() int64 {
 }
 
 func (n *Node) pullView() {
-	resp, err := rpcCall(n.cfg.Seed, &rpcEnvelope{Kind: "view"}, rpcTimeout)
-	if err != nil || resp.ViewR == nil {
+	resp, err := call[viewResp](n, n.cfg.Seed, simnet.Message{Kind: kindView, Payload: &viewReq{}}, rpcTimeout)
+	if err != nil {
 		return
 	}
 	n.mu.Lock()
-	if resp.ViewR.View.Epoch > n.view.Epoch {
-		n.view = resp.ViewR.View
+	if resp.View.Epoch > n.view.Epoch {
+		n.view = resp.View
 	}
 	n.mu.Unlock()
 }
@@ -836,16 +760,13 @@ func (n *Node) pullView() {
 func (n *Node) rejoin() {
 	n.incarnation.Store(time.Now().UnixNano())
 	n.reg.Gauge("sr3_node_incarnation").Set(n.incarnation.Load())
-	resp, err := rpcCall(n.cfg.Seed, &rpcEnvelope{Kind: "join", Join: &joinReq{
-		Name: n.cfg.Name, Addr: n.advertise, HTTP: n.cfg.HTTPListen,
-		Incarnation: n.incarnation.Load(),
-	}}, rpcTimeout)
-	if err != nil || resp.JoinR == nil {
+	resp, err := n.join()
+	if err != nil {
 		n.logf("rejoin failed: %v", err)
 		return
 	}
 	n.mu.Lock()
-	n.view = resp.JoinR.View
+	n.view = resp.View
 	assign := n.view.Assign
 	var stale []*cell
 	var keep []*cell
@@ -926,7 +847,7 @@ func (n *Node) Stop() {
 		// racing the leave would see "declared dead" and rejoin.
 		close(n.hbStop)
 		<-n.hbDone
-		_, _ = rpcCall(n.cfg.Seed, &rpcEnvelope{Kind: "leave", Leave: &leaveReq{
+		_, _ = call[leaveResp](n, n.cfg.Seed, simnet.Message{Kind: kindLeave, Payload: &leaveReq{
 			Name: n.cfg.Name, Incarnation: n.incarnation.Load(),
 		}}, rpcTimeout)
 	}
@@ -939,6 +860,7 @@ func (n *Node) Stop() {
 		n.control.close()
 	}
 	n.mu.Lock()
+	n.stopping = true // from here an adoption is refused, not started
 	cells := append([]*cell(nil), n.cells...)
 	n.mu.Unlock()
 	// Relays and spouts stop first so executors cannot block on a full

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sr3/internal/obs"
+	"sr3/internal/simnet"
 )
 
 // obsHub is the seed's distributed-observability aggregation point. It
@@ -64,12 +65,12 @@ func (h *obsHub) collectDumps() []obsDumpResp {
 			dumps = append(dumps, h.node.localObsDump())
 			continue
 		}
-		resp, err := rpcCall(m.Addr, &rpcEnvelope{Kind: "obsdump", ODump: &obsDumpReq{}}, rpcTimeout)
-		if err != nil || resp.ODumpR == nil {
+		dump, err := call[obsDumpResp](h.node, m.Addr, simnet.Message{Kind: kindObsDump, Payload: &obsDumpReq{}}, rpcTimeout)
+		if err != nil {
 			h.node.logf("obshub: dump from %s: %v", m.Name, err)
 			continue
 		}
-		dumps = append(dumps, *resp.ODumpR)
+		dumps = append(dumps, *dump)
 	}
 	return dumps
 }
@@ -263,7 +264,7 @@ func (n *Node) PostMortem(reason string) ([]byte, error) {
 	return n.hub.postMortem(reason), nil
 }
 
-// localObsDump is the local fast path of the obsdump RPC.
+// localObsDump is what this node answers cluster.obsdump with.
 func (n *Node) localObsDump() obsDumpResp {
 	return obsDumpResp{
 		Node:        n.cfg.Name,

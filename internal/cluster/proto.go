@@ -1,15 +1,14 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"sr3/internal/id"
 	"sr3/internal/metrics"
+	"sr3/internal/nettransport"
 	"sr3/internal/obs"
 	"sr3/internal/simnet"
 )
@@ -17,21 +16,49 @@ import (
 // Wire protocol. Every sr3node serves one TCP listener; the first byte
 // of a connection selects the plane:
 //
-//	'C' — control RPC: one gob request envelope, one gob reply, close.
-//	      Join/heartbeat/view/adopt/leave ride here, and "msg": one
-//	      recovery-layer message (shard store, fetch, line/tree collect,
-//	      placement KV) to the member's view overlay.
-//	'T' — tuple stream: a gob flowHello naming the edge, then an
-//	      endless sequence of batch-codec frames (stream.EncodeTupleBatch)
-//	      carried length-delimited by nettransport.BatchConn — the PR 8
-//	      batch plane on a real inter-node link.
+//	'C' — nettransport's request/reply exchange (nettransport.Magic):
+//	      one simnet.Message each way, then close. Everything the daemon
+//	      says that is not a tuple rides here as a message kind to the
+//	      member's one handler table (viewOverlay): the cluster.* kinds
+//	      below, whose request and reply structs are the gob-registered
+//	      Payload, and the recovery layer's own kinds (shard store, fetch,
+//	      line/tree collect), which are simply themselves. Shard and
+//	      placement bytes are the message's Raw body — chunk frames written
+//	      from the source slice into a pooled buffer, never gob.
+//	'T' — tuple stream: a gob flowHello naming the edge, one byte back
+//	      (flowAccepted, or flowRefused and close when no ready cell hosts
+//	      the destination), then an endless sequence of batch-codec frames
+//	      (stream.EncodeTupleBatch) carried length-delimited by
+//	      nettransport.BatchConn.
+const magicFlow = 'T'
+
+// The answer to a flowHello.
 const (
-	magicRPC  = 'C'
-	magicFlow = 'T'
+	flowRefused  = 0
+	flowAccepted = 1
 )
 
-// rpcTimeout bounds one control RPC round trip.
-const rpcTimeout = 5 * time.Second
+// The daemon's own message kinds. The control plane's (join, heartbeat,
+// view, leave) are served by every node and answered ErrNotSeed by all
+// but the seed.
+const (
+	kindJoin        = "cluster.join"
+	kindHeartbeat   = "cluster.heartbeat"
+	kindView        = "cluster.view"
+	kindLeave       = "cluster.leave"
+	kindAdopt       = "cluster.adopt"
+	kindMetricsPull = "cluster.metricspull"
+	kindObsDump     = "cluster.obsdump"
+	// The placement KV: Payload is the key, Raw the value (of the request
+	// for put, of the reply for get).
+	kindKVPut = "cluster.kv.put"
+	kindKVGet = "cluster.kv.get"
+)
+
+// rpcTimeout bounds one control round trip: the caller's deadline for
+// every read and write of the exchange, the handler's answer included.
+// Tests of a peer that never answers shorten it.
+var rpcTimeout = 5 * time.Second
 
 // Protocol errors.
 var (
@@ -39,15 +66,91 @@ var (
 	ErrNotSeed    = errors.New("cluster: this node does not run the control plane")
 	ErrUnknownRPC = errors.New("cluster: unknown rpc kind")
 	// ErrRejoin is the seed disowning a member's incarnation (declared
-	// dead, or superseded): it must join again. It crosses the wire as
-	// rpcEnvelope.Code, never as text.
+	// dead, or superseded): it must join again.
 	ErrRejoin = errors.New("cluster: member must rejoin")
 )
 
-// rpcCode types the errors a caller acts on; everything else is Err text.
-type rpcCode uint8
+func init() {
+	// The errors a caller acts on cross the wire as codes, never as text.
+	nettransport.RegisterError(16, ErrRejoin)
+	nettransport.RegisterError(17, ErrNotSeed)
+	for _, payload := range []any{
+		&joinReq{}, &joinResp{}, &heartbeatReq{}, &heartbeatResp{}, &viewReq{}, &viewResp{},
+		&leaveReq{}, &leaveResp{}, &adoptReq{}, &adoptResp{},
+		&metricsPullReq{}, &metricsPullResp{}, &obsDumpReq{}, &obsDumpResp{},
+	} {
+		gob.Register(payload)
+	}
+}
 
-const codeRejoin rpcCode = 1
+// call sends one cluster.* request to the node listening at addr — one
+// dial, the caller owns the retry — and returns its reply's payload.
+func call[Resp any](n *Node, addr string, msg simnet.Message, timeout time.Duration) (*Resp, error) {
+	reply, err := n.net.Exchange(addr, n.backend.overlay.self, msg, timeout)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %w", ErrRPC, msg.Kind, err)
+	}
+	resp, ok := reply.Payload.(*Resp)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s to %s: reply carries %T", ErrRPC, msg.Kind, addr, reply.Payload)
+	}
+	return resp, nil
+}
+
+// serve registers f in the handler table as kind: the request's payload
+// must be a *Req (f also sees the message that carried it), the reply's
+// is what f returns.
+func serve[Req, Resp any](o *viewOverlay, kind string, f func(simnet.Message, *Req) (*Resp, error)) {
+	o.HandleDirect(kind, func(_ id.ID, msg simnet.Message) (simnet.Message, error) {
+		req, ok := msg.Payload.(*Req)
+		if !ok {
+			return simnet.Message{}, fmt.Errorf("%w: %s carries %T", ErrUnknownRPC, kind, msg.Payload)
+		}
+		resp, err := f(msg, req)
+		if err != nil {
+			return simnet.Message{}, err
+		}
+		return simnet.Message{Kind: kind, Payload: resp}, nil
+	})
+}
+
+// seedOnly is f on the seed and ErrNotSeed on every other node.
+func seedOnly[Req, Resp any](n *Node, f func(*controlPlane, *Req) (*Resp, error)) func(simnet.Message, *Req) (*Resp, error) {
+	return func(_ simnet.Message, req *Req) (*Resp, error) {
+		if n.control == nil {
+			return nil, ErrNotSeed
+		}
+		return f(n.control, req)
+	}
+}
+
+// registerHandlers puts the cluster.* kinds in the table the recovery
+// layer's handlers and the placement KV already share.
+func (n *Node) registerHandlers() {
+	o := n.backend.overlay
+	serve(o, kindJoin, seedOnly(n, (*controlPlane).handleJoin))
+	serve(o, kindHeartbeat, seedOnly(n, (*controlPlane).handleHeartbeat))
+	serve(o, kindLeave, seedOnly(n, (*controlPlane).handleLeave))
+	serve(o, kindView, seedOnly(n, func(cp *controlPlane, _ *viewReq) (*viewResp, error) {
+		return &viewResp{View: cp.snapshotView()}, nil
+	}))
+	serve(o, kindMetricsPull, func(simnet.Message, *metricsPullReq) (*metricsPullResp, error) {
+		return &metricsPullResp{
+			Node:        n.cfg.Name,
+			Incarnation: n.incarnation.Load(),
+			Registry:    n.reg.Snapshot(),
+			Debug:       n.Debug(),
+		}, nil
+	})
+	serve(o, kindObsDump, func(simnet.Message, *obsDumpReq) (*obsDumpResp, error) {
+		dump := n.localObsDump()
+		return &dump, nil
+	})
+	// The seed's adopt span rides the message's trace context.
+	serve(o, kindAdopt, func(msg simnet.Message, req *adoptReq) (*adoptResp, error) {
+		return &adoptResp{}, n.handleAdopt(req, obs.SpanContext{Trace: msg.TraceID, Span: msg.SpanID})
+	})
+}
 
 // Member is one cluster node as the control plane sees it.
 type Member struct {
@@ -88,35 +191,6 @@ func (v *View) liveMembers() []Member {
 	return out
 }
 
-// rpcEnvelope is the single request/reply frame: Kind selects the
-// operation, at most one request pointer is set; the reply reuses the
-// same envelope with the matching *Resp pointer (or Err, with Code set
-// when the error is one the caller must recognise). Trace is the caller's
-// span context; gob omits the zero value, so untraced RPCs pay nothing on
-// the wire.
-type rpcEnvelope struct {
-	Kind  string
-	Err   string
-	Code  rpcCode
-	Trace obs.SpanContext
-
-	Join      *joinReq
-	JoinR     *joinResp
-	Heartbeat *heartbeatReq
-	HeartbtR  *heartbeatResp
-	ViewR     *viewResp
-	Adopt     *adoptReq
-	AdoptR    *adoptResp
-	Leave     *leaveReq
-	LeaveR    *leaveResp
-	Msg       *overlayMsg
-	MsgR      *simnet.Message
-	MPull     *metricsPullReq
-	MPullR    *metricsPullResp
-	ODump     *obsDumpReq
-	ODumpR    *obsDumpResp
-}
-
 type joinReq struct {
 	Name        string
 	Addr        string
@@ -139,6 +213,8 @@ type heartbeatResp struct {
 	Epoch int64
 }
 
+type viewReq struct{}
+
 type viewResp struct {
 	View View
 }
@@ -146,13 +222,13 @@ type viewResp struct {
 // adoptReq tells a node to host additional components (a dead node's
 // set). The node builds a new cell for them, marks stateful tasks dead,
 // and recovers their state from scattered shards; the control plane
-// flips routing (epoch bump) only after the adopt reply. Trace is the
-// seed's adopt span: the adopter parents its recover/fetch/replay spans
-// on it, so one kill-to-recovered incident is a single connected trace.
+// flips routing (epoch bump) only after the adopt reply. The message
+// carrying it is stamped with the seed's adopt span: the adopter parents
+// its recover/fetch/replay spans on it, so one kill-to-recovered incident
+// is a single connected trace.
 type adoptReq struct {
 	Components []string
 	Epoch      int64
-	Trace      obs.SpanContext
 }
 
 type adoptResp struct{}
@@ -163,13 +239,6 @@ type leaveReq struct {
 }
 
 type leaveResp struct{}
-
-// overlayMsg is one recovery-layer message between view overlays; the
-// payload types are the ones recovery.RegisterWire registers with gob.
-type overlayMsg struct {
-	From id.ID
-	Msg  simnet.Message
-}
 
 // metricsPullReq asks a member for its full registry snapshot plus its
 // debug view — one federation cycle's worth of state. Issued by the
@@ -203,35 +272,4 @@ type flowHello struct {
 	FromNode string
 	FromComp string
 	DestComp string
-}
-
-// rpcCall dials addr, sends one envelope and decodes the reply.
-func rpcCall(addr string, req *rpcEnvelope, timeout time.Duration) (*rpcEnvelope, error) {
-	if timeout <= 0 {
-		timeout = rpcTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", ErrRPC, addr, err)
-	}
-	defer func() { _ = conn.Close() }()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := conn.Write([]byte{magicRPC}); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrRPC, addr, err)
-	}
-	if err := gob.NewEncoder(conn).Encode(req); err != nil {
-		return nil, fmt.Errorf("%w: encode to %s: %v", ErrRPC, addr, err)
-	}
-	var resp rpcEnvelope
-	if err := gob.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("%w: decode from %s: %v", ErrRPC, addr, err)
-	}
-	if resp.Err != "" {
-		err := fmt.Errorf("%w: %s: remote: %s", ErrRPC, addr, resp.Err)
-		if resp.Code == codeRejoin {
-			err = fmt.Errorf("%w: %w", ErrRejoin, err)
-		}
-		return nil, err
-	}
-	return &resp, nil
 }

@@ -273,7 +273,7 @@ type flowConn struct {
 	bc    *nettransport.BatchConn
 }
 
-func (r *relay) connect(owner, addr string) (*flowConn, error) {
+func (r *relay) connect(owner, addr string) (_ *flowConn, err error) {
 	if owner == "" || addr == "" {
 		return nil, fmt.Errorf("no live owner for %s", r.destComp)
 	}
@@ -281,15 +281,29 @@ func (r *relay) connect(owner, addr string) (*flowConn, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			_ = raw.Close()
+		}
+	}()
 	if _, err := raw.Write([]byte{magicFlow}); err != nil {
-		_ = raw.Close()
 		return nil, err
 	}
 	hello := flowHello{FromNode: r.node.cfg.Name, FromComp: r.fromComp, DestComp: r.destComp}
 	if err := writeFlowHello(raw, hello); err != nil {
-		_ = raw.Close()
 		return nil, err
 	}
+	// Nothing is sent, so nothing is marked written, until the owner says
+	// it has a cell for the edge.
+	var answer [1]byte
+	_ = raw.SetReadDeadline(time.Now().Add(rpcTimeout))
+	if _, err := io.ReadFull(raw, answer[:]); err != nil {
+		return nil, err
+	}
+	if answer[0] != flowAccepted {
+		return nil, fmt.Errorf("%s has no cell for %s yet", owner, r.destComp)
+	}
+	_ = raw.SetReadDeadline(time.Time{})
 	return &flowConn{owner: owner, raw: raw, bc: nettransport.NewBatchConn(raw, 30*time.Second)}, nil
 }
 

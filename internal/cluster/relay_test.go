@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sr3/internal/metrics"
 	"sr3/internal/nettransport"
 	"sr3/internal/stream"
 )
@@ -107,6 +108,9 @@ func (s *flowSink) serve(conn net.Conn, idx int) error {
 	}
 	if hello.FromNode != "n1" || hello.FromComp != "src" || hello.DestComp != "dst" {
 		return fmt.Errorf("hello %+v", hello)
+	}
+	if _, err := conn.Write([]byte{flowAccepted}); err != nil {
+		return nil
 	}
 	bc := nettransport.NewBatchConn(conn, 30*time.Second)
 	for {
@@ -373,6 +377,113 @@ func TestRelayReconnectReplaysWindow(t *testing.T) {
 				t.Fatalf("tuple %d arrived, want %d", got, want)
 			}
 			want++
+		}
+	}
+}
+
+// closeSignalListener reports when the node closes a connection it
+// accepted: the one event both a refused and an accepted-then-dropped
+// flow end in.
+type closeSignalListener struct {
+	net.Listener
+	closed chan struct{}
+}
+
+func (l closeSignalListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &closeSignalConn{Conn: c, closed: l.closed}, nil
+}
+
+type closeSignalConn struct {
+	net.Conn
+	closed chan struct{}
+}
+
+func (c *closeSignalConn) Close() error {
+	select {
+	case c.closed <- struct{}{}:
+	default: // the test has its signal; later retries close unobserved
+	}
+	return c.Conn.Close()
+}
+
+// TestFlowRefusedUntilCellReady is benchmark finding 4 made
+// deterministic: the destination's owner is a live member of the relay's
+// view but hosts no cell yet — the window between a node's join and its
+// cell coming up. The relay has one frame to send and nothing after it,
+// so nothing would ever tell it that a peer accepted the flow, read the
+// frame and hung up: the hello must be refused, the frame stay unsent,
+// and the retry after the cell is up deliver it.
+func TestFlowRefusedUntilCellReady(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	connClosed := make(chan struct{}, 1)
+	peer := &Node{
+		cfg:    NodeConfig{Name: "peer"},
+		logger: log.New(io.Discard, "", 0),
+		reg:    metrics.NewRegistry(),
+		ln:     closeSignalListener{ln, connClosed},
+		conns:  map[net.Conn]bool{},
+	}
+	peer.servWG.Add(1)
+	go peer.serve()
+
+	const total = 3
+	r := newRelay(relayTestNode(64, 8, ln.Addr().String(), io.Discard), "src", "dst")
+	run := make([]stream.Tuple, total)
+	for i := range run {
+		run[i] = seqTuple(i, "p")
+	}
+	if err := r.ExecuteBatch(run, stream.ClassIngest, nil); err != nil {
+		t.Fatal(err)
+	}
+	r.start()
+	var rt *stream.Runtime
+	defer func() { // sender, then ingress, then the runtime they feed
+		r.close()
+		peer.shutdownTransport()
+		if rt != nil {
+			_ = rt.Wait()
+		}
+	}()
+	select {
+	case <-connClosed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the cell-less peer never hung up on the relay's first connection")
+	}
+
+	got := make(chan stream.Tuple, total)
+	topo := stream.NewTopology("t")
+	if err := topo.AddSource("src"); err != nil {
+		t.Fatal(err)
+	}
+	record := stream.BoltFunc(func(tu stream.Tuple, _ stream.Emit) error { got <- tu; return nil })
+	if err := topo.AddBolt("dst", record, 1).Global("src").Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rt, err = stream.NewRuntime(topo, stream.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	c := &cell{set: map[string]bool{"dst": true}, rt: rt}
+	c.ready.Store(true)
+	peer.mu.Lock()
+	peer.cells = append(peer.cells, c)
+	peer.mu.Unlock()
+
+	for want := 0; want < total; want++ {
+		select {
+		case tu := <-got: // as injected: on the producer's stream, not "s"
+			if tu.Ts != int64(want) {
+				t.Fatalf("tuple %d arrived, want %d", tu.Ts, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("tuple %d never arrived: it was written to a peer with no cell and counted as sent", want)
 		}
 	}
 }

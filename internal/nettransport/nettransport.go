@@ -1,10 +1,12 @@
-// Package nettransport runs the overlay over real TCP sockets: it
-// implements simnet.Transport with one listener per node and gob-encoded
-// request/reply frames, so the same DHT/Scribe/recovery code that runs
-// in-process also runs across actual network connections. Intended for
-// loopback integration tests and small multi-process deployments; the
-// address registry is local to one Network value (a production deployment
-// would bootstrap addresses out of band).
+// Package nettransport runs the overlay over real TCP sockets. It has
+// one request/reply exchange — a gob header, then the message's Raw body
+// as chunk frames (frame.go) — with one client function (exchange) and one
+// server function (ServeConn). Network is a simnet.Transport built on
+// them, with one loopback listener per registered node and an address
+// registry local to the Network value, so the same DHT/Scribe/recovery
+// code that runs in-process also runs across actual network connections;
+// the sr3node daemon, which owns its listener and finds its peers'
+// addresses in the cluster view, calls Exchange and ServeConn directly.
 package nettransport
 
 import (
@@ -12,6 +14,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -83,14 +86,9 @@ func (p DialRetryPolicy) backoff(attempt int) time.Duration {
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
-// dialRetry runs the dial loop for one address under the policy.
-func dialRetry(addr string, p DialRetryPolicy) (net.Conn, error) {
-	conn, _, err := dialRetryN(addr, p, nil)
-	return conn, err
-}
-
-// dialRetryN is dialRetry reporting how many attempts were made, for the
-// transport's dial counters. A non-nil budget is charged one token per
+// dialRetryN runs the dial loop for one address under the policy and
+// reports how many attempts were made, for the transport's dial
+// counters. A non-nil budget is charged one token per
 // retry (attempts after the first); an empty budget cuts the loop short
 // with ErrRetryBudgetExhausted so a storm of failing callers cannot
 // multiply its own dial volume.
@@ -122,8 +120,15 @@ const DefaultIOTimeout = 10 * time.Second
 
 // maxRawLen caps an announced raw-body length (1 GiB): far above any
 // shard batch this system moves, tight enough that a hostile header
-// cannot demand an absurd allocation.
-const maxRawLen = 1 << 30
+// cannot demand an absurd allocation. A variable only so the fuzz target
+// can check the cap at a size it can afford.
+var maxRawLen = 1 << 30
+
+// Magic is the first byte of every exchange connection, ahead of the
+// request header: a listener that shares its port with another protocol
+// (sr3node's tuple streams) reads it to pick the plane and hands the rest
+// of the connection to ServeConn.
+const Magic = 'C'
 
 // wireRequest is the on-the-wire request frame. RawLen announces a chunked
 // raw body following the gob frame (see frame.go).
@@ -140,15 +145,42 @@ type wireRequest struct {
 	SpanID  uint64
 }
 
-// wireReply is the on-the-wire reply frame.
+// wireReply is the on-the-wire reply frame. A handler error travels as
+// ErrMsg, plus Code when it is one a caller acts on (see RegisterError).
 type wireReply struct {
 	Kind    string
 	Size    int
 	Body    any
 	ErrMsg  string
+	Code    uint8
 	RawLen  int
 	TraceID uint64
 	SpanID  uint64
+}
+
+// wireErrors are the errors that keep their identity across the wire,
+// by code: a handler error matching one travels as its code and the
+// caller gets the same sentinel back, wrapped, so errors.Is holds on both
+// sides and nobody compares text that crossed a socket.
+var wireErrors = [256]error{1: ErrOverloaded}
+
+// RegisterError gives err a wire code (codes below 16 are this package's).
+// Like gob.Register it is for init functions, identically on both ends.
+func RegisterError(code uint8, err error) {
+	if prev := wireErrors[code]; prev != nil && prev != err {
+		panic(fmt.Sprintf("nettransport: wire error code %d registered for both %q and %q", code, prev, err))
+	}
+	wireErrors[code] = err
+}
+
+// errorCode returns the wire code of the registered error err wraps, or 0.
+func errorCode(err error) uint8 {
+	for code, e := range wireErrors[:] {
+		if e != nil && errors.Is(err, e) {
+			return uint8(code)
+		}
+	}
+	return 0
 }
 
 type server struct {
@@ -356,12 +388,23 @@ func (n *Network) Register(nid id.ID, h simnet.Handler) error {
 	n.servers[nid] = srv
 	n.addrs[nid] = ln.Addr().String()
 	srv.wg.Add(1)
-	go n.serve(nid, srv)
+	go n.serve(srv)
 	return nil
 }
 
-func (n *Network) serve(nid id.ID, srv *server) {
+func (n *Network) serve(srv *server) {
 	defer srv.wg.Done()
+	// A request still in flight when its node is failed gets the answer a
+	// dead node gives.
+	handler := func(from id.ID, msg simnet.Message) (simnet.Message, error) {
+		n.mu.RLock()
+		down := srv.down
+		n.mu.RUnlock()
+		if down {
+			return simnet.Message{}, ErrNodeDown
+		}
+		return srv.handler(from, msg)
+	}
 	for {
 		conn, err := srv.ln.Accept()
 		if err != nil {
@@ -371,30 +414,40 @@ func (n *Network) serve(nid id.ID, srv *server) {
 		go func() {
 			defer srv.wg.Done()
 			defer func() { _ = conn.Close() }()
-			n.serveConn(nid, srv, conn)
+			if d := n.timeout(); d > 0 {
+				_ = conn.SetReadDeadline(time.Now().Add(d))
+			}
+			var magic [1]byte
+			if _, err := io.ReadFull(conn, magic[:]); err != nil || magic[0] != Magic {
+				return
+			}
+			n.ServeConn(conn, handler)
 		}()
 	}
 }
 
-func (n *Network) serveConn(nid id.ID, srv *server, conn net.Conn) {
-	// Bound the whole exchange: a client that connects and never sends
-	// (or never drains the reply) must not pin this handler goroutine.
-	// Raw-body frames refresh the deadline per chunk (frame.go), turning
-	// it into an idle timeout for large transfers.
+// ServeConn serves one exchange on an accepted connection whose Magic
+// byte has been read: decode the request, drain its raw body, run h,
+// write the reply. It returns when the exchange is over, however it
+// ended; closing conn is the caller's. h must not retain the request's
+// Raw past its return — the buffer is pooled.
+func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
+	// The I/O timeout bounds every read and write, so a client that
+	// connects and never sends (or never drains the reply) cannot pin this
+	// goroutine. Raw-body frames refresh it per chunk (frame.go): it is an
+	// idle timeout, not a budget for the transfer.
 	fio := frameIO{conn: conn, r: bufio.NewReader(conn), timeout: n.timeout()}
 	fio.refresh()
-	dec := gob.NewDecoder(fio.r)
-	enc := gob.NewEncoder(conn)
 	var req wireRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := gob.NewDecoder(fio.r).Decode(&req); err != nil {
 		return
 	}
 	// The raw body must be drained before any reply can go out — the
 	// client writes it unconditionally and the stream cannot resync
-	// otherwise — so read it even on the down path.
+	// otherwise — so read it even when the request will be refused.
 	var reqRaw []byte
-	if req.RawLen > 0 {
-		if req.RawLen > maxRawLen {
+	if req.RawLen != 0 {
+		if req.RawLen < 0 || req.RawLen > maxRawLen {
 			return // hostile header: drop the connection
 		}
 		reqRaw = n.pool.get(req.RawLen)
@@ -407,38 +460,36 @@ func (n *Network) serveConn(nid id.ID, srv *server, conn net.Conn) {
 		n.rawBytes.Add(int64(req.RawLen))
 		n.rawMessages.Add(1)
 	}
-	n.mu.RLock()
-	down := srv.down
-	n.mu.RUnlock()
-	if down {
-		_ = enc.Encode(&wireReply{ErrMsg: ErrNodeDown.Error()})
-		return
-	}
-	// Degraded-service admission gate: while recovery holds the gate,
-	// ingest-class requests are rejected before the handler runs.
-	// Control traffic (heartbeats, routing) must pass or the node looks
-	// dead, and recovery traffic is the point of degrading. Sits after
-	// the raw-body drain — the stream cannot resync otherwise.
+	var reply simnet.Message
+	var err error
 	if n.ovl.degraded.Load() && ClassifyKind(req.Kind) == ClassIngest {
+		// Degraded-service admission gate: while recovery holds the gate,
+		// ingest-class requests are rejected before the handler runs.
+		// Control traffic (heartbeats, routing) must pass or the node looks
+		// dead, and recovery traffic is the point of degrading.
 		if ni := n.instr.Load(); ni != nil {
 			ni.rejectedIngest.Inc()
 		}
-		_ = enc.Encode(&wireReply{ErrMsg: ErrOverloaded.Error()})
-		return
+		err = ErrOverloaded
+	} else {
+		reply, err = h(req.From, simnet.Message{
+			Kind: req.Kind, Size: req.Size, Payload: req.Body, Raw: reqRaw,
+			TraceID: req.TraceID, SpanID: req.SpanID,
+		})
 	}
-	// The request buffer is pooled (deferred put above): the handler
-	// contract is that Raw is not retained past return.
-	reply, err := srv.handler(req.From, simnet.Message{
-		Kind: req.Kind, Size: req.Size, Payload: req.Body, Raw: reqRaw,
-		TraceID: req.TraceID, SpanID: req.SpanID,
-	})
+	// The deadline bounds I/O, not the handler: one that outlived it (an
+	// adoption recovers and replays before it acknowledges) must still get
+	// its reply out.
+	fio.refresh()
 	out := &wireReply{Kind: reply.Kind, Size: reply.Size, Body: reply.Payload, RawLen: len(reply.Raw),
 		TraceID: reply.TraceID, SpanID: reply.SpanID}
 	if err != nil {
-		out = &wireReply{ErrMsg: err.Error()}
+		out = &wireReply{ErrMsg: err.Error(), Code: errorCode(err)}
 	}
-	if err := enc.Encode(out); err != nil {
-		reply.ReleaseRaw()
+	// A handler that forwarded a pooled body attaches its recycler to the
+	// reply; once the bytes are on the wire (or cannot be), return it.
+	defer reply.ReleaseRaw()
+	if err := writeHead(conn, nil, out); err != nil {
 		return
 	}
 	if out.RawLen > 0 {
@@ -452,9 +503,6 @@ func (n *Network) serveConn(nid id.ID, srv *server, conn net.Conn) {
 			n.noteStall(stallNs, req.TraceID, req.SpanID)
 		}
 	}
-	// A handler that forwarded a pooled body attaches its recycler to the
-	// reply; the bytes are on the wire now, so return the buffer.
-	reply.ReleaseRaw()
 }
 
 // Call dials the destination and performs one request/reply exchange
@@ -475,10 +523,6 @@ func (n *Network) CallTimeout(from, to id.ID, msg simnet.Message, d time.Duratio
 }
 
 func (n *Network) call(from, to id.ID, msg simnet.Message, timeout time.Duration, slow bool) (simnet.Message, error) {
-	ni := n.instr.Load()
-	if ni != nil {
-		ni.calls.Inc()
-	}
 	n.mu.RLock()
 	src, srcOK := n.servers[from]
 	addr, dstOK := n.addrs[to]
@@ -504,22 +548,62 @@ func (n *Network) call(from, to id.ID, msg simnet.Message, timeout time.Duration
 	// no backoff sleeps — until the cooldown admits a half-open probe.
 	br := n.breakerFor(to)
 	if !br.Acquire() {
-		if ni != nil {
+		if ni := n.instr.Load(); ni != nil {
 			ni.breakerFastFails.Inc()
 		}
 		return simnet.Message{}, fmt.Errorf("call to %s: %w: %w", to.Short(), ErrNodeDown, ErrBreakerOpen)
 	}
-	out, transportFailure, err := n.exchange(from, to, addr, msg, timeout, slow)
-	n.noteOutcome(to, br, transportFailure)
+	out, err := n.exchange(addr, from, msg, timeout, slow)
+	// For the breaker a remote application error is a success: the peer
+	// answered.
+	var remote *remoteError
+	n.noteOutcome(to, br, err != nil && !errors.As(err, &remote))
+	if err != nil {
+		err = fmt.Errorf("call to %s: %w", to.Short(), err)
+	}
 	return out, err
 }
 
-// exchange performs the dial and one request/reply round trip. The
-// middle return marks transport-level failures (unreachable or
-// unresponsive peer) for the caller's breaker accounting — a remote
-// application error is not one: the peer answered.
-func (n *Network) exchange(from, to id.ID, addr string, msg simnet.Message, timeout time.Duration, slow bool) (simnet.Message, bool, error) {
+// writeHead gob-encodes one frame header behind prefix and sends the two
+// in as few writes as they fit: a fresh encoder emits a message per type
+// description before the value, each a packet of its own otherwise.
+func writeHead(conn net.Conn, prefix []byte, head any) error {
+	w := bufio.NewWriter(conn)
+	_, _ = w.Write(prefix) // buffered: Flush reports the error
+	if err := gob.NewEncoder(w).Encode(head); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
+// remoteError is the error the peer's handler returned. is names the
+// registered error it wrapped there (RegisterError), nil for any other.
+type remoteError struct {
+	msg string
+	is  error
+}
+
+func (e *remoteError) Error() string { return "remote: " + e.msg }
+func (e *remoteError) Unwrap() error { return e.is }
+
+// Exchange dials the peer listening at addr — once or as the dial retry
+// policy says — and performs one request/reply round trip with it: Magic,
+// the request header, msg.Raw as chunk frames, then the same back. Every
+// read and write must make progress within timeout (0 disables
+// deadlines), so a handler gets that long to answer; a peer that accepts
+// and then stalls yields ErrTimeout, an unreachable one ErrNodeDown. The
+// reply's Raw is pooled: ReleaseRaw returns it.
+func (n *Network) Exchange(addr string, from id.ID, msg simnet.Message, timeout time.Duration) (simnet.Message, error) {
+	return n.exchange(addr, from, msg, timeout, false)
+}
+
+// exchange is Exchange; slow marks a deadline tightened for a suspect
+// peer, which only changes the counter a timeout lands in.
+func (n *Network) exchange(addr string, from id.ID, msg simnet.Message, timeout time.Duration, slow bool) (simnet.Message, error) {
 	ni := n.instr.Load()
+	if ni != nil {
+		ni.calls.Inc()
+	}
 	conn, attempts, err := dialRetryN(addr, n.dialPolicy(), n.retryBudget())
 	ni.noteDial(attempts, err)
 	if err != nil {
@@ -528,24 +612,22 @@ func (n *Network) exchange(from, to id.ID, addr string, msg simnet.Message, time
 		}
 		// Wrap ErrNodeDown too: routing layers treat an unreachable peer
 		// as dead, and retry exhaustion is exactly that signal.
-		return simnet.Message{}, true, fmt.Errorf("call to %s: %w: %w", to.Short(), ErrNodeDown, err)
+		return simnet.Message{}, fmt.Errorf("%s: %w: %w", addr, ErrNodeDown, err)
 	}
 	defer func() { _ = conn.Close() }()
-	// Per-request deadline: a peer that accepts but stalls mid-exchange
-	// yields ErrTimeout instead of blocking the caller forever. Raw-body
-	// frames refresh it per chunk (frame.go).
+	ioErr := func(what string, err error) (simnet.Message, error) {
+		if isTimeout(err) {
+			n.noteTimeout(slow)
+			return simnet.Message{}, fmt.Errorf("%s: %w: %v", addr, ErrTimeout, err)
+		}
+		return simnet.Message{}, fmt.Errorf("%s: %s: %w", addr, what, err)
+	}
 	fio := frameIO{conn: conn, r: bufio.NewReader(conn), timeout: timeout}
 	fio.refresh()
 
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(fio.r)
-	if err := enc.Encode(&wireRequest{From: from, Kind: msg.Kind, Size: msg.Size, Body: msg.Payload,
+	if err := writeHead(conn, []byte{Magic}, &wireRequest{From: from, Kind: msg.Kind, Size: msg.Size, Body: msg.Payload,
 		RawLen: len(msg.Raw), TraceID: msg.TraceID, SpanID: msg.SpanID}); err != nil {
-		if isTimeout(err) {
-			n.noteTimeout(slow)
-			return simnet.Message{}, true, fmt.Errorf("call to %s: %w: %v", to.Short(), ErrTimeout, err)
-		}
-		return simnet.Message{}, true, fmt.Errorf("call to %s: encode: %w", to.Short(), err)
+		return ioErr("encode", err)
 	}
 	if len(msg.Raw) > 0 {
 		var stallNs int64
@@ -553,56 +635,38 @@ func (n *Network) exchange(from, to id.ID, addr string, msg simnet.Message, time
 		frames, err := fio.writeRaw(msg.Raw)
 		n.rawFrames.Add(frames)
 		if err != nil {
-			if isTimeout(err) {
-				n.noteTimeout(slow)
-				return simnet.Message{}, true, fmt.Errorf("call to %s: %w: %v", to.Short(), ErrTimeout, err)
-			}
-			return simnet.Message{}, true, fmt.Errorf("call to %s: raw body: %w", to.Short(), err)
+			return ioErr("raw body", err)
 		}
 		n.rawBytes.Add(int64(len(msg.Raw)))
 		n.rawMessages.Add(1)
 		n.noteStall(stallNs, msg.TraceID, msg.SpanID)
 	}
 	var reply wireReply
-	if err := dec.Decode(&reply); err != nil {
-		if isTimeout(err) {
-			n.noteTimeout(slow)
-			return simnet.Message{}, true, fmt.Errorf("call to %s: %w: %v", to.Short(), ErrTimeout, err)
-		}
-		return simnet.Message{}, true, fmt.Errorf("call to %s: decode: %w", to.Short(), err)
+	if err := gob.NewDecoder(fio.r).Decode(&reply); err != nil {
+		return ioErr("decode", err)
 	}
 	if reply.ErrMsg != "" {
-		// The peer answered — a transport success for breaker purposes,
-		// whatever the application-level verdict. Overload rejections are
-		// re-wrapped so callers can back off on errors.Is(ErrOverloaded).
-		if reply.ErrMsg == ErrOverloaded.Error() {
-			return simnet.Message{}, false, fmt.Errorf("call to %s: %w", to.Short(), ErrOverloaded)
-		}
-		return simnet.Message{}, false, fmt.Errorf("call to %s: remote: %s", to.Short(), reply.ErrMsg)
+		return simnet.Message{}, fmt.Errorf("%s: %w", addr, &remoteError{msg: reply.ErrMsg, is: wireErrors[reply.Code]})
 	}
 	out := simnet.Message{Kind: reply.Kind, Size: reply.Size, Payload: reply.Body,
 		TraceID: reply.TraceID, SpanID: reply.SpanID}
-	if reply.RawLen > 0 {
-		if reply.RawLen > maxRawLen {
-			return simnet.Message{}, true, fmt.Errorf("call to %s: raw body of %d bytes exceeds cap", to.Short(), reply.RawLen)
+	if reply.RawLen != 0 {
+		if reply.RawLen < 0 || reply.RawLen > maxRawLen {
+			return simnet.Message{}, fmt.Errorf("%s: raw body of %d bytes exceeds cap", addr, reply.RawLen)
 		}
 		buf := n.pool.get(reply.RawLen)
 		frames, err := fio.readRaw(buf)
 		n.rawFrames.Add(frames)
 		if err != nil {
 			n.pool.put(buf)
-			if isTimeout(err) {
-				n.noteTimeout(slow)
-				return simnet.Message{}, true, fmt.Errorf("call to %s: %w: %v", to.Short(), ErrTimeout, err)
-			}
-			return simnet.Message{}, true, fmt.Errorf("call to %s: raw body: %w", to.Short(), err)
+			return ioErr("raw body", err)
 		}
 		n.rawBytes.Add(int64(reply.RawLen))
 		n.rawMessages.Add(1)
 		out.Raw = buf
 		out.SetFree(func() { n.pool.put(buf) })
 	}
-	return out, false, nil
+	return out, nil
 }
 
 // Alive reports whether nid is registered and its listener is serving.

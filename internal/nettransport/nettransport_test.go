@@ -394,7 +394,7 @@ func TestDialRetryLateBindingListener(t *testing.T) {
 		}
 	}()
 
-	conn, err := dialRetry(addr, DialRetryPolicy{Attempts: 8, BaseDelay: 20 * time.Millisecond, MaxDelay: 80 * time.Millisecond})
+	conn, _, err := dialRetryN(addr, DialRetryPolicy{Attempts: 8, BaseDelay: 20 * time.Millisecond, MaxDelay: 80 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatalf("dial through late-binding listener: %v", err)
 	}
@@ -412,7 +412,7 @@ func TestDialRetryExhaustion(t *testing.T) {
 	_ = ln.Close()
 
 	start := time.Now()
-	_, err = dialRetry(addr, DialRetryPolicy{Attempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 20 * time.Millisecond})
+	_, _, err = dialRetryN(addr, DialRetryPolicy{Attempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 20 * time.Millisecond}, nil)
 	if !errors.Is(err, ErrDialExhausted) {
 		t.Fatalf("want ErrDialExhausted, got %v", err)
 	}

@@ -38,7 +38,8 @@ type TrafficClass int
 
 const (
 	// ClassControl is membership, routing and failure-detection traffic
-	// (heartbeats, DHT routing, Scribe trees) — always admitted.
+	// (heartbeats, DHT routing, Scribe trees, the daemon's cluster.*
+	// control plane) — always admitted.
 	ClassControl TrafficClass = iota
 	// ClassRecovery is state movement: shard store/fetch, line/tree
 	// collection, erasure-coded block transfer, DHT KV ops — admitted in
@@ -70,11 +71,15 @@ func ClassifyKind(kind string) TrafficClass {
 	case strings.HasPrefix(kind, "sr3.hb."),
 		strings.HasPrefix(kind, "scribe."):
 		return ClassControl
-	case strings.HasPrefix(kind, "dht.kv."):
-		// DHT KV ops carry replicated state for the recovery store —
-		// recovery class, not overlay control.
+	case strings.HasPrefix(kind, "dht.kv."),
+		strings.HasPrefix(kind, "cluster.kv."):
+		// KV ops carry replicated state for the recovery store — recovery
+		// class, not overlay control.
 		return ClassRecovery
-	case strings.HasPrefix(kind, "dht."):
+	case strings.HasPrefix(kind, "dht."),
+		strings.HasPrefix(kind, "cluster."):
+		// The daemon's membership, adoption and observability messages: a
+		// gate that took them for ingest would silence a heartbeat.
 		return ClassControl
 	case strings.HasPrefix(kind, "sr3."),
 		strings.HasPrefix(kind, "fp4s."):

@@ -27,9 +27,17 @@ func TestClassifyKind(t *testing.T) {
 		"sr3.tree.collect": ClassRecovery,
 		"sr3.ack":          ClassRecovery,
 		"fp4s.block.fetch": ClassRecovery,
-		"app.msg":          ClassIngest,
-		"app.reply":        ClassIngest,
-		"mystery.kind":     ClassIngest, // unknown kinds must not bypass the gate
+		// The daemon's kinds: a heartbeat an unknown-is-ingest default
+		// gated would get its sender declared dead.
+		"cluster.heartbeat": ClassControl,
+		"cluster.join":      ClassControl,
+		"cluster.adopt":     ClassControl,
+		"cluster.obsdump":   ClassControl,
+		"cluster.kv.put":    ClassRecovery,
+		"cluster.kv.get":    ClassRecovery,
+		"app.msg":           ClassIngest,
+		"app.reply":         ClassIngest,
+		"mystery.kind":      ClassIngest, // unknown kinds must not bypass the gate
 	}
 	for kind, want := range cases {
 		if got := ClassifyKind(kind); got != want {
@@ -146,7 +154,7 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 	n.servers[b] = srv
 	n.mu.Unlock()
 	srv.wg.Add(1)
-	go n.serve(b, srv)
+	go n.serve(srv)
 
 	time.Sleep(60 * time.Millisecond)
 	if _, err := n.Call(a, b, simnet.Message{Kind: "ping"}); err != nil {

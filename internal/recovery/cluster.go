@@ -223,7 +223,7 @@ func clampBit(b int) int {
 // collectStar fetches one live replica of every still-missing shard index
 // directly from its holders, merging each into the assembler as it lands
 // (paper §3.4). Fetches run under a bounded worker pool
-// (opts.FetchConcurrency; 1 when opts.SequentialFetch), so a wide m×r
+// (opts.FetchConcurrency), so a wide m×r
 // placement pulls many providers concurrently without unbounded fan-out.
 // With opts.Speculate, two replicas are requested concurrently and the
 // first success wins. Provider losses fail over to the remaining replicas
@@ -234,9 +234,6 @@ func (m *Manager) collectStar(p shard.Placement, opts Options, oc *outcomeRecord
 	conc := opts.FetchConcurrency
 	if conc < 1 {
 		conc = defaultFetchConcurrency
-	}
-	if opts.SequentialFetch {
-		conc = 1
 	}
 	missing := a.missing()
 	sem := make(chan struct{}, conc)
@@ -284,7 +281,6 @@ func (m *Manager) fetchIndexRetry(a *assembler, index int, p shard.Placement, op
 	// order and unreachable ones behind them, so a slow replica is
 	// consulted only after healthy ones fail and a dead one last of all.
 	holders := m.demoteDegraded(p.NodesForIndex(index))
-	inline := opts.SequentialFetch
 	if opts.Speculate && len(holders) > 1 {
 		type res struct {
 			n  int
@@ -293,7 +289,7 @@ func (m *Manager) fetchIndexRetry(a *assembler, index int, p shard.Placement, op
 		ch := make(chan res, 2)
 		for _, h := range holders[:2] {
 			go func(h id.ID) {
-				n, err := m.fetchInto(a, h, index, inline, opts.Tracer, tc)
+				n, err := m.fetchInto(a, h, index, opts.Tracer, tc)
 				ch <- res{n, err == nil}
 			}(h)
 		}
@@ -313,7 +309,7 @@ func (m *Manager) fetchIndexRetry(a *assembler, index int, p shard.Placement, op
 	}
 	for round := 0; ; round++ {
 		for hi, h := range holders {
-			n, err := m.fetchInto(a, h, index, inline, opts.Tracer, tc)
+			n, err := m.fetchInto(a, h, index, opts.Tracer, tc)
 			if err == nil {
 				if round > 0 || hi > 0 {
 					oc.failover(1, n)
@@ -349,10 +345,9 @@ func (m *Manager) fetchIndexRetry(a *assembler, index int, p shard.Placement, op
 // fetchReplica asks holder for one replica of (app, index) at version v.
 // Over a serializing transport the shard body arrives as chunked frames
 // in a pooled buffer that the returned Data aliases: call release once
-// the bytes are merged or copied. inline selects the legacy
-// payload-embedded encoding (the benchmark baseline). tc stamps the
-// request so remote stall spans parent on the caller's fetch.
-func (m *Manager) fetchReplica(holder id.ID, app string, index int, v state.Version, inline bool, tc obs.SpanContext) (s shard.Shard, release func(), err error) {
+// the bytes are merged or copied. tc stamps the request so remote stall
+// spans parent on the caller's fetch.
+func (m *Manager) fetchReplica(holder id.ID, app string, index int, v state.Version, tc obs.SpanContext) (s shard.Shard, release func(), err error) {
 	if holder == m.node.ID() {
 		ss := m.localShardsFor(app, []int{index}, v)
 		if len(ss) == 0 {
@@ -363,7 +358,7 @@ func (m *Manager) fetchReplica(holder id.ID, app string, index int, v state.Vers
 	resp, err := m.node.Send(holder, simnet.Message{
 		Kind:    kindFetchIndex,
 		Size:    msgHeader + len(app) + 8,
-		Payload: &fetchIndexRequest{App: app, Index: index, Version: v, Inline: inline},
+		Payload: &fetchIndexRequest{App: app, Index: index, Version: v},
 		TraceID: tc.Trace,
 		SpanID:  tc.Span,
 	})
@@ -382,9 +377,7 @@ func (m *Manager) fetchReplica(holder id.ID, app string, index int, v state.Vers
 		return shard.Shard{}, nil, err
 	}
 	s = reply.Shard
-	if s.Data == nil {
-		s.Data = resp.Raw
-	}
+	s.Data = resp.Raw
 	return s, resp.ReleaseRaw, nil
 }
 
@@ -393,8 +386,8 @@ func (m *Manager) fetchReplica(holder id.ID, app string, index int, v state.Vers
 // path: the assembler copies the body into its final snapshot position
 // and the transport buffer is released, so no whole-shard intermediate
 // copy is ever made.
-func (m *Manager) fetchInto(a *assembler, holder id.ID, index int, inline bool, tr *obs.Tracer, tc obs.SpanContext) (int, error) {
-	s, release, err := m.fetchReplica(holder, a.app, index, a.version, inline, tc)
+func (m *Manager) fetchInto(a *assembler, holder id.ID, index int, tr *obs.Tracer, tc obs.SpanContext) (int, error) {
+	s, release, err := m.fetchReplica(holder, a.app, index, a.version, tc)
 	if err != nil {
 		return 0, err
 	}
@@ -419,7 +412,7 @@ func mergeTraced(a *assembler, s shard.Shard, tr *obs.Tracer, tc obs.SpanContext
 // holder with an owned Data copy — the repair path's donor fetch, which
 // re-pushes the shard long after the transport buffer is recycled.
 func (m *Manager) fetchFrom(holder id.ID, app string, index int, v state.Version) (shard.Shard, error) {
-	s, release, err := m.fetchReplica(holder, app, index, v, false, obs.SpanContext{})
+	s, release, err := m.fetchReplica(holder, app, index, v, obs.SpanContext{})
 	if err != nil {
 		return shard.Shard{}, err
 	}
@@ -612,9 +605,6 @@ func (m *Manager) collectLine(stages []stage, p shard.Placement, opts Options, o
 	if depth < 1 {
 		depth = defaultPipelineDepth
 	}
-	if opts.SequentialFetch {
-		depth = 1
-	}
 	if _, err := pass(stages, depth); err != nil {
 		return err
 	}
@@ -689,10 +679,6 @@ func (m *Manager) collectTree(stages []stage, fanout int, p shard.Placement, opt
 		}
 	}
 	roots := buildForest(remote, fanout)
-	if opts.SequentialFetch && len(roots) > 1 {
-		// Baseline mode: one subtree, walked as a single sequential unit.
-		roots = []*treeNode{buildTree(remote, fanout)}
-	}
 	type treeOut struct {
 		resp simnet.Message
 		root id.ID

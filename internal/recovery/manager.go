@@ -19,7 +19,6 @@ import (
 const (
 	kindStore       = "sr3.shard.store"
 	kindStoreBatch  = "sr3.shard.storeBatch"
-	kindFetch       = "sr3.shard.fetch"
 	kindFetchIndex  = "sr3.shard.fetchIndex"
 	kindLineCollect = "sr3.line.collect"
 	kindTreeCollect = "sr3.tree.collect"
@@ -120,7 +119,6 @@ func NewManager(n Overlay) *Manager {
 	}
 	n.HandleDirect(kindStore, m.handleStore)
 	n.HandleDirect(kindStoreBatch, m.handleStoreBatch)
-	n.HandleDirect(kindFetch, m.handleFetch)
 	n.HandleDirect(kindFetchIndex, m.handleFetchIndex)
 	n.HandleDirect(kindLineCollect, m.handleLineCollect)
 	n.HandleDirect(kindTreeCollect, m.handleTreeCollect)
@@ -495,66 +493,27 @@ func (m *Manager) handleStoreBatch(_ id.ID, msg simnet.Message) (simnet.Message,
 	return simnet.Message{Kind: kindAck, Size: msgHeader}, nil
 }
 
-type fetchRequest struct {
-	Key shard.Key
-	// Inline requests the legacy encoding: shard data gob-encoded inside
-	// the reply payload instead of riding the raw byte body. Kept as the
-	// pre-data-plane baseline for A/B benchmarking.
-	Inline bool
-}
-
 type fetchIndexRequest struct {
 	App   string
 	Index int
 	// Version is the placement's: a holder may also keep a newer,
 	// half-pushed version that must not be served in its place.
 	Version state.Version
-	Inline  bool
 }
 
 type fetchReply struct {
 	Found bool
-	// Shard arrives with Data nil unless Inline was requested; the data
-	// travels in the reply's raw byte body (chunk-streamed by serializing
-	// transports) and the caller reattaches it.
+	// Shard arrives with Data nil: the data travels in the reply's raw
+	// byte body (chunk-streamed by serializing transports) and the caller
+	// reattaches it.
 	Shard shard.Shard
-}
-
-// fetchReplyMsg builds the reply for one found shard, splitting data into
-// the raw body unless the inline (baseline) encoding was requested. The
-// raw body aliases the stored shard's data — safe because shard Data is
-// immutable once stored and the transport finishes writing before the
-// handler's reply is released.
-func fetchReplyMsg(s shard.Shard, inline bool) simnet.Message {
-	out := simnet.Message{Kind: kindAck, Size: msgHeader + len(s.Data)}
-	if inline {
-		out.Payload = &fetchReply{Found: true, Shard: s}
-		return out
-	}
-	data := s.Data
-	s.Data = nil
-	out.Payload = &fetchReply{Found: true, Shard: s}
-	out.Raw = data[:len(data):len(data)]
-	return out
-}
-
-func (m *Manager) handleFetch(_ id.ID, msg simnet.Message) (simnet.Message, error) {
-	req, ok := msg.Payload.(*fetchRequest)
-	if !ok {
-		return simnet.Message{}, fmt.Errorf("recovery: bad fetch payload %T", msg.Payload)
-	}
-	m.mu.Lock()
-	s, found := m.shards[req.Key.App].find(req.Key)
-	m.mu.Unlock()
-	if !found {
-		return simnet.Message{Kind: kindAck, Size: msgHeader, Payload: &fetchReply{}}, nil
-	}
-	return fetchReplyMsg(s, req.Inline), nil
 }
 
 // handleFetchIndex returns any replica of the given shard index stored
 // here at the requested version — used when the exact replica number is
-// unknown.
+// unknown. The shard's data is split off into the reply's raw body, which
+// aliases the stored bytes — safe because shard Data is immutable once
+// stored and the transport finishes writing before the reply is released.
 func (m *Manager) handleFetchIndex(_ id.ID, msg simnet.Message) (simnet.Message, error) {
 	req, ok := msg.Payload.(*fetchIndexRequest)
 	if !ok {
@@ -564,7 +523,10 @@ func (m *Manager) handleFetchIndex(_ id.ID, msg simnet.Message) (simnet.Message,
 	if len(ss) == 0 {
 		return simnet.Message{Kind: kindAck, Size: msgHeader, Payload: &fetchReply{}}, nil
 	}
-	return fetchReplyMsg(ss[0], req.Inline), nil
+	s, data := ss[0], ss[0].Data
+	s.Data = nil
+	return simnet.Message{Kind: kindAck, Size: msgHeader + len(data),
+		Payload: &fetchReply{Found: true, Shard: s}, Raw: data[:len(data):len(data)]}, nil
 }
 
 // localShardsFor returns one of this node's replicas for each of the

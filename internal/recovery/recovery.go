@@ -96,11 +96,6 @@ type Options struct {
 	// overlaps the next segment's transfer. 1 is the classic single
 	// chain; 0 selects the default.
 	PipelineDepth int
-	// SequentialFetch reverts the data plane to the pre-pipelining
-	// baseline: one fetch in flight at a time, no chain segmentation or
-	// forest fan-out, shard data gob-encoded inline in fetch replies.
-	// The dataplane benchmark uses it as the A/B control.
-	SequentialFetch bool
 	// Tracer, when non-nil, records per-phase spans for this recovery
 	// (plan, fetch, collect, merge — see internal/obs). Nil falls back to
 	// the cluster's tracer; nil everywhere disables tracing at zero cost.

@@ -98,8 +98,5 @@ func TestSelectKnobAdjustments(t *testing.T) {
 		if d.Options.FetchConcurrency != def.FetchConcurrency || d.Options.PipelineDepth != def.PipelineDepth {
 			t.Fatalf("data-plane knobs not defaulted: %+v", d.Options)
 		}
-		if d.Options.SequentialFetch {
-			t.Fatal("selection must never pick the sequential baseline")
-		}
 	}
 }

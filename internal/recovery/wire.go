@@ -16,7 +16,6 @@ import (
 // transports (internal/nettransport).
 func RegisterWire() {
 	gob.Register(&shard.Shard{})
-	gob.Register(&fetchRequest{})
 	gob.Register(&fetchIndexRequest{})
 	gob.Register(&fetchReply{})
 	gob.Register(&lineCollectMsg{})
