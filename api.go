@@ -21,8 +21,9 @@ import (
 
 // StateSplit partitions a state into numberOfShards shards and creates
 // numberOfReplicas replicas of each — Table 2 StateSplit. The returned
-// list contains every replica. Most callers use Save, which splits,
-// replicates, places and writes in one step.
+// list contains every replica; their bytes are views of stateBytes, not
+// copies. Most callers use Save, which splits, replicates, places and
+// writes in one step.
 func (f *Framework) StateSplit(stateBytes []byte, numberOfShards, numberOfReplicas int) ([]Shard, error) {
 	owner, ok := f.ring.ClosestLive(id.HashKey("statesplit"))
 	if !ok {
@@ -42,7 +43,9 @@ func (f *Framework) StateSplit(stateBytes []byte, numberOfShards, numberOfReplic
 // Save splits appName's state into this app's configured shard and
 // replica counts and writes the replicas into the overlay (the owner's
 // leaf set) — Table 2 Save. The owner is the live node closest to the
-// app's key.
+// app's key. stateBytes stays the caller's: this is the by-value boundary,
+// so the one copy the save makes is made here and the recovery layer owns
+// that copy (the shards and the owner's replicas are views of it).
 func (f *Framework) Save(appName string, stateBytes []byte) error {
 	f.mu.Lock()
 	ac := f.app(appName)
@@ -58,7 +61,7 @@ func (f *Framework) Save(appName string, stateBytes []byte) error {
 	}
 	mgr := f.cluster.Manager(owner)
 	v := mgr.NextVersion(f.cfg.Now())
-	if _, err := mgr.Save(appName, stateBytes, m, r, v); err != nil {
+	if _, err := mgr.Save(appName, append([]byte(nil), stateBytes...), m, r, v); err != nil {
 		return fmt.Errorf("sr3: save %q: %w", appName, err)
 	}
 	if sup != nil {
@@ -240,8 +243,10 @@ func (f *Framework) Heal() (*HealReport, error) {
 			App:         name,
 			Mechanism:   res.Mechanism,
 			Replacement: res.Replacement,
-			State:       res.Snapshot,
-			Providers:   res.Providers,
+			// The replacement protects res.Snapshot itself; the caller
+			// gets bytes of its own.
+			State:     append([]byte(nil), res.Snapshot...),
+			Providers: res.Providers,
 		})
 	}
 	return report, nil

@@ -263,3 +263,28 @@ func TestHealRecoversDeadOwners(t *testing.T) {
 		t.Fatalf("third heal recovered %d, want 2", len(report3.Recovered))
 	}
 }
+
+// TestSaveTakesStateByValue: Save is the by-value boundary of the API. The
+// recovery layer shards, stores and sends the buffer it is given in place,
+// so Save hands it a copy: a caller that goes on writing into stateBytes
+// (a reused serialization buffer) must still recover what it saved.
+func TestSaveTakesStateByValue(t *testing.T) {
+	f := newFramework(t, 40, 24)
+	buf := randomState(10_000, 3)
+	saved := append([]byte(nil), buf...)
+	if err := f.Save("app", buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] ^= 0xff
+	}
+	owner, _ := f.OwnerOf("app")
+	f.FailNode(owner)
+	rep, err := f.Recover("app")
+	if err != nil {
+		t.Fatalf("recover after the caller reused its buffer: %v", err)
+	}
+	if !bytes.Equal(rep.State, saved) {
+		t.Fatal("recovered state follows the caller's later writes, not the bytes saved")
+	}
+}

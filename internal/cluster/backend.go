@@ -50,9 +50,17 @@ func newViewOverlay(n *Node) *viewOverlay {
 	}
 	o.HandleDirect(kindKVPut, func(_ id.ID, msg simnet.Message) (simnet.Message, error) {
 		key, _ := msg.Payload.(string)
+		blob := append([]byte(nil), msg.Raw...)
 		o.mu.Lock()
-		o.kv[key] = append([]byte(nil), msg.Raw...)
+		o.kv[key] = blob
 		o.mu.Unlock()
+		// A put reaches every live member, so it is also the publication
+		// notice of the version the blob names: this holder drops what
+		// that version supersedes — strictly older replicas only; what an
+		// aborted or in-flight save pushed here is newer and stays.
+		if p, err := recovery.DecodePlacement(blob); err == nil {
+			n.backend.mgr.GCShards(p.App, p)
+		}
 		return simnet.Message{Kind: kindKVPut}, nil
 	})
 	o.HandleDirect(kindKVGet, func(_ id.ID, msg simnet.Message) (simnet.Message, error) {
@@ -109,6 +117,7 @@ func (o *viewOverlay) dispatch(from id.ID, msg simnet.Message) (simnet.Message, 
 // live member; a member the view lists as dead is not dialled.
 func (o *viewOverlay) Send(to id.ID, msg simnet.Message) (simnet.Message, error) {
 	if to == o.self {
+		msg.JoinSegs()
 		return o.dispatch(o.self, msg)
 	}
 	m, ok := o.live()[to]
@@ -185,6 +194,8 @@ type retained struct {
 	mu      sync.Mutex
 	data    []byte
 	version state.Version
+	// size is len(data), for a scrape that must not wait out a save.
+	size atomic.Int64
 	// epoch is the view epoch under which version last stored every
 	// replica; zero (no view has it) until a save has succeeded.
 	epoch int64
@@ -200,9 +211,11 @@ func newScatterBackend(n *Node) *scatterBackend {
 	return b
 }
 
-// Save retains the snapshot for repair and scatters it. An unreachable
-// holder aborts the save with nothing published — the last complete
-// version stays recoverable — and the runtime saves again.
+// Save retains the snapshot for repair and scatters it; the snapshot is
+// the backend's from the call on (stream.StateBackend) and is kept, not
+// copied. An unreachable holder aborts the save with nothing published —
+// the last complete version stays recoverable — and the runtime saves
+// again.
 func (b *scatterBackend) Save(taskKey string, snapshot []byte, v state.Version) error {
 	b.mu.Lock()
 	r := b.last[taskKey]
@@ -214,7 +227,8 @@ func (b *scatterBackend) Save(taskKey string, snapshot []byte, v state.Version) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if v.Newer(r.version) {
-		r.data, r.version, r.epoch = append([]byte(nil), snapshot...), v, 0
+		r.data, r.version, r.epoch = snapshot, v, 0
+		r.size.Store(int64(len(snapshot)))
 	}
 	return b.protect(taskKey, r)
 }
@@ -286,6 +300,18 @@ func (b *scatterBackend) repairTick() {
 			b.node.logf("repair %s: %v", key, err)
 		}
 	}
+}
+
+// retainedBytes is the size of the snapshots retained for repair.
+func (b *scatterBackend) retainedBytes() int64 {
+	b.mu.Lock()
+	tasks := maps.Clone(b.last)
+	b.mu.Unlock()
+	var total int64
+	for _, r := range tasks {
+		total += r.size.Load()
+	}
+	return total
 }
 
 // forget drops retained snapshots for tasks this node no longer hosts.

@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -243,4 +245,143 @@ func TestRepairTickSendsNothingUntilMembershipMoves(t *testing.T) {
 	waitCondition(t, 5*time.Second, "re-push after the join", func() bool {
 		return pushes.Load() > saved && n3.backend.mgr.ShardsHeld()["wc/blob/0"] > 0
 	})
+}
+
+// heldBytes sums, over the given members, the shard bytes held at each
+// retained version.
+func heldBytes(nodes ...*Node) (cur, prev int) {
+	for _, n := range nodes {
+		c, p := n.backend.mgr.ShardBytes()
+		cur, prev = cur+c, prev+p
+	}
+	return cur, prev
+}
+
+// TestSupersededVersionGoesWhenSuccessorIsPublished pins the release rule
+// on a three-node cluster: owner and holders keep exactly one version of a
+// task once its placement is published — the put that stores the table on
+// a member is its publication notice — and two while a save is in flight
+// or after one aborted, when the older one is the published version and
+// must stay recoverable.
+func TestSupersededVersionGoesWhenSuccessorIsPublished(t *testing.T) {
+	const task = "wc/blob/0"
+	spec := idleSpec()
+	n1 := startTestNode(t, "n1", "", spec)
+	defer n1.Stop()
+	n2 := startTestNode(t, "n2", n1.Addr(), spec)
+	defer n2.Stop()
+	n3 := startTestNode(t, "n3", n1.Addr(), spec)
+	defer n3.Stop()
+	waitCondition(t, 5*time.Second, "n2 to see three members", func() bool {
+		return len(n2.liveMembersView()) == 3
+	})
+	all := []*Node{n1, n2, n3}
+	replicas := min(spec.Replicas, 3)
+	blob := func(seq int) []byte { return randomBlob(200_000 + seq) }
+	version := func(seq int) state.Version { return state.Version{Timestamp: int64(seq), Seq: uint64(seq)} }
+	wantOneVersion := func(when string, seq int) {
+		t.Helper()
+		cur, prev := heldBytes(all...)
+		if cur != replicas*len(blob(seq)) || prev != 0 {
+			t.Fatalf("%s: the cluster holds %d + %d bytes, want %d replicas of save %d and nothing older",
+				when, cur, prev, replicas, seq)
+		}
+		p, ok := n2.backend.mgr.Placement(task)
+		if !ok || p.Version != version(seq) {
+			t.Fatalf("%s: owner's placement is %v, want save %d", when, p.Version, seq)
+		}
+		for _, n := range all {
+			if got, want := n.backend.mgr.ShardsHeld()[task], len(p.KeysOnNode(n.backend.overlay.self)); got != want {
+				t.Fatalf("%s: %s holds %d replicas, the placement puts %d there", when, n.cfg.Name, got, want)
+			}
+		}
+	}
+	wantTwoVersions := func(when string, older, newer int, nodes ...*Node) {
+		t.Helper()
+		for _, n := range nodes {
+			cur, prev := n.backend.mgr.ShardBytes()
+			if cur == 0 || prev == 0 {
+				t.Fatalf("%s: %s holds %d + %d bytes, want both save %d and save %d", when, n.cfg.Name, cur, prev, newer, older)
+			}
+		}
+		cur, prev := heldBytes(nodes...)
+		if len(nodes) == len(all) && (cur != replicas*len(blob(newer)) || prev != replicas*len(blob(older))) {
+			t.Fatalf("%s: the cluster holds %d + %d bytes, want %d replicas each of saves %d and %d",
+				when, cur, prev, replicas, newer, older)
+		}
+	}
+
+	if err := n2.backend.Save(task, blob(1), version(1)); err != nil {
+		t.Fatalf("save 1: %v", err)
+	}
+	wantOneVersion("after the first save", 1)
+
+	// In flight: every push has landed, the placement has reached neither
+	// the owner's own table nor n3's.
+	released := make(chan struct{})
+	release := sync.OnceFunc(func() { close(released) })
+	defer release() // ahead of the Stops, which wait for the handlers
+	holdFirstPut := func(n *Node) <-chan struct{} {
+		entered := make(chan struct{})
+		var first atomic.Bool
+		wrapHandler(n, kindKVPut, func(next simnet.Handler) simnet.Handler {
+			return func(from id.ID, msg simnet.Message) (simnet.Message, error) {
+				if first.CompareAndSwap(false, true) {
+					close(entered)
+					<-released
+				}
+				return next(from, msg)
+			}
+		})
+		return entered
+	}
+	atOwner, atHolder := holdFirstPut(n2), holdFirstPut(n3)
+	done := make(chan error, 1)
+	go func() { done <- n2.backend.Save(task, blob(2), version(2)) }()
+	<-atOwner
+	<-atHolder
+	wantTwoVersions("with save 2 in flight", 1, 2, n2, n3)
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("save 2: %v", err)
+	}
+	wantOneVersion("after save 2 was published", 2)
+
+	// Aborted: a node on its way down pushes but publishes nothing.
+	n2.backend.overlay.closed.Store(true)
+	if err := n2.backend.Save(task, blob(3), version(3)); err == nil {
+		t.Fatal("save 3 published from a closed overlay")
+	}
+	wantTwoVersions("after save 3 aborted", 2, 3, all...)
+	// A prev that stays up is how /metrics shows a publication that never
+	// arrived.
+	_, prev := n3.backend.mgr.ShardBytes()
+	wantScrape(t, n3, fmt.Sprintf(`sr3_recovery_held_bytes{node="n3",version="prev"} %d`, prev))
+	if got, err := n3.backend.Recover(task); err != nil || !bytes.Equal(got, blob(2)) {
+		t.Fatalf("recover after an aborted save: %d bytes, err %v; want save 2, the published one", len(got), err)
+	}
+	n2.backend.overlay.closed.Store(false)
+	if err := n2.backend.Save(task, blob(4), version(4)); err != nil {
+		t.Fatalf("save 4: %v", err)
+	}
+	wantOneVersion("after save 4 was published", 4)
+	cur, _ := n2.backend.mgr.ShardBytes()
+	wantScrape(t, n2,
+		fmt.Sprintf(`sr3_recovery_held_bytes{node="n2",version="cur"} %d`, cur),
+		`sr3_recovery_held_bytes{node="n2",version="prev"} 0`,
+		fmt.Sprintf(`sr3_cluster_retained_snapshot_bytes{node="n2"} %d`, len(blob(4))))
+}
+
+// wantScrape fails unless n's /metrics exposition has every given line.
+func wantScrape(t *testing.T, n *Node, lines ...string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := (sampledMetrics{n}).WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range lines {
+		if !strings.Contains(buf.String(), line+"\n") {
+			t.Fatalf("%s's /metrics lacks %q", n.cfg.Name, line)
+		}
+	}
 }

@@ -202,7 +202,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 
 	if cfg.HTTPListen != "" {
 		srv, err := obs.Serve(cfg.HTTPListen, obs.ServeConfig{
-			Metrics: n.clusterReg,
+			Metrics: sampledMetrics{n},
 			Debug:   func() any { return n.Debug() },
 			Flight:  n.flight,
 			Health:  n.Health,
@@ -216,6 +216,28 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.logf("up: cluster=%s http=%s seed=%v", n.advertise, n.HTTPAddr(), n.control != nil)
 	return n, nil
+}
+
+// sampledMetrics is the node's /metrics: the gauges that are read rather
+// than recorded are sampled, then the registry renders.
+type sampledMetrics struct{ n *Node }
+
+func (s sampledMetrics) WritePrometheus(w io.Writer) error {
+	s.n.sampleGauges()
+	return s.n.clusterReg.WritePrometheus(w)
+}
+
+// sampleGauges reads what protection holds in memory on this node: the
+// shard replicas stored here by retained version (a prev that stays up is
+// a publication that never arrived) and the snapshots the scatter backend
+// retains for repair. With the replicas a node holds of its own tasks
+// being views of those snapshots, the three account for a node's share of
+// protect-path RSS.
+func (n *Node) sampleGauges() {
+	cur, prev := n.backend.mgr.ShardBytes()
+	n.reg.Gauge(`sr3_recovery_held_bytes{version="cur"}`).Set(int64(cur))
+	n.reg.Gauge(`sr3_recovery_held_bytes{version="prev"}`).Set(int64(prev))
+	n.reg.Gauge("sr3_cluster_retained_snapshot_bytes").Set(n.backend.retainedBytes())
 }
 
 // bootstrap forms the cluster (seed) or joins it (everyone else).
@@ -241,7 +263,10 @@ func (n *Node) bootstrap() error {
 		return nil
 	}
 	deadline := time.Now().Add(n.cfg.JoinTimeout)
-	for {
+	// The seed is usually a few milliseconds from listening: retry from
+	// joinBackoffMin, doubling to joinBackoffMax, so when this node joins
+	// is not decided by a fixed sleep and the processes' start order.
+	for backoff := joinBackoffMin; ; backoff = min(2*backoff, joinBackoffMax) {
 		resp, err := n.join()
 		if err == nil {
 			n.spec = &resp.Spec
@@ -253,9 +278,15 @@ func (n *Node) bootstrap() error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("cluster: join %s: %w", n.cfg.Seed, err)
 		}
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(backoff)
 	}
 }
+
+// The join retry's backoff range.
+const (
+	joinBackoffMin = 2 * time.Millisecond
+	joinBackoffMax = 100 * time.Millisecond
+)
 
 // join asks the seed to admit this node under its current incarnation.
 func (n *Node) join() (*joinResp, error) {

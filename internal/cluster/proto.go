@@ -135,6 +135,7 @@ func (n *Node) registerHandlers() {
 		return &viewResp{View: cp.snapshotView()}, nil
 	}))
 	serve(o, kindMetricsPull, func(simnet.Message, *metricsPullReq) (*metricsPullResp, error) {
+		n.sampleGauges()
 		return &metricsPullResp{
 			Node:        n.cfg.Name,
 			Incarnation: n.incarnation.Load(),

@@ -160,6 +160,15 @@ func (r *relay) run() {
 			conn.close()
 		}
 	}()
+	// A refused or failed connect is retried from relayBackoffMin, doubling
+	// to relayBackoffMax: at formation the peer's cell is milliseconds from
+	// ready, and a fixed pause would put every flow on the same lattice.
+	backoff := relayBackoffMin
+	retry := func() (closed bool) {
+		closed = r.pause(backoff)
+		backoff = min(2*backoff, relayBackoffMax)
+		return closed
+	}
 	for {
 		frame, n, ok := r.take()
 		if !ok {
@@ -175,12 +184,12 @@ func (r *relay) run() {
 			if err != nil {
 				r.unsend(n)
 				r.node.logf("relay %s: connect %s (%s): %v", r.boltID(), owner, addr, err)
-				if r.pause(50 * time.Millisecond) {
+				if retry() {
 					return
 				}
 				continue
 			}
-			conn = c
+			conn, backoff = c, relayBackoffMin
 			// Fresh connection: everything retained is in doubt — mark it
 			// unsent and let the next iterations push it as replay class.
 			r.unsendAll()
@@ -191,12 +200,18 @@ func (r *relay) run() {
 			conn.close()
 			conn = nil
 			r.unsendAll()
-			if r.pause(50 * time.Millisecond) {
+			if retry() {
 				return
 			}
 		}
 	}
 }
+
+// The relay's reconnect backoff range.
+const (
+	relayBackoffMin = 2 * time.Millisecond
+	relayBackoffMax = 50 * time.Millisecond
+)
 
 // take blocks for the next run of unsent same-class tuples (bounded by
 // the spec batch size), marks them sent and returns them as one wire
@@ -251,19 +266,19 @@ func (r *relay) unsendAll() {
 	r.mu.Unlock()
 }
 
-// pause sleeps briefly between reconnect attempts; true means closed.
+// pause sleeps d between reconnect attempts, in slices short enough to
+// notice a close; true means closed.
 func (r *relay) pause(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+	for deadline := time.Now().Add(d); ; {
 		r.mu.Lock()
 		closed := r.closed
 		r.mu.Unlock()
-		if closed {
-			return true
+		left := time.Until(deadline)
+		if closed || left <= 0 {
+			return closed
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(min(left, 5*time.Millisecond))
 	}
-	return false
 }
 
 // flowConn is one established tuple stream to a peer.

@@ -57,10 +57,14 @@ var ErrBadFrame = errors.New("dht: malformed length-prefixed frame")
 // encoding: concatenated frames let one message carry many bodies with
 // zero per-item gob overhead, and decoding is subslicing, not copying.
 func AppendFrame(dst, b []byte) []byte {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, b...)
+	return append(AppendFrameHeader(dst, len(b)), b...)
+}
+
+// AppendFrameHeader appends only the length prefix of an n-byte frame, for
+// a sender that hands the body to a vectored write instead of copying it
+// behind the prefix.
+func AppendFrameHeader(dst []byte, n int) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
 }
 
 // NextFrame splits the first length-prefixed frame off b, returning the

@@ -146,7 +146,7 @@ func (c *ClusterRegistry) WritePrometheus(w io.Writer) error {
 	helpOf := make(map[string]string)
 	var names []string
 	note := func(name, typ, help string) {
-		pn := promName(name)
+		pn, _ := family(name)
 		if _, ok := typeOf[pn]; ok {
 			return
 		}
@@ -176,28 +176,37 @@ func (c *ClusterRegistry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 		for i, s := range snaps {
-			labels := `node="` + escapeLabelValue(nodes[i]) + `"`
+			node := `node="` + escapeLabelValue(nodes[i]) + `"`
+			// labels is the member's label ahead of the ones name carries,
+			// when name belongs to this family.
+			labels := func(name string) (string, bool) {
+				fam, own := family(name)
+				if fam != pn || own == "" {
+					return node, fam == pn
+				}
+				return node + "," + own, true
+			}
 			switch typ {
 			case "histogram":
 				for _, n := range s.histNames {
-					if promName(n) == pn {
-						if err := writeHistogramProm(w, pn, labels, s.hists[n]); err != nil {
+					if l, ok := labels(n); ok {
+						if err := writeHistogramProm(w, pn, l, s.hists[n]); err != nil {
 							return err
 						}
 					}
 				}
 			case "gauge":
 				for _, n := range s.gaugeNames {
-					if promName(n) == pn {
-						if err := writeSampleProm(w, pn, labels, s.gauges[n].Value()); err != nil {
+					if l, ok := labels(n); ok {
+						if err := writeSampleProm(w, pn, l, s.gauges[n].Value()); err != nil {
 							return err
 						}
 					}
 				}
 			case "counter":
 				for _, n := range s.counterNames {
-					if promName(n) == pn {
-						if err := writeSampleProm(w, pn, labels, s.counters[n].Value()); err != nil {
+					if l, ok := labels(n); ok {
+						if err := writeSampleProm(w, pn, l, s.counters[n].Value()); err != nil {
 							return err
 						}
 					}

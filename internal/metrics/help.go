@@ -40,6 +40,10 @@ var helpCatalog = map[string]string{
 	"sr3_net_overload_rejected_total": "Inbound ingest-class requests rejected while this node was in degraded-service mode.",
 	"sr3_flight_events_total":         "Events recorded by the flight recorder.",
 	"sr3_flight_events_dropped_total": "Flight-recorder events overwritten by ring-buffer wraparound.",
+	// What protection holds in memory on a cluster node (internal/cluster),
+	// sampled at scrape.
+	"sr3_recovery_held_bytes":             "Bytes of shard replicas stored on this node, by retained version: cur is each app's newest, prev the one it superseded (zero once the successor's publication arrived).",
+	"sr3_cluster_retained_snapshot_bytes": "Bytes of this node's own tasks' latest snapshots, retained for repair; the node's own replicas are views of them.",
 	// Cluster node liveness (internal/cluster), present on every member
 	// so a federated scrape always carries at least these families.
 	"sr3_node_up":          "1 while this sr3node process is running (liveness baseline for federation).",

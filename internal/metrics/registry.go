@@ -47,7 +47,8 @@ func (r *Registry) helpForLocked(name string) string {
 	if h, ok := r.help[name]; ok {
 		return h
 	}
-	return catalogHelp(name)
+	base, _, _ := strings.Cut(name, "{")
+	return catalogHelp(base)
 }
 
 // Histogram returns the named latency histogram, creating it on first use.
@@ -158,6 +159,18 @@ func promName(name string) string {
 	return b.String()
 }
 
+// family splits an instrument name into its Prometheus family and the
+// label pairs it carries inline: `sr3_recovery_held_bytes{version="cur"}`
+// is the sample version="cur" of family sr3_recovery_held_bytes. Names of
+// one family share its # HELP / # TYPE lines.
+func family(name string) (pn, labels string) {
+	base, rest, ok := strings.Cut(name, "{")
+	if !ok {
+		return promName(name), ""
+	}
+	return promName(base), strings.TrimSuffix(rest, "}")
+}
+
 // regSnapshot is a point-in-time view of a registry's instruments plus
 // their help text, taken under the lock and rendered outside it. The
 // cluster exporter (cluster.go) snapshots every member registry through
@@ -261,30 +274,40 @@ func writeSampleProm(w io.Writer, pn, labels string, v int64) error {
 // Metrics with known descriptions (help.go, SetHelp) get # HELP lines.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	s := r.snapshot()
+	// Names of one family sort next to each other; its metadata goes out
+	// with the first.
+	last := ""
+	meta := func(name, typ string) (pn, labels string, err error) {
+		pn, labels = family(name)
+		if pn != last {
+			last, err = pn, writeMeta(w, pn, s.help[name], typ)
+		}
+		return pn, labels, err
+	}
 	for _, name := range s.histNames {
-		pn := promName(name)
-		if err := writeMeta(w, pn, s.help[name], "histogram"); err != nil {
+		pn, labels, err := meta(name, "histogram")
+		if err != nil {
 			return err
 		}
-		if err := writeHistogramProm(w, pn, "", s.hists[name]); err != nil {
+		if err := writeHistogramProm(w, pn, labels, s.hists[name]); err != nil {
 			return err
 		}
 	}
 	for _, name := range s.gaugeNames {
-		pn := promName(name)
-		if err := writeMeta(w, pn, s.help[name], "gauge"); err != nil {
+		pn, labels, err := meta(name, "gauge")
+		if err != nil {
 			return err
 		}
-		if err := writeSampleProm(w, pn, "", s.gauges[name].Value()); err != nil {
+		if err := writeSampleProm(w, pn, labels, s.gauges[name].Value()); err != nil {
 			return err
 		}
 	}
 	for _, name := range s.counterNames {
-		pn := promName(name)
-		if err := writeMeta(w, pn, s.help[name], "counter"); err != nil {
+		pn, labels, err := meta(name, "counter")
+		if err != nil {
 			return err
 		}
-		if err := writeSampleProm(w, pn, "", s.counters[name].Value()); err != nil {
+		if err := writeSampleProm(w, pn, labels, s.counters[name].Value()); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"testing"
@@ -117,5 +118,47 @@ func TestWritePrometheusEmpty(t *testing.T) {
 	}
 	if b.Len() != 0 {
 		t.Fatalf("empty registry produced output: %q", b.String())
+	}
+}
+
+// TestInlineLabelsShareOneFamily: a name carrying label pairs is a sample
+// of its family — one # HELP / # TYPE for the family, the pairs rendered
+// as written, and in a cluster scrape behind the member's node label.
+func TestInlineLabelsShareOneFamily(t *testing.T) {
+	reg := NewRegistry()
+	reg.Gauge(`sr3_recovery_held_bytes{version="cur"}`).Set(7)
+	reg.Gauge(`sr3_recovery_held_bytes{version="prev"}`).Set(3)
+	reg.Gauge("sr3_recovery_held_bytes_other").Set(1)
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, line := range []string{
+		"sr3_recovery_held_bytes{version=\"cur\"} 7\n",
+		"sr3_recovery_held_bytes{version=\"prev\"} 3\n",
+		"sr3_recovery_held_bytes_other 1\n",
+	} {
+		if !strings.Contains(out, line) {
+			t.Fatalf("scrape lacks %q:\n%s", line, out)
+		}
+	}
+	if n := strings.Count(out, "# TYPE sr3_recovery_held_bytes gauge\n"); n != 1 {
+		t.Fatalf("family metadata written %d times, want once:\n%s", n, out)
+	}
+	if !strings.Contains(out, "# HELP sr3_recovery_held_bytes ") {
+		t.Fatalf("labelled samples lost their family's help text:\n%s", out)
+	}
+
+	cr := NewClusterRegistry()
+	cr.Register("n1", reg)
+	buf.Reset()
+	if err := cr.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out = buf.String()
+	if !strings.Contains(out, "sr3_recovery_held_bytes{node=\"n1\",version=\"prev\"} 3\n") ||
+		strings.Count(out, "# TYPE sr3_recovery_held_bytes gauge\n") != 1 {
+		t.Fatalf("cluster scrape of a labelled family:\n%s", out)
 	}
 }

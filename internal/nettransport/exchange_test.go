@@ -189,3 +189,120 @@ func FuzzServeConn(f *testing.F) {
 		}
 	})
 }
+
+// serveOne accepts connections on a fresh loopback listener and serves
+// each as one exchange with h; it returns the address.
+func serveOne(t *testing.T, n *Network, h simnet.Handler) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				var magic [1]byte
+				if _, err := io.ReadFull(conn, magic[:]); err == nil && magic[0] == Magic {
+					n.ServeConn(conn, h)
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestSegmentedBodyCrossesAsItsConcatenation: RawSegs is written vectored
+// on the same chunk grid and credit schedule as the joined body would be,
+// so the receiver reads one Raw — at sizes on both sides of a chunk, of
+// the credit window, and with segment edges that fall inside chunks.
+func TestSegmentedBodyCrossesAsItsConcatenation(t *testing.T) {
+	n := New()
+	var got []byte
+	addr := serveOne(t, n, func(_ id.ID, msg simnet.Message) (simnet.Message, error) {
+		if len(msg.RawSegs) != 0 {
+			return simnet.Message{}, errors.New("a receiver sees Raw only")
+		}
+		got = append([]byte(nil), msg.Raw...)
+		return simnet.Message{Kind: "ok"}, nil
+	})
+	for _, sizes := range [][]int{
+		{4, 0, 1},
+		{4, DefaultChunkSize - 4, 4, 10},
+		{4, DefaultChunkSize + 1, 4, DefaultChunkSize - 1},
+		{4, (windowFrames + 1) * DefaultChunkSize, 4, 3*creditEvery*DefaultChunkSize + 17},
+	} {
+		var segs [][]byte
+		var want []byte
+		for i, size := range sizes {
+			seg := bytes.Repeat([]byte{byte('a' + i)}, size)
+			segs = append(segs, seg)
+			want = append(want, seg...)
+		}
+		got = nil
+		if _, err := n.Exchange(addr, id.HashKey("pusher"), simnet.Message{Kind: "segs", RawSegs: segs}, 5*time.Second); err != nil {
+			t.Fatalf("segments %v: %v", sizes, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("segments %v: receiver read %d bytes, not the %d-byte concatenation", sizes, len(got), len(want))
+		}
+	}
+	if dp := n.DataPlane(); dp.RawMessages != 8 {
+		t.Fatalf("raw messages = %d, want 4 sent + 4 received", dp.RawMessages)
+	}
+}
+
+// TestTakenBodyIsNotRecycled: a handler that takes the request's body keeps
+// the very buffer the socket was read into — no copy — and later requests
+// are read into other memory, while a body nobody took goes back to the
+// pool and backs the next request of its size.
+func TestTakenBodyIsNotRecycled(t *testing.T) {
+	n := New()
+	var kept [][]byte
+	var seen []*byte
+	addr := serveOne(t, n, func(_ id.ID, msg simnet.Message) (simnet.Message, error) {
+		seen = append(seen, &msg.Raw[0])
+		if msg.Kind == "keep" {
+			body := msg.TakeRaw()
+			if &body[0] != &msg.Raw[0] || cap(body) != len(body) {
+				return simnet.Message{}, fmt.Errorf("took a copy or a buffer with slack: len %d cap %d", len(body), cap(body))
+			}
+			kept = append(kept, body)
+		}
+		return simnet.Message{Kind: "ok"}, nil
+	})
+	send := func(kind string, fill byte) {
+		t.Helper()
+		body := bytes.Repeat([]byte{fill}, 3*DefaultChunkSize+5)
+		if _, err := n.Exchange(addr, id.HashKey("pusher"), simnet.Message{Kind: kind, Raw: body}, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send("keep", 1)
+	send("keep", 2)
+	// sync.Pool may drop a buffer at any GC: give reuse a few chances.
+	reused := false
+	for i := 0; i < 50 && !reused; i++ {
+		send("drop", 3)
+		send("drop", 4)
+		reused = seen[len(seen)-1] == seen[len(seen)-2]
+	}
+	if !reused {
+		t.Fatal("a body nobody took was never reused for the next request")
+	}
+	for i, body := range kept {
+		if want := bytes.Repeat([]byte{byte(i + 1)}, len(body)); !bytes.Equal(body, want) {
+			t.Fatalf("kept body %d was overwritten by a later request", i+1)
+		}
+		for _, p := range seen[2:] {
+			if p == &body[0] {
+				t.Fatalf("kept body %d's buffer was handed to a later request", i+1)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -53,22 +54,29 @@ func grantCount(f int64) int64 {
 
 // bufPool recycles raw-body destination buffers across calls, with hit
 // accounting so the bench harness can report the pool's effectiveness.
+// Buffers are filed by size class — class k holds capacities in
+// [2^k, 2^(k+1)) — and a body only ever draws from its own length's class,
+// so a reused buffer is less than twice the body: a share-sized buffer is
+// never handed to (and pinned behind) a 1 KB message.
 type bufPool struct {
-	p      sync.Pool
-	hits   atomic.Int64
-	misses atomic.Int64
+	classes [bits.UintSize]sync.Pool
+	hits    atomic.Int64
+	misses  atomic.Int64
 }
 
-// get returns a buffer of length n, reusing a pooled one when its
+// get returns a buffer of length n, reusing one of n's class when its
 // capacity suffices.
 func (bp *bufPool) get(n int) []byte {
-	if v := bp.p.Get(); v != nil {
-		b := v.([]byte)
-		if cap(b) >= n {
-			bp.hits.Add(1)
-			return b[:n]
+	if n > 0 {
+		if v := bp.classes[bits.Len(uint(n))-1].Get(); v != nil {
+			b := v.([]byte)
+			if cap(b) >= n {
+				bp.hits.Add(1)
+				return b[:n]
+			}
+			// Too small for this body: drop it rather than hold both, so
+			// a class converges on the largest body it sees.
 		}
-		// Too small for this body: drop it rather than hold both.
 	}
 	bp.misses.Add(1)
 	return make([]byte, n)
@@ -79,7 +87,7 @@ func (bp *bufPool) put(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	bp.p.Put(b[:0])
+	bp.classes[bits.Len(uint(cap(b)))-1].Put(b[:0])
 }
 
 // PoolStats reports the raw-buffer pool's hit/miss counters.

@@ -90,8 +90,8 @@ func TestBufPoolReuse(t *testing.T) {
 			t.Fatalf("len %d", len(b))
 		}
 		bp.put(b)
-		c := bp.get(50) // smaller request must still reuse the capacity
-		if len(c) != 50 {
+		c := bp.get(70) // a smaller body of the same size class reuses the capacity
+		if len(c) != 70 {
 			t.Fatalf("len %d", len(c))
 		}
 		bp.put(c)
@@ -113,6 +113,35 @@ func TestBufPoolReuse(t *testing.T) {
 	bp.put(nil)
 	if got := bp.get(8); len(got) != 8 {
 		t.Fatalf("after nil put: len %d", len(got))
+	}
+}
+
+// TestBufPoolNeverHandsABigBufferToASmallBody: a kept message pins the
+// buffer it was read into, so the pool must not back a 1 KB body with the
+// 12 MB buffer a shard batch left behind — and must still have that buffer
+// for the next batch.
+func TestBufPoolNeverHandsABigBufferToASmallBody(t *testing.T) {
+	const big, small = 12 << 20, 1 << 10
+	var bp bufPool
+	reusedBig := false
+	for i := 0; i < 100 && !reusedBig; i++ {
+		b := bp.get(big)
+		bp.put(b)
+		for _, n := range []int{small, 1, big/2 - 1} {
+			s := bp.get(n)
+			if len(s) != n || cap(s) > 2*n {
+				t.Fatalf("get(%d) returned len %d cap %d, want a buffer of at most twice the body", n, len(s), cap(s))
+			}
+			bp.put(s)
+		}
+		again := bp.get(big - big/4) // same class, a little smaller
+		reusedBig = &again[:1][0] == &b[:1][0]
+		if cap(again) > 2*len(again) {
+			t.Fatalf("get(%d) returned cap %d", len(again), cap(again))
+		}
+	}
+	if !reusedBig {
+		t.Fatal("the big buffer was never reused for a body of its own size class")
 	}
 }
 

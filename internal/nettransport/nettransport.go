@@ -429,8 +429,8 @@ func (n *Network) serve(srv *server) {
 // ServeConn serves one exchange on an accepted connection whose Magic
 // byte has been read: decode the request, drain its raw body, run h,
 // write the reply. It returns when the exchange is over, however it
-// ended; closing conn is the caller's. h must not retain the request's
-// Raw past its return — the buffer is pooled.
+// ended; closing conn is the caller's. The request's Raw is pooled once h
+// returns, unless h took it (simnet.Message.TakeRaw).
 func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 	// The I/O timeout bounds every read and write, so a client that
 	// connects and never sends (or never drains the reply) cannot pin this
@@ -446,12 +446,17 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 	// client writes it unconditionally and the stream cannot resync
 	// otherwise — so read it even when the request will be refused.
 	var reqRaw []byte
+	var taken bool
 	if req.RawLen != 0 {
 		if req.RawLen < 0 || req.RawLen > maxRawLen {
 			return // hostile header: drop the connection
 		}
 		reqRaw = n.pool.get(req.RawLen)
-		defer n.pool.put(reqRaw)
+		defer func() {
+			if !taken {
+				n.pool.put(reqRaw)
+			}
+		}()
 		frames, err := fio.readRaw(reqRaw)
 		n.rawFrames.Add(frames)
 		if err != nil {
@@ -472,10 +477,12 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 		}
 		err = ErrOverloaded
 	} else {
-		reply, err = h(req.From, simnet.Message{
+		msg := simnet.Message{
 			Kind: req.Kind, Size: req.Size, Payload: req.Body, Raw: reqRaw,
 			TraceID: req.TraceID, SpanID: req.SpanID,
-		})
+		}
+		msg.LendRaw(&taken)
+		reply, err = h(req.From, msg)
 	}
 	// The deadline bounds I/O, not the handler: one that outlived it (an
 	// adoption recovers and replays before it acknowledges) must still get
@@ -588,7 +595,8 @@ func (e *remoteError) Unwrap() error { return e.is }
 
 // Exchange dials the peer listening at addr — once or as the dial retry
 // policy says — and performs one request/reply round trip with it: Magic,
-// the request header, msg.Raw as chunk frames, then the same back. Every
+// the request header, msg.Raw (or the concatenation of msg.RawSegs, written
+// vectored) as chunk frames, then the same back. Every
 // read and write must make progress within timeout (0 disables
 // deadlines), so a handler gets that long to answer; a peer that accepts
 // and then stalls yields ErrTimeout, an unreachable one ErrNodeDown. The
@@ -625,19 +633,26 @@ func (n *Network) exchange(addr string, from id.ID, msg simnet.Message, timeout 
 	fio := frameIO{conn: conn, r: bufio.NewReader(conn), timeout: timeout}
 	fio.refresh()
 
+	segs, rawLen := msg.RawSegs, 0
+	if len(segs) == 0 && len(msg.Raw) > 0 {
+		segs = [][]byte{msg.Raw}
+	}
+	for _, seg := range segs {
+		rawLen += len(seg)
+	}
 	if err := writeHead(conn, []byte{Magic}, &wireRequest{From: from, Kind: msg.Kind, Size: msg.Size, Body: msg.Payload,
-		RawLen: len(msg.Raw), TraceID: msg.TraceID, SpanID: msg.SpanID}); err != nil {
+		RawLen: rawLen, TraceID: msg.TraceID, SpanID: msg.SpanID}); err != nil {
 		return ioErr("encode", err)
 	}
-	if len(msg.Raw) > 0 {
+	if rawLen > 0 {
 		var stallNs int64
 		fio.stallNs = &stallNs
-		frames, err := fio.writeRaw(msg.Raw)
+		frames, err := fio.writeRawVec(&vecScratch{}, nil, segs, rawLen)
 		n.rawFrames.Add(frames)
 		if err != nil {
 			return ioErr("raw body", err)
 		}
-		n.rawBytes.Add(int64(len(msg.Raw)))
+		n.rawBytes.Add(int64(rawLen))
 		n.rawMessages.Add(1)
 		n.noteStall(stallNs, msg.TraceID, msg.SpanID)
 	}

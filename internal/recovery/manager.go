@@ -17,7 +17,6 @@ import (
 
 // Message kinds served by the per-node Manager.
 const (
-	kindStore       = "sr3.shard.store"
 	kindStoreBatch  = "sr3.shard.storeBatch"
 	kindFetchIndex  = "sr3.shard.fetchIndex"
 	kindLineCollect = "sr3.line.collect"
@@ -117,7 +116,6 @@ func NewManager(n Overlay) *Manager {
 		placements: make(map[string]shard.Placement),
 		recovered:  make(map[string][]byte),
 	}
-	n.HandleDirect(kindStore, m.handleStore)
 	n.HandleDirect(kindStoreBatch, m.handleStoreBatch)
 	n.HandleDirect(kindFetchIndex, m.handleFetchIndex)
 	n.HandleDirect(kindLineCollect, m.handleLineCollect)
@@ -152,19 +150,21 @@ func (m *Manager) ShardCount() int {
 	return n
 }
 
-// ShardBytes returns the total bytes of shard replicas stored here.
-func (m *Manager) ShardBytes() int {
+// ShardBytes returns the bytes of shard replicas stored here, split by
+// retained version: cur is every app's newest version, prev the one it
+// superseded — zero on a node the successor's publication has reached.
+func (m *Manager) ShardBytes() (cur, prev int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
 	for _, h := range m.shards {
-		for _, set := range []map[shard.Key]shard.Shard{h.cur, h.prev} {
-			for _, s := range set {
-				n += len(s.Data)
-			}
+		for _, s := range h.cur {
+			cur += len(s.Data)
+		}
+		for _, s := range h.prev {
+			prev += len(s.Data)
 		}
 	}
-	return n
+	return cur, prev
 }
 
 // Save splits a state snapshot into mShards shards, replicates each
@@ -177,6 +177,12 @@ func (m *Manager) ShardBytes() int {
 // the state later. Re-saving the version this manager published last (a
 // repair after membership moved) bumps the table's Epoch, so the rewrite
 // outranks every copy of the earlier table.
+//
+// Save owns snapshot from the call on and never writes to it: the shards
+// are views of it (shard.Split), this node's own replicas alias it, pushes
+// send it in place, and a caller that goes on using the buffer copies it
+// first. Once the placement is published the owner drops its replicas of
+// the version this one supersedes.
 func (m *Manager) Save(app string, snapshot []byte, mShards, replicas int, v state.Version) (shard.Placement, error) {
 	shards, err := shard.Split(app, m.node.ID(), snapshot, mShards, v)
 	if err != nil {
@@ -235,6 +241,7 @@ func (m *Manager) Save(app string, snapshot []byte, mShards, replicas int, v sta
 	m.mu.Lock()
 	m.placements[app] = placement
 	m.mu.Unlock()
+	m.GCShards(app, placement)
 	return placement, nil
 }
 
@@ -266,9 +273,9 @@ func (m *Manager) pushShard(target id.ID, s shard.Shard) error {
 
 // pushShardBatch delivers a group of replicas to one holder as a single
 // batched store: metadata rides the gob payload, the shard bodies ride
-// the message's raw byte body as length-prefixed frames, which
-// serializing transports stream in chunks through pooled buffers. One
-// round trip per holder instead of one per shard.
+// the message's raw byte body as length-prefixed frames, handed over as
+// segments so the shards' own bytes are what a serializing transport
+// writes. One round trip per holder instead of one per shard.
 func (m *Manager) pushShardBatch(target id.ID, shards []shard.Shard) error {
 	if len(shards) == 0 {
 		return nil
@@ -280,12 +287,12 @@ func (m *Manager) pushShardBatch(target id.ID, shards []shard.Shard) error {
 		}
 		return nil
 	}
-	metas, raw := EncodeShardBatch(shards, nil)
+	metas, segs, total := shardBatchSegs(shards)
 	_, err := m.node.Send(target, simnet.Message{
 		Kind:    kindStoreBatch,
-		Size:    msgHeader + len(raw),
+		Size:    msgHeader + total,
 		Payload: &storeBatchMsg{Metas: metas, Published: last.Version},
-		Raw:     raw,
+		RawSegs: segs,
 	})
 	return err
 }
@@ -452,21 +459,9 @@ func (m *Manager) Recovered(app string) ([]byte, bool) {
 
 // --- message handlers ---
 
-func (m *Manager) handleStore(_ id.ID, msg simnet.Message) (simnet.Message, error) {
-	s, ok := msg.Payload.(*shard.Shard)
-	if !ok {
-		return simnet.Message{}, fmt.Errorf("recovery: bad store payload %T", msg.Payload)
-	}
-	if err := ValidateShard(*s); err != nil {
-		return simnet.Message{}, err
-	}
-	m.storeLocal(*s, state.Version{})
-	return simnet.Message{Kind: kindAck, Size: msgHeader}, nil
-}
-
 // storeBatchMsg is the batched store: Metas carries data-free shard
 // metadata, the message's raw body carries the matching data frames
-// (frame i ↔ Metas[i], see EncodeShardBatch).
+// (frame i ↔ Metas[i], see shardBatchSegs).
 type storeBatchMsg struct {
 	Metas []shard.Shard
 	// Published is the sender's last published (or recovered) version of
@@ -480,14 +475,12 @@ func (m *Manager) handleStoreBatch(_ id.ID, msg simnet.Message) (simnet.Message,
 	if !ok {
 		return simnet.Message{}, fmt.Errorf("recovery: bad store batch payload %T", msg.Payload)
 	}
-	shards, err := DecodeShardBatch(req.Metas, msg.Raw)
+	// The body is kept as it was read: the stored shards are views of it.
+	shards, err := DecodeShardBatch(req.Metas, msg.TakeRaw())
 	if err != nil {
 		return simnet.Message{}, err
 	}
 	for _, s := range shards {
-		// The decoded Data subslices the transport-owned raw body, which
-		// is recycled after this handler returns — store an owned copy.
-		s.Data = append([]byte(nil), s.Data...)
 		m.storeLocal(s, req.Published)
 	}
 	return simnet.Message{Kind: kindAck, Size: msgHeader}, nil
@@ -512,8 +505,10 @@ type fetchReply struct {
 // handleFetchIndex returns any replica of the given shard index stored
 // here at the requested version — used when the exact replica number is
 // unknown. The shard's data is split off into the reply's raw body, which
-// aliases the stored bytes — safe because shard Data is immutable once
-// stored and the transport finishes writing before the reply is released.
+// aliases the stored bytes. A save that supersedes the version while the
+// reply is still being written cannot hurt it: stored bytes are immutable
+// and are only ever dropped to the garbage collector, never recycled by
+// hand, so the reply's reference keeps them whole until it is on the wire.
 func (m *Manager) handleFetchIndex(_ id.ID, msg simnet.Message) (simnet.Message, error) {
 	req, ok := msg.Payload.(*fetchIndexRequest)
 	if !ok {

@@ -422,7 +422,7 @@ func TestCollectHandlersRejectMisroutedAndBadPayloads(t *testing.T) {
 	}
 
 	// Wrong payload types.
-	for _, kind := range []string{"sr3.shard.store", "sr3.shard.fetch",
+	for _, kind := range []string{"sr3.shard.storeBatch", "sr3.shard.fetch",
 		"sr3.shard.fetchIndex", "sr3.line.collect", "sr3.tree.collect"} {
 		if _, err := c.Ring.Node(b).Send(a, simnet.Message{Kind: kind, Payload: "garbage"}); err == nil {
 			t.Fatalf("kind %s accepted garbage payload", kind)
@@ -440,10 +440,7 @@ func TestStoreRejectsCorruptShard(t *testing.T) {
 	bad := shards[0]
 	bad.Data = append([]byte(nil), bad.Data...)
 	bad.Data[0] ^= 0xff // checksum now wrong
-	if _, err := c.Ring.Node(a).Send(b, simnet.Message{
-		Kind:    "sr3.shard.store",
-		Payload: &bad,
-	}); !errors.Is(err, shard.ErrChecksum) {
+	if err := c.Manager(a).pushShard(b, bad); !errors.Is(err, shard.ErrChecksum) {
 		t.Fatalf("corrupt shard store: got %v", err)
 	}
 	if c.Manager(b).HasShard(bad.Key()) {
@@ -459,7 +456,8 @@ func TestManagerAccounting(t *testing.T) {
 	totalShards, totalBytes := 0, 0
 	for _, nid := range c.Ring.IDs() {
 		totalShards += c.Manager(nid).ShardCount()
-		totalBytes += c.Manager(nid).ShardBytes()
+		cur, prev := c.Manager(nid).ShardBytes()
+		totalBytes += cur + prev
 	}
 	if totalShards != p.M*p.R {
 		t.Fatalf("stored %d shard replicas, want %d", totalShards, p.M*p.R)

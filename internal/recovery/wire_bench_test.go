@@ -9,9 +9,8 @@ import (
 	"sr3/internal/state"
 )
 
-// Wire-encoding microbenchmarks: the framed batch path (one message, data
-// subsliced on decode) against the per-shard gob path it replaced (one
-// round trip and a full serialize/deserialize copy per shard).
+// Wire-encoding microbenchmarks of the framed batch path: one message,
+// the shards' own bytes handed over as segments, data subsliced on decode.
 
 func benchShards(b *testing.B, size, m int) []shard.Shard {
 	b.Helper()
@@ -26,7 +25,7 @@ func benchShards(b *testing.B, size, m int) []shard.Shard {
 	return shards
 }
 
-func BenchmarkEncodeShardBatch(b *testing.B) {
+func BenchmarkShardBatchSegs(b *testing.B) {
 	for _, size := range []int{1 << 20, 16 << 20} {
 		shards := benchShards(b, size, 8)
 		b.Run(fmt.Sprintf("size=%dMiB", size>>20), func(b *testing.B) {
@@ -34,7 +33,7 @@ func BenchmarkEncodeShardBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, raw := EncodeShardBatch(shards, nil); len(raw) == 0 {
+				if _, _, total := shardBatchSegs(shards); total == 0 {
 					b.Fatal("empty batch")
 				}
 			}
@@ -45,7 +44,7 @@ func BenchmarkEncodeShardBatch(b *testing.B) {
 func BenchmarkDecodeShardBatch(b *testing.B) {
 	for _, size := range []int{1 << 20, 16 << 20} {
 		shards := benchShards(b, size, 8)
-		metas, raw := EncodeShardBatch(shards, nil)
+		metas, raw := encodeShardBatch(shards)
 		b.Run(fmt.Sprintf("size=%dMiB", size>>20), func(b *testing.B) {
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
@@ -53,31 +52,6 @@ func BenchmarkDecodeShardBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := DecodeShardBatch(metas, raw); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGobShardRoundTrip is the replaced baseline: each shard
-// individually gob-encoded and decoded, as the legacy kindStore message
-// did, copying the data at both ends.
-func BenchmarkGobShardRoundTrip(b *testing.B) {
-	for _, size := range []int{1 << 20, 16 << 20} {
-		shards := benchShards(b, size, 8)
-		b.Run(fmt.Sprintf("size=%dMiB", size>>20), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, s := range shards {
-					blob, err := EncodeShard(s)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := DecodeShard(blob); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 		})

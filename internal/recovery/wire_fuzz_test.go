@@ -44,9 +44,21 @@ func FuzzDecodePlacement(f *testing.F) {
 	})
 }
 
-// FuzzDecodeShard drives arbitrary bytes through the shard decoder: a
-// decoded shard must be structurally valid (geometry inside the claimed
-// state, checksum matching) or rejected, and decoding must never panic.
+// encodeShardBatch is the body a holder reads for shards: the segments a
+// pusher hands its transport, joined as a wire joins them.
+func encodeShardBatch(shards []shard.Shard) (metas []shard.Shard, raw []byte) {
+	metas, segs, total := shardBatchSegs(shards)
+	raw = bytes.Join(segs, nil)
+	if len(raw) != total {
+		panic("shardBatchSegs: total does not match the segments")
+	}
+	return metas, raw
+}
+
+// FuzzDecodeShard drives one shard with arbitrary metadata and data
+// through the batch decoder, as a hostile pusher would send it: a decoded
+// shard must be structurally valid (geometry inside the claimed state,
+// checksum matching) or rejected, and decoding must never panic.
 func FuzzDecodeShard(f *testing.F) {
 	shards, err := shard.Split("app", id.HashKey("owner"), []byte("some snapshot bytes for splitting"), 3,
 		state.Version{Timestamp: 9, Seq: 1})
@@ -54,25 +66,24 @@ func FuzzDecodeShard(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, s := range shards {
-		blob, err := EncodeShard(s)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(blob)
+		f.Add(s.App, s.Index, s.Replica, s.Total, s.Offset, s.TotalLen, s.Checksum, s.Data)
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x42, 0x00, 0x13})
+	f.Add("", 0, 0, 0, 0, 0, uint32(0), []byte{})
+	f.Add("app", 7, -1, 3, 1<<40, 13, uint32(0x42), []byte{0x42, 0x00, 0x13})
 
-	f.Fuzz(func(t *testing.T, b []byte) {
-		got, err := DecodeShard(b)
+	f.Fuzz(func(t *testing.T, app string, index, replica, total, offset, totalLen int, sum uint32, data []byte) {
+		meta := shard.Shard{App: app, Index: index, Replica: replica, Total: total,
+			Offset: offset, TotalLen: totalLen, Checksum: sum, Data: data}
+		metas, raw := encodeShardBatch([]shard.Shard{meta})
+		got, err := DecodeShardBatch(metas, raw)
 		if err != nil {
 			return
 		}
-		if err := ValidateShard(got); err != nil {
-			t.Fatalf("DecodeShard returned invalid shard: %v", err)
+		if err := ValidateShard(got[0]); err != nil {
+			t.Fatalf("DecodeShardBatch returned invalid shard: %v", err)
 		}
-		if got.Offset+len(got.Data) > got.TotalLen {
-			t.Fatalf("decoded shard range escapes state: off=%d len=%d total=%d", got.Offset, len(got.Data), got.TotalLen)
+		if got[0].Offset+len(got[0].Data) > got[0].TotalLen {
+			t.Fatalf("decoded shard range escapes state: off=%d len=%d total=%d", got[0].Offset, len(got[0].Data), got[0].TotalLen)
 		}
 	})
 }
@@ -88,7 +99,7 @@ func FuzzDecodeShardBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	metas, raw := EncodeShardBatch(shards, nil)
+	metas, raw := encodeShardBatch(shards)
 	f.Add(raw)
 	f.Add(raw[:len(raw)-3])                       // truncated final frame
 	f.Add(append(raw[:0:0], raw...)[:len(raw)/2]) // truncated mid-stream

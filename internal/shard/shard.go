@@ -2,6 +2,12 @@
 // (paper §3.3 Layer 2): a state snapshot is divided into m shards, each
 // replicated r times and scattered over the owner's leaf-set nodes so that
 // on failure different shard replicas can rebuild the state in parallel.
+//
+// Shard bytes are immutable once split: Split's shards are views of the
+// snapshot it was given and Replicate's replicas share one view, so the
+// snapshot, its shards and every replica of them are a single buffer that
+// nobody — the caller that handed the snapshot over included — writes to
+// again. A holder that wants different bytes builds a new Shard.
 package shard
 
 import (
@@ -58,7 +64,8 @@ func (k Key) String() string {
 
 // Split divides data into m contiguous shards (replica 0). The paper's
 // prototype shards the serialized hashtable by byte range; key-range
-// sharding is equivalent because MapStore snapshots are key-sorted.
+// sharding is equivalent because MapStore snapshots are key-sorted. Each
+// shard's Data is a capacity-limited view of data, not a copy.
 func Split(app string, owner id.ID, data []byte, m int, v state.Version) ([]Shard, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("split %q into %d: %w", app, m, ErrBadShardCount)
@@ -78,7 +85,7 @@ func Split(app string, owner id.ID, data []byte, m int, v state.Version) ([]Shar
 		if i < rem {
 			n++
 		}
-		chunk := append([]byte(nil), data[off:off+n]...)
+		chunk := data[off : off+n : off+n]
 		out = append(out, Shard{
 			App:      app,
 			Owner:    owner,
@@ -96,7 +103,8 @@ func Split(app string, owner id.ID, data []byte, m int, v state.Version) ([]Shar
 	return out, nil
 }
 
-// Replicate clones each shard into r replicas (replica indices 0..r-1).
+// Replicate lists each shard r times (replica indices 0..r-1); the
+// replicas of one shard share its Data.
 func Replicate(shards []Shard, r int) ([]Shard, error) {
 	if r <= 0 {
 		return nil, fmt.Errorf("replicate ×%d: %w", r, ErrBadReplicas)
@@ -106,7 +114,6 @@ func Replicate(shards []Shard, r int) ([]Shard, error) {
 		for j := 0; j < r; j++ {
 			c := s
 			c.Replica = j
-			c.Data = append([]byte(nil), s.Data...)
 			out = append(out, c)
 		}
 	}

@@ -135,6 +135,8 @@ func TestReassembleDisagreeingReplicas(t *testing.T) {
 	// cross-replica comparison can catch it.
 	for i := range reps {
 		if reps[i].Index == 0 && reps[i].Replica == 1 {
+			// Replicas share their bytes: the disagreeing one is a copy.
+			reps[i].Data = append([]byte(nil), reps[i].Data...)
 			reps[i].Data[0] ^= 0xff
 			reps[i].Checksum = checksumOf(reps[i].Data)
 		}
@@ -149,6 +151,37 @@ func checksumOf(b []byte) uint32 {
 	_ = s
 	// crc32 of the data, via Verify's definition.
 	return crcIEEE(b)
+}
+
+// TestSplitAndReplicateAliasTheSnapshot pins the one-buffer contract: a
+// shard is a capacity-limited view of the snapshot it was split from, and
+// the replicas of a shard are the same view.
+func TestSplitAndReplicateAliasTheSnapshot(t *testing.T) {
+	data := mkData(1001, 12)
+	shards, err := Split("app", testOwner, data, 4, testV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range shards {
+		if &s.Data[0] != &data[s.Offset] {
+			t.Fatalf("shard %d is a copy, want a view of the snapshot at offset %d", s.Index, s.Offset)
+		}
+		if cap(s.Data) != len(s.Data) {
+			t.Fatalf("shard %d: cap %d over len %d — an append would write into the next shard", s.Index, cap(s.Data), len(s.Data))
+		}
+		if s.Checksum != crcIEEE(data[s.Offset:s.Offset+len(s.Data)]) {
+			t.Fatalf("shard %d: checksum does not cover its byte range", s.Index)
+		}
+	}
+	reps, err := Replicate(shards, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reps {
+		if &r.Data[0] != &shards[r.Index].Data[0] || len(r.Data) != len(shards[r.Index].Data) {
+			t.Fatalf("replica %d of shard %d has its own bytes, want the shard's", r.Replica, r.Index)
+		}
+	}
 }
 
 func TestReplicateCounts(t *testing.T) {

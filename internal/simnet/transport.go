@@ -15,6 +15,7 @@
 package simnet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -31,13 +32,20 @@ type Message struct {
 	Payload any
 	// Raw is an optional byte body carried outside Payload — the data
 	// plane. Serializing transports (internal/nettransport) move it as
-	// length-prefixed chunk frames through pooled buffers instead of
-	// gob-encoding it inside Payload; the in-process transport passes the
-	// slice through untouched (zero-copy). Receivers must treat Raw as
-	// read-only and must not retain it (or subslices of it) after the
-	// handler returns / after calling ReleaseRaw — the backing buffer may
-	// be transport-owned and recycled.
+	// chunk frames read into one buffer instead of gob-encoding it inside
+	// Payload; the in-process transport passes the slice through untouched
+	// (zero-copy). Receivers must treat Raw as read-only and must not
+	// retain it (or subslices of it) after the handler returns / after
+	// calling ReleaseRaw — the backing buffer may be transport-owned and
+	// recycled — unless they take it (TakeRaw).
 	Raw []byte
+	// RawSegs is the send-side form of a body that already exists in
+	// pieces: it travels as the concatenation of the segments and the
+	// receiver sees it as Raw. Serializing transports write the segments
+	// vectored, so the sender never builds the joined copy; the in-process
+	// transport joins them into a buffer the receiver owns — the copy a
+	// wire would make. A sender sets Raw or RawSegs, not both.
+	RawSegs [][]byte
 	// TraceID/SpanID carry the sender's span context (internal/obs) so
 	// one recovery yields one coherent distributed trace: remote handlers
 	// parent their spans on the inbound context. Plain uint64s — not an
@@ -49,6 +57,10 @@ type Message struct {
 	// free recycles a transport-owned buffer backing Raw. Set by
 	// transports via SetFree; nil when Raw is caller-owned.
 	free func()
+	// taken is where TakeRaw tells the transport serving this request that
+	// the handler kept Raw. Set by transports via LendRaw; nil when Raw is
+	// not the transport's to recycle.
+	taken *bool
 }
 
 // SetTrace stamps the message with a span context given as raw IDs.
@@ -71,6 +83,35 @@ func (m *Message) ReleaseRaw() {
 		return
 	}
 	m.Raw = nil
+}
+
+// LendRaw marks a request's Raw as a buffer the serving transport recycles
+// once the handler returns — unless the handler takes it, which sets
+// *taken.
+func (m *Message) LendRaw(taken *bool) { m.taken = taken }
+
+// TakeRaw returns the request's body as the handler's to keep for as long
+// as it likes (read-only still: a sender in the same process may hold the
+// same bytes). A lent buffer is detached from the transport's recycling;
+// one with spare capacity — a recycled larger buffer — is left to the
+// transport and an exact-size copy returned, so keeping a body never pins
+// more than the body.
+func (m *Message) TakeRaw() []byte {
+	raw := m.Raw
+	if m.taken != nil {
+		if cap(raw) > len(raw) {
+			return append(make([]byte, 0, len(raw)), raw...)
+		}
+		*m.taken = true
+	}
+	return raw
+}
+
+// JoinSegs turns a segmented body into the single buffer a receiver sees.
+func (m *Message) JoinSegs() {
+	if len(m.RawSegs) > 0 {
+		m.Raw, m.RawSegs = bytes.Join(m.RawSegs, nil), nil
+	}
 }
 
 // Handler processes one inbound message and returns the reply.
@@ -208,6 +249,7 @@ func (n *Network) Call(from, to id.ID, msg Message) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
+	msg.JoinSegs()
 	if dup {
 		// Duplicate delivery: the handler runs twice (as a retransmitted
 		// datagram would make it); the first reply is discarded.

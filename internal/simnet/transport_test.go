@@ -132,3 +132,63 @@ func TestHandlerErrorPropagates(t *testing.T) {
 		t.Fatalf("got %v, want boom", err)
 	}
 }
+
+// TestCallJoinsSegmentsIntoAReceiverOwnedBody: the in-process transport
+// makes the one copy a wire would — the handler sees the concatenation as
+// Raw, may keep it, and the sender's later writes to its segments do not
+// reach it.
+func TestCallJoinsSegmentsIntoAReceiverOwnedBody(t *testing.T) {
+	n := NewNetwork()
+	a, b := id.HashKey("a"), id.HashKey("b")
+	var kept []byte
+	if err := n.Register(a, echoHandler); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Register(b, func(_ id.ID, msg Message) (Message, error) {
+		if msg.RawSegs != nil {
+			t.Error("a receiver sees Raw only")
+		}
+		kept = msg.TakeRaw()
+		return Message{Kind: "ok"}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	segs := [][]byte{[]byte("head"), {}, []byte("body bytes")}
+	if _, err := n.Call(a, b, Message{Kind: "push", RawSegs: segs}); err != nil {
+		t.Fatal(err)
+	}
+	segs[2][0] = 'X'
+	if string(kept) != "headbody bytes" {
+		t.Fatalf("receiver kept %q", kept)
+	}
+}
+
+// TestTakeRawDetachesALentBuffer: a transport that lends a request's buffer
+// learns that the handler took it; a buffer with spare capacity stays the
+// transport's and the handler gets an exact-size copy.
+func TestTakeRawDetachesALentBuffer(t *testing.T) {
+	exact := []byte("exact-size body")
+	var taken bool
+	msg := Message{Raw: exact}
+	msg.LendRaw(&taken)
+	handed := msg // a handler gets the message by value
+	if got := handed.TakeRaw(); &got[0] != &exact[0] || !taken {
+		t.Fatalf("exact-size buffer: same memory %v, taken %v; want both", &got[0] == &exact[0], taken)
+	}
+
+	roomy := make([]byte, 8, 64)
+	copy(roomy, "recycled")
+	taken = false
+	msg = Message{Raw: roomy}
+	msg.LendRaw(&taken)
+	got := msg.TakeRaw()
+	if taken || &got[0] == &roomy[0] || cap(got) != len(got) || string(got) != "recycled" {
+		t.Fatalf("roomy buffer: taken %v, cap %d, %q; want an exact-size copy and the buffer left to the transport", taken, cap(got), got)
+	}
+
+	own := []byte("caller-owned")
+	msg = Message{Raw: own}
+	if got := msg.TakeRaw(); &got[0] != &own[0] {
+		t.Fatal("a body no transport lent was copied")
+	}
+}

@@ -19,7 +19,9 @@ import (
 // must be deterministic for identical logical state so that recovered
 // state can be byte-compared in tests.
 type Store interface {
-	// Snapshot serializes the full state.
+	// Snapshot serializes the full state into a fresh buffer that is the
+	// caller's: the store keeps no reference to it and never writes to it
+	// again, so it can be handed on (and sharded in place) without a copy.
 	Snapshot() ([]byte, error)
 	// Restore replaces the state from a snapshot.
 	Restore(data []byte) error

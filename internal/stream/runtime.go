@@ -13,7 +13,10 @@ import (
 )
 
 // StateBackend persists and recovers task state. SR3 and the
-// checkpointing baseline both implement it (backend.go).
+// checkpointing baseline both implement it (backend.go). Save owns
+// snapshot from the call on and never writes to it: the runtime passes a
+// fresh Store().Snapshot() and does not touch its bytes again, so a
+// backend keeps, shards and sends the buffer it was given.
 type StateBackend interface {
 	Save(taskKey string, snapshot []byte, v state.Version) error
 	Recover(taskKey string) ([]byte, error)
