@@ -260,7 +260,7 @@ func (b *scatterBackend) Recover(taskKey string) ([]byte, error) {
 // merge spans parented on the adoption's recovery span, by the mechanism
 // and options §3.7 selects for the placement's state size. A task that
 // never saved has no placement anywhere and recovers to the empty state
-// (its input log replays on top).
+// (its senders' relay windows replay its input on top).
 func (b *scatterBackend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) ([]byte, error) {
 	start := time.Now()
 	p, err := b.mgr.LookupPlacement(taskKey)

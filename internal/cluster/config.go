@@ -173,6 +173,20 @@ func (c *NodeConfig) withDefaults() {
 	}
 }
 
+// replayWindowWarning is what a node says at start-up when the spec saves
+// less often than the relay window is long ("" when the window covers a
+// save interval). A task's unsaved input is retained only by its sender's
+// window, which holds the last replayBuffer tuples: with saveEvery beyond
+// that, a kill late in the interval finds the tuples between the last
+// published version and the oldest retained one in neither place.
+func replayWindowWarning(saveEvery, replayBuffer int) string {
+	if saveEvery <= replayBuffer {
+		return ""
+	}
+	return fmt.Sprintf("save_every=%d exceeds replay_buffer=%d: a kill can lose tuples that are neither in the last published version nor still retained upstream",
+		saveEvery, replayBuffer)
+}
+
 // Validate applies defaults and checks the configuration is runnable.
 func (c *NodeConfig) Validate() error {
 	c.withDefaults()

@@ -215,6 +215,22 @@ func TestKillTaskOwnerRecovers(t *testing.T) {
 			t.Fatalf("killed node still alive in view: %+v", d.Members)
 		}
 	}
+
+	// The gap came from the senders' relay windows: no daemon task, the
+	// adopter's included, keeps an input log of its own.
+	for _, name := range []string{"node1", "node3"} {
+		d, err := pg.Debug(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range d.Cells {
+			for _, ts := range c.Tasks {
+				if ts.Logged != 0 {
+					t.Fatalf("%s: task %s holds %d tuples in its input log", name, ts.Key, ts.Logged)
+				}
+			}
+		}
+	}
 }
 
 // TestCrashAndRejoin kills a member, restarts the same binary under the

@@ -174,6 +174,10 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.fed.start()
 	}
 	n.joined.Store(true)
+	if w := replayWindowWarning(n.spec.SaveEvery, cfg.ReplayBuffer); w != "" {
+		n.logf("warning: %s", w)
+		n.flight.Note(obs.FlightConfigWarn, cfg.Name, n.spec.Name, w, nil)
+	}
 
 	// Build and recover this node's initial cell from the *current*
 	// assignment (which is the spec assignment on a fresh cluster, and
@@ -492,10 +496,13 @@ func (n *Node) buildCell(compIDs []string) (*cell, error) {
 			}
 		}
 	}
+	// UpstreamReplay: a task here dies with its process, and what it
+	// received since its last save comes back from the sender's relay window.
 	rt, err := stream.NewRuntime(topo, stream.Config{
 		Backend:         n.backend,
 		SaveEveryTuples: n.spec.SaveEvery,
 		ChannelDepth:    n.spec.ChannelDepth,
+		UpstreamReplay:  true,
 		Codec:           stream.CodecBatch,
 		Metrics:         n.reg,
 		Flight:          n.flight,
@@ -508,9 +515,12 @@ func (n *Node) buildCell(compIDs []string) (*cell, error) {
 }
 
 // startCell starts the cell's executors, restores every stateful task
-// from the scattered shards (kill marks the empty-state task dead so
-// arriving tuples are logged, recover collects + restores + replays the
-// log), wires the egress senders, and finally opens the spout gate.
+// from the scattered shards (kill marks the empty-state task dead, recover
+// collects + restores; nothing reaches the task in between — the gate is
+// shut and a flow hello is refused until ready — so no log to replay), wires
+// the egress senders, and finally opens the spout gate. The tuples the
+// previous incarnation took after its last save come from upstream: each
+// sender's relay window re-sends what this cell has not covered.
 // A valid trace context (an adoption driven by the seed's self-heal
 // trace) threads the recovery through the traced paths, so fetch, merge,
 // and replay surface as child spans of the cluster-wide recovery, and

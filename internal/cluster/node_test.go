@@ -3,10 +3,12 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
 	"sr3/internal/leakcheck"
+	"sr3/internal/obs"
 )
 
 // testSpec builds a source -> counter -> sink pipeline with the three
@@ -298,5 +300,106 @@ func TestSeqKeyCycles(t *testing.T) {
 		if got := SeqKey(seq, 8); got != want {
 			t.Fatalf("SeqKey(%d, 8) = %q, want %q", seq, got, want)
 		}
+	}
+}
+
+// statefulLogged returns Logged of every stateful task the nodes host,
+// by "node:task key".
+func statefulLogged(nodes ...*Node) map[string]int64 {
+	out := map[string]int64{}
+	for _, n := range nodes {
+		for _, c := range n.Debug().Cells {
+			for _, ts := range c.Tasks {
+				if ts.Stateful {
+					out[n.cfg.Name+":"+ts.Key] = ts.Logged
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestDaemonTasksKeepNoInputLog: in the daemon the sender's relay window
+// is the input log, so a stateful task holds no tuples of its own however
+// far the next save is — here it never comes — and neither does the task
+// an adopter rebuilds; the window alone brings the stream back
+// exactly-once.
+func TestDaemonTasksKeepNoInputLog(t *testing.T) {
+	const total = 4000
+	spec := testSpec("n1", "n2", "n1", total, 8, 200, 1<<15)
+	seed := startTestNode(t, "n1", "", spec)
+	defer seed.Stop()
+	n2 := startTestNode(t, "n2", seed.Addr(), spec)
+	n3 := startTestNode(t, "n3", seed.Addr(), spec)
+	defer n3.Stop()
+
+	noLog := func(when string, nodes ...*Node) {
+		t.Helper()
+		logged := statefulLogged(nodes...)
+		if len(logged) < 2 {
+			t.Fatalf("%s: stateful tasks seen: %v, want the counter and the sink", when, logged)
+		}
+		for task, n := range logged {
+			if n != 0 {
+				t.Fatalf("%s: %s holds %d tuples in its input log", when, task, n)
+			}
+		}
+	}
+	waitCondition(t, 10*time.Second, "the counter and the sink to make progress", func() bool {
+		s, ok := sinkOn(seed)
+		return ok && s.Pairs > 500
+	})
+	noLog("mid-stream", seed, n2, n3)
+
+	crashNode(n2)
+	waitSink(t, seed, total, 20*time.Second)
+	if owner := seed.Debug().Assign["count"]; owner == "n2" {
+		t.Fatalf("count still assigned to the crashed node")
+	}
+	noLog("after adoption", seed, n3)
+}
+
+// TestReplayWindowWarning: a spec that saves less often than the relay
+// window is long starts, and says so — in the log and the flight journal.
+func TestReplayWindowWarning(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		saveEvery, replayBuffer int
+		warn                    bool
+	}{
+		{"default window", 100, 0, false},
+		{"window equals the interval", 128, 128, false},
+		{"window shorter than the interval", 200, 100, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logs strings.Builder
+			cfg := testNodeConfig("n1", "", testSpec("n1", "n1", "n1", 10, 2, 0, int64(tc.saveEvery)))
+			cfg.ReplayBuffer = tc.replayBuffer
+			cfg.LogWriter = &logs
+			n, err := StartNode(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Stop()
+			var notes []string
+			for _, ev := range n.flight.Events() {
+				if ev.Kind == obs.FlightConfigWarn {
+					notes = append(notes, ev.Detail)
+				}
+			}
+			if !tc.warn {
+				if len(notes) != 0 || strings.Contains(logs.String(), "warning") {
+					t.Fatalf("unexpected warning: %v\n%s", notes, logs.String())
+				}
+				return
+			}
+			want := fmt.Sprintf("save_every=%d exceeds replay_buffer=%d", tc.saveEvery, tc.replayBuffer)
+			if len(notes) != 1 || !strings.Contains(notes[0], want) {
+				t.Fatalf("flight notes %v, want one naming %q", notes, want)
+			}
+			if !strings.Contains(logs.String(), want) {
+				t.Fatalf("log does not name %q:\n%s", want, logs.String())
+			}
+		})
 	}
 }

@@ -19,6 +19,7 @@ var helpCatalog = map[string]string{
 	"sr3_stream_shed_total":            "Data tuples dropped by queue policy or degraded-mode admission control.",
 	"sr3_stream_degraded":              "1 while the runtime is in degraded-service mode (shedding ingest), else 0.",
 	"sr3_stream_emit_block_wait_ns":    "Per-push wait on a full bounded task queue in nanoseconds (backpressure histogram).",
+	"sr3_stream_input_log_tuples":      "Tuples held in task input logs for replay: everything since the last save in process, 0 on a daemon (the sender's relay window is its log).",
 	// DHT overlay (internal/dht).
 	"sr3_dht_route_hops":              "Overlay hops per routed request, recorded at the origin node.",
 	"sr3_dht_routes_total":            "Routed requests originated by this node.",

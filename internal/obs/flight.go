@@ -40,6 +40,9 @@ const (
 	FlightShedStop     = "overload.shed_stop"
 	FlightBreakerOpen  = "overload.breaker_open"
 	FlightBreakerClose = "overload.breaker_close"
+	// A configuration a node starts with but cannot fully honour (Detail
+	// names the values): what a post-mortem of lost tuples checks first.
+	FlightConfigWarn = "config.warn"
 )
 
 // FlightEvent is one journal entry. Fields are flat strings so a dump is

@@ -21,6 +21,7 @@ type instruments struct {
 	execErrors  *metrics.Counter
 	shed        *metrics.Counter
 	degraded    *metrics.Gauge
+	logged      *metrics.Gauge
 	procNs      *metrics.LatencyHistogram
 	blockWaitNs *metrics.LatencyHistogram
 }
@@ -36,6 +37,7 @@ func newInstruments(reg *metrics.Registry) *instruments {
 		execErrors:  reg.Counter("sr3_stream_execute_errors_total"),
 		shed:        reg.Counter("sr3_stream_shed_total"),
 		degraded:    reg.Gauge("sr3_stream_degraded"),
+		logged:      reg.Gauge("sr3_stream_input_log_tuples"),
 		procNs:      reg.Histogram("sr3_stream_proc_ns"),
 		blockWaitNs: reg.Histogram("sr3_stream_emit_block_wait_ns"),
 	}
@@ -59,6 +61,15 @@ func (in *instruments) noteDegraded(on bool) {
 	} else {
 		in.degraded.Set(0)
 	}
+}
+
+// noteLogged moves the input-log gauge — tuples logged for replay, all
+// stateful tasks of every runtime on the registry — by one task's change.
+func (in *instruments) noteLogged(delta int64) {
+	if in == nil {
+		return
+	}
+	in.logged.Add(delta)
 }
 
 // taskInstruments are one task's metric handles plus the runtime-wide
@@ -193,6 +204,7 @@ type TaskDebug struct {
 	Index      int    `json:"index"`
 	Stateful   bool   `json:"stateful"`
 	Handled    int64  `json:"handled"`
+	Logged     int64  `json:"logged,omitempty"`
 	QueueDepth int    `json:"queue_depth"`
 	QueueCap   int    `json:"queue_cap"`
 	Offered    int64  `json:"offered"`
@@ -233,6 +245,7 @@ func (rt *Runtime) DebugView() TopologyDebug {
 				Index:      t.index,
 				Stateful:   t.decl.stateful,
 				Handled:    t.handled.Load(),
+				Logged:     t.logged.Load(),
 				QueueDepth: t.in.depth(),
 				QueueCap:   t.in.capacity(),
 				Offered:    t.offered.Load(),

@@ -60,6 +60,15 @@ type Config struct {
 	// ingest admission control, the credit-based upstream half of
 	// backpressure. 0 disables the gate.
 	IngestWindow int
+	// UpstreamReplay declares that every input of this runtime is retained
+	// and replayed by its sender, and that a task dies with the runtime's
+	// process: a live task then keeps no input log, because nothing in this
+	// runtime could ever replay it. A task between Kill and Recover still
+	// logs what arrives, and Recover still replays that. The zero value
+	// keeps the log — what a runtime that kills and recovers tasks while it
+	// lives (the in-process Framework) needs; the daemon, whose edges are
+	// relay windows, sets it.
+	UpstreamReplay bool
 	// Codec is read by nothing; it exists only because benchmark/layers.go
 	// still names it, and goes when that does.
 	Codec Codec
@@ -152,6 +161,14 @@ type task struct {
 	// descendants of a replayed tuple stay replay-class downstream.
 	curClass TrafficClass
 	instr    *taskInstruments // nil when Config.Metrics is unset
+
+	// saveBackoff is the distance in tuples to the retry of a failed
+	// periodic save — it doubles from 1 to SaveEveryTuples and a successful
+	// save zeroes it — and saveDue the sinceSav that retry waits for
+	// (executor goroutine only).
+	saveBackoff int
+	saveDue     int
+	logged      atomic.Int64 // len(log) as the executor last published it
 }
 
 // Runtime executes one topology.
@@ -489,6 +506,8 @@ func (rt *Runtime) runTask(t *task) {
 			env.done <- err
 
 		case ctlStop:
+			t.log = nil
+			rt.noteLogged(t)
 			env.done <- nil
 			return
 		}
@@ -499,7 +518,8 @@ func (rt *Runtime) runTask(t *task) {
 // of one traffic class that stop at the save boundary, and each chunk
 // goes through input-log append, execute and periodic save exactly as a
 // tuple at a time would — recovery replay and exactly-once cannot tell
-// the difference. Output is flushed before a save, so nothing finished
+// the difference. With Config.UpstreamReplay only a dead task's chunks
+// are logged. Output is flushed before a save, so nothing finished
 // waits behind one and emit-before-snapshot order holds, and at the end
 // of the run; the input tuples stay pending until then, so pending
 // covers buffered output. Counters are settled once per stretch between
@@ -516,13 +536,14 @@ func (rt *Runtime) execRun(t *task, tuples []Tuple, classes []TrafficClass, out 
 		for k < len(tuples) && classes[k] == class {
 			k++
 		}
+		saveAt := max(saveEvery, t.saveDue)
 		if saveEvery > 0 && !t.dead {
-			k = min(k, max(1, saveEvery-t.sinceSav))
+			k = min(k, max(1, saveAt-t.sinceSav))
 		}
 		chunk := tuples[:k]
 		tuples, classes = tuples[k:], classes[k:]
 		t.curClass = class
-		if t.decl.stateful {
+		if t.decl.stateful && (t.dead || !rt.cfg.UpstreamReplay) {
 			t.log = append(t.log, chunk...)
 		}
 		if t.dead {
@@ -537,16 +558,35 @@ func (rt *Runtime) execRun(t *task, tuples []Tuple, classes []TrafficClass, out 
 		}
 		executed += k
 		t.sinceSav += k
-		if saveEvery > 0 && t.sinceSav >= saveEvery {
+		if saveEvery > 0 && t.sinceSav >= saveAt {
 			out.flush()
 			rt.noteRun(t, start, executed)
-			_ = rt.saveTask(t) // periodic save failure is not fatal
+			// A periodic save that fails is not fatal, and is not retried on
+			// the very next tuple either: each attempt costs a snapshot and
+			// a scatter.
+			if rt.saveTask(t) != nil {
+				t.saveBackoff = min(max(1, 2*t.saveBackoff), saveEvery)
+				t.saveDue = t.sinceSav + t.saveBackoff
+			}
 			start, executed = t.instr.runStart(), 0
 		}
 	}
 	out.flush()
 	rt.noteRun(t, start, executed)
+	if t.decl.stateful {
+		rt.noteLogged(t)
+	}
 	rt.pending.Add(int64(-n))
+}
+
+// noteLogged publishes the input log's length (executor goroutine only,
+// so the common case — unchanged, 0 under UpstreamReplay — is one load).
+func (rt *Runtime) noteLogged(t *task) {
+	n, was := int64(len(t.log)), t.logged.Load()
+	if n != was {
+		t.logged.Store(n)
+		rt.instr.noteLogged(n - was)
+	}
 }
 
 // noteRun settles one executed stretch of a run: n tuples handled, acked
@@ -597,7 +637,8 @@ func (rt *Runtime) saveTask(t *task) error {
 	// per save. clear drops the tuples' references.
 	clear(t.log)
 	t.log = t.log[:0]
-	t.sinceSav = 0
+	rt.noteLogged(t)
+	t.sinceSav, t.saveBackoff, t.saveDue = 0, 0, 0
 	return nil
 }
 
@@ -848,6 +889,10 @@ type TaskStats struct {
 	Index    int
 	Handled  int64
 	Stateful bool
+	// Logged is the number of tuples in the task's input log: what a
+	// Recover in this runtime would replay on top of the last save. With
+	// Config.UpstreamReplay it is 0 for a live task.
+	Logged int64
 }
 
 // Stats returns a snapshot of every task's progress, sorted by task key —
@@ -862,6 +907,7 @@ func (rt *Runtime) Stats() []TaskStats {
 				Index:    t.index,
 				Handled:  t.handled.Load(),
 				Stateful: t.decl.stateful,
+				Logged:   t.logged.Load(),
 			})
 		}
 	}

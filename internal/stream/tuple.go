@@ -6,11 +6,20 @@
 // and can kill and recover tasks — the integration surface the paper
 // adds to Storm's IRichBolt (paper §4).
 //
-// Recovery model: stateful bolts are assumed deterministic. Each task
-// keeps an input log of the tuples received since its last state save;
-// recovery restores the saved snapshot and replays the log, exactly
-// reconstructing the lost state (the same contract checkpoint+replay and
-// DStream lineage recovery rely on).
+// Recovery model: stateful bolts are assumed deterministic. Recovery
+// restores the last saved snapshot and replays the tuples received since,
+// exactly reconstructing the lost state (the same contract
+// checkpoint+replay and DStream lineage recovery rely on). Who retains
+// those tuples depends on what can fail. In process (the Framework, the
+// benchmarks) a task is killed and recovered inside a runtime that
+// outlives it, so each task keeps them itself, in an input log truncated
+// at every save, and RecoverTask replays that. In the sr3node daemon a
+// task dies with its process and the log would die with it: the replay
+// source is upstream — the sender's relay window (internal/cluster), which
+// retains every tuple in flight, encoded once — and with
+// Config.UpstreamReplay a live task keeps no second copy. Only a task
+// between Kill and Recover logs there, to hold what arrives while its
+// state is being restored.
 package stream
 
 import "fmt"
