@@ -306,7 +306,6 @@ func matrixSlowNode(r *rig, spec MatrixCellSpec, cell *MatrixCell) error {
 		},
 		RepairInterval: 50 * time.Millisecond,
 		Flight:         flight,
-		Escalation:     supervise.EscalationPolicy{DeadlineBase: 80 * time.Millisecond},
 	})
 
 	r.pump(0, burstPre, 0)

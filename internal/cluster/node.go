@@ -154,9 +154,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.net = nettransport.New()
 	n.net.SetMetrics(n.reg)
 	n.net.SetIOTimeout(rpcTimeout)
-	// One dial per call: every caller owns a retry loop already (join,
-	// heartbeat tick, runtime re-save, failover ladder).
-	n.net.SetDialRetryPolicy(nettransport.DialRetryPolicy{Attempts: 1})
 
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {

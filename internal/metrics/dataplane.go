@@ -37,27 +37,3 @@ func (s DataPlaneStats) PoolHitRate() float64 {
 	}
 	return float64(s.PoolHits) / float64(total)
 }
-
-// Merge combines two runs' stats: bytes, time and pool counters add, and
-// the wider fetch pool wins (the aggregate describes the whole sweep).
-func (s DataPlaneStats) Merge(o DataPlaneStats) DataPlaneStats {
-	out := s
-	out.BytesMoved += o.BytesMoved
-	out.Seconds += o.Seconds
-	out.PoolHits += o.PoolHits
-	out.PoolMisses += o.PoolMisses
-	if o.FetchConcurrency > out.FetchConcurrency {
-		out.FetchConcurrency = o.FetchConcurrency
-	}
-	return out
-}
-
-// Speedup returns this run's goodput relative to a baseline run, or 0 if
-// the baseline moved nothing.
-func (s DataPlaneStats) Speedup(baseline DataPlaneStats) float64 {
-	b := baseline.GoodputMBps()
-	if b == 0 {
-		return 0
-	}
-	return s.GoodputMBps() / b
-}

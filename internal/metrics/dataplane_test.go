@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestDataPlaneGoodput(t *testing.T) {
 	s := DataPlaneStats{BytesMoved: 64_000_000, Seconds: 2}
@@ -25,31 +22,5 @@ func TestDataPlanePoolHitRate(t *testing.T) {
 	s := DataPlaneStats{PoolHits: 9, PoolMisses: 3}
 	if got := s.PoolHitRate(); got != 0.75 {
 		t.Fatalf("rate %v", got)
-	}
-}
-
-func TestDataPlaneMerge(t *testing.T) {
-	a := DataPlaneStats{BytesMoved: 10, Seconds: 1, FetchConcurrency: 4, PoolHits: 1, PoolMisses: 2}
-	b := DataPlaneStats{BytesMoved: 20, Seconds: 2, FetchConcurrency: 8, PoolHits: 3, PoolMisses: 4}
-	m := a.Merge(b)
-	if m.BytesMoved != 30 || m.Seconds != 3 || m.PoolHits != 4 || m.PoolMisses != 6 {
-		t.Fatalf("merge %+v", m)
-	}
-	if m.FetchConcurrency != 8 {
-		t.Fatalf("concurrency %d, want max 8", m.FetchConcurrency)
-	}
-	if n := b.Merge(a); n.FetchConcurrency != 8 {
-		t.Fatalf("merge not symmetric on concurrency: %d", n.FetchConcurrency)
-	}
-}
-
-func TestDataPlaneSpeedup(t *testing.T) {
-	seq := DataPlaneStats{BytesMoved: 64_000_000, Seconds: 4}
-	fast := DataPlaneStats{BytesMoved: 64_000_000, Seconds: 1}
-	if got := fast.Speedup(seq); math.Abs(got-4) > 1e-9 {
-		t.Fatalf("speedup %v, want 4", got)
-	}
-	if got := fast.Speedup(DataPlaneStats{}); got != 0 {
-		t.Fatalf("speedup vs empty baseline %v", got)
 	}
 }

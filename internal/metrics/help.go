@@ -30,15 +30,10 @@ var helpCatalog = map[string]string{
 	"sr3_dht_stored_bytes":            "Bytes of KV state (root copies and replicas) held by this node.",
 	"sr3_dht_stored_keys":             "KV records (state shards, placements) held by this node.",
 	"sr3_scribe_repairs_total":        "Multicast-tree re-join attempts after a parent death.",
-	"sr3_net_dials_total":             "TCP dial attempts (including retries).",
-	"sr3_net_dial_retries_total":      "TCP dial attempts beyond the first for one call.",
-	"sr3_net_dial_failures_total":     "Calls whose dial retry policy was exhausted.",
+	"sr3_net_dials_total":             "TCP dials, one per request/reply exchange (the transport never retries a dial).",
+	"sr3_net_dial_failures_total":     "Exchanges whose one dial failed (peer unreachable).",
 	"sr3_net_io_timeouts_total":       "Request/reply exchanges aborted by the I/O deadline.",
 	"sr3_net_calls_total":             "Request/reply calls issued through the TCP transport.",
-	"sr3_net_breaker_fastfails_total": "Outbound calls rejected locally by an open circuit breaker (no dial attempted).",
-	"sr3_net_breaker_opens_total":     "Circuit-breaker open transitions (consecutive transport failures toward a peer).",
-	"sr3_net_retry_suppressed_total":  "Dial retries refused by the transport's retry budget (empty token bucket).",
-	"sr3_net_overload_rejected_total": "Inbound ingest-class requests rejected while this node was in degraded-service mode.",
 	"sr3_flight_events_total":         "Events recorded by the flight recorder.",
 	"sr3_flight_events_dropped_total": "Flight-recorder events overwritten by ring-buffer wraparound.",
 	// What protection holds in memory on a cluster node (internal/cluster),

@@ -20,7 +20,7 @@ const MaxBatchBytes = 64 << 20
 // tuple batches (stream.EncodeTupleBatch frames) — over one connection
 // using the same chunked, credit-windowed data plane as the transport's
 // raw message path. Each body is a uvarint length header followed by
-// the body bytes on the writeRaw chunk grid, so bodies larger than the
+// the body bytes on the raw-body chunk grid, so bodies larger than the
 // credit window stream without unbounded receiver buffering.
 //
 // A BatchConn is directional: one endpoint writes, the peer reads

@@ -70,9 +70,9 @@ func splitRandomly(rng *rand.Rand, body []byte) [][]byte {
 
 // TestWriteRawVecMatchesWriteRaw: for bodies crossing every framing
 // boundary — sub-chunk, exact grid, window-filling, multi-credit — the
-// vectored writer must put the identical byte stream on the wire that
-// writeRaw would, decoded by an unchanged readRaw with the credit
-// schedule running concurrently.
+// vectored writer must put on the wire the byte stream of the joined
+// body, decoded by an unchanged readRaw with the credit schedule running
+// concurrently.
 func TestWriteRawVecMatchesWriteRaw(t *testing.T) {
 	sizes := []int{
 		1,

@@ -23,17 +23,15 @@ func TestReplySurvivesSlowHandler(t *testing.T) {
 	n := New()
 	defer n.Close()
 	n.SetIOTimeout(50 * time.Millisecond)
-	a, b := id.HashKey("caller"), id.HashKey("slow")
-	if err := n.Register(a, okHandler); err != nil {
-		t.Fatal(err)
-	}
+	b := id.HashKey("slow")
 	if err := n.Register(b, func(id.ID, simnet.Message) (simnet.Message, error) {
 		time.Sleep(200 * time.Millisecond)
 		return simnet.Message{Kind: "done", Raw: []byte("late but whole")}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := n.CallTimeout(a, b, simnet.Message{Kind: "sr3.adopt"}, 5*time.Second)
+	addr, _ := n.Addr(b)
+	reply, err := n.Exchange(addr, id.HashKey("caller"), simnet.Message{Kind: "sr3.adopt"}, 5*time.Second)
 	if err != nil {
 		t.Fatalf("reply of a handler slower than the server's I/O timeout was lost: %v", err)
 	}

@@ -203,7 +203,7 @@ type frameIO struct {
 	conn    net.Conn
 	r       *bufio.Reader
 	timeout time.Duration
-	// stallNs, when non-nil, accumulates time writeRaw spends blocked
+	// stallNs, when non-nil, accumulates time writeRawVec spends blocked
 	// waiting for credit grants — the backpressure measurement behind
 	// DataPlaneStats.StallNanos and traced PhaseStall spans.
 	stallNs *int64
@@ -217,43 +217,6 @@ func (d frameIO) refresh() {
 	}
 }
 
-// writeRaw streams raw over the connection as chunk frames under the
-// credit window. The total length was already announced in the gob
-// header, so frames carry no per-frame length — the chunk grid is implied
-// by (len(raw), DefaultChunkSize). Returns frames written.
-func (d frameIO) writeRaw(raw []byte) (int64, error) {
-	frames := int64(0)
-	inFlight := int64(0)
-	var credit [1]byte
-	for off := 0; off < len(raw); {
-		if inFlight >= windowFrames {
-			// Window exhausted: wait for one credit grant from the
-			// receiver before sending more.
-			d.refresh()
-			waitStart := time.Now()
-			if _, err := io.ReadFull(d.r, credit[:]); err != nil {
-				return frames, fmt.Errorf("raw credit: %w", err)
-			}
-			if d.stallNs != nil {
-				*d.stallNs += time.Since(waitStart).Nanoseconds()
-			}
-			inFlight -= creditEvery
-		}
-		end := off + DefaultChunkSize
-		if end > len(raw) {
-			end = len(raw)
-		}
-		d.refresh()
-		if _, err := d.conn.Write(raw[off:end]); err != nil {
-			return frames, fmt.Errorf("raw frame: %w", err)
-		}
-		off = end
-		frames++
-		inFlight++
-	}
-	return frames, nil
-}
-
 // vecScratch is the reusable iovec backing of a vectored writer: bufs is
 // rebuilt per chunk, out is the copy net.Buffers.WriteTo consumes. Both
 // live in the owning connection so a steady-state write allocates
@@ -262,10 +225,13 @@ type vecScratch struct {
 	bufs, out net.Buffers
 }
 
-// writeRawVec streams a multi-segment body exactly as writeRaw would
-// stream the concatenation: same chunk grid over the total length, same
-// deterministic credit schedule, so the receiver's readRaw is oblivious
-// to the segmentation. Each chunk goes to the kernel as one net.Buffers
+// writeRawVec streams a body of one or more segments over the connection
+// as chunk frames under the credit window. The total length was already
+// announced in the header, so frames carry no per-frame length: the chunk
+// grid is implied by (total, DefaultChunkSize), whatever the segmentation,
+// and the receiver's readRaw sees the concatenation. When the window is
+// exhausted the writer waits for one credit grant from the receiver
+// before sending more. Each chunk goes to the kernel as one net.Buffers
 // (writev) call — segments are never copied into a staging buffer.
 // prefix (the caller's length announcement) rides in front of the first
 // chunk in that chunk's writev; it is not part of the chunk grid, the

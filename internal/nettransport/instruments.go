@@ -8,26 +8,17 @@ import (
 
 // netInstruments are the transport's steady-state counters, resolved once
 // at SetMetrics. The handle is published through an atomic pointer so
-// Call (which runs without the Network mutex held across I/O) reads it
+// Exchange (which runs without the Network mutex held across I/O) reads it
 // with one load; nil means un-instrumented and costs only that load.
 type netInstruments struct {
 	calls        *metrics.Counter
 	dials        *metrics.Counter
-	dialRetries  *metrics.Counter
 	dialFailures *metrics.Counter
 	timeouts     *metrics.Counter
-	slowPeer     *metrics.Counter
-	// Overload-control counters: calls rejected by an open breaker,
-	// breaker open transitions, dial retries suppressed by the retry
-	// budget, and inbound ingest requests rejected in degraded mode.
-	breakerFastFails *metrics.Counter
-	breakerOpens     *metrics.Counter
-	retrySuppressed  *metrics.Counter
-	rejectedIngest   *metrics.Counter
 }
 
-// SetMetrics enables transport counters (calls, dial attempts/retries/
-// failures, I/O timeouts) in reg; nil disables them again.
+// SetMetrics enables transport counters (calls, dials, dial failures, I/O
+// timeouts) in reg; nil disables them again.
 func (n *Network) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		n.instr.Store((*netInstruments)(nil))
@@ -36,46 +27,28 @@ func (n *Network) SetMetrics(reg *metrics.Registry) {
 	n.instr.Store(&netInstruments{
 		calls:        reg.Counter("sr3_net_calls_total"),
 		dials:        reg.Counter("sr3_net_dials_total"),
-		dialRetries:  reg.Counter("sr3_net_dial_retries_total"),
 		dialFailures: reg.Counter("sr3_net_dial_failures_total"),
 		timeouts:     reg.Counter("sr3_net_io_timeouts_total"),
-		slowPeer:     reg.Counter("sr3_net_slow_peer_timeouts_total"),
-
-		breakerFastFails: reg.Counter("sr3_net_breaker_fastfails_total"),
-		breakerOpens:     reg.Counter("sr3_net_breaker_opens_total"),
-		retrySuppressed:  reg.Counter("sr3_net_retry_suppressed_total"),
-		rejectedIngest:   reg.Counter("sr3_net_overload_rejected_total"),
 	})
 }
 
-// noteDial folds one dial loop's outcome into the counters.
-func (ni *netInstruments) noteDial(attempts int, err error) {
+// noteDial counts one exchange and its one dial.
+func (ni *netInstruments) noteDial(err error) {
 	if ni == nil {
 		return
 	}
-	ni.dials.Add(int64(attempts))
-	if attempts > 1 {
-		ni.dialRetries.Add(int64(attempts - 1))
-	}
+	ni.calls.Inc()
+	ni.dials.Inc()
 	if err != nil {
 		ni.dialFailures.Inc()
 	}
 }
 
-// noteTimeout counts one exchange aborted by the I/O deadline. slow
-// marks exchanges run under a tightened per-peer or per-call deadline —
-// those land in the slow-peer counter, separating "degraded peer missed
-// its shortened deadline" from "peer looks dead" in /metrics.
-func (n *Network) noteTimeout(slow bool) {
-	ni := n.instr.Load()
-	if ni == nil {
-		return
+// noteTimeout counts one exchange aborted by the I/O deadline.
+func (ni *netInstruments) noteTimeout() {
+	if ni != nil {
+		ni.timeouts.Inc()
 	}
-	if slow {
-		ni.slowPeer.Inc()
-		return
-	}
-	ni.timeouts.Inc()
 }
 
 // instrPtr aliases the atomic holder so the Network struct declaration

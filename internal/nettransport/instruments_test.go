@@ -10,14 +10,13 @@ import (
 	"sr3/internal/simnet"
 )
 
-// TestTransportInstruments: calls and dial attempts are counted; a
-// crashed listener shows up as dial retries plus a dial failure.
+// TestTransportInstruments: calls and dials are counted; a crashed
+// listener shows up as one more dial and one dial failure.
 func TestTransportInstruments(t *testing.T) {
 	n := New()
 	defer n.Close()
 	reg := metrics.NewRegistry()
 	n.SetMetrics(reg)
-	n.SetDialRetryPolicy(DialRetryPolicy{Attempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond})
 
 	a, b := id.HashKey("a"), id.HashKey("b")
 	ok := func(id.ID, simnet.Message) (simnet.Message, error) {
@@ -40,23 +39,17 @@ func TestTransportInstruments(t *testing.T) {
 	if got := reg.Counter("sr3_net_dials_total").Value(); got != 3 {
 		t.Fatalf("dials = %d, want 3 (one per healthy call)", got)
 	}
-	if got := reg.Counter("sr3_net_dial_retries_total").Value(); got != 0 {
-		t.Fatalf("retries = %d, want 0", got)
-	}
 
-	// Crash b's listener without marking it down: Call runs the full
-	// retry schedule (2 attempts), then reports the failure.
+	// Crash b's listener without marking it down: Call dials once and
+	// reports the peer down.
 	n.mu.Lock()
 	_ = n.servers[b].ln.Close()
 	n.mu.Unlock()
-	if _, err := n.Call(a, b, simnet.Message{Kind: "ping"}); !errors.Is(err, ErrDialExhausted) {
-		t.Fatalf("want ErrDialExhausted, got %v", err)
+	if _, err := n.Call(a, b, simnet.Message{Kind: "ping"}); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("want ErrNodeDown, got %v", err)
 	}
-	if got := reg.Counter("sr3_net_dials_total").Value(); got != 5 {
-		t.Fatalf("dials = %d, want 5", got)
-	}
-	if got := reg.Counter("sr3_net_dial_retries_total").Value(); got != 1 {
-		t.Fatalf("retries = %d, want 1", got)
+	if got := reg.Counter("sr3_net_dials_total").Value(); got != 4 {
+		t.Fatalf("dials = %d, want 4", got)
 	}
 	if got := reg.Counter("sr3_net_dial_failures_total").Value(); got != 1 {
 		t.Fatalf("dial failures = %d, want 1", got)
@@ -100,68 +93,5 @@ func TestTransportTimeoutCounter(t *testing.T) {
 	}
 	if got := reg.Counter("sr3_net_io_timeouts_total").Value(); got != 1 {
 		t.Fatalf("timeouts = %d, want 1", got)
-	}
-}
-
-// TestSlowPeerTimeoutCounter: a timeout hit under a per-peer or
-// per-call deadline override lands in the slow-peer counter, not the
-// generic I/O timeout counter — the /metrics split between "degraded
-// peer missed its tightened deadline" and "peer looks dead".
-func TestSlowPeerTimeoutCounter(t *testing.T) {
-	n := New()
-	defer n.Close()
-	reg := metrics.NewRegistry()
-	n.SetMetrics(reg)
-
-	a, b := id.HashKey("sp-a"), id.HashKey("sp-b")
-	if err := n.Register(a, func(id.ID, simnet.Message) (simnet.Message, error) {
-		return simnet.Message{Kind: "ok"}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	stall := make(chan struct{})
-	defer close(stall)
-	if err := n.Register(b, func(id.ID, simnet.Message) (simnet.Message, error) {
-		<-stall
-		return simnet.Message{Kind: "ok"}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Per-peer override: Call picks it up and classifies the timeout.
-	n.SetPeerTimeout(b, 50*time.Millisecond)
-	if d, ok := n.PeerTimeout(b); !ok || d != 50*time.Millisecond {
-		t.Fatalf("PeerTimeout = %v,%v after SetPeerTimeout", d, ok)
-	}
-	if _, err := n.Call(a, b, simnet.Message{Kind: "ping"}); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", err)
-	}
-	if got := reg.Counter("sr3_net_slow_peer_timeouts_total").Value(); got != 1 {
-		t.Fatalf("slow-peer timeouts = %d, want 1", got)
-	}
-	if got := reg.Counter("sr3_net_io_timeouts_total").Value(); got != 0 {
-		t.Fatalf("generic timeouts = %d, want 0", got)
-	}
-
-	// Per-call override works without any per-peer state.
-	n.SetPeerTimeout(b, 0)
-	if _, ok := n.PeerTimeout(b); ok {
-		t.Fatal("override survived SetPeerTimeout(0)")
-	}
-	if _, err := n.CallTimeout(a, b, simnet.Message{Kind: "ping"}, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", err)
-	}
-	if got := reg.Counter("sr3_net_slow_peer_timeouts_total").Value(); got != 2 {
-		t.Fatalf("slow-peer timeouts = %d, want 2", got)
-	}
-
-	// With the override cleared, a plain Call that times out is generic
-	// again.
-	n.SetIOTimeout(50 * time.Millisecond)
-	if _, err := n.Call(a, b, simnet.Message{Kind: "ping"}); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", err)
-	}
-	if got := reg.Counter("sr3_net_io_timeouts_total").Value(); got != 1 {
-		t.Fatalf("generic timeouts = %d, want 1", got)
 	}
 }

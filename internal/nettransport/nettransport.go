@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -23,7 +22,6 @@ import (
 
 	"sr3/internal/id"
 	"sr3/internal/obs"
-	"sr3/internal/overload"
 	"sr3/internal/simnet"
 )
 
@@ -36,81 +34,13 @@ var (
 	// deadline: the peer accepted the connection but stalled. Callers
 	// treat it like a dead peer and fail over.
 	ErrTimeout = errors.New("nettransport: i/o timeout")
-	// ErrDialExhausted reports that every dial attempt of the retry
-	// policy failed. It always arrives wrapped together with ErrNodeDown,
-	// so existing callers that treat dial failure as a dead peer keep
-	// working while retry-aware callers can match the specific cause.
-	ErrDialExhausted = errors.New("nettransport: dial retries exhausted")
 )
 
-// DialTimeout bounds connection establishment to a peer.
+// DialTimeout bounds connection establishment to a peer. An exchange
+// dials once: a caller that wants another attempt runs its own loop (the
+// daemon's join backoff, relay reconnect and heartbeat tick, recovery's
+// failover ladder).
 const DialTimeout = 2 * time.Second
-
-// DialRetryPolicy tunes Call's dial loop: transient connection failures
-// (a peer restarting its listener, accept-queue overflow under churn) are
-// retried with capped exponential backoff plus jitter before the caller
-// sees ErrDialExhausted. The zero value selects the defaults.
-type DialRetryPolicy struct {
-	// Attempts is the total number of dials tried (default 4).
-	Attempts int
-	// BaseDelay is the backoff before the second attempt; it doubles per
-	// attempt (default 25ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff growth (default 250ms).
-	MaxDelay time.Duration
-}
-
-func (p DialRetryPolicy) withDefaults() DialRetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 25 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 250 * time.Millisecond
-	}
-	return p
-}
-
-// backoff returns the sleep before attempt number attempt (1-based count
-// of failures so far): BaseDelay doubling per failure, capped at
-// MaxDelay, plus up to 50% random jitter so synchronized callers
-// (every node re-dialing one restarted peer) do not reconnect in
-// lockstep.
-func (p DialRetryPolicy) backoff(attempt int) time.Duration {
-	d := p.BaseDelay << (attempt - 1)
-	if d > p.MaxDelay || d <= 0 { // <=0 guards shift overflow
-		d = p.MaxDelay
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
-}
-
-// dialRetryN runs the dial loop for one address under the policy and
-// reports how many attempts were made, for the transport's dial
-// counters. A non-nil budget is charged one token per
-// retry (attempts after the first); an empty budget cuts the loop short
-// with ErrRetryBudgetExhausted so a storm of failing callers cannot
-// multiply its own dial volume.
-func dialRetryN(addr string, p DialRetryPolicy, budget *overload.Budget) (net.Conn, int, error) {
-	p = p.withDefaults()
-	var lastErr error
-	for attempt := 1; attempt <= p.Attempts; attempt++ {
-		conn, err := net.DialTimeout("tcp", addr, DialTimeout)
-		if err == nil {
-			return conn, attempt, nil
-		}
-		lastErr = err
-		if attempt < p.Attempts {
-			if !budget.Allow() {
-				return nil, attempt, fmt.Errorf("%w: %w after %d attempts: %v",
-					ErrDialExhausted, ErrRetryBudgetExhausted, attempt, lastErr)
-			}
-			time.Sleep(p.backoff(attempt))
-		}
-	}
-	return nil, p.Attempts, fmt.Errorf("%w after %d attempts: %v", ErrDialExhausted, p.Attempts, lastErr)
-}
 
 // DefaultIOTimeout bounds one whole request/reply exchange on a
 // connection (both sides). Without it a hung peer — accepted connection,
@@ -162,9 +92,10 @@ type wireReply struct {
 // by code: a handler error matching one travels as its code and the
 // caller gets the same sentinel back, wrapped, so errors.Is holds on both
 // sides and nobody compares text that crossed a socket.
-var wireErrors = [256]error{1: ErrOverloaded}
+var wireErrors [256]error
 
-// RegisterError gives err a wire code (codes below 16 are this package's).
+// RegisterError gives err a wire code (codes below 16 are reserved for
+// this package).
 // Like gob.Register it is for init functions, identically on both ends.
 func RegisterError(code uint8, err error) {
 	if prev := wireErrors[code]; prev != nil && prev != err {
@@ -199,12 +130,7 @@ type Network struct {
 	addrs     map[id.ID]string
 	closed    bool
 	ioTimeout time.Duration
-	// peerTimeout holds per-peer deadline overrides (escalation policy:
-	// the supervisor tightens deadlines toward degraded peers so a slow
-	// node sheds load instead of pinning callers for the full timeout).
-	peerTimeout map[id.ID]time.Duration
-	dial        DialRetryPolicy
-	tracer      *obs.Tracer
+	tracer    *obs.Tracer
 
 	// Data-plane accounting (see frame.go): raw-body bytes and chunk
 	// frames moved through this transport, and the destination-buffer pool.
@@ -221,11 +147,6 @@ type Network struct {
 	// instr publishes the steady-state counter handles (instruments.go);
 	// nil until SetMetrics.
 	instr instrPtr
-
-	// ovl holds the overload-control state: the degraded-service inbound
-	// gate, per-peer circuit breakers, and the dial retry budget
-	// (overload.go).
-	ovl overloadState
 }
 
 // DataPlaneStats is a snapshot of the transport's raw-body accounting.
@@ -262,10 +183,9 @@ var _ simnet.Transport = (*Network)(nil)
 // New returns an empty TCP transport.
 func New() *Network {
 	return &Network{
-		servers:     make(map[id.ID]*server),
-		addrs:       make(map[id.ID]string),
-		peerTimeout: make(map[id.ID]time.Duration),
-		ioTimeout:   DefaultIOTimeout,
+		servers:   make(map[id.ID]*server),
+		addrs:     make(map[id.ID]string),
+		ioTimeout: DefaultIOTimeout,
 	}
 }
 
@@ -275,37 +195,6 @@ func (n *Network) SetIOTimeout(d time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.ioTimeout = d
-}
-
-// SetPeerTimeout installs a per-peer deadline override for exchanges
-// *to* nid, taking precedence over the global I/O timeout. d <= 0
-// removes the override. Timeouts hit under an override are counted as
-// slow-peer timeouts (sr3_net_slow_peer_timeouts_total), separating
-// "degraded peer missed its tightened deadline" from "peer is dead"
-// in /metrics.
-func (n *Network) SetPeerTimeout(nid id.ID, d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if d <= 0 {
-		delete(n.peerTimeout, nid)
-		return
-	}
-	n.peerTimeout[nid] = d
-}
-
-// PeerTimeout reports the per-peer deadline override for nid, if any.
-func (n *Network) PeerTimeout(nid id.ID) (time.Duration, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	d, ok := n.peerTimeout[nid]
-	return d, ok
-}
-
-// SetDialRetryPolicy overrides the dial retry policy for future Calls.
-func (n *Network) SetDialRetryPolicy(p DialRetryPolicy) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dial = p
 }
 
 // SetTracer attaches an observability tracer: credit-window stalls on
@@ -340,27 +229,10 @@ func (n *Network) noteStall(stallNs int64, traceID, spanID uint64) {
 		end.Add(-time.Duration(stallNs)), end, obs.Int("stall_ns", stallNs))
 }
 
-func (n *Network) dialPolicy() DialRetryPolicy {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.dial
-}
-
 func (n *Network) timeout() time.Duration {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.ioTimeout
-}
-
-// timeoutFor resolves the effective deadline for an exchange to nid and
-// whether it came from a per-peer override (the slow-peer marker).
-func (n *Network) timeoutFor(nid id.ID) (time.Duration, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if d, ok := n.peerTimeout[nid]; ok {
-		return d, true
-	}
-	return n.ioTimeout, false
 }
 
 // isTimeout reports whether err is a network deadline expiry (gob wraps
@@ -446,7 +318,7 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 	}
 	// The raw body must be drained before any reply can go out — the
 	// client writes it unconditionally and the stream cannot resync
-	// otherwise — so read it even when the request will be refused.
+	// otherwise — so read it even when the handler will refuse it.
 	var reqRaw []byte
 	var taken bool
 	if req.RawLen != 0 {
@@ -467,28 +339,15 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 		n.rawBytes.Add(int64(req.RawLen))
 		n.rawMessages.Add(1)
 	}
-	var reply simnet.Message
-	var err error
-	if n.ovl.degraded.Load() && ClassifyKind(req.Kind) == ClassIngest {
-		// Degraded-service admission gate: while recovery holds the gate,
-		// ingest-class requests are rejected before the handler runs.
-		// Control traffic (heartbeats, routing) must pass or the node looks
-		// dead, and recovery traffic is the point of degrading.
-		if ni := n.instr.Load(); ni != nil {
-			ni.rejectedIngest.Inc()
-		}
-		err = ErrOverloaded
-	} else {
-		msg := simnet.Message{
-			Kind: req.Kind, Size: req.Size, Payload: req.Body, Raw: reqRaw,
-			TraceID: req.TraceID, SpanID: req.SpanID,
-		}
-		msg.LendRaw(&taken)
-		if reqRaw != nil {
-			msg.SetFree(func() { n.pool.put(reqRaw) })
-		}
-		reply, err = h(req.From, msg)
+	msg := simnet.Message{
+		Kind: req.Kind, Size: req.Size, Payload: req.Body, Raw: reqRaw,
+		TraceID: req.TraceID, SpanID: req.SpanID,
 	}
+	msg.LendRaw(&taken)
+	if reqRaw != nil {
+		msg.SetFree(func() { n.pool.put(reqRaw) })
+	}
+	reply, err := h(req.From, msg)
 	// The deadline bounds I/O, not the handler: one that outlived it (an
 	// adoption recovers and replays before it acknowledges) must still get
 	// its reply out.
@@ -508,7 +367,7 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 	if out.RawLen > 0 {
 		var stallNs int64
 		fio.stallNs = &stallNs
-		frames, werr := fio.writeRaw(reply.Raw)
+		frames, werr := fio.writeRawVec(&vecScratch{}, nil, [][]byte{reply.Raw}, out.RawLen)
 		n.rawFrames.Add(frames)
 		if werr == nil {
 			n.rawBytes.Add(int64(out.RawLen))
@@ -519,27 +378,13 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 }
 
 // Call dials the destination and performs one request/reply exchange
-// under the peer's effective deadline (per-peer override when set, the
-// global I/O timeout otherwise).
+// under the transport's I/O timeout.
 func (n *Network) Call(from, to id.ID, msg simnet.Message) (simnet.Message, error) {
-	timeout, slow := n.timeoutFor(to)
-	return n.call(from, to, msg, timeout, slow)
-}
-
-// CallTimeout is Call with a per-call deadline override, taking
-// precedence over both the per-peer and global timeouts. Callers use it
-// to bound a single exchange to a peer they already suspect is slow; a
-// timeout under the override is therefore counted as a slow-peer
-// timeout.
-func (n *Network) CallTimeout(from, to id.ID, msg simnet.Message, d time.Duration) (simnet.Message, error) {
-	return n.call(from, to, msg, d, true)
-}
-
-func (n *Network) call(from, to id.ID, msg simnet.Message, timeout time.Duration, slow bool) (simnet.Message, error) {
 	n.mu.RLock()
 	src, srcOK := n.servers[from]
 	addr, dstOK := n.addrs[to]
 	dst, dstReg := n.servers[to]
+	timeout := n.ioTimeout
 	n.mu.RUnlock()
 
 	if !srcOK {
@@ -557,20 +402,7 @@ func (n *Network) call(from, to id.ID, msg simnet.Message, timeout time.Duration
 		return simnet.Message{}, fmt.Errorf("call to %s: %w", to.Short(), ErrNodeDown)
 	}
 
-	// Circuit breaker: an open breaker fails the call locally — no dial,
-	// no backoff sleeps — until the cooldown admits a half-open probe.
-	br := n.breakerFor(to)
-	if !br.Acquire() {
-		if ni := n.instr.Load(); ni != nil {
-			ni.breakerFastFails.Inc()
-		}
-		return simnet.Message{}, fmt.Errorf("call to %s: %w: %w", to.Short(), ErrNodeDown, ErrBreakerOpen)
-	}
-	out, err := n.exchange(addr, from, msg, timeout, slow)
-	// For the breaker a remote application error is a success: the peer
-	// answered.
-	var remote *remoteError
-	n.noteOutcome(to, br, err != nil && !errors.As(err, &remote))
+	out, err := n.Exchange(addr, from, msg, timeout)
 	if err != nil {
 		err = fmt.Errorf("call to %s: %w", to.Short(), err)
 	}
@@ -599,39 +431,26 @@ type remoteError struct {
 func (e *remoteError) Error() string { return "remote: " + e.msg }
 func (e *remoteError) Unwrap() error { return e.is }
 
-// Exchange dials the peer listening at addr — once or as the dial retry
-// policy says — and performs one request/reply round trip with it: Magic,
-// the request header, msg.Raw (or the concatenation of msg.RawSegs, written
-// vectored) as chunk frames, then the same back. Every
-// read and write must make progress within timeout (0 disables
-// deadlines), so a handler gets that long to answer; a peer that accepts
-// and then stalls yields ErrTimeout, an unreachable one ErrNodeDown. A
-// reply's Raw under 1 MiB is pooled: ReleaseRaw returns it.
+// Exchange dials the peer listening at addr once and performs one
+// request/reply round trip with it: Magic, the request header, msg.Raw
+// (or the concatenation of msg.RawSegs, written vectored) as chunk frames,
+// then the same back. Every read and write must make progress within
+// timeout (0 disables deadlines), so a handler gets that long to answer;
+// a peer that accepts and then stalls yields ErrTimeout, an unreachable
+// one ErrNodeDown. A reply's Raw under 1 MiB is pooled: ReleaseRaw
+// returns it.
 func (n *Network) Exchange(addr string, from id.ID, msg simnet.Message, timeout time.Duration) (simnet.Message, error) {
-	return n.exchange(addr, from, msg, timeout, false)
-}
-
-// exchange is Exchange; slow marks a deadline tightened for a suspect
-// peer, which only changes the counter a timeout lands in.
-func (n *Network) exchange(addr string, from id.ID, msg simnet.Message, timeout time.Duration, slow bool) (simnet.Message, error) {
 	ni := n.instr.Load()
-	if ni != nil {
-		ni.calls.Inc()
-	}
-	conn, attempts, err := dialRetryN(addr, n.dialPolicy(), n.retryBudget())
-	ni.noteDial(attempts, err)
+	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
+	ni.noteDial(err)
 	if err != nil {
-		if errors.Is(err, ErrRetryBudgetExhausted) && ni != nil {
-			ni.retrySuppressed.Inc()
-		}
-		// Wrap ErrNodeDown too: routing layers treat an unreachable peer
-		// as dead, and retry exhaustion is exactly that signal.
-		return simnet.Message{}, fmt.Errorf("%s: %w: %w", addr, ErrNodeDown, err)
+		// Routing layers treat an unreachable peer as dead.
+		return simnet.Message{}, fmt.Errorf("%s: %w: %v", addr, ErrNodeDown, err)
 	}
 	defer func() { _ = conn.Close() }()
 	ioErr := func(what string, err error) (simnet.Message, error) {
 		if isTimeout(err) {
-			n.noteTimeout(slow)
+			ni.noteTimeout()
 			return simnet.Message{}, fmt.Errorf("%s: %w: %v", addr, ErrTimeout, err)
 		}
 		return simnet.Message{}, fmt.Errorf("%s: %s: %w", addr, what, err)

@@ -13,6 +13,7 @@ import (
 
 	"sr3/internal/dht"
 	"sr3/internal/id"
+	"sr3/internal/metrics"
 	"sr3/internal/recovery"
 	"sr3/internal/scribe"
 	"sr3/internal/simnet"
@@ -80,10 +81,10 @@ func TestCallErrors(t *testing.T) {
 	}
 }
 
-// TestCallTimeoutOnStalledServer registers a handler that never replies
+// TestStalledServerTimesOut registers a handler that never replies
 // within the deadline: the caller must get ErrTimeout promptly instead of
 // hanging for the full stall.
-func TestCallTimeoutOnStalledServer(t *testing.T) {
+func TestStalledServerTimesOut(t *testing.T) {
 	n := New()
 	defer n.Close()
 	n.SetIOTimeout(100 * time.Millisecond)
@@ -356,54 +357,12 @@ func TestScribeMulticastOverTCP(t *testing.T) {
 	}
 }
 
-func TestDialRetryLateBindingListener(t *testing.T) {
-	// Reserve a port, release it, and only re-listen after the first dial
-	// attempts have already failed: the retry loop must ride over the gap.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
-
-	var mu sync.Mutex
-	var late net.Listener
-	time.AfterFunc(60*time.Millisecond, func() {
-		l, err := net.Listen("tcp", addr)
-		if err != nil {
-			return // port raced away; the test will report exhaustion
-		}
-		mu.Lock()
-		late = l
-		mu.Unlock()
-		go func() {
-			for {
-				c, err := l.Accept()
-				if err != nil {
-					return
-				}
-				_ = c.Close()
-			}
-		}()
-	})
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if late != nil {
-			_ = late.Close()
-		}
-	}()
-
-	conn, _, err := dialRetryN(addr, DialRetryPolicy{Attempts: 8, BaseDelay: 20 * time.Millisecond, MaxDelay: 80 * time.Millisecond}, nil)
-	if err != nil {
-		t.Fatalf("dial through late-binding listener: %v", err)
-	}
-	_ = conn.Close()
-}
-
+// TestDialRetryExhaustion: an exchange's dial schedule is a single
+// attempt. With an address nothing listens on it makes exactly one dial
+// and returns at once — no retry, no backoff sleep between attempts —
+// with an error that wraps ErrNodeDown, so a caller's own loop decides
+// whether and when to try again.
 func TestDialRetryExhaustion(t *testing.T) {
-	// Nothing ever listens on the reserved port: every attempt must fail
-	// and the typed error must surface after the full backoff schedule.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -411,24 +370,40 @@ func TestDialRetryExhaustion(t *testing.T) {
 	addr := ln.Addr().String()
 	_ = ln.Close()
 
-	start := time.Now()
-	_, _, err = dialRetryN(addr, DialRetryPolicy{Attempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 20 * time.Millisecond}, nil)
-	if !errors.Is(err, ErrDialExhausted) {
-		t.Fatalf("want ErrDialExhausted, got %v", err)
-	}
-	// Two sleeps happen between three attempts: 10ms then 20ms minimum.
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Fatalf("backoff not applied: done in %v", elapsed)
-	}
-}
-
-func TestCallWrapsDialExhaustion(t *testing.T) {
-	// A peer whose listener vanished without being marked down (crashed
-	// process, not an orderly Fail) must yield both ErrNodeDown (routing
-	// contract) and ErrDialExhausted (retry detail) from Call.
 	n := New()
 	defer n.Close()
-	n.SetDialRetryPolicy(DialRetryPolicy{Attempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond})
+	reg := metrics.NewRegistry()
+	n.SetMetrics(reg)
+	start := time.Now()
+	_, err = n.Exchange(addr, id.HashKey("caller"), simnet.Message{Kind: "ping"}, time.Second)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("want ErrNodeDown wrap, got %v", err)
+	}
+	for name, want := range map[string]int64{
+		"sr3_net_calls_total":         1,
+		"sr3_net_dials_total":         1,
+		"sr3_net_dial_failures_total": 1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+	}
+	// A refused loopback dial returns in microseconds; anything near
+	// 150ms means the call slept before reporting.
+	if elapsed > 150*time.Millisecond {
+		t.Fatalf("unreachable peer took %v to report", elapsed)
+	}
+}
+
+// TestCallWrapsDialExhaustion: a peer whose listener vanished without
+// being marked down (a crashed process, not an orderly Fail) must yield
+// ErrNodeDown from Call — the routing contract — after its one dial.
+func TestCallWrapsDialExhaustion(t *testing.T) {
+	n := New()
+	defer n.Close()
+	reg := metrics.NewRegistry()
+	n.SetMetrics(reg)
 	a, b := id.HashKey("a"), id.HashKey("b")
 	ok := func(id.ID, simnet.Message) (simnet.Message, error) {
 		return simnet.Message{Kind: "ok"}, nil
@@ -447,7 +422,12 @@ func TestCallWrapsDialExhaustion(t *testing.T) {
 	if !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("want ErrNodeDown wrap, got %v", err)
 	}
-	if !errors.Is(err, ErrDialExhausted) {
-		t.Fatalf("want ErrDialExhausted wrap, got %v", err)
+	for name, want := range map[string]int64{
+		"sr3_net_dials_total":         1,
+		"sr3_net_dial_failures_total": 1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -32,14 +32,10 @@ const (
 	FlightEscalated    = "gray.escalated"
 	// Overload-control transitions: the stream runtime entering/leaving
 	// degraded-service shed mode (Detail carries the reason and, on
-	// stop, the exact offered/shed accounting), and a transport circuit
-	// breaker opening/closing toward a peer (retries suppressed). These
-	// are what lets PostMortem explain *why* tuples were shed or a peer
-	// stopped being retried.
-	FlightShedStart    = "overload.shed_start"
-	FlightShedStop     = "overload.shed_stop"
-	FlightBreakerOpen  = "overload.breaker_open"
-	FlightBreakerClose = "overload.breaker_close"
+	// stop, the exact offered/shed accounting). These are what lets
+	// PostMortem explain *why* tuples were shed.
+	FlightShedStart = "overload.shed_start"
+	FlightShedStop  = "overload.shed_stop"
 	// A configuration a node starts with but cannot fully honour (Detail
 	// names the values): what a post-mortem of lost tuples checks first.
 	FlightConfigWarn = "config.warn"

@@ -1,13 +1,12 @@
-// Package overload implements the overload-control primitives shared by
-// the transport and the recovery pipeline: a token-bucket retry budget
-// that caps the *global* retry rate toward a struggling peer (so retry
-// storms cannot amplify a gray failure into a cascade), and a per-peer
-// circuit breaker with half-open probing that stops hammering an
-// endpoint that has stopped answering.
+// Package overload holds the recovery pipeline's retry budget: a
+// token bucket that caps the *global* retry rate of recovery's failover
+// ladder and the supervisor's per-verdict retry loop, so retry storms
+// cannot amplify a gray failure into a cascade. It is the one retry
+// budget in the system; admission and shedding live in the stream
+// runtime's task queue and degraded mode.
 //
-// Both primitives are deliberately tiny and clock-injectable: they sit
-// on hot paths (every transport call, every recovery failover pass) and
-// in deterministic tests.
+// The budget is deliberately tiny and clock-injectable: it sits on every
+// recovery failover pass and in deterministic tests.
 package overload
 
 import (

@@ -104,86 +104,6 @@ func TestNilBudgetAllowsEverything(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensOnStreak(t *testing.T) {
-	clk := newStepClock()
-	br := NewBreaker(BreakerPolicy{Failures: 3, Cooldown: time.Second})
-	br.SetClock(clk.now)
-	for i := 0; i < 2; i++ {
-		if br.Failure() {
-			t.Fatalf("breaker opened after %d failures, threshold 3", i+1)
-		}
-		if !br.Acquire() {
-			t.Fatal("closed breaker rejected a call")
-		}
-	}
-	if !br.Failure() {
-		t.Fatal("3rd failure did not open the breaker")
-	}
-	if br.Acquire() {
-		t.Fatal("open breaker admitted a call inside cooldown")
-	}
-	if s := br.Stats(); s.State != BreakerOpen || s.Opens != 1 || s.FastFails != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestBreakerHalfOpenProbe(t *testing.T) {
-	clk := newStepClock()
-	br := NewBreaker(BreakerPolicy{Failures: 1, Cooldown: time.Second})
-	br.SetClock(clk.now)
-	br.Failure()
-	clk.advance(1100 * time.Millisecond)
-	if !br.Acquire() {
-		t.Fatal("cooldown elapsed but no half-open probe admitted")
-	}
-	// Only one probe at a time.
-	if br.Acquire() {
-		t.Fatal("second concurrent half-open probe admitted")
-	}
-	if !br.Success() {
-		t.Fatal("probe success did not report the close edge")
-	}
-	if br.State() != BreakerClosed {
-		t.Fatalf("state after successful probe = %v", br.State())
-	}
-	if !br.Acquire() {
-		t.Fatal("closed breaker rejected a call")
-	}
-}
-
-func TestBreakerFailedProbeReopens(t *testing.T) {
-	clk := newStepClock()
-	br := NewBreaker(BreakerPolicy{Failures: 1, Cooldown: time.Second})
-	br.SetClock(clk.now)
-	br.Failure()
-	clk.advance(1100 * time.Millisecond)
-	if !br.Acquire() {
-		t.Fatal("no probe admitted")
-	}
-	if !br.Failure() {
-		t.Fatal("failed probe did not report the open edge")
-	}
-	if br.Acquire() {
-		t.Fatal("re-opened breaker admitted a call immediately")
-	}
-	if s := br.Stats(); s.Opens != 2 {
-		t.Fatalf("opens = %d, want 2", s.Opens)
-	}
-}
-
-func TestNilBreakerAdmitsEverything(t *testing.T) {
-	var br *Breaker
-	if !br.Acquire() {
-		t.Fatal("nil breaker rejected a call")
-	}
-	if br.Failure() || br.Success() {
-		t.Fatal("nil breaker reported a transition edge")
-	}
-	if br.State() != BreakerClosed {
-		t.Fatal("nil breaker not closed")
-	}
-}
-
 func TestBudgetConcurrency(t *testing.T) {
 	b := NewBudget(BudgetPolicy{Ratio: 1, MinPerSec: 1000, Burst: 1000})
 	var wg sync.WaitGroup

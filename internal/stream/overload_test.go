@@ -53,25 +53,6 @@ func TestTaskQueueShedOldestKeepsNewest(t *testing.T) {
 	}
 }
 
-func TestTaskQueueShedPriorityDropsIncomingIngest(t *testing.T) {
-	q := newTaskQueue(2, QueueShedPriority, 0)
-	offer(q, 0, ClassIngest, false)
-	offer(q, 1, ClassIngest, false)
-	if shed := offer(q, 2, ClassIngest, false); shed != 1 {
-		t.Fatalf("full queue: incoming ingest shed %d, want 1 (itself)", shed)
-	}
-	// Incoming replay evicts the oldest queued ingest tuple instead.
-	if shed := offer(q, 3, ClassReplay, false); shed != 1 {
-		t.Fatal("incoming replay did not displace queued ingest")
-	}
-	if got := takeSeq(q); got != 1 {
-		t.Fatalf("head = %d, want 1 (0 evicted, 2 refused)", got)
-	}
-	if _, tuple, class := take(q); class != ClassReplay || tuple.Values[0].(int) != 3 {
-		t.Fatal("replay tuple lost")
-	}
-}
-
 func TestTaskQueueReplayNeverShed(t *testing.T) {
 	q := newTaskQueue(2, QueueShedOldest, 0)
 	offer(q, 0, ClassReplay, false)

@@ -364,7 +364,7 @@ func TestInjectBatchFieldsGroupingMatchesLocalEmission(t *testing.T) {
 }
 
 // TestInjectBatchReplayNeverShed: a replay-class frame larger than the
-// queue is admitted whole under both shed policies and in degraded mode,
+// queue is admitted whole under the shed policy and in degraded mode,
 // displacing queued ingest where it must, while an ingest-class frame
 // into the same queues is shed — and offered = admitted + shed holds per
 // task and runtime-wide, with the queue never past its capacity.
@@ -374,7 +374,6 @@ func TestInjectBatchReplayNeverShed(t *testing.T) {
 		policy   QueuePolicy
 		degraded bool
 	}{
-		{"shed-priority", QueueShedPriority, false},
 		{"shed-oldest", QueueShedOldest, false},
 		{"degraded", QueueBlock, true},
 	} {

@@ -20,11 +20,6 @@ const (
 	// recovery — so when only replay tuples are queued the incoming
 	// ingest tuple is shed instead.
 	QueueShedOldest
-	// QueueShedPriority sheds by traffic class: an incoming replay-
-	// class tuple evicts the oldest queued ingest-class tuple; an
-	// incoming ingest-class tuple is shed when the queue is full
-	// (queued work wins ties).
-	QueueShedPriority
 )
 
 func (p QueuePolicy) String() string {
@@ -33,8 +28,6 @@ func (p QueuePolicy) String() string {
 		return "block"
 	case QueueShedOldest:
 		return "shed-oldest"
-	case QueueShedPriority:
-		return "shed-priority"
 	default:
 		return "unknown"
 	}
@@ -150,8 +143,7 @@ func (q *taskQueue) pushN(tuples []Tuple, class TrafficClass, degraded bool) pus
 		switch {
 		case shedAtBound:
 			// Degraded and at the watermark: the rest of the run is shed.
-		case q.policy == QueueShedOldest,
-			q.policy == QueueShedPriority && class == ClassReplay:
+		case q.policy == QueueShedOldest:
 			if q.evictOldestIngestLocked() {
 				res.shed++
 				q.appendLocked(tuples[:1], class)
@@ -164,8 +156,6 @@ func (q *taskQueue) pushN(tuples []Tuple, class TrafficClass, degraded bool) pus
 				waitStart = q.waitLocked(waitStart)
 				continue
 			}
-		case q.policy == QueueShedPriority:
-			// Offered ingest against a full queue: queued work wins.
 		default:
 			waitStart = q.waitLocked(waitStart)
 			continue

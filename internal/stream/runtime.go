@@ -45,10 +45,9 @@ type Config struct {
 	// QueuePolicy.
 	ChannelDepth int
 	// QueuePolicy selects the full-queue behavior: QueueBlock (default,
-	// credit-based backpressure — the producer waits for a slot),
-	// QueueShedOldest, or QueueShedPriority. Shed policies never drop
-	// replay-class tuples; exactly-once for admitted tuples is preserved
-	// under every policy.
+	// credit-based backpressure — the producer waits for a slot) or
+	// QueueShedOldest. Shedding never drops replay-class tuples;
+	// exactly-once for admitted tuples is preserved under either policy.
 	QueuePolicy QueuePolicy
 	// ShedWatermark is the degraded-mode admission bound as a fraction
 	// of ChannelDepth (default 0.75): while the runtime is in

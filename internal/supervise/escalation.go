@@ -3,10 +3,9 @@
 // kill→recover would pay a full MTTR for a node that still answers — so
 // the supervisor instead (a) marks the peer degraded in the recovery
 // cluster, which reroutes collection around it (replica demotion,
-// subtree → direct fetch), (b) tightens the transport deadline toward
-// the peer with capped halving so callers shed its slowness quickly,
-// and (c) arms an escalation timer: a peer that stays degraded past
-// KillAfter earns a synthetic death verdict after all. Every transition
+// subtree → direct fetch), and (b) arms an escalation timer: a peer that
+// stays degraded past KillAfter earns a synthetic death verdict after
+// all. Every transition
 // lands in the flight recorder with the detector's cause note, so a
 // post-mortem can explain why a node was demoted rather than killed.
 package supervise
@@ -21,34 +20,17 @@ import (
 )
 
 // EscalationPolicy tunes the supervisor's degraded-peer handling. The
-// zero value reroutes recovery traffic but never tightens deadlines or
-// escalates to a kill.
+// zero value reroutes recovery traffic but never escalates to a kill.
 type EscalationPolicy struct {
 	// KillAfter escalates a peer continuously degraded for this long to
 	// a synthetic death verdict (0 = never escalate).
 	KillAfter time.Duration
-	// DeadlineBase is the transport deadline installed toward a peer
-	// when it first degrades (0 = no deadline tuning). Repeat
-	// degradation episodes halve it — capped at DeadlineFloor — so a
-	// flapping peer is trusted less each time.
-	DeadlineBase time.Duration
-	// DeadlineFloor bounds the halving (default DeadlineBase/4).
-	DeadlineFloor time.Duration
-}
-
-// DeadlineTuner is the transport knob the escalation policy turns:
-// per-peer deadline overrides (*nettransport.Network implements it;
-// d <= 0 restores the default). Nil disables deadline tuning.
-type DeadlineTuner interface {
-	SetPeerTimeout(nid id.ID, d time.Duration)
 }
 
 // grayState tracks one peer's degradation: which detectors currently
-// report it degraded, the tightened deadline (persisted across episodes
-// for the capped halving), and the armed escalation timer.
+// report it degraded, and the armed escalation timer.
 type grayState struct {
 	reporters map[id.ID]bool
-	deadline  time.Duration
 	timer     *time.Timer
 	escalated bool
 }
@@ -76,12 +58,12 @@ func (s *Supervisor) handleTransition(observer id.ID, tr detector.Transition) {
 			s.peerRecovered(observer, tr)
 		}
 	case detector.StateDead:
-		s.peerDead(tr.Peer)
+		s.peerDead(observer, tr)
 	}
 }
 
 // peerDegraded records one detector's degraded verdict. The first
-// reporter triggers the reroute/tighten/arm trio; further reporters
+// reporter triggers the reroute mark and arms the timer; further reporters
 // just join the set (the peer stays degraded until all recant).
 func (s *Supervisor) peerDegraded(observer id.ID, tr detector.Transition) {
 	s.mu.Lock()
@@ -92,11 +74,6 @@ func (s *Supervisor) peerDegraded(observer id.ID, tr detector.Transition) {
 	}
 	first := len(g.reporters) == 0
 	g.reporters[observer] = true
-	var deadline time.Duration
-	if first && s.cfg.Escalation.DeadlineBase > 0 {
-		g.deadline = s.nextDeadlineLocked(g)
-		deadline = g.deadline
-	}
 	if first && s.cfg.Escalation.KillAfter > 0 && g.timer == nil {
 		peer := tr.Peer
 		g.timer = time.AfterFunc(s.cfg.Escalation.KillAfter, func() { s.escalate(peer) })
@@ -108,33 +85,11 @@ func (s *Supervisor) peerDegraded(observer id.ID, tr detector.Transition) {
 	s.cfg.Flight.Note(obs.FlightDegraded, tr.Peer.Short(), "",
 		fmt.Sprintf("by=%s rtt=%v %s", observer.Short(), tr.RTT, tr.Cause), nil)
 	s.cluster.MarkDegraded(tr.Peer)
-	if deadline > 0 && s.cfg.Deadlines != nil {
-		s.cfg.Deadlines.SetPeerTimeout(tr.Peer, deadline)
-	}
-}
-
-// nextDeadlineLocked computes the tightened transport deadline for a new
-// degradation episode: DeadlineBase the first time, then halving per
-// episode down to DeadlineFloor. Caller holds s.mu.
-func (s *Supervisor) nextDeadlineLocked(g *grayState) time.Duration {
-	pol := s.cfg.Escalation
-	floor := pol.DeadlineFloor
-	if floor <= 0 {
-		floor = pol.DeadlineBase / 4
-	}
-	if g.deadline == 0 {
-		return pol.DeadlineBase
-	}
-	next := g.deadline / 2
-	if next < floor {
-		next = floor
-	}
-	return next
 }
 
 // peerRecovered removes one detector's degraded verdict; when the last
-// reporter recants, the peer is restored: reroute mark cleared, deadline
-// override removed, escalation timer disarmed.
+// reporter recants, the peer is restored: reroute mark cleared and
+// escalation timer disarmed.
 func (s *Supervisor) peerRecovered(observer id.ID, tr detector.Transition) {
 	s.mu.Lock()
 	g := s.gray[tr.Peer]
@@ -155,9 +110,6 @@ func (s *Supervisor) peerRecovered(observer id.ID, tr detector.Transition) {
 	s.cfg.Flight.Note(obs.FlightDegradeClear, tr.Peer.Short(), "",
 		fmt.Sprintf("by=%s %s", observer.Short(), tr.Cause), nil)
 	s.cluster.ClearDegraded(tr.Peer)
-	if s.cfg.Deadlines != nil {
-		s.cfg.Deadlines.SetPeerTimeout(tr.Peer, 0)
-	}
 }
 
 // dropObserver removes a dead node's detector from every gray reporter
@@ -185,15 +137,15 @@ func (s *Supervisor) dropObserver(observer id.ID) {
 		s.cfg.Flight.Note(obs.FlightDegradeClear, peer.Short(), "",
 			fmt.Sprintf("last reporter %s died", observer.Short()), nil)
 		s.cluster.ClearDegraded(peer)
-		if s.cfg.Deadlines != nil {
-			s.cfg.Deadlines.SetPeerTimeout(peer, 0)
-		}
 	}
 }
 
-// peerDead tears down the gray state when a real death verdict lands:
-// the kill path owns the peer now.
-func (s *Supervisor) peerDead(peer id.ID) {
+// peerDead tears down the gray state when a detector declares the peer
+// dead: the kill path owns the peer now. A mark it clears is journaled
+// like any other, so a peer that a detector briefly took for dead does
+// not leave a gray.degraded without its gray.clear.
+func (s *Supervisor) peerDead(observer id.ID, tr detector.Transition) {
+	peer := tr.Peer
 	s.mu.Lock()
 	g := s.gray[peer]
 	if g == nil {
@@ -204,12 +156,14 @@ func (s *Supervisor) peerDead(peer id.ID) {
 		g.timer.Stop()
 		g.timer = nil
 	}
+	cleared := len(g.reporters) > 0 && !g.escalated
 	g.reporters = make(map[id.ID]bool)
 	s.mu.Unlock()
-	s.cluster.ClearDegraded(peer)
-	if s.cfg.Deadlines != nil {
-		s.cfg.Deadlines.SetPeerTimeout(peer, 0)
+	if cleared {
+		s.cfg.Flight.Note(obs.FlightDegradeClear, peer.Short(), "",
+			fmt.Sprintf("death verdict by=%s %s", observer.Short(), tr.Cause), nil)
 	}
+	s.cluster.ClearDegraded(peer)
 }
 
 // escalate fires when a peer stayed degraded past KillAfter: the
@@ -230,9 +184,6 @@ func (s *Supervisor) escalate(peer id.ID) {
 	s.cfg.Flight.Note(obs.FlightEscalated, peer.Short(), "",
 		fmt.Sprintf("degraded past %v without recovering; killing", s.cfg.Escalation.KillAfter), nil)
 	s.cluster.ClearDegraded(peer)
-	if s.cfg.Deadlines != nil {
-		s.cfg.Deadlines.SetPeerTimeout(peer, 0)
-	}
 	s.cluster.Ring.Fail(peer)
 	s.InjectVerdict(peer)
 }

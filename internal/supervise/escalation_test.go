@@ -2,7 +2,8 @@ package supervise
 
 import (
 	"bytes"
-	"sync"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,36 +12,6 @@ import (
 	"sr3/internal/obs"
 	"sr3/internal/simnet"
 )
-
-// recordingTuner captures per-peer deadline overrides the escalation
-// policy installs (the test double for *nettransport.Network).
-type recordingTuner struct {
-	mu    sync.Mutex
-	calls []struct {
-		peer id.ID
-		d    time.Duration
-	}
-}
-
-func (r *recordingTuner) SetPeerTimeout(nid id.ID, d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.calls = append(r.calls, struct {
-		peer id.ID
-		d    time.Duration
-	}{nid, d})
-}
-
-func (r *recordingTuner) last(nid id.ID) (time.Duration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(r.calls) - 1; i >= 0; i-- {
-		if r.calls[i].peer == nid {
-			return r.calls[i].d, true
-		}
-	}
-	return 0, false
-}
 
 // grayConfig tunes detection so a 25ms injected slowdown is decisively
 // degraded (DegradedRTT 10ms) while the adaptive dead floor
@@ -70,8 +41,8 @@ func flightHas(f *obs.FlightRecorder, kind string, node id.ID) bool {
 
 // TestSupervisorDemotesSlowNodeInsteadOfKilling is the gray-failure
 // acceptance path: a slow-but-alive node must be marked degraded (flight
-// event, cluster reroute mark, tightened transport deadline) and must
-// NOT be killed; clearing the slowdown restores it fully.
+// event, cluster reroute mark) and must NOT be killed — no death verdict
+// names it; clearing the slowdown restores it fully.
 func TestSupervisorDemotesSlowNodeInsteadOfKilling(t *testing.T) {
 	c := buildCluster(t, 17, 1301)
 	owner := c.Ring.IDs()[0]
@@ -82,15 +53,9 @@ func TestSupervisorDemotesSlowNodeInsteadOfKilling(t *testing.T) {
 	}
 
 	flight := obs.NewFlightRecorder(0)
-	tuner := &recordingTuner{}
 	cfg := grayConfig()
 	cfg.Flight = flight
-	cfg.Deadlines = tuner
-	cfg.Escalation = EscalationPolicy{
-		DeadlineBase:  80 * time.Millisecond,
-		DeadlineFloor: 20 * time.Millisecond,
-		// KillAfter unset: never escalate in this test.
-	}
+	// Escalation.KillAfter unset: never escalate in this test.
 	s := New(c, cfg)
 	s.Protect(StateSpec{App: "app", StateBytes: int64(len(snap))})
 	if err := s.Start(); err != nil {
@@ -108,9 +73,6 @@ func TestSupervisorDemotesSlowNodeInsteadOfKilling(t *testing.T) {
 	})
 	if !flightHas(flight, obs.FlightDegraded, victim) {
 		t.Fatal("no gray.degraded flight event for the victim")
-	}
-	if d, ok := tuner.last(victim); !ok || d != 80*time.Millisecond {
-		t.Fatalf("deadline toward victim = %v,%v, want 80ms override", d, ok)
 	}
 
 	// Hold: the slow node must never be declared dead or recovered away.
@@ -150,7 +112,7 @@ func TestSupervisorDemotesSlowNodeInsteadOfKilling(t *testing.T) {
 		t.Fatal("replacement does not hold the recovered snapshot")
 	}
 
-	// Clearing the slowdown restores the victim: mark and deadline gone.
+	// Clearing the slowdown restores the victim: the mark is gone.
 	ch.ClearDegrade(victim)
 	waitFor(t, 10*time.Second, "victim restored to healthy", func() bool {
 		return !s.Degraded(victim) && !c.IsDegraded(victim)
@@ -158,10 +120,21 @@ func TestSupervisorDemotesSlowNodeInsteadOfKilling(t *testing.T) {
 	if !flightHas(flight, obs.FlightDegradeClear, victim) {
 		t.Fatal("no gray.clear flight event for the victim")
 	}
-	waitFor(t, 2*time.Second, "deadline override removed", func() bool {
-		d, ok := tuner.last(victim)
-		return ok && d == 0
-	})
+	// The spurious kill this test exists to catch: a quorum taking the
+	// slow victim for dead.
+	if flightHas(flight, obs.FlightVerdict, victim) {
+		t.Fatalf("death verdict for the slow victim; flight:\n%s", flightDump(flight))
+	}
+}
+
+// flightDump renders a flight journal one event per line, for a failure
+// message.
+func flightDump(f *obs.FlightRecorder) string {
+	var b strings.Builder
+	for _, ev := range f.Events() {
+		fmt.Fprintf(&b, "%d %s node=%s app=%s %s %s\n", ev.At, ev.Kind, ev.Node, ev.App, ev.Detail, ev.Err)
+	}
+	return b.String()
 }
 
 // TestSupervisorEscalatesPersistentlyDegradedNode arms KillAfter: a node

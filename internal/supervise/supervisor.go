@@ -54,14 +54,6 @@ type DegradedRuntime interface {
 	ExitDegraded()
 }
 
-// IngestGate is the optional transport-side admission gate, matched
-// against Config.Deadlines (which *nettransport.Network implements along
-// with DeadlineTuner): while held, inbound ingest-class requests bounce
-// with ErrOverloaded and recovery/control traffic keeps flowing.
-type IngestGate interface {
-	SetDegradedService(on bool)
-}
-
 // StateSpec describes one protected application state.
 type StateSpec struct {
 	// App is the state's name — for task-bound states, the task key.
@@ -105,20 +97,14 @@ type Config struct {
 	// lines at each failure dump (e.g. a log file or stderr).
 	FlightDump io.Writer
 	// Escalation tunes gray-failure handling: how long a degraded peer
-	// may stay slow before it is killed, and how hard transport
-	// deadlines are tightened toward it (escalation.go). The zero value
-	// reroutes recovery traffic but never deadline-tunes or escalates.
+	// may stay slow before it is killed (escalation.go). The zero value
+	// reroutes recovery traffic but never escalates.
 	Escalation EscalationPolicy
-	// Deadlines, when non-nil, receives per-peer transport deadline
-	// overrides for degraded peers (*nettransport.Network implements it).
-	Deadlines DeadlineTuner
 	// ShedDuringRecovery turns on degraded-service mode while a verdict
 	// is being worked: the bound runtime (when it implements
-	// DegradedRuntime) sheds ingest at the queue watermark, and the
-	// transport behind Deadlines (when it implements IngestGate) rejects
-	// inbound ingest-class calls, for exactly the window between verdict
-	// pickup and the last spec's recovery settling. Replay and
-	// shard-transfer traffic is never shed.
+	// DegradedRuntime) sheds ingest at the queue watermark for exactly
+	// the window between verdict pickup and the last spec's recovery
+	// settling. Replay and shard-transfer traffic is never shed.
 	ShedDuringRecovery bool
 	// RetryBudget, when non-nil, gates recovery retry attempts: each
 	// withRetry pass after the first spends a token, and recovered specs
@@ -421,16 +407,11 @@ func (s *Supervisor) handleDeath(v verdict) {
 
 	// Degraded-service window: shed ingest for exactly as long as this
 	// verdict's recoveries are in flight, then drain. The runtime hold is
-	// refcounted; the transport gate is flat but safe because the verdict
-	// worker is single-goroutine.
+	// refcounted.
 	if s.cfg.ShedDuringRecovery {
 		if dr, ok := rt.(DegradedRuntime); ok {
 			dr.EnterDegraded("verdict:" + v.node.Short())
 			defer dr.ExitDegraded()
-		}
-		if gate, ok := s.cfg.Deadlines.(IngestGate); ok {
-			gate.SetDegradedService(true)
-			defer gate.SetDegradedService(false)
 		}
 	}
 

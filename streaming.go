@@ -57,9 +57,6 @@ const (
 	// QueueShedOldest drops the oldest queued ingest tuple to admit the
 	// new one; replay traffic is never shed.
 	QueueShedOldest = stream.QueueShedOldest
-	// QueueShedPriority sheds by traffic class: replay evicts queued
-	// ingest, fresh ingest is dropped when the queue is full.
-	QueueShedPriority = stream.QueueShedPriority
 )
 
 // CodecBatch is the compact length-prefixed binary batch codec used by
