@@ -184,8 +184,8 @@ func TestBackendDefaultsFromConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap) != 4000 {
-		t.Fatalf("recovered %d bytes", len(snap))
+	if snap.Len != 4000 {
+		t.Fatalf("recovered %d bytes", snap.Len)
 	}
 }
 

@@ -2,8 +2,8 @@
 // tuples/sec, on two axes. The wire axis streams tuples over a
 // persistent loopback TCP connection — per-tuple gob frames (the
 // pre-batching inter-task codec) against EncodeTupleBatch frames on the
-// chunked, credit-windowed BatchConn data plane — and is where the
-// headline batching speedup is gated. The runtime axis runs the full
+// chunked, credit-windowed BatchConn data plane — and its committed
+// artifact gates the headline batching speedup. The runtime axis runs the full
 // rig's in-process topology (preloaded seq spout → keyed count → dedupe
 // sink) on the runtime's one tuple plane, asserting the accounting and
 // exactly-once invariants on the way out.
@@ -37,9 +37,9 @@ const (
 	CodecNameBatch = "batch"
 )
 
-// ThroughputSpeedupFloor is the acceptance gate: batched wire cells at
-// batch >= ThroughputSpeedupBatch must beat the gob per-tuple baseline
-// by at least this factor in tuples/sec.
+// ThroughputSpeedupFloor is the committed artifact's gate: batched wire
+// cells at batch >= ThroughputSpeedupBatch must beat the gob per-tuple
+// baseline by at least this factor in tuples/sec (checkWireSpeedup).
 const (
 	ThroughputSpeedupFloor = 3.0
 	ThroughputSpeedupBatch = 64
@@ -309,17 +309,19 @@ func runRuntimeCell(spec ThroughputCellSpec) (ThroughputCell, error) {
 	return cell, nil
 }
 
-// ValidateThroughput parses and schema-checks a committed artifact,
-// enforcing the acceptance gate: a gob per-tuple wire baseline, a
-// batched wire cell at batch >= ThroughputSpeedupBatch beating it by
-// ThroughputSpeedupFloor in tuples/sec, and a runtime cell whose
-// accounting and exactly-once invariants held.
+// ValidateThroughput parses and schema-checks an artifact, enforcing what
+// holds for any run: no failed cell, a gob per-tuple wire baseline, a
+// batched wire cell at batch >= ThroughputSpeedupBatch, and a runtime cell
+// whose accounting and exactly-once invariants held. The speedup between
+// the two wire cells is a wall-clock ratio, gated on the committed
+// artifact only (checkWireSpeedup): a tiny sweep shares its cores with
+// whatever else runs.
 func ValidateThroughput(blob []byte) (*ThroughputReport, error) {
 	var r ThroughputReport
 	if err := parseArtifact(blob, "throughput", ThroughputSchema, &r); err != nil {
 		return nil, err
 	}
-	var baseline, batched, runtimeCell *ThroughputCell
+	var runtimeCell *ThroughputCell
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		if c.Error != "" {
@@ -330,14 +332,6 @@ func ValidateThroughput(blob []byte) (*ThroughputReport, error) {
 		}
 		switch c.Kind {
 		case ThroughputWire:
-			switch {
-			case c.Codec == CodecNameGob && c.Batch == 1:
-				baseline = c
-			case c.Codec == CodecNameBatch && c.Batch >= ThroughputSpeedupBatch:
-				if batched == nil || c.TuplesPerSec > batched.TuplesPerSec {
-					batched = c
-				}
-			}
 		case ThroughputRuntime:
 			if !c.AccountingExact {
 				return nil, fmt.Errorf("throughput artifact: runtime cell accounting not exact")
@@ -350,20 +344,47 @@ func ValidateThroughput(blob []byte) (*ThroughputReport, error) {
 			return nil, fmt.Errorf("throughput artifact: unknown cell kind %q", c.Kind)
 		}
 	}
+	baseline, batched := r.wireCells()
 	if baseline == nil {
 		return nil, fmt.Errorf("throughput artifact: gob per-tuple wire baseline missing")
 	}
 	if batched == nil {
 		return nil, fmt.Errorf("throughput artifact: batched wire cell at batch >= %d missing", ThroughputSpeedupBatch)
 	}
-	if speedup := batched.TuplesPerSec / baseline.TuplesPerSec; speedup < ThroughputSpeedupFloor {
-		return nil, fmt.Errorf("throughput artifact: wire speedup %.2fx below the %.1fx floor (batched %.0f/s vs gob %.0f/s)",
-			speedup, ThroughputSpeedupFloor, batched.TuplesPerSec, baseline.TuplesPerSec)
-	}
 	if runtimeCell == nil {
 		return nil, fmt.Errorf("throughput artifact: runtime cell missing")
 	}
 	return &r, nil
+}
+
+// wireCells returns the gob per-tuple wire baseline and the fastest batched
+// wire cell at batch >= ThroughputSpeedupBatch (nil when missing).
+func (r *ThroughputReport) wireCells() (baseline, batched *ThroughputCell) {
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		switch {
+		case c.Kind != ThroughputWire:
+		case c.Codec == CodecNameGob && c.Batch == 1:
+			baseline = c
+		case c.Codec == CodecNameBatch && c.Batch >= ThroughputSpeedupBatch:
+			if batched == nil || c.TuplesPerSec > batched.TuplesPerSec {
+				batched = c
+			}
+		}
+	}
+	return baseline, batched
+}
+
+// checkWireSpeedup is the committed artifact's gate: its batched wire cell
+// beats the gob baseline by ThroughputSpeedupFloor. r passed
+// ValidateThroughput.
+func checkWireSpeedup(r *ThroughputReport) error {
+	baseline, batched := r.wireCells()
+	if speedup := batched.TuplesPerSec / baseline.TuplesPerSec; speedup < ThroughputSpeedupFloor {
+		return fmt.Errorf("throughput artifact: wire speedup %.2fx below the %.1fx floor (batched %.0f/s vs gob %.0f/s)",
+			speedup, ThroughputSpeedupFloor, batched.TuplesPerSec, baseline.TuplesPerSec)
+	}
+	return nil
 }
 
 // Format renders the report as an aligned table.

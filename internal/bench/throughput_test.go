@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestValidateThroughputGates pins the validator's rejection paths: the
-// speedup floor, the missing-baseline case, and broken runtime
-// invariants must all fail loudly.
+// TestValidateThroughputGates pins the validator's rejection paths — the
+// missing-baseline case and broken runtime invariants must fail loudly —
+// and the committed artifact's speedup floor, which the validator leaves
+// to checkWireSpeedup.
 func TestValidateThroughputGates(t *testing.T) {
 	mk := func(mut func(*ThroughputReport)) []byte {
 		r := &ThroughputReport{Schema: ThroughputSchema, Cells: []ThroughputCell{
@@ -25,12 +26,22 @@ func TestValidateThroughputGates(t *testing.T) {
 		}
 		return blob
 	}
-	if _, err := ValidateThroughput(mk(nil)); err != nil {
+	r, err := ValidateThroughput(mk(nil))
+	if err != nil {
 		t.Fatalf("well-formed report rejected: %v", err)
 	}
+	if err := checkWireSpeedup(r); err != nil {
+		t.Fatalf("a 10x speedup failed the floor: %v", err)
+	}
+	slow, err := ValidateThroughput(mk(func(r *ThroughputReport) { r.Cells[1].TuplesPerSec = 2500 }))
+	if err != nil {
+		t.Fatalf("a report whose speedup is below the floor failed validation: %v", err)
+	}
+	if checkWireSpeedup(slow) == nil {
+		t.Error("speedup below floor: the committed artifact's gate accepted it")
+	}
 	cases := map[string]func(*ThroughputReport){
-		"speedup below floor": func(r *ThroughputReport) { r.Cells[1].TuplesPerSec = 2500 },
-		"baseline missing":    func(r *ThroughputReport) { r.Cells[0].Codec = CodecNameBatch },
+		"baseline missing": func(r *ThroughputReport) { r.Cells[0].Codec = CodecNameBatch },
 		"batched wire cell missing": func(r *ThroughputReport) {
 			r.Cells[1].Batch = 8
 		},

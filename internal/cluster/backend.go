@@ -117,7 +117,9 @@ func (o *viewOverlay) dispatch(from id.ID, msg simnet.Message) (simnet.Message, 
 func (o *viewOverlay) Send(to id.ID, msg simnet.Message) (simnet.Message, error) {
 	if to == o.self {
 		msg.JoinSegs()
-		return o.dispatch(o.self, msg)
+		reply, err := o.dispatch(o.self, msg)
+		reply.JoinSegs()
+		return reply, err
 	}
 	m, ok := o.live()[to]
 	if !ok {
@@ -219,8 +221,9 @@ func (b *scatterBackend) Save(taskKey string, view state.View, v state.Version) 
 	return err
 }
 
-// Recover rebuilds taskKey's state from the scattered shards.
-func (b *scatterBackend) Recover(taskKey string) ([]byte, error) {
+// Recover rebuilds taskKey's state from the scattered shards and lends it
+// as the shard bodies as they arrived (stream.StateBackend).
+func (b *scatterBackend) Recover(taskKey string) (state.View, error) {
 	return b.RecoverTraced(taskKey, nil, obs.SpanContext{})
 }
 
@@ -229,7 +232,7 @@ func (b *scatterBackend) Recover(taskKey string) ([]byte, error) {
 // and options §3.7 selects for the placement's state size. A task that
 // never saved has no placement anywhere and recovers to the empty state
 // (its senders' relay windows replay its input on top).
-func (b *scatterBackend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) ([]byte, error) {
+func (b *scatterBackend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) (state.View, error) {
 	start := time.Now()
 	p, err := b.mgr.LookupPlacement(taskKey)
 	if parent.Valid() {
@@ -237,18 +240,19 @@ func (b *scatterBackend) RecoverTraced(taskKey string, tr *obs.Tracer, parent ob
 		tr.RecordSpan(parent, obs.PhaseFetch, start, time.Now(), obs.Str("what", "placement"))
 	}
 	if errors.Is(err, recovery.ErrNoPlacement) {
-		return state.NewMapStore().Snapshot()
+		empty, err := state.NewMapStore().Snapshot()
+		return state.ViewOf(empty), err
 	}
 	if err != nil {
-		return nil, err
+		return state.View{}, err
 	}
 	d := recovery.Select(recovery.Requirements{StateBytes: int64(p.TotalLen)})
 	if b.mech != 0 {
 		d.Mechanism = b.mech
 	}
 	d.Options.Tracer, d.Options.TraceParent = tr, parent
-	res, err := b.mgr.RecoverPlacement(p, d.Mechanism, d.Options)
-	return res.Snapshot, err
+	_, v, err := b.mgr.RecoverPlacement(p, d.Mechanism, d.Options)
+	return v, err
 }
 
 // repairTick asks every task whose last complete save predates the current

@@ -79,7 +79,7 @@ func TestRecoverThroughEveryMechanism(t *testing.T) {
 				return m != nil && !m.Alive
 			})
 			n3.backend.mech = mech
-			got, err := n3.backend.Recover(task)
+			got, err := recoverBytes(n3, task)
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -104,7 +104,7 @@ func TestRecoverThroughEveryMechanism(t *testing.T) {
 				})
 			}
 			n3.backend.mech = mech
-			got, err := n3.backend.Recover(task)
+			got, err := recoverBytes(n3, task)
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -136,7 +136,7 @@ func TestRecoverThroughEveryMechanism(t *testing.T) {
 				})
 			}
 			n3.backend.mech = mech
-			got, err := n3.backend.Recover(task)
+			got, err := recoverBytes(n3, task)
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -170,13 +170,13 @@ func TestRecoverNeverSavedIsEmptyUnreachableIsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := n1.backend.Recover("wc/ghost/0")
+	got, err := recoverBytes(n1, "wc/ghost/0")
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("never-saved task: got %d bytes, err %v; want the empty snapshot", len(got), err)
 	}
 
 	crashNode(n2)
-	if got, err := n1.backend.Recover("wc/ghost/0"); err == nil {
+	if got, err := recoverBytes(n1, "wc/ghost/0"); err == nil {
 		t.Fatalf("lookup with every peer unreachable returned %d bytes, want an error", len(got))
 	}
 }
@@ -401,7 +401,7 @@ func TestSupersededVersionGoesWhenSuccessorIsPublished(t *testing.T) {
 	// arrived.
 	_, prev := n3.backend.mgr.ShardBytes()
 	wantScrape(t, n3, fmt.Sprintf(`sr3_recovery_held_bytes{node="n3",version="prev"} %d`, prev))
-	if got, err := n3.backend.Recover(task); err != nil || !bytes.Equal(got, blob(2)) {
+	if got, err := recoverBytes(n3, task); err != nil || !bytes.Equal(got, blob(2)) {
 		t.Fatalf("recover after an aborted save: %d bytes, err %v; want save 2, the published one", len(got), err)
 	}
 	n2.backend.overlay.closed.Store(false)
@@ -409,11 +409,26 @@ func TestSupersededVersionGoesWhenSuccessorIsPublished(t *testing.T) {
 		t.Fatalf("save 4: %v", err)
 	}
 	wantOneVersion("after save 4 was published", 4)
+	pool := n2.net.DataPlane().Pool
 	wantScrape(t, n2,
 		`sr3_recovery_held_bytes{node="n2",version="cur"} 0`,
 		`sr3_recovery_held_bytes{node="n2",version="prev"} 0`,
 		"# TYPE sr3_nettransport_raw_pool_hits_total counter",
-		"# TYPE sr3_nettransport_raw_pool_misses_total counter")
+		"# TYPE sr3_nettransport_raw_pool_misses_total counter",
+		"# TYPE sr3_nettransport_offheap_bytes gauge",
+		fmt.Sprintf(`sr3_nettransport_offheap_bytes{node="n2",state="in_use"} %d`, pool.InUse),
+		fmt.Sprintf(`sr3_nettransport_offheap_bytes{node="n2",state="pooled"} %d`, pool.Pooled))
+}
+
+// recoverBytes recovers task through n's backend and copies the state out
+// of the view it lends.
+func recoverBytes(n *Node, task string) ([]byte, error) {
+	v, err := n.backend.Recover(task)
+	if err != nil {
+		return nil, err
+	}
+	defer v.Release()
+	return v.Join(), nil
 }
 
 // wantScrape fails unless n's /metrics exposition has every given line.

@@ -61,9 +61,12 @@ type Node struct {
 	net     *nettransport.Network
 	ln      net.Listener
 	httpSrv *obs.MetricsServer
-	control *controlPlane // non-nil on the seed
-	fed     *federator    // non-nil on the seed: metrics federation
-	hub     *obsHub       // non-nil on the seed: trace stitch + post-mortem
+	// httpAddr is the bound metrics/debug address ("" when disabled), known
+	// before the join so the member record carries it.
+	httpAddr string
+	control  *controlPlane // non-nil on the seed
+	fed      *federator    // non-nil on the seed: metrics federation
+	hub      *obsHub       // non-nil on the seed: trace stitch + post-mortem
 
 	mu       sync.Mutex
 	view     View // non-seed: last pulled view; seed reads the control plane
@@ -166,10 +169,27 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.servWG.Add(1)
 	go n.serve()
+	// The HTTP surface binds before the join, so the member record the seed
+	// keeps has its address even when HTTPListen picks a free port; it
+	// serves once the node is up.
+	var httpLn net.Listener
+	if cfg.HTTPListen != "" {
+		if httpLn, err = net.Listen("tcp", cfg.HTTPListen); err != nil {
+			n.logf("http: %v", err)
+		} else {
+			n.httpAddr = httpLn.Addr().String()
+		}
+	}
+	fail := func(err error) (*Node, error) {
+		n.shutdownTransport()
+		if httpLn != nil {
+			_ = httpLn.Close()
+		}
+		return nil, err
+	}
 
 	if err := n.bootstrap(); err != nil {
-		n.shutdownTransport()
-		return nil, err
+		return fail(err)
 	}
 	if n.fed != nil {
 		n.fed.start()
@@ -186,15 +206,13 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if comps := n.assignedComponents(); len(comps) > 0 {
 		c, err := n.buildCell(comps)
 		if err != nil {
-			n.shutdownTransport()
-			return nil, err
+			return fail(err)
 		}
 		n.mu.Lock()
 		n.cells = append(n.cells, c)
 		n.mu.Unlock()
 		if err := n.startCell(c, obs.SpanContext{}); err != nil {
-			n.shutdownTransport()
-			return nil, err
+			return fail(err)
 		}
 	}
 
@@ -205,21 +223,16 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	go n.repairLoop()
 
-	if cfg.HTTPListen != "" {
-		srv, err := obs.Serve(cfg.HTTPListen, obs.ServeConfig{
+	if httpLn != nil {
+		n.httpSrv = obs.ServeListener(httpLn, obs.ServeConfig{
 			Metrics: sampledMetrics{n},
 			Debug:   func() any { return n.Debug() },
 			Flight:  n.flight,
 			Health:  n.Health,
 			Extra:   n.httpExtras(),
 		})
-		if err != nil {
-			n.logf("http: %v", err)
-		} else {
-			n.httpSrv = srv
-		}
 	}
-	n.logf("up: cluster=%s http=%s seed=%v", n.advertise, n.HTTPAddr(), n.control != nil)
+	n.logf("up: cluster=%s http=%s seed=%v", n.advertise, n.httpAddr, n.control != nil)
 	return n, nil
 }
 
@@ -235,13 +248,17 @@ func (s sampledMetrics) WritePrometheus(w io.Writer) error {
 // sampleGauges reads what protection holds in memory on this node — the
 // shard replicas stored here by retained version (a prev that stays up is
 // a publication that never arrived); an owner keeps nothing of its own
-// state — and how often a body was read into a recycled buffer: a steady
-// save cycle hits the raw-body pool on every push after the second.
+// state — what the raw bodies of 1 MiB and more hold outside the Go heap,
+// which the heap's own metrics do not show, and how often a body was read
+// into a recycled buffer: a steady save cycle hits the raw-body pool on
+// every push after the second.
 func (n *Node) sampleGauges() {
 	cur, prev := n.backend.mgr.ShardBytes()
 	n.reg.Gauge(`sr3_recovery_held_bytes{version="cur"}`).Set(int64(cur))
 	n.reg.Gauge(`sr3_recovery_held_bytes{version="prev"}`).Set(int64(prev))
 	pool := n.net.DataPlane().Pool
+	n.reg.Gauge(`sr3_nettransport_offheap_bytes{state="in_use"}`).Set(pool.InUse)
+	n.reg.Gauge(`sr3_nettransport_offheap_bytes{state="pooled"}`).Set(pool.Pooled)
 	hits := n.reg.Counter("sr3_nettransport_raw_pool_hits_total")
 	misses := n.reg.Counter("sr3_nettransport_raw_pool_misses_total")
 	n.sampleMu.Lock()
@@ -264,7 +281,7 @@ func (n *Node) bootstrap() error {
 		n.fed = newFederator(n)
 		n.hub = newObsHub(n)
 		if _, err := n.control.handleJoin(&joinReq{
-			Name: n.cfg.Name, Addr: n.advertise, HTTP: n.cfg.HTTPListen,
+			Name: n.cfg.Name, Addr: n.advertise, HTTP: n.httpAddr,
 			Incarnation: n.incarnation.Load(),
 		}); err != nil {
 			return err
@@ -301,7 +318,7 @@ const (
 // join asks the seed to admit this node under its current incarnation.
 func (n *Node) join() (*joinResp, error) {
 	return call[joinResp](n, n.cfg.Seed, simnet.Message{Kind: kindJoin, Payload: &joinReq{
-		Name: n.cfg.Name, Addr: n.advertise, HTTP: n.cfg.HTTPListen,
+		Name: n.cfg.Name, Addr: n.advertise, HTTP: n.httpAddr,
 		Incarnation: n.incarnation.Load(),
 	}}, rpcTimeout)
 }
@@ -313,12 +330,7 @@ func (n *Node) Name() string { return n.cfg.Name }
 func (n *Node) Addr() string { return n.advertise }
 
 // HTTPAddr returns the bound metrics/debug address ("" when disabled).
-func (n *Node) HTTPAddr() string {
-	if n.httpSrv == nil {
-		return ""
-	}
-	return n.httpSrv.Addr()
-}
+func (n *Node) HTTPAddr() string { return n.httpAddr }
 
 // IsSeed reports whether this node embeds the control plane.
 func (n *Node) IsSeed() bool { return n.control != nil }

@@ -1,14 +1,15 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -49,19 +50,27 @@ type PlaygroundConfig struct {
 
 // NodeProc is one playground-managed sr3node process.
 type NodeProc struct {
-	Name    string
-	Addr    string // cluster address
-	HTTP    string // metrics/debug address
+	Name string
+	// Addr and HTTP are the cluster and metrics/debug addresses the process
+	// reported once it was up; empty before its first start.
+	Addr    string
+	HTTP    string
 	LogPath string
 
-	pg  *Playground
-	cmd *exec.Cmd
-	log *os.File
+	pg     *Playground
+	cmd    *exec.Cmd
+	exited chan struct{} // closed once cmd has exited and been reaped
+	log    *os.File
 }
 
-// NewPlayground validates the config and reserves loopback ports for
-// every node, so identities (name, addr, http) are stable across
-// restarts of individual processes.
+// readyTimeout bounds how long a launched process may take to report that
+// it is up.
+const readyTimeout = 15 * time.Second
+
+// NewPlayground validates the config. No port is chosen here: each node
+// binds free loopback ports itself at its first start and reports them,
+// and a restart rebinds the same ones, so identities (name, addr, http)
+// are stable across restarts of individual processes.
 func NewPlayground(cfg PlaygroundConfig) (*Playground, error) {
 	if cfg.Bin == "" {
 		return nil, fmt.Errorf("playground: no sr3node binary")
@@ -82,37 +91,14 @@ func NewPlayground(cfg PlaygroundConfig) (*Playground, error) {
 	pg := &Playground{cfg: cfg, procs: map[string]*NodeProc{}}
 	for i := 1; i <= cfg.Nodes; i++ {
 		name := fmt.Sprintf("node%d", i)
-		addr, err := reservePort()
-		if err != nil {
-			return nil, err
-		}
-		httpAddr, err := reservePort()
-		if err != nil {
-			return nil, err
-		}
 		pg.procs[name] = &NodeProc{
-			Name: name, Addr: addr, HTTP: httpAddr,
+			Name:    name,
 			LogPath: filepath.Join(cfg.Dir, name+".log"),
 			pg:      pg,
 		}
 		pg.names = append(pg.names, name)
 	}
 	return pg, nil
-}
-
-// reservePort binds :0 on loopback, records the port, and releases it.
-// The window between release and the daemon's bind is racy in theory;
-// loopback ephemeral ports make collisions vanishingly rare in
-// practice, and a failed node start surfaces immediately via the ready
-// probe.
-func reservePort() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
-	return addr, nil
 }
 
 // Seed returns the seed process.
@@ -175,6 +161,9 @@ func (pg *Playground) HTTPGet(name, path string) ([]byte, error) {
 	return httpGet("http://" + p.HTTP + path)
 }
 
+// launch starts a node and waits for it to report its addresses: the
+// seed's are what every other node is launched with. A node's first start
+// binds free loopback ports, a restart the ones it reported then.
 func (pg *Playground) launch(name string) error {
 	pg.mu.Lock()
 	p := pg.procs[name]
@@ -186,10 +175,15 @@ func (pg *Playground) launch(name string) error {
 	if err != nil {
 		return err
 	}
+	from, err := logf.Seek(0, io.SeekEnd) // this run's output starts here
+	if err != nil {
+		_ = logf.Close()
+		return err
+	}
 	args := []string{
 		"-name", p.Name,
-		"-listen", p.Addr,
-		"-http", p.HTTP,
+		"-listen", cmp.Or(p.Addr, "127.0.0.1:0"),
+		"-http", cmp.Or(p.HTTP, "127.0.0.1:0"),
 	}
 	if p.Name == pg.names[0] {
 		args = append(args, "-topo", pg.cfg.TopoFile)
@@ -212,9 +206,69 @@ func (pg *Playground) launch(name string) error {
 		_ = logf.Close()
 		return fmt.Errorf("playground: start %s: %w", name, err)
 	}
-	p.cmd = cmd
-	p.log = logf
+	exited := make(chan struct{})
+	go func() {
+		_ = cmd.Wait()
+		close(exited)
+	}()
+	p.cmd, p.exited, p.log = cmd, exited, logf
+	addr, httpAddr, err := waitReport(p.LogPath, from, exited)
+	switch {
+	case err != nil:
+		return fmt.Errorf("playground: %s: %w\n%s", name, err, pg.TailLog(name, 2048))
+	case p.Addr == "":
+		p.Addr, p.HTTP = addr, httpAddr
+	case addr != p.Addr || httpAddr != p.HTTP:
+		return fmt.Errorf("playground: %s restarted on %s/%s, not its %s/%s", name, addr, httpAddr, p.Addr, p.HTTP)
+	}
 	return nil
+}
+
+// waitReport reads a node's log from offset from until the daemon's
+// "up: cluster=<addr> http=<addr>" line, and returns the two addresses.
+func waitReport(path string, from int64, exited <-chan struct{}) (addr, httpAddr string, err error) {
+	deadline := time.After(readyTimeout)
+	for {
+		gone := false
+		select {
+		case <-exited:
+			gone = true
+		case <-deadline:
+			return "", "", fmt.Errorf("not up within %v", readyTimeout)
+		case <-time.After(10 * time.Millisecond):
+		}
+		switch addr, httpAddr, ok := readReport(path, from); {
+		case ok && httpAddr == "":
+			return "", "", fmt.Errorf("up without an HTTP surface")
+		case ok:
+			return addr, httpAddr, nil
+		case gone:
+			return "", "", fmt.Errorf("exited before it was up")
+		}
+	}
+}
+
+// readReport looks for the "up:" line in the log past offset from.
+func readReport(path string, from int64) (addr, httpAddr string, ok bool) {
+	data, err := os.ReadFile(path)
+	if err != nil || int64(len(data)) < from {
+		return "", "", false
+	}
+	for _, line := range strings.Split(string(data[from:]), "\n") {
+		_, up, found := strings.Cut(line, " up: ")
+		if !found || !strings.HasPrefix(up, "cluster=") {
+			continue
+		}
+		for _, field := range strings.Fields(up) {
+			if v, isAddr := strings.CutPrefix(field, "cluster="); isAddr {
+				addr = v
+			} else if v, isHTTP := strings.CutPrefix(field, "http="); isHTTP {
+				httpAddr = v
+			}
+		}
+		return addr, httpAddr, addr != ""
+	}
+	return "", "", false
 }
 
 // Restart relaunches a (killed or stopped) node under the same
@@ -252,10 +306,8 @@ func (pg *Playground) WaitExit(name string, timeout time.Duration) error {
 	if p == nil || p.cmd == nil {
 		return fmt.Errorf("playground: %s is not running", name)
 	}
-	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
 	select {
-	case <-done:
+	case <-p.exited:
 		p.closeLog()
 		return nil
 	case <-time.After(timeout):
@@ -263,12 +315,12 @@ func (pg *Playground) WaitExit(name string, timeout time.Duration) error {
 	}
 }
 
-// reap collects a dead child (idempotent; ignores errors — the child
-// may have been SIGKILLed or never started).
+// reap kills and collects a child (idempotent; the child may have been
+// SIGKILLed already).
 func (p *NodeProc) reap() {
-	if p.cmd != nil && p.cmd.Process != nil {
+	if p.cmd != nil {
 		_ = p.cmd.Process.Kill()
-		_ = p.cmd.Wait()
+		<-p.exited
 	}
 	p.closeLog()
 	p.cmd = nil
@@ -300,12 +352,11 @@ func (pg *Playground) StopAll() {
 		if p.cmd == nil {
 			continue
 		}
-		done := make(chan struct{})
-		go func(p *NodeProc) { _, _ = p.cmd.Process.Wait(); close(done) }(p)
 		select {
-		case <-done:
+		case <-p.exited:
 		case <-time.After(time.Until(deadline)):
 			_ = p.cmd.Process.Kill()
+			<-p.exited
 		}
 		p.closeLog()
 		p.cmd = nil

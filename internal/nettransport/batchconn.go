@@ -105,10 +105,10 @@ func (c *BatchConn) ReadBatch() ([]byte, func(), error) {
 	}
 	dst := c.pool.get(int(n))
 	if _, err := c.io.readRaw(dst); err != nil {
-		c.pool.put(dst)
+		c.pool.release(dst, true)
 		return nil, nil, fmt.Errorf("batchconn: body: %w", err)
 	}
-	return dst, func() { c.pool.put(dst) }, nil
+	return dst, func() { c.pool.release(dst, true) }, nil
 }
 
 // PoolStats reports the receive-buffer pool's reuse counters.

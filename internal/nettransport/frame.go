@@ -61,34 +61,39 @@ func grantCount(f int64) int64 {
 // never handed to (and pinned behind) a 1 KB message.
 //
 // A body of bigBody bytes or more — a holder's share of a state, a fetched
-// shard — is filed in the pool's own lists instead of a sync.Pool, whose
-// per-P slots would hide a buffer put back on one P from a get on another:
-// the buffer a superseded version frees must be the one the next push of
-// that state is read into, on whatever goroutine serves it. As in a
-// sync.Pool, a buffer that lies unused through two garbage collections is
-// dropped.
+// shard, a collected batch — is mapped outside the Go heap (mapBig) and
+// unmapped when it is released, so the collector neither counts it towards
+// its goal nor decides when its memory goes. Such a buffer is filed for
+// reuse only when its keeper expects the next body of its size (release
+// with reuse: a holder's superseded push), in the pool's own lists rather
+// than a sync.Pool, whose per-P slots would hide a buffer put back on one P
+// from a get on another: the buffer a superseded version frees must be the
+// one the next push of that state is read into, on whatever goroutine
+// serves it. As in a sync.Pool, a filed buffer that lies unused through two
+// garbage collections goes.
 type bufPool struct {
 	classes [bits.UintSize]sync.Pool // bodies under bigBody
 	hits    atomic.Int64
 	misses  atomic.Int64
-	// allocated is the capacity the misses allocated, in bytes.
-	allocated atomic.Int64
 
 	mu sync.Mutex
 	// big and aged file bodies of bigBody and up by class: aged is what big
-	// held at the last collection, dropped at the next one.
+	// held at the last collection, unmapped at the next one.
 	big, aged map[int][][]byte
 	watching  bool // a gcWatch is armed
+	// allocated is the capacity the big misses mapped; mapped what of it is
+	// not unmapped yet, pooled what of that is filed in big and aged.
+	allocated, mapped, pooled int64
 }
 
-// bigBody is the smallest body the pool files in its own lists.
+// bigBody is the smallest body the pool maps outside the heap.
 const bigBody = 1 << 20
 
 // get returns a buffer of length n, reusing one of n's class when its
 // capacity suffices. A fresh big buffer gets headroom — up to an eighth
 // more capacity, never past its class — so a body that grows a little
 // between two uses of the buffer (a holder's share of a state drifting
-// between saves) still lands in it.
+// between saves) still lands in it; pages it never touches cost nothing.
 func (bp *bufPool) get(n int) []byte {
 	if n >= bigBody {
 		if b := bp.takeBig(n); b != nil {
@@ -97,8 +102,11 @@ func (bp *bufPool) get(n int) []byte {
 		}
 		c := min(n+n/8, 1<<bits.Len(uint(n))-1)
 		bp.misses.Add(1)
-		bp.allocated.Add(int64(c))
-		return make([]byte, n, c)
+		bp.mu.Lock()
+		bp.allocated += int64(c)
+		bp.mapped += int64(c)
+		bp.mu.Unlock()
+		return mapBig(c)[:n]
 	}
 	if n > 0 {
 		if v := bp.classes[bits.Len(uint(n))-1].Get(); v != nil {
@@ -112,12 +120,11 @@ func (bp *bufPool) get(n int) []byte {
 		}
 	}
 	bp.misses.Add(1)
-	bp.allocated.Add(int64(n))
 	return make([]byte, n)
 }
 
 // takeBig removes from n's class a buffer that holds n bytes, the most
-// recently put first.
+// recently filed first.
 func (bp *bufPool) takeBig(n int) []byte {
 	k := bits.Len(uint(n)) - 1
 	bp.mu.Lock()
@@ -127,6 +134,7 @@ func (bp *bufPool) takeBig(n int) []byte {
 		for i := len(bufs) - 1; i >= 0; i-- {
 			if b := bufs[i]; cap(b) >= n {
 				list[k] = append(bufs[:i], bufs[i+1:]...)
+				bp.pooled -= int64(cap(b))
 				return b[:n]
 			}
 		}
@@ -134,26 +142,44 @@ func (bp *bufPool) takeBig(n int) []byte {
 	return nil
 }
 
-// put returns a buffer for reuse.
-func (bp *bufPool) put(b []byte) {
-	if cap(b) == 0 {
-		return
+// release ends a body's use. A small buffer always goes back to its class;
+// a big one is filed for the next body of its class when reuse is set, and
+// unmapped at once otherwise.
+func (bp *bufPool) release(b []byte, reuse bool) {
+	switch {
+	case cap(b) == 0:
+	case cap(b) < bigBody:
+		bp.classes[bits.Len(uint(cap(b)))-1].Put(b[:0])
+	case reuse:
+		bp.file(b[:cap(b)])
+	default:
+		bp.unmap(b)
 	}
+}
+
+// file keeps a big buffer for the next body of its class.
+func (bp *bufPool) file(b []byte) {
+	pooledBig(b)
 	k := bits.Len(uint(cap(b))) - 1
-	if cap(b) < bigBody {
-		bp.classes[k].Put(b[:0])
-		return
-	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if bp.big == nil {
 		bp.big = map[int][][]byte{}
 	}
 	bp.big[k] = append(bp.big[k], b[:0])
+	bp.pooled += int64(cap(b))
 	if !bp.watching {
 		bp.watching = true
 		runtime.SetFinalizer(&gcWatch{bp: bp}, (*gcWatch).collected)
 	}
+}
+
+// unmap gives a big buffer, whole, back to the system.
+func (bp *bufPool) unmap(b []byte) {
+	bp.mu.Lock()
+	bp.mapped -= int64(cap(b))
+	bp.mu.Unlock()
+	unmapBig(b[:cap(b)])
 }
 
 // gcWatch is garbage the moment it is armed: its finalizer runs after the
@@ -164,27 +190,47 @@ type gcWatch struct{ bp *bufPool }
 func (w *gcWatch) collected() {
 	bp := w.bp
 	bp.mu.Lock()
-	defer bp.mu.Unlock()
+	stale := bp.aged
 	bp.aged, bp.big = bp.big, nil
 	bp.watching = false
 	for _, bufs := range bp.aged {
 		bp.watching = bp.watching || len(bufs) > 0
 	}
+	for _, bufs := range stale {
+		for _, b := range bufs {
+			bp.pooled -= int64(cap(b))
+			bp.mapped -= int64(cap(b))
+		}
+	}
 	if bp.watching {
 		runtime.SetFinalizer(w, (*gcWatch).collected)
 	}
+	bp.mu.Unlock()
+	for _, bufs := range stale {
+		for _, b := range bufs {
+			unmapBig(b[:cap(b)])
+		}
+	}
 }
 
-// PoolStats reports the raw-buffer pool's hit/miss counters.
+// PoolStats reports the raw-buffer pool's hit/miss counters and what its
+// big bodies hold outside the Go heap.
 type PoolStats struct {
 	Hits   int64
 	Misses int64
-	// Allocated is the bytes of capacity the misses allocated.
+	// Allocated is the bytes of capacity the misses of big bodies mapped;
+	// smaller bodies are the heap's and show in runtime.MemStats.
 	Allocated int64
+	// InUse is the mapped capacity of big bodies being read or kept, Pooled
+	// that of big buffers filed for the next body of their size.
+	InUse, Pooled int64
 }
 
 func (bp *bufPool) stats() PoolStats {
-	return PoolStats{Hits: bp.hits.Load(), Misses: bp.misses.Load(), Allocated: bp.allocated.Load()}
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return PoolStats{Hits: bp.hits.Load(), Misses: bp.misses.Load(), Allocated: bp.allocated,
+		InUse: bp.mapped - bp.pooled, Pooled: bp.pooled}
 }
 
 // HitRate returns hits/(hits+misses), or 0 with no traffic.

@@ -301,10 +301,11 @@ func (n *Network) serve(srv *server) {
 // ServeConn serves one exchange on an accepted connection whose Magic
 // byte has been read: decode the request, drain its raw body, run h,
 // write the reply. It returns when the exchange is over, however it
-// ended; closing conn is the caller's. The request's Raw is pooled once
+// ended; closing conn is the caller's. The request's Raw is released once
 // the reply is written, unless h took it (simnet.Message.TakeRaw), in
-// which case the recycler TakeRaw handed h pools it. A reply's SetFree
-// func runs once the reply is on the wire or cannot be.
+// which case the release TakeRaw handed h does it. A reply's Raw or
+// RawSegs is written vectored, and its SetFree func runs once the reply is
+// on the wire or cannot be.
 func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 	// The I/O timeout bounds every read and write, so a client that
 	// connects and never sends (or never drains the reply) cannot pin this
@@ -328,7 +329,7 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 		reqRaw = n.pool.get(req.RawLen)
 		defer func() {
 			if !taken {
-				n.pool.put(reqRaw)
+				n.pool.release(reqRaw, false)
 			}
 		}()
 		frames, err := fio.readRaw(reqRaw)
@@ -345,19 +346,20 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 	}
 	msg.LendRaw(&taken)
 	if reqRaw != nil {
-		msg.SetFree(func() { n.pool.put(reqRaw) })
+		msg.SetFree(func(reuse bool) { n.pool.release(reqRaw, reuse) })
 	}
 	reply, err := h(req.From, msg)
 	// The deadline bounds I/O, not the handler: one that outlived it (an
 	// adoption recovers and replays before it acknowledges) must still get
 	// its reply out.
 	fio.refresh()
-	out := &wireReply{Kind: reply.Kind, Size: reply.Size, Body: reply.Payload, RawLen: len(reply.Raw),
+	segs, rawLen := bodySegs(reply)
+	out := &wireReply{Kind: reply.Kind, Size: reply.Size, Body: reply.Payload, RawLen: rawLen,
 		TraceID: reply.TraceID, SpanID: reply.SpanID}
 	if err != nil {
 		out = &wireReply{ErrMsg: err.Error(), Code: errorCode(err)}
 	}
-	// A handler that forwarded a pooled body attaches its recycler to the
+	// A handler that forwarded a received body attaches its release to the
 	// reply, one that lent bytes it holds the release of them; once the
 	// bytes are on the wire (or cannot be), run it.
 	defer reply.ReleaseRaw()
@@ -367,7 +369,7 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 	if out.RawLen > 0 {
 		var stallNs int64
 		fio.stallNs = &stallNs
-		frames, werr := fio.writeRawVec(&vecScratch{}, nil, [][]byte{reply.Raw}, out.RawLen)
+		frames, werr := fio.writeRawVec(&vecScratch{}, nil, segs, out.RawLen)
 		n.rawFrames.Add(frames)
 		if werr == nil {
 			n.rawBytes.Add(int64(out.RawLen))
@@ -437,8 +439,8 @@ func (e *remoteError) Unwrap() error { return e.is }
 // then the same back. Every read and write must make progress within
 // timeout (0 disables deadlines), so a handler gets that long to answer;
 // a peer that accepts and then stalls yields ErrTimeout, an unreachable
-// one ErrNodeDown. A reply's Raw under 1 MiB is pooled: ReleaseRaw
-// returns it.
+// one ErrNodeDown. A reply's Raw is the transport's: ReleaseRaw pools one
+// under 1 MiB and unmaps a bigger one.
 func (n *Network) Exchange(addr string, from id.ID, msg simnet.Message, timeout time.Duration) (simnet.Message, error) {
 	ni := n.instr.Load()
 	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
@@ -458,13 +460,7 @@ func (n *Network) Exchange(addr string, from id.ID, msg simnet.Message, timeout 
 	fio := frameIO{conn: conn, r: bufio.NewReader(conn), timeout: timeout}
 	fio.refresh()
 
-	segs, rawLen := msg.RawSegs, 0
-	if len(segs) == 0 && len(msg.Raw) > 0 {
-		segs = [][]byte{msg.Raw}
-	}
-	for _, seg := range segs {
-		rawLen += len(seg)
-	}
+	segs, rawLen := bodySegs(msg)
 	if err := writeHead(conn, []byte{Magic}, &wireRequest{From: from, Kind: msg.Kind, Size: msg.Size, Body: msg.Payload,
 		RawLen: rawLen, TraceID: msg.TraceID, SpanID: msg.SpanID}); err != nil {
 		return ioErr("encode", err)
@@ -498,20 +494,32 @@ func (n *Network) Exchange(addr string, from id.ID, msg simnet.Message, timeout 
 		frames, err := fio.readRaw(buf)
 		n.rawFrames.Add(frames)
 		if err != nil {
-			n.pool.put(buf)
+			n.pool.release(buf, false)
 			return ioErr("raw body", err)
 		}
 		n.rawBytes.Add(int64(reply.RawLen))
 		n.rawMessages.Add(1)
 		out.Raw = buf
-		// A big reply — a fetched shard — is read at a recovery and by
-		// nothing after it: pooled, it would stay live for two collections
-		// of a process that may now make little garbage.
-		if reply.RawLen < bigBody {
-			out.SetFree(func() { n.pool.put(buf) })
-		}
+		// Released, a small body is pooled and a big one unmapped: a fetched
+		// shard is read at a recovery and by nothing after it, and filed it
+		// would stay mapped for two collections of a process that may now
+		// make little garbage.
+		out.SetFree(func(bool) { n.pool.release(buf, false) })
 	}
 	return out, nil
+}
+
+// bodySegs returns the segments a message's raw body travels as — RawSegs,
+// or Raw as the one segment — and their summed length.
+func bodySegs(m simnet.Message) ([][]byte, int) {
+	segs, n := m.RawSegs, 0
+	if len(segs) == 0 && len(m.Raw) > 0 {
+		segs = [][]byte{m.Raw}
+	}
+	for _, seg := range segs {
+		n += len(seg)
+	}
+	return segs, n
 }
 
 // Alive reports whether nid is registered and its listener is serving.

@@ -54,6 +54,12 @@ func Serve(addr string, cfg ServeConfig) (*MetricsServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: metrics listen: %w", err)
 	}
+	return ServeListener(ln, cfg), nil
+}
+
+// ServeListener is Serve on a listener the caller bound: one that must know
+// its address before the surfaces it serves exist.
+func ServeListener(ln net.Listener, cfg ServeConfig) *MetricsServer {
 	mux := http.NewServeMux()
 	if cfg.Metrics != nil {
 		reg := cfg.Metrics
@@ -104,7 +110,7 @@ func Serve(addr string, cfg ServeConfig) (*MetricsServer, error) {
 		ln:  ln,
 	}
 	go func() { _ = ms.srv.Serve(ln) }()
-	return ms, nil
+	return ms
 }
 
 // ServeMetrics starts a server exposing just a metrics writer (plus

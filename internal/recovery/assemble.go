@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -16,30 +17,33 @@ import (
 // replica and fail over, rather than aborting the whole recovery.
 var errShardMismatch = errors.New("recovery: shard does not match placement")
 
-// assembler is the replacement-side merge sink of a recovery: a
-// preallocated snapshot buffer that incoming shards are copied into at
-// their final offset as they arrive. It replaces the old
-// collect-everything-then-Reassemble path, so merging overlaps with
-// fetching (the pipelining the line/tree mechanisms exploit) and the
-// snapshot bytes are written exactly once.
+// assembler is the replacement-side sink of a recovery. Every shard that
+// arrives is validated against the placement — app, version, split grid,
+// checksum — and the first valid replica of each index is kept as it lies:
+// a replica held here stays pinned, a fetched or collected body unreleased.
+// Once every index is in, view lends the kept bodies in index order as the
+// state's segments, and the store restores from them (Store.RestoreView):
+// nothing is copied into an assembly buffer on the way. The view's release
+// — or release, when the recovery fails — lets every body go.
 //
 // Geometry is pinned up front from the placement: shard index i of a
 // state of TotalLen bytes split m ways occupies one deterministic byte
 // range (the same grid shard.Split produces). A shard claiming any other
-// range is rejected, which both defeats hostile offsets and makes
-// concurrent copies provably disjoint — the copy itself runs outside the
-// lock.
+// range is rejected, which both defeats hostile offsets and makes the kept
+// bodies, in index order, exactly the state.
 type assembler struct {
 	app     string
 	version state.Version
 	total   int // shard count m
-	out     []byte
+	length  int // the state's bytes
 
 	mu        sync.Mutex
+	segs      [][]byte // by index: the kept bodies
 	have      []bool
+	releases  []func() // what lets the kept bodies go
+	closed    bool     // released: nothing more is kept
 	remaining int
-	merged    int
-	bytesIn   int64
+	kept      int // indices merged
 }
 
 // newAssembler pins the assembly geometry from a placement.
@@ -48,7 +52,8 @@ func newAssembler(p shard.Placement) *assembler {
 		app:       p.App,
 		version:   p.Version,
 		total:     p.M,
-		out:       make([]byte, p.TotalLen),
+		length:    p.TotalLen,
+		segs:      make([][]byte, p.M),
 		have:      make([]bool, p.M),
 		remaining: p.M,
 	}
@@ -57,7 +62,7 @@ func newAssembler(p shard.Placement) *assembler {
 // grid returns the canonical byte range of shard index i (mirrors
 // shard.Split's near-equal partition).
 func (a *assembler) grid(i int) (off, n int) {
-	m, l := a.total, len(a.out)
+	m, l := a.total, a.length
 	if l == 0 {
 		return 0, 0
 	}
@@ -70,41 +75,65 @@ func (a *assembler) grid(i int) (off, n int) {
 	return rem*(base+1) + (i-rem)*base, base
 }
 
-// add merges one shard into the snapshot. s.Data may alias a transport
-// buffer — it is fully consumed (copied) before add returns. A duplicate
-// index is ignored (replicas at one version are byte-identical by
-// construction, enforced by the checksum). Returns the number of bytes
-// merged (0 for duplicates).
-func (a *assembler) add(s shard.Shard) (int, error) {
-	if s.App != a.app || s.Version != a.version || s.Total != a.total || s.TotalLen != len(a.out) {
-		return 0, fmt.Errorf("shard %s version %v: %w", s.Key(), s.Version, errShardMismatch)
+// check validates one shard against the placement.
+func (a *assembler) check(s shard.Shard) error {
+	if s.App != a.app || s.Version != a.version || s.Total != a.total || s.TotalLen != a.length {
+		return fmt.Errorf("shard %s version %v: %w", s.Key(), s.Version, errShardMismatch)
 	}
 	if s.Index < 0 || s.Index >= a.total {
-		return 0, fmt.Errorf("shard index %d of %d: %w", s.Index, a.total, errShardMismatch)
+		return fmt.Errorf("shard index %d of %d: %w", s.Index, a.total, errShardMismatch)
 	}
 	off, n := a.grid(s.Index)
 	if s.Offset != off || len(s.Data) != n {
-		return 0, fmt.Errorf("shard %s range [%d,%d) off the split grid [%d,%d): %w",
+		return fmt.Errorf("shard %s range [%d,%d) off the split grid [%d,%d): %w",
 			s.Key(), s.Offset, s.Offset+len(s.Data), off, off+n, errShardMismatch)
 	}
 	if crc32.ChecksumIEEE(s.Data) != s.Checksum {
-		return 0, fmt.Errorf("shard %s: %w: %w", s.Key(), shard.ErrChecksum, errShardMismatch)
+		return fmt.Errorf("shard %s: %w: %w", s.Key(), shard.ErrChecksum, errShardMismatch)
+	}
+	return nil
+}
+
+// add keeps the valid shards of one received body — a fetch reply, a
+// collect reply, replicas held here — whose Data alias it. release lets
+// the body go: the assembler runs it when the view is released if it kept
+// any of the shards, and at once otherwise (each index already in — replicas
+// at one version are byte-identical by construction, enforced by the
+// checksum — or none valid, or the recovery over). Returns the bytes kept
+// and the first validation error; an invalid shard leaves its index
+// missing for the failover ladder.
+func (a *assembler) add(shards []shard.Shard, release func()) (int, error) {
+	valid := make([]bool, len(shards))
+	var err error
+	for i, s := range shards {
+		if e := a.check(s); e != nil {
+			err = cmp.Or(err, e)
+			continue
+		}
+		valid[i] = true
 	}
 
 	a.mu.Lock()
-	if a.have[s.Index] {
-		a.mu.Unlock()
-		return 0, nil
+	kept := 0
+	for i, s := range shards {
+		if !valid[i] || a.closed || a.have[s.Index] {
+			continue
+		}
+		a.have[s.Index] = true
+		a.segs[s.Index] = s.Data
+		a.remaining--
+		a.kept++
+		kept += len(s.Data)
+		if release != nil {
+			a.releases = append(a.releases, release)
+			release = nil
+		}
 	}
-	a.have[s.Index] = true
-	a.remaining--
-	a.merged++
-	a.bytesIn += int64(n)
 	a.mu.Unlock()
-
-	// Disjoint region by the grid check above: safe outside the lock.
-	copy(a.out[off:off+n], s.Data)
-	return n, nil
+	if release != nil {
+		release()
+	}
+	return kept, err
 }
 
 // hasIndex reports whether index i has been merged.
@@ -127,27 +156,33 @@ func (a *assembler) missing() []int {
 	return out
 }
 
-// complete reports whether every index has been merged.
-func (a *assembler) complete() bool {
+// merged returns how many shard indices have been merged.
+func (a *assembler) merged() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.remaining == 0
+	return a.kept
 }
 
-// stats returns (shards merged, data bytes merged).
-func (a *assembler) stats() (int, int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.merged, a.bytesIn
-}
-
-// bytes returns the assembled snapshot, or ErrIncomplete when indices
-// are still missing.
-func (a *assembler) bytes() ([]byte, error) {
+// view lends the kept bodies in index order as the state, or fails with
+// shard.ErrIncomplete while indices are missing. Releasing the view
+// releases the assembler.
+func (a *assembler) view() (state.View, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.remaining != 0 {
-		return nil, fmt.Errorf("have %d of %d shard indices: %w", a.total-a.remaining, a.total, shard.ErrIncomplete)
+		return state.View{}, fmt.Errorf("have %d of %d shard indices: %w", a.total-a.remaining, a.total, shard.ErrIncomplete)
 	}
-	return a.out, nil
+	return state.NewView(a.segs, a.release), nil
+}
+
+// release lets every kept body go, and keeps nothing from then on — a
+// fetch still in flight releases its own body.
+func (a *assembler) release() {
+	a.mu.Lock()
+	releases := a.releases
+	a.releases, a.closed = nil, true
+	a.mu.Unlock()
+	for _, f := range releases {
+		f()
+	}
 }

@@ -61,6 +61,8 @@ type Result struct {
 	App         string
 	Mechanism   Mechanism
 	Replacement id.ID
+	// Snapshot is the recovered state as bytes, from RecoverDirect and
+	// Cluster.Recover; RecoverPlacement lends it as a view instead.
 	Snapshot    []byte
 	Version     state.Version
 	Providers   int
@@ -155,7 +157,7 @@ func (c *Cluster) recover(app string, mech Mechanism, opts Options) (Result, err
 		return Result{}, fmt.Errorf("recover %q: %w", app, ErrNoReplacement)
 	}
 	rm := c.managers[replacement]
-	res, err := rm.RecoverPlacement(placement, mech, opts)
+	res, err := rm.recoverJoined(placement, mech, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -383,35 +385,33 @@ func (m *Manager) fetchReplica(holder id.ID, app string, index int, v state.Vers
 }
 
 // fetchInto retrieves one replica of the assembler's state at index from
-// holder and merges it straight into the assembler — the recovery hot
-// path: the assembler copies the body into its final snapshot position
-// and the transport buffer is released, so no whole-shard intermediate
-// copy is ever made.
+// holder and hands it to the assembler as it arrived — the recovery hot
+// path: the assembler keeps the body it validated, which its view lends the
+// store, so no copy of the shard is ever made.
 func (m *Manager) fetchInto(a *assembler, holder id.ID, index int, tr *obs.Tracer, tc obs.SpanContext) (int, error) {
 	s, release, err := m.fetchReplica(holder, a.app, index, a.version, tc)
 	if err != nil {
 		return 0, err
 	}
-	defer release()
-	return mergeTraced(a, s, tr, tc)
+	return mergeTraced(a, []shard.Shard{s}, release, tr, tc)
 }
 
-// mergeTraced merges one shard into the assembler under a retroactive
-// PhaseMerge span (recorded only when the fetch itself is traced, so
-// untraced recoveries pay nothing).
-func mergeTraced(a *assembler, s shard.Shard, tr *obs.Tracer, tc obs.SpanContext) (int, error) {
+// mergeTraced hands one body's shards to the assembler (assembler.add)
+// under a retroactive PhaseMerge span (recorded only when the fetch itself
+// is traced, so untraced recoveries pay nothing).
+func mergeTraced(a *assembler, shards []shard.Shard, release func(), tr *obs.Tracer, tc obs.SpanContext) (int, error) {
 	if !tr.Enabled() || !tc.Valid() {
-		return a.add(s)
+		return a.add(shards, release)
 	}
 	start := tr.Now()
-	n, err := a.add(s)
-	tr.RecordSpan(tc, obs.PhaseMerge, start, tr.Now(), obs.Int("bytes", int64(n)))
+	n, err := a.add(shards, release)
+	tr.RecordSpan(tc, obs.PhaseMerge, start, tr.Now(), obs.Int("bytes", int64(n)), obs.Int("shards", int64(len(shards))))
 	return n, err
 }
 
 // fetchFrom retrieves one replica of (app, index) at version v from
 // holder with an owned Data copy — the repair path's donor fetch, which
-// re-pushes the shard long after the transport buffer is recycled.
+// re-pushes the shard long after the transport buffer is released.
 func (m *Manager) fetchFrom(holder id.ID, app string, index int, v state.Version) (shard.Shard, error) {
 	s, release, err := m.fetchReplica(holder, app, index, v, obs.SpanContext{})
 	if err != nil {
@@ -422,9 +422,9 @@ func (m *Manager) fetchFrom(holder id.ID, app string, index int, v state.Version
 	return s, nil
 }
 
-// mergeLocal merges this node's own replicas for the given stages into
-// the assembler and returns the stages that need the wire plus the bytes
-// merged locally.
+// mergeLocal hands this node's own replicas for the given stages to the
+// assembler, pinned until its view is released, and returns the stages that
+// need the wire plus the bytes merged locally.
 func (m *Manager) mergeLocal(a *assembler, stages []stage) (remote []stage, merged int) {
 	remote = make([]stage, 0, len(stages))
 	for _, st := range stages {
@@ -433,46 +433,26 @@ func (m *Manager) mergeLocal(a *assembler, stages []stage) (remote []stage, merg
 			continue
 		}
 		local, unpin := m.heldShards(a.app, st.Indices, a.version)
-		for _, s := range local {
-			// A mismatch just leaves the index missing; failover covers it.
-			n, _ := a.add(s)
-			merged += n
-		}
-		unpin()
+		// A mismatch just leaves the index missing; failover covers it.
+		n, _ := a.add(local, unpin)
+		merged += n
 	}
 	return remote, merged
 }
 
 // mergeCollect decodes one collect reply (metas + framed raw body) and
-// merges every shard into the assembler, returning the bytes merged.
-// Individually mismatched shards are skipped — their indices stay missing
-// and the failover ladder re-fetches them.
-func mergeCollect(a *assembler, reply *collectReply, raw []byte) (int, error) {
-	shards, err := DecodeShardBatch(reply.Shards, raw)
+// hands its shards to the assembler, which keeps the reply's body while it
+// keeps any of them; it returns the bytes merged. Individually mismatched
+// shards are skipped — their indices stay missing and the failover ladder
+// re-fetches them.
+func mergeCollect(a *assembler, reply *collectReply, resp *simnet.Message, tr *obs.Tracer, parent obs.SpanContext) (int, error) {
+	shards, err := DecodeShardBatch(reply.Shards, resp.Raw)
 	if err != nil {
+		resp.ReleaseRaw()
 		return 0, err
 	}
-	total := 0
-	for _, s := range shards {
-		n, err := a.add(s)
-		if err != nil {
-			continue
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// mergeCollectTraced is mergeCollect under a retroactive PhaseMerge span.
-func mergeCollectTraced(a *assembler, reply *collectReply, raw []byte, tr *obs.Tracer, parent obs.SpanContext) (int, error) {
-	if !tr.Enabled() || !parent.Valid() {
-		return mergeCollect(a, reply, raw)
-	}
-	start := tr.Now()
-	n, err := mergeCollect(a, reply, raw)
-	tr.RecordSpan(parent, obs.PhaseMerge, start, tr.Now(),
-		obs.Int("bytes", int64(n)), obs.Int("shards", int64(len(reply.Shards))))
-	return n, err
+	n, _ := mergeTraced(a, shards, resp.ReleaseRaw, tr, parent)
+	return n, nil
 }
 
 // segmentStages cuts a chain into up to depth contiguous sub-chains of
@@ -581,8 +561,7 @@ func (m *Manager) collectLine(stages []stage, p shard.Placement, opts Options, o
 				failed = fmt.Errorf("recovery: bad line reply %T", o.resp.Payload)
 				continue
 			}
-			n, err := mergeCollectTraced(a, reply, o.resp.Raw, opts.Tracer, opts.TraceParent)
-			o.resp.ReleaseRaw()
+			n, err := mergeCollect(a, reply, &o.resp, opts.Tracer, opts.TraceParent)
 			if err != nil {
 				failed = err
 			}
@@ -717,10 +696,9 @@ func (m *Manager) collectTree(stages []stage, fanout int, p shard.Placement, opt
 			failed = fmt.Errorf("recovery: bad tree reply %T", o.resp.Payload)
 			continue
 		}
-		if _, err := mergeCollectTraced(a, reply, o.resp.Raw, opts.Tracer, opts.TraceParent); err != nil {
+		if _, err := mergeCollect(a, reply, &o.resp, opts.Tracer, opts.TraceParent); err != nil {
 			failed = err
 		}
-		o.resp.ReleaseRaw()
 		for _, d := range reply.Dead {
 			oc.deadNode(d)
 		}

@@ -3,7 +3,6 @@ package recovery
 import (
 	"fmt"
 
-	"sr3/internal/dht"
 	"sr3/internal/id"
 	"sr3/internal/obs"
 	"sr3/internal/shard"
@@ -47,27 +46,16 @@ type collectReply struct {
 	Dead []id.ID
 }
 
-// appendShards strips local shards into the (metas, framed raw)
-// accumulator pair. Both slices must already be capped (or owned) by the
-// caller: append must reallocate rather than scribble into transport- or
-// peer-owned backing arrays.
-func appendShards(metas []shard.Shard, raw []byte, shards []shard.Shard) ([]shard.Shard, []byte) {
-	for _, s := range shards {
-		raw = dht.AppendFrame(raw, s.Data)
-		s.Data = nil
-		metas = append(metas, s)
-	}
-	return metas, raw
-}
-
 // handleLineCollect runs at each chain stage: contribute local shards,
 // then forward the accumulated set to the next stage; the final stage
-// returns the full set, which unwinds to the replacement. A deeper
-// stage's reply is passed through untouched — its raw body flows from
-// socket to socket via pooled buffers without this stage ever decoding
-// the shard data. When the next stage is dead, the partial accumulation
-// unwinds instead (with the dead node reported), and the replacement
-// replans around the loss.
+// returns the full set, which unwinds to the replacement. A stage copies
+// nothing: what it sends on is the body it received followed by its own
+// replicas, lent pinned as segments (as a fetch reply lends them), and a
+// deeper stage's reply is passed through untouched — its raw body flows
+// from socket to socket without this stage ever decoding the shard data.
+// When the next stage is dead, the partial accumulation unwinds instead
+// (with the dead node reported), and the replacement replans around the
+// loss.
 func (m *Manager) handleLineCollect(_ id.ID, msg simnet.Message) (simnet.Message, error) {
 	req, ok := msg.Payload.(*lineCollectMsg)
 	if !ok {
@@ -90,45 +78,49 @@ func (m *Manager) handleLineCollect(_ id.ID, msg simnet.Message) (simnet.Message
 		}
 	}
 	defer sp.End()
-	// Cap both accumulators: the raw body may be a pooled transport
-	// buffer and the metas may alias the sender's memory (in-process
-	// transport) — appends must copy, not scribble.
-	metas := req.Acc[:len(req.Acc):len(req.Acc)]
-	raw := msg.Raw[:len(msg.Raw):len(msg.Raw)]
+	// The received body is kept until what lends it is done with it.
+	raw, releaseRaw := msg.TakeRaw()
 	local, unpin := m.heldShards(req.App, req.Chain[0].Indices, req.Version)
-	metas, raw = appendShards(metas, raw, local)
-	unpin() // copied: the reply does not read the held bytes
+	own, segs, size := shardBatchSegs(local, nil, [][]byte{raw})
+	size += len(raw)
+	// The metas may alias the sender's memory (in-process transport):
+	// appending must copy, not scribble.
+	metas := append(req.Acc[:len(req.Acc):len(req.Acc)], own...)
+	done := func(bool) {
+		unpin()
+		if releaseRaw != nil {
+			releaseRaw(false)
+		}
+	}
+	lend := func(dead []id.ID) simnet.Message {
+		reply := simnet.Message{Kind: kindAck, Size: msgHeader + size,
+			Payload: &collectReply{Shards: metas, Dead: dead}, RawSegs: segs}
+		reply.SetFree(done)
+		return reply
+	}
 	rest := req.Chain[1:]
 	if len(rest) == 0 {
-		return simnet.Message{
-			Kind:    kindAck,
-			Size:    msgHeader + len(raw),
-			Payload: &collectReply{Shards: metas},
-			Raw:     raw,
-		}, nil
+		return lend(nil), nil
 	}
 	fwd := &lineCollectMsg{App: req.App, Version: req.Version, Chain: rest, Acc: metas, NoFailover: req.NoFailover}
 	resp, err := m.node.Send(rest[0].Node, simnet.Message{
 		Kind:    kindLineCollect,
-		Size:    msgHeader + len(raw),
+		Size:    msgHeader + size,
 		Payload: fwd,
-		Raw:     raw,
+		RawSegs: segs,
 		TraceID: fwdCtx.Trace,
 		SpanID:  fwdCtx.Span,
 	})
 	if err != nil {
 		if req.NoFailover {
+			done(false)
 			return simnet.Message{}, fmt.Errorf("line forward to %s: %w: %v", rest[0].Node.Short(), ErrProviderLost, err)
 		}
 		// Dead stage: unwind what we have; the replacement resumes with
 		// these shards and replans the remainder around the dead node.
-		return simnet.Message{
-			Kind:    kindAck,
-			Size:    msgHeader + len(raw),
-			Payload: &collectReply{Shards: metas, Dead: []id.ID{rest[0].Node}},
-			Raw:     raw,
-		}, nil
+		return lend([]id.ID{rest[0].Node}), nil
 	}
+	done(false)
 	return resp, nil
 }
 
@@ -149,11 +141,11 @@ type treeCollectMsg struct {
 // handleTreeCollect runs at each tree member: collect children's shard
 // sets (each child gathers its own subtree), merge with local shards, and
 // return the union to the parent (paper Fig 5/6: sub-shards recombined
-// up the spanning tree). Children's data frames are concatenated into the
-// reply's raw body without being decoded; the pooled buffers backing them
-// are released as soon as their bytes are appended. A dead child drops
-// its whole subtree from the union (the child's node is reported dead);
-// the replacement degrades those sub-shards to direct star-style fetches.
+// up the spanning tree). Nothing is copied: the reply lends this member's
+// replicas, pinned, and then every child's reply body as segments, each
+// released once the reply is on the wire. A dead child drops its whole
+// subtree from the union (the child's node is reported dead); the
+// replacement degrades those sub-shards to direct star-style fetches.
 func (m *Manager) handleTreeCollect(_ id.ID, msg simnet.Message) (simnet.Message, error) {
 	req, ok := msg.Payload.(*treeCollectMsg)
 	if !ok {
@@ -177,8 +169,14 @@ func (m *Manager) handleTreeCollect(_ id.ID, msg simnet.Message) (simnet.Message
 	}
 	defer sp.End()
 	local, unpin := m.heldShards(req.App, req.Tree.Stage.Indices, req.Version)
-	metas, raw := appendShards(nil, nil, local)
-	unpin() // copied: the reply does not read the held bytes
+	metas, segs, size := shardBatchSegs(local, nil, nil)
+	var children []simnet.Message // the replies whose bodies segs lends
+	done := func(bool) {
+		unpin()
+		for i := range children {
+			children[i].ReleaseRaw()
+		}
+	}
 	var dead []id.ID
 	for _, child := range req.Tree.Children {
 		resp, err := m.node.Send(child.Stage.Node, simnet.Message{
@@ -190,6 +188,7 @@ func (m *Manager) handleTreeCollect(_ id.ID, msg simnet.Message) (simnet.Message
 		})
 		if err != nil {
 			if req.NoFailover {
+				done(false)
 				return simnet.Message{}, fmt.Errorf("tree collect from %s: %w: %v", child.Stage.Node.Short(), ErrProviderLost, err)
 			}
 			dead = append(dead, child.Stage.Node)
@@ -198,19 +197,23 @@ func (m *Manager) handleTreeCollect(_ id.ID, msg simnet.Message) (simnet.Message
 		reply, ok := resp.Payload.(*collectReply)
 		if !ok {
 			resp.ReleaseRaw()
+			done(false)
 			return simnet.Message{}, fmt.Errorf("recovery: bad tree reply %T", resp.Payload)
 		}
 		metas = append(metas, reply.Shards...)
-		raw = append(raw, resp.Raw...)
-		resp.ReleaseRaw()
+		segs = append(segs, resp.Raw)
+		size += len(resp.Raw)
+		children = append(children, resp)
 		dead = append(dead, reply.Dead...)
 	}
-	return simnet.Message{
+	out := simnet.Message{
 		Kind:    kindAck,
-		Size:    msgHeader + len(raw),
+		Size:    msgHeader + size,
 		Payload: &collectReply{Shards: metas, Dead: dead},
-		Raw:     raw,
-	}, nil
+		RawSegs: segs,
+	}
+	out.SetFree(done)
+	return out, nil
 }
 
 // buildTree arranges stages into a balanced fanout-ary tree (BFS order)

@@ -7,6 +7,7 @@ import (
 	"sr3/internal/id"
 	"sr3/internal/obs"
 	"sr3/internal/shard"
+	"sr3/internal/state"
 )
 
 // RecoverDirect rebuilds app's state on this manager: it looks the
@@ -18,24 +19,40 @@ func (m *Manager) RecoverDirect(app string, mech Mechanism, opts Options) (Resul
 	if err != nil {
 		return Result{}, fmt.Errorf("recover %q: %w", app, err)
 	}
-	return m.RecoverPlacement(p, mech, opts)
+	return m.recoverJoined(p, mech, opts)
+}
+
+// recoverJoined is RecoverPlacement with the recovered state joined into
+// Result.Snapshot, the bytes RecoverDirect's callers and the in-process
+// Cluster read. It is the one place a recovery joins its shards: a stream
+// task restores from the view itself (Store.RestoreView).
+func (m *Manager) recoverJoined(p shard.Placement, mech Mechanism, opts Options) (Result, error) {
+	res, v, err := m.RecoverPlacement(p, mech, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Snapshot = v.Join()
+	v.Release()
+	return res, nil
 }
 
 // RecoverPlacement rebuilds the state p describes on this manager with the
 // given mechanism: provider stages are planned from the placement and the
 // overlay's liveness alone, the mechanism's executor collects into an
 // assembler, and the failover ladder covers whatever the plan could not
-// know (a holder that died since, or lost its replica). The snapshot is
-// returned in Result.Snapshot and not retained. With a tracer in
-// opts the run records plan, fetch/collect and merge spans under
-// opts.TraceParent.
-func (m *Manager) RecoverPlacement(p shard.Placement, mech Mechanism, opts Options) (Result, error) {
+// know (a holder that died since, or lost its replica). The state is
+// returned as a view of the shard bodies as they arrived — replicas held
+// here pinned, fetched and collected bodies unreleased — in index order;
+// the caller restores from it and releases it. A recovery that fails
+// releases everything it kept. With a tracer in opts the run records plan,
+// fetch/collect and merge spans under opts.TraceParent.
+func (m *Manager) RecoverPlacement(p shard.Placement, mech Mechanism, opts Options) (Result, state.View, error) {
 	plan := opts.Tracer.StartSpan(opts.TraceParent, obs.PhasePlan)
 	alive := func(h id.ID, _ int) bool { return m.node.PeerAlive(h) }
 	stages, err := planStages(p, allIndices(p), m.node.ID(), alive, m.isDegraded)
 	if err != nil {
 		plan.EndErr(err)
-		return Result{}, fmt.Errorf("recover %q: %w", p.App, err)
+		return Result{}, state.View{}, fmt.Errorf("recover %q: %w", p.App, err)
 	}
 	plan.SetStr("replacement", m.node.ID().Short())
 	plan.SetInt("providers", int64(len(stages)))
@@ -51,14 +68,15 @@ func (m *Manager) RecoverPlacement(p shard.Placement, mech Mechanism, opts Optio
 	case Tree:
 		err = m.collectTree(stages, 1<<clampBit(opts.TreeFanoutBit), p, opts, oc, a)
 	default:
-		return Result{}, fmt.Errorf("recover %q: %d: %w", p.App, mech, ErrBadMechanism)
+		return Result{}, state.View{}, fmt.Errorf("recover %q: %d: %w", p.App, mech, ErrBadMechanism)
+	}
+	var v state.View
+	if err == nil {
+		v, err = a.view()
 	}
 	if err != nil {
-		return Result{}, fmt.Errorf("recover %q (%s): %w", p.App, mech, err)
-	}
-	snapshot, err := a.bytes()
-	if err != nil {
-		return Result{}, fmt.Errorf("recover %q (%s): %w", p.App, mech, err)
+		a.release()
+		return Result{}, state.View{}, fmt.Errorf("recover %q (%s): %w", p.App, mech, err)
 	}
 	// This manager now stands in for the state's owner: p's version is the
 	// published one its pushes must tell holders to keep.
@@ -67,17 +85,15 @@ func (m *Manager) RecoverPlacement(p shard.Placement, mech Mechanism, opts Optio
 		m.placements[p.App] = p
 	}
 	m.mu.Unlock()
-	merged, _ := a.stats()
 	return Result{
 		App:         p.App,
 		Mechanism:   mech,
 		Replacement: m.node.ID(),
-		Snapshot:    snapshot,
 		Version:     p.Version,
 		Providers:   len(stages),
-		ShardsMoved: merged,
+		ShardsMoved: a.merged(),
 		Outcome:     oc.snapshot(),
-	}, nil
+	}, v, nil
 }
 
 // allIndices lists p's shard indices, ascending.

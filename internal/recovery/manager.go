@@ -3,6 +3,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,17 +87,19 @@ type held struct {
 }
 
 // replicaSet is the replicas of one app held at one version, and the push
-// bodies they alias. Dropping the set hands the bodies back to the
-// transport they were read from (each body's recycler, from
-// simnet.Message.TakeRaw), so the next push of the same size is read into
-// one of them — but only once no reply still reads them: a reply that
-// lends a set's bytes pins it, and unpins once it is done with them.
+// bodies they alias. Dropping the set releases the bodies to the transport
+// they were read from (each body's release, from simnet.Message.TakeRaw):
+// for reuse, so the next push of the same size is read into one of them,
+// when that push is due, and freed otherwise — but only once no reply still
+// reads them: a reply that lends a set's bytes pins it, and unpins once it
+// is done with them.
 type replicaSet struct {
 	version state.Version
 	shards  map[shard.Key]shard.Shard
-	bodies  []func()
+	bodies  []func(reuse bool)
 	pins    int
 	dropped bool
+	reuse   bool // set with dropped: the bodies go back for the next push
 }
 
 func newSet(v state.Version) *replicaSet {
@@ -124,25 +127,26 @@ func (h *held) sets() []*replicaSet {
 	return []*replicaSet{h.cur, h.prev}
 }
 
-// drop retires a set: its bodies go back to their transport now, or when
-// the last reply reading them unpins it (caller holds m.mu).
-func (s *replicaSet) drop() {
+// drop retires a set: its bodies are released now, or when the last reply
+// reading them unpins it — for reuse or not (caller holds m.mu).
+func (s *replicaSet) drop(reuse bool) {
 	if s == nil {
 		return
 	}
-	s.dropped = true
-	s.recycle()
+	s.dropped, s.reuse = true, reuse
+	s.release()
 }
 
-// recycle hands a dropped, unpinned set's bodies back.
-func (s *replicaSet) recycle() {
+// release hands a dropped, unpinned set's bodies back.
+func (s *replicaSet) release() {
 	if !s.dropped || s.pins > 0 {
 		return
 	}
 	for _, f := range s.bodies {
-		f()
+		f(s.reuse)
 	}
-	s.bodies = nil
+	clear(s.bodies)
+	s.bodies = s.bodies[:0]
 }
 
 // NewManager attaches an SR3 manager to an overlay node.
@@ -364,32 +368,37 @@ func (m *Manager) pushShardBatch(target id.ID, shards []shard.Shard, view, scrat
 
 // storeBatch stores the replicas one push delivered. published is the
 // version of the placement the pusher last published or recovered for the
-// app (zero when it knows none). recycle, when not nil, hands back the
-// push body the replicas' Data alias: it runs when the set they join is
-// dropped and unpinned — at once if none of them was kept.
-func (m *Manager) storeBatch(shards []shard.Shard, published state.Version, recycle func()) {
+// app (zero when it knows none). release, when not nil, releases the push
+// body the replicas' Data alias: it runs once every set they joined is
+// dropped and unpinned — at once, not for reuse, if none of them was kept.
+func (m *Manager) storeBatch(shards []shard.Shard, published state.Version, release func(reuse bool)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var into *replicaSet // the set every kept replica joined
-	mixed := false
+	var into []*replicaSet // the sets the kept replicas joined
 	for _, s := range shards {
-		switch set := m.storeLocked(s, published); {
-		case set == nil:
-		case into == nil:
-			into = set
-		case into != set:
-			mixed = true
+		if set := m.storeLocked(s, published); set != nil && !slices.Contains(into, set) {
+			into = append(into, set)
 		}
 	}
 	switch {
-	case recycle == nil:
-	case into == nil:
-		recycle()
-	case !mixed && !into.dropped:
-		into.bodies = append(into.bodies, recycle)
+	case release == nil:
+	case len(into) == 0:
+		release(false)
+	default:
+		// A body split over sets (no correct pusher sends one) goes when
+		// the last of them lets it go; one of them may already have been
+		// dropped by a newer replica later in the same push.
+		left := len(into)
+		share := func(reuse bool) {
+			if left--; left == 0 {
+				release(reuse)
+			}
+		}
+		for _, set := range into {
+			set.bodies = append(set.bodies, share)
+			set.release()
+		}
 	}
-	// A body split over two sets (no correct pusher sends one) is left to
-	// the garbage collector.
 }
 
 // storeLocked stores one pushed replica and returns the set it joined, or
@@ -406,10 +415,10 @@ func (m *Manager) storeLocked(s shard.Shard, published state.Version) *replicaSe
 		// version, in which case the newest set is what an aborted save
 		// left behind and the fallback already held is the one to keep.
 		if published == (state.Version{}) || published == h.cur.version {
-			h.prev.drop()
+			h.prev.drop(true)
 			h.prev = h.cur
 		} else {
-			h.cur.drop()
+			h.cur.drop(true)
 		}
 		h.cur = newSet(s.Version)
 	}
@@ -424,7 +433,7 @@ func (m *Manager) storeLocked(s shard.Shard, published state.Version) *replicaSe
 
 // heldShards returns one of this node's replicas for each of the given
 // app indices it holds at version v, pinned: the set's push bodies are not
-// recycled until unpin runs, so the caller may read — or lend a reply —
+// released until unpin runs, so the caller may read — or lend a reply —
 // the replicas' Data until then. unpin is never nil; call it once.
 func (m *Manager) heldShards(app string, indices []int, v state.Version) (out []shard.Shard, unpin func()) {
 	want := make(map[int]bool, len(indices))
@@ -448,7 +457,7 @@ func (m *Manager) heldShards(app string, indices []int, v state.Version) (out []
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		set.pins--
-		set.recycle()
+		set.release()
 	}
 }
 
@@ -505,13 +514,13 @@ func (m *Manager) hasShardAt(app string, index int, v state.Version) bool {
 // yet, and deleting them would destroy the only copy of in-flight state.
 // Returns (stale, orphans) deletion counts.
 //
-// A stale set's push bodies go back to the transport (replicaSet) only
-// when the next push of this state will be read into one: p puts as many
-// slots here as the set held. After an adoption or a membership change the
-// slots here moved, and on the owner — whose slots are never pushed — there
-// are none; such bodies go to the garbage collector, because a pooled
-// buffer stays live for two collections, which a process that makes little
-// garbage runs rarely.
+// A stale set's push bodies go back to the transport for reuse (replicaSet)
+// only when the next push of this state will be read into one: p puts as
+// many slots here as the set held. After an adoption or a membership change
+// the slots here moved, and on the owner — whose slots are never pushed —
+// there are none; such bodies are freed as soon as no reply reads them,
+// because a pooled buffer stays mapped for two collections, which a process
+// that makes little garbage runs rarely.
 func (m *Manager) GCShards(app string, p shard.Placement) (stale, orphans int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -524,12 +533,7 @@ func (m *Manager) GCShards(app string, p shard.Placement) (stale, orphans int) {
 	if p.Owner != self {
 		pushed = len(p.KeysOnNode(self))
 	}
-	retire := func(s *replicaSet) {
-		if len(s.shards) != pushed {
-			s.bodies = nil
-		}
-		s.drop()
-	}
+	retire := func(s *replicaSet) { s.drop(len(s.shards) == pushed) }
 	if h.prev != nil && p.Version.Newer(h.prev.version) {
 		stale += len(h.prev.shards)
 		retire(h.prev)
@@ -632,15 +636,15 @@ func (m *Manager) handleStoreBatch(_ id.ID, msg simnet.Message) (simnet.Message,
 	}
 	// The body is kept as it was read — the stored shards are views of it —
 	// and goes back to the transport when their set is dropped.
-	raw, recycle := msg.TakeRaw()
+	raw, release := msg.TakeRaw()
 	shards, err := DecodeShardBatch(req.Metas, raw)
 	if err != nil {
-		if recycle != nil {
-			recycle()
+		if release != nil {
+			release(false)
 		}
 		return simnet.Message{}, err
 	}
-	m.storeBatch(shards, req.Published, recycle)
+	m.storeBatch(shards, req.Published, release)
 	return simnet.Message{Kind: kindAck, Size: msgHeader}, nil
 }
 
@@ -665,8 +669,9 @@ type fetchReply struct {
 // unknown. The shard's data is split off into the reply's raw body, which
 // aliases the stored bytes. A save that supersedes the version while the
 // reply is still being written cannot hurt it: the reply pins the set, so
-// its push body is not recycled — and no later push read into it — until
-// the transport runs the reply's free func, once the bytes are on the wire.
+// its push body is not released — neither freed nor a later push read into
+// it — until the transport runs the reply's free func, once the bytes are
+// on the wire.
 func (m *Manager) handleFetchIndex(_ id.ID, msg simnet.Message) (simnet.Message, error) {
 	req, ok := msg.Payload.(*fetchIndexRequest)
 	if !ok {
@@ -681,6 +686,6 @@ func (m *Manager) handleFetchIndex(_ id.ID, msg simnet.Message) (simnet.Message,
 	s.Data = nil
 	reply := simnet.Message{Kind: kindAck, Size: msgHeader + len(data),
 		Payload: &fetchReply{Found: true, Shard: s}, Raw: data[:len(data):len(data)]}
-	reply.SetFree(unpin)
+	reply.SetFree(func(bool) { unpin() })
 	return reply, nil
 }

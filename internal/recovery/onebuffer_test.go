@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sr3/internal/dht"
@@ -48,11 +49,13 @@ func tcpOverlay(t *testing.T, n int) ([]*dht.Node, map[id.ID]*Manager, *nettrans
 // into — back in the transport's pool since the last publication dropped
 // that version — so from the third save on no process allocates anything
 // state-sized: the sum is at most S/16, the owner's part at most S/64 (its
-// first save at most S/32). Owner and holders share this process: the holders' share
-// of TotalAlloc is what the transport's pool allocated, the rest is the
-// owner's (and the holders' small change). The "growing" run adds a 4 KiB
-// key before every save, so each push is a little longer than the buffer
-// it reuses was cut for.
+// first save at most S/32). Owner and holders share this process: the
+// holders' push buffers are mapped outside the heap, so they are what the
+// transport's pool allocated (PoolStats.Allocated), and the heap's
+// TotalAlloc is the owner's (and the holders' small change); the sum of the
+// two is every byte allocated. The "growing" run adds a 4 KiB key before
+// every save, so each push is a little longer than the buffer it reuses
+// was cut for.
 func TestSteadySaveCycleAllocatesNothingStateSized(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bound: the race detector's shadow memory is counted too")
@@ -91,15 +94,16 @@ func TestSteadySaveCycleAllocatesNothingStateSized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("save %d: %v", i, err)
 				}
-				total := int(after.TotalAlloc - before.TotalAlloc)
+				heap := int(after.TotalAlloc - before.TotalAlloc)
 				holders := int(tcp.DataPlane().Pool.Allocated - pooled)
+				total := heap + holders
 				t.Logf("save %d of %d bytes: %d allocated, %d of it the holders' push buffers", i, view.Len, total, holders)
 				bound := S / 64
 				if i == 1 {
 					bound = S / 32 // also sizes what the view and the pushes reuse: a few slices per key
 				}
-				if total-holders > bound {
-					t.Fatalf("save %d: the owner allocated %d bytes, want at most %d", i, total-holders, bound)
+				if heap > bound {
+					t.Fatalf("save %d: the owner allocated %d bytes, want at most %d", i, heap, bound)
 				}
 				if i >= 3 && total > S/16 {
 					t.Fatalf("save %d allocated %d bytes (%d in push buffers), want at most S/16 = %d once the pool holds a spare",
@@ -185,12 +189,10 @@ func TestFetchReplySurvivesSupersession(t *testing.T) {
 }
 
 // TestCollectReplySurvivesSupersession is the fetch test's twin for a line
-// collect: the holder builds its stage's reply, then three saves supersede
-// the version it read — the third push is read into the buffer that
-// version's push was read into, which went back to the pool once the
-// second supersession dropped it — and the bytes that cross must still be
-// the shard's. A collect reply copies what it reads, so its pin ends as it
-// is built.
+// collect: the holder builds its stage's reply, which lends its replicas
+// pinned, as a fetch reply does; then three saves supersede the version it
+// read, while the pool hands recycled buffers to later pushes, and the
+// bytes that cross must still be the shard's.
 func TestCollectReplySurvivesSupersession(t *testing.T) {
 	const size, m = 1 << 20, 2
 	nodes, mgrs, tcp := tcpOverlay(t, 3)
@@ -240,6 +242,151 @@ func TestCollectReplySurvivesSupersession(t *testing.T) {
 	s := got[0]
 	if s.Version != p1.Version || !bytes.Equal(s.Data, want[s.Offset:s.Offset+len(s.Data)]) {
 		t.Fatalf("collected version %v, %d bytes: not the bytes saved at %v", s.Version, len(s.Data), p1.Version)
+	}
+}
+
+// fillStore puts S bytes of random values into a fresh MapStore, in keys of
+// valueBytes each.
+func fillStore(S, valueBytes int, seed int64) *state.MapStore {
+	store := state.NewMapStore()
+	fill := randomSnapshot(S, seed)
+	for i := 0; i < S/valueBytes; i++ {
+		store.Put(fmt.Sprintf("key-%05d", i), fill[i*valueBytes:(i+1)*valueBytes])
+	}
+	return store
+}
+
+// saveStore saves store's view through mgr.
+func saveStore(t *testing.T, mgr *Manager, store *state.MapStore, m int) shard.Placement {
+	t.Helper()
+	view, err := store.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := mgr.SaveView("app", view.Segs, m, 2, mgr.NextVersion(1))
+	view.Release()
+	if err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	return p
+}
+
+// TestRecoveryAllocatesOnlyTheStore is the read path's allocation guard. A
+// 16 MiB MapStore saved over TCP is recovered by star and restored into a
+// fresh store: the assembler keeps the shard bodies as they lie, and the
+// store parses its records across their boundaries, so one recovery
+// allocates the restored store, the bodies it fetched (mapped as they
+// arrive, unmapped when the view is released) and at most S/16 besides,
+// heap and mapped together — no assembly buffer and no copy of it. A holder
+// adopts with every index held here and fetches nothing; the owner, which
+// stores none of its own slots, fetches it all.
+func TestRecoveryAllocatesOnlyTheStore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bound: the race detector's shadow memory is counted too")
+	}
+	const S, valueBytes, m = 16 << 20, 16 << 10, 8
+	nodes, mgrs, tcp := tcpOverlay(t, 3)
+	owner := nodes[1].ID()
+	store := fillStore(S, valueBytes, 2)
+	p := saveStore(t, mgrs[owner], store, m)
+	want, err := store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fetched is what adopter must read off the wire: the indices it holds
+	// no slot of.
+	fetched := func(adopter id.ID) int {
+		n := 0
+		for i := 0; i < p.M; i++ {
+			if !slices.Contains(p.NodesForIndex(i), adopter) {
+				n += indexLen(p, i)
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name    string
+		adopter id.ID
+	}{{"holder", p.NodesForIndex(0)[0]}, {"owner", owner}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			pool := tcp.DataPlane().Pool
+			runtime.ReadMemStats(&before)
+			_, v, err := mgrs[tc.adopter].RecoverPlacement(p, Star, DefaultOptions())
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			restored := state.NewMapStore()
+			err = restored.RestoreView(v)
+			v.Release()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			mapped := int(tcp.DataPlane().Pool.Allocated - pool.Allocated)
+			total := int(after.TotalAlloc-before.TotalAlloc) + mapped
+			// A fresh body is mapped with an eighth of headroom it never
+			// touches.
+			f := fetched(tc.adopter)
+			bound := len(want) + f + f/8 + S/16
+			t.Logf("recovered %d bytes, %d fetched: %d allocated, %d of it mapped", len(want), f, total, mapped)
+			if total > bound {
+				t.Fatalf("one recovery allocated %d bytes (%d mapped), want at most the store's %d + the %d fetched + S/16 = %d",
+					total, mapped, len(want), f, bound)
+			}
+			if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("restored %d bytes (err %v), not the saved store", len(got), err)
+			}
+			if inUse := tcp.DataPlane().Pool.InUse; inUse != pool.InUse {
+				t.Fatalf("%d mapped bytes in use after the view's release, %d before the recovery", inUse, pool.InUse)
+			}
+		})
+	}
+}
+
+// TestRecoveredViewSurvivesSupersession: a recovery's view lends the shard
+// bodies as they lie, the adopter's own replicas of the recovered version
+// among them. Before the store restores from the view, the adopter — the
+// state's owner now — saves a newer version, whose publication retires the
+// set those replicas are in and frees its push body: the new placement
+// puts no slot on the owner, so nothing will be read into it. The view pins
+// the set, so the free waits for the view's release and the restored store
+// is byte-exact; a body freed under it would fault (unmapped) or read
+// poison (race build).
+func TestRecoveredViewSurvivesSupersession(t *testing.T) {
+	const S, valueBytes, m = 4 << 20, 16 << 10, 2 // 2 MiB shards: mapped bodies
+	nodes, mgrs, tcp := tcpOverlay(t, 3)
+	store := fillStore(S, valueBytes, 1)
+	p1 := saveStore(t, mgrs[nodes[1].ID()], store, m)
+	want, err := store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopter := p1.NodesForIndex(0)[0]
+	am := mgrs[adopter]
+	_, v, err := am.RecoverPlacement(p1, Star, DefaultOptions())
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if _, err := am.Save("app", randomSnapshot(S, 3), m, 2, am.NextVersion(2)); err != nil {
+		t.Fatalf("the adopter's save: %v", err)
+	}
+	if am.hasShardAt("app", 0, p1.Version) {
+		t.Fatalf("the adopter still stores %v after publishing its successor — test premise broken", p1.Version)
+	}
+	inUse := tcp.DataPlane().Pool.InUse
+	runtime.GC()
+	restored := state.NewMapStore()
+	err = restored.RestoreView(v)
+	v.Release()
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("restored %d bytes (err %v), not the state saved at %v", len(got), err, p1.Version)
+	}
+	if after := tcp.DataPlane().Pool.InUse; after >= inUse {
+		t.Fatalf("%d mapped bytes in use after the view's release, %d before: the retired body was not freed", after, inUse)
 	}
 }
 

@@ -59,7 +59,7 @@ func BenchmarkDecodeShardBatch(b *testing.B) {
 }
 
 // BenchmarkAssemblerAdd measures the replacement-side merge floor: m
-// shards validated (checksum) and copied into the preallocated snapshot.
+// shards validated (checksum) and kept as the view's segments.
 func BenchmarkAssemblerAdd(b *testing.B) {
 	for _, size := range []int{1 << 20, 16 << 20} {
 		shards := benchShards(b, size, 8)
@@ -74,14 +74,15 @@ func BenchmarkAssemblerAdd(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				a := newAssembler(p)
 				for _, s := range shards {
-					if _, err := a.add(s); err != nil {
+					if _, err := a.add([]shard.Shard{s}, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
-				got, err := a.bytes()
-				if err != nil || len(got) != size {
-					b.Fatalf("assemble: %v (%d bytes)", err, len(got))
+				got, err := a.view()
+				if err != nil || got.Len != size {
+					b.Fatalf("assemble: %v (%d bytes)", err, got.Len)
 				}
+				got.Release()
 			}
 		})
 	}

@@ -43,11 +43,12 @@ type Message struct {
 	// reply is on the wire (or cannot be).
 	Raw []byte
 	// RawSegs is the send-side form of a body that already exists in
-	// pieces: it travels as the concatenation of the segments and the
-	// receiver sees it as Raw. Serializing transports write the segments
-	// vectored, so the sender never builds the joined copy; the in-process
-	// transport joins them into a buffer the receiver owns — the copy a
-	// wire would make. A sender sets Raw or RawSegs, not both.
+	// pieces, in a request or a reply: it travels as the concatenation of
+	// the segments and the receiver sees it as Raw. Serializing transports
+	// write the segments vectored, so the sender never builds the joined
+	// copy; the in-process transport joins them into a buffer the receiver
+	// owns — the copy a wire would make. A sender sets Raw or RawSegs, not
+	// both.
 	RawSegs [][]byte
 	// TraceID/SpanID carry the sender's span context (internal/obs) so
 	// one recovery yields one coherent distributed trace: remote handlers
@@ -57,10 +58,10 @@ type Message struct {
 	// path adds nothing on the wire).
 	TraceID uint64
 	SpanID  uint64
-	// free recycles a transport-owned buffer backing Raw, or tells a
+	// free releases a transport-owned buffer backing Raw, or tells a
 	// handler that lent Raw in a reply that it is done with (SetFree); nil
 	// when Raw is caller-owned.
-	free func()
+	free func(reuse bool)
 	// taken is where TakeRaw tells the transport serving this request that
 	// the handler kept Raw. Set by transports via LendRaw; nil when Raw is
 	// not the transport's to recycle.
@@ -73,39 +74,41 @@ func (m *Message) SetTrace(traceID, spanID uint64) {
 }
 
 // SetFree attaches the func that runs once Raw is no longer read: the
-// recycler of a transport-owned buffer, or a handler's release of bytes it
-// lent a reply.
-func (m *Message) SetFree(f func()) { m.free = f }
+// release of a transport-owned buffer, or a handler's release of bytes it
+// lent a reply. reuse says whether the keeper expects another body of this
+// size (see TakeRaw).
+func (m *Message) SetFree(f func(reuse bool)) { m.free = f }
 
-// ReleaseRaw returns the Raw buffer to its owning transport pool (if
-// any) and clears Raw. The final consumer of a message calls it once the
-// bytes have been merged or copied out.
+// ReleaseRaw releases the Raw buffer to its owning transport (if any) and
+// clears Raw. The final consumer of a message calls it once nothing reads
+// the bytes any more.
 func (m *Message) ReleaseRaw() {
 	_, free := m.TakeRaw()
-	m.Raw = nil
+	m.Raw, m.RawSegs = nil, nil
 	if free != nil {
-		free()
+		free(false)
 	}
 }
 
-// LendRaw marks a request's Raw as a buffer the serving transport recycles
+// LendRaw marks a request's Raw as a buffer the serving transport releases
 // once the handler returns — unless the handler takes it, which sets
 // *taken.
 func (m *Message) LendRaw(taken *bool) { m.taken = taken }
 
 // TakeRaw returns the message's body as the caller's to keep for as long
 // as it likes (read-only still: a sender in the same process may hold the
-// same bytes), together with the body's recycler when a transport owns
-// it: the transport no longer recycles the buffer itself, and the keeper
-// calls recycle — once, when nothing reads the bytes any more — to hand it
-// back for the next body of its size. recycle is nil for a body no
-// transport owns; such a buffer is the garbage collector's.
-func (m *Message) TakeRaw() (raw []byte, recycle func()) {
+// same bytes), together with the body's release when a transport owns it:
+// the transport no longer releases the buffer itself, and the keeper calls
+// release — once, when nothing reads the bytes any more — with reuse set
+// to hand it back for the next body of its size, or clear when it expects
+// none, which lets the transport free a big buffer at once. release is nil
+// for a body no transport owns; such a buffer is the garbage collector's.
+func (m *Message) TakeRaw() (raw []byte, release func(reuse bool)) {
 	if m.taken != nil {
 		*m.taken = true
 	}
-	recycle, m.free = m.free, nil
-	return m.Raw, recycle
+	release, m.free = m.free, nil
+	return m.Raw, release
 }
 
 // JoinSegs turns a segmented body into the single buffer a receiver sees.
@@ -262,6 +265,7 @@ func (n *Network) Call(from, to id.ID, msg Message) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
+	reply.JoinSegs()
 
 	n.statsMu.Lock()
 	n.sentBytes[to] += int64(reply.Size)

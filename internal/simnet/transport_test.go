@@ -136,7 +136,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 // TestCallJoinsSegmentsIntoAReceiverOwnedBody: the in-process transport
 // makes the one copy a wire would — the handler sees the concatenation as
 // Raw, may keep it, and the sender's later writes to its segments do not
-// reach it.
+// reach it; a reply's segments reach the caller joined the same way.
 func TestCallJoinsSegmentsIntoAReceiverOwnedBody(t *testing.T) {
 	n := NewNetwork()
 	a, b := id.HashKey("a"), id.HashKey("b")
@@ -149,51 +149,55 @@ func TestCallJoinsSegmentsIntoAReceiverOwnedBody(t *testing.T) {
 			t.Error("a receiver sees Raw only")
 		}
 		kept, _ = msg.TakeRaw()
-		return Message{Kind: "ok"}, nil
+		return Message{Kind: "ok", RawSegs: [][]byte{[]byte("re"), []byte("ply")}}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	segs := [][]byte{[]byte("head"), {}, []byte("body bytes")}
-	if _, err := n.Call(a, b, Message{Kind: "push", RawSegs: segs}); err != nil {
+	reply, err := n.Call(a, b, Message{Kind: "push", RawSegs: segs})
+	if err != nil {
 		t.Fatal(err)
 	}
 	segs[2][0] = 'X'
 	if string(kept) != "headbody bytes" {
 		t.Fatalf("receiver kept %q", kept)
 	}
+	if string(reply.Raw) != "reply" || reply.RawSegs != nil {
+		t.Fatalf("caller got Raw %q and %d segments, want the reply joined", reply.Raw, len(reply.RawSegs))
+	}
 }
 
 // TestTakeRawDetachesALentBuffer: a transport that lends a request's buffer
 // learns that the handler took it, and the handler gets the buffer itself
-// — spare capacity and all, never a copy — with the transport's recycler,
-// which is now the handler's to run. A body no transport owns comes with
-// no recycler.
+// — spare capacity and all, never a copy — with the transport's release,
+// which is now the handler's to run, and which hears whether the keeper
+// wants the buffer reused. A body no transport owns comes with no release.
 func TestTakeRawDetachesALentBuffer(t *testing.T) {
 	for _, buf := range [][]byte{[]byte("exact-size body"), make([]byte, 8, 64)} {
 		var taken bool
-		recycled := 0
+		var released []bool
 		msg := Message{Raw: buf}
 		msg.LendRaw(&taken)
-		msg.SetFree(func() { recycled++ })
+		msg.SetFree(func(reuse bool) { released = append(released, reuse) })
 		handed := msg // a handler gets the message by value
-		got, recycle := handed.TakeRaw()
-		if &got[0] != &buf[0] || cap(got) != cap(buf) || !taken || recycle == nil {
-			t.Fatalf("cap %d buffer: same memory %v, cap %d, taken %v, recycler %v; want the buffer itself, taken, with its recycler",
-				cap(buf), &got[0] == &buf[0], cap(got), taken, recycle != nil)
+		got, release := handed.TakeRaw()
+		if &got[0] != &buf[0] || cap(got) != cap(buf) || !taken || release == nil {
+			t.Fatalf("cap %d buffer: same memory %v, cap %d, taken %v, release %v; want the buffer itself, taken, with its release",
+				cap(buf), &got[0] == &buf[0], cap(got), taken, release != nil)
 		}
-		handed.ReleaseRaw() // the taker's copy no longer recycles anything
-		if recycled != 0 {
-			t.Fatal("ReleaseRaw after TakeRaw recycled the taken buffer")
+		handed.ReleaseRaw() // the taker's copy no longer releases anything
+		if len(released) != 0 {
+			t.Fatal("ReleaseRaw after TakeRaw released the taken buffer")
 		}
-		recycle()
-		if recycled != 1 {
-			t.Fatalf("the recycler ran the transport's free %d times, want 1", recycled)
+		release(true)
+		if len(released) != 1 || !released[0] {
+			t.Fatalf("the release ran the transport's free as %v, want once, for reuse", released)
 		}
 	}
 
 	own := []byte("caller-owned")
 	msg := Message{Raw: own}
-	if got, recycle := msg.TakeRaw(); &got[0] != &own[0] || recycle != nil {
-		t.Fatal("a body no transport lent was copied or came with a recycler")
+	if got, release := msg.TakeRaw(); &got[0] != &own[0] || release != nil {
+		t.Fatal("a body no transport lent was copied or came with a release")
 	}
 }

@@ -117,6 +117,10 @@ func (f *BloomFilter) View() (View, error) {
 	return ViewOf(snap), err
 }
 
+// RestoreView restores the filter from a view, joined once when it has
+// more than one segment: it has no native reader.
+func (f *BloomFilter) RestoreView(v View) error { return f.Restore(v.Bytes()) }
+
 // Restore replaces the filter from a snapshot.
 func (f *BloomFilter) Restore(data []byte) error {
 	if len(data) < 20 {

@@ -138,6 +138,10 @@ func (g *GraphStore) View() (View, error) {
 	return ViewOf(snap), err
 }
 
+// RestoreView restores the graph from a view, joined once when it has
+// more than one segment: it has no native reader.
+func (g *GraphStore) RestoreView(v View) error { return g.Restore(v.Bytes()) }
+
 // Restore replaces the graph from a snapshot.
 func (g *GraphStore) Restore(data []byte) error {
 	nFrom, rest, err := readUint64(data)

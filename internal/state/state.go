@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -26,8 +27,13 @@ type Store interface {
 	// View lends the serialized state by reference (see View): the same
 	// bytes Snapshot would return, frozen until the view is released.
 	View() (View, error)
-	// Restore replaces the state from a snapshot.
+	// Restore replaces the state from a snapshot: RestoreView of one
+	// segment.
 	Restore(data []byte) error
+	// RestoreView replaces the state from a view — a recovery's shard
+	// bodies as they lie, in order — and keeps nothing of it: the caller
+	// releases the view once it returns.
+	RestoreView(v View) error
 	// SizeBytes approximates the serialized state size without snapshotting.
 	SizeBytes() int
 }
@@ -50,6 +56,18 @@ type View struct {
 // store without a native view lends (its Snapshot), and the form a plain
 // byte slice takes on its way into a backend.
 func ViewOf(b []byte) View { return View{Segs: [][]byte{b}, Len: len(b)} }
+
+// NewView lends segs, in order, as a serialized state: what a recovery
+// hands a store (RestoreView) — the shard bodies it received, as they lie.
+// release runs at the view's Release, when nothing reads the segments any
+// more.
+func NewView(segs [][]byte, release func()) View {
+	n := 0
+	for _, s := range segs {
+		n += len(s)
+	}
+	return View{Segs: segs, Len: n, release: release}
+}
 
 // Release ends the lease: the store's writers proceed and the segments
 // may change. Call it exactly once, when the borrower is done.
@@ -284,34 +302,94 @@ func (m *MapStore) releaseView() {
 }
 
 // Restore replaces contents from a snapshot.
-func (m *MapStore) Restore(data []byte) error {
-	n, rest, err := readUint64(data)
-	if err != nil {
-		return err
+func (m *MapStore) Restore(data []byte) error { return m.RestoreView(ViewOf(data)) }
+
+// RestoreView replaces contents from a view, parsing records across its
+// segment boundaries: a key or value may start in one shard body and end in
+// the next. Each value is copied once, into the buffer the store keeps.
+func (m *MapStore) RestoreView(v View) error {
+	r := newViewReader(v)
+	var hdr [8]byte
+	if !r.read(hdr[:]) {
+		return ErrTooShort
 	}
-	fresh := make(map[string][]byte, n)
+	n := binary.BigEndian.Uint64(hdr[:])
+	// Every record takes at least its two length prefixes, so the count
+	// cannot size the map past what the view holds.
+	fresh := make(map[string][]byte, min(n, uint64(r.left/8)))
 	size := 0
+	var key []byte
 	for i := uint64(0); i < n; i++ {
-		var k, v []byte
-		k, rest, err = readBytes(rest)
-		if err != nil {
-			return err
+		kn, ok := r.length()
+		if !ok {
+			return ErrTooShort
 		}
-		v, rest, err = readBytes(rest)
-		if err != nil {
-			return err
+		key = slices.Grow(key[:0], kn)[:kn]
+		if !r.read(key) {
+			return ErrTooShort
 		}
-		fresh[string(k)] = v
-		size += len(k) + len(v)
+		vn, ok := r.length()
+		if !ok {
+			return ErrTooShort
+		}
+		val := make([]byte, vn)
+		if !r.read(val) {
+			return ErrTooShort
+		}
+		fresh[string(key)] = val
+		size += kn + vn
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("map restore: %d trailing bytes: %w", len(rest), ErrCorrupt)
+	if r.left != 0 {
+		return fmt.Errorf("map restore: %d trailing bytes: %w", r.left, ErrCorrupt)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.data = fresh
 	m.size = size
 	return nil
+}
+
+// viewReader reads a view's bytes in order across its segments.
+type viewReader struct {
+	cur  []byte   // the unread part of the current segment
+	rest [][]byte // the segments after it
+	left int      // bytes not read yet
+}
+
+func newViewReader(v View) *viewReader {
+	r := &viewReader{rest: v.Segs}
+	for _, s := range v.Segs {
+		r.left += len(s)
+	}
+	return r
+}
+
+// read fills p from the view; false, with nothing promised about p, when
+// fewer than len(p) bytes are left.
+func (r *viewReader) read(p []byte) bool {
+	if len(p) > r.left {
+		return false
+	}
+	r.left -= len(p)
+	for len(p) > 0 {
+		for len(r.cur) == 0 {
+			r.cur, r.rest = r.rest[0], r.rest[1:]
+		}
+		k := copy(p, r.cur)
+		p, r.cur = p[k:], r.cur[k:]
+	}
+	return true
+}
+
+// length reads a record's 4-byte length prefix, which must fit in what is
+// left of the view.
+func (r *viewReader) length() (int, bool) {
+	var b [4]byte
+	if !r.read(b[:]) {
+		return 0, false
+	}
+	n := int(binary.BigEndian.Uint32(b[:]))
+	return n, n <= r.left
 }
 
 func appendBytes(buf, b []byte) []byte {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -471,5 +472,72 @@ func TestMapStoreViewSegmentsFollowLargeValues(t *testing.T) {
 	}
 	if want := 8 + 1_000_000*(4+7+4+8); v.Len != want {
 		t.Fatalf("view Len %d, want %d", v.Len, want)
+	}
+}
+
+// cut splits b into segments at n random boundaries — some inside a
+// length prefix, some empty — as a recovery's shard bodies cut a state.
+func cut(b []byte, n int, rng *rand.Rand) [][]byte {
+	at := []int{0, len(b)}
+	for i := 0; i < n; i++ {
+		at = append(at, rng.Intn(len(b)+1))
+	}
+	sort.Ints(at)
+	segs := make([][]byte, 0, len(at)-1)
+	for i := 1; i < len(at); i++ {
+		segs = append(segs, b[at[i-1]:at[i]])
+	}
+	return segs
+}
+
+// TestMapStoreRestoreViewAcrossSegments: a store restores from its
+// snapshot cut anywhere — records, length prefixes and values split over
+// segments — to exactly the state Restore gives, keeps none of the view's
+// bytes, and refuses a view that is cut short or runs on.
+func TestMapStoreRestoreViewAcrossSegments(t *testing.T) {
+	want, err := viewStore(300, 3).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 7, 64, 2000} {
+		src := append([]byte(nil), want...)
+		m := NewMapStore()
+		if err := m.RestoreView(NewView(cut(src, n, rng), nil)); err != nil {
+			t.Fatalf("%d cuts: %v", n, err)
+		}
+		clear(src) // the view's bytes go once it is released
+		if got, _ := m.Snapshot(); !bytes.Equal(got, want) {
+			t.Fatalf("%d cuts: the restored store is not the snapshot's, or still reads the view", n)
+		}
+	}
+	short := cut(want[:len(want)-1], 9, rng)
+	if err := NewMapStore().RestoreView(NewView(short, nil)); !errors.Is(err, ErrTooShort) {
+		t.Fatalf("a view one byte short: got %v, want ErrTooShort", err)
+	}
+	long := append(cut(want, 9, rng), []byte{0})
+	if err := NewMapStore().RestoreView(NewView(long, nil)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a view one byte long: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestStoresWithoutANativeReaderRestoreFromAView: the Bloom filter and the
+// graph join a segmented view and restore as from its bytes.
+func TestStoresWithoutANativeReaderRestoreFromAView(t *testing.T) {
+	f := NewBloomFilter(100, 0.01)
+	g := NewGraphStore()
+	for i := 0; i < 50; i++ {
+		f.Add(fmt.Sprintf("k%d", i))
+		g.AddEdge(fmt.Sprintf("a%d", i%7), fmt.Sprintf("b%d", i))
+	}
+	rng := rand.New(rand.NewSource(4))
+	for _, pair := range []struct{ from, to Store }{{f, NewBloomFilter(1, 0.5)}, {g, NewGraphStore()}} {
+		want, _ := pair.from.Snapshot()
+		if err := pair.to.RestoreView(NewView(cut(want, 5, rng), nil)); err != nil {
+			t.Fatalf("%T: %v", pair.to, err)
+		}
+		if got, _ := pair.to.Snapshot(); !bytes.Equal(got, want) {
+			t.Fatalf("%T restored from a view is not the snapshot's state", pair.to)
+		}
 	}
 }

@@ -68,14 +68,14 @@ func (b *SR3Backend) Save(taskKey string, view state.View, v state.Version) erro
 
 // Recover rebuilds the snapshot with the configured or selected
 // mechanism.
-func (b *SR3Backend) Recover(taskKey string) ([]byte, error) {
+func (b *SR3Backend) Recover(taskKey string) (state.View, error) {
 	return b.RecoverTraced(taskKey, nil, obs.SpanContext{})
 }
 
 // RecoverTraced is Recover with the cluster recovery's spans parented on
 // the caller's trace (the supervisor's selfheal root) — the TracedBackend
 // hookup.
-func (b *SR3Backend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) ([]byte, error) {
+func (b *SR3Backend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) (state.View, error) {
 	mech := b.Mechanism
 	opts := b.Options
 	if mech == 0 {
@@ -95,9 +95,9 @@ func (b *SR3Backend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.Sp
 	}
 	res, err := b.cluster.Recover(taskKey, mech, opts)
 	if err != nil {
-		return nil, fmt.Errorf("sr3 backend: %w", err)
+		return state.View{}, fmt.Errorf("sr3 backend: %w", err)
 	}
-	return res.Snapshot, nil
+	return state.ViewOf(res.Snapshot), nil
 }
 
 // ownerFor maps a task to its owning DHT node: the live node whose ID is
@@ -129,13 +129,13 @@ func (b *CheckpointBackend) Save(taskKey string, view state.View, v state.Versio
 	return nil
 }
 
-// Recover fetches the latest checkpoint.
-func (b *CheckpointBackend) Recover(taskKey string) ([]byte, error) {
+// Recover lends the latest checkpoint.
+func (b *CheckpointBackend) Recover(taskKey string) (state.View, error) {
 	snap, _, err := b.store.Fetch(taskKey)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint backend: %w", err)
+		return state.View{}, fmt.Errorf("checkpoint backend: %w", err)
 	}
-	return snap, nil
+	return state.ViewOf(snap), nil
 }
 
 // ReplicationBackend is the hot-standby baseline (paper §2.2,
@@ -179,22 +179,22 @@ func (b *ReplicationBackend) Save(taskKey string, view state.View, _ state.Versi
 
 // Recover simulates the primary's crash and fails over to the standby,
 // then re-establishes the pair so a later failure is survivable again.
-func (b *ReplicationBackend) Recover(taskKey string) ([]byte, error) {
+func (b *ReplicationBackend) Recover(taskKey string) (state.View, error) {
 	p := b.pair(taskKey)
 	if err := p.FailPrimary(); err != nil && !errors.Is(err, replication.ErrPrimaryDown) {
-		return nil, fmt.Errorf("replication backend: %w", err)
+		return state.View{}, fmt.Errorf("replication backend: %w", err)
 	}
 	snap, ok, err := p.Get(replSnapshotKey)
 	if err != nil {
-		return nil, fmt.Errorf("replication backend: %w", err)
+		return state.View{}, fmt.Errorf("replication backend: %w", err)
 	}
 	if !ok {
-		return nil, fmt.Errorf("replication backend: no snapshot for %q", taskKey)
+		return state.View{}, fmt.Errorf("replication backend: no snapshot for %q", taskKey)
 	}
 	if err := p.RestorePrimary(); err != nil {
-		return nil, fmt.Errorf("replication backend: %w", err)
+		return state.View{}, fmt.Errorf("replication backend: %w", err)
 	}
-	return snap, nil
+	return state.ViewOf(snap), nil
 }
 
 // FP4SBackend stores task state through the FP4S baseline (paper §2.3):
@@ -253,25 +253,25 @@ func (b *FP4SBackend) Save(taskKey string, view state.View, v state.Version) err
 }
 
 // Recover star-fetches any k blocks from a live agent and RS-decodes.
-func (b *FP4SBackend) Recover(taskKey string) ([]byte, error) {
+func (b *FP4SBackend) Recover(taskKey string) (state.View, error) {
 	b.mu.Lock()
 	holders, ok := b.holders[taskKey]
 	b.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("fp4s backend: no blocks for %q", taskKey)
+		return state.View{}, fmt.Errorf("fp4s backend: no blocks for %q", taskKey)
 	}
 	coord, live := b.ring.ClosestLive(hashTask(taskKey))
 	if !live {
-		return nil, fmt.Errorf("fp4s backend: no live node for %q", taskKey)
+		return state.View{}, fmt.Errorf("fp4s backend: no live node for %q", taskKey)
 	}
 	b.mu.Lock()
 	mgr := b.mgrs[coord]
 	b.mu.Unlock()
 	snap, err := mgr.Recover(taskKey, holders)
 	if err != nil {
-		return nil, fmt.Errorf("fp4s backend: %w", err)
+		return state.View{}, fmt.Errorf("fp4s backend: %w", err)
 	}
-	return snap, nil
+	return state.ViewOf(snap), nil
 }
 
 // MemoryBackend keeps snapshots in-process — the trivial backend for
@@ -297,15 +297,16 @@ func (b *MemoryBackend) Save(taskKey string, view state.View, _ state.Version) e
 	return nil
 }
 
-// Recover returns the stored snapshot.
-func (b *MemoryBackend) Recover(taskKey string) ([]byte, error) {
+// Recover lends the stored snapshot, which a later Save replaces rather
+// than overwrites.
+func (b *MemoryBackend) Recover(taskKey string) (state.View, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	snap, ok := b.snaps[taskKey]
 	if !ok {
-		return nil, fmt.Errorf("memory backend: no snapshot for %q", taskKey)
+		return state.View{}, fmt.Errorf("memory backend: no snapshot for %q", taskKey)
 	}
-	return append([]byte(nil), snap...), nil
+	return state.ViewOf(snap), nil
 }
 
 // ownerID aliases the overlay ID type to keep the backend's signature

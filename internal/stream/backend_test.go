@@ -32,8 +32,8 @@ func TestReplicationBackendRepeatedFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("failover %d: %v", i, err)
 		}
-		if string(snap) != "v1" {
-			t.Fatalf("failover %d: snapshot = %q", i, snap)
+		if got := snap.Join(); string(got) != "v1" {
+			t.Fatalf("failover %d: snapshot = %q", i, got)
 		}
 	}
 }
@@ -127,9 +127,10 @@ func TestBackendsKeepTheStateAsOfTheSave(t *testing.T) {
 			}
 			fill(store, 2) // same lengths: every value rewritten in place
 			got, err := b.Recover("t/b/0")
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("recovered %d bytes (err %v): not the state as of the save", len(got), err)
+			if err != nil || !bytes.Equal(got.Join(), want) {
+				t.Fatalf("recovered %d bytes (err %v): not the state as of the save", got.Len, err)
 			}
+			got.Release()
 		})
 	}
 }

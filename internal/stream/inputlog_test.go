@@ -253,7 +253,7 @@ func TestFailedSaveBacksOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	saved := state.NewMapStore()
-	if err := saved.Restore(snap); err != nil {
+	if err := saved.RestoreView(snap); err != nil {
 		t.Fatal(err)
 	}
 	if saved.Len() != 8 {

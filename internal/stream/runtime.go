@@ -17,17 +17,21 @@ import (
 // view for the call: the runtime passes the store's View, whose lease
 // keeps the state frozen until Save returns and is released then, so a
 // backend reads — shards, sends — the bytes where they are and copies
-// whatever it keeps past the call.
+// whatever it keeps past the call. Recover mirrors it: the backend lends
+// the recovered state as a view — a recovery's shard bodies as they lie,
+// or what an in-process backend keeps — the runtime restores the store
+// from it (StateStore.RestoreView), which copies what it keeps, and then
+// releases it.
 type StateBackend interface {
 	Save(taskKey string, view state.View, v state.Version) error
-	Recover(taskKey string) ([]byte, error)
+	Recover(taskKey string) (state.View, error)
 }
 
 // TracedBackend is the traced extension of StateBackend: the recovery's
 // spans parent on the caller's trace. SR3Backend implements it; backends
 // that don't are recovered untraced.
 type TracedBackend interface {
-	RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) ([]byte, error)
+	RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) (state.View, error)
 }
 
 // Config tunes a runtime.
@@ -667,17 +671,19 @@ func (rt *Runtime) recoverTask(t *task, emit Emit, tr *obs.Tracer, parent obs.Sp
 	if rt.cfg.Backend == nil {
 		return fmt.Errorf("recover %s: %w", t.key, ErrNoBackend)
 	}
-	var snap []byte
+	var view state.View
 	var err error
 	if tb, ok := rt.cfg.Backend.(TracedBackend); ok && tr.Enabled() && parent.Valid() {
-		snap, err = tb.RecoverTraced(t.key, tr, parent)
+		view, err = tb.RecoverTraced(t.key, tr, parent)
 	} else {
-		snap, err = rt.cfg.Backend.Recover(t.key)
+		view, err = rt.cfg.Backend.Recover(t.key)
 	}
 	if err != nil {
 		return fmt.Errorf("recover %s: %w", t.key, err)
 	}
-	if err := sb.Store().Restore(snap); err != nil {
+	err = sb.Store().RestoreView(view)
+	view.Release()
+	if err != nil {
 		return fmt.Errorf("recover %s: %w", t.key, err)
 	}
 	var sp *obs.Span

@@ -462,7 +462,7 @@ func TestAutoSaveEveryTuples(t *testing.T) {
 		t.Fatalf("no auto-saved snapshot: %v", err)
 	}
 	st := state.NewMapStore()
-	if err := st.Restore(snap); err != nil {
+	if err := st.RestoreView(snap); err != nil {
 		t.Fatal(err)
 	}
 	if st.Len() < 4 {

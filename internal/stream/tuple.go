@@ -114,11 +114,13 @@ type StatefulBolt interface {
 
 // StateStore is the snapshot/restore surface the runtime needs (satisfied
 // by every state.Store). A save borrows the store's View; a store with no
-// native one lends its Snapshot (state.ViewOf).
+// native one lends its Snapshot (state.ViewOf). A recovery restores from
+// the view its backend lends (RestoreView).
 type StateStore interface {
 	Snapshot() ([]byte, error)
 	View() (state.View, error)
 	Restore(data []byte) error
+	RestoreView(v state.View) error
 	SizeBytes() int
 }
 

@@ -225,7 +225,7 @@ func TestFrameworkStreamIntegration(t *testing.T) {
 		t.Fatalf("backend recover: %v", err)
 	}
 	check := NewMapStore()
-	if err := check.Restore(snap); err != nil {
+	if err := check.RestoreView(snap); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := check.Get("x"); !ok || string(v) == "0" {
