@@ -76,7 +76,7 @@ func (r TraceReport) Format() string {
 func TraceSweep(reg *metrics.Registry) (TraceReport, error) {
 	var report TraceReport
 	for _, mech := range []string{MechSR3Star, MechSR3Line, MechSR3Tree} {
-		row, err := traceCell(mech, reg)
+		row, err := traceCell(mech, obs.NewCollector(), reg, time.Now)
 		if err != nil {
 			return report, fmt.Errorf("trace %s: %w", mech, err)
 		}
@@ -88,15 +88,17 @@ func TraceSweep(reg *metrics.Registry) (TraceReport, error) {
 // traceCell runs one supervised kill→heal with tracing on — the rig's
 // topology checkpointing through the SR3 backend, its state owner
 // killed, φ-accrual detection, task kill + backend recovery + input-log
-// replay + re-protection — and extracts the resulting trace's breakdown.
-func traceCell(mechanism string, reg *metrics.Registry) (TraceBreakdown, error) {
+// replay + re-protection — and extracts the resulting trace's breakdown
+// from collector, which keeps the spans. The tracer reads now: the wall
+// clock for the experiment, a virtual one for a test that checks the
+// trace's shape.
+func traceCell(mechanism string, collector *obs.Collector, reg *metrics.Registry, now func() time.Time) (TraceBreakdown, error) {
 	var row TraceBreakdown
-	collector := obs.NewCollector()
 	var sink obs.Sink = collector
 	if reg != nil {
 		sink = obs.MultiSink{collector, obs.NewMetricsSink(reg, "")}
 	}
-	tracer := obs.New(sink)
+	tracer := obs.New(sink, obs.WithClock(now))
 
 	r, err := newRig(rigOpts{seed: traceSeed, mechanism: mechanism, nodes: traceNodes})
 	if err != nil {
@@ -141,7 +143,7 @@ func traceCell(mechanism string, reg *metrics.Registry) (TraceBreakdown, error) 
 		}
 		return false
 	}); err != nil {
-		return row, fmt.Errorf("task-bound self-heal: %w", err)
+		return row, fmt.Errorf("task-bound self-heal: %w (events: %+v)", err, sup.Events())
 	}
 	if traceID == 0 {
 		return row, fmt.Errorf("healed event for %s carries no trace ID", rigCountKey)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sr3/internal/id"
+	"sr3/internal/offheap"
 	"sr3/internal/recovery"
 	"sr3/internal/shard"
 	"sr3/internal/simnet"
@@ -409,15 +410,18 @@ func TestSupersededVersionGoesWhenSuccessorIsPublished(t *testing.T) {
 		t.Fatalf("save 4: %v", err)
 	}
 	wantOneVersion("after save 4 was published", 4)
-	pool := n2.net.DataPlane().Pool
-	wantScrape(t, n2,
+	// The nodes share this process, and with it the off-heap counters; the
+	// stores' moves whenever a finalizer unmaps a collected store's slab.
+	out := wantScrape(t, n2,
 		`sr3_recovery_held_bytes{node="n2",version="cur"} 0`,
 		`sr3_recovery_held_bytes{node="n2",version="prev"} 0`,
 		"# TYPE sr3_nettransport_raw_pool_hits_total counter",
 		"# TYPE sr3_nettransport_raw_pool_misses_total counter",
-		"# TYPE sr3_nettransport_offheap_bytes gauge",
-		fmt.Sprintf(`sr3_nettransport_offheap_bytes{node="n2",state="in_use"} %d`, pool.InUse),
-		fmt.Sprintf(`sr3_nettransport_offheap_bytes{node="n2",state="pooled"} %d`, pool.Pooled))
+		"# TYPE sr3_offheap_bytes gauge",
+		fmt.Sprintf(`sr3_offheap_bytes{node="n2",use="bodies"} %d`, offheap.Bodies.Live()))
+	if !strings.Contains(out, `sr3_offheap_bytes{node="n2",use="stores"} `) {
+		t.Fatal("n2's /metrics lacks the stores' off-heap gauge")
+	}
 }
 
 // recoverBytes recovers task through n's backend and copies the state out
@@ -431,8 +435,9 @@ func recoverBytes(n *Node, task string) ([]byte, error) {
 	return v.Join(), nil
 }
 
-// wantScrape fails unless n's /metrics exposition has every given line.
-func wantScrape(t *testing.T, n *Node, lines ...string) {
+// wantScrape fails unless n's /metrics exposition has every given line, and
+// returns the exposition.
+func wantScrape(t *testing.T, n *Node, lines ...string) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := (sampledMetrics{n}).WritePrometheus(&buf); err != nil {
@@ -443,4 +448,5 @@ func wantScrape(t *testing.T, n *Node, lines ...string) {
 			t.Fatalf("%s's /metrics lacks %q", n.cfg.Name, line)
 		}
 	}
+	return buf.String()
 }

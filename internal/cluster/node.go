@@ -26,6 +26,7 @@ import (
 	"sr3/internal/metrics"
 	"sr3/internal/nettransport"
 	"sr3/internal/obs"
+	"sr3/internal/offheap"
 	"sr3/internal/simnet"
 	"sr3/internal/stream"
 )
@@ -248,17 +249,16 @@ func (s sampledMetrics) WritePrometheus(w io.Writer) error {
 // sampleGauges reads what protection holds in memory on this node — the
 // shard replicas stored here by retained version (a prev that stays up is
 // a publication that never arrived); an owner keeps nothing of its own
-// state — what the raw bodies of 1 MiB and more hold outside the Go heap,
-// which the heap's own metrics do not show, and how often a body was read
-// into a recycled buffer: a steady save cycle hits the raw-body pool on
-// every push after the second.
+// state — what lives outside the Go heap, which the heap's own metrics do
+// not show: raw bodies of 1 MiB and more and the keyed stores' values; and
+// how often a body was read into a recycled buffer.
 func (n *Node) sampleGauges() {
 	cur, prev := n.backend.mgr.ShardBytes()
 	n.reg.Gauge(`sr3_recovery_held_bytes{version="cur"}`).Set(int64(cur))
 	n.reg.Gauge(`sr3_recovery_held_bytes{version="prev"}`).Set(int64(prev))
+	n.reg.Gauge(`sr3_offheap_bytes{use="bodies"}`).Set(offheap.Bodies.Live())
+	n.reg.Gauge(`sr3_offheap_bytes{use="stores"}`).Set(offheap.Stores.Live())
 	pool := n.net.DataPlane().Pool
-	n.reg.Gauge(`sr3_nettransport_offheap_bytes{state="in_use"}`).Set(pool.InUse)
-	n.reg.Gauge(`sr3_nettransport_offheap_bytes{state="pooled"}`).Set(pool.Pooled)
 	hits := n.reg.Counter("sr3_nettransport_raw_pool_hits_total")
 	misses := n.reg.Counter("sr3_nettransport_raw_pool_misses_total")
 	n.sampleMu.Lock()

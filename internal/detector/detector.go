@@ -163,9 +163,12 @@ type suspectMsg struct {
 	Phi    float64
 }
 
-// obituaryMsg gossips a confirmed death verdict.
+// obituaryMsg gossips a confirmed death verdict, with the silence start
+// the declarer measured: a recipient that never tracked the peer has none
+// of its own, and its report may reach the supervisor first.
 type obituaryMsg struct {
-	Target id.ID
+	Target      id.ID
+	SilentSince time.Time
 }
 
 // Detector is the per-node φ-accrual failure detector.
@@ -563,7 +566,7 @@ func (d *Detector) evaluate(now time.Time) {
 			if l == v.target {
 				continue
 			}
-			msg := obituaryMsg{Target: v.target}
+			msg := obituaryMsg{Target: v.target, SilentSince: v.silentSince}
 			_, _ = d.node.Send(l, simnet.Message{Kind: kindObituary, Size: gossipSize, Payload: &msg})
 		}
 		for _, h := range v.hooks {
@@ -622,7 +625,6 @@ func (d *Detector) handleObituary(from id.ID, msg simnet.Message) (simnet.Messag
 	var hooks []func(id.ID)
 	var hooksRep []func(DeathReport)
 	var trans []Transition
-	var silentSince time.Time
 	d.mu.Lock()
 	if !d.dead[req.Target] && req.Target != d.node.ID() {
 		ps := d.peers[req.Target]
@@ -630,9 +632,6 @@ func (d *Detector) handleObituary(from id.ID, msg simnet.Message) (simnet.Messag
 		d.dead[req.Target] = true
 		hooks = append(hooks, d.onDead...)
 		hooksRep = append(hooksRep, d.onDeadRep...)
-		if ps != nil {
-			silentSince = ps.last
-		}
 		trans = append(trans, Transition{
 			Peer: req.Target, From: prev, To: StateDead, At: d.cfg.Now(),
 			Cause: fmt.Sprintf("obituary from %s", from.Short()),
@@ -649,7 +648,7 @@ func (d *Detector) handleObituary(from id.ID, msg simnet.Message) (simnet.Messag
 			rep := DeathReport{
 				Peer:        req.Target,
 				Trace:       d.cfg.Tracer.NewRootContext(),
-				SilentSince: silentSince,
+				SilentSince: req.SilentSince,
 				DetectedAt:  d.cfg.Now(),
 			}
 			for _, h := range hooksRep {

@@ -39,9 +39,9 @@ var helpCatalog = map[string]string{
 	// What protection holds in memory on a cluster node (internal/cluster),
 	// and how its pushes land, sampled at scrape.
 	"sr3_recovery_held_bytes":                "Bytes of shard replicas stored on this node, by retained version: cur is each app's newest, prev the one it superseded (zero once the successor's publication arrived). An owner stores none of its own state.",
-	"sr3_nettransport_raw_pool_hits_total":   "Raw message bodies read into a recycled buffer; in a steady save cycle every push after the second is one.",
-	"sr3_nettransport_raw_pool_misses_total": "Raw message bodies that needed a fresh buffer.",
-	"sr3_nettransport_offheap_bytes":         "Capacity of raw message bodies of 1 MiB and more, mapped outside the Go heap, by state: in_use is being read or kept (a holder's replicas, a recovery's shard bodies until the store is restored), pooled is filed for the next push of its size. Go's heap metrics do not include either.",
+	"sr3_nettransport_raw_pool_hits_total":   "Raw message bodies under 1 MiB read into a recycled buffer.",
+	"sr3_nettransport_raw_pool_misses_total": "Raw message bodies that needed a fresh buffer: every body of 1 MiB and more (a push, a fetch or collect reply) is one.",
+	"sr3_offheap_bytes":                      "Bytes mapped outside the Go heap, by use: bodies are raw message bodies of 1 MiB and more (a holder's replicas, a recovery's shard bodies until the store is restored), stores are the keyed stores' values. Go's heap metrics include neither.",
 	// Cluster node liveness (internal/cluster), present on every member
 	// so a federated scrape always carries at least these families.
 	"sr3_node_up":          "1 while this sr3node process is running (liveness baseline for federation).",

@@ -105,10 +105,10 @@ func (c *BatchConn) ReadBatch() ([]byte, func(), error) {
 	}
 	dst := c.pool.get(int(n))
 	if _, err := c.io.readRaw(dst); err != nil {
-		c.pool.release(dst, true)
+		c.pool.release(dst)
 		return nil, nil, fmt.Errorf("batchconn: body: %w", err)
 	}
-	return dst, func() { c.pool.release(dst, true) }, nil
+	return dst, func() { c.pool.release(dst) }, nil
 }
 
 // PoolStats reports the receive-buffer pool's reuse counters.

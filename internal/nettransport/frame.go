@@ -6,10 +6,11 @@ import (
 	"io"
 	"math/bits"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sr3/internal/offheap"
 )
 
 // The data-plane framing: a message's Raw body travels after the gob
@@ -57,56 +58,29 @@ func grantCount(f int64) int64 {
 // accounting so the bench harness can report the pool's effectiveness.
 // Buffers are filed by size class — class k holds capacities in
 // [2^k, 2^(k+1)) — and a body only ever draws from its own length's class,
-// so a reused buffer is less than twice the body: a share-sized buffer is
-// never handed to (and pinned behind) a 1 KB message.
+// so a reused buffer is less than twice the body.
 //
 // A body of bigBody bytes or more — a holder's share of a state, a fetched
-// shard, a collected batch — is mapped outside the Go heap (mapBig) and
-// unmapped when it is released, so the collector neither counts it towards
-// its goal nor decides when its memory goes. Such a buffer is filed for
-// reuse only when its keeper expects the next body of its size (release
-// with reuse: a holder's superseded push), in the pool's own lists rather
-// than a sync.Pool, whose per-P slots would hide a buffer put back on one P
-// from a get on another: the buffer a superseded version frees must be the
-// one the next push of that state is read into, on whatever goroutine
-// serves it. As in a sync.Pool, a filed buffer that lies unused through two
-// garbage collections goes.
+// shard, a collected batch — is not pooled: it is mapped outside the Go
+// heap at its exact size (offheap.Bodies) and unmapped when it is
+// released, so the collector neither counts it towards its goal nor
+// decides when its memory goes, and no spare of it stays resident for a
+// push that may never come.
 type bufPool struct {
 	classes [bits.UintSize]sync.Pool // bodies under bigBody
 	hits    atomic.Int64
 	misses  atomic.Int64
-
-	mu sync.Mutex
-	// big and aged file bodies of bigBody and up by class: aged is what big
-	// held at the last collection, unmapped at the next one.
-	big, aged map[int][][]byte
-	watching  bool // a gcWatch is armed
-	// allocated is the capacity the big misses mapped; mapped what of it is
-	// not unmapped yet, pooled what of that is filed in big and aged.
-	allocated, mapped, pooled int64
 }
 
-// bigBody is the smallest body the pool maps outside the heap.
+// bigBody is the smallest body mapped outside the heap.
 const bigBody = 1 << 20
 
 // get returns a buffer of length n, reusing one of n's class when its
-// capacity suffices. A fresh big buffer gets headroom — up to an eighth
-// more capacity, never past its class — so a body that grows a little
-// between two uses of the buffer (a holder's share of a state drifting
-// between saves) still lands in it; pages it never touches cost nothing.
+// capacity suffices; a big one is always fresh.
 func (bp *bufPool) get(n int) []byte {
 	if n >= bigBody {
-		if b := bp.takeBig(n); b != nil {
-			bp.hits.Add(1)
-			return b
-		}
-		c := min(n+n/8, 1<<bits.Len(uint(n))-1)
 		bp.misses.Add(1)
-		bp.mu.Lock()
-		bp.allocated += int64(c)
-		bp.mapped += int64(c)
-		bp.mu.Unlock()
-		return mapBig(c)[:n]
+		return offheap.Bodies.Map(n)
 	}
 	if n > 0 {
 		if v := bp.classes[bits.Len(uint(n))-1].Get(); v != nil {
@@ -123,114 +97,29 @@ func (bp *bufPool) get(n int) []byte {
 	return make([]byte, n)
 }
 
-// takeBig removes from n's class a buffer that holds n bytes, the most
-// recently filed first.
-func (bp *bufPool) takeBig(n int) []byte {
-	k := bits.Len(uint(n)) - 1
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	for _, list := range []map[int][][]byte{bp.big, bp.aged} {
-		bufs := list[k]
-		for i := len(bufs) - 1; i >= 0; i-- {
-			if b := bufs[i]; cap(b) >= n {
-				list[k] = append(bufs[:i], bufs[i+1:]...)
-				bp.pooled -= int64(cap(b))
-				return b[:n]
-			}
-		}
-	}
-	return nil
-}
-
-// release ends a body's use. A small buffer always goes back to its class;
-// a big one is filed for the next body of its class when reuse is set, and
-// unmapped at once otherwise.
-func (bp *bufPool) release(b []byte, reuse bool) {
+// release ends a body's use: a small buffer goes back to its class, a big
+// one is unmapped.
+func (bp *bufPool) release(b []byte) {
 	switch {
 	case cap(b) == 0:
 	case cap(b) < bigBody:
 		bp.classes[bits.Len(uint(cap(b)))-1].Put(b[:0])
-	case reuse:
-		bp.file(b[:cap(b)])
 	default:
-		bp.unmap(b)
+		offheap.Bodies.Unmap(b)
 	}
 }
 
-// file keeps a big buffer for the next body of its class.
-func (bp *bufPool) file(b []byte) {
-	pooledBig(b)
-	k := bits.Len(uint(cap(b))) - 1
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if bp.big == nil {
-		bp.big = map[int][][]byte{}
-	}
-	bp.big[k] = append(bp.big[k], b[:0])
-	bp.pooled += int64(cap(b))
-	if !bp.watching {
-		bp.watching = true
-		runtime.SetFinalizer(&gcWatch{bp: bp}, (*gcWatch).collected)
-	}
-}
-
-// unmap gives a big buffer, whole, back to the system.
-func (bp *bufPool) unmap(b []byte) {
-	bp.mu.Lock()
-	bp.mapped -= int64(cap(b))
-	bp.mu.Unlock()
-	unmapBig(b[:cap(b)])
-}
-
-// gcWatch is garbage the moment it is armed: its finalizer runs after the
-// next collection, ages the pool's big buffers and re-arms while any are
-// left — so a pool that holds none is not kept alive by its watch.
-type gcWatch struct{ bp *bufPool }
-
-func (w *gcWatch) collected() {
-	bp := w.bp
-	bp.mu.Lock()
-	stale := bp.aged
-	bp.aged, bp.big = bp.big, nil
-	bp.watching = false
-	for _, bufs := range bp.aged {
-		bp.watching = bp.watching || len(bufs) > 0
-	}
-	for _, bufs := range stale {
-		for _, b := range bufs {
-			bp.pooled -= int64(cap(b))
-			bp.mapped -= int64(cap(b))
-		}
-	}
-	if bp.watching {
-		runtime.SetFinalizer(w, (*gcWatch).collected)
-	}
-	bp.mu.Unlock()
-	for _, bufs := range stale {
-		for _, b := range bufs {
-			unmapBig(b[:cap(b)])
-		}
-	}
-}
-
-// PoolStats reports the raw-buffer pool's hit/miss counters and what its
-// big bodies hold outside the Go heap.
+// PoolStats reports the raw-buffer pool's hit/miss counters: a hit is a
+// body read into a recycled buffer, a miss one that needed a fresh buffer
+// (every big body). What big bodies hold outside the heap is
+// offheap.Bodies'.
 type PoolStats struct {
 	Hits   int64
 	Misses int64
-	// Allocated is the bytes of capacity the misses of big bodies mapped;
-	// smaller bodies are the heap's and show in runtime.MemStats.
-	Allocated int64
-	// InUse is the mapped capacity of big bodies being read or kept, Pooled
-	// that of big buffers filed for the next body of their size.
-	InUse, Pooled int64
 }
 
 func (bp *bufPool) stats() PoolStats {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return PoolStats{Hits: bp.hits.Load(), Misses: bp.misses.Load(), Allocated: bp.allocated,
-		InUse: bp.mapped - bp.pooled, Pooled: bp.pooled}
+	return PoolStats{Hits: bp.hits.Load(), Misses: bp.misses.Load()}
 }
 
 // HitRate returns hits/(hits+misses), or 0 with no traffic.

@@ -5,10 +5,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math/rand"
-	"runtime/debug"
 	"testing"
 
 	"sr3/internal/id"
+	"sr3/internal/offheap"
 	"sr3/internal/simnet"
 )
 
@@ -90,29 +90,18 @@ func TestBufPoolReuse(t *testing.T) {
 		if len(b) != 100 {
 			t.Fatalf("len %d", len(b))
 		}
-		bp.release(b, true)
+		bp.release(b)
 		c := bp.get(70) // a smaller body of the same size class reuses the capacity
 		if len(c) != 70 {
 			t.Fatalf("len %d", len(c))
 		}
-		bp.release(c, true)
+		bp.release(c)
 	}
 	if bp.hits.Load() == 0 {
 		t.Fatal("pool never reused a buffer across 100 put/get pairs")
 	}
-	// A pooled buffer too small for the request is never returned: the
-	// get is a miss no matter what the pool retained.
-	missesBefore := bp.misses.Load()
-	d := bp.get(1 << 20)
-	if len(d) != 1<<20 {
-		t.Fatalf("len %d", len(d))
-	}
-	if bp.misses.Load() != missesBefore+1 {
-		t.Fatalf("oversized get not counted as miss")
-	}
-	bp.release(d, false)
 	// Zero-cap buffers are not pooled.
-	bp.release(nil, true)
+	bp.release(nil)
 	if got := bp.get(8); len(got) != 8 {
 		t.Fatalf("after nil put: len %d", len(got))
 	}
@@ -120,82 +109,36 @@ func TestBufPoolReuse(t *testing.T) {
 
 // TestBufPoolNeverHandsABigBufferToASmallBody: a kept message pins the
 // buffer it was read into, so the pool must not back a 1 KB body with the
-// 12 MB buffer a shard batch left behind — and must still have that buffer
-// for the next batch. Reuse is read off the hit counter: a fresh mapping
-// may land at the address just released.
+// 12 MB buffer a shard batch left behind. It keeps no such buffer at all: a
+// big body is mapped at its exact size, every time, and unmapped at its
+// release.
 func TestBufPoolNeverHandsABigBufferToASmallBody(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no collection ages the pool mid-test
 	const big, small = 12 << 20, 1 << 10
 	var bp bufPool
+	live := offheap.Bodies.Live()
 	b := bp.get(big)
-	bp.release(b, true)
+	if cap(b) != big || offheap.Bodies.Live() != live+big {
+		t.Fatalf("a %d-byte body has cap %d and mapped %d bytes", big, cap(b), offheap.Bodies.Live()-live)
+	}
+	bp.release(b)
+	if offheap.Bodies.Live() != live {
+		t.Fatalf("%d bytes stay mapped after the big body's release", offheap.Bodies.Live()-live)
+	}
 	for _, n := range []int{small, 1, big/2 - 1} {
 		s := bp.get(n)
 		if len(s) != n || cap(s) > 2*n {
 			t.Fatalf("get(%d) returned len %d cap %d, want a buffer of at most twice the body", n, len(s), cap(s))
 		}
-		bp.release(s, true)
+		bp.release(s)
 	}
-	hits := bp.hits.Load()
-	again := bp.get(big - big/4) // same class, a little smaller
-	if bp.hits.Load() != hits+1 {
-		t.Fatal("the big buffer was not reused for a body of its own size class")
-	}
-	if cap(again) > 2*len(again) {
-		t.Fatalf("get(%d) returned cap %d", len(again), cap(again))
-	}
-	bp.release(again, false)
-}
-
-// TestBigBodyLandsInTheBufferItsPredecessorFreed: a share-sized buffer
-// released for reuse on one goroutine is the one the next body of its
-// class is read into, on any goroutine — even one a few KB longer, which
-// the fresh buffer's headroom covers. A buffer nobody took through two
-// collections is unmapped, as a sync.Pool's would be dropped, and so is one
-// released with no reuse expected. Reuse is read off the counters, not the
-// address: a fresh mapping may land where the last one was.
-func TestBigBodyLandsInTheBufferItsPredecessorFreed(t *testing.T) {
-	// The test plays the collections itself: none may age the pool behind
-	// its back.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const share = 6 << 20
-	var bp bufPool
-	first := bp.get(share)
-	mapped := int64(cap(first))
-	done := make(chan struct{})
-	go func() { bp.release(first, true); close(done) }()
-	<-done
-	for i := 1; i <= 8; i++ {
-		hits := bp.hits.Load()
-		got := make(chan []byte)
-		go func() { got <- bp.get(share + i*4096) }()
-		b := <-got
-		if bp.hits.Load() != hits+1 || bp.misses.Load() != 1 {
-			t.Fatalf("body %d, %d bytes longer, was read into a fresh buffer (cap %d, %d misses)",
-				i, i*4096, cap(first), bp.misses.Load())
-		}
-		if s := bp.stats(); s.InUse != mapped || s.Pooled != 0 {
-			t.Fatalf("body %d being read: %d bytes mapped in use, %d pooled; want %d and 0", i, s.InUse, s.Pooled, mapped)
-		}
-		bp.release(b, true)
-	}
-	if s := bp.stats(); s.InUse != 0 || s.Pooled != mapped || s.Allocated != mapped {
-		t.Fatalf("after the last release: %+v, want %d bytes pooled and allocated", s, mapped)
-	}
-	w := &gcWatch{bp: &bp}
-	w.collected()
-	w.collected()
 	misses := bp.misses.Load()
-	b := bp.get(share)
-	bp.mu.Lock()
-	watching := bp.watching
-	bp.mu.Unlock()
-	if bp.misses.Load() != misses+1 || watching {
-		t.Fatalf("a buffer unused through two collections was kept (watching %v)", watching)
+	again := bp.get(big)
+	if bp.misses.Load() != misses+1 || cap(again) != big {
+		t.Fatal("a big body was read into a recycled buffer")
 	}
-	bp.release(b, false)
-	if s := bp.stats(); s.InUse != 0 || s.Pooled != 0 {
-		t.Fatalf("after a release with no reuse: %+v, want nothing mapped", s)
+	bp.release(again)
+	if offheap.Bodies.Live() != live {
+		t.Fatalf("%d bytes stay mapped after every release", offheap.Bodies.Live()-live)
 	}
 }
 

@@ -329,7 +329,7 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 		reqRaw = n.pool.get(req.RawLen)
 		defer func() {
 			if !taken {
-				n.pool.release(reqRaw, false)
+				n.pool.release(reqRaw)
 			}
 		}()
 		frames, err := fio.readRaw(reqRaw)
@@ -346,7 +346,7 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 	}
 	msg.LendRaw(&taken)
 	if reqRaw != nil {
-		msg.SetFree(func(reuse bool) { n.pool.release(reqRaw, reuse) })
+		msg.SetFree(func() { n.pool.release(reqRaw) })
 	}
 	reply, err := h(req.From, msg)
 	// The deadline bounds I/O, not the handler: one that outlived it (an
@@ -494,17 +494,13 @@ func (n *Network) Exchange(addr string, from id.ID, msg simnet.Message, timeout 
 		frames, err := fio.readRaw(buf)
 		n.rawFrames.Add(frames)
 		if err != nil {
-			n.pool.release(buf, false)
+			n.pool.release(buf)
 			return ioErr("raw body", err)
 		}
 		n.rawBytes.Add(int64(reply.RawLen))
 		n.rawMessages.Add(1)
 		out.Raw = buf
-		// Released, a small body is pooled and a big one unmapped: a fetched
-		// shard is read at a recovery and by nothing after it, and filed it
-		// would stay mapped for two collections of a process that may now
-		// make little garbage.
-		out.SetFree(func(bool) { n.pool.release(buf, false) })
+		out.SetFree(func() { n.pool.release(buf) })
 	}
 	return out, nil
 }

@@ -86,10 +86,10 @@ func (m *Manager) handleLineCollect(_ id.ID, msg simnet.Message) (simnet.Message
 	// The metas may alias the sender's memory (in-process transport):
 	// appending must copy, not scribble.
 	metas := append(req.Acc[:len(req.Acc):len(req.Acc)], own...)
-	done := func(bool) {
+	done := func() {
 		unpin()
 		if releaseRaw != nil {
-			releaseRaw(false)
+			releaseRaw()
 		}
 	}
 	lend := func(dead []id.ID) simnet.Message {
@@ -113,14 +113,14 @@ func (m *Manager) handleLineCollect(_ id.ID, msg simnet.Message) (simnet.Message
 	})
 	if err != nil {
 		if req.NoFailover {
-			done(false)
+			done()
 			return simnet.Message{}, fmt.Errorf("line forward to %s: %w: %v", rest[0].Node.Short(), ErrProviderLost, err)
 		}
 		// Dead stage: unwind what we have; the replacement resumes with
 		// these shards and replans the remainder around the dead node.
 		return lend([]id.ID{rest[0].Node}), nil
 	}
-	done(false)
+	done()
 	return resp, nil
 }
 
@@ -171,7 +171,7 @@ func (m *Manager) handleTreeCollect(_ id.ID, msg simnet.Message) (simnet.Message
 	local, unpin := m.heldShards(req.App, req.Tree.Stage.Indices, req.Version)
 	metas, segs, size := shardBatchSegs(local, nil, nil)
 	var children []simnet.Message // the replies whose bodies segs lends
-	done := func(bool) {
+	done := func() {
 		unpin()
 		for i := range children {
 			children[i].ReleaseRaw()
@@ -188,7 +188,7 @@ func (m *Manager) handleTreeCollect(_ id.ID, msg simnet.Message) (simnet.Message
 		})
 		if err != nil {
 			if req.NoFailover {
-				done(false)
+				done()
 				return simnet.Message{}, fmt.Errorf("tree collect from %s: %w: %v", child.Stage.Node.Short(), ErrProviderLost, err)
 			}
 			dead = append(dead, child.Stage.Node)
@@ -197,7 +197,7 @@ func (m *Manager) handleTreeCollect(_ id.ID, msg simnet.Message) (simnet.Message
 		reply, ok := resp.Payload.(*collectReply)
 		if !ok {
 			resp.ReleaseRaw()
-			done(false)
+			done()
 			return simnet.Message{}, fmt.Errorf("recovery: bad tree reply %T", resp.Payload)
 		}
 		metas = append(metas, reply.Shards...)

@@ -3,7 +3,6 @@ package recovery
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,18 +87,15 @@ type held struct {
 
 // replicaSet is the replicas of one app held at one version, and the push
 // bodies they alias. Dropping the set releases the bodies to the transport
-// they were read from (each body's release, from simnet.Message.TakeRaw):
-// for reuse, so the next push of the same size is read into one of them,
-// when that push is due, and freed otherwise — but only once no reply still
-// reads them: a reply that lends a set's bytes pins it, and unpins once it
-// is done with them.
+// they were read from (each body's release, from simnet.Message.TakeRaw),
+// which unmaps them — but only once no reply still reads them: a reply
+// that lends a set's bytes pins it, and unpins once it is done with them.
 type replicaSet struct {
 	version state.Version
 	shards  map[shard.Key]shard.Shard
-	bodies  []func(reuse bool)
+	bodies  []func()
 	pins    int
 	dropped bool
-	reuse   bool // set with dropped: the bodies go back for the next push
 }
 
 func newSet(v state.Version) *replicaSet {
@@ -128,12 +124,12 @@ func (h *held) sets() []*replicaSet {
 }
 
 // drop retires a set: its bodies are released now, or when the last reply
-// reading them unpins it — for reuse or not (caller holds m.mu).
-func (s *replicaSet) drop(reuse bool) {
+// reading them unpins it (caller holds m.mu).
+func (s *replicaSet) drop() {
 	if s == nil {
 		return
 	}
-	s.dropped, s.reuse = true, reuse
+	s.dropped = true
 	s.release()
 }
 
@@ -143,7 +139,7 @@ func (s *replicaSet) release() {
 		return
 	}
 	for _, f := range s.bodies {
-		f(s.reuse)
+		f()
 	}
 	clear(s.bodies)
 	s.bodies = s.bodies[:0]
@@ -366,38 +362,25 @@ func (m *Manager) pushShardBatch(target id.ID, shards []shard.Shard, view, scrat
 	return segs, err
 }
 
-// storeBatch stores the replicas one push delivered. published is the
-// version of the placement the pusher last published or recovered for the
-// app (zero when it knows none). release, when not nil, releases the push
-// body the replicas' Data alias: it runs once every set they joined is
-// dropped and unpinned — at once, not for reuse, if none of them was kept.
-func (m *Manager) storeBatch(shards []shard.Shard, published state.Version, release func(reuse bool)) {
+// storeBatch stores the replicas one push delivered, all of one app at
+// one version (handleStoreBatch refuses any other push), so they join one
+// set or none. published is the version of the placement the pusher last
+// published or recovered for the app (zero when it knows none). release,
+// when not nil, releases the push body the replicas' Data alias: it runs
+// once their set is dropped and unpinned — at once if it kept none.
+func (m *Manager) storeBatch(shards []shard.Shard, published state.Version, release func()) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var into []*replicaSet // the sets the kept replicas joined
+	var set *replicaSet
 	for _, s := range shards {
-		if set := m.storeLocked(s, published); set != nil && !slices.Contains(into, set) {
-			into = append(into, set)
-		}
+		set = m.storeLocked(s, published)
 	}
 	switch {
 	case release == nil:
-	case len(into) == 0:
-		release(false)
+	case set == nil:
+		release()
 	default:
-		// A body split over sets (no correct pusher sends one) goes when
-		// the last of them lets it go; one of them may already have been
-		// dropped by a newer replica later in the same push.
-		left := len(into)
-		share := func(reuse bool) {
-			if left--; left == 0 {
-				release(reuse)
-			}
-		}
-		for _, set := range into {
-			set.bodies = append(set.bodies, share)
-			set.release()
-		}
+		set.bodies = append(set.bodies, release)
 	}
 }
 
@@ -415,10 +398,10 @@ func (m *Manager) storeLocked(s shard.Shard, published state.Version) *replicaSe
 		// version, in which case the newest set is what an aborted save
 		// left behind and the fallback already held is the one to keep.
 		if published == (state.Version{}) || published == h.cur.version {
-			h.prev.drop(true)
+			h.prev.drop()
 			h.prev = h.cur
 		} else {
-			h.cur.drop(true)
+			h.cur.drop()
 		}
 		h.cur = newSet(s.Version)
 	}
@@ -512,15 +495,8 @@ func (m *Manager) hasShardAt(app string, index int, v state.Version) bool {
 // during repair). Both are deleted. Replicas *newer* than p.Version are
 // kept — they belong to a save whose placement has not been published
 // yet, and deleting them would destroy the only copy of in-flight state.
-// Returns (stale, orphans) deletion counts.
-//
-// A stale set's push bodies go back to the transport for reuse (replicaSet)
-// only when the next push of this state will be read into one: p puts as
-// many slots here as the set held. After an adoption or a membership change
-// the slots here moved, and on the owner — whose slots are never pushed —
-// there are none; such bodies are freed as soon as no reply reads them,
-// because a pooled buffer stays mapped for two collections, which a process
-// that makes little garbage runs rarely.
+// Returns (stale, orphans) deletion counts. A stale set's push bodies are
+// unmapped as soon as no reply reads them (replicaSet).
 func (m *Manager) GCShards(app string, p shard.Placement) (stale, orphans int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -529,19 +505,14 @@ func (m *Manager) GCShards(app string, p shard.Placement) (stale, orphans int) {
 		return 0, 0
 	}
 	self := m.node.ID()
-	pushed := 0
-	if p.Owner != self {
-		pushed = len(p.KeysOnNode(self))
-	}
-	retire := func(s *replicaSet) { s.drop(len(s.shards) == pushed) }
 	if h.prev != nil && p.Version.Newer(h.prev.version) {
 		stale += len(h.prev.shards)
-		retire(h.prev)
+		h.prev.drop()
 		h.prev = nil
 	}
 	if p.Version.Newer(h.cur.version) {
 		stale += len(h.cur.shards)
-		retire(h.cur)
+		h.cur.drop()
 		h.cur = newSet(h.cur.version)
 	}
 	if published := h.at(p.Version); published != nil {
@@ -635,12 +606,21 @@ func (m *Manager) handleStoreBatch(_ id.ID, msg simnet.Message) (simnet.Message,
 		return simnet.Message{}, fmt.Errorf("recovery: bad store batch payload %T", msg.Payload)
 	}
 	// The body is kept as it was read — the stored shards are views of it —
-	// and goes back to the transport when their set is dropped.
+	// and goes back to the transport when their set is dropped: one set,
+	// so one app at one version, as every save and repair pushes.
 	raw, release := msg.TakeRaw()
 	shards, err := DecodeShardBatch(req.Metas, raw)
+	if err == nil && len(shards) > 0 {
+		for _, s := range shards[1:] {
+			if s.App != shards[0].App || s.Version != shards[0].Version {
+				err = fmt.Errorf("recovery: store batch mixes %s@%v and %s@%v", shards[0].App, shards[0].Version, s.App, s.Version)
+				break
+			}
+		}
+	}
 	if err != nil {
 		if release != nil {
-			release(false)
+			release()
 		}
 		return simnet.Message{}, err
 	}
@@ -669,9 +649,8 @@ type fetchReply struct {
 // unknown. The shard's data is split off into the reply's raw body, which
 // aliases the stored bytes. A save that supersedes the version while the
 // reply is still being written cannot hurt it: the reply pins the set, so
-// its push body is not released — neither freed nor a later push read into
-// it — until the transport runs the reply's free func, once the bytes are
-// on the wire.
+// its push body is not unmapped until the transport runs the reply's free
+// func, once the bytes are on the wire.
 func (m *Manager) handleFetchIndex(_ id.ID, msg simnet.Message) (simnet.Message, error) {
 	req, ok := msg.Payload.(*fetchIndexRequest)
 	if !ok {
@@ -686,6 +665,6 @@ func (m *Manager) handleFetchIndex(_ id.ID, msg simnet.Message) (simnet.Message,
 	s.Data = nil
 	reply := simnet.Message{Kind: kindAck, Size: msgHeader + len(data),
 		Payload: &fetchReply{Found: true, Shard: s}, Raw: data[:len(data):len(data)]}
-	reply.SetFree(func(bool) { unpin() })
+	reply.SetFree(unpin)
 	return reply, nil
 }

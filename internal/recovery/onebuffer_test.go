@@ -10,6 +10,7 @@ import (
 	"sr3/internal/dht"
 	"sr3/internal/id"
 	"sr3/internal/nettransport"
+	"sr3/internal/offheap"
 	"sr3/internal/shard"
 	"sr3/internal/simnet"
 	"sr3/internal/state"
@@ -41,21 +42,20 @@ func tcpOverlay(t *testing.T, n int) ([]*dht.Node, map[id.ID]*Manager, *nettrans
 	return nodes, mgrs, net
 }
 
-// TestSteadySaveCycleAllocatesNothingStateSized is the write path's
-// allocation guard. A 16 MiB MapStore is saved through its view six times
-// over TCP: the owner cuts shards as ranges of the view and pushes the
-// store's own bytes, so it allocates nothing state-sized on any save; a
-// holder reads each push into the buffer the version before last was read
-// into — back in the transport's pool since the last publication dropped
-// that version — so from the third save on no process allocates anything
-// state-sized: the sum is at most S/16, the owner's part at most S/64 (its
-// first save at most S/32). Owner and holders share this process: the
-// holders' push buffers are mapped outside the heap, so they are what the
-// transport's pool allocated (PoolStats.Allocated), and the heap's
-// TotalAlloc is the owner's (and the holders' small change); the sum of the
-// two is every byte allocated. The "growing" run adds a 4 KiB key before
-// every save, so each push is a little longer than the buffer it reuses
-// was cut for.
+// TestSteadySaveCycleAllocatesNothingStateSized is the write path's guard.
+// A 16 MiB MapStore is saved through its view six times over TCP. The
+// owner cuts shards as ranges of the view and pushes the store's own bytes,
+// so it allocates nothing state-sized on any save: its heap grows by at
+// most S/64 a save (S/32 on the first, which sizes the lists a save
+// reuses), and it holds none of its own state. A holder reads each push
+// into a body mapped at its exact size and keeps it as the replicas; the
+// publication that follows unmaps the version it superseded, so after
+// every publication each holder keeps one push body, of one version, and
+// the mapped bodies are those shares — within one page per body for the
+// frame headers — with no spare beside them. Owner and holders share this
+// process, so the bodies counter is theirs together. The "growing" run adds
+// a 4 KiB key before every save, so each share is a little longer than the
+// last.
 func TestSteadySaveCycleAllocatesNothingStateSized(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bound: the race detector's shadow memory is counted too")
@@ -63,13 +63,14 @@ func TestSteadySaveCycleAllocatesNothingStateSized(t *testing.T) {
 	const S, valueBytes, saves = 16 << 20, 16 << 10, 6
 	for _, grow := range []int{0, 4 << 10} {
 		t.Run(fmt.Sprintf("grow=%d", grow), func(t *testing.T) {
-			nodes, mgrs, tcp := tcpOverlay(t, 3)
+			nodes, mgrs, _ := tcpOverlay(t, 3)
 			owner := nodes[1].ID()
 			mgr := mgrs[owner]
 			// The first save pays for gob's type compilation and the dial path.
 			if _, err := mgr.Save("warm", randomSnapshot(4<<10, 1), 8, 2, mgr.NextVersion(1)); err != nil {
 				t.Fatalf("warm-up save: %v", err)
 			}
+			bodies := offheap.Bodies.Live() // what earlier tests left mapped
 			store := state.NewMapStore()
 			fill := randomSnapshot(S+saves*(valueBytes+grow), 2)
 			value := func(n int) []byte { v := fill[:n]; fill = fill[n:]; return v }
@@ -82,7 +83,6 @@ func TestSteadySaveCycleAllocatesNothingStateSized(t *testing.T) {
 					store.Put(fmt.Sprintf("grow-%d", i), value(grow))
 				}
 				var before, after runtime.MemStats
-				pooled := tcp.DataPlane().Pool.Allocated
 				runtime.ReadMemStats(&before)
 				view, err := store.View()
 				if err != nil {
@@ -95,9 +95,6 @@ func TestSteadySaveCycleAllocatesNothingStateSized(t *testing.T) {
 					t.Fatalf("save %d: %v", i, err)
 				}
 				heap := int(after.TotalAlloc - before.TotalAlloc)
-				holders := int(tcp.DataPlane().Pool.Allocated - pooled)
-				total := heap + holders
-				t.Logf("save %d of %d bytes: %d allocated, %d of it the holders' push buffers", i, view.Len, total, holders)
 				bound := S / 64
 				if i == 1 {
 					bound = S / 32 // also sizes what the view and the pushes reuse: a few slices per key
@@ -105,15 +102,31 @@ func TestSteadySaveCycleAllocatesNothingStateSized(t *testing.T) {
 				if heap > bound {
 					t.Fatalf("save %d: the owner allocated %d bytes, want at most %d", i, heap, bound)
 				}
-				if i >= 3 && total > S/16 {
-					t.Fatalf("save %d allocated %d bytes (%d in push buffers), want at most S/16 = %d once the pool holds a spare",
-						i, total, holders, S/16)
-				}
 				// What the daemon's placement put delivers to every member
 				// (cluster.viewOverlay): the publication notice, on which a
 				// holder drops the version the published one superseded.
 				for _, h := range p.Holders() {
 					mgrs[h].GCShards("app", p)
+				}
+				shares, pushes := 0, 0
+				for nid, m := range mgrs {
+					cur, prev, kept := heldApp(m, "app")
+					switch {
+					case nid == owner && cur+prev != 0:
+						t.Fatalf("save %d: the owner holds %d + %d bytes of its own state", i, cur, prev)
+					case prev != 0 || (cur > 0) != (kept == 1) || kept > 1:
+						t.Fatalf("save %d: a holder keeps %d push bodies for %d + %d bytes of replicas, want one body of one version",
+							i, kept, cur, prev)
+					}
+					shares += cur
+					pushes += kept
+				}
+				mapped := int(offheap.Bodies.Live() - bodies)
+				t.Logf("save %d of %d bytes: owner allocated %d; %d bytes mapped for %d bytes of replicas in %d bodies",
+					i, view.Len, heap, mapped, shares, pushes)
+				if mapped < shares || mapped > shares+pushes*4096 {
+					t.Fatalf("save %d: %d bytes of push bodies mapped for %d bytes of replicas in %d bodies, want the replicas within a page a body",
+						i, mapped, shares, pushes)
 				}
 			}
 			want, err := store.Snapshot()
@@ -128,14 +141,35 @@ func TestSteadySaveCycleAllocatesNothingStateSized(t *testing.T) {
 	}
 }
 
+// heldApp reads what m holds of app: the bytes of its replicas at the
+// newest and the superseded version, and how many push bodies the newest
+// keeps.
+func heldApp(m *Manager, app string) (cur, prev, bodies int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h := m.shards[app]
+	if h == nil {
+		return 0, 0, 0
+	}
+	for _, s := range h.cur.shards {
+		cur += len(s.Data)
+	}
+	if h.prev != nil {
+		for _, s := range h.prev.shards {
+			prev += len(s.Data)
+		}
+	}
+	return cur, prev, len(h.cur.bodies)
+}
+
 // TestFetchReplySurvivesSupersession: a fetch reply aliases the buffer the
 // holder kept when the shard was pushed. Two later saves supersede that
 // version — the holder drops it — after the reply was built and before the
 // transport writes it; the bytes that cross must still be the shard's,
 // checksum and all. Safe because the reply pins the set it reads: a dropped
-// set's push body goes back to the transport's pool — where the next push
-// of its size is read into it — only once the transport has run the
-// reply's free func, after the bytes are on the wire.
+// set's push body is unmapped only once the transport has run the reply's
+// free func, after the bytes are on the wire (under -race it would read
+// poison).
 func TestFetchReplySurvivesSupersession(t *testing.T) {
 	const size, m = 1 << 20, 2 // 512 KiB a shard: several chunk frames
 	nodes, mgrs, _ := tcpOverlay(t, 3)
@@ -191,11 +225,11 @@ func TestFetchReplySurvivesSupersession(t *testing.T) {
 // TestCollectReplySurvivesSupersession is the fetch test's twin for a line
 // collect: the holder builds its stage's reply, which lends its replicas
 // pinned, as a fetch reply does; then three saves supersede the version it
-// read, while the pool hands recycled buffers to later pushes, and the
+// read, each mapping fresh bodies and unmapping what it supersedes, and the
 // bytes that cross must still be the shard's.
 func TestCollectReplySurvivesSupersession(t *testing.T) {
 	const size, m = 1 << 20, 2
-	nodes, mgrs, tcp := tcpOverlay(t, 3)
+	nodes, mgrs, _ := tcpOverlay(t, 3)
 	owner := nodes[1]
 	mgr := mgrs[owner.ID()]
 	want := randomSnapshot(size, 1)
@@ -213,14 +247,13 @@ func TestCollectReplySurvivesSupersession(t *testing.T) {
 	}
 	hnode.HandleDirect(kindLineCollect, func(from id.ID, msg simnet.Message) (simnet.Message, error) {
 		reply, err := hm.handleLineCollect(from, msg)
-		hits := tcp.DataPlane().Pool.Hits
 		for seq := int64(2); seq <= 4; seq++ {
 			if _, err := mgr.Save("app", randomSnapshot(size, seq), m, 2, mgr.NextVersion(seq)); err != nil {
 				return simnet.Message{}, fmt.Errorf("superseding save %d: %w", seq, err)
 			}
 		}
-		if hm.hasShardAt("app", 0, p1.Version) || tcp.DataPlane().Pool.Hits == hits {
-			return simnet.Message{}, fmt.Errorf("no push was read into a recycled buffer — test premise broken")
+		if hm.hasShardAt("app", 0, p1.Version) {
+			return simnet.Message{}, fmt.Errorf("holder still stores %v after three supersessions — test premise broken", p1.Version)
 		}
 		runtime.GC()
 		return reply, err
@@ -275,17 +308,18 @@ func saveStore(t *testing.T, mgr *Manager, store *state.MapStore, m int) shard.P
 // 16 MiB MapStore saved over TCP is recovered by star and restored into a
 // fresh store: the assembler keeps the shard bodies as they lie, and the
 // store parses its records across their boundaries, so one recovery
-// allocates the restored store, the bodies it fetched (mapped as they
-// arrive, unmapped when the view is released) and at most S/16 besides,
-// heap and mapped together — no assembly buffer and no copy of it. A holder
-// adopts with every index held here and fetches nothing; the owner, which
-// stores none of its own slots, fetches it all.
+// allocates the restored store (its slab, mapped outside the heap), the
+// bodies it fetched (mapped as they arrive, unmapped when the view is
+// released) and at most S/16 besides, heap and both mapped uses together —
+// no assembly buffer and no copy of it. A holder adopts with every index
+// held here and fetches nothing; the owner, which stores none of its own
+// slots, fetches it all.
 func TestRecoveryAllocatesOnlyTheStore(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bound: the race detector's shadow memory is counted too")
 	}
 	const S, valueBytes, m = 16 << 20, 16 << 10, 8
-	nodes, mgrs, tcp := tcpOverlay(t, 3)
+	nodes, mgrs, _ := tcpOverlay(t, 3)
 	owner := nodes[1].ID()
 	store := fillStore(S, valueBytes, 2)
 	p := saveStore(t, mgrs[owner], store, m)
@@ -310,7 +344,7 @@ func TestRecoveryAllocatesOnlyTheStore(t *testing.T) {
 	}{{"holder", p.NodesForIndex(0)[0]}, {"owner", owner}} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
-			pool := tcp.DataPlane().Pool
+			bodies, stores, live := offheap.Bodies.Total(), offheap.Stores.Total(), offheap.Bodies.Live()
 			runtime.ReadMemStats(&before)
 			_, v, err := mgrs[tc.adopter].RecoverPlacement(p, Star, DefaultOptions())
 			if err != nil {
@@ -323,22 +357,22 @@ func TestRecoveryAllocatesOnlyTheStore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
-			mapped := int(tcp.DataPlane().Pool.Allocated - pool.Allocated)
-			total := int(after.TotalAlloc-before.TotalAlloc) + mapped
-			// A fresh body is mapped with an eighth of headroom it never
-			// touches.
+			fetchedMapped := int(offheap.Bodies.Total() - bodies)
+			storeMapped := int(offheap.Stores.Total() - stores)
+			total := int(after.TotalAlloc-before.TotalAlloc) + fetchedMapped + storeMapped
 			f := fetched(tc.adopter)
-			bound := len(want) + f + f/8 + S/16
-			t.Logf("recovered %d bytes, %d fetched: %d allocated, %d of it mapped", len(want), f, total, mapped)
+			bound := len(want) + f + S/16
+			t.Logf("recovered %d bytes, %d fetched: %d allocated, %d of it the fetched bodies and %d the store's slab",
+				len(want), f, total, fetchedMapped, storeMapped)
 			if total > bound {
-				t.Fatalf("one recovery allocated %d bytes (%d mapped), want at most the store's %d + the %d fetched + S/16 = %d",
-					total, mapped, len(want), f, bound)
+				t.Fatalf("one recovery allocated %d bytes (%d mapped bodies, %d mapped store), want at most the store's %d + the %d fetched + S/16 = %d",
+					total, fetchedMapped, storeMapped, len(want), f, bound)
 			}
 			if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("restored %d bytes (err %v), not the saved store", len(got), err)
 			}
-			if inUse := tcp.DataPlane().Pool.InUse; inUse != pool.InUse {
-				t.Fatalf("%d mapped bytes in use after the view's release, %d before the recovery", inUse, pool.InUse)
+			if after := offheap.Bodies.Live(); after != live {
+				t.Fatalf("%d body bytes mapped after the view's release, %d before the recovery", after, live)
 			}
 		})
 	}
@@ -355,7 +389,7 @@ func TestRecoveryAllocatesOnlyTheStore(t *testing.T) {
 // poison (race build).
 func TestRecoveredViewSurvivesSupersession(t *testing.T) {
 	const S, valueBytes, m = 4 << 20, 16 << 10, 2 // 2 MiB shards: mapped bodies
-	nodes, mgrs, tcp := tcpOverlay(t, 3)
+	nodes, mgrs, _ := tcpOverlay(t, 3)
 	store := fillStore(S, valueBytes, 1)
 	p1 := saveStore(t, mgrs[nodes[1].ID()], store, m)
 	want, err := store.Snapshot()
@@ -374,7 +408,7 @@ func TestRecoveredViewSurvivesSupersession(t *testing.T) {
 	if am.hasShardAt("app", 0, p1.Version) {
 		t.Fatalf("the adopter still stores %v after publishing its successor — test premise broken", p1.Version)
 	}
-	inUse := tcp.DataPlane().Pool.InUse
+	inUse := offheap.Bodies.Live()
 	runtime.GC()
 	restored := state.NewMapStore()
 	err = restored.RestoreView(v)
@@ -385,7 +419,7 @@ func TestRecoveredViewSurvivesSupersession(t *testing.T) {
 	if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("restored %d bytes (err %v), not the state saved at %v", len(got), err, p1.Version)
 	}
-	if after := tcp.DataPlane().Pool.InUse; after >= inUse {
+	if after := offheap.Bodies.Live(); after >= inUse {
 		t.Fatalf("%d mapped bytes in use after the view's release, %d before: the retired body was not freed", after, inUse)
 	}
 }
@@ -434,6 +468,36 @@ func TestOwnerStoresNoneOfItsOwnSlots(t *testing.T) {
 	}
 	if cur, prev := m.ShardBytes(); cur != 0 || prev != 0 || pushes != 0 {
 		t.Fatalf("after a published save: cur %d prev %d bytes held, %d pushes to itself; want nothing", cur, prev, pushes)
+	}
+}
+
+// TestMixedStoreBatchIsRefused: a push body is kept by the one replica set
+// its replicas join, so a push whose replicas span two apps or two versions
+// — which no save or repair sends — would join two sets with one release.
+// It is refused: nothing is stored and its body is released at once.
+func TestMixedStoreBatchIsRefused(t *testing.T) {
+	m := NewManager(&soloOverlay{self: id.HashKey("solo"), handlers: map[string]simnet.Handler{}})
+	split := func(app string, n uint64) []shard.Shard {
+		ss, err := shard.Split(app, id.HashKey("owner"), bytes.Repeat([]byte{byte(n)}, 64), 2, state.Version{Timestamp: int64(n), Seq: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss
+	}
+	for name, push := range map[string][]shard.Shard{
+		"two versions": {split("app", 1)[0], split("app", 2)[1]},
+		"two apps":     {split("app", 1)[0], split("other", 1)[1]},
+	} {
+		metas, segs, _ := shardBatchSegs(push, nil, nil)
+		released := 0
+		msg := simnet.Message{Kind: kindStoreBatch, Payload: &storeBatchMsg{Metas: metas}, Raw: bytes.Join(segs, nil)}
+		msg.SetFree(func() { released++ })
+		if _, err := m.handleStoreBatch(id.HashKey("owner"), msg); err == nil {
+			t.Fatalf("%s: a mixed push was stored", name)
+		}
+		if released != 1 || m.ShardCount() != 0 {
+			t.Fatalf("%s: body released %d times, %d replicas stored; want once and none", name, released, m.ShardCount())
+		}
 	}
 }
 

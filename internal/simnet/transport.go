@@ -61,7 +61,7 @@ type Message struct {
 	// free releases a transport-owned buffer backing Raw, or tells a
 	// handler that lent Raw in a reply that it is done with (SetFree); nil
 	// when Raw is caller-owned.
-	free func(reuse bool)
+	free func()
 	// taken is where TakeRaw tells the transport serving this request that
 	// the handler kept Raw. Set by transports via LendRaw; nil when Raw is
 	// not the transport's to recycle.
@@ -75,9 +75,8 @@ func (m *Message) SetTrace(traceID, spanID uint64) {
 
 // SetFree attaches the func that runs once Raw is no longer read: the
 // release of a transport-owned buffer, or a handler's release of bytes it
-// lent a reply. reuse says whether the keeper expects another body of this
-// size (see TakeRaw).
-func (m *Message) SetFree(f func(reuse bool)) { m.free = f }
+// lent a reply.
+func (m *Message) SetFree(f func()) { m.free = f }
 
 // ReleaseRaw releases the Raw buffer to its owning transport (if any) and
 // clears Raw. The final consumer of a message calls it once nothing reads
@@ -86,7 +85,7 @@ func (m *Message) ReleaseRaw() {
 	_, free := m.TakeRaw()
 	m.Raw, m.RawSegs = nil, nil
 	if free != nil {
-		free(false)
+		free()
 	}
 }
 
@@ -99,11 +98,9 @@ func (m *Message) LendRaw(taken *bool) { m.taken = taken }
 // as it likes (read-only still: a sender in the same process may hold the
 // same bytes), together with the body's release when a transport owns it:
 // the transport no longer releases the buffer itself, and the keeper calls
-// release — once, when nothing reads the bytes any more — with reuse set
-// to hand it back for the next body of its size, or clear when it expects
-// none, which lets the transport free a big buffer at once. release is nil
-// for a body no transport owns; such a buffer is the garbage collector's.
-func (m *Message) TakeRaw() (raw []byte, release func(reuse bool)) {
+// release once, when nothing reads the bytes any more. release is nil for
+// a body no transport owns; such a buffer is the garbage collector's.
+func (m *Message) TakeRaw() (raw []byte, release func()) {
 	if m.taken != nil {
 		*m.taken = true
 	}

@@ -170,15 +170,15 @@ func TestCallJoinsSegmentsIntoAReceiverOwnedBody(t *testing.T) {
 // TestTakeRawDetachesALentBuffer: a transport that lends a request's buffer
 // learns that the handler took it, and the handler gets the buffer itself
 // — spare capacity and all, never a copy — with the transport's release,
-// which is now the handler's to run, and which hears whether the keeper
-// wants the buffer reused. A body no transport owns comes with no release.
+// which is now the handler's to run, once. A body no transport owns comes
+// with no release.
 func TestTakeRawDetachesALentBuffer(t *testing.T) {
 	for _, buf := range [][]byte{[]byte("exact-size body"), make([]byte, 8, 64)} {
 		var taken bool
-		var released []bool
+		released := 0
 		msg := Message{Raw: buf}
 		msg.LendRaw(&taken)
-		msg.SetFree(func(reuse bool) { released = append(released, reuse) })
+		msg.SetFree(func() { released++ })
 		handed := msg // a handler gets the message by value
 		got, release := handed.TakeRaw()
 		if &got[0] != &buf[0] || cap(got) != cap(buf) || !taken || release == nil {
@@ -186,12 +186,12 @@ func TestTakeRawDetachesALentBuffer(t *testing.T) {
 				cap(buf), &got[0] == &buf[0], cap(got), taken, release != nil)
 		}
 		handed.ReleaseRaw() // the taker's copy no longer releases anything
-		if len(released) != 0 {
+		if released != 0 {
 			t.Fatal("ReleaseRaw after TakeRaw released the taken buffer")
 		}
-		release(true)
-		if len(released) != 1 || !released[0] {
-			t.Fatalf("the release ran the transport's free as %v, want once, for reuse", released)
+		release()
+		if released != 1 {
+			t.Fatalf("the release ran the transport's free %d times, want once", released)
 		}
 	}
 

@@ -122,9 +122,20 @@ func (v Version) String() string { return fmt.Sprintf("v%d.%d", v.Timestamp, v.S
 // MapStore is the in-memory hashtable state used by most of the paper's
 // applications (Table 1 row "SR3": hashtable, in-memory). Safe for
 // concurrent use.
+//
+// Its values live outside the Go heap, in a slab of size-classed slots
+// (slab.go): the collector neither scans nor doubles them, and the store
+// is one resident copy of its bytes. The map's value slices point into the
+// slab, so no value slice leaves the store except under a lease: Get and
+// Snapshot copy, View lends them until Release and writers wait for it,
+// and a Put that changes a value's length or a Delete frees its slot. A
+// caller that kept a slice past that would read reused or unmapped memory
+// (poison under the race detector). The slab is unmapped when the store is
+// collected, or replaced whole by RestoreView.
 type MapStore struct {
 	mu   sync.RWMutex
-	data map[string][]byte
+	data map[string][]byte // values are slots of vals
+	vals *slab
 	size int
 
 	// viewMu is held for the life of a view, and guards the buffers View
@@ -147,7 +158,7 @@ var _ Store = (*MapStore)(nil)
 
 // NewMapStore returns an empty hashtable store.
 func NewMapStore() *MapStore {
-	return &MapStore{data: make(map[string][]byte)}
+	return &MapStore{data: make(map[string][]byte), vals: newSlab()}
 }
 
 // Put inserts or replaces a key.
@@ -163,10 +174,13 @@ func (m *MapStore) Put(key string, value []byte) {
 		copy(old, value)
 		return
 	}
+	v := m.vals.alloc(len(value))
+	copy(v, value)
 	if ok {
 		m.size -= len(key) + len(old)
+		m.vals.free(old)
 	}
-	m.data[key] = append([]byte(nil), value...)
+	m.data[key] = v
 	m.size += len(key) + len(value)
 }
 
@@ -188,6 +202,7 @@ func (m *MapStore) Delete(key string) {
 	if old, ok := m.data[key]; ok {
 		m.size -= len(key) + len(old)
 		delete(m.data, key)
+		m.vals.free(old)
 	}
 }
 
@@ -306,12 +321,30 @@ func (m *MapStore) Restore(data []byte) error { return m.RestoreView(ViewOf(data
 
 // RestoreView replaces contents from a view, parsing records across its
 // segment boundaries: a key or value may start in one shard body and end in
-// the next. Each value is copied once, into the buffer the store keeps.
+// the next. Each value is copied once, into a fresh slab that replaces the
+// store's; the old slab is unmapped whole.
 func (m *MapStore) RestoreView(v View) error {
+	vals := newSlab()
+	fresh, size, err := readMap(v, vals)
+	if err != nil {
+		vals.release()
+		return err
+	}
+	m.mu.Lock()
+	old := m.vals
+	m.data, m.vals, m.size = fresh, vals, size
+	m.mu.Unlock()
+	old.release()
+	return nil
+}
+
+// readMap parses a MapStore's serialized form into a map whose values are
+// slots of vals, and returns it with its size.
+func readMap(v View, vals *slab) (map[string][]byte, int, error) {
 	r := newViewReader(v)
 	var hdr [8]byte
 	if !r.read(hdr[:]) {
-		return ErrTooShort
+		return nil, 0, ErrTooShort
 	}
 	n := binary.BigEndian.Uint64(hdr[:])
 	// Every record takes at least its two length prefixes, so the count
@@ -322,31 +355,27 @@ func (m *MapStore) RestoreView(v View) error {
 	for i := uint64(0); i < n; i++ {
 		kn, ok := r.length()
 		if !ok {
-			return ErrTooShort
+			return nil, 0, ErrTooShort
 		}
 		key = slices.Grow(key[:0], kn)[:kn]
 		if !r.read(key) {
-			return ErrTooShort
+			return nil, 0, ErrTooShort
 		}
 		vn, ok := r.length()
 		if !ok {
-			return ErrTooShort
+			return nil, 0, ErrTooShort
 		}
-		val := make([]byte, vn)
+		val := vals.alloc(vn)
 		if !r.read(val) {
-			return ErrTooShort
+			return nil, 0, ErrTooShort
 		}
 		fresh[string(key)] = val
 		size += kn + vn
 	}
 	if r.left != 0 {
-		return fmt.Errorf("map restore: %d trailing bytes: %w", r.left, ErrCorrupt)
+		return nil, 0, fmt.Errorf("map restore: %d trailing bytes: %w", r.left, ErrCorrupt)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.data = fresh
-	m.size = size
-	return nil
+	return fresh, size, nil
 }
 
 // viewReader reads a view's bytes in order across its segments.

@@ -420,21 +420,27 @@ func (s *Supervisor) handleDeath(v verdict) {
 	// the detect window and the queue wait recorded retroactively as its
 	// first children. Duplicate verdicts for the same death (every
 	// detector declares it) are dropped above before touching the trace,
-	// so exactly one root gets records.
+	// so exactly one root gets records. The verdict's times are read off
+	// the detector's clock and the trace may run on another (a test's
+	// virtual one), so the two windows keep their lengths and end on the
+	// tracer's clock, now.
 	tr := s.cfg.Tracer
 	var root *obs.Span
 	if v.trace.Valid() {
-		start := v.silentSince
-		if start.IsZero() {
-			start = v.at
+		wait := max(s.cfg.Now().Sub(v.at), 0)
+		var silence time.Duration
+		if !v.silentSince.IsZero() {
+			silence = v.at.Sub(v.silentSince)
 		}
-		root = tr.StartRootAt(v.trace, obs.PhaseSelfHeal, start)
+		end := tr.Now()
+		at := end.Add(-wait)
+		root = tr.StartRootAt(v.trace, obs.PhaseSelfHeal, at.Add(-silence))
 		root.SetStr("node", v.node.Short())
 		if !v.silentSince.IsZero() {
-			tr.RecordSpan(v.trace, obs.PhaseDetect, v.silentSince, v.at,
+			tr.RecordSpan(v.trace, obs.PhaseDetect, at.Add(-silence), at,
 				obs.Str("peer", v.node.Short()))
 		}
-		tr.RecordSpan(v.trace, obs.PhaseEnqueue, v.at, tr.Now())
+		tr.RecordSpan(v.trace, obs.PhaseEnqueue, at, end)
 	}
 	rootCtx := root.Ctx()
 

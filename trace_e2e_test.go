@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"sr3/internal/obs"
 )
 
 // TestSupervisedRuntimeEmitsConnectedTrace drives the full production
@@ -12,10 +14,15 @@ import (
 // the SR3 backend, the DHT node owning the task's state is killed, and
 // the φ-accrual detector → supervisor → backend recovery → input-log
 // replay pipeline must heal the task while emitting ONE connected
-// distributed trace that includes the replay phase.
+// distributed trace that includes the replay phase. The tracer runs on a
+// virtual clock that advances with every reading, so each span lasts at
+// least a tick and nests by the order of events, however the scheduler
+// stretches them; the detector keeps the wall clock, and its silence
+// window keeps its measured length.
 func TestSupervisedRuntimeEmitsConnectedTrace(t *testing.T) {
 	collector := NewTraceCollector()
-	f, err := New(Config{Nodes: 32, Seed: 79, Tracer: NewTracer(collector)})
+	tracer := NewTracer(collector, WithTraceClock(obs.StepClock(time.Unix(1000, 0), time.Millisecond)))
+	f, err := New(Config{Nodes: 32, Seed: 79, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
