@@ -17,7 +17,7 @@ import (
 // strings). The Framework runs the whole substrate in one process; for
 // the multi-process deployment of the same Save/Recover/Protect
 // contract — real daemons, TCP scatter, star fetch across processes —
-// see StartNode and cmd/sr3node (node.go).
+// see cmd/sr3node and internal/cluster.
 
 // StateSplit partitions a state into numberOfShards shards and creates
 // numberOfReplicas replicas of each — Table 2 StateSplit. The returned

@@ -2,8 +2,8 @@
 // tuples/sec, on two axes. The wire axis streams tuples over a
 // persistent loopback TCP connection — per-tuple gob frames (the
 // pre-batching inter-task codec) against EncodeTupleBatch frames on the
-// chunked, credit-windowed BatchConn data plane — and its committed
-// artifact gates the headline batching speedup. The runtime axis runs the full
+// chunked BatchConn data plane — and its committed artifact gates the
+// headline batching speedup. The runtime axis runs the full
 // rig's in-process topology (preloaded seq spout → keyed count → dedupe
 // sink) on the runtime's one tuple plane, asserting the accounting and
 // exactly-once invariants on the way out.
@@ -159,7 +159,7 @@ func loopbackPair() (client, server net.Conn, err error) {
 // The gob baseline reproduces the pre-batching inter-task path: one gob
 // frame per tuple through a persistent encoder. The batch path encodes
 // spec.Batch tuples per EncodeTupleBatch frame into a reused buffer and
-// ships it over the credit-windowed BatchConn.
+// ships it over the chunked BatchConn.
 func runWireCell(spec ThroughputCellSpec) (ThroughputCell, error) {
 	cell := ThroughputCell{Kind: spec.Kind, Codec: spec.Codec, Batch: spec.Batch, Tuples: int64(spec.Tuples)}
 	if spec.Tuples <= 0 {

@@ -44,7 +44,7 @@ type TraceReport struct {
 // tracePhaseOrder fixes the breakdown column order (pipeline order).
 var tracePhaseOrder = []string{
 	obs.PhaseDetect, obs.PhaseEnqueue, obs.PhasePlan, obs.PhaseFetch,
-	obs.PhaseCollect, obs.PhaseMerge, obs.PhaseStall, obs.PhaseReplay,
+	obs.PhaseCollect, obs.PhaseMerge, obs.PhaseReplay,
 	obs.PhaseSave, obs.PhaseReprotect,
 }
 

@@ -205,7 +205,7 @@ func New(node *dht.Node, cfg Config) *Detector {
 	node.HandleDirect(kindProbe, d.handleProbe)
 	node.HandleDirect(kindSuspect, d.handleSuspect)
 	node.HandleDirect(kindObituary, d.handleObituary)
-	// Liveness hook: when an upper layer (Scribe, recovery, the
+	// Liveness hook: when an upper layer (recovery, the
 	// maintenance loop) reports a peer unreachable, fast-path the
 	// detector's attention to it instead of waiting for φ to accrue.
 	node.OnPeerDown(d.Hint)

@@ -67,10 +67,6 @@ var (
 	ErrNotFound  = errors.New("dht: key not found")
 )
 
-// DeliverFunc handles an application message routed to this node (it is the
-// root for msg key). It returns the application reply.
-type DeliverFunc func(key id.ID, msg simnet.Message) (simnet.Message, error)
-
 // Node is one overlay participant.
 type Node struct {
 	id  id.ID
@@ -86,10 +82,9 @@ type Node struct {
 	leafCW   []id.ID // successors, ascending clockwise distance
 	leafCCW  []id.ID // predecessors, ascending counter-clockwise distance
 
-	deliver map[string]DeliverFunc
-	direct  map[string]DirectFunc
-	kv      map[string][]byte
-	joined  bool
+	direct map[string]DirectFunc
+	kv     map[string][]byte
+	joined bool
 
 	// peerDown hooks fire when an upper layer reports a peer unreachable
 	// via ReportDead. They are liveness *hints*, not verdicts: the φ-accrual
@@ -103,7 +98,7 @@ type Node struct {
 }
 
 // DirectFunc handles a point-to-point message addressed to this node by an
-// upper layer (e.g. Scribe tree maintenance, shard pushes). It is the
+// upper layer (e.g. shard pushes, recovery collects). It is the
 // transport's handler type, so layers written against an interface (the
 // recovery layer's Overlay) name it without importing dht.
 type DirectFunc = simnet.Handler
@@ -117,7 +112,6 @@ func NewNode(nid id.ID, net simnet.Transport, cfg Config) (*Node, error) {
 		net:      net,
 		cfg:      cfg.withDefaults(),
 		leafCand: make(map[id.ID]bool),
-		deliver:  make(map[string]DeliverFunc),
 		direct:   make(map[string]DirectFunc),
 		kv:       make(map[string][]byte),
 	}
@@ -129,14 +123,6 @@ func NewNode(nid id.ID, net simnet.Transport, cfg Config) (*Node, error) {
 
 // ID returns the node's overlay identifier.
 func (n *Node) ID() id.ID { return n.id }
-
-// HandleDelivered installs the handler for routed messages of one kind
-// (invoked on the node that is the root for the message key).
-func (n *Node) HandleDelivered(kind string, f DeliverFunc) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.deliver[kind] = f
-}
 
 // HandleDirect installs the handler for point-to-point messages of one
 // kind sent with Send.
@@ -180,13 +166,6 @@ func (n *Node) OnPeerDown(f func(peer id.ID)) {
 // reachable. Upper layers use it to re-validate membership snapshots
 // (e.g. a placement about to be published) against churn.
 func (n *Node) PeerAlive(other id.ID) bool { return n.net.Alive(other) }
-
-// NextHop exposes the routing decision for key: the next overlay hop, or
-// deliverHere == true when this node is the root. Upper layers that build
-// per-hop structures (Scribe trees) use this.
-func (n *Node) NextHop(key id.ID) (next id.ID, deliverHere bool) {
-	return n.nextHop(key)
-}
 
 // Bootstrap makes this node the first member of a new overlay.
 func (n *Node) Bootstrap() {

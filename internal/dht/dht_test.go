@@ -264,28 +264,6 @@ func TestRouteBeforeJoin(t *testing.T) {
 	}
 }
 
-func TestDeliverHook(t *testing.T) {
-	r := buildRing(t, 30, 37)
-	key := id.HashKey("topic")
-	root, _ := r.ClosestLive(key)
-	called := false
-	r.nodes[root].HandleDelivered("app.msg", func(k id.ID, msg simnet.Message) (simnet.Message, error) {
-		called = true
-		if k != key {
-			t.Errorf("delivered key %s, want %s", k.Short(), key.Short())
-		}
-		return simnet.Message{Kind: "app.reply", Size: 10, Payload: "ok"}, nil
-	})
-	sender := r.nodes[r.order[0]]
-	reply, gotRoot, _, err := sender.Route(key, simnet.Message{Kind: "app.msg", Size: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !called || gotRoot != root || reply.Payload != "ok" {
-		t.Fatalf("deliver hook not exercised correctly (called=%v root=%s)", called, gotRoot.Short())
-	}
-}
-
 func TestMaintenanceGeneratesBoundedTraffic(t *testing.T) {
 	r := buildRing(t, 64, 41)
 	r.Net.ResetTraffic()

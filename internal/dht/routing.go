@@ -84,19 +84,13 @@ func (n *Node) routeStep(req *routeRequest) (*routeReply, error) {
 	return nil, fmt.Errorf("route %s from %s: %w", req.Key.Short(), n.id.Short(), ErrNoRoute)
 }
 
-// deliverLocal hands the message to the built-in KV handler or the
-// application deliver hook.
+// deliverLocal serves a message routed to this node, the key's root. Only
+// the KV store routes; any other kind is an error.
 func (n *Node) deliverLocal(key id.ID, msg simnet.Message) (simnet.Message, error) {
-	if isKVKind(msg.Kind) {
-		return n.handleKV(key, msg)
+	if !isKVKind(msg.Kind) {
+		return simnet.Message{}, fmt.Errorf("dht: node %s cannot deliver routed %q", n.id.Short(), msg.Kind)
 	}
-	n.mu.RLock()
-	deliver := n.deliver[msg.Kind]
-	n.mu.RUnlock()
-	if deliver == nil {
-		return simnet.Message{}, fmt.Errorf("dht: node %s has no deliver handler for %q", n.id.Short(), msg.Kind)
-	}
-	return deliver(key, msg)
+	return n.handleKV(key, msg)
 }
 
 // nextHop implements the Pastry routing decision (paper §3.2, routing

@@ -184,7 +184,7 @@ func validatePayload(v any, depth int) error {
 			return fmt.Errorf("%w: kv reply", ErrMalformed)
 		}
 	default:
-		// Not a DHT payload: upper layers (recovery, Scribe, detector)
+		// Not a DHT payload: upper layers (recovery, detector)
 		// validate their own types in their handlers.
 	}
 	return nil

@@ -29,7 +29,6 @@ var helpCatalog = map[string]string{
 	"sr3_dht_leaf_repairs_total":      "Leaf-set repair requests issued to refill depleted halves.",
 	"sr3_dht_stored_bytes":            "Bytes of KV state (root copies and replicas) held by this node.",
 	"sr3_dht_stored_keys":             "KV records (state shards, placements) held by this node.",
-	"sr3_scribe_repairs_total":        "Multicast-tree re-join attempts after a parent death.",
 	"sr3_net_dials_total":             "TCP dials, one per request/reply exchange (the transport never retries a dial).",
 	"sr3_net_dial_failures_total":     "Exchanges whose one dial failed (peer unreachable).",
 	"sr3_net_io_timeouts_total":       "Request/reply exchanges aborted by the I/O deadline.",
@@ -68,7 +67,6 @@ var helpRules = []helpRule{
 	{"sr3_stream_task_", "_shed_total", "Data tuples dropped at this task's queue by shed policy or degraded-mode admission."},
 	{"sr3_stream_task_", "_emit_block_wait_ns", "Per-push wait on this task's full bounded queue in nanoseconds."},
 	{"sr3_dht_msg_", "_total", "Inbound overlay messages of this kind handled by the node."},
-	{"sr3_scribe_msg_", "_total", "Inbound Scribe multicast messages of this kind handled by the layer."},
 	{"sr3_phase_", "_ns", "Recovery-pipeline phase latency in nanoseconds (one histogram per phase)."},
 	{"sr3_phase_", "_total", "Recovery-pipeline phase completions."},
 	// Cross-process flow edges (internal/cluster): the name embeds the

@@ -18,18 +18,15 @@ const MaxBatchBytes = 64 << 20
 
 // BatchConn carries length-delimited binary bodies — in SR3, encoded
 // tuple batches (stream.EncodeTupleBatch frames) — over one connection
-// using the same chunked, credit-windowed data plane as the transport's
-// raw message path. Each body is a uvarint length header followed by
-// the body bytes on the raw-body chunk grid, so bodies larger than the
-// credit window stream without unbounded receiver buffering.
+// using the same chunked data plane as the transport's raw message path.
+// Each body is a uvarint length header followed by the body bytes on the
+// raw-body chunk grid, read into one buffer of the announced length.
 //
-// A BatchConn is directional: one endpoint writes, the peer reads
-// (credit grants flow back over the same connection, so interleaving
-// both roles on one connection would corrupt the stream). WriteBatch
-// accepts multiple segments and hands each chunk to the kernel as a
-// single writev, the length header riding in the first — callers can
-// send a pooled header and a pooled payload without gluing them
-// together first, and a body that fits one chunk costs one syscall.
+// A BatchConn is directional: one endpoint writes, the peer reads.
+// WriteBatch accepts multiple segments and hands each chunk to the kernel
+// as a single writev, the length header riding in the first — callers can
+// send a pooled header and a pooled payload without gluing them together
+// first, and a body that fits one chunk costs one syscall.
 type BatchConn struct {
 	conn net.Conn
 	r    *bufio.Reader

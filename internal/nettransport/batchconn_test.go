@@ -69,18 +69,17 @@ func splitRandomly(rng *rand.Rand, body []byte) [][]byte {
 }
 
 // TestWriteRawVecMatchesWriteRaw: for bodies crossing every framing
-// boundary — sub-chunk, exact grid, window-filling, multi-credit — the
+// boundary — sub-chunk, exact grid, many chunks with a ragged tail — the
 // vectored writer must put on the wire the byte stream of the joined
-// body, decoded by an unchanged readRaw with the credit schedule running
-// concurrently.
+// body, decoded by an unchanged readRaw.
 func TestWriteRawVecMatchesWriteRaw(t *testing.T) {
 	sizes := []int{
 		1,
 		DefaultChunkSize - 1,
 		DefaultChunkSize,
 		DefaultChunkSize + 1,
-		windowFrames * DefaultChunkSize, // fills the window
-		(windowFrames+creditEvery)*DefaultChunkSize + 7, // credit stalls + ragged tail
+		32 * DefaultChunkSize,
+		48*DefaultChunkSize + 7, // ragged tail
 	}
 	rng := rand.New(rand.NewSource(11))
 	for _, size := range sizes {

@@ -216,9 +216,9 @@ func serveOne(t *testing.T, n *Network, h simnet.Handler) string {
 }
 
 // TestSegmentedBodyCrossesAsItsConcatenation: RawSegs is written vectored
-// on the same chunk grid and credit schedule as the joined body would be,
-// so the receiver reads one Raw — at sizes on both sides of a chunk, of
-// the credit window, and with segment edges that fall inside chunks.
+// on the same chunk grid as the joined body would be, so the receiver
+// reads one Raw — at sizes on both sides of a chunk, across many chunks,
+// and with segment edges that fall inside chunks.
 func TestSegmentedBodyCrossesAsItsConcatenation(t *testing.T) {
 	n := New()
 	var got []byte
@@ -233,7 +233,7 @@ func TestSegmentedBodyCrossesAsItsConcatenation(t *testing.T) {
 		{4, 0, 1},
 		{4, DefaultChunkSize - 4, 4, 10},
 		{4, DefaultChunkSize + 1, 4, DefaultChunkSize - 1},
-		{4, (windowFrames + 1) * DefaultChunkSize, 4, 3*creditEvery*DefaultChunkSize + 17},
+		{4, 33 * DefaultChunkSize, 4, 48*DefaultChunkSize + 17},
 	} {
 		var segs [][]byte
 		var want []byte

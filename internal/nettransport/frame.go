@@ -14,45 +14,20 @@ import (
 )
 
 // The data-plane framing: a message's Raw body travels after the gob
-// header as a sequence of fixed-size chunk frames under a credit-based
-// flow-control window, instead of being gob-encoded inside the payload.
-// Chunking gives three things gob cannot: the sender writes straight from
-// the source slice (no serialization copy), the receiver reads straight
-// into the destination buffer (one pooled allocation for the whole body,
-// zero per-chunk allocations), and the per-frame deadline refresh makes
-// the I/O timeout an idle timeout rather than a whole-transfer budget.
+// header as a sequence of fixed-size chunk frames, instead of being
+// gob-encoded inside the payload. Chunking gives three things gob cannot:
+// the sender writes straight from the source slice (no serialization
+// copy), the receiver reads straight into the destination buffer (one
+// buffer for the whole body, taken before the first byte, no allocation
+// per chunk), and the per-frame deadline refresh makes the I/O timeout an
+// idle timeout rather than a whole-transfer budget.
 //
-// The credit schedule is deterministic on both sides: the total length is
-// announced in the gob header, so sender and receiver agree on the exact
-// number of grants (no trailing credit bytes to desynchronize the next
-// gob frame on the connection).
-const (
-	// DefaultChunkSize is the frame payload size for raw bodies.
-	DefaultChunkSize = 64 << 10
-	// windowFrames is the sender's credit window: at most this many
-	// frames may be unacknowledged in flight, bounding receiver-side
-	// buffering to windowFrames×DefaultChunkSize regardless of body size.
-	windowFrames = 32
-	// creditEvery is how many consumed frames earn one credit grant. Each
-	// grant refills creditEvery slots of the window, so acks amortize to
-	// one byte per creditEvery frames while the pipe stays full.
-	creditEvery = 16
-)
+// There is no flow control above TCP's: the receiver reads into a buffer
+// of the announced length, so the only bytes in between are the kernel's
+// socket buffers, which TCP's receive window already bounds.
 
-// frameCount returns the number of chunk frames for a body of n bytes.
-func frameCount(n int) int64 {
-	return (int64(n) + DefaultChunkSize - 1) / DefaultChunkSize
-}
-
-// grantCount returns how many credit grants a body of f frames requires —
-// one per window stall the sender hits. Both ends compute it so every
-// credit byte written is read.
-func grantCount(f int64) int64 {
-	if f <= windowFrames {
-		return 0
-	}
-	return (f-windowFrames-1)/creditEvery + 1
-}
+// DefaultChunkSize is the frame payload size for raw bodies.
+const DefaultChunkSize = 64 << 10
 
 // bufPool recycles raw-body destination buffers across calls, with hit
 // accounting so the bench harness can report the pool's effectiveness.
@@ -122,15 +97,6 @@ func (bp *bufPool) stats() PoolStats {
 	return PoolStats{Hits: bp.hits.Load(), Misses: bp.misses.Load()}
 }
 
-// HitRate returns hits/(hits+misses), or 0 with no traffic.
-func (s PoolStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // frameIO is one side of a connection's data plane. All reads go through
 // the shared buffered reader (the gob decoder buffers ahead, so bypassing
 // it would lose bytes); writes go straight to the connection.
@@ -138,10 +104,6 @@ type frameIO struct {
 	conn    net.Conn
 	r       *bufio.Reader
 	timeout time.Duration
-	// stallNs, when non-nil, accumulates time writeRawVec spends blocked
-	// waiting for credit grants — the backpressure measurement behind
-	// DataPlaneStats.StallNanos and traced PhaseStall spans.
-	stallNs *int64
 }
 
 // refresh pushes the connection deadline forward so the I/O timeout acts
@@ -161,15 +123,13 @@ type vecScratch struct {
 }
 
 // writeRawVec streams a body of one or more segments over the connection
-// as chunk frames under the credit window. The total length was already
-// announced in the header, so frames carry no per-frame length: the chunk
-// grid is implied by (total, DefaultChunkSize), whatever the segmentation,
-// and the receiver's readRaw sees the concatenation. When the window is
-// exhausted the writer waits for one credit grant from the receiver
-// before sending more. Each chunk goes to the kernel as one net.Buffers
-// (writev) call — segments are never copied into a staging buffer.
-// prefix (the caller's length announcement) rides in front of the first
-// chunk in that chunk's writev; it is not part of the chunk grid, the
+// as chunk frames. The total length was already announced in the header,
+// so frames carry no per-frame length: the chunk grid is implied by
+// (total, DefaultChunkSize), whatever the segmentation, and the receiver's
+// readRaw sees the concatenation. Each chunk goes to the kernel as one
+// net.Buffers (writev) call — segments are never copied into a staging
+// buffer. prefix (the caller's length announcement) rides in front of the
+// first chunk in that chunk's writev; it is not part of the chunk grid, the
 // receiver has consumed it before readRaw starts counting. total must
 // equal the summed segment lengths. Returns frames written.
 func (d frameIO) writeRawVec(vs *vecScratch, prefix []byte, segs [][]byte, total int) (int64, error) {
@@ -181,21 +141,8 @@ func (d frameIO) writeRawVec(vs *vecScratch, prefix []byte, segs [][]byte, total
 		return 0, nil
 	}
 	frames := int64(0)
-	inFlight := int64(0)
-	var credit [1]byte
 	si, so := 0, 0 // cursor: segment index, offset within it
 	for off := 0; off < total; {
-		if inFlight >= windowFrames {
-			d.refresh()
-			waitStart := time.Now()
-			if _, err := io.ReadFull(d.r, credit[:]); err != nil {
-				return frames, fmt.Errorf("raw credit: %w", err)
-			}
-			if d.stallNs != nil {
-				*d.stallNs += time.Since(waitStart).Nanoseconds()
-			}
-			inFlight -= creditEvery
-		}
 		chunk := DefaultChunkSize
 		if total-off < chunk {
 			chunk = total - off
@@ -232,18 +179,14 @@ func (d frameIO) writeRawVec(vs *vecScratch, prefix []byte, segs [][]byte, total
 		}
 		off += chunk
 		frames++
-		inFlight++
 	}
 	return frames, nil
 }
 
 // readRaw receives a raw body into dst (len(dst) is the announced total),
-// granting exactly grantCount(frames) credits at consumption milestones.
-// Returns frames read.
+// one chunk frame per read. Returns frames read.
 func (d frameIO) readRaw(dst []byte) (int64, error) {
 	frames := int64(0)
-	grants, maxGrants := int64(0), grantCount(frameCount(len(dst)))
-	credit := [1]byte{1}
 	for off := 0; off < len(dst); {
 		end := off + DefaultChunkSize
 		if end > len(dst) {
@@ -255,13 +198,6 @@ func (d frameIO) readRaw(dst []byte) (int64, error) {
 		}
 		off = end
 		frames++
-		if frames%creditEvery == 0 && grants < maxGrants {
-			grants++
-			d.refresh()
-			if _, err := d.conn.Write(credit[:]); err != nil {
-				return frames, fmt.Errorf("raw credit: %w", err)
-			}
-		}
 	}
 	return frames, nil
 }

@@ -1,9 +1,9 @@
 // Package nettransport runs the overlay over real TCP sockets. It has
 // one request/reply exchange — a gob header, then the message's Raw body
-// as chunk frames (frame.go) — with one client function (exchange) and one
-// server function (ServeConn). Network is a simnet.Transport built on
+// as chunk frames (frame.go), paced by TCP's own flow control — with one
+// client function (Exchange) and one server function (ServeConn). Network is a simnet.Transport built on
 // them, with one loopback listener per registered node and an address
-// registry local to the Network value, so the same DHT/Scribe/recovery
+// registry local to the Network value, so the same DHT and recovery
 // code that runs in-process also runs across actual network connections;
 // the sr3node daemon, which owns its listener and finds its peers'
 // addresses in the cluster view, calls Exchange and ServeConn directly.
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"sr3/internal/id"
-	"sr3/internal/obs"
 	"sr3/internal/simnet"
 )
 
@@ -130,7 +129,6 @@ type Network struct {
 	addrs     map[id.ID]string
 	closed    bool
 	ioTimeout time.Duration
-	tracer    *obs.Tracer
 
 	// Data-plane accounting (see frame.go): raw-body bytes and chunk
 	// frames moved through this transport, and the destination-buffer pool.
@@ -138,11 +136,6 @@ type Network struct {
 	rawBytes    atomic.Int64
 	rawFrames   atomic.Int64
 	rawMessages atomic.Int64
-	// stallNanos accumulates sender time blocked on the credit window —
-	// the data plane's backpressure signal, surfaced per-exchange as
-	// PhaseStall spans when the message is traced.
-	stallNanos atomic.Int64
-	stallCount atomic.Int64
 
 	// instr publishes the steady-state counter handles (instruments.go);
 	// nil until SetMetrics.
@@ -157,11 +150,6 @@ type DataPlaneStats struct {
 	RawFrames int64
 	// RawMessages counts exchanges that carried a raw body.
 	RawMessages int64
-	// StallNanos is sender time spent blocked on the chunk credit window
-	// (flow-control backpressure); StallCount is how many raw-body writes
-	// stalled at least once.
-	StallNanos int64
-	StallCount int64
 	// Pool reports destination-buffer reuse.
 	Pool PoolStats
 }
@@ -172,8 +160,6 @@ func (n *Network) DataPlane() DataPlaneStats {
 		RawBytes:    n.rawBytes.Load(),
 		RawFrames:   n.rawFrames.Load(),
 		RawMessages: n.rawMessages.Load(),
-		StallNanos:  n.stallNanos.Load(),
-		StallCount:  n.stallCount.Load(),
 		Pool:        n.pool.stats(),
 	}
 }
@@ -195,38 +181,6 @@ func (n *Network) SetIOTimeout(d time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.ioTimeout = d
-}
-
-// SetTracer attaches an observability tracer: credit-window stalls on
-// traced exchanges are then emitted as PhaseStall spans parented on the
-// message's span context. nil (the default) keeps stat-only accounting.
-func (n *Network) SetTracer(tr *obs.Tracer) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.tracer = tr
-}
-
-func (n *Network) getTracer() *obs.Tracer {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.tracer
-}
-
-// noteStall folds one raw-body write's stall time into the counters and,
-// when the exchange was traced, emits a retroactive PhaseStall span.
-func (n *Network) noteStall(stallNs int64, traceID, spanID uint64) {
-	if stallNs <= 0 {
-		return
-	}
-	n.stallNanos.Add(stallNs)
-	n.stallCount.Add(1)
-	tr := n.getTracer()
-	if tr == nil || traceID == 0 {
-		return
-	}
-	end := tr.Now()
-	tr.RecordSpan(obs.SpanContext{Trace: traceID, Span: spanID}, obs.PhaseStall,
-		end.Add(-time.Duration(stallNs)), end, obs.Int("stall_ns", stallNs))
 }
 
 func (n *Network) timeout() time.Duration {
@@ -367,14 +321,11 @@ func (n *Network) ServeConn(conn net.Conn, h simnet.Handler) {
 		return
 	}
 	if out.RawLen > 0 {
-		var stallNs int64
-		fio.stallNs = &stallNs
 		frames, werr := fio.writeRawVec(&vecScratch{}, nil, segs, out.RawLen)
 		n.rawFrames.Add(frames)
 		if werr == nil {
 			n.rawBytes.Add(int64(out.RawLen))
 			n.rawMessages.Add(1)
-			n.noteStall(stallNs, req.TraceID, req.SpanID)
 		}
 	}
 }
@@ -466,8 +417,6 @@ func (n *Network) Exchange(addr string, from id.ID, msg simnet.Message, timeout 
 		return ioErr("encode", err)
 	}
 	if rawLen > 0 {
-		var stallNs int64
-		fio.stallNs = &stallNs
 		frames, err := fio.writeRawVec(&vecScratch{}, nil, segs, rawLen)
 		n.rawFrames.Add(frames)
 		if err != nil {
@@ -475,7 +424,6 @@ func (n *Network) Exchange(addr string, from id.ID, msg simnet.Message, timeout 
 		}
 		n.rawBytes.Add(int64(rawLen))
 		n.rawMessages.Add(1)
-		n.noteStall(stallNs, msg.TraceID, msg.SpanID)
 	}
 	var reply wireReply
 	if err := gob.NewDecoder(fio.r).Decode(&reply); err != nil {

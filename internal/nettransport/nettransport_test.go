@@ -2,7 +2,6 @@ package nettransport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,7 +14,6 @@ import (
 	"sr3/internal/id"
 	"sr3/internal/metrics"
 	"sr3/internal/recovery"
-	"sr3/internal/scribe"
 	"sr3/internal/simnet"
 )
 
@@ -303,57 +301,6 @@ func TestSR3RecoveryOverTCP(t *testing.T) {
 	}
 	if !bytes.Equal(res.Snapshot, snap) {
 		t.Fatal("recovered state differs after TCP recovery")
-	}
-}
-
-// TestScribeMulticastOverTCP builds a multicast tree across TCP-backed
-// nodes and delivers a message to every subscriber over the wire.
-func TestScribeMulticastOverTCP(t *testing.T) {
-	dht.RegisterWire()
-	scribe.RegisterWire()
-	gob.Register("") // multicast payloads in this test are strings
-	n := New()
-	defer n.Close()
-
-	const nodes = 10
-	cfg := dht.Config{LeafSetSize: 8}
-	all := make([]*dht.Node, 0, nodes)
-	layers := make([]*scribe.Layer, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		node, err := dht.NewNode(id.HashKey(fmt.Sprintf("scribe-tcp-%d", i)), n, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			node.Bootstrap()
-		} else if err := node.Join(all[0].ID()); err != nil {
-			t.Fatalf("join %d: %v", i, err)
-		}
-		all = append(all, node)
-		layers = append(layers, scribe.Attach(node, scribe.Config{MaxFanout: 2}))
-	}
-
-	var mu sync.Mutex
-	got := make(map[int][]any)
-	for i, l := range layers {
-		i := i
-		if err := l.Join("tcp-topic", func(topic string, payload any, size int) {
-			mu.Lock()
-			defer mu.Unlock()
-			got[i] = append(got[i], payload)
-		}); err != nil {
-			t.Fatalf("scribe join %d: %v", i, err)
-		}
-	}
-	if err := layers[nodes-1].Multicast("tcp-topic", "over-the-wire", 13); err != nil {
-		t.Fatalf("multicast: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 0; i < nodes; i++ {
-		if len(got[i]) != 1 || got[i][0] != "over-the-wire" {
-			t.Fatalf("subscriber %d got %v", i, got[i])
-		}
 	}
 }
 

@@ -65,9 +65,6 @@ const (
 	// PhaseReprotect covers restoring the replication factor after the
 	// snapshot is rebuilt (re-save or repair).
 	PhaseReprotect = "reprotect"
-	// PhaseStall covers a sender blocked on the data plane's credit
-	// window (chunked raw-body streaming, nettransport).
-	PhaseStall = "stall"
 	// PhaseAdopt covers one control-plane adoption round trip: adopt RPC
 	// issued to ACK received (the adopter's recover/fetch/replay spans
 	// nest below it, on the adopter's tracer).
@@ -258,7 +255,7 @@ func (t *Tracer) start(ctx SpanContext, parent uint64, phase string, start time.
 }
 
 // RecordSpan emits a completed span retroactively — for phases measured
-// after the fact (the detect silence window, a credit-window stall) where
+// after the fact (the detect silence window, a flow's first frame) where
 // holding an open span through the hot path would cost more than the
 // measurement. Returns the new span's context so children can parent on
 // it. attrs beyond the per-span cap are dropped.

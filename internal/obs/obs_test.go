@@ -95,7 +95,7 @@ func TestRecordSpanRetroactive(t *testing.T) {
 		t.Fatalf("record = %+v", s)
 	}
 
-	rootless := tr.RecordSpan(SpanContext{}, PhaseStall, start, end)
+	rootless := tr.RecordSpan(SpanContext{}, PhaseFlow, start, end)
 	if !rootless.Valid() || rootless.Trace != rootless.Span {
 		t.Fatalf("rootless retroactive ctx = %+v", rootless)
 	}
@@ -142,7 +142,7 @@ func TestDisabledTracerIsFreeAndSafe(t *testing.T) {
 		sp.SetStr("k", "v")
 		sp.SetInt("n", 1)
 		sp.End()
-		tr.RecordSpan(SpanContext{}, PhaseStall, time.Time{}, time.Time{})
+		tr.RecordSpan(SpanContext{}, PhaseFlow, time.Time{}, time.Time{})
 		tr.StartRoot(PhaseSelfHeal).EndErr(nil)
 		tr.StartRootAt(SpanContext{Trace: 1, Span: 1}, PhaseSelfHeal, time.Time{}).End()
 		if tr.NewRootContext().Valid() {
@@ -272,7 +272,7 @@ func TestJSONLSink(t *testing.T) {
 	sp := tr.StartRoot(PhaseRecover)
 	sp.SetStr("app", "wc")
 	sp.End()
-	tr.RecordSpan(SpanContext{}, PhaseStall, time.Unix(1, 0), time.Unix(2, 0), Int("ns", 42))
+	tr.RecordSpan(SpanContext{}, PhaseFlow, time.Unix(1, 0), time.Unix(2, 0), Int("ns", 42))
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestJSONLSink(t *testing.T) {
 	if !strings.Contains(lines[0], `"phase":"recover"`) || !strings.Contains(lines[0], `"k":"app"`) {
 		t.Fatalf("line 0 = %s", lines[0])
 	}
-	if !strings.Contains(lines[1], `"phase":"stall"`) {
+	if !strings.Contains(lines[1], `"phase":"flow"`) {
 		t.Fatalf("line 1 = %s", lines[1])
 	}
 }

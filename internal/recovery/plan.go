@@ -251,7 +251,7 @@ func (p *Planner) Line(spec PlanSpec, opts Options) simnet.TaskID {
 // opts.TreeFanoutBit sets the branch count (2^bit branches, Fig 9d);
 // opts.TreeBranchDepth caps each branch's length (Fig 9c). Building the
 // tree costs one routing delay per level before data can flow (the
-// Scribe join/collect propagation).
+// paper's Scribe join/collect propagation).
 func (p *Planner) Tree(spec PlanSpec, opts Options) simnet.TaskID {
 	fanout := 1 << clampBit(opts.TreeFanoutBit)
 	depth := opts.TreeBranchDepth
@@ -274,7 +274,7 @@ func (p *Planner) Tree(spec PlanSpec, opts Options) simnet.TaskID {
 		branchLen = 1
 	}
 	// Tree construction costs a join plus a collect round before the
-	// heads can stream (Scribe join + collect request).
+	// heads can stream (the paper's Scribe join + collect request).
 	setup := 2 * spec.RouteDelay
 
 	type headTransfer struct {

@@ -9,9 +9,10 @@
 //   - line (§3.5): shards are merged along a chain of providers, so the
 //     download/merge load is spread — good for large state with
 //     abundant bandwidth.
-//   - tree (§3.6): sub-shards are recombined up a Scribe-style tree —
-//     balances load with bounded fan-out, best under bandwidth
-//     constraints and many simultaneous failures.
+//   - tree (§3.6): sub-shards are recombined up a fan-out forest built
+//     straight from the placement's provider stages (buildForest; the
+//     paper builds it over Scribe) — balances load with bounded fan-out,
+//     best under bandwidth constraints and many simultaneous failures.
 //
 // Each mechanism exists twice, sharing one shard-placement source of
 // truth and one provider planner (planStages): a real executor, Manager,

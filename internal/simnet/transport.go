@@ -2,8 +2,8 @@
 //
 // It contains two complementary pieces:
 //
-//   - An in-process message transport (Network) over which the DHT, Scribe
-//     and recovery layers exchange real messages between simulated nodes,
+//   - An in-process message transport (Network) over which the DHT and
+//     recovery layers exchange real messages between simulated nodes,
 //     with failure injection and per-node traffic accounting. This is used
 //     by correctness tests, examples and the stream runtime.
 //

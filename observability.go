@@ -69,7 +69,6 @@ const (
 	PhaseReplay    = obs.PhaseReplay
 	PhaseSave      = obs.PhaseSave
 	PhaseReprotect = obs.PhaseReprotect
-	PhaseStall     = obs.PhaseStall
 )
 
 // NewTracer builds a tracer over a sink. Pass the result in Config.Tracer

@@ -10,8 +10,8 @@
 // application by the §3.7 selection heuristic or pinned explicitly via
 // the Table 2 API (StarDefine / LineDefine / TreeDefine).
 //
-// A Framework bundles the whole substrate (overlay, shard managers,
-// Scribe multicast) in one process; the stream runtime plugs into it
+// A Framework bundles the whole substrate (overlay, shard managers and
+// recovery managers) in one process; the stream runtime plugs into it
 // through Backend().
 package sr3
 

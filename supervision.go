@@ -21,7 +21,7 @@ type RetryBudgetPolicy = overload.BudgetPolicy
 // states, and background replica repair. This is the in-process
 // control plane; its process-level counterpart — heartbeat liveness,
 // component adoption, and shard repair across sr3node daemons — is the
-// cluster control plane embedded in a seed node (StartNode, node.go).
+// cluster control plane embedded in a seed node (internal/cluster).
 type SupervisionConfig struct {
 	// Heartbeat is the φ-accrual probe interval (default 50ms).
 	Heartbeat time.Duration
