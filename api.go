@@ -168,28 +168,24 @@ type RecoveryReport struct {
 
 // Recover rebuilds appName's state after failures — Table 2 Recover. The
 // mechanism is the one registered by StarDefine/LineDefine/TreeDefine/
-// Selection, or chosen by the heuristic from the last saved size.
+// Selection, or the one the heuristic selects for the saved state's size.
 func (f *Framework) Recover(appName string) (*RecoveryReport, error) {
 	f.mu.Lock()
 	ac := f.app(appName)
 	mech := ac.mechanism
 	opts := ac.options
-	size := ac.lastSize
 	f.mu.Unlock()
 
-	if mech == 0 {
-		d := recovery.Select(recovery.Requirements{StateBytes: size})
-		mech, opts = d.Mechanism, d.Options
-	}
-	res, err := f.cluster.Recover(appName, mech, opts)
+	res, v, err := f.cluster.Recover(appName, mech, opts)
 	if err != nil {
 		return nil, fmt.Errorf("sr3: recover %q: %w", appName, err)
 	}
+	defer v.Release()
 	return &RecoveryReport{
 		App:         appName,
 		Mechanism:   res.Mechanism,
 		Replacement: res.Replacement,
-		State:       res.Snapshot,
+		State:       v.Join(),
 		Providers:   res.Providers,
 	}, nil
 }
@@ -228,13 +224,9 @@ func (f *Framework) Heal() (*HealReport, error) {
 		}
 		f.mu.Lock()
 		ac := f.app(name)
-		mech, opts, size := ac.mechanism, ac.options, ac.lastSize
+		mech, opts := ac.mechanism, ac.options
 		f.mu.Unlock()
-		if mech == 0 {
-			d := recovery.Select(recovery.Requirements{StateBytes: size})
-			mech, opts = d.Mechanism, d.Options
-		}
-		res, err := f.cluster.RecoverAndReprotect(name, mech, opts)
+		res, v, err := f.cluster.RecoverAndReprotect(name, mech, opts)
 		if err != nil {
 			return report, fmt.Errorf("sr3: heal %q: %w", name, err)
 		}
@@ -242,11 +234,10 @@ func (f *Framework) Heal() (*HealReport, error) {
 			App:         name,
 			Mechanism:   res.Mechanism,
 			Replacement: res.Replacement,
-			// The replacement's re-save borrowed res.Snapshot and kept
-			// nothing: the bytes are the caller's.
-			State:     res.Snapshot,
-			Providers: res.Providers,
+			State:       v.Join(),
+			Providers:   res.Providers,
 		})
+		v.Release()
 	}
 	return report, nil
 }

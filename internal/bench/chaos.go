@@ -84,11 +84,13 @@ func chaosRecoverOnce(mech recovery.Mechanism) (recovery.Outcome, simnet.ChaosSt
 
 	opts := recovery.DefaultOptions()
 	opts.FailoverRetries = 6
-	res, err := cluster.Recover("chaos-app", mech, opts)
+	res, v, err := cluster.Recover("chaos-app", mech, opts)
 	if err != nil {
 		return recovery.Outcome{}, ch.Stats(), err
 	}
-	if !bytes.Equal(res.Snapshot, snap) {
+	same := bytes.Equal(v.Join(), snap)
+	v.Release()
+	if !same {
 		return recovery.Outcome{}, ch.Stats(), fmt.Errorf("recovered state differs under chaos")
 	}
 	return res.Outcome, ch.Stats(), nil

@@ -328,7 +328,8 @@ func runRetryStorm(spec OverloadCellSpec, seed int64) (OverloadCell, error) {
 	opts.RetryBudget = budget
 
 	start := time.Now()
-	_, rerr := cluster.Recover(app, recovery.Star, opts)
+	_, v, rerr := cluster.Recover(app, recovery.Star, opts)
+	v.Release()
 	cell.RecoverMs = ms(time.Since(start))
 	cell.RecoverOK = rerr == nil
 	st := budget.Stats()

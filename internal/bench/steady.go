@@ -145,9 +145,11 @@ func SteadyState(cfg SteadyConfig) (SteadyReport, error) {
 	ring.MaintenanceRound()
 	opts := recovery.DefaultOptions()
 	opts.Tracer = tracer
-	if _, err := rc.RecoverAndReprotect("steady", recovery.Star, opts); err != nil {
+	_, v, err := rc.RecoverAndReprotect("steady", recovery.Star, opts)
+	if err != nil {
 		return rep, err
 	}
+	v.Release()
 
 	var scrape strings.Builder
 	if err := cfg.Cluster.WritePrometheus(&scrape); err != nil {

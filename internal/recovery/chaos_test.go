@@ -112,7 +112,7 @@ func TestChaosMidRecoveryFailover(t *testing.T) {
 		opts := DefaultOptions()
 		opts.FailoverRetries = 4
 		opts.RetryBackoff = 50 * time.Millisecond
-		res, err := env.c.Recover("app", Star, opts)
+		res, err := joined(env.c.Recover("app", Star, opts))
 		if err != nil {
 			t.Fatalf("star under chaos: %v", err)
 		}
@@ -130,7 +130,7 @@ func TestChaosMidRecoveryFailover(t *testing.T) {
 		env = newChaosEnv(t, Star, 77)
 		env.arm("sr3.", 250*time.Millisecond)
 		opts.DisableFailover = true
-		if _, err := env.c.Recover("app", Star, opts); !errors.Is(err, ErrShardLost) {
+		if _, err := joined(env.c.Recover("app", Star, opts)); !errors.Is(err, ErrShardLost) {
 			t.Fatalf("disabled failover: want ErrShardLost, got %v", err)
 		}
 	})
@@ -142,7 +142,7 @@ func TestChaosMidRecoveryFailover(t *testing.T) {
 		env := newChaosEnv(t, Line, 78)
 		env.arm("sr3.line", 0)
 		opts := DefaultOptions()
-		res, err := env.c.Recover("app", Line, opts)
+		res, err := joined(env.c.Recover("app", Line, opts))
 		if err != nil {
 			t.Fatalf("line under chaos: %v", err)
 		}
@@ -159,7 +159,7 @@ func TestChaosMidRecoveryFailover(t *testing.T) {
 		env = newChaosEnv(t, Line, 78)
 		env.arm("sr3.line", 0)
 		opts.DisableFailover = true
-		if _, err := env.c.Recover("app", Line, opts); !errors.Is(err, ErrProviderLost) {
+		if _, err := joined(env.c.Recover("app", Line, opts)); !errors.Is(err, ErrProviderLost) {
 			t.Fatalf("disabled failover: want ErrProviderLost, got %v", err)
 		}
 	})
@@ -171,7 +171,7 @@ func TestChaosMidRecoveryFailover(t *testing.T) {
 		env := newChaosEnv(t, Tree, 79)
 		env.arm("sr3.tree", 0)
 		opts := DefaultOptions()
-		res, err := env.c.Recover("app", Tree, opts)
+		res, err := joined(env.c.Recover("app", Tree, opts))
 		if err != nil {
 			t.Fatalf("tree under chaos: %v", err)
 		}
@@ -188,7 +188,7 @@ func TestChaosMidRecoveryFailover(t *testing.T) {
 		env = newChaosEnv(t, Tree, 79)
 		env.arm("sr3.tree", 0)
 		opts.DisableFailover = true
-		if _, err := env.c.Recover("app", Tree, opts); !errors.Is(err, ErrProviderLost) {
+		if _, err := joined(env.c.Recover("app", Tree, opts)); !errors.Is(err, ErrProviderLost) {
 			t.Fatalf("disabled failover: want ErrProviderLost, got %v", err)
 		}
 	})
@@ -226,7 +226,7 @@ func TestChaosRandomProviderKillAcrossSeeds(t *testing.T) {
 				opts := DefaultOptions()
 				opts.FailoverRetries = 4
 				opts.RetryBackoff = 5 * time.Millisecond
-				res, err := c.Recover("app", mech, opts)
+				res, err := joined(c.Recover("app", mech, opts))
 				if err != nil {
 					t.Fatalf("%s with victim %s: %v", mech, victim.Short(), err)
 				}
@@ -266,7 +266,7 @@ func TestChaosLossyLinksAllMechanisms(t *testing.T) {
 			opts := DefaultOptions()
 			opts.FailoverRetries = 6
 			opts.RetryBackoff = 2 * time.Millisecond
-			res, err := c.Recover("app", mech, opts)
+			res, err := joined(c.Recover("app", mech, opts))
 			if err != nil {
 				t.Fatalf("%s over lossy links: %v", mech, err)
 			}
@@ -347,7 +347,7 @@ func TestSaveRacingChurn(t *testing.T) {
 		} else {
 			// The published placement must survive the churn it raced:
 			// recovery with one dead holder has to succeed (r = 2).
-			res, rerr := c.Recover(app, Star, DefaultOptions())
+			res, rerr := joined(c.Recover(app, Star, DefaultOptions()))
 			if rerr != nil {
 				t.Fatalf("iter %d: published placement unusable: %v", iter, rerr)
 			}

@@ -61,8 +61,8 @@ type Result struct {
 	App         string
 	Mechanism   Mechanism
 	Replacement id.ID
-	// Snapshot is the recovered state as bytes, from RecoverDirect and
-	// Cluster.Recover; RecoverPlacement lends it as a view instead.
+	// Snapshot is the recovered state as bytes, filled by RecoverDirect
+	// only: every other recovery lends the state as a view.
 	Snapshot    []byte
 	Version     state.Version
 	Providers   int
@@ -123,69 +123,50 @@ func (r *outcomeRecorder) snapshot() Outcome {
 	return r.o
 }
 
-// Recover rebuilds the state of app after its owner failed, using the
-// given mechanism, and installs the snapshot at the replacement node
-// (the live node closest to the failed owner's ID, mirroring Fig 3's N6
-// replacing N5). When a tracer is set (opts.Tracer or SetTracer), the
-// run is wrapped in a PhaseRecover span with plan/fetch/collect/merge
-// children.
-func (c *Cluster) Recover(app string, mech Mechanism, opts Options) (Result, error) {
+// Recover rebuilds the state of app after its owner failed, at the
+// replacement — the live node closest to the failed owner's ID, mirroring
+// Fig 3's N6 replacing N5 — and lends it as RecoverPlacement does: a view
+// of the shard bodies as they arrived, which the caller restores from and
+// then releases. Mechanism 0 takes the mechanism and options §3.7 selects
+// for the placement's state size, keeping opts' tracing. When a tracer is
+// set (opts.Tracer or SetTracer), the run is wrapped in a PhaseRecover
+// span with plan/fetch/collect/merge children.
+func (c *Cluster) Recover(app string, mech Mechanism, opts Options) (Result, state.View, error) {
 	if opts.Tracer == nil {
 		opts.Tracer = c.tracer
 	}
 	sp := opts.Tracer.StartSpan(opts.TraceParent, obs.PhaseRecover)
 	sp.SetStr("app", app)
-	sp.SetStr("mech", mech.String())
 	opts.TraceParent = sp.Ctx()
-	res, err := c.recover(app, mech, opts)
-	sp.SetInt("bytes", int64(len(res.Snapshot)))
+	res, v, err := c.recover(app, mech, opts)
+	if err == nil {
+		mech = res.Mechanism
+	}
+	sp.SetStr("mech", mech.String())
+	sp.SetInt("bytes", int64(v.Len))
 	sp.EndErr(err)
-	return res, err
+	return res, v, err
 }
 
-func (c *Cluster) recover(app string, mech Mechanism, opts Options) (Result, error) {
+func (c *Cluster) recover(app string, mech Mechanism, opts Options) (Result, state.View, error) {
 	anyNode, err := c.Ring.AnyLive()
 	if err != nil {
-		return Result{}, fmt.Errorf("recover %q: %w", app, err)
+		return Result{}, state.View{}, fmt.Errorf("recover %q: %w", app, err)
 	}
 	placement, err := c.managers[anyNode.ID()].LookupPlacement(app)
 	if err != nil {
-		return Result{}, fmt.Errorf("recover %q: %w", app, err)
+		return Result{}, state.View{}, fmt.Errorf("recover %q: %w", app, err)
 	}
 	replacement, ok := c.pickReplacement(placement.Owner)
 	if !ok {
-		return Result{}, fmt.Errorf("recover %q: %w", app, ErrNoReplacement)
+		return Result{}, state.View{}, fmt.Errorf("recover %q: %w", app, ErrNoReplacement)
 	}
-	rm := c.managers[replacement]
-	res, err := rm.recoverJoined(placement, mech, opts)
-	if err != nil {
-		return Result{}, err
+	if mech == 0 {
+		d := Select(Requirements{StateBytes: int64(placement.TotalLen)})
+		d.Options.Tracer, d.Options.TraceParent = opts.Tracer, opts.TraceParent
+		mech, opts = d.Mechanism, d.Options
 	}
-	rm.SetRecovered(app, res.Snapshot)
-	return res, nil
-}
-
-// RecoverMany handles simultaneous failures: each lost state is rebuilt
-// at its own replacement, concurrently (paper Fig 6: multiple replacing
-// nodes served by shared providers).
-func (c *Cluster) RecoverMany(apps []string, mech Mechanism, opts Options) ([]Result, error) {
-	results := make([]Result, len(apps))
-	errs := make([]error, len(apps))
-	var wg sync.WaitGroup
-	for i, app := range apps {
-		wg.Add(1)
-		go func(i int, app string) {
-			defer wg.Done()
-			results[i], errs[i] = c.Recover(app, mech, opts)
-		}(i, app)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+	return c.managers[replacement].RecoverPlacement(placement, mech, opts)
 }
 
 // pickReplacement returns the live node closest to the failed owner,
@@ -727,31 +708,36 @@ func (m *Manager) collectTree(stages []stage, fanout int, p shard.Placement, opt
 }
 
 // RecoverAndReprotect completes the failure-handling lifecycle: the state
-// is rebuilt at the replacement and immediately re-sharded and
-// re-scattered over the replacement's own leaf set, so the application is
-// protected against the next failure without waiting for its periodic
-// save. The refreshed placement supersedes the old one in the DHT.
-func (c *Cluster) RecoverAndReprotect(app string, mech Mechanism, opts Options) (Result, error) {
+// is rebuilt at the replacement and at once re-sharded and re-scattered
+// over the replacement's own leaf set from the recovered view's segments,
+// so the application is protected against the next failure without
+// waiting for its periodic save. The refreshed placement supersedes the
+// old one in the DHT. The view is lent on as Recover lends it: the caller
+// releases it.
+func (c *Cluster) RecoverAndReprotect(app string, mech Mechanism, opts Options) (Result, state.View, error) {
 	if opts.Tracer == nil {
 		opts.Tracer = c.tracer
 	}
-	res, err := c.Recover(app, mech, opts)
+	res, v, err := c.Recover(app, mech, opts)
 	if err != nil {
-		return Result{}, err
+		return Result{}, state.View{}, err
 	}
 	// The reprotect span is a sibling of the recover span under the
 	// caller's parent (Recover traced its own copy of opts).
 	rp := opts.Tracer.StartSpan(opts.TraceParent, obs.PhaseReprotect)
 	rp.SetStr("app", app)
-	err = c.reprotect(app, res, opts.Tracer, rp.Ctx())
+	err = c.reprotect(app, res.Replacement, v, opts.Tracer, rp.Ctx())
 	rp.EndErr(err)
 	if err != nil {
-		return Result{}, err
+		v.Release()
+		return Result{}, state.View{}, err
 	}
-	return res, nil
+	return res, v, nil
 }
 
-func (c *Cluster) reprotect(app string, res Result, tr *obs.Tracer, tc obs.SpanContext) error {
+// reprotect re-saves the recovered view at the replacement under a
+// PhaseSave span; SaveView keeps nothing of the view's segments.
+func (c *Cluster) reprotect(app string, replacement id.ID, view state.View, tr *obs.Tracer, tc obs.SpanContext) error {
 	anyNode, err := c.Ring.AnyLive()
 	if err != nil {
 		return fmt.Errorf("reprotect %q: %w", app, err)
@@ -760,9 +746,13 @@ func (c *Cluster) reprotect(app string, res Result, tr *obs.Tracer, tc obs.SpanC
 	if err != nil {
 		return fmt.Errorf("reprotect %q: %w", app, err)
 	}
-	newMgr := c.managers[res.Replacement]
-	v := newMgr.NextVersion(old.Version.Timestamp + 1)
-	if _, err := newMgr.SaveTraced(app, res.Snapshot, old.M, old.R, v, tr, tc); err != nil {
+	newMgr := c.managers[replacement]
+	sp := tr.StartSpan(tc, obs.PhaseSave)
+	sp.SetStr("app", app)
+	sp.SetInt("bytes", int64(view.Len))
+	_, err = newMgr.SaveView(app, view.Segs, old.M, old.R, newMgr.NextVersion(old.Version.Timestamp+1))
+	sp.EndErr(err)
+	if err != nil {
 		return fmt.Errorf("reprotect %q: %w", app, err)
 	}
 	// The re-save's routed publish went through the replacement's routing

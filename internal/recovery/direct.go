@@ -10,23 +10,17 @@ import (
 	"sr3/internal/state"
 )
 
-// RecoverDirect rebuilds app's state on this manager: it looks the
-// published placement up and hands it to RecoverPlacement. It is the
-// whole recovery for deployments where nodes share only an overlay — no
-// Cluster picking a replacement — such as the TCP data-plane harness.
+// RecoverDirect rebuilds app's state on this manager as bytes: it looks
+// the published placement up, hands it to RecoverPlacement and joins the
+// view into Result.Snapshot. It is the one place a recovery joins its
+// shards — every other caller restores from the view itself
+// (Store.RestoreView) — and serves harnesses that compare the recovered
+// bytes, such as the TCP data-plane benchmark.
 func (m *Manager) RecoverDirect(app string, mech Mechanism, opts Options) (Result, error) {
 	p, err := m.LookupPlacement(app)
 	if err != nil {
 		return Result{}, fmt.Errorf("recover %q: %w", app, err)
 	}
-	return m.recoverJoined(p, mech, opts)
-}
-
-// recoverJoined is RecoverPlacement with the recovered state joined into
-// Result.Snapshot, the bytes RecoverDirect's callers and the in-process
-// Cluster read. It is the one place a recovery joins its shards: a stream
-// task restores from the view itself (Store.RestoreView).
-func (m *Manager) recoverJoined(p shard.Placement, mech Mechanism, opts Options) (Result, error) {
 	res, v, err := m.RecoverPlacement(p, mech, opts)
 	if err != nil {
 		return Result{}, err

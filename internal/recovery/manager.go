@@ -68,7 +68,6 @@ type Manager struct {
 	mu         sync.Mutex
 	shards     map[string]*held
 	placements map[string]shard.Placement
-	recovered  map[string][]byte
 	saveSeq    uint64
 	// segScratch is the push segment list a save reuses from the last one.
 	segScratch [][]byte
@@ -151,7 +150,6 @@ func NewManager(n Overlay) *Manager {
 		node:       n,
 		shards:     make(map[string]*held),
 		placements: make(map[string]shard.Placement),
-		recovered:  make(map[string][]byte),
 	}
 	n.HandleDirect(kindStoreBatch, m.handleStoreBatch)
 	n.HandleDirect(kindFetchIndex, m.handleFetchIndex)
@@ -316,18 +314,6 @@ func (m *Manager) SaveView(app string, segs [][]byte, mShards, replicas int, v s
 	m.mu.Unlock()
 	m.GCShards(app, placement)
 	return placement, nil
-}
-
-// SaveTraced runs Save under a PhaseSave span parented on tc, recorded
-// with tr (nil tr, or an invalid parent with no trace of its own wanted,
-// degrade gracefully — the span machinery is nil-safe).
-func (m *Manager) SaveTraced(app string, snapshot []byte, mShards, replicas int, v state.Version, tr *obs.Tracer, tc obs.SpanContext) (shard.Placement, error) {
-	sp := tr.StartSpan(tc, obs.PhaseSave)
-	sp.SetStr("app", app)
-	sp.SetInt("bytes", int64(len(snapshot)))
-	p, err := m.Save(app, snapshot, mShards, replicas, v)
-	sp.EndErr(err)
-	return p, err
 }
 
 // NextVersion mints a monotonically increasing version for this owner.
@@ -565,26 +551,6 @@ func (m *Manager) LookupPlacement(app string) (shard.Placement, error) {
 		return shard.Placement{}, fmt.Errorf("%w: no valid placement copy for %q", ErrNoPlacement, app)
 	}
 	return best, nil
-}
-
-// SetRecovered records a reconstructed snapshot at the replacement node.
-// Only the in-process Cluster calls it (its tests read the copy back);
-// RecoverPlacement itself retains nothing.
-func (m *Manager) SetRecovered(app string, snapshot []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recovered[app] = append([]byte(nil), snapshot...)
-}
-
-// Recovered returns the reconstructed snapshot for app, if any.
-func (m *Manager) Recovered(app string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.recovered[app]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), b...), true
 }
 
 // --- message handlers ---

@@ -182,7 +182,7 @@ func TestSaverDiesMidScatterKeepsLastCompleteVersion(t *testing.T) {
 			c.Ring.Fail(owner)
 			ch.Heal()
 			c.Ring.MaintenanceRound()
-			res, err := c.Recover("app", mech, DefaultOptions())
+			res, err := joined(c.Recover("app", mech, DefaultOptions()))
 			if err != nil {
 				t.Fatalf("recover after a half-pushed save: %v", err)
 			}

@@ -32,7 +32,7 @@ func TestRetryBudgetSuppressesStarRetryRounds(t *testing.T) {
 	opts.RetryBackoff = 50 * time.Millisecond
 	funded := overload.NewBudget(overload.BudgetPolicy{Ratio: 0.001, MinPerSec: 0.0001, Burst: 10})
 	opts.RetryBudget = funded
-	res, err := env.c.Recover("app", Star, opts)
+	res, err := joined(env.c.Recover("app", Star, opts))
 	if err != nil {
 		t.Fatalf("funded budget: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestRetryBudgetSuppressesStarRetryRounds(t *testing.T) {
 	env.arm("sr3.", 250*time.Millisecond)
 	drained := drainedBudget()
 	opts.RetryBudget = drained
-	_, err = env.c.Recover("app", Star, opts)
+	_, err = joined(env.c.Recover("app", Star, opts))
 	if !errors.Is(err, ErrReplicasExhausted) {
 		t.Fatalf("drained budget: want ErrReplicasExhausted, got %v", err)
 	}
@@ -70,7 +70,7 @@ func TestRetryBudgetDegradesLineReplanToStar(t *testing.T) {
 	env.arm("sr3.line", 0)
 	opts := DefaultOptions()
 	opts.RetryBudget = drainedBudget()
-	res, err := env.c.Recover("app", Line, opts)
+	res, err := joined(env.c.Recover("app", Line, opts))
 	if err != nil {
 		t.Fatalf("line with drained budget: %v", err)
 	}

@@ -128,7 +128,7 @@ func TestPartitionDuringRecoveryHealsAllMechanisms(t *testing.T) {
 			opts := DefaultOptions()
 			opts.FailoverRetries = 5
 			opts.RetryBackoff = 20 * time.Millisecond
-			res, err := env.c.Recover("app", mech, opts)
+			res, err := joined(env.c.Recover("app", mech, opts))
 			if err != nil {
 				t.Fatalf("%s under partition: %v", mech, err)
 			}
@@ -162,7 +162,7 @@ func TestPartitionExhaustsReplicasTypedError(t *testing.T) {
 			opts := DefaultOptions()
 			opts.FailoverRetries = 2
 			opts.RetryBackoff = 5 * time.Millisecond
-			_, err := env.c.Recover("app", mech, opts)
+			_, err := joined(env.c.Recover("app", mech, opts))
 			if err == nil {
 				t.Fatalf("%s recovered through a permanent partition of all replicas", mech)
 			}
@@ -229,7 +229,7 @@ func TestDegradedRoutingPrefersHealthyReplicas(t *testing.T) {
 	// Recovery still reassembles byte-identical state around the
 	// degraded node, for every mechanism.
 	for _, mech := range []Mechanism{Star, Line, Tree} {
-		res, err := c.Recover("app", mech, DefaultOptions())
+		res, err := joined(c.Recover("app", mech, DefaultOptions()))
 		if err != nil {
 			t.Fatalf("%s with degraded holder: %v", mech, err)
 		}
@@ -246,7 +246,7 @@ func TestDegradedRoutingPrefersHealthyReplicas(t *testing.T) {
 	if _, err := stagesFor(c, p, replacement); err != nil {
 		t.Fatalf("planStages with only degraded holders: %v", err)
 	}
-	res, err := c.Recover("app", Tree, DefaultOptions())
+	res, err := joined(c.Recover("app", Tree, DefaultOptions()))
 	if err != nil {
 		t.Fatalf("tree with degraded sole holders: %v", err)
 	}

@@ -85,7 +85,7 @@ func TestPropertyRecoverUnderRandomFailures(t *testing.T) {
 		}
 
 		mech := mechs[rng.Intn(len(mechs))]
-		res, err := c.Recover("papp", mech, DefaultOptions())
+		res, err := joined(c.Recover("papp", mech, DefaultOptions()))
 		if err != nil {
 			t.Logf("trial %d (%s m=%d r=%d): recover: %v", trial, mech, m, replicas, err)
 			return false
@@ -225,7 +225,7 @@ func TestRepeatedSaveRecoverCycles(t *testing.T) {
 		c.Ring.Fail(p.Owner)
 		c.Ring.MaintenanceRound()
 
-		res, err := c.Recover("cyc", Mechanism(cycle%3+1), DefaultOptions())
+		res, err := joined(c.Recover("cyc", Mechanism(cycle%3+1), DefaultOptions()))
 		if err != nil {
 			t.Fatalf("cycle %d: recover: %v", cycle, err)
 		}
@@ -261,7 +261,7 @@ func TestConcurrentRecoveriesShareProviders(t *testing.T) {
 		c.Ring.Fail(c.Ring.IDs()[i])
 	}
 	c.Ring.MaintenanceRound()
-	results, err := c.RecoverMany(names, Star, DefaultOptions())
+	results, err := recoverAll(c, names, Star)
 	if err != nil {
 		t.Fatal(err)
 	}

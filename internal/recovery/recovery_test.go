@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"sr3/internal/dht"
@@ -47,6 +48,34 @@ func saveState(t testing.TB, c *Cluster, owner id.ID, app string, snapshot []byt
 	return p
 }
 
+// joined is a recovery's lent view joined into Result.Snapshot and
+// released, for tests that compare the recovered bytes.
+func joined(res Result, v state.View, err error) (Result, error) {
+	if err == nil {
+		res.Snapshot = v.Join()
+		v.Release()
+	}
+	return res, err
+}
+
+// recoverAll starts one Recover per app at once — simultaneous failures,
+// each rebuilt at its own replacement (Fig 6) — and returns the results,
+// joined, in apps' order.
+func recoverAll(c *Cluster, apps []string, mech Mechanism) ([]Result, error) {
+	results := make([]Result, len(apps))
+	errs := make([]error, len(apps))
+	var wg sync.WaitGroup
+	for i, app := range apps {
+		wg.Add(1)
+		go func(i int, app string) {
+			defer wg.Done()
+			results[i], errs[i] = joined(c.Recover(app, mech, DefaultOptions()))
+		}(i, app)
+	}
+	wg.Wait()
+	return results, errors.Join(errs...)
+}
+
 func TestSavePlacesShardsOnLeafSet(t *testing.T) {
 	c := buildCluster(t, 40, 1)
 	owner := c.Ring.IDs()[0]
@@ -74,7 +103,7 @@ func TestRecoverEachMechanismAfterOwnerFailure(t *testing.T) {
 			c.Ring.Fail(owner)
 			c.Ring.MaintenanceRound()
 
-			res, err := c.Recover("app", mech, DefaultOptions())
+			res, err := joined(c.Recover("app", mech, DefaultOptions()))
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -83,10 +112,6 @@ func TestRecoverEachMechanismAfterOwnerFailure(t *testing.T) {
 			}
 			if res.Replacement == owner {
 				t.Fatal("replacement must not be the failed owner")
-			}
-			got, ok := c.Manager(res.Replacement).Recovered("app")
-			if !ok || !bytes.Equal(got, snap) {
-				t.Fatal("replacement does not hold the recovered snapshot")
 			}
 		})
 	}
@@ -115,7 +140,7 @@ func TestRecoverSurvivesProviderFailures(t *testing.T) {
 			}
 			c.Ring.MaintenanceRound()
 
-			res, err := c.Recover("app", mech, DefaultOptions())
+			res, err := joined(c.Recover("app", mech, DefaultOptions()))
 			if err != nil {
 				t.Fatalf("recover with %d dead providers: %v", len(killed), err)
 			}
@@ -139,7 +164,7 @@ func TestRecoverFailsWhenAllReplicasLost(t *testing.T) {
 	}
 	c.Ring.MaintenanceRound()
 
-	_, err := c.Recover("app", Star, DefaultOptions())
+	_, err := joined(c.Recover("app", Star, DefaultOptions()))
 	if !errors.Is(err, ErrShardLost) {
 		t.Fatalf("got %v, want ErrShardLost", err)
 	}
@@ -147,7 +172,7 @@ func TestRecoverFailsWhenAllReplicasLost(t *testing.T) {
 
 func TestRecoverUnknownApp(t *testing.T) {
 	c := buildCluster(t, 20, 31)
-	if _, err := c.Recover("ghost", Star, DefaultOptions()); !errors.Is(err, ErrNoPlacement) {
+	if _, err := joined(c.Recover("ghost", Star, DefaultOptions())); !errors.Is(err, ErrNoPlacement) {
 		t.Fatalf("got %v, want ErrNoPlacement", err)
 	}
 }
@@ -156,7 +181,7 @@ func TestRecoverBadMechanism(t *testing.T) {
 	c := buildCluster(t, 20, 32)
 	owner := c.Ring.IDs()[0]
 	saveState(t, c, owner, "app", randomSnapshot(1000, 1), 2, 2)
-	if _, err := c.Recover("app", Mechanism(99), DefaultOptions()); !errors.Is(err, ErrBadMechanism) {
+	if _, err := joined(c.Recover("app", Mechanism(99), DefaultOptions())); !errors.Is(err, ErrBadMechanism) {
 		t.Fatalf("got %v, want ErrBadMechanism", err)
 	}
 }
@@ -178,7 +203,7 @@ func TestDroppedShardsRecoverFromReplicas(t *testing.T) {
 	if dropped == 0 {
 		t.Fatal("no shards dropped")
 	}
-	res, err := c.Recover("app", Tree, DefaultOptions())
+	res, err := joined(c.Recover("app", Tree, DefaultOptions()))
 	if err != nil {
 		t.Fatalf("recover after dropping %d shards: %v", dropped, err)
 	}
@@ -203,7 +228,7 @@ func TestRecoverManySimultaneousFailures(t *testing.T) {
 	}
 	c.Ring.MaintenanceRound()
 
-	results, err := c.RecoverMany(apps, Tree, DefaultOptions())
+	results, err := recoverAll(c, apps, Tree)
 	if err != nil {
 		t.Fatalf("recover many: %v", err)
 	}
@@ -223,7 +248,7 @@ func TestRecoverWithSpeculation(t *testing.T) {
 
 	opts := DefaultOptions()
 	opts.Speculate = true
-	res, err := c.Recover("app", Star, opts)
+	res, err := joined(c.Recover("app", Star, opts))
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -249,7 +274,7 @@ func TestVersionControlRejectsStaleWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Ring.Fail(owner)
-	res, err := c.Recover("app", Star, DefaultOptions())
+	res, err := joined(c.Recover("app", Star, DefaultOptions()))
 	if err != nil {
 		// Mixed placement may make reassembly reject stale shards; the
 		// critical property is that it never silently returns old data.
@@ -266,7 +291,7 @@ func TestOwnerRecoversInPlaceWhenAlive(t *testing.T) {
 	snap := randomSnapshot(8000, 11)
 	saveState(t, c, owner, "app", snap, 4, 2)
 	// Owner did not fail — e.g. it lost its in-memory state only.
-	res, err := c.Recover("app", Star, DefaultOptions())
+	res, err := joined(c.Recover("app", Star, DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +395,7 @@ func TestRecoverAndReprotect(t *testing.T) {
 	// First failure + recovery with re-protection.
 	c.Ring.Fail(owner)
 	c.Ring.MaintenanceRound()
-	res, err := c.RecoverAndReprotect("rp", Tree, DefaultOptions())
+	res, err := joined(c.RecoverAndReprotect("rp", Tree, DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +407,7 @@ func TestRecoverAndReprotect(t *testing.T) {
 	// carry a second recovery without any explicit re-save in between.
 	c.Ring.Fail(res.Replacement)
 	c.Ring.MaintenanceRound()
-	res2, err := c.Recover("rp", Star, DefaultOptions())
+	res2, err := joined(c.Recover("rp", Star, DefaultOptions()))
 	if err != nil {
 		t.Fatalf("second recovery after reprotect: %v", err)
 	}

@@ -64,7 +64,7 @@ func TestRepairRestoresReplicationAfterProviderDeath(t *testing.T) {
 
 	// The state must still recover byte-identically after the repair.
 	c.Ring.Fail(owner)
-	res, err := c.Recover("app", Star, DefaultOptions())
+	res, err := joined(c.Recover("app", Star, DefaultOptions()))
 	if err != nil {
 		t.Fatalf("recover after repair: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestRepeatedChurnReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Ring.Fail(p.Owner)
-	res, err := c.Recover("app", Star, DefaultOptions())
+	res, err := joined(c.Recover("app", Star, DefaultOptions()))
 	if err != nil {
 		t.Fatalf("final recover: %v", err)
 	}
@@ -238,7 +238,7 @@ func TestGCStaleShardVersions(t *testing.T) {
 
 	// The surviving state is the new version, intact.
 	c.Ring.Fail(owner)
-	res, err := c.Recover("app", Star, DefaultOptions())
+	res, err := joined(c.Recover("app", Star, DefaultOptions()))
 	if err != nil {
 		t.Fatalf("recover after GC: %v", err)
 	}

@@ -75,7 +75,7 @@ func TestStreamingPathConcurrentStress(t *testing.T) {
 			wg.Add(1)
 			go func(mech Mechanism, round int) {
 				defer wg.Done()
-				res, err := c.Recover("stress-app", mech, opts)
+				res, err := joined(c.Recover("stress-app", mech, opts))
 				if err != nil {
 					errs <- fmt.Errorf("%s round %d: %v", mech, round, err)
 					return
@@ -151,7 +151,7 @@ func TestStreamingPathConcurrentStress(t *testing.T) {
 		}
 		app := fmt.Sprintf("side-app-%d", i)
 		want := randomSnapshot(40_000, int64(2000+i))
-		res, err := c.Recover(app, Star, DefaultOptions())
+		res, err := joined(c.Recover(app, Star, DefaultOptions()))
 		if err != nil {
 			t.Fatalf("post-storm recover %s: %v", app, err)
 		}

@@ -19,21 +19,16 @@ import (
 // task's snapshot is owned by the DHT node closest to the task key and
 // scattered as shards over that node's leaf set. Recovery runs the
 // configured mechanism (or, with Mechanism == 0, the §3.7 selection
-// heuristic per task).
+// heuristic for the saved state's size), and lends the task the shard
+// bodies as they arrived (recovery.Cluster.Recover).
 type SR3Backend struct {
 	cluster  *recovery.Cluster
 	shards   int
 	replicas int
 	// Mechanism forces one mechanism; 0 selects per state size.
 	Mechanism recovery.Mechanism
-	Options   recovery.Options
-	// BandwidthConstrained and LatencySensitive feed the selection
-	// heuristic when Mechanism == 0.
-	BandwidthConstrained bool
-	LatencySensitive     bool
-
-	mu    sync.Mutex
-	sizes map[string]int
+	// Options tune a forced mechanism's recovery.
+	Options recovery.Options
 }
 
 var _ StateBackend = (*SR3Backend)(nil)
@@ -45,7 +40,6 @@ func NewSR3Backend(cluster *recovery.Cluster, shards, replicas int) *SR3Backend 
 		shards:   shards,
 		replicas: replicas,
 		Options:  recovery.DefaultOptions(),
-		sizes:    make(map[string]int),
 	}
 }
 
@@ -60,14 +54,11 @@ func (b *SR3Backend) Save(taskKey string, view state.View, v state.Version) erro
 	if _, err := mgr.SaveView(taskKey, view.Segs, b.shards, b.replicas, v); err != nil {
 		return fmt.Errorf("sr3 backend: %w", err)
 	}
-	b.mu.Lock()
-	b.sizes[taskKey] = view.Len
-	b.mu.Unlock()
 	return nil
 }
 
-// Recover rebuilds the snapshot with the configured or selected
-// mechanism.
+// Recover rebuilds the state with the configured or selected mechanism and
+// lends it as the shard bodies as they arrived.
 func (b *SR3Backend) Recover(taskKey string) (state.View, error) {
 	return b.RecoverTraced(taskKey, nil, obs.SpanContext{})
 }
@@ -76,28 +67,15 @@ func (b *SR3Backend) Recover(taskKey string) (state.View, error) {
 // the caller's trace (the supervisor's selfheal root) — the TracedBackend
 // hookup.
 func (b *SR3Backend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) (state.View, error) {
-	mech := b.Mechanism
 	opts := b.Options
-	if mech == 0 {
-		b.mu.Lock()
-		size := b.sizes[taskKey]
-		b.mu.Unlock()
-		d := recovery.Select(recovery.Requirements{
-			StateBytes:           int64(size),
-			BandwidthConstrained: b.BandwidthConstrained,
-			LatencySensitive:     b.LatencySensitive,
-		})
-		mech, opts = d.Mechanism, d.Options
-	}
 	if tr != nil {
-		opts.Tracer = tr
-		opts.TraceParent = parent
+		opts.Tracer, opts.TraceParent = tr, parent
 	}
-	res, err := b.cluster.Recover(taskKey, mech, opts)
+	_, v, err := b.cluster.Recover(taskKey, b.Mechanism, opts)
 	if err != nil {
 		return state.View{}, fmt.Errorf("sr3 backend: %w", err)
 	}
-	return state.ViewOf(res.Snapshot), nil
+	return v, nil
 }
 
 // ownerFor maps a task to its owning DHT node: the live node whose ID is

@@ -1,7 +1,6 @@
 package supervise
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -100,16 +99,11 @@ func TestSupervisorDemotesSlowNodeInsteadOfKilling(t *testing.T) {
 		}
 		return false
 	})
-	got, ok := func() ([]byte, bool) {
-		for _, ev := range s.Events() {
-			if ev.App == "app" && ev.Err == nil {
-				return c.Manager(ev.Replacement).Recovered("app")
-			}
+	for _, ev := range s.Events() {
+		if ev.App == "app" && ev.Err == nil {
+			recoversSnapshot(t, c, ev.Replacement, "app", snap)
+			break
 		}
-		return nil, false
-	}()
-	if !ok || !bytes.Equal(got, snap) {
-		t.Fatal("replacement does not hold the recovered snapshot")
 	}
 
 	// Clearing the slowdown restores the victim: the mark is gone.
@@ -187,10 +181,7 @@ func TestSupervisorEscalatesPersistentlyDegradedNode(t *testing.T) {
 	if ev.Replacement == victim || ev.Replacement == id.Zero {
 		t.Fatalf("bad replacement %s", ev.Replacement.Short())
 	}
-	got, ok := c.Manager(ev.Replacement).Recovered("app")
-	if !ok || !bytes.Equal(got, snap) {
-		t.Fatal("replacement does not hold the recovered snapshot")
-	}
+	recoversSnapshot(t, c, ev.Replacement, "app", snap)
 	if !flightHas(flight, obs.FlightDegraded, victim) {
 		t.Fatal("escalation without a preceding gray.degraded event")
 	}

@@ -591,8 +591,9 @@ func (s *Supervisor) recoverState(spec StateSpec, v verdict, rt TaskRuntime, par
 	}
 	var res recovery.Result
 	err := s.withRetry(func() error {
-		var e error
-		res, e = s.cluster.RecoverAndReprotect(spec.App, mech, opts)
+		r, v, e := s.cluster.RecoverAndReprotect(spec.App, mech, opts)
+		v.Release() // the re-save borrowed the view; nothing here restores from it
+		res = r
 		return e
 	})
 	if err != nil {

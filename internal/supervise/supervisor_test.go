@@ -72,6 +72,16 @@ func fullyReplicated(c *recovery.Cluster, app string, r int) bool {
 	return true
 }
 
+// recoversSnapshot fails t unless app's published placement, recovered at
+// node, is want byte-exact.
+func recoversSnapshot(t *testing.T, c *recovery.Cluster, node id.ID, app string, want []byte) {
+	t.Helper()
+	res, err := c.Manager(node).RecoverDirect(app, recovery.Star, recovery.DefaultOptions())
+	if err != nil || !bytes.Equal(res.Snapshot, want) {
+		t.Fatalf("%s recovered at %s is not the saved state byte-exact (err %v)", app, node.Short(), err)
+	}
+}
+
 func TestSupervisorRecoversDeadOwnerAutomatically(t *testing.T) {
 	c := buildCluster(t, 20, 1201)
 	owner := c.Ring.IDs()[0]
@@ -115,11 +125,8 @@ func TestSupervisorRecoversDeadOwnerAutomatically(t *testing.T) {
 		t.Fatal("reprotect timestamp predates detection")
 	}
 
-	// The replacement holds the byte-identical snapshot.
-	got, ok := c.Manager(ev.Replacement).Recovered("app")
-	if !ok || !bytes.Equal(got, snap) {
-		t.Fatal("replacement does not hold the recovered snapshot")
-	}
+	// The replacement re-protected the byte-identical snapshot.
+	recoversSnapshot(t, c, ev.Replacement, "app", snap)
 
 	// RecoverAndReprotect re-saved the state; replication must settle back
 	// to r on live nodes only.
@@ -192,7 +199,8 @@ func (f *fakeRuntime) RecoverTaskByKey(key string) error {
 	f.mu.Unlock()
 	// A real runtime restores through its state backend, which runs the
 	// cluster recovery; mirror that here.
-	_, err := f.cluster.Recover(key, recovery.Star, recovery.DefaultOptions())
+	_, v, err := f.cluster.Recover(key, recovery.Star, recovery.DefaultOptions())
+	v.Release()
 	return err
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sr3/internal/recovery"
 	"sr3/internal/simnet"
 )
 
@@ -152,9 +153,9 @@ func TestSelfHealingUnderChaos(t *testing.T) {
 				ev = e
 			}
 		}
-		got, ok := f.cluster.Manager(ev.Replacement).Recovered(app)
-		if !ok || !bytes.Equal(got, snap) {
-			t.Fatalf("%s not byte-identical at replacement %s", app, ev.Replacement.Short())
+		res, err := f.cluster.Manager(owner).RecoverDirect(app, Star, recovery.DefaultOptions())
+		if err != nil || !bytes.Equal(res.Snapshot, snap) {
+			t.Fatalf("%s re-protected at %s is not byte-identical (err %v)", app, owner.Short(), err)
 		}
 		if !ev.DetectedAt.Before(ev.ReprotectedAt) {
 			t.Fatalf("%s event timestamps out of order: %+v", app, ev)

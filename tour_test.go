@@ -18,7 +18,6 @@ func TestFullLifecycleTour(t *testing.T) {
 		t.Fatal(err)
 	}
 	backend := f.Backend(0, 8, 2) // mechanism 0: heuristic per state size
-	backend.LatencySensitive = true
 
 	// 2. A word-count topology with a stateful aggregator.
 	const tuples = 5000
