@@ -115,7 +115,7 @@ func selfHealCell(set selfHealSetting, kills int) (metrics.SelfHealStats, error)
 		if waitUntil(20*time.Second, func() bool {
 			for _, ev := range sup.Events() {
 				if ev.App == app && ev.Node == p.Owner && ev.Err == nil && !ev.ReprotectedAt.IsZero() {
-					stats.AddSample(ms(ev.DetectedAt.Sub(killedAt)), ms(ev.RecoveredAt.Sub(killedAt)), ms(ev.ReprotectedAt.Sub(killedAt)))
+					stats.AddSample(ms(ev.DetectedAt.Sub(killedAt)), ms(ev.ReprotectedAt.Sub(killedAt)))
 					return true
 				}
 			}

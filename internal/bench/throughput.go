@@ -213,7 +213,7 @@ func runWireCell(spec ThroughputCellSpec) (ThroughputCell, error) {
 		if spec.Batch < 2 {
 			return cell, fmt.Errorf("throughput: batch cell needs batch >= 2, got %d", spec.Batch)
 		}
-		cell.Notes = fmt.Sprintf("%d-tuple frames over credit-windowed BatchConn", spec.Batch)
+		cell.Notes = fmt.Sprintf("%d-tuple frames over BatchConn", spec.Batch)
 		recv = func() error {
 			bs := nettransport.NewBatchConn(sw, 10*time.Second)
 			for got := 0; got < len(tuples); {

@@ -64,62 +64,6 @@ func (s *Store) Len() int {
 	return len(s.blobs)
 }
 
-// ReplayBuffer retains the records an upstream operator forwarded since
-// the downstream's last checkpoint; recovery replays them serially.
-type ReplayBuffer struct {
-	mu      sync.Mutex
-	records [][]byte
-	bytes   int
-}
-
-// NewReplayBuffer returns an empty buffer.
-func NewReplayBuffer() *ReplayBuffer {
-	return &ReplayBuffer{}
-}
-
-// Append retains one forwarded record.
-func (b *ReplayBuffer) Append(rec []byte) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.records = append(b.records, append([]byte(nil), rec...))
-	b.bytes += len(rec)
-}
-
-// Truncate drops retained records after a successful checkpoint.
-func (b *ReplayBuffer) Truncate() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.records = nil
-	b.bytes = 0
-}
-
-// Replay hands every retained record, in order, to apply.
-func (b *ReplayBuffer) Replay(apply func(rec []byte) error) error {
-	b.mu.Lock()
-	records := b.records
-	b.mu.Unlock()
-	for i, rec := range records {
-		if err := apply(rec); err != nil {
-			return fmt.Errorf("replay record %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Len returns the number of retained records.
-func (b *ReplayBuffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.records)
-}
-
-// Bytes returns the retained volume.
-func (b *ReplayBuffer) Bytes() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.bytes
-}
-
 // Spec parameterizes the timed checkpointing plans (Figs 8a–8c).
 type Spec struct {
 	App string

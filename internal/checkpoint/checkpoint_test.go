@@ -45,51 +45,12 @@ func TestFetchMissing(t *testing.T) {
 	}
 }
 
-func TestReplayBufferOrderedReplay(t *testing.T) {
-	b := NewReplayBuffer()
-	for i := 0; i < 10; i++ {
-		b.Append([]byte{byte(i)})
-	}
-	if b.Len() != 10 || b.Bytes() != 10 {
-		t.Fatalf("len=%d bytes=%d", b.Len(), b.Bytes())
-	}
-	var replayed []byte
-	if err := b.Replay(func(rec []byte) error {
-		replayed = append(replayed, rec...)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(replayed, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
-		t.Fatalf("replayed %v", replayed)
-	}
-	b.Truncate()
-	if b.Len() != 0 || b.Bytes() != 0 {
-		t.Fatal("truncate did not clear")
-	}
-}
-
-func TestReplayStopsOnError(t *testing.T) {
-	b := NewReplayBuffer()
-	b.Append([]byte("a"))
-	b.Append([]byte("b"))
-	boom := errors.New("boom")
-	n := 0
-	err := b.Replay(func(rec []byte) error {
-		n++
-		return boom
-	})
-	if !errors.Is(err, boom) || n != 1 {
-		t.Fatalf("err=%v n=%d", err, n)
-	}
-}
-
 // TestCheckpointRecoverEndToEnd exercises the real baseline path: save,
 // buffer updates, crash, fetch + replay.
 func TestCheckpointRecoverEndToEnd(t *testing.T) {
 	store := NewStore()
 	primary := state.NewMapStore()
-	buf := NewReplayBuffer()
+	var buf [][]byte // the records forwarded since the checkpoint
 
 	apply := func(st *state.MapStore, rec []byte) {
 		st.Put(string(rec), rec)
@@ -105,11 +66,10 @@ func TestCheckpointRecoverEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.Save("op", snap, state.Version{Timestamp: 1})
-	buf.Truncate()
 	for i := 50; i < 80; i++ {
 		rec := []byte(fmt.Sprintf("rec-%d", i))
 		apply(primary, rec)
-		buf.Append(rec)
+		buf = append(buf, rec)
 	}
 
 	// Crash; standby recovers.
@@ -121,11 +81,8 @@ func TestCheckpointRecoverEndToEnd(t *testing.T) {
 	if err := standby.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
-	if err := buf.Replay(func(rec []byte) error {
+	for _, rec := range buf {
 		apply(standby, rec)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 
 	want, _ := primary.Snapshot()

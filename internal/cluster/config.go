@@ -50,10 +50,6 @@ type NodeConfig struct {
 	RepairInterval time.Duration
 	// JoinTimeout bounds the initial join retry loop (default 15s).
 	JoinTimeout time.Duration
-	// FederateInterval is the seed's metrics-federation pull period: each
-	// cycle it pulls every live member's registry snapshot for the merged
-	// /metrics/cluster exposition and evicts stale members (default 1s).
-	FederateInterval time.Duration
 	// ReplayBuffer is the per-edge egress replay window in tuples
 	// (default 65536): on reconnect a relay re-sends the retained
 	// window, so recovery is exact while the gap fits in it.
@@ -80,7 +76,7 @@ func ParseNodeConfig(args []string, getenv func(string) string) (NodeConfig, err
 	fs := flag.NewFlagSet("sr3node", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	var cfg NodeConfig
-	var heartbeat, deadAfter, repair, joinTimeout, federate string
+	var heartbeat, deadAfter, repair, joinTimeout string
 	var replayBuf string
 	fs.StringVar(&cfg.Name, "name", getenv("SR3_NAME"), "node identity (stable across restarts; default hostname)")
 	fs.StringVar(&cfg.Listen, "listen", getenv("SR3_LISTEN"), "cluster listen address (default 127.0.0.1:0)")
@@ -92,7 +88,6 @@ func ParseNodeConfig(args []string, getenv func(string) string) (NodeConfig, err
 	fs.StringVar(&deadAfter, "dead-after", getenv("SR3_DEAD_AFTER"), "declare a silent node dead after (default 8x heartbeat)")
 	fs.StringVar(&repair, "repair", getenv("SR3_REPAIR"), "shard repair interval (default 500ms)")
 	fs.StringVar(&joinTimeout, "join-timeout", getenv("SR3_JOIN_TIMEOUT"), "initial join retry budget (default 15s)")
-	fs.StringVar(&federate, "federate", getenv("SR3_FEDERATE"), "seed metrics-federation pull interval (default 1s)")
 	fs.StringVar(&replayBuf, "replay-buffer", getenv("SR3_REPLAY_BUFFER"), "per-edge egress replay window in tuples (default 65536)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, fmt.Errorf("%w: %v", ErrConfig, err)
@@ -112,9 +107,6 @@ func ParseNodeConfig(args []string, getenv func(string) string) (NodeConfig, err
 	}
 	if cfg.JoinTimeout, err = durationOr(joinTimeout, 15*time.Second); err != nil {
 		return cfg, cfgErrf("join-timeout: %v", err)
-	}
-	if cfg.FederateInterval, err = durationOr(federate, time.Second); err != nil {
-		return cfg, cfgErrf("federate: %v", err)
 	}
 	if replayBuf != "" {
 		n, err := strconv.Atoi(replayBuf)
@@ -161,9 +153,6 @@ func (c *NodeConfig) withDefaults() {
 	}
 	if c.JoinTimeout <= 0 {
 		c.JoinTimeout = 15 * time.Second
-	}
-	if c.FederateInterval <= 0 {
-		c.FederateInterval = time.Second
 	}
 	if c.ReplayBuffer <= 0 {
 		c.ReplayBuffer = 1 << 16

@@ -10,8 +10,13 @@ import (
 	"sr3/internal/simnet"
 )
 
-// federator is the seed's metrics-federation engine: at the federate
-// interval it pulls every live member's registry snapshot plus debug
+// federateInterval is the seed's metrics-federation pull period: each
+// cycle pulls every live member's registry snapshot for the merged
+// /metrics/cluster exposition and evicts stale members.
+const federateInterval = time.Second
+
+// federator is the seed's metrics-federation engine: every
+// federateInterval it pulls every live member's registry snapshot plus debug
 // view with a cluster.metricspull message, rebuilds member registries from
 // the snapshots, and serves one merged node=-labeled Prometheus scrape
 // at /metrics/cluster and a cluster topology JSON at /debug/sr3/cluster.
@@ -59,7 +64,7 @@ func (f *federator) close() {
 
 func (f *federator) loop() {
 	defer close(f.done)
-	tick := time.NewTicker(f.node.cfg.FederateInterval)
+	tick := time.NewTicker(federateInterval)
 	defer tick.Stop()
 	for {
 		select {

@@ -521,7 +521,6 @@ func (n *Node) buildCell(compIDs []string) (*cell, error) {
 		SaveEveryTuples: n.spec.SaveEvery,
 		ChannelDepth:    n.spec.ChannelDepth,
 		UpstreamReplay:  true,
-		Codec:           stream.CodecBatch,
 		Metrics:         n.reg,
 		Flight:          n.flight,
 	})

@@ -47,6 +47,16 @@ const (
 	// probed again, so a node revived after a chaos downtime (or an
 	// operator restart) is eventually noticed and un-declared.
 	reprobeEvery = 8
+
+	// windowSize bounds the inter-arrival history per peer.
+	windowSize = 128
+	// minStddevDiv floors the modeled inter-arrival deviation at
+	// Interval/minStddevDiv, so a perfectly regular in-process transport
+	// does not make φ explode on microsecond jitter.
+	minStddevDiv = 4
+	// degradedAfter is the consecutive-reply hysteresis for entering and
+	// leaving the degraded tier (gray.go).
+	degradedAfter = 2
 )
 
 // Config tunes one detector.
@@ -56,12 +66,6 @@ type Config struct {
 	// Threshold is the φ level at which a peer becomes suspected
 	// (default 8 ≈ one-in-10⁸ chance the peer is merely slow).
 	Threshold float64
-	// WindowSize bounds the inter-arrival history per peer (default 128).
-	WindowSize int
-	// MinStddev floors the modeled inter-arrival deviation so a
-	// perfectly regular in-process transport does not make φ explode on
-	// microsecond jitter (default Interval/4).
-	MinStddev time.Duration
 	// Quorum is how many distinct suspecters (this node included) must
 	// agree before a suspect is declared dead (default 2). A crashed
 	// node can neither gossip nor receive suspicions, so with Quorum≥2
@@ -69,12 +73,9 @@ type Config struct {
 	// dead. Use 1 only in two-node deployments.
 	Quorum int
 	// DegradedRTT is the probe round trip above which a reply counts as
-	// slow; DegradedAfter consecutive slow replies move the peer to
+	// slow; degradedAfter consecutive slow replies move the peer to
 	// StateDegraded (default: Interval).
 	DegradedRTT time.Duration
-	// DegradedAfter is the consecutive-reply hysteresis for entering and
-	// leaving the degraded tier (default 2).
-	DegradedAfter int
 	// MinDeadSilence floors how long a peer must be silent before this
 	// detector declares it dead, regardless of φ and quorum (default
 	// 3×Interval). For peers with measured RTTs the effective floor is
@@ -97,20 +98,11 @@ func (c Config) withDefaults() Config {
 	if c.Threshold <= 0 {
 		c.Threshold = 8
 	}
-	if c.WindowSize <= 0 {
-		c.WindowSize = 128
-	}
-	if c.MinStddev <= 0 {
-		c.MinStddev = c.Interval / 4
-	}
 	if c.Quorum <= 0 {
 		c.Quorum = 2
 	}
 	if c.DegradedRTT <= 0 {
 		c.DegradedRTT = c.Interval
-	}
-	if c.DegradedAfter <= 0 {
-		c.DegradedAfter = 2
 	}
 	if c.MinDeadSilence <= 0 {
 		c.MinDeadSilence = 3 * c.Interval
@@ -180,7 +172,6 @@ type Detector struct {
 	peers        map[id.ID]*peerState
 	suspecters   map[id.ID]map[id.ID]bool // target -> distinct reporters
 	dead         map[id.ID]bool
-	onDead       []func(peer id.ID)
 	onDeadRep    []func(DeathReport)
 	onTransition []func(Transition)
 	stats        Stats
@@ -212,15 +203,6 @@ func New(node *dht.Node, cfg Config) *Detector {
 	return d
 }
 
-// OnDead registers a callback fired exactly once per dead verdict (the
-// supervisor's subscription point). Callbacks run outside the detector
-// lock and must not block for long.
-func (d *Detector) OnDead(f func(peer id.ID)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.onDead = append(d.onDead, f)
-}
-
 // DeathReport is the annotated form of a dead verdict, for subscribers
 // that trace or time the detection (the supervisor).
 type DeathReport struct {
@@ -239,8 +221,9 @@ type DeathReport struct {
 	DetectedAt time.Time
 }
 
-// OnDeadReport registers an annotated verdict callback. Same contract as
-// OnDead; both kinds fire for every verdict.
+// OnDeadReport registers a callback fired exactly once per dead verdict
+// (the supervisor's subscription point). Callbacks run outside the
+// detector lock and must not block for long.
 func (d *Detector) OnDeadReport(f func(DeathReport)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -339,7 +322,7 @@ func (d *Detector) Tick() {
 		if !ok {
 			// Tracking starts now: the prior window (mean=Interval)
 			// stands in until real arrivals accumulate.
-			ps = &peerState{win: newArrivalWindow(d.cfg.WindowSize), last: now}
+			ps = &peerState{win: newArrivalWindow(windowSize), last: now}
 			d.peers[t] = ps
 		}
 		ps.outOfSet = false
@@ -419,7 +402,7 @@ func (d *Detector) probe(target id.ID) {
 		// verdict and restart the arrival model — the downtime gap is
 		// not an inter-arrival sample.
 		delete(d.dead, target)
-		ps.win = newArrivalWindow(d.cfg.WindowSize)
+		ps.win = newArrivalWindow(windowSize)
 		ps.rttWin = nil
 		ps.degraded, ps.slowStreak, ps.fastStreak = false, 0, 0
 	} else {
@@ -461,7 +444,6 @@ func (d *Detector) evaluate(now time.Time) {
 	type verdictFn struct {
 		target      id.ID
 		silentSince time.Time
-		hooks       []func(id.ID)
 		hooksRep    []func(DeathReport)
 	}
 	var gossip []suspectMsg
@@ -525,12 +507,10 @@ func (d *Detector) evaluate(now time.Time) {
 				from := d.stateLocked(peer, ps)
 				d.dead[peer] = true
 				d.stats.Declarations++
-				hooks := make([]func(id.ID), len(d.onDead))
-				copy(hooks, d.onDead)
 				hooksRep := make([]func(DeathReport), len(d.onDeadRep))
 				copy(hooksRep, d.onDeadRep)
 				verdicts = append(verdicts, verdictFn{
-					target: peer, silentSince: ps.last, hooks: hooks, hooksRep: hooksRep,
+					target: peer, silentSince: ps.last, hooksRep: hooksRep,
 				})
 				trans = append(trans, Transition{
 					Peer: peer, From: from, To: StateDead, At: now,
@@ -569,9 +549,6 @@ func (d *Detector) evaluate(now time.Time) {
 			msg := obituaryMsg{Target: v.target, SilentSince: v.silentSince}
 			_, _ = d.node.Send(l, simnet.Message{Kind: kindObituary, Size: gossipSize, Payload: &msg})
 		}
-		for _, h := range v.hooks {
-			h(v.target)
-		}
 		rep := DeathReport{
 			Peer:        v.target,
 			Trace:       d.cfg.Tracer.NewRootContext(),
@@ -585,7 +562,7 @@ func (d *Detector) evaluate(now time.Time) {
 }
 
 func (d *Detector) phiLocked(ps *peerState, now time.Time) float64 {
-	mean, std := ps.win.meanStd(float64(d.cfg.Interval), float64(d.cfg.MinStddev))
+	mean, std := ps.win.meanStd(float64(d.cfg.Interval), float64(d.cfg.Interval/minStddevDiv))
 	return phi(now.Sub(ps.last), mean, std)
 }
 
@@ -622,7 +599,6 @@ func (d *Detector) handleObituary(from id.ID, msg simnet.Message) (simnet.Messag
 	if !ok {
 		return simnet.Message{}, fmt.Errorf("detector: bad obituary payload %T", msg.Payload)
 	}
-	var hooks []func(id.ID)
 	var hooksRep []func(DeathReport)
 	var trans []Transition
 	d.mu.Lock()
@@ -630,7 +606,6 @@ func (d *Detector) handleObituary(from id.ID, msg simnet.Message) (simnet.Messag
 		ps := d.peers[req.Target]
 		prev := d.stateLocked(req.Target, ps)
 		d.dead[req.Target] = true
-		hooks = append(hooks, d.onDead...)
 		hooksRep = append(hooksRep, d.onDeadRep...)
 		trans = append(trans, Transition{
 			Peer: req.Target, From: prev, To: StateDead, At: d.cfg.Now(),
@@ -639,21 +614,16 @@ func (d *Detector) handleObituary(from id.ID, msg simnet.Message) (simnet.Messag
 	}
 	d.mu.Unlock()
 	d.fire(trans)
-	if hooks != nil || hooksRep != nil {
+	if len(hooksRep) > 0 {
 		d.node.ReportDead(req.Target)
-		for _, h := range hooks {
-			h(req.Target)
+		rep := DeathReport{
+			Peer:        req.Target,
+			Trace:       d.cfg.Tracer.NewRootContext(),
+			SilentSince: req.SilentSince,
+			DetectedAt:  d.cfg.Now(),
 		}
-		if len(hooksRep) > 0 {
-			rep := DeathReport{
-				Peer:        req.Target,
-				Trace:       d.cfg.Tracer.NewRootContext(),
-				SilentSince: req.SilentSince,
-				DetectedAt:  d.cfg.Now(),
-			}
-			for _, h := range hooksRep {
-				h(rep)
-			}
+		for _, h := range hooksRep {
+			h(rep)
 		}
 	}
 	return simnet.Message{Kind: kindObituary, Size: probeSize}, nil

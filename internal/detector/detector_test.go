@@ -158,9 +158,9 @@ func TestOnDeadFiresOnceAndReportsDead(t *testing.T) {
 	for _, nid := range ring.IDs() {
 		owner := nid
 		fired[owner] = make(map[id.ID]int)
-		ds[owner].OnDead(func(peer id.ID) {
+		ds[owner].OnDeadReport(func(rep DeathReport) {
 			mu.Lock()
-			fired[owner][peer]++
+			fired[owner][rep.Peer]++
 			mu.Unlock()
 		})
 	}
@@ -190,7 +190,7 @@ func TestOnDeadFiresOnceAndReportsDead(t *testing.T) {
 		time.Sleep(cfg.Interval)
 	}
 	if !anyFired() {
-		t.Fatal("no OnDead callback fired for crashed victim")
+		t.Fatal("no OnDeadReport callback fired for crashed victim")
 	}
 	// Run several more rounds: each detector must fire at most once per
 	// verdict, and the victim must have been purged from leaf sets.
@@ -203,7 +203,7 @@ func TestOnDeadFiresOnceAndReportsDead(t *testing.T) {
 	defer mu.Unlock()
 	for owner, m := range fired {
 		if m[victim] > 1 {
-			t.Fatalf("detector on %s fired OnDead %d times for one death", owner.Short(), m[victim])
+			t.Fatalf("detector on %s fired OnDeadReport %d times for one death", owner.Short(), m[victim])
 		}
 		if owner == victim {
 			continue

@@ -31,7 +31,7 @@ const (
 	// verdict yet. Cleared by the next arrival.
 	StateSuspected
 	// StateDegraded: probes answer, but the RTT has stayed above
-	// Config.DegradedRTT for Config.DegradedAfter consecutive replies.
+	// Config.DegradedRTT for degradedAfter consecutive replies.
 	// The peer is slow-but-alive; escalation policy decides what to do.
 	StateDegraded
 	// StateDead: quorum-confirmed (or obituary-delivered) death verdict.
@@ -124,8 +124,8 @@ func (d *Detector) stateLocked(peer id.ID, ps *peerState) State {
 }
 
 // classifyRTTLocked folds one probe round trip into the slow/fast
-// hysteresis: DegradedAfter consecutive replies above DegradedRTT enter
-// the degraded tier, DegradedAfter consecutive replies at or below half
+// hysteresis: degradedAfter consecutive replies above DegradedRTT enter
+// the degraded tier, degradedAfter consecutive replies at or below half
 // the threshold leave it; the band in between holds the current tier.
 func (d *Detector) classifyRTTLocked(ps *peerState, rtt time.Duration) {
 	thr := d.cfg.DegradedRTT
@@ -133,14 +133,14 @@ func (d *Detector) classifyRTTLocked(ps *peerState, rtt time.Duration) {
 	case rtt > thr:
 		ps.slowStreak++
 		ps.fastStreak = 0
-		if !ps.degraded && ps.slowStreak >= d.cfg.DegradedAfter {
+		if !ps.degraded && ps.slowStreak >= degradedAfter {
 			ps.degraded = true
 			d.stats.Degradations++
 		}
 	case rtt <= thr/2:
 		ps.fastStreak++
 		ps.slowStreak = 0
-		if ps.degraded && ps.fastStreak >= d.cfg.DegradedAfter {
+		if ps.degraded && ps.fastStreak >= degradedAfter {
 			ps.degraded = false
 		}
 	default:

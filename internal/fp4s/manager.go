@@ -111,13 +111,6 @@ func (m *Manager) storeLocal(env blockEnvelope) {
 	m.store[key] = env
 }
 
-// BlockCount reports the coded blocks stored on this node.
-func (m *Manager) BlockCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.store)
-}
-
 func (m *Manager) handleStore(_ id.ID, msg simnet.Message) (simnet.Message, error) {
 	env, ok := msg.Payload.(*blockEnvelope)
 	if !ok {

@@ -1,6 +1,5 @@
 // Package metrics provides the statistics used by the evaluation
-// harness: summary stats, percentiles, histogram series, and the normal
-// probability plot (Fig 11c).
+// harness: summary stats, percentiles and latency histograms.
 package metrics
 
 import (
@@ -22,20 +21,6 @@ func Mean(xs []float64) (float64, error) {
 		s += x
 	}
 	return s / float64(len(xs)), nil
-}
-
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	v := 0.0
-	for _, x := range xs {
-		d := x - m
-		v += d * d
-	}
-	return math.Sqrt(v / float64(len(xs))), nil
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) by linear
@@ -62,29 +47,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// ProbPoint is one point of a normal probability plot: a sample value and
-// its plotting-position percentile.
-type ProbPoint struct {
-	Value      float64
-	Percentile float64
-}
-
-// NormalProbabilityPlot returns (value, percentile) pairs using the
-// Hazen plotting position (i-0.5)/n — the series behind Fig 11c.
-func NormalProbabilityPlot(xs []float64) ([]ProbPoint, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]ProbPoint, len(sorted))
-	n := float64(len(sorted))
-	for i, v := range sorted {
-		out[i] = ProbPoint{Value: v, Percentile: (float64(i) + 0.5) / n}
-	}
-	return out, nil
-}
-
 // FractionBelow returns the fraction of samples strictly below the
 // threshold (used for claims like "95% of nodes store < 50 shards").
 func FractionBelow(xs []float64, threshold float64) (float64, error) {
@@ -98,42 +60,4 @@ func FractionBelow(xs []float64, threshold float64) (float64, error) {
 		}
 	}
 	return float64(n) / float64(len(xs)), nil
-}
-
-// Histogram buckets samples into equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram with the given bin count.
-func NewHistogram(xs []float64, bins int) (Histogram, error) {
-	if len(xs) == 0 {
-		return Histogram{}, ErrEmpty
-	}
-	if bins <= 0 {
-		bins = 10
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	h := Histogram{Min: lo, Max: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		idx := bins - 1
-		if width > 0 {
-			idx = int((x - lo) / width)
-			if idx >= bins {
-				idx = bins - 1
-			}
-		}
-		h.Counts[idx]++
-	}
-	return h, nil
 }

@@ -7,15 +7,11 @@ import (
 	"testing"
 )
 
-func TestMeanStddev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	m, err := Mean(xs)
 	if err != nil || m != 5 {
 		t.Fatalf("mean=%v err=%v", m, err)
-	}
-	sd, err := Stddev(xs)
-	if err != nil || sd != 2 {
-		t.Fatalf("stddev=%v err=%v", sd, err)
 	}
 }
 
@@ -23,20 +19,11 @@ func TestEmptyInputs(t *testing.T) {
 	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
 		t.Fatal("mean nil")
 	}
-	if _, err := Stddev(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatal("stddev nil")
-	}
 	if _, err := Percentile(nil, 50); !errors.Is(err, ErrEmpty) {
 		t.Fatal("percentile nil")
 	}
-	if _, err := NormalProbabilityPlot(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatal("plot nil")
-	}
 	if _, err := FractionBelow(nil, 1); !errors.Is(err, ErrEmpty) {
 		t.Fatal("fraction nil")
-	}
-	if _, err := NewHistogram(nil, 4); !errors.Is(err, ErrEmpty) {
-		t.Fatal("hist nil")
 	}
 }
 
@@ -69,54 +56,11 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestNormalProbabilityPlot(t *testing.T) {
-	pts, err := NormalProbabilityPlot([]float64{30, 10, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("len=%d", len(pts))
-	}
-	// Sorted values with Hazen positions 1/6, 3/6, 5/6.
-	if pts[0].Value != 10 || math.Abs(pts[0].Percentile-1.0/6) > 1e-9 {
-		t.Fatalf("pts[0]=%+v", pts[0])
-	}
-	if pts[2].Value != 30 || math.Abs(pts[2].Percentile-5.0/6) > 1e-9 {
-		t.Fatalf("pts[2]=%+v", pts[2])
-	}
-}
-
 func TestFractionBelow(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	f, err := FractionBelow(xs, 3)
 	if err != nil || f != 0.5 {
 		t.Fatalf("f=%v err=%v", f, err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	h, err := NewHistogram(xs, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 10 {
-		t.Fatalf("histogram lost samples: %d", total)
-	}
-	if h.Min != 0 || h.Max != 9 {
-		t.Fatalf("bounds [%v,%v]", h.Min, h.Max)
-	}
-	// Degenerate: all equal values land in one bin without panicking.
-	h2, err := NewHistogram([]float64{5, 5, 5}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.Counts[len(h2.Counts)-1] != 3 {
-		t.Fatalf("degenerate histogram %v", h2.Counts)
 	}
 }
 

@@ -87,18 +87,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// HistogramNames lists the registered histogram names, sorted.
-func (r *Registry) HistogramNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Gauge is a settable point-in-time value.
 type Gauge struct{ v atomic.Int64 }
 

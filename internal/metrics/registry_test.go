@@ -20,10 +20,6 @@ func TestRegistryIdentity(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") || r.Counter("c") != r.Counter("c") {
 		t.Fatal("gauge/counter identity broken")
 	}
-	r.Histogram("z")
-	if got := r.HistogramNames(); len(got) != 3 || got[0] != "a" || got[2] != "z" {
-		t.Fatalf("HistogramNames = %v", got)
-	}
 }
 
 // TestPromName: sanitization must map the full forbidden set and guard

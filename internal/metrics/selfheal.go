@@ -2,12 +2,10 @@ package metrics
 
 // SelfHealStats aggregates the self-healing pipeline's timing samples
 // across many induced failures: detection latency (kill → verdict at the
-// supervisor), recovery latency (kill → state rebuilt) and MTTR
-// (kill → replication restored to r). The package stays free of internal
-// imports, so samples arrive as plain milliseconds.
+// supervisor) and MTTR (kill → replication restored to r). The package
+// stays free of internal imports, so samples arrive as plain milliseconds.
 type SelfHealStats struct {
 	DetectionMs []float64
-	RecoveryMs  []float64
 	MTTRMs      []float64
 	// Failures counts induced deaths that produced no successful
 	// recovery event (supervision gap — must stay 0 in a healthy run).
@@ -15,9 +13,8 @@ type SelfHealStats struct {
 }
 
 // AddSample folds one handled death into the aggregate.
-func (s *SelfHealStats) AddSample(detectionMs, recoveryMs, mttrMs float64) {
+func (s *SelfHealStats) AddSample(detectionMs, mttrMs float64) {
 	s.DetectionMs = append(s.DetectionMs, detectionMs)
-	s.RecoveryMs = append(s.RecoveryMs, recoveryMs)
 	s.MTTRMs = append(s.MTTRMs, mttrMs)
 }
 
@@ -46,11 +43,6 @@ func summarize(xs []float64) (mean, p50, p99, max float64) {
 // DetectionSummary returns (mean, p50, p99, max) detection latency in ms.
 func (s SelfHealStats) DetectionSummary() (mean, p50, p99, max float64) {
 	return summarize(s.DetectionMs)
-}
-
-// RecoverySummary returns (mean, p50, p99, max) recovery latency in ms.
-func (s SelfHealStats) RecoverySummary() (mean, p50, p99, max float64) {
-	return summarize(s.RecoveryMs)
 }
 
 // MTTRSummary returns (mean, p50, p99, max) kill→reprotected time in ms.

@@ -25,7 +25,7 @@
 //     omits zero values, so untraced traffic pays nothing on the wire).
 //     Remote handlers parent their spans on the inbound context; each
 //     process's sink keeps its own records and batches merge by trace ID
-//     (see wire.go / Collector.ImportBinary).
+//     (see wire.go / Collector.ExportBinary).
 package obs
 
 import (

@@ -69,13 +69,6 @@ func (c *Collector) TraceIDs() []uint64 {
 	return out
 }
 
-// Reset discards all collected spans.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.spans = nil
-}
-
 // PhaseTotals sums span durations by phase for one trace — the per-phase
 // breakdown of a single recovery (the repo's Fig. 9 analogue).
 func (c *Collector) PhaseTotals(traceID uint64) map[string]int64 {
@@ -97,21 +90,6 @@ func (c *Collector) ExportBinary() []byte {
 		buf = AppendSpanRecord(buf, s)
 	}
 	return buf
-}
-
-// ImportBinary merges a binary span batch (from another process's
-// ExportBinary) into this collector. Records decoded before an error are
-// kept.
-func (c *Collector) ImportBinary(b []byte) error {
-	for len(b) > 0 {
-		rec, rest, err := DecodeSpanRecord(b)
-		if err != nil {
-			return err
-		}
-		c.OnSpan(rec)
-		b = rest
-	}
-	return nil
 }
 
 // WriteJSONL renders every collected span as JSONL (one object per

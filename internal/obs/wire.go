@@ -7,8 +7,8 @@ import (
 )
 
 // Binary span-record wire format, for shipping trace batches between
-// processes (a remote node's Collector.ExportBinary → the central
-// collector's ImportBinary). One record is:
+// processes (a remote node's Collector.ExportBinary → the seed's
+// observability hub, which decodes it record by record). One record is:
 //
 //	uvarint version (currently 1)
 //	uvarint trace, span, parent

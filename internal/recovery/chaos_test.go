@@ -100,8 +100,7 @@ func (e *chaosEnv) arm(kindPrefix string, downtime time.Duration) *simnet.Chaos 
 
 // TestChaosMidRecoveryFailover is the acceptance scenario: a provider is
 // killed mid-recovery for each mechanism, and the failover ladder must
-// still reassemble byte-identical state — while the identical fault plan
-// with failover disabled reproduces the pre-chaos abort.
+// still reassemble byte-identical state.
 func TestChaosMidRecoveryFailover(t *testing.T) {
 	t.Run("star", func(t *testing.T) {
 		// With failover: both holders of one index crash transiently; the
@@ -125,14 +124,6 @@ func TestChaosMidRecoveryFailover(t *testing.T) {
 		if st := ch.Stats(); st.Crashes != 2 {
 			t.Fatalf("chaos stats %+v", st)
 		}
-
-		// Same fault plan, failover disabled: the old abort.
-		env = newChaosEnv(t, Star, 77)
-		env.arm("sr3.", 250*time.Millisecond)
-		opts.DisableFailover = true
-		if _, err := joined(env.c.Recover("app", Star, opts)); !errors.Is(err, ErrShardLost) {
-			t.Fatalf("disabled failover: want ErrShardLost, got %v", err)
-		}
 	})
 
 	t.Run("line", func(t *testing.T) {
@@ -155,13 +146,6 @@ func TestChaosMidRecoveryFailover(t *testing.T) {
 		if res.Outcome.Attempts < 2 && !res.Outcome.Degraded {
 			t.Fatalf("no replan and no degrade: %+v", res.Outcome)
 		}
-
-		env = newChaosEnv(t, Line, 78)
-		env.arm("sr3.line", 0)
-		opts.DisableFailover = true
-		if _, err := joined(env.c.Recover("app", Line, opts)); !errors.Is(err, ErrProviderLost) {
-			t.Fatalf("disabled failover: want ErrProviderLost, got %v", err)
-		}
 	})
 
 	t.Run("tree", func(t *testing.T) {
@@ -183,13 +167,6 @@ func TestChaosMidRecoveryFailover(t *testing.T) {
 		}
 		if res.Outcome.DeadProviders == 0 || res.Outcome.Failovers == 0 {
 			t.Fatalf("outcome does not reflect the loss: %+v", res.Outcome)
-		}
-
-		env = newChaosEnv(t, Tree, 79)
-		env.arm("sr3.tree", 0)
-		opts.DisableFailover = true
-		if _, err := joined(env.c.Recover("app", Tree, opts)); !errors.Is(err, ErrProviderLost) {
-			t.Fatalf("disabled failover: want ErrProviderLost, got %v", err)
 		}
 	})
 }

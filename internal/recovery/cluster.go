@@ -210,8 +210,7 @@ func clampBit(b int) int {
 // placement pulls many providers concurrently without unbounded fan-out.
 // With opts.Speculate, two replicas are requested concurrently and the
 // first success wins. Provider losses fail over to the remaining replicas
-// with bounded retries and exponential backoff (unless
-// opts.DisableFailover).
+// with bounded retries and exponential backoff.
 func (m *Manager) collectStar(p shard.Placement, opts Options, oc *outcomeRecorder, a *assembler) error {
 	oc.attempt()
 	conc := opts.FetchConcurrency
@@ -245,11 +244,10 @@ func (m *Manager) collectStar(p shard.Placement, opts Options, oc *outcomeRecord
 // was already assembled by a concurrent path). Holders are tried in
 // replica order; a full pass with no success is retried up to
 // opts.FailoverRetries times with exponentially growing backoff (so a
-// transiently crashed provider can come back). With opts.DisableFailover
-// a single pass is made, reproducing the original abort-on-loss
-// behaviour. With opts.Speculate the first two replicas are raced before
-// falling back to the ordered passes. Each index's retrieval is one
-// PhaseFetch span (with its merge as a PhaseMerge child).
+// transiently crashed provider can come back). With opts.Speculate the
+// first two replicas are raced before falling back to the ordered passes.
+// Each index's retrieval is one PhaseFetch span (with its merge as a
+// PhaseMerge child).
 func (m *Manager) fetchIndexRetryInto(a *assembler, index int, p shard.Placement, opts Options, oc *outcomeRecorder) (int, error) {
 	sp := opts.Tracer.StartSpan(opts.TraceParent, obs.PhaseFetch)
 	sp.SetInt("index", int64(index))
@@ -282,10 +280,6 @@ func (m *Manager) fetchIndexRetry(a *assembler, index int, p shard.Placement, op
 			}
 		}
 	}
-	rounds := opts.FailoverRetries
-	if opts.DisableFailover {
-		rounds = 0
-	}
 	backoff := opts.RetryBackoff
 	if backoff <= 0 {
 		backoff = time.Millisecond
@@ -306,10 +300,7 @@ func (m *Manager) fetchIndexRetry(a *assembler, index int, p shard.Placement, op
 				oc.deadNode(h)
 			}
 		}
-		if round >= rounds {
-			if opts.DisableFailover {
-				return 0, fmt.Errorf("shard index %d: %w", index, ErrShardLost)
-			}
+		if round >= opts.FailoverRetries {
 			return 0, fmt.Errorf("shard index %d: %w", index, ErrReplicasExhausted)
 		}
 		// Every extra pass must be funded by the retry budget; the first
@@ -468,7 +459,7 @@ type slot struct {
 }
 
 // collectLine runs the chain collection (paper §3.5), pipelined: the
-// chain is cut into opts.PipelineDepth segments whose sub-chains collect
+// chain is cut into pipelineDepth segments whose sub-chains collect
 // concurrently, so the replacement merges one segment's shards into the
 // snapshot while the next segment's bytes are still in flight. When a
 // stage dies mid-chain, the partial accumulation unwinds to the
@@ -517,7 +508,7 @@ func (m *Manager) collectLine(stages []stage, p shard.Placement, opts Options, o
 				resp, err := m.node.Send(seg[0].Node, simnet.Message{
 					Kind:    kindLineCollect,
 					Size:    msgHeader + 64,
-					Payload: &lineCollectMsg{App: p.App, Version: p.Version, Chain: seg, NoFailover: opts.DisableFailover},
+					Payload: &lineCollectMsg{App: p.App, Version: p.Version, Chain: seg},
 					TraceID: opts.TraceParent.Trace,
 					SpanID:  opts.TraceParent.Span,
 				})
@@ -528,12 +519,8 @@ func (m *Manager) collectLine(stages []stage, p shard.Placement, opts Options, o
 		for range segs {
 			o := <-ch
 			if o.err != nil {
-				if opts.DisableFailover {
-					failed = o.err
-				} else {
-					oc.deadNode(o.seg[0].Node)
-					dead[o.seg[0].Node] = true
-				}
+				oc.deadNode(o.seg[0].Node)
+				dead[o.seg[0].Node] = true
 				continue
 			}
 			reply, ok := o.resp.Payload.(*collectReply)
@@ -564,21 +551,10 @@ func (m *Manager) collectLine(stages []stage, p shard.Placement, opts Options, o
 		return gained, failed
 	}
 
-	depth := opts.PipelineDepth
-	if depth < 1 {
-		depth = defaultPipelineDepth
-	}
-	if _, err := pass(stages, depth); err != nil {
+	if _, err := pass(stages, pipelineDepth); err != nil {
 		return err
 	}
 	missing := a.missing()
-	if opts.DisableFailover {
-		if len(missing) > 0 {
-			return fmt.Errorf("line: %d shard indices uncollected: %w", len(missing), ErrShardLost)
-		}
-		return nil
-	}
-
 	backoff := opts.RetryBackoff
 	if backoff <= 0 {
 		backoff = time.Millisecond
@@ -632,14 +608,10 @@ func (m *Manager) collectTree(stages []stage, fanout int, p shard.Placement, opt
 	// Subtree → direct fetch: degraded providers are excised from the
 	// forest so no healthy subtree is chained behind a slow interior
 	// node; their indices stay missing and fall to the star ladder below
-	// (which itself demotes degraded replicas to last resort). Skipped
-	// under DisableFailover, where the ladder is unavailable.
-	if !opts.DisableFailover {
-		healthy, slow := m.splitDegraded(remote)
-		if len(slow) > 0 {
-			remote = healthy
-			oc.degrade(Star)
-		}
+	// (which itself demotes degraded replicas to last resort).
+	if healthy, slow := m.splitDegraded(remote); len(slow) > 0 {
+		remote = healthy
+		oc.degrade(Star)
 	}
 	roots := buildForest(remote, fanout)
 	type treeOut struct {
@@ -653,7 +625,7 @@ func (m *Manager) collectTree(stages []stage, fanout int, p shard.Placement, opt
 			resp, err := m.node.Send(rt.Stage.Node, simnet.Message{
 				Kind:    kindTreeCollect,
 				Size:    msgHeader + 64,
-				Payload: &treeCollectMsg{App: p.App, Version: p.Version, Tree: rt, NoFailover: opts.DisableFailover},
+				Payload: &treeCollectMsg{App: p.App, Version: p.Version, Tree: rt},
 				TraceID: opts.TraceParent.Trace,
 				SpanID:  opts.TraceParent.Span,
 			})
@@ -664,11 +636,7 @@ func (m *Manager) collectTree(stages []stage, fanout int, p shard.Placement, opt
 	for range roots {
 		o := <-ch
 		if o.err != nil {
-			if opts.DisableFailover {
-				failed = o.err
-			} else {
-				oc.deadNode(o.root)
-			}
+			oc.deadNode(o.root)
 			continue
 		}
 		reply, ok := o.resp.Payload.(*collectReply)
@@ -687,14 +655,7 @@ func (m *Manager) collectTree(stages []stage, fanout int, p shard.Placement, opt
 	if failed != nil {
 		return failed
 	}
-	missing := a.missing()
-	if opts.DisableFailover {
-		if len(missing) > 0 {
-			return fmt.Errorf("tree: %d shard indices uncollected: %w", len(missing), ErrShardLost)
-		}
-		return nil
-	}
-	if len(missing) > 0 {
+	if missing := a.missing(); len(missing) > 0 {
 		oc.degrade(Star)
 		for _, idx := range missing {
 			n, err := m.fetchIndexRetryInto(a, idx, p, opts, oc)

@@ -30,9 +30,6 @@ type lineCollectMsg struct {
 	Version state.Version
 	Chain   []stage // remaining stages, first is the recipient
 	Acc     []shard.Shard
-	// NoFailover propagates Options.DisableFailover down the chain: a
-	// dead stage aborts the collection instead of returning a partial.
-	NoFailover bool
 }
 
 // collectReply carries a collection result: data-free shard metadata in
@@ -102,7 +99,7 @@ func (m *Manager) handleLineCollect(_ id.ID, msg simnet.Message) (simnet.Message
 	if len(rest) == 0 {
 		return lend(nil), nil
 	}
-	fwd := &lineCollectMsg{App: req.App, Version: req.Version, Chain: rest, Acc: metas, NoFailover: req.NoFailover}
+	fwd := &lineCollectMsg{App: req.App, Version: req.Version, Chain: rest, Acc: metas}
 	resp, err := m.node.Send(rest[0].Node, simnet.Message{
 		Kind:    kindLineCollect,
 		Size:    msgHeader + size,
@@ -112,10 +109,6 @@ func (m *Manager) handleLineCollect(_ id.ID, msg simnet.Message) (simnet.Message
 		SpanID:  fwdCtx.Span,
 	})
 	if err != nil {
-		if req.NoFailover {
-			done()
-			return simnet.Message{}, fmt.Errorf("line forward to %s: %w: %v", rest[0].Node.Short(), ErrProviderLost, err)
-		}
 		// Dead stage: unwind what we have; the replacement resumes with
 		// these shards and replans the remainder around the dead node.
 		return lend([]id.ID{rest[0].Node}), nil
@@ -134,8 +127,6 @@ type treeCollectMsg struct {
 	App     string
 	Version state.Version // as in lineCollectMsg
 	Tree    *treeNode     // rooted at the recipient
-	// NoFailover propagates Options.DisableFailover down the tree.
-	NoFailover bool
 }
 
 // handleTreeCollect runs at each tree member: collect children's shard
@@ -182,15 +173,11 @@ func (m *Manager) handleTreeCollect(_ id.ID, msg simnet.Message) (simnet.Message
 		resp, err := m.node.Send(child.Stage.Node, simnet.Message{
 			Kind:    kindTreeCollect,
 			Size:    msgHeader + 64,
-			Payload: &treeCollectMsg{App: req.App, Version: req.Version, Tree: child, NoFailover: req.NoFailover},
+			Payload: &treeCollectMsg{App: req.App, Version: req.Version, Tree: child},
 			TraceID: fwdCtx.Trace,
 			SpanID:  fwdCtx.Span,
 		})
 		if err != nil {
-			if req.NoFailover {
-				done()
-				return simnet.Message{}, fmt.Errorf("tree collect from %s: %w: %v", child.Stage.Node.Short(), ErrProviderLost, err)
-			}
 			dead = append(dead, child.Stage.Node)
 			continue
 		}

@@ -84,19 +84,10 @@ type Options struct {
 	// doubles on every subsequent pass (exponential backoff), giving
 	// transiently-dead providers time to come back.
 	RetryBackoff time.Duration
-	// DisableFailover reverts to the pre-chaos behaviour: the first
-	// provider lost mid-recovery aborts the whole recovery. The chaos
-	// tests and ablations use it to demonstrate the failover win.
-	DisableFailover bool
 	// FetchConcurrency bounds how many provider fetches the star executor
 	// (and the degraded-to-star tail of line/tree) keeps in flight at
 	// once — the data plane's worker pool width. 0 selects the default.
 	FetchConcurrency int
-	// PipelineDepth is how many concurrent sub-chains the line executor
-	// cuts the provider chain into, so merging one segment's shards
-	// overlaps the next segment's transfer. 1 is the classic single
-	// chain; 0 selects the default.
-	PipelineDepth int
 	// Tracer, when non-nil, records per-phase spans for this recovery
 	// (plan, fetch, collect, merge — see internal/obs). Nil falls back to
 	// the cluster's tracer; nil everywhere disables tracing at zero cost.
@@ -120,11 +111,14 @@ type Options struct {
 	RetryBudget *overload.Budget
 }
 
-// Data-plane defaults, applied when the corresponding Options field is
-// zero (so literal Options values get the pipelined behaviour too).
 const (
+	// defaultFetchConcurrency applies when Options.FetchConcurrency is
+	// zero, so literal Options values get the pooled fetches too.
 	defaultFetchConcurrency = 8
-	defaultPipelineDepth    = 2
+	// pipelineDepth is how many concurrent sub-chains the line executor
+	// cuts the provider chain into, so merging one segment's shards
+	// overlaps the next segment's transfer.
+	pipelineDepth = 2
 )
 
 // DefaultOptions returns the defaults used by the evaluation unless a
@@ -138,7 +132,6 @@ func DefaultOptions() Options {
 		FailoverRetries:  3,
 		RetryBackoff:     10 * time.Millisecond,
 		FetchConcurrency: defaultFetchConcurrency,
-		PipelineDepth:    defaultPipelineDepth,
 	}
 }
 
@@ -148,10 +141,6 @@ var (
 	ErrShardLost     = errors.New("recovery: some shard has no live replica")
 	ErrNoReplacement = errors.New("recovery: no live node available as replacement")
 	ErrBadMechanism  = errors.New("recovery: unknown mechanism")
-	// ErrProviderLost reports a provider dying mid-recovery; with
-	// failover disabled it aborts the recovery, otherwise the ladder
-	// routes around it.
-	ErrProviderLost = errors.New("recovery: provider lost mid-recovery")
 	// ErrReplicasExhausted is the failover ladder's floor: every replica
 	// of some shard was tried (with retries and backoff) and none answered.
 	ErrReplicasExhausted = errors.New("recovery: all replicas of a shard exhausted")

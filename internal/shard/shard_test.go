@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"sr3/internal/id"
 	"sr3/internal/state"
@@ -197,83 +196,6 @@ func TestReplicateCounts(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 }
-
-func TestSplitBytesMerge(t *testing.T) {
-	f := func(data []byte, kRaw uint8) bool {
-		k := int(kRaw%16) + 1
-		parts := SplitBytes(data, k)
-		got, err := MergeBytes(parts, len(data))
-		return err == nil && bytes.Equal(got, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeBytesErrors(t *testing.T) {
-	base := mkData(100, 5)
-	cases := []struct {
-		name  string
-		parts func() [][]byte
-		total int
-	}{
-		{"no parts", func() [][]byte { return nil }, 0},
-		{"nil part mid-merge", func() [][]byte {
-			p := SplitBytes(base, 4)
-			p[2] = nil
-			return p
-		}, len(base)},
-		{"truncated part", func() [][]byte {
-			p := SplitBytes(base, 4)
-			p[1] = p[1][:len(p[1])-3]
-			return p
-		}, len(base)},
-		{"inflated part", func() [][]byte {
-			p := SplitBytes(base, 4)
-			p[0] = append(append([]byte(nil), p[0]...), 0xFF)
-			return p
-		}, len(base)},
-		{"wrong total", func() [][]byte { return SplitBytes(base, 4) }, len(base) + 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := MergeBytes(tc.parts(), tc.total); !errors.Is(err, ErrIncomplete) {
-				t.Fatalf("got %v, want ErrIncomplete", err)
-			}
-		})
-	}
-}
-
-func TestMergeBytesEdges(t *testing.T) {
-	// m=1: a single part merges to itself.
-	one := SplitBytes(mkData(17, 9), 1)
-	if len(one) != 1 {
-		t.Fatalf("k=1 produced %d parts", len(one))
-	}
-	got, err := MergeBytes(one, 17)
-	if err != nil || !bytes.Equal(got, mkData(17, 9)) {
-		t.Fatalf("m=1 merge: %v", err)
-	}
-	// Empty data: one empty non-nil chunk, merges back to empty.
-	empty := SplitBytes(nil, 4)
-	if len(empty) != 1 || empty[0] == nil {
-		t.Fatalf("empty split: %#v", empty)
-	}
-	if got, err := MergeBytes(empty, 0); err != nil || len(got) != 0 {
-		t.Fatalf("empty merge: %v (%d bytes)", err, len(got))
-	}
-	// total < 0 skips the length check but still rejects nil parts.
-	p := SplitBytes(base16(), 3)
-	if _, err := MergeBytes(p, -1); err != nil {
-		t.Fatalf("total<0: %v", err)
-	}
-	p[0] = nil
-	if _, err := MergeBytes(p, -1); !errors.Is(err, ErrIncomplete) {
-		t.Fatalf("total<0 nil part: got %v", err)
-	}
-}
-
-func base16() []byte { return mkData(16, 3) }
 
 func TestPlaceDistinctReplicaNodes(t *testing.T) {
 	nodes := make([]id.ID, 10)

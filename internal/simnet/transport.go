@@ -168,13 +168,6 @@ func (n *Network) Register(nid id.ID, h Handler) error {
 	return nil
 }
 
-// Deregister removes a node entirely.
-func (n *Network) Deregister(nid id.ID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.endpoints, nid)
-}
-
 // Fail marks a node as crashed: subsequent calls to it fail, and it sends
 // nothing. The node's state is retained so Restore can bring it back.
 func (n *Network) Fail(nid id.ID) {

@@ -106,20 +106,6 @@ func TestTrafficAccounting(t *testing.T) {
 	}
 }
 
-func TestDeregister(t *testing.T) {
-	n := NewNetwork()
-	a, b := id.HashKey("a"), id.HashKey("b")
-	_ = n.Register(a, echoHandler)
-	_ = n.Register(b, echoHandler)
-	n.Deregister(b)
-	if _, err := n.Call(a, b, Message{Kind: "ping"}); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("got %v, want ErrUnknownNode", err)
-	}
-	if len(n.Nodes()) != 1 {
-		t.Fatalf("nodes = %d, want 1", len(n.Nodes()))
-	}
-}
-
 func TestHandlerErrorPropagates(t *testing.T) {
 	n := NewNetwork()
 	a, b := id.HashKey("a"), id.HashKey("b")

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 	"sort"
 	"sync"
@@ -443,45 +442,4 @@ func readBytes(b []byte) ([]byte, []byte, error) {
 		return nil, nil, ErrTooShort
 	}
 	return append([]byte(nil), b[:n]...), b[n:], nil
-}
-
-// Envelope wraps a snapshot with version metadata and an integrity
-// checksum; this is the unit SR3 splits into shards.
-type Envelope struct {
-	Version Version
-	Data    []byte
-}
-
-const envelopeHeader = 8 + 8 + 4 + 4 // ts + seq + crc + len
-
-// EncodeEnvelope serializes an envelope.
-func EncodeEnvelope(e Envelope) []byte {
-	buf := make([]byte, 0, envelopeHeader+len(e.Data))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(e.Version.Timestamp))
-	buf = binary.BigEndian.AppendUint64(buf, e.Version.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(e.Data))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Data)))
-	return append(buf, e.Data...)
-}
-
-// DecodeEnvelope parses and integrity-checks an envelope.
-func DecodeEnvelope(b []byte) (Envelope, error) {
-	if len(b) < envelopeHeader {
-		return Envelope{}, ErrTooShort
-	}
-	ts := int64(binary.BigEndian.Uint64(b[0:8]))
-	seq := binary.BigEndian.Uint64(b[8:16])
-	sum := binary.BigEndian.Uint32(b[16:20])
-	n := binary.BigEndian.Uint32(b[20:24])
-	body := b[24:]
-	if uint32(len(body)) != n {
-		return Envelope{}, fmt.Errorf("envelope length %d != %d: %w", len(body), n, ErrCorrupt)
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return Envelope{}, fmt.Errorf("envelope checksum mismatch: %w", ErrCorrupt)
-	}
-	return Envelope{
-		Version: Version{Timestamp: ts, Seq: seq},
-		Data:    append([]byte(nil), body...),
-	}, nil
 }

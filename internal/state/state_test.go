@@ -212,29 +212,6 @@ func TestVersionOrdering(t *testing.T) {
 	}
 }
 
-func TestEnvelopeRoundTrip(t *testing.T) {
-	e := Envelope{Version: Version{Timestamp: 42, Seq: 7}, Data: []byte("payload")}
-	enc := EncodeEnvelope(e)
-	dec, err := DecodeEnvelope(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Version != e.Version || !bytes.Equal(dec.Data, e.Data) {
-		t.Fatalf("round trip mismatch: %+v", dec)
-	}
-}
-
-func TestEnvelopeDetectsCorruption(t *testing.T) {
-	enc := EncodeEnvelope(Envelope{Version: Version{1, 1}, Data: []byte("payload")})
-	enc[len(enc)-1] ^= 0xff
-	if _, err := DecodeEnvelope(enc); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("got %v, want ErrCorrupt", err)
-	}
-	if _, err := DecodeEnvelope(enc[:10]); !errors.Is(err, ErrTooShort) {
-		t.Fatalf("got %v, want ErrTooShort", err)
-	}
-}
-
 func TestBloomFilterBasics(t *testing.T) {
 	f := NewBloomFilter(1000, 0.01)
 	for i := 0; i < 500; i++ {

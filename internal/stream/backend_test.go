@@ -3,10 +3,13 @@ package stream
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"sr3/internal/checkpoint"
 	"sr3/internal/dht"
+	"sr3/internal/offheap"
 	"sr3/internal/state"
 )
 
@@ -132,5 +135,78 @@ func TestBackendsKeepTheStateAsOfTheSave(t *testing.T) {
 			}
 			got.Release()
 		})
+	}
+}
+
+// mapStoreBolt is a stateful bolt that does nothing but hold its store.
+type mapStoreBolt struct{ store *state.MapStore }
+
+func (b *mapStoreBolt) Execute(Tuple, Emit) error { return nil }
+func (b *mapStoreBolt) Store() StateStore         { return b.store }
+
+// TestInProcessRecoveryAllocatesOnlyTheStore is the in-process read path's
+// allocation guard, the runtime-level twin of recovery's
+// TestRecoveryAllocatesOnlyTheStore. A 16 MiB MapStore task is saved
+// through SR3Backend on an in-process ring, killed and recovered, and the
+// task restores from the shard bodies the recovery lends. Over TCP the
+// bound is the fetched bodies + the store + S/8; in process a holder lends
+// its replica by reference, so the bodies cost nothing and RecoverTask may
+// allocate the restored store's slab and at most S/8 besides, heap and
+// mapped bytes together. A joined copy of the state, or a copy kept by the
+// backend, is another S and fails it.
+func TestInProcessRecoveryAllocatesOnlyTheStore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bound: the race detector's shadow memory is counted too")
+	}
+	const S, valueBytes = 16 << 20, 16 << 10
+	bolt := &mapStoreBolt{store: state.NewMapStore()}
+	rng := rand.New(rand.NewSource(7))
+	val := make([]byte, valueBytes)
+	for i := 0; i < S/valueBytes; i++ {
+		rng.Read(val)
+		bolt.store.Put(fmt.Sprintf("key-%05d", i), val)
+	}
+	want, err := bolt.store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := NewTopology("alloc")
+	if err := topo.AddSource("src"); err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.AddBolt("state", bolt, 1).Global("src").Err(); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRuntime(topo, Config{Backend: NewSR3Backend(buildSR3Cluster(t, 20, 11), 8, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Wait()
+	if err := rt.Save("state", 0); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	if err := rt.Kill("state", 0); err != nil {
+		t.Fatal(err)
+	}
+	bolt.store.Put("key-00000", make([]byte, valueBytes)) // lost with the task
+	var before, after runtime.MemStats
+	bodies, stores := offheap.Bodies.Total(), offheap.Stores.Total()
+	runtime.ReadMemStats(&before)
+	err = rt.RecoverTask("state", 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	mapped := int(offheap.Bodies.Total()-bodies) + int(offheap.Stores.Total()-stores)
+	total := int(after.TotalAlloc-before.TotalAlloc) + mapped
+	bound := len(want) + S/8
+	t.Logf("recovered %d bytes: %d allocated, %d of it mapped", len(want), total, mapped)
+	if total > bound {
+		t.Fatalf("RecoverTask allocated %d bytes (%d mapped), want at most the store's %d + S/8 = %d",
+			total, mapped, len(want), bound)
+	}
+	if got, err := bolt.store.Snapshot(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("restored %d bytes (err %v), not the state as of the save", len(got), err)
 	}
 }

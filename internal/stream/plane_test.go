@@ -398,7 +398,7 @@ func TestInjectBatchReplayNeverShed(t *testing.T) {
 			if err := topo.AddBolt("b", bolt, 1).Global("src").Err(); err != nil {
 				t.Fatal(err)
 			}
-			rt, err := NewRuntime(topo, Config{ChannelDepth: depth, QueuePolicy: tc.policy, ShedWatermark: 0.5})
+			rt, err := NewRuntime(topo, Config{ChannelDepth: depth, QueuePolicy: tc.policy})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -53,17 +53,6 @@ type Config struct {
 	// QueueShedOldest. Shedding never drops replay-class tuples;
 	// exactly-once for admitted tuples is preserved under either policy.
 	QueuePolicy QueuePolicy
-	// ShedWatermark is the degraded-mode admission bound as a fraction
-	// of ChannelDepth (default 0.75): while the runtime is in
-	// degraded-service mode (EnterDegraded), new ingest-class tuples are
-	// shed once a queue is filled past the watermark, reserving the
-	// headroom above it for replay and recovery traffic.
-	ShedWatermark float64
-	// IngestWindow caps the in-flight (routed but unprocessed) tuple
-	// count seen by spout pumps: a pump pauses when pending >= window —
-	// ingest admission control, the credit-based upstream half of
-	// backpressure. 0 disables the gate.
-	IngestWindow int
 	// UpstreamReplay declares that every input of this runtime is retained
 	// and replayed by its sender, and that a task dies with the runtime's
 	// process: a live task then keeps no input log, because nothing in this
@@ -88,12 +77,16 @@ type Config struct {
 	Flight *obs.FlightRecorder
 }
 
+// shedWatermark is the degraded-mode admission bound as a fraction of
+// ChannelDepth: while the runtime is in degraded-service mode
+// (EnterDegraded), new ingest-class tuples are shed once a queue is filled
+// past the watermark, reserving the headroom above it for replay and
+// recovery traffic.
+const shedWatermark = 0.75
+
 func (c Config) withDefaults() Config {
 	if c.ChannelDepth <= 0 {
 		c.ChannelDepth = 256
-	}
-	if c.ShedWatermark <= 0 || c.ShedWatermark > 1 {
-		c.ShedWatermark = 0.75
 	}
 	if c.Now == nil {
 		c.Now = func() int64 { return time.Now().UnixMilli() }
@@ -233,7 +226,7 @@ func NewRuntime(topo *Topology, cfg Config) (*Runtime, error) {
 		if !ok {
 			continue
 		}
-		watermark := int(float64(cfg.ChannelDepth) * cfg.ShedWatermark)
+		watermark := int(float64(cfg.ChannelDepth) * shedWatermark)
 		batch, _ := decl.bolt.(BatchBolt)
 		ts := make([]*task, decl.parallel)
 		for i := range ts {
@@ -278,18 +271,10 @@ func (rt *Runtime) Start() {
 			defer rt.spoutWG.Done()
 			out := rt.newOutbox(nil)
 			subs := rt.subs[id]
-			window := int64(rt.cfg.IngestWindow)
 			for {
 				tuple, ok := sp.Next()
 				if !ok {
 					return
-				}
-				// Ingest admission gate: hold new spout tuples while the
-				// in-flight count is at the window — upstream credit-based
-				// backpressure, so overload queues at the source instead
-				// of fanning out into the topology.
-				for window > 0 && rt.pending.Load() >= window {
-					time.Sleep(100 * time.Microsecond)
 				}
 				tuple.Stream = id
 				rt.instr.noteSpout()
@@ -917,9 +902,6 @@ func (rt *Runtime) Handled(bolt string, index int) (int64, error) {
 // ExecuteErrors returns how many bolt executions returned errors.
 func (rt *Runtime) ExecuteErrors() int64 { return rt.failures.Load() }
 
-// Parallelism returns a bolt's task count.
-func (rt *Runtime) Parallelism(bolt string) int { return len(rt.tasks[bolt]) }
-
 // TaskStats is a point-in-time view of one task.
 type TaskStats struct {
 	Key      string
@@ -971,7 +953,7 @@ func (rt *Runtime) EnterDegraded(reason string) {
 	rt.degMu.Unlock()
 	rt.instr.noteDegraded(true)
 	rt.cfg.Flight.Note(obs.FlightShedStart, "", rt.topo.name,
-		fmt.Sprintf("reason=%s policy=%s watermark=%.2f", reason, rt.cfg.QueuePolicy, rt.cfg.ShedWatermark), nil)
+		fmt.Sprintf("reason=%s policy=%s watermark=%.2f", reason, rt.cfg.QueuePolicy, shedWatermark), nil)
 }
 
 // ExitDegraded releases one EnterDegraded hold. The last exit drains

@@ -136,18 +136,8 @@ func (f *Framework) EnableMetrics() *ClusterRegistry {
 	return f.clusterReg
 }
 
-// EnableMetricsWith is EnableMetrics targeting a caller-owned
-// ClusterRegistry (e.g. one shared across several frameworks or with a
-// bench harness). A previously enabled registry is replaced.
-func (f *Framework) EnableMetricsWith(cr *ClusterRegistry) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.clusterReg = cr
-	f.ring.EnableMetrics(cr)
-}
-
-// Metrics returns the cluster registry installed by EnableMetrics /
-// EnableMetricsWith, or nil when metrics are off.
+// Metrics returns the cluster registry installed by EnableMetrics, or nil
+// when metrics are off.
 func (f *Framework) Metrics() *ClusterRegistry {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -147,9 +147,6 @@ func (f *Framework) Nodes() []NodeID { return f.ring.IDs() }
 // FailNode crashes one overlay node (failure injection).
 func (f *Framework) FailNode(n NodeID) { f.ring.Fail(n) }
 
-// RestoreNode revives a crashed node.
-func (f *Framework) RestoreNode(n NodeID) { f.ring.Restore(n) }
-
 // MaintenanceRound runs one keep-alive round on every live node.
 func (f *Framework) MaintenanceRound() { f.ring.MaintenanceRound() }
 

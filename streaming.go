@@ -43,10 +43,6 @@ type (
 	OverloadStats = stream.OverloadStats
 	// TaskOverloadStats is one task's share of the overload ledger.
 	TaskOverloadStats = stream.TaskOverloadStats
-	// Codec names the inter-task tuple encoding (RuntimeConfig.Codec).
-	Codec = stream.Codec
-	// TrafficClass labels a tuple batch's lane: fresh ingest or replay.
-	TrafficClass = stream.TrafficClass
 )
 
 // Queue-full policies for RuntimeConfig.QueuePolicy.
@@ -58,31 +54,6 @@ const (
 	// new one; replay traffic is never shed.
 	QueueShedOldest = stream.QueueShedOldest
 )
-
-// CodecBatch is the compact length-prefixed binary batch codec used by
-// the batched tuple plane at process boundaries.
-const CodecBatch = stream.CodecBatch
-
-// Traffic classes carried by tuple batches.
-const (
-	// ClassIngest marks fresh source tuples (sheddable under pressure).
-	ClassIngest = stream.ClassIngest
-	// ClassReplay marks recovery replay tuples (never shed).
-	ClassReplay = stream.ClassReplay
-)
-
-// EncodeTupleBatch appends the batch frame for tuples to dst — the
-// compact binary wire format the batched tuple plane uses across
-// process boundaries (see DESIGN.md §13).
-func EncodeTupleBatch(dst []byte, tuples []Tuple, class TrafficClass) ([]byte, error) {
-	return stream.EncodeTupleBatch(dst, tuples, class)
-}
-
-// DecodeTupleBatch parses a batch frame produced by EncodeTupleBatch,
-// rejecting corrupt or truncated frames.
-func DecodeTupleBatch(data []byte) ([]Tuple, TrafficClass, error) {
-	return stream.DecodeTupleBatch(data)
-}
 
 // State stores.
 type (

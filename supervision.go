@@ -141,14 +141,6 @@ func (f *Framework) PostMortem() []FlightEvent {
 	return sup.PostMortem()
 }
 
-// Supervisor exposes the running supervisor (advanced callers and the
-// bench harness); nil when supervision is not active.
-func (f *Framework) Supervisor() *supervise.Supervisor {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.sup
-}
-
 // SuperviseRuntime binds a stream runtime to the running supervisor:
 // every stateful task is protected as a task-bound state, so a dead
 // state owner triggers kill → backend recovery → input-log replay on the
