@@ -129,7 +129,8 @@ func (o *viewOverlay) Send(to id.ID, msg simnet.Message) (simnet.Message, error)
 }
 
 // broadcast sends msg to every live member at once and returns the
-// replies in member order.
+// replies and errors index for index, in no particular member order
+// (LeafSet's targets come from a map).
 func (o *viewOverlay) broadcast(msg simnet.Message) ([]simnet.Message, []error) {
 	targets := o.LeafSet()
 	resps, errs := make([]simnet.Message, len(targets)), make([]error, len(targets))

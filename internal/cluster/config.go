@@ -43,10 +43,10 @@ type NodeConfig struct {
 	// DeadAfter is how long the control plane waits after the last
 	// heartbeat before declaring a node dead (default 8x Heartbeat).
 	DeadAfter time.Duration
-	// RepairInterval is the shard re-scatter period: each node
-	// re-pushes its stateful tasks' last snapshot shards so holders
-	// that died or rejoined converge back to full replication
-	// (default 500ms).
+	// RepairInterval is the repair period: each node asks every stateful
+	// task whose last save did not store every replica under the current
+	// view for a fresh save, so replication converges back after holders
+	// die or rejoin (default 500ms).
 	RepairInterval time.Duration
 	// JoinTimeout bounds the initial join retry loop (default 15s).
 	JoinTimeout time.Duration

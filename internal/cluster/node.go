@@ -66,7 +66,6 @@ type Node struct {
 	// before the join so the member record carries it.
 	httpAddr string
 	control  *controlPlane // non-nil on the seed
-	fed      *federator    // non-nil on the seed: metrics federation
 	hub      *obsHub       // non-nil on the seed: trace stitch + post-mortem
 
 	mu       sync.Mutex
@@ -146,8 +145,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.incarnation.Store(time.Now().UnixNano())
 	n.reg = n.clusterReg.Node(cfg.Name)
 	// Baseline liveness families: even a node hosting nothing (fresh
-	// rejoin whose components were adopted elsewhere) federates these, so
-	// every live member is visible in /metrics/cluster.
+	// rejoin whose components were adopted elsewhere) answers the seed's
+	// pull with these, so every live member is visible in /metrics/cluster.
 	n.reg.Gauge("sr3_node_up").Set(1)
 	n.reg.Gauge("sr3_node_incarnation").Set(n.incarnation.Load())
 	n.spans = obs.NewCollector()
@@ -191,9 +190,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 
 	if err := n.bootstrap(); err != nil {
 		return fail(err)
-	}
-	if n.fed != nil {
-		n.fed.start()
 	}
 	n.joined.Store(true)
 	if w := replayWindowWarning(n.spec.SaveEvery, cfg.ReplayBuffer); w != "" {
@@ -276,9 +272,8 @@ func (n *Node) bootstrap() error {
 		}
 		n.spec = spec
 		n.control = newControlPlane(n, spec)
-		// The federation and trace-stitch surfaces must exist before the
-		// monitor loop runs: a sweep may trigger a post-mortem.
-		n.fed = newFederator(n)
+		// The trace-stitch hub must exist before the monitor loop runs: a
+		// sweep may trigger a post-mortem.
 		n.hub = newObsHub(n)
 		if _, err := n.control.handleJoin(&joinReq{
 			Name: n.cfg.Name, Addr: n.advertise, HTTP: n.httpAddr,
@@ -360,13 +355,18 @@ func (n *Node) httpExtras() map[string]http.HandlerFunc {
 	return map[string]http.HandlerFunc{
 		"/metrics/cluster": func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := n.fed.scrape(w); err != nil {
+			reg, _ := n.pullMetrics()
+			if err := reg.WritePrometheus(w); err != nil {
 				n.logf("cluster scrape: %v", err)
 			}
 		},
 		"/debug/sr3/cluster": func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(n.fed.clusterDebug())
+			v := n.currentView()
+			_, nodes := n.pullMetrics()
+			_ = json.NewEncoder(w).Encode(ClusterDebug{
+				Seed: n.cfg.Name, Epoch: v.Epoch, Members: v.Members, Assign: v.Assign, Nodes: nodes,
+			})
 		},
 		"/debug/sr3/trace": func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/x-ndjson")
@@ -927,9 +927,6 @@ func (n *Node) Stop() {
 	}
 	close(n.rpStop)
 	<-n.rpDone
-	if n.fed != nil {
-		n.fed.close()
-	}
 	if n.control != nil {
 		n.control.close()
 	}

@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -98,114 +102,143 @@ func TestMergeTimelineDedupAcrossDumps(t *testing.T) {
 	}
 }
 
-// TestFederationUnderChurn drives the seed's federation through a
-// member's full lifecycle: join (series appear), crash (series
-// evicted), rejoin under a new incarnation (fresh series reappear).
+// startHTTPSeed starts a seed that serves its HTTP surface on a free
+// port, its config first adjusted by tune when that is not nil.
+func startHTTPSeed(t *testing.T, spec *Spec, tune func(*NodeConfig)) *Node {
+	t.Helper()
+	cfg := testNodeConfig("n1", "", spec)
+	cfg.HTTPListen = "127.0.0.1:0"
+	if tune != nil {
+		tune(&cfg)
+	}
+	n, err := StartNode(cfg)
+	if err != nil {
+		t.Fatalf("StartNode(n1): %v", err)
+	}
+	return n
+}
+
+// seedGet reads one path of n's HTTP surface.
+func seedGet(t *testing.T, n *Node, path string) string {
+	t.Helper()
+	body, err := httpGet("http://" + n.httpAddr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// clusterDebugOf decodes the seed's /debug/sr3/cluster.
+func clusterDebugOf(t *testing.T, seed *Node) ClusterDebug {
+	t.Helper()
+	var cd ClusterDebug
+	if err := json.Unmarshal([]byte(seedGet(t, seed, "/debug/sr3/cluster")), &cd); err != nil {
+		t.Fatalf("decode /debug/sr3/cluster: %v", err)
+	}
+	return cd
+}
+
+// TestFederationUnderChurn reads the seed's cluster endpoints through a
+// member's full lifecycle: join (series appear), crash (series gone once
+// the view calls it dead), rejoin under a new incarnation (its series
+// reappear, the superseded incarnation's never).
 func TestFederationUnderChurn(t *testing.T) {
 	spec := testSpec("n1", "n2", "n1", 100000, 8, 50, 100)
-	seed := startTestNode(t, "n1", "", spec)
+	seed := startHTTPSeed(t, spec, nil)
 	defer seed.Stop()
 	n2 := startTestNode(t, "n2", seed.Addr(), spec)
 
-	if err := seed.FederateNow(); err != nil {
-		t.Fatal(err)
-	}
-	scrape, err := seed.ClusterScrape()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scrape := seedGet(t, seed, "/metrics/cluster")
 	for _, node := range []string{"n1", "n2"} {
-		if !strings.Contains(scrape, `node="`+node+`"`) {
+		if !strings.Contains(scrape, `sr3_node_up{node="`+node+`"} 1`) {
 			t.Fatalf("federated scrape missing node=%q series:\n%.2000s", node, scrape)
 		}
 	}
-	cd, err := seed.ClusterDebugSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cd.Nodes["n2"]; !ok {
+	if cd := clusterDebugOf(t, seed); cd.Nodes["n2"].Node != "n2" {
 		t.Fatalf("cluster debug missing n2: %+v", cd.Nodes)
 	}
 
-	// Crash n2 and wait for the death verdict; the next federation cycle
-	// must evict every node="n2" series — the stale-member leak guard.
+	// Crash n2 and wait for the death verdict: from then on the seed does
+	// not ask it, so no node="n2" series can appear.
 	oldInc := n2.incarnation.Load()
 	crashNode(n2)
 	waitCondition(t, 5*time.Second, "n2 declared dead", func() bool {
-		for _, m := range seed.currentView().Members {
-			if m.Name == "n2" {
-				return !m.Alive
-			}
-		}
-		return false
+		v := seed.currentView()
+		m := v.member("n2")
+		return m != nil && !m.Alive
 	})
-	if err := seed.FederateNow(); err != nil {
-		t.Fatal(err)
+	if scrape = seedGet(t, seed, "/metrics/cluster"); strings.Contains(scrape, `node="n2"`) {
+		t.Fatal("dead member's series in the federated scrape")
 	}
-	scrape, err = seed.ClusterScrape()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(scrape, `node="n2"`) {
-		t.Fatal("dead member's series survived federation eviction")
-	}
-	if cd, _ = seed.ClusterDebugSnapshot(); cd.Nodes["n2"].Node != "" {
-		t.Fatalf("cluster debug retained dead n2: %+v", cd.Nodes)
+	if cd := clusterDebugOf(t, seed); cd.Nodes["n2"].Node != "" {
+		t.Fatalf("cluster debug shows dead n2: %+v", cd.Nodes)
 	}
 
-	// Rejoin under the same name: a fresh incarnation federates fresh
+	// Rejoin under the same name: the scrape carries the new incarnation's
 	// series, never the dead process's.
 	n2b := startTestNode(t, "n2", seed.Addr(), spec)
 	defer n2b.Stop()
-	if n2b.incarnation.Load() <= oldInc {
-		t.Fatalf("rejoin incarnation %d not newer than %d", n2b.incarnation.Load(), oldInc)
+	newInc := n2b.incarnation.Load()
+	if newInc <= oldInc {
+		t.Fatalf("rejoin incarnation %d not newer than %d", newInc, oldInc)
 	}
-	if err := seed.FederateNow(); err != nil {
-		t.Fatal(err)
-	}
-	scrape, err = seed.ClusterScrape()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(scrape, `node="n2"`) {
+	scrape = seedGet(t, seed, "/metrics/cluster")
+	if !strings.Contains(scrape, fmt.Sprintf(`sr3_node_incarnation{node="n2"} %d`, newInc)) {
 		t.Fatalf("rejoined member's series missing from federation:\n%.2000s", scrape)
+	}
+	if strings.Contains(scrape, fmt.Sprint(oldInc)) {
+		t.Fatalf("superseded incarnation %d in the federated scrape", oldInc)
 	}
 }
 
-// TestFederationEvictsStaleIncarnation is the regression test for the
-// stale-leak satellite: when the view's incarnation for a member moves
-// past the one whose snapshot is registered, the next cycle must not
-// keep serving the superseded process's series as if they were current.
-func TestFederationEvictsStaleIncarnation(t *testing.T) {
-	spec := testSpec("n1", "n1", "n1", 10, 2, 0, 100)
-	seed := startTestNode(t, "n1", "", spec)
+// TestHungMembersCostOneTimeout: two members that accept a connection and
+// never answer cost the seed's post-mortem and cluster scrape one
+// rpcTimeout between them, not one each, and the scrape still carries
+// what the seed itself answered.
+func TestHungMembersCostOneTimeout(t *testing.T) {
+	defer func(d time.Duration) { rpcTimeout = d }(rpcTimeout)
+	rpcTimeout = 300 * time.Millisecond
+	seed := startHTTPSeed(t, idleSpec(), func(c *NodeConfig) { c.DeadAfter = time.Minute })
 	defer seed.Stop()
 
-	// Hand-register a snapshot under an incarnation the view has moved
-	// past (the member is gone entirely — the not-live eviction arm), and
-	// one for a live member under a stale incarnation (the mismatch arm).
-	seed.fed.mu.Lock()
-	seed.fed.fed.Register("ghost", seed.reg)
-	seed.fed.incs["ghost"] = 1
-	seed.fed.debugs["ghost"] = NodeDebug{Node: "ghost"}
-	seed.fed.mu.Unlock()
-
-	if err := seed.FederateNow(); err != nil {
-		t.Fatal(err)
-	}
-	scrape, err := seed.ClusterScrape()
+	// The hung members read every request and never answer; a connection
+	// ends when the seed gives up on it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(scrape, `node="ghost"`) {
-		t.Fatal("stale-incarnation series leaked into the federated scrape")
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				_, _ = io.Copy(io.Discard, c)
+				_ = c.Close()
+			}()
+		}
+	}()
+	for _, name := range []string{"hung1", "hung2"} {
+		if _, err := seed.control.handleJoin(&joinReq{Name: name, Addr: ln.Addr().String(), Incarnation: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	seed.fed.mu.Lock()
-	_, incLeft := seed.fed.incs["ghost"]
-	_, dbgLeft := seed.fed.debugs["ghost"]
-	seed.fed.mu.Unlock()
-	if incLeft || dbgLeft {
-		t.Fatal("stale member bookkeeping not purged")
+
+	budget := rpcTimeout * 3 / 2
+	begin := time.Now()
+	seedGet(t, seed, "/debug/sr3/postmortem")
+	if took := time.Since(begin); took >= budget {
+		t.Fatalf("post-mortem took %v with two hung members, want < %v", took, budget)
+	}
+	begin = time.Now()
+	scrape := seedGet(t, seed, "/metrics/cluster")
+	if took := time.Since(begin); took >= budget {
+		t.Fatalf("cluster scrape took %v with two hung members, want < %v", took, budget)
+	}
+	if !strings.Contains(scrape, `sr3_node_up{node="n1"} 1`) {
+		t.Fatalf("cluster scrape lost the seed's own series:\n%.2000s", scrape)
 	}
 }
 

@@ -55,23 +55,12 @@ func (h *obsHub) importSpans(node string, b []byte) {
 }
 
 // collectDumps fetches the observability journal (flight ring + span
-// batch) from every live member, the seed itself included via a local
-// fast path. Unreachable members are skipped: a post-mortem of a failed
-// recovery must work with whatever survived.
+// batch) from every live member, the seed itself included, with one
+// fan-out, ordered by member name. Unreachable members are skipped: a
+// post-mortem of a failed recovery must work with whatever survived.
 func (h *obsHub) collectDumps() []obsDumpResp {
-	var dumps []obsDumpResp
-	for _, m := range h.node.liveMembersView() {
-		if m.Name == h.node.cfg.Name {
-			dumps = append(dumps, h.node.localObsDump())
-			continue
-		}
-		dump, err := call[obsDumpResp](h.node, m.Addr, simnet.Message{Kind: kindObsDump, Payload: &obsDumpReq{}}, rpcTimeout)
-		if err != nil {
-			h.node.logf("obshub: dump from %s: %v", m.Name, err)
-			continue
-		}
-		dumps = append(dumps, *dump)
-	}
+	dumps := pull[obsDumpResp](h.node, simnet.Message{Kind: kindObsDump, Payload: &obsDumpReq{}})
+	sort.Slice(dumps, func(i, j int) bool { return dumps[i].Node < dumps[j].Node })
 	return dumps
 }
 
@@ -252,24 +241,11 @@ func (h *obsHub) lastPostMortem() []byte {
 	return h.lastPM
 }
 
-// PostMortem collects flight journals and spans from every live member
-// and returns the merged cluster timeline as ndjson. Seed only.
-func (n *Node) PostMortem(reason string) ([]byte, error) {
-	if n.hub == nil {
-		return nil, ErrNotSeed
-	}
-	if reason == "" {
-		reason = "on-demand"
-	}
-	return n.hub.postMortem(reason), nil
-}
-
 // localObsDump is what this node answers cluster.obsdump with.
 func (n *Node) localObsDump() obsDumpResp {
 	return obsDumpResp{
-		Node:        n.cfg.Name,
-		Incarnation: n.incarnation.Load(),
-		Flight:      n.flight.Events(),
-		Spans:       n.spans.ExportBinary(),
+		Node:   n.cfg.Name,
+		Flight: n.flight.Events(),
+		Spans:  n.spans.ExportBinary(),
 	}
 }

@@ -24,7 +24,8 @@ import (
 //	      Payload, and the recovery layer's own kinds (shard store, fetch,
 //	      line/tree collect), which are simply themselves. Shard and
 //	      placement bytes are the message's Raw body — chunk frames written
-//	      from the source slice into a pooled buffer, never gob.
+//	      from the source slice, never gob, and read into a pooled buffer,
+//	      or, from 1 MiB on, into one mapped at the body's exact size.
 //	'T' — tuple stream: a gob flowHello naming the edge, one byte back
 //	      (flowAccepted, or flowRefused and close when no ready cell hosts
 //	      the destination), then an endless sequence of batch-codec frames
@@ -97,6 +98,24 @@ func call[Resp any](n *Node, addr string, msg simnet.Message, timeout time.Durat
 	return resp, nil
 }
 
+// pull sends msg to every live member at once, the seed itself through
+// its local dispatch, and returns the replies whose payload is a *Resp in
+// no particular order: one rpcTimeout however many members hang. A member
+// that does not answer is left out; what the seed pulls for a scrape or a
+// post-mortem is whatever answered.
+func pull[Resp any](n *Node, msg simnet.Message) []Resp {
+	replies, errs := n.backend.overlay.broadcast(msg)
+	var out []Resp
+	for i, r := range replies {
+		if errs[i] != nil {
+			n.logf("pull %s: %v", msg.Kind, errs[i])
+		} else if resp, ok := r.Payload.(*Resp); ok {
+			out = append(out, *resp)
+		}
+	}
+	return out
+}
+
 // serve registers f in the handler table as kind: the request's payload
 // must be a *Req (f also sees the message that carried it), the reply's
 // is what f returns.
@@ -137,10 +156,9 @@ func (n *Node) registerHandlers() {
 	serve(o, kindMetricsPull, func(simnet.Message, *metricsPullReq) (*metricsPullResp, error) {
 		n.sampleGauges()
 		return &metricsPullResp{
-			Node:        n.cfg.Name,
-			Incarnation: n.incarnation.Load(),
-			Registry:    n.reg.Snapshot(),
-			Debug:       n.Debug(),
+			Node:     n.cfg.Name,
+			Registry: n.reg.Snapshot(),
+			Debug:    n.Debug(),
 		}, nil
 	})
 	serve(o, kindObsDump, func(simnet.Message, *obsDumpReq) (*obsDumpResp, error) {
@@ -242,15 +260,14 @@ type leaveReq struct {
 type leaveResp struct{}
 
 // metricsPullReq asks a member for its full registry snapshot plus its
-// debug view — one federation cycle's worth of state. Issued by the
-// seed at the federation interval.
+// debug view. The seed sends it to every live member when its
+// /metrics/cluster or /debug/sr3/cluster is requested.
 type metricsPullReq struct{}
 
 type metricsPullResp struct {
-	Node        string
-	Incarnation int64
-	Registry    metrics.RegistrySnapshot
-	Debug       NodeDebug
+	Node     string
+	Registry metrics.RegistrySnapshot
+	Debug    NodeDebug
 }
 
 // obsDumpReq asks a member for its observability journal: the flight
@@ -260,10 +277,9 @@ type metricsPullResp struct {
 type obsDumpReq struct{}
 
 type obsDumpResp struct {
-	Node        string
-	Incarnation int64
-	Flight      []obs.FlightEvent
-	Spans       []byte // obs binary span batch (Collector.ExportBinary)
+	Node   string
+	Flight []obs.FlightEvent
+	Spans  []byte // obs binary span batch (Collector.ExportBinary)
 }
 
 // flowHello opens a tuple stream: it names the edge (producer component

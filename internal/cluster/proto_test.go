@@ -17,7 +17,7 @@ import (
 // TestRawBodyCrossesAsChunkFrames sends a body larger than any benchmark
 // state through the daemon's own listener and first-byte mux, both ways:
 // it arrives byte-exact, and both ends' raw-body counters account for it —
-// it went as chunk frames into a pooled buffer, not inside a gob value.
+// it went as chunk frames, not inside a gob value.
 func TestRawBodyCrossesAsChunkFrames(t *testing.T) {
 	spec := idleSpec()
 	n1 := startTestNode(t, "n1", "", spec)

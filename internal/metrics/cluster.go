@@ -16,18 +16,13 @@ import (
 // registry: HDR histograms merge bucket-wise (associative and
 // commutative, hdr.go), counters and gauges sum.
 type ClusterRegistry struct {
-	mu    sync.Mutex
-	order []string // registration order, for deterministic iteration
-	regs  map[string]*Registry
-	help  map[string]string
+	mu   sync.Mutex
+	regs map[string]*Registry
 }
 
 // NewClusterRegistry returns an empty cluster registry.
 func NewClusterRegistry() *ClusterRegistry {
-	return &ClusterRegistry{
-		regs: make(map[string]*Registry),
-		help: make(map[string]string),
-	}
+	return &ClusterRegistry{regs: make(map[string]*Registry)}
 }
 
 // Register attaches a member registry under the node label. Registering
@@ -38,9 +33,6 @@ func (c *ClusterRegistry) Register(node string, reg *Registry) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.regs[node]; !ok {
-		c.order = append(c.order, node)
-	}
 	c.regs[node] = reg
 }
 
@@ -54,64 +46,31 @@ func (c *ClusterRegistry) Node(node string) *Registry {
 	if !ok {
 		reg = NewRegistry()
 		c.regs[node] = reg
-		c.order = append(c.order, node)
 	}
 	return reg
 }
 
-// Unregister detaches a member (a decommissioned node).
-func (c *ClusterRegistry) Unregister(node string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.regs[node]; !ok {
-		return
-	}
-	delete(c.regs, node)
-	for i, n := range c.order {
-		if n == node {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Nodes lists the member labels in registration order.
-func (c *ClusterRegistry) Nodes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
-}
-
-// SetHelp attaches # HELP text to a metric family in the cluster scrape,
-// overriding the built-in catalog.
-func (c *ClusterRegistry) SetHelp(name, text string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.help[name] = text
-}
-
 // members snapshots the labels and registries in label-sorted order.
-func (c *ClusterRegistry) members() ([]string, []*Registry, map[string]string) {
+func (c *ClusterRegistry) members() ([]string, []*Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	nodes := append([]string(nil), c.order...)
+	nodes := make([]string, 0, len(c.regs))
+	for n := range c.regs {
+		nodes = append(nodes, n)
+	}
 	sort.Strings(nodes)
 	regs := make([]*Registry, len(nodes))
 	for i, n := range nodes {
 		regs[i] = c.regs[n]
 	}
-	help := make(map[string]string, len(c.help))
-	for k, v := range c.help {
-		help[k] = v
-	}
-	return nodes, regs, help
+	return nodes, regs
 }
 
 // Merged rolls every member up into one fresh unlabeled registry:
 // histograms via bucket-wise Merge, counters and gauges by summation.
 // The result is a snapshot — it does not track later recording.
 func (c *ClusterRegistry) Merged() *Registry {
-	_, regs, _ := c.members()
+	_, regs := c.members()
 	out := NewRegistry()
 	for _, reg := range regs {
 		s := reg.snapshot()
@@ -134,7 +93,7 @@ func (c *ClusterRegistry) Merged() *Registry {
 // conflicting instrument types by different nodes keeps the first type
 // seen and skips the conflicting series.
 func (c *ClusterRegistry) WritePrometheus(w io.Writer) error {
-	nodes, regs, clusterHelp := c.members()
+	nodes, regs := c.members()
 	snaps := make([]regSnapshot, len(regs))
 	for i, reg := range regs {
 		snaps[i] = reg.snapshot()
@@ -151,9 +110,6 @@ func (c *ClusterRegistry) WritePrometheus(w io.Writer) error {
 			return
 		}
 		typeOf[pn] = typ
-		if h, ok := clusterHelp[name]; ok {
-			help = h
-		}
 		helpOf[pn] = help
 		names = append(names, pn)
 	}

@@ -65,8 +65,8 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 
 // RegistryFromSnapshot rebuilds a Registry holding exactly the
 // snapshot's values. The result is a live registry (recording into it
-// works) but its intended life is read-only: one federation cycle on the
-// seed, replaced wholesale by the next pull.
+// works) but its intended life is read-only: one cluster scrape on the
+// seed, dropped once it is rendered.
 func RegistryFromSnapshot(s RegistrySnapshot) *Registry {
 	r := NewRegistry()
 	for name, hs := range s.Hists {
