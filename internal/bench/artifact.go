@@ -1,7 +1,7 @@
 // The sweep loop, the artifact path and the experiment table: everything
-// the artifact-producing experiments (matrix, overload, throughput,
-// dataplane) share beyond the rig. sr3bench, CI and the table tests all range over
-// Artifacts, so an experiment is one row here.
+// the artifact-producing experiments (matrix, overload) share beyond the
+// rig. sr3bench, CI and the table tests all range over Artifacts, so an
+// experiment is one row here.
 package bench
 
 import (
@@ -100,18 +100,6 @@ var Artifacts = []Artifact{
 		Validate: func(b []byte) (Report, error) { return ValidateOverload(b) },
 		Plot:     func(r Report) ([]byte, error) { return PlotOverloadCurves(r.(*OverloadReport)) },
 		PlotOut:  "BENCH_overload.svg", PlotAlt: "Overload admitted vs shed fraction",
-	},
-	{
-		ID: "throughput", Desc: "steady-state tuple plane: gob per-tuple vs batched wire + runtime cells",
-		Out: "BENCH_throughput.json", TinyOut: "BENCH_throughput_tiny.json",
-		Sweep:    presetSweep(ThroughputPreset, ThroughputSweep),
-		Validate: func(b []byte) (Report, error) { return ValidateThroughput(b) },
-	},
-	{
-		ID: "dataplane", Desc: "recovery goodput over TCP: size x mechanism x fetch concurrency, median and IQR per cell",
-		Out: "BENCH_dataplane.json", TinyOut: "BENCH_dataplane_tiny.json",
-		Sweep:    presetSweep(DataPlanePreset, DataPlaneSweep),
-		Validate: func(b []byte) (Report, error) { return ValidateDataPlane(b) },
 	},
 }
 

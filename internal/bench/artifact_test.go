@@ -40,46 +40,14 @@ var artifactChecks = map[string]struct {
 		cells:        func(r Report) int { return len(r.(*OverloadReport).Cells) },
 		minCommitted: 7,
 	},
-	"throughput": {
-		tinyCells:    func() int { s, _ := ThroughputPreset("tiny"); return len(s) },
-		cells:        func(r Report) int { return len(r.(*ThroughputReport).Cells) },
-		minCommitted: 4,
-		committed: func(t *testing.T, r Report) {
-			if err := checkWireSpeedup(r.(*ThroughputReport)); err != nil {
-				t.Error(err)
-			}
-		},
-	},
-	"dataplane": {
-		tinyCells:    func() int { s, _ := DataPlanePreset("tiny"); return len(s) },
-		cells:        func(r Report) int { return len(r.(*DataPlaneReport).Cells) },
-		minCommitted: 12,
-		committed: func(t *testing.T, r Report) {
-			// One cold recovery per cell could not resolve what it
-			// reported: a committed cell is a median over repetitions.
-			mechs := map[string]bool{}
-			for _, c := range r.(*DataPlaneReport).Cells {
-				mechs[c.Mechanism] = true
-				if c.Reps < 5 {
-					t.Errorf("committed cell %dMB/%s/c%d has %d repetitions, want >= 5", c.StateMB, c.Mechanism, c.Concurrency, c.Reps)
-				}
-			}
-			if len(mechs) != 3 {
-				t.Errorf("committed dataplane covers %v, want star, line and tree", mechs)
-			}
-		},
-	},
 }
 
 // TestTinyPresets runs every experiment's CI smoke subset for real, down
 // the same artifact path sr3bench takes: sweep, marshal, validate. The
 // validators carry the acceptance gates (no failed cell, exactly-once,
-// no spurious kill, exact ledger, bounded queues, retry cap, state
-// recovered byte-exact as raw chunk frames), so a row passes only if its
-// whole report does; the >= 3x wire speedup, a wall-clock ratio, is
-// gated on the committed artifact only (TestCommittedArtifacts). The
-// experiments that write no artifact — trace, self-heal, chaos — ride
-// along as rows of their own.
+// no spurious kill, exact ledger, bounded queues, retry cap), so a row
+// passes only if its whole report does. The experiments that write no
+// artifact — trace, self-heal, chaos — ride along as rows of their own.
 func TestTinyPresets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every tiny sweep")

@@ -2,9 +2,9 @@
 // experiment runs on: an optional Pastry ring with a recovery cluster and
 // a seeded (unarmed) chaos plan, a state backend picked by mechanism
 // name, and one topology — seq spout → counting bolt → dedupe sink. A
-// scenario (matrix, overload, throughput, trace, steady, self-heal,
-// chaos) is only the fault schedule it arms on the rig and what it reads
-// back; build, pump, drain, audit and teardown live here, once.
+// scenario (matrix, overload, trace, steady, self-heal, chaos) is only
+// the fault schedule it arms on the rig and what it reads back; build,
+// pump, drain, audit and teardown live here, once.
 package bench
 
 import (

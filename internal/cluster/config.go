@@ -113,6 +113,9 @@ func ParseNodeConfig(args []string, getenv func(string) string) (NodeConfig, err
 		if err != nil {
 			return cfg, cfgErrf("replay-buffer: %v", err)
 		}
+		if n <= 0 {
+			return cfg, cfgErrf("replay-buffer: must be positive, got %d", n)
+		}
 		cfg.ReplayBuffer = n
 	}
 	return cfg, cfg.Validate()

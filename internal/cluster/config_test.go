@@ -117,6 +117,8 @@ func TestParseNodeConfigErrors(t *testing.T) {
 		{"negative heartbeat", []string{"-seed", "127.0.0.1:1", "-heartbeat", "-5ms"}, "positive"},
 		{"bad dead-after", []string{"-seed", "127.0.0.1:1", "-dead-after", "never"}, "dead-after"},
 		{"bad replay buffer", []string{"-seed", "127.0.0.1:1", "-replay-buffer", "lots"}, "replay-buffer"},
+		{"zero replay buffer", []string{"-seed", "127.0.0.1:1", "-replay-buffer", "0"}, "must be positive"},
+		{"negative replay buffer", []string{"-seed", "127.0.0.1:1", "-replay-buffer", "-8"}, "must be positive"},
 		{"bad listen", []string{"-seed", "127.0.0.1:1", "-listen", "nohostport"}, "listen"},
 		{"bad advertise", []string{"-seed", "127.0.0.1:1", "-advertise", "nope"}, "advertise"},
 		{"bad seed addr", []string{"-seed", "justahost"}, "seed"},

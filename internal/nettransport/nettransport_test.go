@@ -239,9 +239,10 @@ func TestConcurrentCallsOverTCP(t *testing.T) {
 }
 
 // TestSR3RecoveryOverTCP exercises the full save/recover path over real
-// sockets: a state is sharded onto leaf-set nodes through TCP, the owner
-// crashes, and star recovery fetches and reassembles the shards over the
-// wire.
+// sockets: a 2 MB state is sharded m=8 r=3 onto leaf-set nodes through
+// TCP, the owner crashes, and each mechanism — star, line and tree —
+// fetches and reassembles the shards over the wire, byte-exact, moving
+// the shard bodies as raw chunk frames.
 func TestSR3RecoveryOverTCP(t *testing.T) {
 	dht.RegisterWire()
 	recovery.RegisterWire()
@@ -266,17 +267,17 @@ func TestSR3RecoveryOverTCP(t *testing.T) {
 		all = append(all, node)
 	}
 
-	snap := make([]byte, 40_000)
+	snap := make([]byte, 2_000_000)
 	rand.New(rand.NewSource(7)).Read(snap)
 	owner := all[4]
 	mgr := mgrs[owner.ID()]
-	placement, err := mgr.Save("tcp-app", snap, 6, 2, mgr.NextVersion(1))
+	placement, err := mgr.Save("tcp-app", snap, 8, 3, mgr.NextVersion(1))
 	if err != nil {
 		t.Fatalf("save over tcp: %v", err)
 	}
 
-	// Crash the owner; a surviving node fetches one live replica of every
-	// shard index over the wire and reassembles.
+	// Crash the owner; a surviving node recovers every shard index over
+	// the wire and reassembles.
 	n.Fail(owner.ID())
 	var replacement *dht.Node
 	for _, node := range all {
@@ -295,12 +296,20 @@ func TestSR3RecoveryOverTCP(t *testing.T) {
 	if lookup.Owner != placement.Owner || lookup.M != placement.M {
 		t.Fatal("placement mismatch after wire round trip")
 	}
-	res, err := replMgr.RecoverDirect("tcp-app", recovery.Star, recovery.DefaultOptions())
-	if err != nil {
-		t.Fatalf("star recovery over tcp: %v", err)
-	}
-	if !bytes.Equal(res.Snapshot, snap) {
-		t.Fatal("recovered state differs after TCP recovery")
+	for _, mech := range []recovery.Mechanism{recovery.Star, recovery.Line, recovery.Tree} {
+		t.Run(mech.String(), func(t *testing.T) {
+			before := n.DataPlane().RawBytes
+			res, err := replMgr.RecoverDirect("tcp-app", mech, recovery.DefaultOptions())
+			if err != nil {
+				t.Fatalf("%s recovery over tcp: %v", mech, err)
+			}
+			if !bytes.Equal(res.Snapshot, snap) {
+				t.Fatalf("recovered state differs after %s recovery over tcp", mech)
+			}
+			if moved := n.DataPlane().RawBytes - before; moved < int64(len(snap)) {
+				t.Fatalf("%s moved %d raw bytes for a %d-byte state", mech, moved, len(snap))
+			}
+		})
 	}
 }
 

@@ -206,19 +206,15 @@ func clampBit(b int) int {
 // collectStar fetches one live replica of every still-missing shard index
 // directly from its holders, merging each into the assembler as it lands
 // (paper §3.4). Fetches run under a bounded worker pool
-// (opts.FetchConcurrency), so a wide m×r
+// (fetchConcurrency), so a wide m×r
 // placement pulls many providers concurrently without unbounded fan-out.
 // With opts.Speculate, two replicas are requested concurrently and the
 // first success wins. Provider losses fail over to the remaining replicas
 // with bounded retries and exponential backoff.
 func (m *Manager) collectStar(p shard.Placement, opts Options, oc *outcomeRecorder, a *assembler) error {
 	oc.attempt()
-	conc := opts.FetchConcurrency
-	if conc < 1 {
-		conc = defaultFetchConcurrency
-	}
 	missing := a.missing()
-	sem := make(chan struct{}, conc)
+	sem := make(chan struct{}, fetchConcurrency)
 	errs := make([]error, len(missing))
 	var wg sync.WaitGroup
 	for k, idx := range missing {

@@ -84,10 +84,6 @@ type Options struct {
 	// doubles on every subsequent pass (exponential backoff), giving
 	// transiently-dead providers time to come back.
 	RetryBackoff time.Duration
-	// FetchConcurrency bounds how many provider fetches the star executor
-	// (and the degraded-to-star tail of line/tree) keeps in flight at
-	// once — the data plane's worker pool width. 0 selects the default.
-	FetchConcurrency int
 	// Tracer, when non-nil, records per-phase spans for this recovery
 	// (plan, fetch, collect, merge — see internal/obs). Nil falls back to
 	// the cluster's tracer; nil everywhere disables tracing at zero cost.
@@ -112,9 +108,12 @@ type Options struct {
 }
 
 const (
-	// defaultFetchConcurrency applies when Options.FetchConcurrency is
-	// zero, so literal Options values get the pooled fetches too.
-	defaultFetchConcurrency = 8
+	// fetchConcurrency is how many provider fetches the star executor
+	// (and the degraded-to-star tail of line/tree) keeps in flight at
+	// once — the data plane's worker pool width. At 64 MB over TCP, 8
+	// against 4 read star 42.5 vs 199.6 ms, line 176.6 vs 361.4 ms and
+	// tree 90.3 vs 95.4 ms (EXPERIMENTS.md, "Data-plane experiment").
+	fetchConcurrency = 8
 	// pipelineDepth is how many concurrent sub-chains the line executor
 	// cuts the provider chain into, so merging one segment's shards
 	// overlaps the next segment's transfer.
@@ -125,13 +124,12 @@ const (
 // figure sweeps a knob.
 func DefaultOptions() Options {
 	return Options{
-		StarFanoutBit:    1,
-		LinePathLength:   0, // 0 = one stage per shard
-		TreeFanoutBit:    1,
-		TreeBranchDepth:  8,
-		FailoverRetries:  3,
-		RetryBackoff:     10 * time.Millisecond,
-		FetchConcurrency: defaultFetchConcurrency,
+		StarFanoutBit:   1,
+		LinePathLength:  0, // 0 = one stage per shard
+		TreeFanoutBit:   1,
+		TreeBranchDepth: 8,
+		FailoverRetries: 3,
+		RetryBackoff:    10 * time.Millisecond,
 	}
 }
 

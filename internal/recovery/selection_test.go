@@ -93,10 +93,4 @@ func TestSelectKnobAdjustments(t *testing.T) {
 		t.Fatalf("tree fan-out bit %d, want > default %d", tree.Options.TreeFanoutBit, def.TreeFanoutBit)
 	}
 
-	// Every SR3 decision keeps the pipelined data-plane defaults.
-	for _, d := range []Decision{small, many, tree} {
-		if d.Options.FetchConcurrency != def.FetchConcurrency {
-			t.Fatalf("data-plane knobs not defaulted: %+v", d.Options)
-		}
-	}
 }
