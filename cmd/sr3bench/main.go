@@ -58,7 +58,6 @@ func experiments() []experiment {
 		{id: "fp4s", desc: "FP4S vs SR3 comparison (§2.3)", run: runFP4S},
 		figExp("ablation-speculation", "straggler hedging (§6 future work)", bench.AblationSpeculation),
 		figExp("ablation-speculation-linetree", "line/tree straggler hedging", bench.AblationSpeculationLineTree),
-		{id: "chaos", desc: "failover ladder under seeded fault injection", run: bench.ChaosReport},
 		{id: "trace", desc: "per-phase recovery breakdown from one distributed trace per mechanism", run: runTrace},
 		{id: "self-heal", desc: "detection latency and MTTR vs heartbeat interval and φ threshold", run: bench.SelfHealReport},
 		figExp("ablation-flowpenalty", "star flow-penalty contribution", bench.AblationFlowPenalty),

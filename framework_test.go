@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"sr3/internal/obs"
+	"sr3/internal/state"
+	"sr3/internal/stream"
 )
 
 // TestSaveRefreshesState: repeated saves supersede; recovery returns the
@@ -44,11 +48,7 @@ func TestStateStoreRoundTripsThroughFramework(t *testing.T) {
 	gs.AddEdge("a", "b")
 	gs.AddEdge("b", "c")
 
-	type store interface {
-		Snapshot() ([]byte, error)
-		Restore([]byte) error
-	}
-	stores := map[string]store{"map": ms, "bloom": bf, "graph": gs}
+	stores := map[string]StateStore{"map": ms, "bloom": bf, "graph": gs}
 	for name, st := range stores {
 		snap, err := st.Snapshot()
 		if err != nil {
@@ -68,37 +68,21 @@ func TestStateStoreRoundTripsThroughFramework(t *testing.T) {
 	}
 	f.MaintenanceRound()
 
-	repMap, err := f.Recover("store/map")
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshMap := NewMapStore()
-	if err := freshMap.Restore(repMap.State); err != nil {
-		t.Fatal(err)
+	freshMap, freshBloom, freshGraph := NewMapStore(), NewBloomFilter(1, 0.5), NewGraphStore()
+	for name, st := range map[string]StateStore{"map": freshMap, "bloom": freshBloom, "graph": freshGraph} {
+		rep, err := f.Recover("store/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Restore(rep.State); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if v, ok := freshMap.Get("k2"); !ok || string(v) != "v2" {
 		t.Fatalf("map lost data: %q %v", v, ok)
 	}
-
-	repBloom, err := f.Recover("store/bloom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshBloom := NewBloomFilter(1, 0.5)
-	if err := freshBloom.Restore(repBloom.State); err != nil {
-		t.Fatal(err)
-	}
 	if !freshBloom.Test("ip-1") || !freshBloom.Test("ip-2") {
 		t.Fatal("bloom filter lost memberships")
-	}
-
-	repGraph, err := f.Recover("store/graph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshGraph := NewGraphStore()
-	if err := freshGraph.Restore(repGraph.State); err != nil {
-		t.Fatal(err)
 	}
 	if freshGraph.Weight("a", "b") != 1 || freshGraph.Weight("b", "c") != 1 {
 		t.Fatal("graph lost edges")
@@ -158,7 +142,7 @@ func TestManyAppsLoadSpread(t *testing.T) {
 	// Count shard-holding nodes via the cluster's managers.
 	holding := 0
 	for _, nid := range f.Nodes() {
-		if f.Cluster().Manager(nid).ShardCount() > 0 {
+		if f.cluster.Manager(nid).ShardCount() > 0 {
 			holding++
 		}
 	}
@@ -177,26 +161,16 @@ func TestBackendDefaultsFromConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	backend := f.Backend(Star, 0, 0)
-	if err := backend.Save(TaskKey("t", "b", 0), ViewOf(randomState(4000, 3)), stateVersion(1)); err != nil {
+	if err := backend.Save(stream.TaskKey("t", "b", 0), state.ViewOf(randomState(4000, 3)), state.Version{Timestamp: 1, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := backend.Recover(TaskKey("t", "b", 0))
+	snap, err := backend.Recover(stream.TaskKey("t", "b", 0), nil, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.Len != 4000 {
 		t.Fatalf("recovered %d bytes", snap.Len)
 	}
-}
-
-// stateVersion builds a version for backend-level tests.
-func stateVersion(ts int64) (v struct {
-	Timestamp int64
-	Seq       uint64
-}) {
-	v.Timestamp = ts
-	v.Seq = 1
-	return v
 }
 
 // TestHealRecoversDeadOwners: the self-healing pass detects dead owners

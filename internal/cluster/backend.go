@@ -192,8 +192,6 @@ type scatterBackend struct {
 	saved map[string]int64
 }
 
-var _ stream.TracedBackend = (*scatterBackend)(nil)
-
 func newScatterBackend(n *Node) *scatterBackend {
 	recovery.RegisterWire()
 	b := &scatterBackend{node: n, overlay: newViewOverlay(n), saved: map[string]int64{}}
@@ -223,17 +221,13 @@ func (b *scatterBackend) Save(taskKey string, view state.View, v state.Version) 
 }
 
 // Recover rebuilds taskKey's state from the scattered shards and lends it
-// as the shard bodies as they arrived (stream.StateBackend).
-func (b *scatterBackend) Recover(taskKey string) (state.View, error) {
-	return b.RecoverTraced(taskKey, nil, obs.SpanContext{})
-}
-
-// RecoverTraced is Recover with the recovery's plan, fetch/collect and
-// merge spans parented on the adoption's recovery span, by the mechanism
-// and options §3.7 selects for the placement's state size. A task that
-// never saved has no placement anywhere and recovers to the empty state
-// (its senders' relay windows replay its input on top).
-func (b *scatterBackend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) (state.View, error) {
+// as the shard bodies as they arrived (stream.StateBackend), by the
+// mechanism and options §3.7 selects for the placement's state size. A
+// tracer parents the recovery's plan, fetch/collect and merge spans on
+// the adoption's recovery span. A task that never saved has no placement
+// anywhere and recovers to the empty state (its senders' relay windows
+// replay its input on top).
+func (b *scatterBackend) Recover(taskKey string, tr *obs.Tracer, parent obs.SpanContext) (state.View, error) {
 	start := time.Now()
 	p, err := b.mgr.LookupPlacement(taskKey)
 	if parent.Valid() {

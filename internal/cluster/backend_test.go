@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sr3/internal/id"
+	"sr3/internal/obs"
 	"sr3/internal/offheap"
 	"sr3/internal/recovery"
 	"sr3/internal/shard"
@@ -427,7 +428,7 @@ func TestSupersededVersionGoesWhenSuccessorIsPublished(t *testing.T) {
 // recoverBytes recovers task through n's backend and copies the state out
 // of the view it lends.
 func recoverBytes(n *Node, task string) ([]byte, error) {
-	v, err := n.backend.Recover(task)
+	v, err := n.backend.Recover(task, nil, obs.SpanContext{})
 	if err != nil {
 		return nil, err
 	}

@@ -48,8 +48,6 @@ type NodeConfig struct {
 	// view for a fresh save, so replication converges back after holders
 	// die or rejoin (default 500ms).
 	RepairInterval time.Duration
-	// JoinTimeout bounds the initial join retry loop (default 15s).
-	JoinTimeout time.Duration
 	// ReplayBuffer is the per-edge egress replay window in tuples
 	// (default 65536): on reconnect a relay re-sends the retained
 	// window, so recovery is exact while the gap fits in it.
@@ -76,7 +74,7 @@ func ParseNodeConfig(args []string, getenv func(string) string) (NodeConfig, err
 	fs := flag.NewFlagSet("sr3node", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	var cfg NodeConfig
-	var heartbeat, deadAfter, repair, joinTimeout string
+	var heartbeat, deadAfter, repair string
 	var replayBuf string
 	fs.StringVar(&cfg.Name, "name", getenv("SR3_NAME"), "node identity (stable across restarts; default hostname)")
 	fs.StringVar(&cfg.Listen, "listen", getenv("SR3_LISTEN"), "cluster listen address (default 127.0.0.1:0)")
@@ -87,7 +85,6 @@ func ParseNodeConfig(args []string, getenv func(string) string) (NodeConfig, err
 	fs.StringVar(&heartbeat, "heartbeat", getenv("SR3_HEARTBEAT"), "heartbeat interval (default 100ms)")
 	fs.StringVar(&deadAfter, "dead-after", getenv("SR3_DEAD_AFTER"), "declare a silent node dead after (default 8x heartbeat)")
 	fs.StringVar(&repair, "repair", getenv("SR3_REPAIR"), "shard repair interval (default 500ms)")
-	fs.StringVar(&joinTimeout, "join-timeout", getenv("SR3_JOIN_TIMEOUT"), "initial join retry budget (default 15s)")
 	fs.StringVar(&replayBuf, "replay-buffer", getenv("SR3_REPLAY_BUFFER"), "per-edge egress replay window in tuples (default 65536)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, fmt.Errorf("%w: %v", ErrConfig, err)
@@ -104,9 +101,6 @@ func ParseNodeConfig(args []string, getenv func(string) string) (NodeConfig, err
 	}
 	if cfg.RepairInterval, err = durationOr(repair, 500*time.Millisecond); err != nil {
 		return cfg, cfgErrf("repair: %v", err)
-	}
-	if cfg.JoinTimeout, err = durationOr(joinTimeout, 15*time.Second); err != nil {
-		return cfg, cfgErrf("join-timeout: %v", err)
 	}
 	if replayBuf != "" {
 		n, err := strconv.Atoi(replayBuf)
@@ -153,9 +147,6 @@ func (c *NodeConfig) withDefaults() {
 	}
 	if c.RepairInterval <= 0 {
 		c.RepairInterval = 500 * time.Millisecond
-	}
-	if c.JoinTimeout <= 0 {
-		c.JoinTimeout = 15 * time.Second
 	}
 	if c.ReplayBuffer <= 0 {
 		c.ReplayBuffer = 1 << 16

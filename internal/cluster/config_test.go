@@ -24,7 +24,6 @@ func TestParseNodeConfigFlags(t *testing.T) {
 		"-heartbeat", "50ms",
 		"-dead-after", "400ms",
 		"-repair", "200ms",
-		"-join-timeout", "3s",
 		"-replay-buffer", "1024",
 	}, nil)
 	if err != nil {
@@ -37,7 +36,7 @@ func TestParseNodeConfigFlags(t *testing.T) {
 		t.Fatalf("address fields = %+v", cfg)
 	}
 	if cfg.Heartbeat != 50*time.Millisecond || cfg.DeadAfter != 400*time.Millisecond ||
-		cfg.RepairInterval != 200*time.Millisecond || cfg.JoinTimeout != 3*time.Second {
+		cfg.RepairInterval != 200*time.Millisecond {
 		t.Fatalf("timing fields = %+v", cfg)
 	}
 	if cfg.ReplayBuffer != 1024 {
@@ -94,7 +93,7 @@ func TestParseNodeConfigDefaults(t *testing.T) {
 	if cfg.Heartbeat != 100*time.Millisecond || cfg.DeadAfter != 800*time.Millisecond {
 		t.Fatalf("timing defaults = %+v", cfg)
 	}
-	if cfg.RepairInterval != 500*time.Millisecond || cfg.JoinTimeout != 15*time.Second {
+	if cfg.RepairInterval != 500*time.Millisecond {
 		t.Fatalf("timing defaults = %+v", cfg)
 	}
 	if cfg.ReplayBuffer != 1<<16 {
@@ -180,7 +179,7 @@ func TestNodeConfigLoadSpec(t *testing.T) {
 func FuzzParseNodeConfig(f *testing.F) {
 	f.Add("-name a -listen 127.0.0.1:0 -seed 127.0.0.1:7100", "")
 	f.Add("-topo x.yaml -heartbeat 50ms -dead-after 1s", "envnode")
-	f.Add("-replay-buffer 10 -join-timeout 1s", "127.0.0.1:9")
+	f.Add("-replay-buffer 10 -repair 1s", "127.0.0.1:9")
 	f.Add("-heartbeat -- -dead-after", "")
 	f.Add("-name \x00 -listen :::", "")
 	f.Fuzz(func(t *testing.T, argstr, envval string) {
@@ -196,7 +195,7 @@ func FuzzParseNodeConfig(f *testing.F) {
 		if cfg.DeadAfter < 2*cfg.Heartbeat {
 			t.Fatalf("accepted config violates dead-after >= 2x heartbeat: %+v", cfg)
 		}
-		if cfg.Heartbeat <= 0 || cfg.JoinTimeout <= 0 || cfg.RepairInterval <= 0 || cfg.ReplayBuffer <= 0 {
+		if cfg.Heartbeat <= 0 || cfg.RepairInterval <= 0 || cfg.ReplayBuffer <= 0 {
 			t.Fatalf("accepted config has non-positive knob: %+v", cfg)
 		}
 		if _, _, err := net.SplitHostPort(cfg.Listen); err != nil {

@@ -284,7 +284,7 @@ func (n *Node) bootstrap() error {
 		n.control.start()
 		return nil
 	}
-	deadline := time.Now().Add(n.cfg.JoinTimeout)
+	deadline := time.Now().Add(joinTimeout)
 	// The seed is usually a few milliseconds from listening: retry from
 	// joinBackoffMin, doubling to joinBackoffMax, so when this node joins
 	// is not decided by a fixed sleep and the processes' start order.
@@ -304,8 +304,9 @@ func (n *Node) bootstrap() error {
 	}
 }
 
-// The join retry's backoff range.
+// The join retry's budget and backoff range.
 const (
+	joinTimeout    = 15 * time.Second
 	joinBackoffMin = 2 * time.Millisecond
 	joinBackoffMax = 100 * time.Millisecond
 )
@@ -558,7 +559,7 @@ func (n *Node) startCell(c *cell, trace obs.SpanContext) error {
 				return fmt.Errorf("cluster: kill %s[%d]: %w", compID, i, err)
 			}
 			// An invalid trace recovers untraced.
-			if err := c.rt.RecoverTaskByKeyTraced(stream.TaskKey(n.spec.Name, compID, i), n.tracer, trace); err != nil {
+			if err := c.rt.RecoverTaskByKey(stream.TaskKey(n.spec.Name, compID, i), n.tracer, trace); err != nil {
 				return fmt.Errorf("cluster: recover %s[%d]: %w", compID, i, err)
 			}
 		}

@@ -49,7 +49,6 @@ func testNodeConfig(name, seedAddr string, spec *Spec) NodeConfig {
 		Heartbeat:      20 * time.Millisecond,
 		DeadAfter:      200 * time.Millisecond,
 		RepairInterval: 100 * time.Millisecond,
-		JoinTimeout:    5 * time.Second,
 		LogWriter:      io.Discard,
 	}
 }

@@ -93,19 +93,6 @@ func (d *Detector) Degraded(peer id.ID) bool {
 	return d.StateOf(peer) == StateDegraded
 }
 
-// RTT returns the mean observed probe round-trip time for the peer
-// (0 when no replies have been measured).
-func (d *Detector) RTT(peer id.ID) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ps, ok := d.peers[peer]
-	if !ok || ps.rttWin == nil || ps.rttWin.n == 0 {
-		return 0
-	}
-	mean, _ := ps.rttWin.meanStd(0, 0)
-	return time.Duration(mean)
-}
-
 // stateLocked resolves the verdict tier under the lock; ps may be nil.
 func (d *Detector) stateLocked(peer id.ID, ps *peerState) State {
 	if d.dead[peer] {

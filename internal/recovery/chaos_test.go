@@ -216,39 +216,57 @@ func TestChaosRandomProviderKillAcrossSeeds(t *testing.T) {
 }
 
 // TestChaosLossyLinksAllMechanisms runs every mechanism over links that
-// drop, duplicate and delay recovery messages. The ladder must absorb
-// the faults and reassemble byte-identical state; duplicate deliveries
-// additionally exercise collection-handler idempotency.
+// drop, duplicate and delay recovery messages, alone and with a holder
+// that dies on the first recovery message it receives. The ladder must
+// absorb the faults and reassemble byte-identical state; duplicate
+// deliveries also exercise collection-handler idempotency.
 func TestChaosLossyLinksAllMechanisms(t *testing.T) {
 	for _, mech := range []Mechanism{Star, Line, Tree} {
 		t.Run(mech.String(), func(t *testing.T) {
-			c := buildCluster(t, 44, 600+int64(mech))
-			owner := c.Ring.IDs()[2]
-			snap := randomSnapshot(50_000, 700+int64(mech))
-			saveState(t, c, owner, "app", snap, 9, 2)
-			c.Ring.Fail(owner)
-			c.Ring.MaintenanceRound()
+			for crashes, name := range []string{"lossy-links", "lossy-links+holder-crash"} {
+				t.Run(name, func(t *testing.T) {
+					c := buildCluster(t, 44, 600+int64(mech))
+					owner := c.Ring.IDs()[2]
+					snap := randomSnapshot(50_000, 700+int64(mech))
+					p := saveState(t, c, owner, "app", snap, 9, 2)
+					c.Ring.Fail(owner)
+					c.Ring.MaintenanceRound()
 
-			ch := simnet.NewChaos(800 + int64(mech))
-			ch.SetLinkFaults(simnet.LinkFaults{
-				DropProb:  0.05,
-				DupProb:   0.05,
-				DelayProb: 0.10,
-				Delay:     2 * time.Millisecond,
-				// Only recovery traffic: the overlay stays stable underneath.
-				KindPrefix: "sr3.",
-			})
-			c.Ring.Net.SetChaos(ch)
+					ch := simnet.NewChaos(800 + int64(mech))
+					ch.SetLinkFaults(simnet.LinkFaults{
+						DropProb:  0.05,
+						DupProb:   0.05,
+						DelayProb: 0.10,
+						Delay:     2 * time.Millisecond,
+						// Only recovery traffic: the overlay stays stable underneath.
+						KindPrefix: "sr3.",
+					})
+					if crashes > 0 {
+						// Every mechanism contacts the farthest provider: a star
+						// fetch, the line chain's head, a tree root.
+						replacement, _ := c.Ring.ClosestLive(owner)
+						stages, err := stagesFor(c, p, replacement)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ch.Crash(simnet.CrashSchedule{Node: stages[0].Node, KindPrefix: "sr3.", AfterMessages: 1})
+					}
+					c.Ring.Net.SetChaos(ch)
 
-			opts := DefaultOptions()
-			opts.FailoverRetries = 6
-			opts.RetryBackoff = 2 * time.Millisecond
-			res, err := joined(c.Recover("app", mech, opts))
-			if err != nil {
-				t.Fatalf("%s over lossy links: %v", mech, err)
-			}
-			if !bytes.Equal(res.Snapshot, snap) {
-				t.Fatal("recovered state differs")
+					opts := DefaultOptions()
+					opts.FailoverRetries = 6
+					opts.RetryBackoff = 2 * time.Millisecond
+					res, err := joined(c.Recover("app", mech, opts))
+					if err != nil {
+						t.Fatalf("%s over lossy links: %v", mech, err)
+					}
+					if !bytes.Equal(res.Snapshot, snap) {
+						t.Fatal("recovered state differs")
+					}
+					if got := ch.Stats().Crashes; got != crashes {
+						t.Fatalf("%d crashes injected, want %d", got, crashes)
+					}
+				})
 			}
 		})
 	}

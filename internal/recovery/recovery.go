@@ -158,9 +158,8 @@ var (
 )
 
 // Outcome reports how a recovery weathered provider faults. It is
-// attached to every Result so operators, the bench harness and
-// metrics aggregation (metrics.FailoverStats) can see what the failover
-// ladder actually did.
+// attached to every Result so operators and the bench harness can see
+// what the failover ladder actually did.
 type Outcome struct {
 	// Attempts counts collection passes: the initial one plus every
 	// retry round or chain replan.

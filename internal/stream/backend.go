@@ -58,15 +58,10 @@ func (b *SR3Backend) Save(taskKey string, view state.View, v state.Version) erro
 }
 
 // Recover rebuilds the state with the configured or selected mechanism and
-// lends it as the shard bodies as they arrived.
-func (b *SR3Backend) Recover(taskKey string) (state.View, error) {
-	return b.RecoverTraced(taskKey, nil, obs.SpanContext{})
-}
-
-// RecoverTraced is Recover with the cluster recovery's spans parented on
-// the caller's trace (the supervisor's selfheal root) — the TracedBackend
-// hookup.
-func (b *SR3Backend) RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) (state.View, error) {
+// lends it as the shard bodies as they arrived. A tracer parents the
+// cluster recovery's spans on the caller's trace (the supervisor's
+// selfheal root).
+func (b *SR3Backend) Recover(taskKey string, tr *obs.Tracer, parent obs.SpanContext) (state.View, error) {
 	opts := b.Options
 	if tr != nil {
 		opts.Tracer, opts.TraceParent = tr, parent
@@ -108,7 +103,7 @@ func (b *CheckpointBackend) Save(taskKey string, view state.View, v state.Versio
 }
 
 // Recover lends the latest checkpoint.
-func (b *CheckpointBackend) Recover(taskKey string) (state.View, error) {
+func (b *CheckpointBackend) Recover(taskKey string, _ *obs.Tracer, _ obs.SpanContext) (state.View, error) {
 	snap, _, err := b.store.Fetch(taskKey)
 	if err != nil {
 		return state.View{}, fmt.Errorf("checkpoint backend: %w", err)
@@ -157,7 +152,7 @@ func (b *ReplicationBackend) Save(taskKey string, view state.View, _ state.Versi
 
 // Recover simulates the primary's crash and fails over to the standby,
 // then re-establishes the pair so a later failure is survivable again.
-func (b *ReplicationBackend) Recover(taskKey string) (state.View, error) {
+func (b *ReplicationBackend) Recover(taskKey string, _ *obs.Tracer, _ obs.SpanContext) (state.View, error) {
 	p := b.pair(taskKey)
 	if err := p.FailPrimary(); err != nil && !errors.Is(err, replication.ErrPrimaryDown) {
 		return state.View{}, fmt.Errorf("replication backend: %w", err)
@@ -231,7 +226,7 @@ func (b *FP4SBackend) Save(taskKey string, view state.View, v state.Version) err
 }
 
 // Recover star-fetches any k blocks from a live agent and RS-decodes.
-func (b *FP4SBackend) Recover(taskKey string) (state.View, error) {
+func (b *FP4SBackend) Recover(taskKey string, _ *obs.Tracer, _ obs.SpanContext) (state.View, error) {
 	b.mu.Lock()
 	holders, ok := b.holders[taskKey]
 	b.mu.Unlock()
@@ -277,7 +272,7 @@ func (b *MemoryBackend) Save(taskKey string, view state.View, _ state.Version) e
 
 // Recover lends the stored snapshot, which a later Save replaces rather
 // than overwrites.
-func (b *MemoryBackend) Recover(taskKey string) (state.View, error) {
+func (b *MemoryBackend) Recover(taskKey string, _ *obs.Tracer, _ obs.SpanContext) (state.View, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	snap, ok := b.snaps[taskKey]

@@ -9,6 +9,7 @@ import (
 
 	"sr3/internal/checkpoint"
 	"sr3/internal/dht"
+	"sr3/internal/obs"
 	"sr3/internal/offheap"
 	"sr3/internal/state"
 )
@@ -31,7 +32,7 @@ func TestReplicationBackendRepeatedFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		snap, err := backend.Recover("k")
+		snap, err := backend.Recover("k", nil, obs.SpanContext{})
 		if err != nil {
 			t.Fatalf("failover %d: %v", i, err)
 		}
@@ -129,7 +130,7 @@ func TestBackendsKeepTheStateAsOfTheSave(t *testing.T) {
 				t.Fatalf("save: %v", err)
 			}
 			fill(store, 2) // same lengths: every value rewritten in place
-			got, err := b.Recover("t/b/0")
+			got, err := b.Recover("t/b/0", nil, obs.SpanContext{})
 			if err != nil || !bytes.Equal(got.Join(), want) {
 				t.Fatalf("recovered %d bytes (err %v): not the state as of the save", got.Len, err)
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sr3/internal/metrics"
+	"sr3/internal/obs"
 	"sr3/internal/state"
 )
 
@@ -248,7 +249,7 @@ func TestFailedSaveBacksOff(t *testing.T) {
 	if rest >= saveEvery {
 		t.Fatalf("Logged = %d after a successful save, want < %d", rest, saveEvery)
 	}
-	snap, err := backend.Recover(TaskKey("il", "count", 0))
+	snap, err := backend.Recover(TaskKey("il", "count", 0), nil, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

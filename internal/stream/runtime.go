@@ -21,17 +21,12 @@ import (
 // the recovered state as a view — a recovery's shard bodies as they lie,
 // or what an in-process backend keeps — the runtime restores the store
 // from it (StateStore.RestoreView), which copies what it keeps, and then
-// releases it.
+// releases it. A traced recovery parents its spans on parent; the runtime
+// hands a nil tracer and the zero context to an untraced one, and a
+// backend with nothing to trace ignores both.
 type StateBackend interface {
 	Save(taskKey string, view state.View, v state.Version) error
-	Recover(taskKey string) (state.View, error)
-}
-
-// TracedBackend is the traced extension of StateBackend: the recovery's
-// spans parent on the caller's trace. SR3Backend implements it; backends
-// that don't are recovered untraced.
-type TracedBackend interface {
-	RecoverTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) (state.View, error)
+	Recover(taskKey string, tr *obs.Tracer, parent obs.SpanContext) (state.View, error)
 }
 
 // Config tunes a runtime.
@@ -656,13 +651,11 @@ func (rt *Runtime) recoverTask(t *task, emit Emit, tr *obs.Tracer, parent obs.Sp
 	if rt.cfg.Backend == nil {
 		return fmt.Errorf("recover %s: %w", t.key, ErrNoBackend)
 	}
-	var view state.View
-	var err error
-	if tb, ok := rt.cfg.Backend.(TracedBackend); ok && tr.Enabled() && parent.Valid() {
-		view, err = tb.RecoverTraced(t.key, tr, parent)
-	} else {
-		view, err = rt.cfg.Backend.Recover(t.key)
+	btr, bparent := tr, parent
+	if !tr.Enabled() || !parent.Valid() {
+		btr, bparent = nil, obs.SpanContext{}
 	}
+	view, err := rt.cfg.Backend.Recover(t.key, btr, bparent)
 	if err != nil {
 		return fmt.Errorf("recover %s: %w", t.key, err)
 	}
@@ -803,19 +796,10 @@ func (rt *Runtime) KillByKey(key string) error {
 }
 
 // RecoverTaskByKey restores a killed task by its task key (backend
-// recovery plus input-log replay), for the supervisor.
-func (rt *Runtime) RecoverTaskByKey(key string) error {
-	bolt, index, err := rt.taskByKey(key)
-	if err != nil {
-		return err
-	}
-	return rt.RecoverTask(bolt, index)
-}
-
-// RecoverTaskByKeyTraced is RecoverTaskByKey with the recovery and
-// replay spans parented on the caller's trace — the supervisor's traced
-// restore path (supervise.TracedTaskRuntime).
-func (rt *Runtime) RecoverTaskByKeyTraced(key string, tr *obs.Tracer, parent obs.SpanContext) error {
+// recovery plus input-log replay) — the supervisor's and the daemon's
+// entry point. With an enabled tracer and a valid parent, the backend
+// recovery and the replay are spans of the caller's trace.
+func (rt *Runtime) RecoverTaskByKey(key string, tr *obs.Tracer, parent obs.SpanContext) error {
 	bolt, index, err := rt.taskByKey(key)
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sr3/internal/obs"
 	"sr3/internal/state"
 )
 
@@ -307,6 +308,23 @@ func TestMultiStageTopology(t *testing.T) {
 	}
 }
 
+// handOver is the trace context a recovery hands its backend.
+type handOver struct {
+	tr     *obs.Tracer
+	parent obs.SpanContext
+}
+
+// handOverBackend is a MemoryBackend recording what Recover was handed.
+type handOverBackend struct {
+	*MemoryBackend
+	got handOver
+}
+
+func (b *handOverBackend) Recover(key string, tr *obs.Tracer, parent obs.SpanContext) (state.View, error) {
+	b.got = handOver{tr, parent}
+	return b.MemoryBackend.Recover(key, tr, parent)
+}
+
 func TestKillRecoverWithMemoryBackend(t *testing.T) {
 	// Process half the stream, save, keep processing, kill, recover:
 	// final counts must equal the failure-free run.
@@ -321,7 +339,8 @@ func TestKillRecoverWithMemoryBackend(t *testing.T) {
 	if err := topo.AddBolt("count", counter, 1).Fields("words", 0).Err(); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(topo, Config{Backend: NewMemoryBackend()})
+	backend := &handOverBackend{MemoryBackend: NewMemoryBackend()}
+	rt, err := NewRuntime(topo, Config{Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,6 +364,28 @@ func TestKillRecoverWithMemoryBackend(t *testing.T) {
 	}
 	if err := rt.RecoverTask("count", 0); err != nil {
 		t.Fatal(err)
+	}
+	if backend.got != (handOver{}) {
+		t.Fatalf("RecoverTask handed the backend %+v, want nil and the zero context", backend.got)
+	}
+	// RecoverTaskByKey hands on the caller's tracer and parent only when
+	// the tracer is enabled and the parent valid.
+	tr := obs.New(obs.NewCollector())
+	parent := tr.NewRootContext()
+	for _, c := range []struct{ call, want handOver }{
+		{handOver{tr, parent}, handOver{tr, parent}},
+		{handOver{tr: tr}, handOver{}},
+		{handOver{parent: parent}, handOver{}},
+	} {
+		if err := rt.Kill("count", 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.RecoverTaskByKey(TaskKey("kr", "count", 0), c.call.tr, c.call.parent); err != nil {
+			t.Fatal(err)
+		}
+		if backend.got != c.want {
+			t.Fatalf("RecoverTaskByKey(%+v) handed the backend %+v, want %+v", c.call, backend.got, c.want)
+		}
 	}
 	if err := rt.Wait(); err != nil {
 		t.Fatal(err)
@@ -457,7 +498,7 @@ func TestAutoSaveEveryTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := TaskKey("as", "count", 0)
-	snap, err := backend.Recover(key)
+	snap, err := backend.Recover(key, nil, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("no auto-saved snapshot: %v", err)
 	}

@@ -112,17 +112,10 @@ type StatefulBolt interface {
 	Store() StateStore
 }
 
-// StateStore is the snapshot/restore surface the runtime needs (satisfied
-// by every state.Store). A save borrows the store's View; a store with no
-// native one lends its Snapshot (state.ViewOf). A recovery restores from
-// the view its backend lends (RestoreView).
-type StateStore interface {
-	Snapshot() ([]byte, error)
-	View() (state.View, error)
-	Restore(data []byte) error
-	RestoreView(v state.View) error
-	SizeBytes() int
-}
+// StateStore is the store contract the runtime snapshots and restores: a
+// save borrows the store's View, a recovery restores from the view its
+// backend lends (RestoreView).
+type StateStore = state.Store
 
 // BatchBolt is a bolt that takes its input a run at a time: the tuples
 // the executor found queued, in arrival order, all of one traffic class

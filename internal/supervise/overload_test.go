@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sr3/internal/obs"
 	"sr3/internal/overload"
 )
 
@@ -34,13 +35,13 @@ func (r *shedRuntime) ExitDegraded() {
 	r.exits++
 }
 
-func (r *shedRuntime) RecoverTaskByKey(key string) error {
+func (r *shedRuntime) RecoverTaskByKey(key string, tr *obs.Tracer, parent obs.SpanContext) error {
 	r.shedMu.Lock()
 	if r.depth > 0 {
 		r.shedOnRecover = true
 	}
 	r.shedMu.Unlock()
-	return r.fakeRuntime.RecoverTaskByKey(key)
+	return r.fakeRuntime.RecoverTaskByKey(key, tr, parent)
 }
 
 // TestShedDuringRecoveryHoldsDegradedWindow: with ShedDuringRecovery set,
@@ -60,6 +61,7 @@ func TestShedDuringRecoveryHoldsDegradedWindow(t *testing.T) {
 	rt := &shedRuntime{fakeRuntime: fakeRuntime{cluster: c}}
 	cfg := fastConfig()
 	cfg.ShedDuringRecovery = true
+	cfg.Flight = obs.NewFlightRecorder(0)
 	s := New(c, cfg)
 	s.BindRuntime(rt)
 	s.Protect(StateSpec{App: taskKey, StateBytes: int64(len(snap)), TaskBound: true})
@@ -67,6 +69,11 @@ func TestShedDuringRecoveryHoldsDegradedWindow(t *testing.T) {
 		t.Fatalf("start: %v", err)
 	}
 	defer s.Stop()
+	defer func() {
+		if t.Failed() {
+			t.Logf("events: %+v\nflight:\n%s", s.Events(), flightDump(cfg.Flight))
+		}
+	}()
 
 	c.Ring.Fail(owner)
 

@@ -27,19 +27,12 @@ import (
 )
 
 // TaskRuntime is the slice of the stream runtime the supervisor drives
-// for task-bound states (implemented by *stream.Runtime).
-type TaskRuntime interface {
-	KillByKey(taskKey string) error
-	RecoverTaskByKey(taskKey string) error
-}
-
-// TracedTaskRuntime is the traced extension of TaskRuntime: the restore
+// for task-bound states (implemented by *stream.Runtime). The restore
 // runs under the given trace parent, so the backend recovery and the
 // input-log replay appear in the supervisor's selfheal trace.
-// *stream.Runtime implements it; the supervisor falls back to plain
-// RecoverTaskByKey when the bound runtime does not.
-type TracedTaskRuntime interface {
-	RecoverTaskByKeyTraced(taskKey string, tr *obs.Tracer, parent obs.SpanContext) error
+type TaskRuntime interface {
+	KillByKey(taskKey string) error
+	RecoverTaskByKey(taskKey string, tr *obs.Tracer, parent obs.SpanContext) error
 }
 
 // DegradedRuntime is the optional overload-control slice of the runtime:
@@ -297,14 +290,6 @@ func (s *Supervisor) Events() []Event {
 	return append([]Event(nil), s.events...)
 }
 
-// Detector exposes the detector attached to one node (benchmarks read
-// per-node stats through this).
-func (s *Supervisor) Detector(nid id.ID) *detector.Detector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.detectors[nid]
-}
-
 func (s *Supervisor) verdictWorker() {
 	defer s.wg.Done()
 	for {
@@ -549,11 +534,7 @@ func (s *Supervisor) recoverState(spec StateSpec, v verdict, rt TaskRuntime, par
 			s.record(ev)
 			return ev.Err
 		}
-		recoverTask := func() error { return rt.RecoverTaskByKey(spec.App) }
-		if trt, ok := rt.(TracedTaskRuntime); ok && parent.Valid() {
-			recoverTask = func() error { return trt.RecoverTaskByKeyTraced(spec.App, tr, parent) }
-		}
-		if err := s.withRetry(recoverTask); err != nil {
+		if err := s.withRetry(func() error { return rt.RecoverTaskByKey(spec.App, tr, parent) }); err != nil {
 			ev.Err = fmt.Errorf("supervise recover %q: %w", spec.App, err)
 			s.record(ev)
 			return ev.Err

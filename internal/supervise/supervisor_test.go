@@ -10,6 +10,7 @@ import (
 	"sr3/internal/detector"
 	"sr3/internal/dht"
 	"sr3/internal/id"
+	"sr3/internal/obs"
 	"sr3/internal/recovery"
 )
 
@@ -193,7 +194,7 @@ func (f *fakeRuntime) KillByKey(key string) error {
 	return nil
 }
 
-func (f *fakeRuntime) RecoverTaskByKey(key string) error {
+func (f *fakeRuntime) RecoverTaskByKey(key string, _ *obs.Tracer, _ obs.SpanContext) error {
 	f.mu.Lock()
 	f.recovered = append(f.recovered, key)
 	f.mu.Unlock()

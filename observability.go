@@ -1,9 +1,7 @@
 package sr3
 
 import (
-	"io"
 	"sort"
-	"time"
 
 	"sr3/internal/metrics"
 	"sr3/internal/obs"
@@ -24,17 +22,8 @@ import (
 type (
 	// Tracer emits spans to a TraceSink; nil means disabled.
 	Tracer = obs.Tracer
-	// TracerOption configures NewTracer (e.g. WithTraceClock).
-	TracerOption = obs.Option
-	// SpanContext names a position in a trace (Options.TraceParent).
-	SpanContext = obs.SpanContext
-	// SpanRecord is one finished span as delivered to sinks.
-	SpanRecord = obs.SpanRecord
 	// TraceSink receives finished spans.
 	TraceSink = obs.Sink
-	// TraceCollector buffers spans in memory for inspection
-	// (Trace / PhaseTotals / ExportBinary).
-	TraceCollector = obs.Collector
 	// MetricsRegistry holds named histograms, gauges and counters and
 	// renders them as Prometheus text.
 	MetricsRegistry = metrics.Registry
@@ -51,41 +40,12 @@ type (
 	// TopologyDebug is the live view of one stream topology
 	// (Runtime.DebugView / the /debug/sr3 endpoint).
 	TopologyDebug = stream.TopologyDebug
-	// TaskDebug is the live view of one task within a TopologyDebug.
-	TaskDebug = stream.TaskDebug
-)
-
-// Recovery-pipeline phase names as they appear in SpanRecord.Phase and
-// TraceCollector.PhaseTotals keys.
-const (
-	PhaseSelfHeal  = obs.PhaseSelfHeal
-	PhaseDetect    = obs.PhaseDetect
-	PhaseEnqueue   = obs.PhaseEnqueue
-	PhasePlan      = obs.PhasePlan
-	PhaseRecover   = obs.PhaseRecover
-	PhaseFetch     = obs.PhaseFetch
-	PhaseCollect   = obs.PhaseCollect
-	PhaseMerge     = obs.PhaseMerge
-	PhaseReplay    = obs.PhaseReplay
-	PhaseSave      = obs.PhaseSave
-	PhaseReprotect = obs.PhaseReprotect
 )
 
 // NewTracer builds a tracer over a sink. Pass the result in Config.Tracer
 // to trace everything the framework does, or in Options.Tracer for one
 // recovery.
-func NewTracer(sink TraceSink, opts ...TracerOption) *Tracer { return obs.New(sink, opts...) }
-
-// WithTraceClock substitutes the tracer's time source (tests use
-// obs.StepClock-style virtual clocks for deterministic durations).
-func WithTraceClock(now func() time.Time) TracerOption { return obs.WithClock(now) }
-
-// NewTraceCollector returns an empty in-memory span collector.
-func NewTraceCollector() *TraceCollector { return obs.NewCollector() }
-
-// NewJSONLTraceSink streams one JSON object per span to w (offline
-// analysis; mergeable with cat, queryable with jq).
-func NewJSONLTraceSink(w io.Writer) TraceSink { return obs.NewJSONLSink(w) }
+func NewTracer(sink TraceSink) *Tracer { return obs.New(sink) }
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
@@ -95,29 +55,12 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 // the /metrics endpoint.
 func NewMetricsTraceSink(reg *MetricsRegistry) TraceSink { return obs.NewMetricsSink(reg, "") }
 
-// MultiTraceSink fans each span out to every non-nil sink.
-func MultiTraceSink(sinks ...TraceSink) TraceSink { return obs.MultiSink(sinks) }
-
 // ServeMetrics starts an HTTP server exposing reg as Prometheus text on
 // /metrics plus net/http/pprof under /debug/pprof/. addr may be ":0" to
 // pick a free port (read it back with Addr).
 func ServeMetrics(addr string, reg *MetricsRegistry) (*MetricsServer, error) {
 	return obs.ServeMetrics(addr, reg)
 }
-
-// Tracer returns the tracer the framework was built with (nil when
-// tracing is disabled).
-func (f *Framework) Tracer() *Tracer { return f.cfg.Tracer }
-
-// NewClusterRegistry returns an empty cluster-wide metrics registry.
-// Register per-node registries with Register/Node; one WritePrometheus
-// call renders every member with a node="<name>" label.
-func NewClusterRegistry() *ClusterRegistry { return metrics.NewClusterRegistry() }
-
-// NewFlightRecorder returns a standalone bounded event journal
-// (capacity <= 0 uses the default, 1024 events). Frameworks already
-// carry one — see Framework.Flight.
-func NewFlightRecorder(capacity int) *FlightRecorder { return obs.NewFlightRecorder(capacity) }
 
 // EnableMetrics switches steady-state instrumentation on for the whole
 // overlay: every DHT node gets route/message/leaf-set/storage instruments

@@ -10,6 +10,7 @@ import (
 
 	"sr3/internal/recovery"
 	"sr3/internal/simnet"
+	"sr3/internal/stream"
 )
 
 // fastSupervision tunes supervised mode for test wall-clock.
@@ -175,51 +176,8 @@ func TestSelfHealingUnderChaos(t *testing.T) {
 // no manual KillTask/RecoverTask anywhere.
 func TestSupervisedStreamRuntimeSelfHeals(t *testing.T) {
 	f := newFramework(t, 32, 78)
-	backend := f.Backend(0, 6, 2)
-
-	topo := NewTopology("heal")
-	in := make(chan Tuple, 256)
-	if err := topo.AddSpout("src", SpoutFunc(func() (Tuple, bool) {
-		tp, ok := <-in
-		return tp, ok
-	})); err != nil {
-		t.Fatal(err)
-	}
-	store := NewMapStore()
-	if err := topo.AddBolt("count", &publicCounter{store: store}, 1).Fields("src", 0).Err(); err != nil {
-		t.Fatal(err)
-	}
-	rt, err := NewRuntime(topo, RuntimeConfig{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Start()
-
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			in <- Tuple{Values: []any{fmt.Sprintf("w%d", i%4)}, Ts: int64(i)}
-		}
-	}
-	count := func(w string) int {
-		v, ok := store.Get(w)
-		if !ok {
-			return 0
-		}
-		n, _ := strconv.Atoi(string(v))
-		return n
-	}
-
-	push(40)
-	waitUntil(t, 10*time.Second, "first batch processed", func() bool { return count("w0") == 10 })
-	if err := rt.SaveAll(); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-
-	taskKey := TaskKey("heal", "count", 0)
-	owner, err := f.OwnerOf(taskKey)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newHealRig(t, f, "heal")
+	rt, taskKey, owner := r.rt, r.taskKey, r.owner
 
 	if err := f.StartSupervision(fastSupervision()); err != nil {
 		t.Fatal(err)
@@ -231,8 +189,8 @@ func TestSupervisedStreamRuntimeSelfHeals(t *testing.T) {
 
 	// Second batch lands after the checkpoint, then the state owner dies:
 	// the replayed input log must carry these tuples across the recovery.
-	push(40)
-	waitUntil(t, 10*time.Second, "second batch processed", func() bool { return count("w0") == 20 })
+	r.push(40)
+	waitUntil(t, 10*time.Second, "second batch processed", func() bool { return r.count("w0") == 20 })
 	f.FailNode(owner)
 
 	// Ownership can only migrate off the dead node through a verdict that
@@ -259,16 +217,16 @@ func TestSupervisedStreamRuntimeSelfHeals(t *testing.T) {
 	// snapshot + replay) and new tuples keep arriving. Supervision has done
 	// its job; stop it before draining so an aggressively tuned detector
 	// cannot false-positive-kill the task mid-shutdown.
-	waitUntil(t, 10*time.Second, "replayed state intact", func() bool { return count("w0") == 20 })
+	waitUntil(t, 10*time.Second, "replayed state intact", func() bool { return r.count("w0") == 20 })
 	f.StopSupervision()
-	push(40)
-	close(in)
+	r.push(40)
+	close(r.in)
 	if err := rt.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
 		w := fmt.Sprintf("w%d", i)
-		if got := count(w); got != 30 {
+		if got := r.count(w); got != 30 {
 			t.Fatalf("count[%s] = %d after self-heal, want 30", w, got)
 		}
 	}
@@ -293,4 +251,60 @@ func TestSupervisedStreamRuntimeSelfHeals(t *testing.T) {
 		}
 		t.Fatalf("task state still owned by dead node %s", newOwner.Short())
 	}
+}
+
+// healRig is a live word-count topology on f whose counter checkpoints
+// through f's SR3 backend, saved once after a first batch of 40 tuples.
+type healRig struct {
+	rt      *Runtime
+	in      chan Tuple
+	store   *MapStore
+	taskKey string
+	owner   NodeID // the task state's owner after that save
+}
+
+func newHealRig(t *testing.T, f *Framework, name string) *healRig {
+	t.Helper()
+	r := &healRig{in: make(chan Tuple, 256), store: NewMapStore(), taskKey: stream.TaskKey(name, "count", 0)}
+	topo := NewTopology(name)
+	if err := topo.AddSpout("src", SpoutFunc(func() (Tuple, bool) {
+		tp, ok := <-r.in
+		return tp, ok
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.AddBolt("count", &publicCounter{store: r.store}, 1).Fields("src", 0).Err(); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if r.rt, err = NewRuntime(topo, RuntimeConfig{Backend: f.Backend(0, 6, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	r.rt.Start()
+	r.push(40)
+	waitUntil(t, 10*time.Second, "first batch processed", func() bool { return r.count("w0") == 10 })
+	if err := r.rt.SaveAll(); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	if r.owner, err = f.OwnerOf(r.taskKey); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// push feeds n tuples cycling over the words w0..w3.
+func (r *healRig) push(n int) {
+	for i := 0; i < n; i++ {
+		r.in <- Tuple{Values: []any{fmt.Sprintf("w%d", i%4)}, Ts: int64(i)}
+	}
+}
+
+// count reads the counter's total for w.
+func (r *healRig) count(w string) int {
+	v, ok := r.store.Get(w)
+	if !ok {
+		return 0
+	}
+	n, _ := strconv.Atoi(string(v))
+	return n
 }

@@ -56,8 +56,6 @@ type Config struct {
 	Nodes int
 	// Seed makes node IDs and placement deterministic.
 	Seed int64
-	// LeafSetSize is the DHT leaf set size (default 24, the paper's).
-	LeafSetSize int
 	// DefaultShards and DefaultReplicas apply when an app has not called
 	// StateSplit/…Define with its own values (defaults 8 and 2).
 	DefaultShards   int
@@ -73,9 +71,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Nodes <= 0 {
 		c.Nodes = 64
-	}
-	if c.LeafSetSize <= 0 {
-		c.LeafSetSize = 24
 	}
 	if c.DefaultShards <= 0 {
 		c.DefaultShards = 8
@@ -121,9 +116,10 @@ type Framework struct {
 // New builds the overlay and attaches SR3 managers to every node.
 func New(cfg Config) (*Framework, error) {
 	cfg = cfg.withDefaults()
-	// KVReplicas guards the placement records: they must survive the
-	// failure of their own KV root, not just the state owner's.
-	ring, err := dht.NewRing(dht.Config{LeafSetSize: cfg.LeafSetSize, KVReplicas: 2}, cfg.Seed, cfg.Nodes)
+	// The paper's leaf set of 24; KVReplicas guards the placement records:
+	// they must survive the failure of their own KV root, not just the
+	// state owner's.
+	ring, err := dht.NewRing(dht.DefaultConfig(), cfg.Seed, cfg.Nodes)
 	if err != nil {
 		return nil, fmt.Errorf("sr3: build overlay: %w", err)
 	}
@@ -137,9 +133,6 @@ func New(cfg Config) (*Framework, error) {
 		apps:    make(map[string]*appConfig),
 	}, nil
 }
-
-// Cluster exposes the recovery cluster (benchmarks and advanced users).
-func (f *Framework) Cluster() *recovery.Cluster { return f.cluster }
 
 // Nodes returns all overlay node IDs.
 func (f *Framework) Nodes() []NodeID { return f.ring.IDs() }

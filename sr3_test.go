@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"sr3/internal/obs"
+	"sr3/internal/stream"
 )
 
 func newFramework(t *testing.T, nodes int, seed int64) *Framework {
@@ -220,7 +223,7 @@ func TestFrameworkStreamIntegration(t *testing.T) {
 		t.Fatalf("count[x] = %s", v)
 	}
 	// The backend must hold a recoverable snapshot saved via SR3.
-	snap, err := backend.Recover(TaskKey("pub", "count", 0))
+	snap, err := backend.Recover(stream.TaskKey("pub", "count", 0), nil, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("backend recover: %v", err)
 	}

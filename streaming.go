@@ -30,8 +30,6 @@ type (
 	Runtime = stream.Runtime
 	// RuntimeConfig tunes a runtime.
 	RuntimeConfig = stream.Config
-	// StateBackend persists and recovers task state.
-	StateBackend = stream.StateBackend
 	// StateStore is the snapshot/restore surface of a state store.
 	StateStore = stream.StateStore
 	// Aggregator reduces a closed window.
@@ -39,10 +37,6 @@ type (
 	// QueuePolicy selects what a bounded task queue does when a data
 	// tuple arrives and the queue is full (RuntimeConfig.QueuePolicy).
 	QueuePolicy = stream.QueuePolicy
-	// OverloadStats is the runtime-wide offered/admitted/shed ledger.
-	OverloadStats = stream.OverloadStats
-	// TaskOverloadStats is one task's share of the overload ledger.
-	TaskOverloadStats = stream.TaskOverloadStats
 )
 
 // Queue-full policies for RuntimeConfig.QueuePolicy.
@@ -63,13 +57,7 @@ type (
 	BloomFilter = state.BloomFilter
 	// GraphStore is the weighted co-occurrence graph state.
 	GraphStore = state.GraphStore
-	// StateView is a store's serialized state lent by reference, what
-	// StateBackend.Save borrows.
-	StateView = state.View
 )
-
-// ViewOf lends b as a one-segment StateView (b stays the caller's).
-func ViewOf(b []byte) StateView { return state.ViewOf(b) }
 
 // NewTopology starts building a topology.
 func NewTopology(name string) *Topology { return stream.NewTopology(name) }
@@ -94,20 +82,4 @@ func NewGraphStore() *GraphStore { return state.NewGraphStore() }
 // NewTumblingWindow builds an event-time tumbling window bolt.
 func NewTumblingWindow(sizeMs int64, agg Aggregator) Bolt {
 	return stream.NewTumblingWindow(sizeMs, agg)
-}
-
-// NewSlidingWindow builds an event-time sliding window bolt.
-func NewSlidingWindow(sizeMs, slideMs int64, agg Aggregator) Bolt {
-	return stream.NewSlidingWindow(sizeMs, slideMs, agg)
-}
-
-// NewSessionWindow builds a gap-based session window bolt keyed by a
-// tuple field.
-func NewSessionWindow(gapMs int64, keyField int, agg Aggregator) Bolt {
-	return stream.NewSessionWindow(gapMs, keyField, agg)
-}
-
-// TaskKey names a runtime task for backends and failure injection.
-func TaskKey(topo, bolt string, index int) string {
-	return stream.TaskKey(topo, bolt, index)
 }

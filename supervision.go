@@ -109,13 +109,6 @@ func (f *Framework) StopSupervision() {
 	}
 }
 
-// Supervised reports whether self-healing mode is active.
-func (f *Framework) Supervised() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.sup != nil
-}
-
 // SelfHealEvents returns the supervisor's handled-death log (empty when
 // supervision never ran).
 func (f *Framework) SelfHealEvents() []SelfHealEvent {

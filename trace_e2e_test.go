@@ -1,8 +1,6 @@
 package sr3
 
 import (
-	"fmt"
-	"strconv"
 	"testing"
 	"time"
 
@@ -20,57 +18,14 @@ import (
 // stretches them; the detector keeps the wall clock, and its silence
 // window keeps its measured length.
 func TestSupervisedRuntimeEmitsConnectedTrace(t *testing.T) {
-	collector := NewTraceCollector()
-	tracer := NewTracer(collector, WithTraceClock(obs.StepClock(time.Unix(1000, 0), time.Millisecond)))
+	collector := obs.NewCollector()
+	tracer := obs.New(collector, obs.WithClock(obs.StepClock(time.Unix(1000, 0), time.Millisecond)))
 	f, err := New(Config{Nodes: 32, Seed: 79, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := f.Backend(0, 6, 2)
-
-	topo := NewTopology("obs")
-	in := make(chan Tuple, 256)
-	if err := topo.AddSpout("src", SpoutFunc(func() (Tuple, bool) {
-		tp, ok := <-in
-		return tp, ok
-	})); err != nil {
-		t.Fatal(err)
-	}
-	store := NewMapStore()
-	if err := topo.AddBolt("count", &publicCounter{store: store}, 1).Fields("src", 0).Err(); err != nil {
-		t.Fatal(err)
-	}
-	rt, err := NewRuntime(topo, RuntimeConfig{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Start()
-
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			in <- Tuple{Values: []any{fmt.Sprintf("w%d", i%4)}, Ts: int64(i)}
-		}
-	}
-	count := func(w string) int {
-		v, ok := store.Get(w)
-		if !ok {
-			return 0
-		}
-		n, _ := strconv.Atoi(string(v))
-		return n
-	}
-
-	push(40)
-	waitUntil(t, 10*time.Second, "first batch processed", func() bool { return count("w0") == 10 })
-	if err := rt.SaveAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	taskKey := TaskKey("obs", "count", 0)
-	owner, err := f.OwnerOf(taskKey)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newHealRig(t, f, "obs")
+	rt, taskKey, owner := r.rt, r.taskKey, r.owner
 
 	// The wide repair interval keeps the untraced repair backstop out of
 	// the race: the heal must come through a detector verdict, which is
@@ -88,8 +43,8 @@ func TestSupervisedRuntimeEmitsConnectedTrace(t *testing.T) {
 	}
 
 	// Post-checkpoint tuples force real replay work during the heal.
-	push(40)
-	waitUntil(t, 10*time.Second, "second batch processed", func() bool { return count("w0") == 20 })
+	r.push(40)
+	waitUntil(t, 10*time.Second, "second batch processed", func() bool { return r.count("w0") == 20 })
 	f.FailNode(owner)
 
 	var healTrace uint64
@@ -103,7 +58,7 @@ func TestSupervisedRuntimeEmitsConnectedTrace(t *testing.T) {
 		return false
 	})
 	f.StopSupervision()
-	close(in)
+	close(r.in)
 	if err := rt.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +73,14 @@ func TestSupervisedRuntimeEmitsConnectedTrace(t *testing.T) {
 	if len(spans) == 0 {
 		t.Fatalf("no spans collected for heal trace %d", healTrace)
 	}
-	byID := make(map[uint64]SpanRecord, len(spans))
+	byID := make(map[uint64]obs.SpanRecord, len(spans))
 	roots := 0
 	for _, s := range spans {
 		byID[s.Span] = s
 		if s.Parent == 0 {
 			roots++
-			if s.Phase != PhaseSelfHeal {
-				t.Fatalf("root span phase = %q, want %q", s.Phase, PhaseSelfHeal)
+			if s.Phase != obs.PhaseSelfHeal {
+				t.Fatalf("root span phase = %q, want %q", s.Phase, obs.PhaseSelfHeal)
 			}
 		}
 	}
@@ -145,7 +100,7 @@ func TestSupervisedRuntimeEmitsConnectedTrace(t *testing.T) {
 		}
 	}
 	totals := collector.PhaseTotals(healTrace)
-	for _, p := range []string{PhaseDetect, PhaseEnqueue, PhaseRecover, PhasePlan, PhaseMerge, PhaseReplay, PhaseReprotect} {
+	for _, p := range []string{obs.PhaseDetect, obs.PhaseEnqueue, obs.PhaseRecover, obs.PhasePlan, obs.PhaseMerge, obs.PhaseReplay, obs.PhaseReprotect} {
 		if totals[p] <= 0 {
 			t.Fatalf("phase %q missing from heal trace breakdown %v", p, totals)
 		}
