@@ -690,11 +690,15 @@ func (n *Node) handleConn(conn net.Conn) {
 }
 
 // handleFlow serves one ingress tuple stream: hello, then framed batches
-// (36-byte flow header + batch-codec body) injected whole into the
-// hosting cell under the edge's grouping. Decoded tuples own their memory, so
-// the pooled frame buffer is recycled right after decode. Each frame's
-// origin timestamps feed the edge's per-hop wire-latency and event-time
-// lag histograms; the first traced frame on a connection records one
+// (36-byte flow header + batch-codec body) injected into the hosting cell
+// under the edge's grouping. One decoder serves the connection: it
+// decodes a frame a run at a time into the slice it reuses, each run
+// injected before the next is decoded (InjectBatch copies the tuples into
+// the queue), and interns the keys that repeat from frame to frame, so
+// what the ingress holds does not grow with the frame. The frame buffer
+// is recycled once its last run is in. Each frame's origin timestamps
+// feed the edge's per-hop wire-latency and event-time lag histograms, read
+// on arrival; the first traced frame on a connection records one
 // retroactive flow span parented on the sender's recovery context,
 // stitching this process into the recovery's distributed trace.
 func (n *Node) handleFlow(conn net.Conn) {
@@ -719,6 +723,7 @@ func (n *Node) handleFlow(conn net.Conn) {
 	tuplesC := n.reg.Counter("sr3_cluster_edge_" + edge + "_tuples_total")
 	flowSpanDone := false
 	bc := nettransport.NewBatchConn(conn, flowIOTimeout)
+	var dec stream.TupleDecoder
 	for {
 		body, free, err := bc.ReadBatch()
 		if err != nil {
@@ -730,12 +735,6 @@ func (n *Node) handleFlow(conn net.Conn) {
 			n.logf("flow %s->%s: %v", hello.FromComp, hello.DestComp, err)
 			return
 		}
-		tuples, class, err := stream.DecodeTupleBatch(payload)
-		free()
-		if err != nil {
-			n.logf("flow %s->%s: corrupt batch: %v", hello.FromComp, hello.DestComp, err)
-			return
-		}
 		now := time.Now().UnixNano()
 		if d := now - sendNs; d >= 0 {
 			hopHist.Record(d)
@@ -744,7 +743,6 @@ func (n *Node) handleFlow(conn net.Conn) {
 			lagHist.Record(d)
 		}
 		frames.Inc()
-		tuplesC.Add(int64(len(tuples)))
 		if tc.Valid() && !flowSpanDone {
 			// Retroactive: the frame carries the sender's recovery context,
 			// so the span covers origin-send to ingress-inject and parents
@@ -757,9 +755,15 @@ func (n *Node) handleFlow(conn net.Conn) {
 		}
 		c := n.cellFor(hello.DestComp)
 		if c == nil {
+			free()
 			return // not (or no longer) hosting: sender re-resolves
 		}
-		if err := c.rt.InjectBatch(hello.FromComp, hello.DestComp, tuples, class); err != nil {
+		err = dec.DecodeRuns(payload, func(tuples []stream.Tuple, class stream.TrafficClass) error {
+			tuplesC.Add(int64(len(tuples)))
+			return c.rt.InjectBatch(hello.FromComp, hello.DestComp, tuples, class)
+		})
+		free()
+		if err != nil {
 			n.logf("flow %s->%s: %v", hello.FromComp, hello.DestComp, err)
 			return
 		}

@@ -213,8 +213,8 @@ const (
 	relayBackoffMax = 50 * time.Millisecond
 )
 
-// take blocks for the next run of unsent same-class tuples (bounded by
-// the spec batch size), marks them sent and returns them as one wire
+// take blocks for the next run of unsent same-class tuples — everything
+// waiting, up to a window chunk of bytes — marks them sent and returns them as one wire
 // frame: the flow and batch headers, then the record bytes as they lie
 // in the window. ok=false on close. A resend after reconnect is forced
 // to replay class — only the headers differ from the first send — and
@@ -235,7 +235,7 @@ func (r *relay) take() (frame [][]byte, n int, ok bool) {
 	if r.closed {
 		return nil, 0, false
 	}
-	segs, n, cls, oldestNs := r.win.take(r.node.spec.Batch, append(r.segs[:0], nil))
+	segs, n, cls, oldestNs := r.win.take(append(r.segs[:0], nil))
 	var tc obs.SpanContext
 	if cls == stream.ClassReplay {
 		tc = r.trace

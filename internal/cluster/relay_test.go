@@ -17,13 +17,12 @@ import (
 )
 
 // relayTestNode is as much of a Node as a relay touches: a name, the
-// window bound, the spec's frame size, a logger, and a view assigning
-// the destination component "dst" to one live peer at peerAddr.
-func relayTestNode(replayBuffer, batch int, peerAddr string, logTo io.Writer) *Node {
+// window bound, a logger, and a view assigning the destination component
+// "dst" to one live peer at peerAddr.
+func relayTestNode(replayBuffer int, peerAddr string, logTo io.Writer) *Node {
 	return &Node{
 		cfg:    NodeConfig{Name: "n1", ReplayBuffer: replayBuffer},
 		logger: log.New(logTo, "", 0),
-		spec:   &Spec{Batch: batch},
 		view: View{
 			Members: []Member{{Name: "peer", Addr: peerAddr, Alive: true}},
 			Assign:  map[string]string{"dst": "peer"},
@@ -180,11 +179,24 @@ func admit(t *testing.T, r *relay, tu stream.Tuple, class stream.TrafficClass) {
 	}
 }
 
+// recordBytes is what tuples take up as records in a frame.
+func recordBytes(t *testing.T, tuples []stream.Tuple) int {
+	t.Helper()
+	var rec []byte
+	for i := range tuples {
+		var err error
+		if rec, err = stream.AppendTupleRecord(rec, &tuples[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return len(rec)
+}
+
 // takeDecoded takes one frame from a window directly and decodes it the
 // way the wire would carry it: batch header + record slices.
-func takeDecoded(t *testing.T, w *window, limit int) ([]stream.Tuple, stream.TrafficClass) {
+func takeDecoded(t *testing.T, w *window) ([]stream.Tuple, stream.TrafficClass) {
 	t.Helper()
-	segs, n, class, _ := w.take(limit, nil)
+	segs, n, class, _ := w.take(nil)
 	frame := stream.AppendBatchHeader(nil, class, n)
 	for _, s := range segs {
 		frame = append(frame, s...)
@@ -205,9 +217,9 @@ func takeDecoded(t *testing.T, w *window, limit int) ([]stream.Tuple, stream.Tra
 // and checks delivery order, one class per frame, and that exactly the
 // last ReplayBuffer tuples are what a replay would send.
 func TestRelayDeliversInOrderAndRetainsSuffix(t *testing.T) {
-	const window, batch, total = 64, 8, 640
+	const window, total = 64, 640
 	sink := newFlowSink(t)
-	r := newRelay(relayTestNode(window, batch, sink.addr(), io.Discard), "src", "dst")
+	r := newRelay(relayTestNode(window, sink.addr(), io.Discard), "src", "dst")
 	r.start()
 	defer r.close()
 
@@ -250,8 +262,8 @@ func TestRelayDeliversInOrderAndRetainsSuffix(t *testing.T) {
 	}()
 	for want := 1; want < total; {
 		f := sink.next(t)
-		if len(f.tuples) == 0 || len(f.tuples) > batch {
-			t.Fatalf("frame of %d tuples, batch is %d", len(f.tuples), batch)
+		if len(f.tuples) == 0 || recordBytes(t, f.tuples[:len(f.tuples)-1]) >= windowChunkBytes {
+			t.Fatalf("frame of %d tuples runs past a window chunk of bytes", len(f.tuples))
 		}
 		for _, tu := range f.tuples {
 			if got := seqOf(t, tu); got != want {
@@ -279,7 +291,7 @@ func TestRelayDeliversInOrderAndRetainsSuffix(t *testing.T) {
 	w.unsendAll()
 	want := total - window
 	for w.unsent() {
-		tuples, class := takeDecoded(t, w, batch)
+		tuples, class := takeDecoded(t, w)
 		if class != stream.ClassReplay {
 			t.Fatalf("replay frame at tuple %d has class %v", want, class)
 		}
@@ -304,9 +316,9 @@ func TestRelayDeliversInOrderAndRetainsSuffix(t *testing.T) {
 // connection with everything it retains, in order, as replay class, and
 // tuples admitted after that must ride live-class frames again.
 func TestRelayReconnectReplaysWindow(t *testing.T) {
-	const window, batch, before = 256, 8, 40
+	const window, before = 256, 40
 	sink := newFlowSink(t)
-	r := newRelay(relayTestNode(window, batch, sink.addr(), io.Discard), "src", "dst")
+	r := newRelay(relayTestNode(window, sink.addr(), io.Discard), "src", "dst")
 	r.start()
 	defer r.close()
 
@@ -434,7 +446,7 @@ func TestFlowRefusedUntilCellReady(t *testing.T) {
 	go peer.serve()
 
 	const total = 3
-	r := newRelay(relayTestNode(64, 8, ln.Addr().String(), io.Discard), "src", "dst")
+	r := newRelay(relayTestNode(64, ln.Addr().String(), io.Discard), "src", "dst")
 	run := make([]stream.Tuple, total)
 	for i := range run {
 		run[i] = seqTuple(i, "p")
@@ -510,7 +522,7 @@ func blockedAdmit(t *testing.T, r *relay) <-chan error {
 // the wire is backpressure on the executor, released by sending.
 func TestRelayBlocksWhenWindowFullOfUnsent(t *testing.T) {
 	sink := newFlowSink(t)
-	r := newRelay(relayTestNode(4, 2, sink.addr(), io.Discard), "src", "dst")
+	r := newRelay(relayTestNode(4, sink.addr(), io.Discard), "src", "dst")
 	fifth := blockedAdmit(t, r)
 	r.start()
 	defer r.close()
@@ -546,7 +558,7 @@ func TestRelayCloseWhileBlocked(t *testing.T) {
 	}
 	refused := ln.Addr().String()
 	_ = ln.Close()
-	r := newRelay(relayTestNode(4, 2, refused, io.Discard), "src", "dst")
+	r := newRelay(relayTestNode(4, refused, io.Discard), "src", "dst")
 	r.start()
 	fifth := blockedAdmit(t, r)
 	closed := make(chan struct{})
@@ -573,7 +585,7 @@ func TestRelayCloseWhileBlocked(t *testing.T) {
 // cell whose recovery failed before its relays ran — closes without
 // waiting for one.
 func TestRelayCloseBeforeStart(t *testing.T) {
-	r := newRelay(relayTestNode(4, 2, "", io.Discard), "src", "dst")
+	r := newRelay(relayTestNode(4, "", io.Discard), "src", "dst")
 	closed := make(chan struct{})
 	go func() {
 		r.close()
@@ -592,7 +604,7 @@ func TestRelayCloseBeforeStart(t *testing.T) {
 // not stand in the way of the tuples after it.
 func TestRelayEncodeFailureSurfacesAtAdmission(t *testing.T) {
 	var logged bytes.Buffer
-	r := newRelay(relayTestNode(4, 2, "", &logged), "src", "dst")
+	r := newRelay(relayTestNode(4, "", &logged), "src", "dst")
 	bad := stream.Tuple{Stream: "s", Values: []any{int64(1), func() {}}}
 	if err := r.ExecuteBatch([]stream.Tuple{bad}, stream.ClassIngest, nil); err == nil {
 		t.Fatal("unencodable tuple admitted")
@@ -605,21 +617,21 @@ func TestRelayEncodeFailureSurfacesAtAdmission(t *testing.T) {
 	if err := r.ExecuteBatch(run, stream.ClassIngest, nil); err == nil {
 		t.Fatal("run with an unencodable tuple reported no error")
 	}
-	if tuples, _ := takeDecoded(t, &r.win, 4); len(tuples) != 2 || seqOf(t, tuples[0]) != 7 || seqOf(t, tuples[1]) != 8 {
+	if tuples, _ := takeDecoded(t, &r.win); len(tuples) != 2 || seqOf(t, tuples[0]) != 7 || seqOf(t, tuples[1]) != 8 {
 		t.Fatalf("run around the refused tuple left %d tuples in the window, want 7 and 8", len(tuples))
 	}
 	if !strings.Contains(logged.String(), "dropped tuple") {
 		t.Fatalf("no log line for the dropped tuple: %q", logged.String())
 	}
 	admit(t, r, seqTuple(0, "p"), stream.ClassIngest)
-	if tuples, _ := takeDecoded(t, &r.win, 2); len(tuples) != 1 || seqOf(t, tuples[0]) != 0 {
+	if tuples, _ := takeDecoded(t, &r.win); len(tuples) != 1 || seqOf(t, tuples[0]) != 0 {
 		t.Fatalf("frame after the refused tuple carries %d tuples", len(tuples))
 	}
 }
 
 // TestWindowReplayDoesNotSpillIntoLive drives the window alone: after a
-// reconnect the retained stretch goes out as replay class in frames
-// that stop at its end even with room left, and what was admitted later
+// reconnect the retained stretch goes out as replay class in a frame
+// that stops at its end even with room left, and what was admitted later
 // keeps its own class.
 func TestWindowReplayDoesNotSpillIntoLive(t *testing.T) {
 	var w window
@@ -639,7 +651,7 @@ func TestWindowReplayDoesNotSpillIntoLive(t *testing.T) {
 	}
 	takeAll := func() (runs []run) {
 		for w.unsent() {
-			_, n, class, oldest := w.take(8, nil)
+			_, n, class, oldest := w.take(nil)
 			runs = append(runs, run{n, class, oldest})
 			w.wrote()
 		}
@@ -672,16 +684,57 @@ func TestWindowReplayDoesNotSpillIntoLive(t *testing.T) {
 	for i := 10; i < 15; i++ {
 		push(i, stream.ClassIngest)
 	}
-	want := []run{{8, stream.ClassReplay, 1000}, {2, stream.ClassReplay, 1008}, {5, stream.ClassIngest, 1010}}
+	want := []run{{10, stream.ClassReplay, 1000}, {5, stream.ClassIngest, 1010}}
 	if got := takeAll(); !equal(got, want) {
 		t.Fatalf("after reconnect = %v, want %v", got, want)
 	}
 	// A failed send gives its tuples back, still as replay.
 	w.unsendAll()
-	w.take(8, nil)
-	w.unsend(8)
-	if got := takeAll(); !equal(got, []run{{8, stream.ClassReplay, 1000}, {7, stream.ClassReplay, 1008}}) {
+	_, n, _, _ := w.take(nil)
+	w.unsend(n)
+	if got := takeAll(); !equal(got, []run{{15, stream.ClassReplay, 1000}}) {
 		t.Fatalf("after unsend = %v", got)
+	}
+}
+
+// TestWindowFramesFillAChunk: a frame takes everything waiting up to a
+// window chunk of record bytes — across a chunk boundary too — and the
+// next frame starts where it stopped.
+func TestWindowFramesFillAChunk(t *testing.T) {
+	var w window
+	var rec []byte
+	const total = 300
+	for i := 0; i < total; i++ {
+		tu := seqTuple(i, strings.Repeat("z", 700+i%300))
+		var err error
+		if rec, err = stream.AppendTupleRecord(rec[:0], &tu); err != nil {
+			t.Fatal(err)
+		}
+		w.admit(rec, stream.ClassIngest, int64(i))
+	}
+	if w.chunks.n < 3 {
+		t.Fatalf("%d tuples of ~1 KB fill %d chunks, want 3 or more", total, w.chunks.n)
+	}
+	want := 0
+	for w.unsent() {
+		tuples, _ := takeDecoded(t, &w)
+		head := recordBytes(t, tuples[:len(tuples)-1])
+		if head >= windowChunkBytes {
+			t.Fatalf("frame from tuple %d: %d record bytes before its last", want, head)
+		}
+		if w.unsent() && recordBytes(t, tuples) < windowChunkBytes {
+			t.Fatalf("frame from tuple %d stopped at %d bytes with more waiting", want, recordBytes(t, tuples))
+		}
+		for _, tu := range tuples {
+			if got := seqOf(t, tu); got != want {
+				t.Fatalf("tuple %d taken, want %d", got, want)
+			}
+			want++
+		}
+		w.wrote()
+	}
+	if want != total {
+		t.Fatalf("took %d tuples, want %d", want, total)
 	}
 }
 
@@ -692,7 +745,7 @@ func TestWindowReplayDoesNotSpillIntoLive(t *testing.T) {
 // the previous frame written. One op is one tuple.
 func benchRelayAdmit(b *testing.B, replayBuffer int) {
 	const batch = 32
-	r := newRelay(relayTestNode(replayBuffer, batch, "", io.Discard), "src", "dst")
+	r := newRelay(relayTestNode(replayBuffer, "", io.Discard), "src", "dst")
 	tuples := make([]stream.Tuple, 2*batch)
 	for i := range tuples {
 		tuples[i] = stream.Tuple{Stream: "words", Ts: int64(i), Values: []any{"benchmark", int64(i)}}
@@ -776,8 +829,8 @@ func TestRelayAdmitClockPerRun(t *testing.T) {
 	nowNano = func() int64 { reads++; return real() }
 	defer func() { nowNano = real }()
 
-	const batch, runs, perRun = 32, 10, 64
-	r := newRelay(relayTestNode(1<<10, batch, "", io.Discard), "src", "dst")
+	const runs, perRun = 10, 64
+	r := newRelay(relayTestNode(1<<10, "", io.Discard), "src", "dst")
 	run := make([]stream.Tuple, perRun)
 	for i := range run {
 		run[i] = seqTuple(i, "p")
@@ -790,15 +843,12 @@ func TestRelayAdmitClockPerRun(t *testing.T) {
 	if reads != runs {
 		t.Fatalf("%d clock reads admitting %d runs of %d tuples, want one per run", reads, runs, perRun)
 	}
-	frames := 0
-	for r.win.unsent() {
-		if _, n, ok := r.take(); !ok || n != batch {
-			t.Fatalf("frame of %d tuples (ok=%v), want %d", n, ok, batch)
-		}
-		frames++
+	// Everything waiting fits in a window chunk, so it goes as one frame.
+	if _, n, ok := r.take(); !ok || n != runs*perRun {
+		t.Fatalf("frame of %d tuples (ok=%v), want all %d waiting", n, ok, runs*perRun)
 	}
-	if frames != runs*perRun/batch || reads != runs+frames {
-		t.Fatalf("%d frames, %d clock reads; want %d frames and one read per run and frame", frames, reads, runs*perRun/batch)
+	if reads != runs+1 {
+		t.Fatalf("%d clock reads; want one per run and frame", reads)
 	}
 	// Every tuple of a run carries the run's stamp.
 	if first, last := r.win.recs.at(0).at, r.win.recs.at(perRun-1).at; first != last {

@@ -24,8 +24,6 @@ type Spec struct {
 	// peer processes (defaults 4 and 2).
 	Shards   int
 	Replicas int
-	// Batch caps tuples per wire frame on inter-node links (default 32).
-	Batch int
 	// ChannelDepth is the per-task queue capacity (default 1024).
 	ChannelDepth int
 	// Components in declaration order.
@@ -75,8 +73,6 @@ func ParseSpec(data []byte) (*Spec, error) {
 			s.Shards = intOr(v, 0)
 		case "replicas":
 			s.Replicas = intOr(v, 0)
-		case "batch":
-			s.Batch = intOr(v, 0)
 		case "channel_depth":
 			s.ChannelDepth = intOr(v, 0)
 		case "components":
@@ -174,9 +170,6 @@ func (s *Spec) normalize() error {
 	}
 	if s.Replicas <= 0 {
 		s.Replicas = 2
-	}
-	if s.Batch <= 0 {
-		s.Batch = 32
 	}
 	if s.ChannelDepth <= 0 {
 		s.ChannelDepth = 1024

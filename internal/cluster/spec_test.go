@@ -44,8 +44,8 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("header = %+v", s)
 	}
 	// Unset knobs take defaults.
-	if s.Batch != 32 || s.ChannelDepth != 1024 {
-		t.Fatalf("defaults: batch %d depth %d", s.Batch, s.ChannelDepth)
+	if s.ChannelDepth != 1024 {
+		t.Fatalf("defaults: depth %d", s.ChannelDepth)
 	}
 	if len(s.Components) != 3 {
 		t.Fatalf("components = %d", len(s.Components))
@@ -100,6 +100,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"no name", "components:\n  - id: s\n    kind: spout.seq\n    node: n1\n", "missing topology name"},
 		{"no components", "topology: t\n", "no components"},
 		{"unknown top key", "topology: t\nbogus: 1\n", "unknown top-level key"},
+		{"batch is gone", "topology: t\nbatch: 32\ncomponents:\n  - id: s\n    kind: spout.seq\n    node: n1\n", `unknown top-level key "batch"`},
 		{"unknown kind", "topology: t\ncomponents:\n  - id: s\n    kind: spout.nope\n    node: n1\n", "unknown kind"},
 		{"no node", "topology: t\ncomponents:\n  - id: s\n    kind: spout.seq\n", "has no node"},
 		{"no id", "topology: t\ncomponents:\n  - kind: spout.seq\n    node: n1\n", "has no id"},

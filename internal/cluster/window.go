@@ -121,11 +121,11 @@ func (w *window) wrote() bool {
 	return true
 }
 
-// take marks the next run of unsent tuples sent — at most limit, all of
-// one class, a replay stretch never running into live tuples — and
-// appends their record bytes to segs, one slice per chunk touched. The
-// caller checked unsent.
-func (w *window) take(limit int, segs [][]byte) (_ [][]byte, n int, class stream.TrafficClass, oldestNs int64) {
+// take marks the next run of unsent tuples sent — all of one class, a
+// replay stretch never running into live tuples, stopping once the run
+// holds a chunk's worth of record bytes — and appends their record bytes
+// to segs, one slice per chunk touched. The caller checked unsent.
+func (w *window) take(segs [][]byte) (_ [][]byte, n int, class stream.TrafficClass, oldestNs int64) {
 	first := w.recs.at(w.sent)
 	class = first.class
 	end := w.recs.tail()
@@ -136,20 +136,29 @@ func (w *window) take(limit int, segs [][]byte) (_ [][]byte, n int, class stream
 		class = stream.ClassReplay
 		end = w.replayUntil
 	}
-	if end-w.sent > uint64(limit) {
-		end = w.sent + uint64(limit)
-	}
 	chunk, from := w.chunkSeq(first), int(first.off)
+	taken := 0 // record bytes in segs before the current chunk's
 	seq := w.sent + 1
 	for ; seq < end; seq++ {
 		r := w.recs.at(seq)
 		if !forced && r.class != class {
 			break
 		}
-		if c := w.chunkSeq(r); c != chunk {
-			segs = append(segs, (*w.chunks.at(chunk))[from:])
-			chunk, from = c, int(r.off)
+		c := w.chunkSeq(r)
+		if c == chunk {
+			if taken+int(r.off)-from >= windowChunkBytes {
+				break
+			}
+			continue
 		}
+		// The record before this one ends at its chunk's fill.
+		prev := (*w.chunks.at(chunk))[from:]
+		if taken+len(prev) >= windowChunkBytes {
+			break
+		}
+		segs = append(segs, prev)
+		taken += len(prev)
+		chunk, from = c, int(r.off)
 	}
 	// The run's last record ends where the next one in its chunk starts,
 	// or at the chunk's fill.

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -87,8 +88,17 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge is a settable point-in-time value.
-type Gauge struct{ v atomic.Int64 }
+// Gauge is a settable point-in-time value, or one read from its source
+// (Follow).
+type Gauge struct {
+	v      atomic.Int64
+	source atomic.Pointer[func() int64]
+}
+
+// Follow makes the gauge read fn instead of its stored value: a fact its
+// owner keeps anyway (a queue's depth) is read when the gauge is, not
+// stored into it on every change. A later Follow replaces fn.
+func (g *Gauge) Follow(fn func() int64) { g.source.Store(&fn) }
 
 // Set stores the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
@@ -111,10 +121,32 @@ func (g *Gauge) SetMax(v int64) {
 }
 
 // Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() int64 {
+	if fn := g.source.Load(); fn != nil {
+		return (*fn)()
+	}
+	return g.v.Load()
+}
 
-// Counter is a monotonically increasing total.
-type Counter struct{ v atomic.Int64 }
+// Counter is a monotonically increasing total. A roll-up counter also
+// sums, when it is read, the counters included in it (Include), so a
+// fact counted once by its owner is rolled up without a second atomic
+// on the owner's path.
+type Counter struct {
+	v     atomic.Int64
+	mu    sync.Mutex
+	parts []*Counter // guarded by mu
+}
+
+// Include adds part to what Value sums; including one twice counts it
+// once.
+func (c *Counter) Include(part *Counter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !slices.Contains(c.parts, part) {
+		c.parts = append(c.parts, part)
+	}
+}
 
 // Add increments the counter.
 func (c *Counter) Add(d int64) { c.v.Add(d) }
@@ -122,8 +154,16 @@ func (c *Counter) Add(d int64) { c.v.Add(d) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Value reads the counter.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value reads the counter: its own count plus its parts'.
+func (c *Counter) Value() int64 {
+	v := c.v.Load()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range c.parts {
+		v += p.Value()
+	}
+	return v
+}
 
 // promName sanitizes a metric name into the Prometheus charset
 // [a-zA-Z0-9_:], mapping '.', '-', '/' and spaces to '_'.

@@ -8,7 +8,10 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"sr3/internal/offheap"
 )
 
 // MaxBatchBytes caps a single batch body on the wire. A corrupt or
@@ -35,9 +38,20 @@ type BatchConn struct {
 	wmu sync.Mutex
 	rmu sync.Mutex
 
-	pool bufPool
-	hdr  [binary.MaxVarintLen64]byte
-	vec  vecScratch // guarded by wmu
+	hdr [binary.MaxVarintLen64]byte
+	vec vecScratch // guarded by wmu
+
+	// The receive side reads into the buffer its last freed body left
+	// behind: one body is out at a time on a stream that frees each
+	// before reading the next, so one spare is the whole pool, and
+	// handing it back allocates nothing. A body of bigBody bytes or more
+	// is mapped outside the heap as on the message path.
+	bmu     sync.Mutex
+	spare   []byte // guarded by bmu: the largest freed small body's buffer
+	out     []byte // guarded by bmu: the body freeOut releases
+	freeOut func()
+	hits    atomic.Int64
+	misses  atomic.Int64
 }
 
 // NewBatchConn wraps conn. timeout, when positive, acts as a per-frame
@@ -45,11 +59,19 @@ type BatchConn struct {
 // whole-transfer budget; a reader waiting between bodies waits unbounded.
 func NewBatchConn(conn net.Conn, timeout time.Duration) *BatchConn {
 	r := bufio.NewReader(conn)
-	return &BatchConn{
+	c := &BatchConn{
 		conn: conn,
 		r:    r,
 		io:   frameIO{conn: conn, r: r, timeout: timeout},
 	}
+	c.freeOut = func() {
+		c.bmu.Lock()
+		b := c.out
+		c.out = nil
+		c.bmu.Unlock()
+		c.release(b)
+	}
+	return c
 }
 
 // WriteBatch sends the concatenation of segs as one length-delimited
@@ -72,12 +94,14 @@ func (c *BatchConn) WriteBatch(segs ...[]byte) error {
 	return nil
 }
 
-// ReadBatch receives the next body into a pooled buffer. The returned
+// ReadBatch receives the next body into a recycled buffer. The returned
 // free func recycles the buffer; the caller must not touch the slice
-// after calling it. free is non-nil exactly when err is nil. Waiting for
-// a body to start is not bounded — an idle stream is not a failed one;
-// the timeout runs from the body's first byte, so a stall inside one
-// still fails the read.
+// after calling it, nor call it twice. free is non-nil exactly when err
+// is nil. A caller that frees each body before reading the next
+// allocates nothing per body once the buffer has grown to the bodies'
+// size. Waiting for a body to start is not bounded — an idle stream is
+// not a failed one; the timeout runs from the body's first byte, so a
+// stall inside one still fails the read.
 func (c *BatchConn) ReadBatch() ([]byte, func(), error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -100,17 +124,58 @@ func (c *BatchConn) ReadBatch() ([]byte, func(), error) {
 	if n > MaxBatchBytes {
 		return nil, nil, fmt.Errorf("batchconn: announced body %d bytes exceeds cap %d", n, MaxBatchBytes)
 	}
-	dst := c.pool.get(int(n))
+	dst := c.get(int(n))
 	if _, err := c.io.readRaw(dst); err != nil {
-		c.pool.release(dst)
+		c.release(dst)
 		return nil, nil, fmt.Errorf("batchconn: body: %w", err)
 	}
-	return dst, func() { c.pool.release(dst) }, nil
+	c.bmu.Lock()
+	defer c.bmu.Unlock()
+	if c.out != nil {
+		// The previous body is still out: this one gets a free of its own.
+		return dst, func() { c.release(dst) }, nil
+	}
+	c.out = dst
+	return dst, c.freeOut, nil
 }
 
-// PoolStats reports the receive-buffer pool's reuse counters.
+// get returns a buffer of length n: the spare when it is large enough (a
+// hit), else a fresh one.
+func (c *BatchConn) get(n int) []byte {
+	if n >= bigBody {
+		c.misses.Add(1)
+		return offheap.Bodies.Map(n)
+	}
+	c.bmu.Lock()
+	b := c.spare
+	c.spare = nil
+	c.bmu.Unlock()
+	if n > 0 && cap(b) >= n {
+		c.hits.Add(1)
+		return b[:n]
+	}
+	c.misses.Add(1)
+	return make([]byte, n)
+}
+
+// release ends a body's use: a small buffer becomes the spare if it is
+// the larger, a big one is unmapped.
+func (c *BatchConn) release(b []byte) {
+	if cap(b) >= bigBody {
+		offheap.Bodies.Unmap(b)
+		return
+	}
+	c.bmu.Lock()
+	if cap(b) > cap(c.spare) {
+		c.spare = b[:0]
+	}
+	c.bmu.Unlock()
+}
+
+// PoolStats reports the receive buffer's reuse counters: a hit is a body
+// read into a recycled buffer, a miss one that needed a fresh buffer.
 func (c *BatchConn) PoolStats() PoolStats {
-	return c.pool.stats()
+	return PoolStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
 // Close closes the underlying connection.

@@ -245,3 +245,50 @@ func TestBatchConnWaitsOutIdleButNotAStall(t *testing.T) {
 		t.Fatal("a body that stalled halfway was read")
 	}
 }
+
+// TestReadBatchZeroAlloc: a reader that frees each body before reading
+// the next allocates nothing per body once its buffer has grown — no free
+// closure, no boxed slice header — and a body still out when the next
+// is read is not overwritten by it.
+func TestReadBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	cw, sw := net.Pipe()
+	defer cw.Close()
+	defer sw.Close()
+	const runs = 200
+	body := bytes.Repeat([]byte("frame"), 300)
+	go func() {
+		bc := NewBatchConn(cw, 0)
+		for i := 0; i < runs+3; i++ {
+			if bc.WriteBatch(body[:1], body[1:]) != nil {
+				return
+			}
+		}
+	}()
+	bs := NewBatchConn(sw, 0)
+	allocs := testing.AllocsPerRun(runs, func() {
+		got, free, err := bs.ReadBatch()
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("read %d bytes, %v", len(got), err)
+		}
+		free()
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadBatch + free = %.1f allocs per body, want 0", allocs)
+	}
+	first, freeFirst, err := bs.ReadBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, freeSecond, err := bs.ReadBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] == &second[0] || !bytes.Equal(first, body) || !bytes.Equal(second, body) {
+		t.Fatal("a body still out was reused for the next")
+	}
+	freeFirst()
+	freeSecond()
+}

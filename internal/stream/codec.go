@@ -7,6 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
+	"unsafe"
 )
 
 // The tuple-batch wire codec: a compact, length-prefixed binary
@@ -78,15 +82,25 @@ type gobValue struct{ V any }
 // class per frame) to dst and returns the extended slice, so callers
 // can reuse pooled buffers across frames.
 func EncodeTupleBatch(dst []byte, tuples []Tuple, class TrafficClass) ([]byte, error) {
-	dst = AppendBatchHeader(dst, class, len(tuples))
+	dst = AppendBatchHeader(slices.Grow(dst, BatchHeaderMax+firstRecordGuess), class, len(tuples))
 	for i := range tuples {
+		at := len(dst)
 		var err error
 		if dst, err = AppendTupleRecord(dst, &tuples[i]); err != nil {
 			return nil, err
 		}
+		if i == 0 {
+			// Size the frame as if every tuple looked like the first, with
+			// an eighth to spare.
+			dst = slices.Grow(dst, (len(dst)-at)*(len(tuples)-1)*9/8)
+		}
 	}
 	return dst, nil
 }
+
+// firstRecordGuess is the room EncodeTupleBatch makes for the first
+// record before it knows how long records are.
+const firstRecordGuess = 64
 
 // BatchHeaderMax bounds the bytes AppendBatchHeader appends.
 const BatchHeaderMax = 4 + binary.MaxVarintLen64
@@ -177,7 +191,7 @@ func (r *batchReader) byte() (byte, error) {
 }
 
 func (r *batchReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
+	v, n := uvarint(r.data[r.off:])
 	if n <= 0 {
 		return 0, ErrBatchCorrupt
 	}
@@ -186,12 +200,39 @@ func (r *batchReader) uvarint() (uint64, error) {
 }
 
 func (r *batchReader) varint() (int64, error) {
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		return 0, ErrBatchCorrupt
+	ux, err := r.uvarint()
+	v := int64(ux >> 1) // zigzag, as binary.Varint
+	if ux&1 != 0 {
+		v = ^v
 	}
-	r.off += n
-	return v, nil
+	return v, err
+}
+
+// uvarint is binary.Uvarint, results included, reading a varint of up
+// to nine bytes — a nanosecond timestamp takes nine — from one
+// eight-byte load instead of a byte at a time.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	if len(b) < 9 {
+		return binary.Uvarint(b)
+	}
+	w := binary.LittleEndian.Uint64(b)
+	n := 9
+	if stop := ^w & 0x8080808080808080; stop != 0 {
+		n = bits.TrailingZeros64(stop)/8 + 1
+		w &= ^uint64(0) >> (64 - 8*n)
+	} else if b[8] >= 0x80 {
+		return binary.Uvarint(b)
+	}
+	// Drop the continuation bits: the seven-bit groups close up.
+	x := w&0x7f | w>>1&(0x7f<<7) | w>>2&(0x7f<<14) | w>>3&(0x7f<<21) |
+		w>>4&(0x7f<<28) | w>>5&(0x7f<<35) | w>>6&(0x7f<<42) | w>>7&(0x7f<<49)
+	if n == 9 {
+		x |= uint64(b[8]) << 56
+	}
+	return x, n
 }
 
 // lenBytes returns a uvarint-length-prefixed byte string, see bytes.
@@ -214,94 +255,246 @@ func (r *batchReader) bytes(n uint64) ([]byte, error) {
 	return b, nil
 }
 
+// TupleDecoder decodes the frames of one tuple stream — one flow
+// connection — and keeps what its frames have in common from one to the
+// next: the tuple slice it decodes into, and the string values it has
+// seen, each interned and boxed once. The other values of a run of
+// tuples are allocated for that run alone: its Values slices are cut
+// from shared slabs, and its numbers are boxed out of slabs of words.
+// Nothing a decoded tuple holds references the input frame, so the
+// caller can recycle the frame's buffer once the decode returns. A
+// TupleDecoder is not safe for concurrent use; its zero value is ready.
+type TupleDecoder struct {
+	tuples []Tuple
+	used   int            // tuples the last decode handed out
+	strs   map[string]any // interned strings, boxed; at most internCap
+}
+
+// slabBytes bounds one Values or word slab, so a slab is a small object
+// and a bolt that keeps one value keeps at most 32 KiB, however large the
+// frame it came in.
+const slabBytes = 32 << 10
+
+// The intern cache holds strings of at most internMaxLen bytes, and at
+// most internCap of them: a key or a stream name repeats, a long text
+// rarely does. A full cache evicts an arbitrary entry.
+const (
+	internCap    = 1024
+	internMaxLen = 64
+)
+
 // DecodeTupleBatch decodes one frame, returning the tuples and the
-// frame's traffic class. Decoding is strict — any structural anomaly
-// (bad magic, unknown version or tag, truncated or trailing bytes,
-// counts exceeding what the remaining bytes could possibly hold)
-// returns ErrBatchCorrupt. Decoded tuples own their memory: nothing
-// references the input slice after return. The tuples of one frame share
-// what an edge's tuples have in common — one Stream string while it
-// repeats, one slab behind their Values slices — and nothing else:
-// every string and byte value is its own copy, so a bolt that keeps a
-// key does not keep the frame.
+// frame's traffic class. Decoding is strict — any structural anomaly (bad
+// magic, unknown version or tag, truncated or trailing bytes, counts
+// exceeding what the remaining bytes could possibly hold) returns
+// ErrBatchCorrupt and no tuple. The slice is fresh and the caller's. It
+// runs TupleDecoder's body as one run through a pooled decoder, whose
+// intern cache every caller shares: an interned string is immutable, so
+// sharing it is invisible.
 func DecodeTupleBatch(data []byte) ([]Tuple, TrafficClass, error) {
+	d := decoders.Get().(*TupleDecoder)
+	d.tuples, d.used = nil, 0
+	tuples, class, err := d.decodeFrame(data)
+	d.tuples, d.used = nil, 0
+	decoders.Put(d)
+	return tuples, class, err
+}
+
+var decoders = sync.Pool{New: func() any { return new(TupleDecoder) }}
+
+// decodeFrame decodes one frame as one run, handed over only once all of
+// it has been read; the slice is the decoder's, valid until it decodes
+// again.
+func (d *TupleDecoder) decodeFrame(data []byte) ([]Tuple, TrafficClass, error) {
+	var out []Tuple
+	class, err := d.decode(data, 0, func(run []Tuple, _ TrafficClass) error {
+		out = run
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, class, nil
+}
+
+// DecodeRuns decodes one frame at most decodeRun tuples at a time,
+// handing each run and the frame's traffic class to fn before it decodes
+// the next run into the same slice; fn's error ends the decode and is
+// returned. Decoding is as strict as DecodeTupleBatch's, and what the
+// decoder holds is bounded by a run however large the frame: its slice
+// and one run's slabs. The tuples of a run — their Values slices and
+// every value — are the caller's to keep, the slice only until fn
+// returns. A kept string value is its own allocation (interned or not),
+// so a bolt that keeps a key keeps neither the frame nor a slab. The last
+// run is handed over only once the whole frame has been read; a frame
+// that proves corrupt after some runs were handed over returns
+// ErrBatchCorrupt then, as a stream that breaks mid-frame would.
+func (d *TupleDecoder) DecodeRuns(data []byte, fn func([]Tuple, TrafficClass) error) error {
+	_, err := d.decode(data, decodeRun, fn)
+	return err
+}
+
+// decodeRun bounds a run of DecodeRuns.
+const decodeRun = 256
+
+// decode is decodeFrame's and DecodeRuns' one body; maxRun 0 is the
+// whole frame as one run.
+func (d *TupleDecoder) decode(data []byte, maxRun int, fn func([]Tuple, TrafficClass) error) (TrafficClass, error) {
 	r := &batchReader{data: data}
 	if len(data) < 4 || data[0] != batchMagic0 || data[1] != batchMagic1 {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrBatchCorrupt)
+		return 0, fmt.Errorf("%w: bad magic", ErrBatchCorrupt)
 	}
 	if data[2] != batchVersion {
-		return nil, 0, fmt.Errorf("%w: unsupported version %d", ErrBatchCorrupt, data[2])
+		return 0, fmt.Errorf("%w: unsupported version %d", ErrBatchCorrupt, data[2])
 	}
 	class := TrafficClass(data[3])
 	if class != ClassIngest && class != ClassReplay {
-		return nil, 0, fmt.Errorf("%w: unknown class %d", ErrBatchCorrupt, data[3])
+		return 0, fmt.Errorf("%w: unknown class %d", ErrBatchCorrupt, data[3])
 	}
 	r.off = 4
 	count, err := r.uvarint()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	// A tuple encodes to at least 3 bytes (empty stream, zero ts, zero
 	// values), so a count beyond remaining/3 cannot be satisfied — cap
 	// before allocating.
 	if count > uint64(r.remaining())/3+1 {
-		return nil, 0, fmt.Errorf("%w: implausible tuple count %d", ErrBatchCorrupt, count)
+		return 0, fmt.Errorf("%w: implausible tuple count %d", ErrBatchCorrupt, count)
 	}
-	var tuples []Tuple
-	if count > 0 {
-		tuples = make([]Tuple, count)
+	if count == 0 {
+		return class, d.end(r, 0)
 	}
+	run := int(count)
+	if maxRun > 0 {
+		run = min(run, maxRun)
+	}
+	if cap(d.tuples) < run {
+		d.tuples, d.used = make([]Tuple, run), 0
+	}
+	for left := int(count); left > 0; {
+		tuples := d.tuples[:min(left, run)]
+		d.used = max(d.used, len(tuples)) // what a failed decode leaves, end clears
+		if err := d.decodeTuples(r, tuples); err != nil {
+			return 0, err
+		}
+		if left -= len(tuples); left == 0 {
+			if err := d.end(r, len(tuples)); err != nil {
+				return 0, err
+			}
+		}
+		if err := fn(tuples, class); err != nil {
+			return 0, err
+		}
+	}
+	return class, nil
+}
+
+// decodeTuples decodes the next len(tuples) tuples of a frame into
+// tuples. Their Values are cut from slabs sized for these tuples.
+func (d *TupleDecoder) decodeTuples(r *batchReader, tuples []Tuple) error {
 	var slab []any
+	var words []uint64
 	for i := range tuples {
 		t := &tuples[i]
 		sb, err := r.lenBytes()
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		if i > 0 && tuples[i-1].Stream == string(sb) {
 			t.Stream = tuples[i-1].Stream
 		} else {
-			t.Stream = string(sb)
+			t.Stream = d.intern(sb).(string)
 		}
 		if t.Ts, err = r.varint(); err != nil {
-			return nil, 0, err
+			return err
 		}
 		nv, err := r.uvarint()
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		// A value encodes to at least one byte.
 		if nv > uint64(r.remaining()) {
-			return nil, 0, fmt.Errorf("%w: implausible value count %d", ErrBatchCorrupt, nv)
+			return fmt.Errorf("%w: implausible value count %d", ErrBatchCorrupt, nv)
 		}
 		if nv == 0 {
+			t.Values = nil
 			continue
 		}
+		left := uint64(len(tuples) - i)
 		if uint64(cap(slab)-len(slab)) < nv {
 			// Size the slab for the tuples left as if they all looked like
-			// this one, which on an edge they do.
-			slab = make([]any, 0, min(nv*uint64(len(tuples)-i), uint64(r.remaining())))
+			// this one, which on an edge they do, up to slabBytes.
+			slab = make([]any, 0, max(nv, min(nv*left, uint64(r.remaining()), slabBytes/16)))
 		}
 		end := len(slab) + int(nv)
 		t.Values = slab[len(slab):end:end]
 		slab = slab[:end]
 		for j := range t.Values {
-			if t.Values[j], err = decodeValue(r); err != nil {
-				return nil, 0, err
+			tag, err := r.byte()
+			if err != nil {
+				return err
+			}
+			if tag < valInt || tag > valFloat64 {
+				if t.Values[j], err = d.value(r, tag); err != nil {
+					return err
+				}
+				continue
+			}
+			if len(words) == cap(words) {
+				// Likewise: the values from here to the end of this
+				// tuple, for every tuple left; a number takes two bytes
+				// or more.
+				words = make([]uint64, 0, min((nv-uint64(j))*left, uint64(r.remaining())/2+1, slabBytes/8))
+			}
+			words = words[:len(words)+1]
+			w := &words[len(words)-1]
+			if t.Values[j], err = number(r, tag, w); err != nil {
+				return err
 			}
 		}
 	}
-	if r.remaining() != 0 {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrBatchCorrupt, r.remaining())
-	}
-	return tuples, class, nil
+	return nil
 }
 
-func decodeValue(r *batchReader) (any, error) {
-	tag, err := r.byte()
-	if err != nil {
-		return nil, err
+// end checks that the frame was consumed exactly and drops what the
+// previous frame's tuples past this one's still referenced.
+func (d *TupleDecoder) end(r *batchReader, n int) error {
+	if d.used > n {
+		clear(d.tuples[n:d.used])
 	}
+	d.used = n
+	if r.remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrBatchCorrupt, r.remaining())
+	}
+	return nil
+}
+
+// intern returns b as a boxed string, from the cache when it is there.
+func (d *TupleDecoder) intern(b []byte) any {
+	if len(b) > internMaxLen {
+		return string(b)
+	}
+	if v, ok := d.strs[string(b)]; ok {
+		return v
+	}
+	if d.strs == nil {
+		d.strs = make(map[string]any)
+	}
+	if len(d.strs) >= internCap {
+		for k := range d.strs {
+			delete(d.strs, k)
+			break
+		}
+	}
+	s := string(b)
+	v := any(s)
+	d.strs[s] = v
+	return v
+}
+
+// value decodes one value of a tag outside the numbers.
+func (d *TupleDecoder) value(r *batchReader, tag byte) (any, error) {
 	switch tag {
 	case valNil:
 		return nil, nil
@@ -310,29 +503,13 @@ func decodeValue(r *batchReader) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return string(b), nil
+		return d.intern(b), nil
 	case valBytes:
 		b, err := r.lenBytes()
 		if err != nil {
 			return nil, err
 		}
 		return append([]byte(nil), b...), nil
-	case valInt:
-		v, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		return int(v), nil
-	case valInt64:
-		return r.varint()
-	case valUint64:
-		return r.uvarint()
-	case valFloat64:
-		b, err := r.bytes(8)
-		if err != nil {
-			return nil, err
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
 	case valTrue:
 		return true, nil
 	case valFalse:
@@ -351,3 +528,54 @@ func decodeValue(r *batchReader) (any, error) {
 		return nil, fmt.Errorf("%w: unknown value tag %d", ErrBatchCorrupt, tag)
 	}
 }
+
+// number decodes a numeric value into w and returns it boxed there: the
+// interface's data word points at w, where the runtime would have
+// allocated a word of its own. The numeric types are all one word, so w
+// holds each as its bits.
+func number(r *batchReader, tag byte, w *uint64) (any, error) {
+	var typ unsafe.Pointer
+	switch tag {
+	case valInt, valInt64:
+		v, err := r.varint()
+		if err != nil {
+			return nil, err
+		}
+		*w, typ = uint64(v), intType
+		if tag == valInt64 {
+			typ = int64Type
+		}
+	case valUint64:
+		v, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		*w, typ = v, uint64Type
+	case valFloat64:
+		b, err := r.bytes(8)
+		if err != nil {
+			return nil, err
+		}
+		*w, typ = binary.BigEndian.Uint64(b), float64Type
+	}
+	// Built in a stack temporary and returned by value: the caller stores
+	// it with an ordinary assignment, write barrier included.
+	var v any
+	e := (*eface)(unsafe.Pointer(&v))
+	e.typ, e.data = typ, unsafe.Pointer(w)
+	return v, nil
+}
+
+// eface is the runtime's layout of an empty interface.
+type eface struct {
+	typ, data unsafe.Pointer
+}
+
+func typeOf(v any) unsafe.Pointer { return (*eface)(unsafe.Pointer(&v)).typ }
+
+var (
+	intType     = typeOf(int(0))
+	int64Type   = typeOf(int64(0))
+	uint64Type  = typeOf(uint64(0))
+	float64Type = typeOf(float64(0))
+)

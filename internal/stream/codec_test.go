@@ -2,11 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -219,12 +221,21 @@ func TestDecodeTupleBatchRejectsCorruption(t *testing.T) {
 // FuzzDecodeTupleBatch: the decoder must never panic, and anything it
 // accepts must re-encode and re-decode stably (same tuple count, same
 // class) — truncations, corrupt length prefixes and version flips are
-// exercised both by the seeds and by mutation.
+// exercised both by the seeds and by mutation. One TupleDecoder also
+// decodes the input, another frame and the input again, and each result
+// must equal a fresh decoder's, so nothing a frame leaves in the intern
+// cache or the reused tuple slice shows up in the next.
 func FuzzDecodeTupleBatch(f *testing.F) {
 	seed, _ := EncodeTupleBatch(nil, []Tuple{
 		{Stream: "src", Ts: 123, Values: []any{"w", 42, int64(-7), uint64(9), 3.14, true, []byte{1, 2}}},
 		{Stream: "src", Ts: -1, Values: []any{nil, false}},
 	}, ClassIngest)
+	other, _ := EncodeTupleBatch(nil, []Tuple{
+		{Stream: "src", Ts: 5, Values: []any{"w", "x", int64(8)}},
+		{Stream: "srd", Values: []any{"wv", 3.5}},
+		{Stream: "src"},
+	}, ClassReplay)
+	var shared TupleDecoder
 	f.Add(seed)
 	empty, _ := EncodeTupleBatch(nil, nil, ClassReplay)
 	f.Add(empty)
@@ -250,5 +261,221 @@ func FuzzDecodeTupleBatch(f *testing.F) {
 			t.Fatalf("unstable round-trip: %d/%v -> %d/%v",
 				len(tuples), class, len(tuples2), class2)
 		}
+		for _, frame := range [][]byte{data, other, data} {
+			got, gotClass, gotErr := shared.decodeFrame(frame)
+			want, wantClass, wantErr := new(TupleDecoder).decodeFrame(frame)
+			if (gotErr == nil) != (wantErr == nil) || gotClass != wantClass || !sameTuples(t, got, want) {
+				t.Fatalf("a decoder that decoded other frames first disagrees with a fresh one:\n got  %v %v\n want %v %v", got, gotErr, want, wantErr)
+			}
+		}
+		// In runs, the same tuples in the same order, or the same refusal.
+		runs, runsErr := decodeInRuns(&shared, data)
+		if (runsErr == nil) != (err == nil) || (runsErr == nil && !sameTuples(t, runs, tuples)) {
+			t.Fatalf("DecodeRuns = %d tuples, %v; Decode = %d tuples, %v", len(runs), runsErr, len(tuples), err)
+		}
 	})
+}
+
+// decodeInRuns collects what DecodeRuns hands over, copied out of the
+// decoder's slice run by run.
+func decodeInRuns(d *TupleDecoder, frame []byte) ([]Tuple, error) {
+	var out []Tuple
+	err := d.DecodeRuns(frame, func(run []Tuple, _ TrafficClass) error {
+		if len(run) == 0 || len(run) > decodeRun {
+			return fmt.Errorf("a run of %d tuples", len(run))
+		}
+		out = append(out, run...)
+		return nil
+	})
+	return out, err
+}
+
+// TestDecodeRuns: a frame of several runs' worth comes out in runs of at
+// most decodeRun tuples, in order, each through the decoder's one slice;
+// the caller's error ends the decode; and a frame corrupt at its end is
+// refused after the runs before it were handed over, the last run never.
+func TestDecodeRuns(t *testing.T) {
+	const n = 3*decodeRun + 17
+	frame := keyedFrame(t, n, 64, 0)
+	want, _, err := DecodeTupleBatch(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d TupleDecoder
+	got, err := decodeInRuns(&d, frame)
+	if err != nil || !sameTuples(t, got, want) {
+		t.Fatalf("runs = %d tuples, %v; want the frame's %d", len(got), err, n)
+	}
+	if cap(d.tuples) > decodeRun {
+		t.Fatalf("the decoder holds a slice of %d tuples, want at most %d", cap(d.tuples), decodeRun)
+	}
+	stop := errors.New("stop")
+	calls := 0
+	if err := d.DecodeRuns(frame, func([]Tuple, TrafficClass) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("the caller's error: %v after %d runs, want it after 1", err, calls)
+	}
+	corrupt := append(append([]byte(nil), frame...), 0xEE)
+	got, err = decodeInRuns(&d, corrupt)
+	if !errors.Is(err, ErrBatchCorrupt) || len(got) != n-n%decodeRun {
+		t.Fatalf("trailing garbage: %d tuples handed over, %v; want %d, then ErrBatchCorrupt", len(got), err, n-n%decodeRun)
+	}
+}
+
+// sameTuples compares decoded tuples by what they encode to, which also
+// equates NaNs bit for bit.
+func sameTuples(t *testing.T, a, b []Tuple) bool {
+	t.Helper()
+	if len(a) != len(b) {
+		return false
+	}
+	ea, err := EncodeTupleBatch(nil, a, ClassIngest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := EncodeTupleBatch(nil, b, ClassIngest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ea, eb) || reflect.DeepEqual(a, b)
+}
+
+// TestDecodedValuesSurviveTheCollector: the tuples a decoder hands out
+// keep every value — numbers boxed in a word slab, interned strings,
+// byte copies, gob values — after the frame is scribbled over, the
+// decoder is dropped and the collector has run twice and reused the
+// memory it freed. Run with and without -race.
+func TestDecodedValuesSurviveTheCollector(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	in := make([]Tuple, 400)
+	for i := range in {
+		if i%2 == 0 {
+			in[i] = randomTuple(rng)
+			continue
+		}
+		seq := int64(i)
+		in[i] = Tuple{Stream: "source", Ts: seq, Values: []any{fmt.Sprintf("k%d", seq%16), seq, float64(seq) / 3, uint64(seq) << 40, int(-seq)}}
+	}
+	frame, err := EncodeTupleBatch(nil, in, ClassReplay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := func() []Tuple {
+		d := new(TupleDecoder)
+		if _, err := decodeInRuns(d, frame); err != nil { // warm the intern cache
+			t.Fatal(err)
+		}
+		tuples, err := decodeInRuns(d, frame) // copied out, as InjectBatch does
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tuples
+	}()
+	for i := range frame {
+		frame[i] = 0xA5
+	}
+	runtime.GC()
+	runtime.GC()
+	var garbage [][]byte
+	for i := 0; i < 4096; i++ {
+		garbage = append(garbage, bytes.Repeat([]byte{0x5A}, 8+i%64))
+	}
+	runtime.KeepAlive(garbage)
+	for i := range in {
+		if want := gobRoundTrip(t, in[i]); !reflect.DeepEqual(out[i], want) {
+			t.Fatalf("tuple %d after collection:\n got  %#v\n want %#v", i, out[i], want)
+		}
+	}
+}
+
+// keyedFrame encodes a frame of n (key, seq) tuples on stream "source",
+// the keys drawn from keys distinct names — the shape of a fields-grouped
+// edge.
+func keyedFrame(t testing.TB, n, keys, from int) []byte {
+	t.Helper()
+	tuples := make([]Tuple, n)
+	for i := range tuples {
+		seq := int64(from + i)
+		tuples[i] = Tuple{Stream: "source", Ts: seq, Values: []any{fmt.Sprintf("k%06d", seq*7%int64(keys)), seq}}
+	}
+	frame, err := EncodeTupleBatch(nil, tuples, ClassIngest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestDecodeAllocsPerFrame: a warmed decoder decodes a 32-tuple frame of
+// (key from 64 keys, int64) into one Values slab and one slab of words —
+// the stream name and every key come from its intern cache.
+func TestDecodeAllocsPerFrame(t *testing.T) {
+	frames := [][]byte{keyedFrame(t, 32, 64, 1000), keyedFrame(t, 32, 64, 1032)}
+	var d TupleDecoder
+	inject := func([]Tuple, TrafficClass) error { return nil }
+	for _, f := range frames {
+		if err := d.DecodeRuns(f, inject); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := d.DecodeRuns(frames[i%2], inject); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 4 {
+		t.Fatalf("%.1f allocations per 32-tuple frame, want ≤ 4", allocs)
+	}
+}
+
+func BenchmarkDecode(b *testing.B) {
+	frame := keyedFrame(b, 32, 64, 1000)
+	b.Run("decoder", func(b *testing.B) {
+		var d TupleDecoder
+		inject := func([]Tuple, TrafficClass) error { return nil }
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := d.DecodeRuns(frame, inject); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("DecodeTupleBatch", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, _, err := DecodeTupleBatch(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestUvarintMatchesBinary: the decoder's varint reader returns what
+// encoding/binary's does — value and length, or the same refusal — for
+// every length from one to ten bytes, truncated, overlong and at the
+// ends of the range.
+func TestUvarintMatchesBinary(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var inputs [][]byte
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1 << shift, 1<<shift - 1, 1<<shift + 1, rng.Uint64() >> shift} {
+			enc := binary.AppendUvarint(nil, v)
+			for cut := 0; cut <= len(enc); cut++ {
+				inputs = append(inputs, enc[:cut], append(enc[:cut:cut], 0x00, 0x81, 0xFF, 0x7F, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
+			}
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.Intn(14))
+		rng.Read(b)
+		inputs = append(inputs, b)
+	}
+	inputs = append(inputs, bytes.Repeat([]byte{0xFF}, 12), append(bytes.Repeat([]byte{0x80}, 9), 0x02))
+	for _, b := range inputs {
+		gv, gn := uvarint(b)
+		wv, wn := binary.Uvarint(b)
+		if gv != wv || gn != wn {
+			t.Fatalf("uvarint(% x) = %d, %d; binary.Uvarint = %d, %d", b, gv, gn, wv, wn)
+		}
+	}
 }

@@ -53,9 +53,6 @@ type pushResult struct {
 	// older queued ones evicted to make room. Either way each is one
 	// debit on the offered = admitted + shed ledger.
 	shed int
-	// depth and high are the data occupancy after the push and the
-	// largest ever observed, in tuples.
-	depth, high int
 	// blockedNs is the time from the first wait for a free slot to the end
 	// of the push — the emit-side backpressure signal; 0 if nothing waited.
 	blockedNs int64
@@ -163,7 +160,6 @@ func (q *taskQueue) pushN(tuples []Tuple, class TrafficClass, degraded bool) pus
 		res.shed += len(tuples)
 		break
 	}
-	res.depth, res.high = q.n, q.highWater
 	q.mu.Unlock()
 	q.notEmpty.Signal()
 	if waitStart != 0 {
@@ -186,12 +182,14 @@ func (q *taskQueue) waitLocked(waitStart int64) int64 {
 // appendLocked copies a run in at the tail; caller holds q.mu and has
 // verified the room.
 func (q *taskQueue) appendLocked(tuples []Tuple, class TrafficClass) {
-	tail := (q.head + q.n) % len(q.tuples)
+	tail := q.head + q.n // < 2 × capacity: one subtraction wraps it
+	if tail >= len(q.tuples) {
+		tail -= len(q.tuples)
+	}
 	k := copy(q.tuples[tail:], tuples)
 	copy(q.tuples, tuples[k:])
-	for i := range tuples {
-		q.classes[(tail+i)%len(q.classes)] = class
-	}
+	fill(q.classes[tail:tail+k], class)
+	fill(q.classes[:len(tuples)-k], class)
 	q.n += len(tuples)
 	if q.n > q.highWater {
 		q.highWater = q.n
@@ -244,7 +242,9 @@ func (q *taskQueue) drain(tuples []Tuple, classes []TrafficClass) (ctl envelope,
 	copy(classes[k:n], q.classes)
 	clear(q.tuples[q.head : q.head+k]) // drop the ring's references to the values
 	clear(q.tuples[:n-k])
-	q.head = (q.head + n) % len(q.tuples)
+	if q.head += n; q.head >= len(q.tuples) {
+		q.head -= len(q.tuples)
+	}
 	q.n -= n
 	q.mu.Unlock()
 	q.notFull.Broadcast()
@@ -264,4 +264,10 @@ func (q *taskQueue) high() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.highWater
+}
+
+func fill(dst []TrafficClass, class TrafficClass) {
+	for i := range dst {
+		dst[i] = class
+	}
 }

@@ -146,8 +146,12 @@ type task struct {
 	saveSeq  uint64
 	sinceSav int
 	handled  atomic.Int64
-	offered  atomic.Int64 // data tuples routed at this task
-	shed     atomic.Int64 // data tuples dropped by queue policy / degraded mode
+	// offered counts the data tuples routed at this task and shed those
+	// dropped by queue policy or degraded mode. Each is the one counter of
+	// its fact: the task's metric and the runtime's roll-ups sum them when
+	// read.
+	offered metrics.Counter
+	shed    metrics.Counter
 	// curClass is the class of the tuple the executor is currently
 	// processing (executor goroutine only): emissions inherit it, so the
 	// descendants of a replayed tuple stay replay-class downstream.
@@ -181,9 +185,6 @@ type Runtime struct {
 	stopped  chan struct{} // closed once Wait has shut the executors down
 	failures atomic.Int64  // bolt Execute errors (reported, not fatal)
 	instr    *instruments  // nil when Config.Metrics is unset
-
-	offeredAll atomic.Int64 // data tuples routed, all tasks
-	shedAll    atomic.Int64 // data tuples shed, all tasks
 
 	// Degraded-service mode (admission control during recovery): a
 	// refcount so overlapping recoveries nest, plus the offered/shed
@@ -236,7 +237,7 @@ func NewRuntime(topo *Topology, cfg Config) (*Runtime, error) {
 			}
 			rt.slots++
 			if rt.instr != nil {
-				ts[i].instr = newTaskInstruments(rt.instr, cfg.Metrics, ts[i].key)
+				ts[i].instr = newTaskInstruments(rt.instr, cfg.Metrics, ts[i])
 			}
 		}
 		rt.tasks[id] = ts
@@ -434,7 +435,6 @@ func (rt *Runtime) pushN(t *task, tuples []Tuple, class TrafficClass) {
 	n := int64(len(tuples))
 	rt.pending.Add(n)
 	t.offered.Add(n)
-	rt.offeredAll.Add(n)
 	res := t.in.pushN(tuples, class, rt.degraded.Load() > 0)
 	if res.shed > 0 {
 		// Shed tuples will never be processed: they leave the pending
@@ -442,9 +442,19 @@ func (rt *Runtime) pushN(t *task, tuples []Tuple, class TrafficClass) {
 		shed := int64(res.shed)
 		rt.pending.Add(-shed)
 		t.shed.Add(shed)
-		rt.shedAll.Add(shed)
 	}
-	t.instr.notePush(n, res)
+	t.instr.noteBlocked(res.blockedNs)
+}
+
+// ledger sums the offered and shed counts of every task.
+func (rt *Runtime) ledger() (offered, shed int64) {
+	for _, ts := range rt.tasks {
+		for _, t := range ts {
+			offered += t.offered.Value()
+			shed += t.shed.Value()
+		}
+	}
+	return offered, shed
 }
 
 // runTask is the executor loop: a single goroutine owns the task's log,
@@ -932,8 +942,7 @@ func (rt *Runtime) EnterDegraded(reason string) {
 		return
 	}
 	rt.degMu.Lock()
-	rt.degOffered = rt.offeredAll.Load()
-	rt.degShed = rt.shedAll.Load()
+	rt.degOffered, rt.degShed = rt.ledger()
 	rt.degMu.Unlock()
 	rt.instr.noteDegraded(true)
 	rt.cfg.Flight.Note(obs.FlightShedStart, "", rt.topo.name,
@@ -947,9 +956,10 @@ func (rt *Runtime) ExitDegraded() {
 	if rt.degraded.Add(-1) != 0 {
 		return
 	}
+	offered, shed := rt.ledger()
 	rt.degMu.Lock()
-	offered := rt.offeredAll.Load() - rt.degOffered
-	shed := rt.shedAll.Load() - rt.degShed
+	offered -= rt.degOffered
+	shed -= rt.degShed
 	rt.degMu.Unlock()
 	rt.instr.noteDegraded(false)
 	rt.cfg.Flight.Note(obs.FlightShedStop, "", rt.topo.name,
@@ -990,15 +1000,12 @@ type OverloadStats struct {
 // task and rolled up. The invariant offered = admitted + shed holds by
 // construction at every level.
 func (rt *Runtime) Overload() OverloadStats {
-	s := OverloadStats{
-		Offered:  rt.offeredAll.Load(),
-		Shed:     rt.shedAll.Load(),
-		Degraded: rt.Degraded(),
-	}
-	s.Admitted = s.Offered - s.Shed
+	s := OverloadStats{Degraded: rt.Degraded()}
 	for _, id := range rt.topo.sortedBolts() {
 		for _, t := range rt.tasks[id] {
-			off, sh := t.offered.Load(), t.shed.Load()
+			off, sh := t.offered.Value(), t.shed.Value()
+			s.Offered += off
+			s.Shed += sh
 			s.Tasks = append(s.Tasks, TaskOverloadStats{
 				Key:            t.key,
 				Offered:        off,
@@ -1009,5 +1016,6 @@ func (rt *Runtime) Overload() OverloadStats {
 			})
 		}
 	}
+	s.Admitted = s.Offered - s.Shed
 	return s
 }
