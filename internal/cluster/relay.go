@@ -214,15 +214,15 @@ const (
 )
 
 // take blocks for the next run of unsent same-class tuples — everything
-// waiting, up to a window chunk of bytes — marks them sent and returns them as one wire
-// frame: the flow and batch headers, then the record bytes as they lie
-// in the window. ok=false on close. A resend after reconnect is forced
-// to replay class — only the headers differ from the first send — and
-// carries the recovery's span context if one is armed; the first live
-// frame disarms it. The frame's event-time basis is its oldest tuple's
-// enqueue time. The frame is valid until the next take, unsend or
-// unsendAll; calling take again also declares it written, which is
-// what lets the executor trim it.
+// waiting, up to a window chunk of bytes — marks them sent and returns
+// them as one wire frame: the flow and batch headers, then the record
+// bytes as they lie in the window. ok=false on close. A resend after
+// reconnect is forced to replay class — only the headers differ from
+// the first send — and carries the recovery's span context if one is
+// armed; the first live frame disarms it. The frame's event-time basis
+// is its oldest tuple's enqueue time. The frame is valid until the next
+// take, unsend or unsendAll; calling take again also declares it
+// written, which is what lets the executor trim it.
 func (r *relay) take() (frame [][]byte, n int, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

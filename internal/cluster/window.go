@@ -137,28 +137,26 @@ func (w *window) take(segs [][]byte) (_ [][]byte, n int, class stream.TrafficCla
 		end = w.replayUntil
 	}
 	chunk, from := w.chunkSeq(first), int(first.off)
-	taken := 0 // record bytes in segs before the current chunk's
+	taken := 0 // record bytes in segs
 	seq := w.sent + 1
 	for ; seq < end; seq++ {
 		r := w.recs.at(seq)
 		if !forced && r.class != class {
 			break
 		}
-		c := w.chunkSeq(r)
-		if c == chunk {
-			if taken+int(r.off)-from >= windowChunkBytes {
-				break
-			}
-			continue
+		// The run so far ends where this record starts, or at its
+		// chunk's fill when this record starts the next chunk.
+		c, to := w.chunkSeq(r), int(r.off)
+		if c != chunk {
+			to = len(*w.chunks.at(chunk))
 		}
-		// The record before this one ends at its chunk's fill.
-		prev := (*w.chunks.at(chunk))[from:]
-		if taken+len(prev) >= windowChunkBytes {
+		if taken+to-from >= windowChunkBytes {
 			break
 		}
-		segs = append(segs, prev)
-		taken += len(prev)
-		chunk, from = c, int(r.off)
+		if c != chunk {
+			segs = append(segs, (*w.chunks.at(chunk))[from:])
+			taken, chunk, from = taken+to-from, c, int(r.off)
+		}
 	}
 	// The run's last record ends where the next one in its chunk starts,
 	// or at the chunk's fill.

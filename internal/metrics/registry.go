@@ -97,8 +97,15 @@ type Gauge struct {
 
 // Follow makes the gauge read fn instead of its stored value: a fact its
 // owner keeps anyway (a queue's depth) is read when the gauge is, not
-// stored into it on every change. A later Follow replaces fn.
-func (g *Gauge) Follow(fn func() int64) { g.source.Store(&fn) }
+// stored into it on every change. A later Follow replaces fn; a nil fn
+// returns the gauge to its stored value.
+func (g *Gauge) Follow(fn func() int64) {
+	if fn == nil {
+		g.source.Store(nil)
+		return
+	}
+	g.source.Store(&fn)
+}
 
 // Set stores the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
@@ -145,6 +152,17 @@ func (c *Counter) Include(part *Counter) {
 	defer c.mu.Unlock()
 	if !slices.Contains(c.parts, part) {
 		c.parts = append(c.parts, part)
+	}
+}
+
+// Fold ends part's inclusion: what it has counted joins c's own count,
+// and c no longer reads or holds it.
+func (c *Counter) Fold(part *Counter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i := slices.Index(c.parts, part); i >= 0 {
+		c.v.Add(part.Value())
+		c.parts = slices.Delete(c.parts, i, i+1)
 	}
 }
 

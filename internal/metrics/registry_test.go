@@ -158,3 +158,38 @@ func TestInlineLabelsShareOneFamily(t *testing.T) {
 		t.Fatalf("cluster scrape of a labelled family:\n%s", out)
 	}
 }
+
+// TestRollUpsReadTheirParts: a counter sums the counters included in it
+// when read, counts one included twice once, and keeps a folded part's
+// count as its own while letting go of the part; a gauge reads what it
+// follows until it is told to follow nothing.
+func TestRollUpsReadTheirParts(t *testing.T) {
+	var total, a, b Counter
+	total.Add(1)
+	total.Include(&a)
+	total.Include(&a)
+	total.Include(&b)
+	a.Add(10)
+	b.Add(100)
+	if got := total.Value(); got != 111 {
+		t.Fatalf("roll-up reads %d, want 111", got)
+	}
+	total.Fold(&a)
+	a.Add(5) // after the fold: no longer the roll-up's
+	if got := total.Value(); got != 111 || len(total.parts) != 1 {
+		t.Fatalf("after the fold: %d with %d parts, want 111 with 1", got, len(total.parts))
+	}
+
+	var g Gauge
+	g.Set(3)
+	depth := int64(7)
+	g.Follow(func() int64 { return depth })
+	depth = 9
+	if got := g.Value(); got != 9 {
+		t.Fatalf("following gauge reads %d, want 9", got)
+	}
+	g.Follow(nil)
+	if got := g.Value(); got != 3 {
+		t.Fatalf("gauge after Follow(nil) reads %d, want its stored 3", got)
+	}
+}

@@ -85,6 +85,10 @@ func (in *instruments) noteLogged(delta int64) {
 // they are read.
 type taskInstruments struct {
 	rt          *instruments
+	tuplesIn    *metrics.Counter // includes the task's offered counter
+	shed        *metrics.Counter // includes the task's shed counter
+	depth       *metrics.Gauge   // follows the queue
+	highWater   *metrics.Gauge   // follows the queue
 	tuplesOut   *metrics.Counter
 	acks        *metrics.Counter
 	replays     *metrics.Counter
@@ -96,18 +100,12 @@ type taskInstruments struct {
 
 func newTaskInstruments(rt *instruments, reg *metrics.Registry, t *task) *taskInstruments {
 	p := "sr3_stream_task_" + t.key
-	for _, c := range []struct {
-		name       string
-		fact, roll *metrics.Counter
-	}{{"_tuples_in_total", &t.offered, rt.tuplesIn}, {"_shed_total", &t.shed, rt.shed}} {
-		reg.Counter(p + c.name).Include(c.fact)
-		c.roll.Include(c.fact)
-	}
-	q := t.in
-	reg.Gauge(p + "_queue_depth").Follow(func() int64 { return int64(q.depth()) })
-	reg.Gauge(p + "_queue_high_water").Follow(func() int64 { return int64(q.high()) })
-	return &taskInstruments{
+	ti := &taskInstruments{
 		rt:          rt,
+		tuplesIn:    reg.Counter(p + "_tuples_in_total"),
+		shed:        reg.Counter(p + "_shed_total"),
+		depth:       reg.Gauge(p + "_queue_depth"),
+		highWater:   reg.Gauge(p + "_queue_high_water"),
 		tuplesOut:   reg.Counter(p + "_tuples_out_total"),
 		acks:        reg.Counter(p + "_acks_total"),
 		replays:     reg.Counter(p + "_replays_total"),
@@ -116,6 +114,32 @@ func newTaskInstruments(rt *instruments, reg *metrics.Registry, t *task) *taskIn
 		stateBytes:  reg.Gauge(p + "_state_bytes"),
 		emitBlocked: reg.Counter(p + "_emit_blocked_ns_total"),
 	}
+	ti.tuplesIn.Include(t.offered)
+	rt.tuplesIn.Include(t.offered)
+	ti.shed.Include(t.shed)
+	rt.shed.Include(t.shed)
+	q := t.in
+	ti.depth.Follow(func() int64 { return int64(q.depth()) })
+	ti.highWater.Follow(func() int64 { return int64(q.high()) })
+	return ti
+}
+
+// retire ends a stopped task's share in the registry, which outlives the
+// runtime: its counts fold into the metrics that included them and the
+// queue gauges keep their last reading, so nothing there holds the task's
+// counters or queue any more.
+func (ti *taskInstruments) retire(t *task) {
+	if ti == nil {
+		return
+	}
+	ti.tuplesIn.Fold(t.offered)
+	ti.rt.tuplesIn.Fold(t.offered)
+	ti.shed.Fold(t.shed)
+	ti.rt.shed.Fold(t.shed)
+	ti.depth.Set(int64(t.in.depth()))
+	ti.depth.Follow(nil)
+	ti.highWater.SetMax(int64(t.in.high()))
+	ti.highWater.Follow(nil)
 }
 
 // noteBlocked records the time a sender spent blocked on this task's

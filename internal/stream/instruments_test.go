@@ -133,6 +133,42 @@ func TestRuntimeInstruments(t *testing.T) {
 	}
 }
 
+// TestStoppedRuntimeLeavesItsCounts: a runtime's tuples_in counts, read
+// from its tasks' counters while it runs, stay in the registry after it
+// stops — a second runtime of the same topology adds to them — and the
+// registry lets go of the stopped tasks' counters.
+func TestStoppedRuntimeLeavesItsCounts(t *testing.T) {
+	tuples := make([]Tuple, 20)
+	for i := range tuples {
+		tuples[i] = Tuple{Values: []any{"w"}}
+	}
+	reg := metrics.NewRegistry()
+	passIn := func() int64 {
+		return reg.Counter("sr3_stream_task_steady/pass/0_tuples_in_total").Value() +
+			reg.Counter("sr3_stream_task_steady/pass/1_tuples_in_total").Value()
+	}
+	for round := int64(1); round <= 2; round++ {
+		rt, err := NewRuntime(steadyTopo(t, tuples), Config{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Start()
+		if err := rt.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("sr3_stream_tuples_in_total").Value(); got != 40*round {
+			t.Fatalf("round %d: tuples in = %d, want %d", round, got, 40*round)
+		}
+		if got := passIn(); got != 20*round {
+			t.Fatalf("round %d: pass tuples in = %d, want %d", round, got, 20*round)
+		}
+		rt.tasks["pass"][0].offered.Add(1000) // a stopped task's counter
+		if got := passIn(); got != 20*round {
+			t.Fatalf("round %d: the registry still reads a stopped task (%d)", round, got)
+		}
+	}
+}
+
 // TestRuntimeDebugView: the /debug/sr3 snapshot reflects topology shape
 // and progress.
 func TestRuntimeDebugView(t *testing.T) {

@@ -149,9 +149,9 @@ type task struct {
 	// offered counts the data tuples routed at this task and shed those
 	// dropped by queue policy or degraded mode. Each is the one counter of
 	// its fact: the task's metric and the runtime's roll-ups sum them when
-	// read.
-	offered metrics.Counter
-	shed    metrics.Counter
+	// read, and hold only them, never the task.
+	offered *metrics.Counter
+	shed    *metrics.Counter
 	// curClass is the class of the tuple the executor is currently
 	// processing (executor goroutine only): emissions inherit it, so the
 	// descendants of a replayed tuple stay replay-class downstream.
@@ -227,13 +227,15 @@ func NewRuntime(topo *Topology, cfg Config) (*Runtime, error) {
 		ts := make([]*task, decl.parallel)
 		for i := range ts {
 			ts[i] = &task{
-				key:    TaskKey(topo.name, id, i),
-				boltID: id,
-				index:  i,
-				slot:   rt.slots,
-				decl:   decl,
-				batch:  batch,
-				in:     newTaskQueue(cfg.ChannelDepth, cfg.QueuePolicy, watermark),
+				key:     TaskKey(topo.name, id, i),
+				boltID:  id,
+				index:   i,
+				slot:    rt.slots,
+				decl:    decl,
+				batch:   batch,
+				in:      newTaskQueue(cfg.ChannelDepth, cfg.QueuePolicy, watermark),
+				offered: new(metrics.Counter),
+				shed:    new(metrics.Counter),
 			}
 			rt.slots++
 			if rt.instr != nil {
@@ -868,6 +870,11 @@ func (rt *Runtime) Wait() error {
 		}
 	}
 	rt.execWG.Wait()
+	for _, ts := range rt.tasks {
+		for _, t := range ts {
+			t.instr.retire(t)
+		}
+	}
 	close(rt.stopped)
 	rt.cfg.Flight.Note(obs.FlightTopologyStop, "", rt.topo.name,
 		fmt.Sprintf("errors=%d", rt.failures.Load()), nil)
