@@ -147,13 +147,13 @@ func (c *BatchConn) get(n int) []byte {
 		return offheap.Bodies.Map(n)
 	}
 	c.bmu.Lock()
-	b := c.spare
-	c.spare = nil
-	c.bmu.Unlock()
-	if n > 0 && cap(b) >= n {
+	if b := c.spare; n > 0 && cap(b) >= n {
+		c.spare = nil
+		c.bmu.Unlock()
 		c.hits.Add(1)
 		return b[:n]
 	}
+	c.bmu.Unlock()
 	c.misses.Add(1)
 	return make([]byte, n)
 }
