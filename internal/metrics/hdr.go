@@ -9,15 +9,15 @@ import (
 // LatencyHistogram is an HDR-style fixed-bucket latency histogram over
 // nanosecond values: power-of-two major buckets subdivided into 8 linear
 // sub-buckets, giving ≤12.5% relative error across the full int64 range
-// with a fixed 488-slot layout. Recording is two atomic adds on the hot
-// path, the bucket and the sum (no locks, no allocation; the count is the
-// buckets' sum, taken when it is read), so concurrent recorders — the
+// with a fixed 488-slot layout. Recording is a single atomic add on the
+// hot path (no locks, no allocation), so concurrent recorders — the
 // per-provider fetch goroutines of one recovery, or many recoveries at
 // once — share one histogram safely. Histograms with the same layout
 // merge by bucket-wise addition, which is what lets per-node histograms
 // roll up into a cluster-wide view.
 type LatencyHistogram struct {
 	counts [hdrBuckets]atomic.Int64
+	count  atomic.Int64
 	sum    atomic.Int64
 	min    atomic.Int64 // stores value+1 so zero means "unset"
 	max    atomic.Int64
@@ -79,6 +79,7 @@ func (h *LatencyHistogram) RecordN(total, n int64) {
 	}
 	v := total / n
 	h.counts[hdrIndex(v)].Add(n)
+	h.count.Add(n)
 	h.sum.Add(total)
 	for {
 		cur := h.min.Load()
@@ -100,15 +101,8 @@ func (h *LatencyHistogram) RecordN(total, n int64) {
 	}
 }
 
-// Count returns the number of recorded observations: the sum of the
-// buckets.
-func (h *LatencyHistogram) Count() int64 {
-	n := int64(0)
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
+// Count returns the number of recorded observations.
+func (h *LatencyHistogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of recorded values.
 func (h *LatencyHistogram) Sum() int64 { return h.sum.Load() }
@@ -127,7 +121,7 @@ func (h *LatencyHistogram) Max() int64 { return h.max.Load() }
 
 // Mean returns the arithmetic mean of recorded values (0 when empty).
 func (h *LatencyHistogram) Mean() float64 {
-	n := h.Count()
+	n := h.count.Load()
 	if n == 0 {
 		return 0
 	}
@@ -138,7 +132,7 @@ func (h *LatencyHistogram) Mean() float64 {
 // midpoint of the bucket holding the target rank, clamped to the observed
 // min/max so sparse histograms do not over-report their bucket width.
 func (h *LatencyHistogram) Quantile(q float64) int64 {
-	n := h.Count()
+	n := h.count.Load()
 	if n == 0 {
 		return 0
 	}
@@ -182,6 +176,7 @@ func (h *LatencyHistogram) Merge(o *LatencyHistogram) {
 			h.counts[i].Add(c)
 		}
 	}
+	h.count.Add(o.count.Load())
 	h.sum.Add(o.sum.Load())
 	if om := o.min.Load(); om != 0 {
 		for {

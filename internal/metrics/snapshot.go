@@ -77,6 +77,7 @@ func RegistryFromSnapshot(s RegistrySnapshot) *Registry {
 			}
 			h.counts[b].Store(hs.Counts[i])
 		}
+		h.count.Store(hs.Count)
 		h.sum.Store(hs.Sum)
 		if hs.Count > 0 {
 			h.min.Store(hs.Min + 1) // min slot stores value+1; 0 means unset

@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sr3/internal/offheap"
@@ -50,8 +49,6 @@ type BatchConn struct {
 	spare   []byte // guarded by bmu: the largest freed small body's buffer
 	out     []byte // guarded by bmu: the body freeOut releases
 	freeOut func()
-	hits    atomic.Int64
-	misses  atomic.Int64
 }
 
 // NewBatchConn wraps conn. timeout, when positive, acts as a per-frame
@@ -139,22 +136,19 @@ func (c *BatchConn) ReadBatch() ([]byte, func(), error) {
 	return dst, c.freeOut, nil
 }
 
-// get returns a buffer of length n: the spare when it is large enough (a
-// hit), else a fresh one.
+// get returns a buffer of length n: the spare when it is large enough,
+// else a fresh one.
 func (c *BatchConn) get(n int) []byte {
 	if n >= bigBody {
-		c.misses.Add(1)
 		return offheap.Bodies.Map(n)
 	}
 	c.bmu.Lock()
 	if b := c.spare; n > 0 && cap(b) >= n {
 		c.spare = nil
 		c.bmu.Unlock()
-		c.hits.Add(1)
 		return b[:n]
 	}
 	c.bmu.Unlock()
-	c.misses.Add(1)
 	return make([]byte, n)
 }
 
@@ -170,12 +164,6 @@ func (c *BatchConn) release(b []byte) {
 		c.spare = b[:0]
 	}
 	c.bmu.Unlock()
-}
-
-// PoolStats reports the receive buffer's reuse counters: a hit is a body
-// read into a recycled buffer, a miss one that needed a fresh buffer.
-func (c *BatchConn) PoolStats() PoolStats {
-	return PoolStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
 // Close closes the underlying connection.

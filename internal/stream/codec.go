@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
-	"sync"
 	"unsafe"
 )
 
@@ -82,25 +80,15 @@ type gobValue struct{ V any }
 // class per frame) to dst and returns the extended slice, so callers
 // can reuse pooled buffers across frames.
 func EncodeTupleBatch(dst []byte, tuples []Tuple, class TrafficClass) ([]byte, error) {
-	dst = AppendBatchHeader(slices.Grow(dst, BatchHeaderMax+firstRecordGuess), class, len(tuples))
+	dst = AppendBatchHeader(dst, class, len(tuples))
 	for i := range tuples {
-		at := len(dst)
 		var err error
 		if dst, err = AppendTupleRecord(dst, &tuples[i]); err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			// Size the frame as if every tuple looked like the first, with
-			// an eighth to spare.
-			dst = slices.Grow(dst, (len(dst)-at)*(len(tuples)-1)*9/8)
-		}
 	}
 	return dst, nil
 }
-
-// firstRecordGuess is the room EncodeTupleBatch makes for the first
-// record before it knows how long records are.
-const firstRecordGuess = 64
 
 // BatchHeaderMax bounds the bytes AppendBatchHeader appends.
 const BatchHeaderMax = 4 + binary.MaxVarintLen64
@@ -257,17 +245,25 @@ func (r *batchReader) bytes(n uint64) ([]byte, error) {
 
 // TupleDecoder decodes the frames of one tuple stream — one flow
 // connection — and keeps what its frames have in common from one to the
-// next: the tuple slice it decodes into, and the string values it has
-// seen, each interned and boxed once. The other values of a run of
-// tuples are allocated for that run alone: its Values slices are cut
-// from shared slabs, and its numbers are boxed out of slabs of words.
-// Nothing a decoded tuple holds references the input frame, so the
-// caller can recycle the frame's buffer once the decode returns. A
-// TupleDecoder is not safe for concurrent use; its zero value is ready.
+// next: the tuple slice it decodes into, and, once it decodes a stream
+// (DecodeRuns), the short string values it has seen lately, each interned
+// and boxed once. The other values of a run of tuples are allocated for
+// that run alone: its Values slices are cut from shared slabs, and its
+// numbers are boxed out of slabs of words. Nothing a decoded tuple holds
+// references the input frame, so the caller can recycle the frame's
+// buffer once the decode returns. A TupleDecoder is not safe for
+// concurrent use; its zero value is ready.
 type TupleDecoder struct {
 	tuples []Tuple
-	used   int            // tuples the last decode handed out
-	strs   map[string]any // interned strings, boxed; at most internCap
+	used   int          // tuples the last decode handed out
+	strs   []internSlot // interned strings by set (intern); nil: none
+	victim uint         // turns through a set's slots, so a set evicts round-robin
+}
+
+// internSlot is one interned string, boxed, and its hash.
+type internSlot struct {
+	hash uint64
+	str  any
 }
 
 // slabBytes bounds one Values or word slab, so a slab is a small object
@@ -275,12 +271,20 @@ type TupleDecoder struct {
 // frame it came in.
 const slabBytes = 32 << 10
 
-// The intern cache holds strings of at most internMaxLen bytes, and at
-// most internCap of them: a key or a stream name repeats, a long text
-// rarely does. A full cache evicts an arbitrary entry.
+// The intern cache holds strings of at most internMaxLen bytes: a key or
+// a stream name repeats, a long text rarely does. It is internCap slots
+// in sets of internWays, a string's set picked by its hash; a set that
+// is full forgets one of its strings, round-robin. It pays off only while a
+// stream repeats at most about internCap distinct short strings — an
+// edge keyed by 64 keys always hits, one cycling through 4096 keys
+// never does. A miss costs what no cache would (the string and its box)
+// plus the hash and internWays hash compares, and nothing is
+// allocated for the cache but its one table.
 const (
-	internCap    = 1024
-	internMaxLen = 64
+	internSetBits = 8
+	internWays    = 4
+	internCap     = internWays << internSetBits
+	internMaxLen  = 64
 )
 
 // DecodeTupleBatch decodes one frame, returning the tuples and the
@@ -288,19 +292,12 @@ const (
 // magic, unknown version or tag, truncated or trailing bytes, counts
 // exceeding what the remaining bytes could possibly hold) returns
 // ErrBatchCorrupt and no tuple. The slice is fresh and the caller's. It
-// runs TupleDecoder's body as one run through a pooled decoder, whose
-// intern cache every caller shares: an interned string is immutable, so
-// sharing it is invisible.
+// runs TupleDecoder's body as one run through a decoder of its own,
+// which interns nothing: a cache for one frame would cost more than it
+// saves.
 func DecodeTupleBatch(data []byte) ([]Tuple, TrafficClass, error) {
-	d := decoders.Get().(*TupleDecoder)
-	d.tuples, d.used = nil, 0
-	tuples, class, err := d.decodeFrame(data)
-	d.tuples, d.used = nil, 0
-	decoders.Put(d)
-	return tuples, class, err
+	return new(TupleDecoder).decodeFrame(data)
 }
-
-var decoders = sync.Pool{New: func() any { return new(TupleDecoder) }}
 
 // decodeFrame decodes one frame as one run, handed over only once all of
 // it has been read; the slice is the decoder's, valid until it decodes
@@ -328,8 +325,12 @@ func (d *TupleDecoder) decodeFrame(data []byte) ([]Tuple, TrafficClass, error) {
 // so a bolt that keeps a key keeps neither the frame nor a slab. The last
 // run is handed over only once the whole frame has been read; a frame
 // that proves corrupt after some runs were handed over returns
-// ErrBatchCorrupt then, as a stream that breaks mid-frame would.
+// ErrBatchCorrupt then, as a stream that breaks mid-frame would. The
+// first DecodeRuns starts the decoder's intern cache.
 func (d *TupleDecoder) DecodeRuns(data []byte, fn func([]Tuple, TrafficClass) error) error {
+	if d.strs == nil {
+		d.strs = make([]internSlot, internCap)
+	}
 	_, err := d.decode(data, decodeRun, fn)
 	return err
 }
@@ -472,24 +473,28 @@ func (d *TupleDecoder) end(r *batchReader, n int) error {
 
 // intern returns b as a boxed string, from the cache when it is there.
 func (d *TupleDecoder) intern(b []byte) any {
-	if len(b) > internMaxLen {
+	if d.strs == nil || len(b) > internMaxLen {
 		return string(b)
 	}
-	if v, ok := d.strs[string(b)]; ok {
-		return v
+	h := uint64(14695981039346656037) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
 	}
-	if d.strs == nil {
-		d.strs = make(map[string]any)
-	}
-	if len(d.strs) >= internCap {
-		for k := range d.strs {
-			delete(d.strs, k)
-			break
+	// The top bits of a Fibonacci product pick the set: they depend on
+	// every bit of h, where h's own bits above the low ones barely depend
+	// on the last bytes.
+	i := int((h*0x9e3779b97f4a7c15)>>(64-internSetBits)) * internWays
+	set := d.strs[i : i+internWays]
+	for j := range set {
+		if set[j].hash == h {
+			if s, ok := set[j].str.(string); ok && s == string(b) {
+				return set[j].str
+			}
 		}
 	}
-	s := string(b)
-	v := any(s)
-	d.strs[s] = v
+	v := any(string(b))
+	d.victim++
+	set[d.victim%internWays] = internSlot{hash: h, str: v}
 	return v
 }
 

@@ -428,18 +428,42 @@ func TestDecodeAllocsPerFrame(t *testing.T) {
 	}
 }
 
+// BenchmarkDecode decodes 32-tuple (key, int64) frames as a flow
+// connection does, keys cycling through 64 or 4096 names: the intern
+// cache always hits on the first and never on the second. "plain" is the
+// same decoder body with no cache, what the interned case's misses are
+// to be held against.
 func BenchmarkDecode(b *testing.B) {
-	frame := keyedFrame(b, 32, 64, 1000)
-	b.Run("decoder", func(b *testing.B) {
-		var d TupleDecoder
-		inject := func([]Tuple, TrafficClass) error { return nil }
-		b.ReportAllocs()
-		for b.Loop() {
-			if err := d.DecodeRuns(frame, inject); err != nil {
-				b.Fatal(err)
-			}
+	inject := func([]Tuple, TrafficClass) error { return nil }
+	for _, keys := range []int{64, 4096} {
+		frames := make([][]byte, 2*4096/32) // every key twice over
+		for f := range frames {
+			frames[f] = keyedFrame(b, 32, keys, 32*f)
 		}
-	})
+		b.Run(fmt.Sprintf("keys=%d/interned", keys), func(b *testing.B) {
+			var d TupleDecoder
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				if err := d.DecodeRuns(frames[i%len(frames)], inject); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
+		b.Run(fmt.Sprintf("keys=%d/plain", keys), func(b *testing.B) {
+			var d TupleDecoder // never runs DecodeRuns: no intern cache
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				if _, _, err := d.decodeFrame(frames[i%len(frames)]); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
+	}
+	frame := keyedFrame(b, 32, 64, 1000)
 	b.Run("DecodeTupleBatch", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {

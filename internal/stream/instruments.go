@@ -87,8 +87,8 @@ type taskInstruments struct {
 	rt          *instruments
 	tuplesIn    *metrics.Counter // includes the task's offered counter
 	shed        *metrics.Counter // includes the task's shed counter
-	depth       *metrics.Gauge   // follows the queue
-	highWater   *metrics.Gauge   // follows the queue
+	stopDepth   func(last int64) // ends the queue_depth gauge's Follow
+	stopHigh    func(last int64) // ends the queue_high_water gauge's Follow
 	tuplesOut   *metrics.Counter
 	acks        *metrics.Counter
 	replays     *metrics.Counter
@@ -104,8 +104,6 @@ func newTaskInstruments(rt *instruments, reg *metrics.Registry, t *task) *taskIn
 		rt:          rt,
 		tuplesIn:    reg.Counter(p + "_tuples_in_total"),
 		shed:        reg.Counter(p + "_shed_total"),
-		depth:       reg.Gauge(p + "_queue_depth"),
-		highWater:   reg.Gauge(p + "_queue_high_water"),
 		tuplesOut:   reg.Counter(p + "_tuples_out_total"),
 		acks:        reg.Counter(p + "_acks_total"),
 		replays:     reg.Counter(p + "_replays_total"),
@@ -119,15 +117,17 @@ func newTaskInstruments(rt *instruments, reg *metrics.Registry, t *task) *taskIn
 	ti.shed.Include(t.shed)
 	rt.shed.Include(t.shed)
 	q := t.in
-	ti.depth.Follow(func() int64 { return int64(q.depth()) })
-	ti.highWater.Follow(func() int64 { return int64(q.high()) })
+	ti.stopDepth = reg.Gauge(p + "_queue_depth").Follow(func() int64 { return int64(q.depth()) })
+	ti.stopHigh = reg.Gauge(p + "_queue_high_water").FollowMax(func() int64 { return int64(q.high()) })
 	return ti
 }
 
 // retire ends a stopped task's share in the registry, which outlives the
 // runtime: its counts fold into the metrics that included them and the
 // queue gauges keep their last reading, so nothing there holds the task's
-// counters or queue any more.
+// counters or queue any more. A gauge a newer runtime's task of the same
+// key follows by now stays with that task; the high-water gauge keeps
+// the higher of the two marks.
 func (ti *taskInstruments) retire(t *task) {
 	if ti == nil {
 		return
@@ -136,10 +136,8 @@ func (ti *taskInstruments) retire(t *task) {
 	ti.rt.tuplesIn.Fold(t.offered)
 	ti.shed.Fold(t.shed)
 	ti.rt.shed.Fold(t.shed)
-	ti.depth.Set(int64(t.in.depth()))
-	ti.depth.Follow(nil)
-	ti.highWater.SetMax(int64(t.in.high()))
-	ti.highWater.Follow(nil)
+	ti.stopDepth(int64(t.in.depth()))
+	ti.stopHigh(int64(t.in.high()))
 }
 
 // noteBlocked records the time a sender spent blocked on this task's

@@ -182,14 +182,12 @@ func (q *taskQueue) waitLocked(waitStart int64) int64 {
 // appendLocked copies a run in at the tail; caller holds q.mu and has
 // verified the room.
 func (q *taskQueue) appendLocked(tuples []Tuple, class TrafficClass) {
-	tail := q.head + q.n // < 2 × capacity: one subtraction wraps it
-	if tail >= len(q.tuples) {
-		tail -= len(q.tuples)
-	}
+	tail := (q.head + q.n) % len(q.tuples)
 	k := copy(q.tuples[tail:], tuples)
 	copy(q.tuples, tuples[k:])
-	fill(q.classes[tail:tail+k], class)
-	fill(q.classes[:len(tuples)-k], class)
+	for i := range tuples {
+		q.classes[(tail+i)%len(q.classes)] = class
+	}
 	q.n += len(tuples)
 	if q.n > q.highWater {
 		q.highWater = q.n
@@ -242,9 +240,7 @@ func (q *taskQueue) drain(tuples []Tuple, classes []TrafficClass) (ctl envelope,
 	copy(classes[k:n], q.classes)
 	clear(q.tuples[q.head : q.head+k]) // drop the ring's references to the values
 	clear(q.tuples[:n-k])
-	if q.head += n; q.head >= len(q.tuples) {
-		q.head -= len(q.tuples)
-	}
+	q.head = (q.head + n) % len(q.tuples)
 	q.n -= n
 	q.mu.Unlock()
 	q.notFull.Broadcast()
@@ -264,10 +260,4 @@ func (q *taskQueue) high() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.highWater
-}
-
-func fill(dst []TrafficClass, class TrafficClass) {
-	for i := range dst {
-		dst[i] = class
-	}
 }
