@@ -60,7 +60,7 @@ var helpRules = []helpRule{
 	{"sr3_stream_task_", "_acks_total", "Tuples fully processed (acked) by this task."},
 	{"sr3_stream_task_", "_replays_total", "Tuples re-executed from this task's input log during recovery."},
 	{"sr3_stream_task_", "_proc_ns", "Per-tuple processing latency of this task in nanoseconds, each tuple counted at the mean of the run it executed in."},
-	{"sr3_stream_task_", "_queue_depth", "Input-queue depth in tuples when read (backpressure signal)."},
+	{"sr3_stream_task_", "_queue_depth", "Input-queue depth in tuples sampled at the last push (backpressure signal)."},
 	{"sr3_stream_task_", "_queue_high_water", "Highest input-queue depth observed since start, in tuples."},
 	{"sr3_stream_task_", "_state_bytes", "Size of this task's last saved state snapshot in bytes."},
 	{"sr3_stream_task_", "_emit_blocked_ns_total", "Nanoseconds senders spent blocked on this task's full input channel."},

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -88,48 +87,8 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge is a settable point-in-time value, or one read from its source
-// (Follow).
-type Gauge struct {
-	v      atomic.Int64
-	source atomic.Pointer[gaugeSource]
-}
-
-// gaugeSource is what a following gauge reads.
-type gaugeSource struct {
-	fn  func() int64
-	max bool // a high-water mark: the larger of fn and the stored value
-}
-
-// Follow makes the gauge read fn instead of its stored value: a fact its
-// owner keeps anyway (a queue's depth) is read when the gauge is, not
-// stored into it on every change. A later Follow replaces fn. stop ends
-// this Follow, storing last as the gauge's value, unless the gauge has
-// since been made to follow something else: the owner that stops leaves
-// alone a gauge a newer owner of the same name follows.
-func (g *Gauge) Follow(fn func() int64) (stop func(last int64)) {
-	return g.follow(&gaugeSource{fn: fn})
-}
-
-// FollowMax is Follow for a high-water mark: the gauge reads the larger
-// of fn and its stored value, and stop raises the stored value to last
-// whether or not the gauge still follows fn, so the mark stays the
-// highest since start across owners.
-func (g *Gauge) FollowMax(fn func() int64) (stop func(last int64)) {
-	return g.follow(&gaugeSource{fn: fn, max: true})
-}
-
-func (g *Gauge) follow(src *gaugeSource) func(int64) {
-	g.source.Store(src)
-	return func(last int64) {
-		if src.max {
-			g.SetMax(last)
-		}
-		if g.source.CompareAndSwap(src, nil) && !src.max {
-			g.v.Store(last)
-		}
-	}
-}
+// Gauge is a settable point-in-time value.
+type Gauge struct{ v atomic.Int64 }
 
 // Set stores the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
@@ -152,61 +111,10 @@ func (g *Gauge) SetMax(v int64) {
 }
 
 // Value reads the gauge.
-func (g *Gauge) Value() int64 {
-	src := g.source.Load()
-	if src == nil {
-		return g.v.Load()
-	}
-	v := src.fn()
-	if src.max {
-		v = max(v, g.v.Load())
-	}
-	return v
-}
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Counter is a monotonically increasing total. A counter that something
-// is included in (Include) is a roll-up: it also sums, when it is read,
-// its parts' counts, so a fact counted once by its owner is rolled up
-// without a second atomic on the owner's path. The parts and their lock
-// live apart (rollUp), so a plain counter is one atomic to add to and to
-// read.
-type Counter struct {
-	v     atomic.Int64
-	parts atomic.Pointer[rollUp] // nil until the first Include
-}
-
-// rollUp is a roll-up counter's parts.
-type rollUp struct {
-	mu    sync.Mutex
-	parts []*Counter
-}
-
-// Include adds part to what Value sums; including one twice counts it
-// once.
-func (c *Counter) Include(part *Counter) {
-	c.parts.CompareAndSwap(nil, new(rollUp))
-	ru := c.parts.Load()
-	ru.mu.Lock()
-	defer ru.mu.Unlock()
-	if !slices.Contains(ru.parts, part) {
-		ru.parts = append(ru.parts, part)
-	}
-}
-
-// Fold ends part's inclusion: what it has counted joins c's own count,
-// and c no longer reads or holds it.
-func (c *Counter) Fold(part *Counter) {
-	ru := c.parts.Load()
-	if ru == nil {
-		return
-	}
-	ru.mu.Lock()
-	defer ru.mu.Unlock()
-	if i := slices.Index(ru.parts, part); i >= 0 {
-		c.v.Add(part.Value())
-		ru.parts = slices.Delete(ru.parts, i, i+1)
-	}
-}
+// Counter is a monotonically increasing total.
+type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter.
 func (c *Counter) Add(d int64) { c.v.Add(d) }
@@ -214,20 +122,8 @@ func (c *Counter) Add(d int64) { c.v.Add(d) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Value reads the counter: its own count plus its parts', if any.
-func (c *Counter) Value() int64 {
-	ru := c.parts.Load()
-	if ru == nil {
-		return c.v.Load()
-	}
-	ru.mu.Lock()
-	defer ru.mu.Unlock()
-	v := c.v.Load()
-	for _, p := range ru.parts {
-		v += p.Value()
-	}
-	return v
-}
+// Value reads the counter.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // promName sanitizes a metric name into the Prometheus charset
 // [a-zA-Z0-9_:], mapping '.', '-', '/' and spaces to '_'.

@@ -158,70 +158,3 @@ func TestInlineLabelsShareOneFamily(t *testing.T) {
 		t.Fatalf("cluster scrape of a labelled family:\n%s", out)
 	}
 }
-
-// TestRollUpsReadTheirParts: a counter sums the counters included in it
-// when read, counts one included twice once, and keeps a folded part's
-// count as its own while letting go of the part; a counter nothing is
-// included in has no parts to read. A gauge reads what it follows until
-// that Follow stops, unless a later Follow took the gauge over; a
-// high-water gauge keeps the highest mark of every source it followed.
-func TestRollUpsReadTheirParts(t *testing.T) {
-	var total, a, b Counter
-	total.Add(1)
-	total.Include(&a)
-	total.Include(&a)
-	total.Include(&b)
-	a.Add(10)
-	b.Add(100)
-	if got := total.Value(); got != 111 {
-		t.Fatalf("roll-up reads %d, want 111", got)
-	}
-	total.Fold(&a)
-	a.Add(5) // after the fold: no longer the roll-up's
-	if got := total.Value(); got != 111 || len(total.parts.Load().parts) != 1 {
-		t.Fatalf("after the fold: %d with %d parts, want 111 with 1", got, len(total.parts.Load().parts))
-	}
-	if a.parts.Load() != nil || b.parts.Load() != nil {
-		t.Fatal("a counter nothing was included in carries parts")
-	}
-
-	var g Gauge
-	g.Set(3)
-	depth := int64(7)
-	stop := g.Follow(func() int64 { return depth })
-	depth = 9
-	if got := g.Value(); got != 9 {
-		t.Fatalf("following gauge reads %d, want 9", got)
-	}
-	stop(4)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge after its Follow stopped reads %d, want the last reading 4", got)
-	}
-	stopOld := g.Follow(func() int64 { return 1 })
-	stopNew := g.Follow(func() int64 { return 2 })
-	stopOld(5)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("an older Follow's stop detached the newer one: gauge reads %d, want 2", got)
-	}
-	stopNew(6)
-	if got := g.Value(); got != 6 {
-		t.Fatalf("gauge reads %d after the newer Follow stopped, want 6", got)
-	}
-
-	var hw Gauge
-	high1, high2 := int64(8), int64(3)
-	stop1 := hw.FollowMax(func() int64 { return high1 })
-	stop2 := hw.FollowMax(func() int64 { return high2 })
-	stop1(high1)
-	if got := hw.Value(); got != 8 {
-		t.Fatalf("high water reads %d with the newer source at 3 and the older mark 8, want 8", got)
-	}
-	high2 = 12
-	if got := hw.Value(); got != 12 {
-		t.Fatalf("high water reads %d, want the newer source's 12", got)
-	}
-	stop2(high2)
-	if got := hw.Value(); got != 12 {
-		t.Fatalf("high water reads %d after both stopped, want 12", got)
-	}
-}

@@ -132,15 +132,10 @@ func (v Version) String() string { return fmt.Sprintf("v%d.%d", v.Timestamp, v.S
 // (poison under the race detector). The slab is unmapped when the store is
 // collected, or replaced whole by RestoreView.
 type MapStore struct {
-	// mu guards the map for one operation at a time. A view's lease is a
-	// flag under it, not a lock held for the view's life: writers wait on
-	// unleased until it clears, readers do not look at it.
-	mu       sync.Mutex
-	unleased sync.Cond // on mu; broadcast when a lease ends
-	leased   bool
-	data     map[string][]byte // values are slots of vals
-	vals     *slab
-	size     int
+	mu   sync.RWMutex
+	data map[string][]byte // values are slots of vals
+	vals *slab
+	size int
 
 	// viewMu is held for the life of a view, and guards the buffers View
 	// reuses from one save to the next: the sorted keys, the scratch that
@@ -162,22 +157,12 @@ var _ Store = (*MapStore)(nil)
 
 // NewMapStore returns an empty hashtable store.
 func NewMapStore() *MapStore {
-	m := &MapStore{data: make(map[string][]byte), vals: newSlab()}
-	m.unleased.L = &m.mu
-	return m
-}
-
-// lockWrite takes mu for a write, once no view is leased.
-func (m *MapStore) lockWrite() {
-	m.mu.Lock()
-	for m.leased {
-		m.unleased.Wait()
-	}
+	return &MapStore{data: make(map[string][]byte), vals: newSlab()}
 }
 
 // Put inserts or replaces a key.
 func (m *MapStore) Put(key string, value []byte) {
-	m.lockWrite()
+	m.mu.Lock()
 	defer m.mu.Unlock()
 	old, ok := m.data[key]
 	if ok && len(old) == len(value) {
@@ -200,8 +185,8 @@ func (m *MapStore) Put(key string, value []byte) {
 
 // Get returns the value for key.
 func (m *MapStore) Get(key string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	v, ok := m.data[key]
 	if !ok {
 		return nil, false
@@ -211,7 +196,7 @@ func (m *MapStore) Get(key string) ([]byte, bool) {
 
 // Delete removes a key.
 func (m *MapStore) Delete(key string) {
-	m.lockWrite()
+	m.mu.Lock()
 	defer m.mu.Unlock()
 	if old, ok := m.data[key]; ok {
 		m.size -= len(key) + len(old)
@@ -222,15 +207,15 @@ func (m *MapStore) Delete(key string) {
 
 // Len returns the number of keys.
 func (m *MapStore) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	return len(m.data)
 }
 
 // Keys returns all keys, sorted.
 func (m *MapStore) Keys() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	out := make([]string, 0, len(m.data))
 	for k := range m.data {
 		out = append(out, k)
@@ -241,15 +226,15 @@ func (m *MapStore) Keys() []string {
 
 // SizeBytes approximates the serialized size.
 func (m *MapStore) SizeBytes() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	return m.size + 8*len(m.data) + 8
 }
 
 // Snapshot serializes entries sorted by key: deterministic.
 func (m *MapStore) Snapshot() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	keys := make([]string, 0, len(m.data))
 	for k := range m.data {
 		keys = append(keys, k)
@@ -264,7 +249,7 @@ func (m *MapStore) Snapshot() ([]byte, error) {
 	return buf, nil
 }
 
-// View lends the snapshot by reference under a lease: writers (Put,
+// View lends the snapshot by reference under a read lease: writers (Put,
 // Delete, Restore) wait until Release, readers do not. Length prefixes,
 // keys and values up to viewInline bytes are laid out in one scratch
 // buffer the store reuses save after save; a larger value is its own
@@ -273,9 +258,7 @@ func (m *MapStore) Snapshot() ([]byte, error) {
 // to the store before releasing it.
 func (m *MapStore) View() (View, error) {
 	m.viewMu.Lock()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.leased = true
+	m.mu.RLock()
 	if cap(m.keys) < len(m.data) {
 		m.keys = make([]string, 0, len(m.data)+len(m.data)/8)
 	}
@@ -328,10 +311,7 @@ func (m *MapStore) View() (View, error) {
 func (m *MapStore) releaseView() {
 	clear(m.keys)
 	clear(m.segs)
-	m.mu.Lock()
-	m.leased = false
-	m.mu.Unlock()
-	m.unleased.Broadcast()
+	m.mu.RUnlock()
 	m.viewMu.Unlock()
 }
 
@@ -349,7 +329,7 @@ func (m *MapStore) RestoreView(v View) error {
 		vals.release()
 		return err
 	}
-	m.lockWrite()
+	m.mu.Lock()
 	old := m.vals
 	m.data, m.vals, m.size = fresh, vals, size
 	m.mu.Unlock()

@@ -77,82 +77,64 @@ func (in *instruments) noteLogged(delta int64) {
 // lookup. Per-task metric names embed the task key (the registry has no
 // label support; promName maps the key's slashes to underscores), e.g.
 // sr3_stream_task_wordcount_counter_0_proc_ns.
-//
-// What a push does is not recorded here. The task's offered and shed
-// counters are included in its tuples_in and shed metrics and in the
-// runtime-wide totals, and the queue depth and high-water gauges read
-// the queue, so a push moves one counter per fact and these only when
-// they are read.
 type taskInstruments struct {
 	rt          *instruments
-	tuplesIn    *metrics.Counter // includes the task's offered counter
-	shed        *metrics.Counter // includes the task's shed counter
-	stopDepth   func(last int64) // ends the queue_depth gauge's Follow
-	stopHigh    func(last int64) // ends the queue_high_water gauge's Follow
+	tuplesIn    *metrics.Counter
 	tuplesOut   *metrics.Counter
 	acks        *metrics.Counter
 	replays     *metrics.Counter
+	shed        *metrics.Counter
 	procNs      *metrics.LatencyHistogram
 	blockWaitNs *metrics.LatencyHistogram
+	depth       *metrics.Gauge
+	highWater   *metrics.Gauge
 	stateBytes  *metrics.Gauge
 	emitBlocked *metrics.Counter
 }
 
-func newTaskInstruments(rt *instruments, reg *metrics.Registry, t *task) *taskInstruments {
-	p := "sr3_stream_task_" + t.key
-	ti := &taskInstruments{
+func newTaskInstruments(rt *instruments, reg *metrics.Registry, key string) *taskInstruments {
+	p := "sr3_stream_task_" + key
+	return &taskInstruments{
 		rt:          rt,
 		tuplesIn:    reg.Counter(p + "_tuples_in_total"),
-		shed:        reg.Counter(p + "_shed_total"),
 		tuplesOut:   reg.Counter(p + "_tuples_out_total"),
 		acks:        reg.Counter(p + "_acks_total"),
 		replays:     reg.Counter(p + "_replays_total"),
+		shed:        reg.Counter(p + "_shed_total"),
 		procNs:      reg.Histogram(p + "_proc_ns"),
 		blockWaitNs: reg.Histogram(p + "_emit_block_wait_ns"),
+		depth:       reg.Gauge(p + "_queue_depth"),
+		highWater:   reg.Gauge(p + "_queue_high_water"),
 		stateBytes:  reg.Gauge(p + "_state_bytes"),
 		emitBlocked: reg.Counter(p + "_emit_blocked_ns_total"),
 	}
-	ti.tuplesIn.Include(t.offered)
-	rt.tuplesIn.Include(t.offered)
-	ti.shed.Include(t.shed)
-	rt.shed.Include(t.shed)
-	q := t.in
-	ti.stopDepth = reg.Gauge(p + "_queue_depth").Follow(func() int64 { return int64(q.depth()) })
-	ti.stopHigh = reg.Gauge(p + "_queue_high_water").FollowMax(func() int64 { return int64(q.high()) })
-	return ti
 }
 
-// retire ends a stopped task's share in the registry, which outlives the
-// runtime: its counts fold into the metrics that included them and the
-// queue gauges keep their last reading, so nothing there holds the task's
-// counters or queue any more. A gauge a newer runtime's task of the same
-// key follows by now stays with that task; the high-water gauge keeps
-// the higher of the two marks.
-func (ti *taskInstruments) retire(t *task) {
+// notePush records one queue push at this task: n tuples offered, the
+// tuples the queue shed (the ledger counts tuples, never pushes), the
+// post-push depth as the backpressure signal with the high-water gauge
+// ratcheting, both in tuples, and the time the sender spent blocked on
+// the full queue — emit-side backpressure. The counter accumulates total
+// blocked nanoseconds; the histogram keeps one sample per blocked push so
+// quantiles of backpressure stalls are observable, not just their sum.
+func (ti *taskInstruments) notePush(n int64, res pushResult) {
 	if ti == nil {
 		return
 	}
-	ti.tuplesIn.Fold(t.offered)
-	ti.rt.tuplesIn.Fold(t.offered)
-	ti.shed.Fold(t.shed)
-	ti.rt.shed.Fold(t.shed)
-	ti.stopDepth(int64(t.in.depth()))
-	ti.stopHigh(int64(t.in.high()))
-}
-
-// noteBlocked records the time a sender spent blocked on this task's
-// full queue in one push — emit-side backpressure. The counter
-// accumulates total blocked nanoseconds; the histogram keeps one sample
-// per blocked push so quantiles of backpressure stalls are observable,
-// not just their sum.
-func (ti *taskInstruments) noteBlocked(ns int64) {
-	if ti == nil || ns <= 0 {
-		return
+	ti.tuplesIn.Add(n)
+	ti.rt.tuplesIn.Add(n)
+	ti.depth.Set(int64(res.depth))
+	ti.highWater.SetMax(int64(res.high))
+	if res.shed > 0 {
+		ti.shed.Add(int64(res.shed))
+		ti.rt.shed.Add(int64(res.shed))
 	}
-	ti.emitBlocked.Add(ns)
-	ti.rt.emitBlocked.Add(ns)
-	ti.blockWaitNs.Record(ns)
-	ti.rt.blockWaitNs.Record(ns)
+	if res.blockedNs > 0 {
+		ti.emitBlocked.Add(res.blockedNs)
+		ti.rt.emitBlocked.Add(res.blockedNs)
+		ti.blockWaitNs.Record(res.blockedNs)
+		ti.rt.blockWaitNs.Record(res.blockedNs)
+	}
 }
 
 // noteEmit records n tuples emitted by this task's bolt.
@@ -249,8 +231,8 @@ func (rt *Runtime) DebugView() TopologyDebug {
 		Pending:       rt.pending.Load(),
 		ExecuteErrors: rt.failures.Load(),
 		Degraded:      rt.Degraded(),
+		Shed:          rt.shedAll.Load(),
 	}
-	_, d.Shed = rt.ledger()
 	for id := range rt.topo.spouts {
 		d.Spouts = append(d.Spouts, id)
 	}
@@ -266,8 +248,8 @@ func (rt *Runtime) DebugView() TopologyDebug {
 				Logged:     t.logged.Load(),
 				QueueDepth: t.in.depth(),
 				QueueCap:   t.in.capacity(),
-				Offered:    t.offered.Value(),
-				Shed:       t.shed.Value(),
+				Offered:    t.offered.Load(),
+				Shed:       t.shed.Load(),
 			})
 		}
 	}

@@ -133,87 +133,6 @@ func TestRuntimeInstruments(t *testing.T) {
 	}
 }
 
-// TestStoppedRuntimeLeavesItsCounts: a runtime's tuples_in counts, read
-// from its tasks' counters while it runs, stay in the registry after it
-// stops — a second runtime of the same topology adds to them — and the
-// registry lets go of the stopped tasks' counters.
-func TestStoppedRuntimeLeavesItsCounts(t *testing.T) {
-	tuples := make([]Tuple, 20)
-	for i := range tuples {
-		tuples[i] = Tuple{Values: []any{"w"}}
-	}
-	reg := metrics.NewRegistry()
-	passIn := func() int64 {
-		return reg.Counter("sr3_stream_task_steady/pass/0_tuples_in_total").Value() +
-			reg.Counter("sr3_stream_task_steady/pass/1_tuples_in_total").Value()
-	}
-	for round := int64(1); round <= 2; round++ {
-		rt, err := NewRuntime(steadyTopo(t, tuples), Config{Metrics: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.Start()
-		if err := rt.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if got := reg.Counter("sr3_stream_tuples_in_total").Value(); got != 40*round {
-			t.Fatalf("round %d: tuples in = %d, want %d", round, got, 40*round)
-		}
-		if got := passIn(); got != 20*round {
-			t.Fatalf("round %d: pass tuples in = %d, want %d", round, got, 20*round)
-		}
-		rt.tasks["pass"][0].offered.Add(1000) // a stopped task's counter
-		if got := passIn(); got != 20*round {
-			t.Fatalf("round %d: the registry still reads a stopped task (%d)", round, got)
-		}
-	}
-
-	// Two runtimes of the same keys overlap, as when a cell is rebuilt
-	// while the one it replaces is still stopping: the older one's stop
-	// leaves the queue gauges following the newer one's queue, and the
-	// high-water mark stays the highest since start.
-	high := reg.Gauge("sr3_stream_task_steady/count/0_queue_high_water")
-	mark := high.Value() // the two rounds' highest
-	older, err := NewRuntime(steadyTopo(t, tuples), Config{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	older.Start()
-	newer, err := NewRuntime(steadyTopo(t, tuples), Config{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := newer.tasks["count"][0]
-	newer.pushN(count, tuples[:3], ClassIngest) // queued before the newer one starts
-	if err := older.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	depth := reg.Gauge("sr3_stream_task_steady/count/0_queue_depth")
-	if got := depth.Value(); got != 3 {
-		t.Fatalf("queue depth reads %d after the older runtime stopped, want the newer queue's 3", got)
-	}
-	mark = max(mark, int64(older.tasks["count"][0].in.high()), 3)
-	if got := high.Value(); got != mark {
-		t.Fatalf("queue high water reads %d, want the highest mark so far, %d", got, mark)
-	}
-	count.in.mu.Lock()
-	count.in.highWater = int(mark) + 7 // the newer queue goes deeper
-	count.in.mu.Unlock()
-	if got := high.Value(); got != mark+7 {
-		t.Fatalf("queue high water reads %d, want the newer queue's %d", got, mark+7)
-	}
-	newer.Start()
-	if err := newer.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("sr3_stream_tuples_in_total").Value(); got != 4*40+3 {
-		t.Fatalf("tuples in = %d after four runtimes, want %d", got, 4*40+3)
-	}
-	if got := high.Value(); got < mark+7 {
-		t.Fatalf("queue high water fell to %d after both stopped, want at least %d", got, mark+7)
-	}
-}
-
 // TestRuntimeDebugView: the /debug/sr3 snapshot reflects topology shape
 // and progress.
 func TestRuntimeDebugView(t *testing.T) {

@@ -179,8 +179,8 @@ func TestTaskQueuePushNInPieces(t *testing.T) {
 		}
 	}
 	res := <-pushed
-	if res.shed != 0 || q.high() > capacity || res.blockedNs <= 0 {
-		t.Fatalf("push result %+v, high water %d: want nothing shed, high <= %d, blocked time recorded", res, q.high(), capacity)
+	if res.shed != 0 || res.high > capacity || res.blockedNs <= 0 {
+		t.Fatalf("push result %+v: want nothing shed, high <= %d, blocked time recorded", res, capacity)
 	}
 }
 

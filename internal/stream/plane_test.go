@@ -57,8 +57,8 @@ func TestQueueShedAccountingCountsTuples(t *testing.T) {
 	// A run longer than the queue under shed-oldest ends up displacing
 	// its own head: every tuple but the last `capacity` is one debit.
 	ql := newTaskQueue(2, QueueShedOldest, 0)
-	if res := ql.pushN(seqRun(0, 1, 2, 3, 4), ClassIngest, false); res.shed != 3 || ql.high() != 2 {
-		t.Fatalf("long run: shed %d high %d, want 3 and 2", res.shed, ql.high())
+	if res := ql.pushN(seqRun(0, 1, 2, 3, 4), ClassIngest, false); res.shed != 3 || res.high != 2 {
+		t.Fatalf("long run: shed %d high %d, want 3 and 2", res.shed, res.high)
 	}
 }
 

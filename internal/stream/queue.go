@@ -53,6 +53,9 @@ type pushResult struct {
 	// older queued ones evicted to make room. Either way each is one
 	// debit on the offered = admitted + shed ledger.
 	shed int
+	// depth and high are the data occupancy after the push and the
+	// largest ever observed, in tuples.
+	depth, high int
 	// blockedNs is the time from the first wait for a free slot to the end
 	// of the push — the emit-side backpressure signal; 0 if nothing waited.
 	blockedNs int64
@@ -160,6 +163,7 @@ func (q *taskQueue) pushN(tuples []Tuple, class TrafficClass, degraded bool) pus
 		res.shed += len(tuples)
 		break
 	}
+	res.depth, res.high = q.n, q.highWater
 	q.mu.Unlock()
 	q.notEmpty.Signal()
 	if waitStart != 0 {

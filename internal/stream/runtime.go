@@ -146,12 +146,8 @@ type task struct {
 	saveSeq  uint64
 	sinceSav int
 	handled  atomic.Int64
-	// offered counts the data tuples routed at this task and shed those
-	// dropped by queue policy or degraded mode. Each is the one counter of
-	// its fact: the task's metric and the runtime's roll-ups sum them when
-	// read, and hold only them, never the task.
-	offered *metrics.Counter
-	shed    *metrics.Counter
+	offered  atomic.Int64 // data tuples routed at this task
+	shed     atomic.Int64 // data tuples dropped by queue policy / degraded mode
 	// curClass is the class of the tuple the executor is currently
 	// processing (executor goroutine only): emissions inherit it, so the
 	// descendants of a replayed tuple stay replay-class downstream.
@@ -185,6 +181,9 @@ type Runtime struct {
 	stopped  chan struct{} // closed once Wait has shut the executors down
 	failures atomic.Int64  // bolt Execute errors (reported, not fatal)
 	instr    *instruments  // nil when Config.Metrics is unset
+
+	offeredAll atomic.Int64 // data tuples routed, all tasks
+	shedAll    atomic.Int64 // data tuples shed, all tasks
 
 	// Degraded-service mode (admission control during recovery): a
 	// refcount so overlapping recoveries nest, plus the offered/shed
@@ -227,19 +226,17 @@ func NewRuntime(topo *Topology, cfg Config) (*Runtime, error) {
 		ts := make([]*task, decl.parallel)
 		for i := range ts {
 			ts[i] = &task{
-				key:     TaskKey(topo.name, id, i),
-				boltID:  id,
-				index:   i,
-				slot:    rt.slots,
-				decl:    decl,
-				batch:   batch,
-				in:      newTaskQueue(cfg.ChannelDepth, cfg.QueuePolicy, watermark),
-				offered: new(metrics.Counter),
-				shed:    new(metrics.Counter),
+				key:    TaskKey(topo.name, id, i),
+				boltID: id,
+				index:  i,
+				slot:   rt.slots,
+				decl:   decl,
+				batch:  batch,
+				in:     newTaskQueue(cfg.ChannelDepth, cfg.QueuePolicy, watermark),
 			}
 			rt.slots++
 			if rt.instr != nil {
-				ts[i].instr = newTaskInstruments(rt.instr, cfg.Metrics, ts[i])
+				ts[i].instr = newTaskInstruments(rt.instr, cfg.Metrics, ts[i].key)
 			}
 		}
 		rt.tasks[id] = ts
@@ -437,6 +434,7 @@ func (rt *Runtime) pushN(t *task, tuples []Tuple, class TrafficClass) {
 	n := int64(len(tuples))
 	rt.pending.Add(n)
 	t.offered.Add(n)
+	rt.offeredAll.Add(n)
 	res := t.in.pushN(tuples, class, rt.degraded.Load() > 0)
 	if res.shed > 0 {
 		// Shed tuples will never be processed: they leave the pending
@@ -444,19 +442,9 @@ func (rt *Runtime) pushN(t *task, tuples []Tuple, class TrafficClass) {
 		shed := int64(res.shed)
 		rt.pending.Add(-shed)
 		t.shed.Add(shed)
+		rt.shedAll.Add(shed)
 	}
-	t.instr.noteBlocked(res.blockedNs)
-}
-
-// ledger sums the offered and shed counts of every task.
-func (rt *Runtime) ledger() (offered, shed int64) {
-	for _, ts := range rt.tasks {
-		for _, t := range ts {
-			offered += t.offered.Value()
-			shed += t.shed.Value()
-		}
-	}
-	return offered, shed
+	t.instr.notePush(n, res)
 }
 
 // runTask is the executor loop: a single goroutine owns the task's log,
@@ -870,11 +858,6 @@ func (rt *Runtime) Wait() error {
 		}
 	}
 	rt.execWG.Wait()
-	for _, ts := range rt.tasks {
-		for _, t := range ts {
-			t.instr.retire(t)
-		}
-	}
 	close(rt.stopped)
 	rt.cfg.Flight.Note(obs.FlightTopologyStop, "", rt.topo.name,
 		fmt.Sprintf("errors=%d", rt.failures.Load()), nil)
@@ -949,7 +932,8 @@ func (rt *Runtime) EnterDegraded(reason string) {
 		return
 	}
 	rt.degMu.Lock()
-	rt.degOffered, rt.degShed = rt.ledger()
+	rt.degOffered = rt.offeredAll.Load()
+	rt.degShed = rt.shedAll.Load()
 	rt.degMu.Unlock()
 	rt.instr.noteDegraded(true)
 	rt.cfg.Flight.Note(obs.FlightShedStart, "", rt.topo.name,
@@ -963,10 +947,9 @@ func (rt *Runtime) ExitDegraded() {
 	if rt.degraded.Add(-1) != 0 {
 		return
 	}
-	offered, shed := rt.ledger()
 	rt.degMu.Lock()
-	offered -= rt.degOffered
-	shed -= rt.degShed
+	offered := rt.offeredAll.Load() - rt.degOffered
+	shed := rt.shedAll.Load() - rt.degShed
 	rt.degMu.Unlock()
 	rt.instr.noteDegraded(false)
 	rt.cfg.Flight.Note(obs.FlightShedStop, "", rt.topo.name,
@@ -1007,12 +990,15 @@ type OverloadStats struct {
 // task and rolled up. The invariant offered = admitted + shed holds by
 // construction at every level.
 func (rt *Runtime) Overload() OverloadStats {
-	s := OverloadStats{Degraded: rt.Degraded()}
+	s := OverloadStats{
+		Offered:  rt.offeredAll.Load(),
+		Shed:     rt.shedAll.Load(),
+		Degraded: rt.Degraded(),
+	}
+	s.Admitted = s.Offered - s.Shed
 	for _, id := range rt.topo.sortedBolts() {
 		for _, t := range rt.tasks[id] {
-			off, sh := t.offered.Value(), t.shed.Value()
-			s.Offered += off
-			s.Shed += sh
+			off, sh := t.offered.Load(), t.shed.Load()
 			s.Tasks = append(s.Tasks, TaskOverloadStats{
 				Key:            t.key,
 				Offered:        off,
@@ -1023,6 +1009,5 @@ func (rt *Runtime) Overload() OverloadStats {
 			})
 		}
 	}
-	s.Admitted = s.Offered - s.Shed
 	return s
 }
