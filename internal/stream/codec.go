@@ -274,12 +274,12 @@ const slabBytes = 32 << 10
 // The intern cache holds strings of at most internMaxLen bytes: a key or
 // a stream name repeats, a long text rarely does. It is internCap slots
 // in sets of internWays, a string's set picked by its hash; a set that
-// is full forgets one of its strings, round-robin. It pays off only while a
-// stream repeats at most about internCap distinct short strings — an
-// edge keyed by 64 keys always hits, one cycling through 4096 keys
-// never does. A miss costs what no cache would (the string and its box)
-// plus the hash and internWays hash compares, and nothing is
-// allocated for the cache but its one table.
+// is full forgets one of its strings, round-robin. It pays off only
+// while a stream repeats at most about internCap distinct short strings:
+// an edge keyed by 64 keys always hits, one cycling through 4096 keys
+// rarely does. A miss costs what no cache would (the string and its box)
+// plus the hash and internWays hash compares, and nothing is allocated
+// for the cache but its one table.
 const (
 	internSetBits = 8
 	internWays    = 4
